@@ -36,6 +36,7 @@
 //! `bench` times the pipeline stages with `xkit::bench` and writes
 //! `BENCH_repro.json` to the current directory.
 
+use bench::pipeline::{self, capture_pcap, RunSpec, Source};
 use dnsctx::cache_sim;
 use dnsctx::ccz_sim::{ScaleKnobs, Simulation, WorkloadConfig};
 use dnsctx::dns_context::report::{cdf_series, cdf_strip, count, f1, f2, Table};
@@ -79,6 +80,16 @@ impl Opts {
         let mut cfg = AnalysisConfig::default();
         cfg.threads = self.threads;
         cfg
+    }
+
+    /// The simulated world these options ask for, capped for the
+    /// experiments that hold every frame in memory.
+    fn scale_capped(&self, max_houses: usize, max_days: f64) -> ScaleKnobs {
+        ScaleKnobs {
+            houses: self.houses.min(max_houses),
+            days: self.days.min(max_days),
+            activity: self.scale,
+        }
     }
 }
 
@@ -687,19 +698,6 @@ fn ablate_scr(logs: &Logs) {
     println!("{}", t.render());
 }
 
-
-/// `obs` experiment: the packet pipeline end to end with full
-/// instrumentation.
-///
-/// Each stage runs under a `stage.*` span (monotonic wall time plus at
-/// least one key counter as a note) and contributes its counters to one
-/// [`xkit::obs::Metrics`] snapshot, merged in a fixed stage order. The
-/// snapshot is a pure function of (config, seed) — sharded work merges
-/// in shard order upstream — so the JSON `metrics` section is
-/// byte-identical for every `--threads` value; wall-clock times live
-/// only in the `spans` section. Human-readable output (span tree,
-/// metrics table) goes to stderr; stdout carries exactly one JSON
-/// document, also written to `--obs-out`.
 /// Parse a snapshot written by `repro obs` back with the in-tree JSON
 /// parser and check its contract: a `meta` section, a non-empty
 /// `metrics` object, and one `stage.*` span per pipeline stage, each
@@ -752,40 +750,45 @@ fn obs_check(path: &str) {
     );
 }
 
-/// Fetch every endpoint of a running observability server and check the
-/// DESIGN.md §13 contract: `/healthz` answers, `/snapshot` parses back
-/// through the in-tree JSON parser into a [`xkit::obs::Metrics`],
-/// `/metrics` is exactly the Prometheus rendering of that same snapshot,
-/// `/spans` is a Chrome trace-event array (`ph:"X"`, numeric `ts`/`dur`
-/// in microseconds), and `/events` is a well-formed flight-recorder dump.
-fn check_live_endpoints(addr: &str) -> Result<(), String> {
-    use xkit::obs::{http, json, Metrics};
-    let fetch = |path: &str| -> Result<String, String> {
-        let (status, body) = http::get(addr, path).map_err(|e| format!("GET {path}: {e}"))?;
-        if status != 200 {
-            return Err(format!("GET {path}: status {status}"));
-        }
-        Ok(body)
-    };
+/// GET `path` from the observability server on `addr`, expecting 200.
+fn fetch(addr: &str, path: &str) -> Result<String, String> {
+    match xkit::obs::http::get(addr, path).map_err(|e| format!("GET {path}: {e}"))? {
+        (200, body) => Ok(body),
+        (status, _) => Err(format!("GET {path}: status {status}")),
+    }
+}
 
-    let health = fetch("/healthz")?;
+/// `<prefix>/snapshot` parses back through the in-tree JSON parser into a
+/// [`xkit::obs::Metrics`] and `<prefix>/metrics` is exactly the
+/// Prometheus rendering of that snapshot. The hub publishes whole
+/// snapshots atomically, so between two scrapes of a settled run these
+/// must agree byte for byte.
+fn check_snapshot_views(addr: &str, prefix: &str) -> Result<(), String> {
+    use xkit::obs::{json, Metrics};
+    let path = format!("{prefix}/snapshot");
+    let v = json::parse(&fetch(addr, &path)?).map_err(|e| format!("{path}: {e}"))?;
+    let parsed = Metrics::from_json_value(&v).map_err(|e| format!("{path}: {e}"))?;
+    let path = format!("{prefix}/metrics");
+    if fetch(addr, &path)? != parsed.to_prometheus("dnsctx") {
+        return Err(format!("{path} is not the Prometheus rendering of the snapshot"));
+    }
+    Ok(())
+}
+
+/// Fetch every endpoint of a running observability server and check the
+/// DESIGN.md §13 contract: `/healthz` answers, `/snapshot` and `/metrics`
+/// are two views of one snapshot, `/spans` is a Chrome trace-event array
+/// (`ph:"X"`, numeric `ts`/`dur` in microseconds), and `/events` is a
+/// well-formed flight-recorder dump.
+fn check_live_endpoints(addr: &str) -> Result<(), String> {
+    use xkit::obs::json;
+    let health = fetch(addr, "/healthz")?;
     if health != "ok\n" {
         return Err(format!("/healthz body {health:?}"));
     }
+    check_snapshot_views(addr, "")?;
 
-    let snapshot = fetch("/snapshot")?;
-    let v = json::parse(&snapshot).map_err(|e| format!("/snapshot: {e}"))?;
-    let parsed = Metrics::from_json_value(&v).map_err(|e| format!("/snapshot: {e}"))?;
-
-    // The hub publishes whole snapshots atomically, so between two
-    // scrapes of a settled run these must agree byte for byte.
-    let prom = fetch("/metrics")?;
-    if prom != parsed.to_prometheus("dnsctx") {
-        return Err("/metrics is not the Prometheus rendering of /snapshot".into());
-    }
-
-    let spans = fetch("/spans")?;
-    let sv = json::parse(&spans).map_err(|e| format!("/spans: {e}"))?;
+    let sv = json::parse(&fetch(addr, "/spans")?).map_err(|e| format!("/spans: {e}"))?;
     let trace = sv.as_arr().ok_or("/spans: not an array")?;
     for ev in trace {
         if ev.get("ph").and_then(|p| p.as_str()) != Some("X") {
@@ -798,8 +801,7 @@ fn check_live_endpoints(addr: &str) -> Result<(), String> {
         }
     }
 
-    let flight = fetch("/events")?;
-    let fv = json::parse(&flight).map_err(|e| format!("/events: {e}"))?;
+    let fv = json::parse(&fetch(addr, "/events")?).map_err(|e| format!("/events: {e}"))?;
     for key in ["capacity", "recorded", "dropped"] {
         if fv.get(key).and_then(|n| n.as_f64()).is_none() {
             return Err(format!("/events: missing {key}"));
@@ -844,56 +846,64 @@ fn start_serving(
     (Some(hub), Some(server))
 }
 
-/// Run the `--serve-check` self-validation against our own server, then
-/// shut it down. Exits non-zero on any contract violation.
+/// `--serve-check`: validate the endpoints of our own server on `addr`
+/// (the tenant routes too when `tenants` is given). Exits non-zero on
+/// any contract violation.
+fn serve_check(who: &str, addr: &str, tenants: Option<usize>) {
+    let checked = check_live_endpoints(addr)
+        .and_then(|()| tenants.map_or(Ok(()), |n| check_tenant_endpoints(addr, n)));
+    match checked {
+        Ok(()) => eprintln!("# {who}: serve-check OK on {addr}"),
+        Err(e) => {
+            eprintln!("# {who}: serve-check FAILED: {e}");
+            std::process::exit(1);
+        }
+    }
+}
+
+/// Run `--serve-check` against the `--serve` server, then shut it down.
 fn finish_serving(opts: &Opts, who: &str, server: Option<xkit::obs::http::ObsServer>) {
     let Some(mut server) = server else { return };
     if opts.serve_check {
-        let addr = server.addr().to_string();
-        match check_live_endpoints(&addr) {
-            Ok(()) => eprintln!("# {who}: serve-check OK on {addr}"),
-            Err(e) => {
-                eprintln!("# {who}: serve-check FAILED: {e}");
-                std::process::exit(1);
-            }
-        }
+        serve_check(who, &server.addr().to_string(), None);
     }
     server.shutdown();
 }
 
+/// `obs` experiment: the packet pipeline end to end with full
+/// instrumentation.
+///
+/// Each stage runs under a `stage.*` span (monotonic wall time plus at
+/// least one key counter as a note) and contributes its counters to one
+/// [`xkit::obs::Metrics`] snapshot, merged in a fixed stage order. The
+/// snapshot is a pure function of (config, seed) — sharded work merges
+/// in shard order upstream — so the JSON `metrics` section is
+/// byte-identical for every `--threads` value; wall-clock times live
+/// only in the `spans` section. Human-readable output (span tree,
+/// metrics table) goes to stderr; stdout carries exactly one JSON
+/// document, also written to `--obs-out`.
 fn obs(opts: &Opts) {
     use dnsctx::dns_context::classify::{classify_parallel, count_classes, resolver_thresholds};
     use dnsctx::dns_context::perf::PerfAnalysis;
     use dnsctx::dns_context::{Coverage, Pairing};
     use dnsctx::zeek_lite::{Monitor, MonitorConfig, Timestamp};
-    use xkit::obs::{Metrics, SpanLog};
+    use xkit::obs::SpanLog;
 
     // The packet path buffers every frame, so cap the workload — but keep
     // it above one simulation shard (25 houses) so the thread-invariance
     // of the snapshot exercises a real multi-shard merge.
-    let houses = opts.houses.min(50);
-    let days = opts.days.min(1.0);
-    let cfg = WorkloadConfig {
-        scale: ScaleKnobs { houses, days, activity: opts.scale },
-        ..WorkloadConfig::default()
-    };
+    let scale = opts.scale_capped(50, 1.0);
+    let (houses, days) = (scale.houses, scale.days);
     eprintln!(
         "# obs: simulating {houses} houses x {days} days at activity {} (seed {}, threads {}) ...",
         opts.scale, opts.seed, opts.threads
     );
     let mut spans = SpanLog::new();
-    let mut metrics = Metrics::new();
     let acfg = opts.analysis_cfg();
 
     // stage.capture: simulate the trace and render it to pcap bytes.
     let s = spans.start("stage.capture");
-    let sim = Simulation::new(cfg, opts.seed)
-        .expect("valid config")
-        .with_threads(opts.threads);
-    let mut pcap = Vec::new();
-    let (_truth, frames, sim_metrics) =
-        sim.run_pcap_observed(&mut pcap, 65_535).expect("in-memory pcap");
-    metrics.merge(&sim_metrics);
+    let (pcap, frames, mut metrics) = capture_pcap(&scale, opts.seed, opts.threads);
     spans.note(s, "frames", frames as f64);
     spans.note(s, "pcap_bytes", pcap.len() as f64);
     spans.finish(s);
@@ -1006,75 +1016,35 @@ fn obs(opts: &Opts) {
 /// full-trace row totals — that is the point of the exercise, and the
 /// run asserts it.
 fn stream(opts: &Opts) {
-    use dnsctx::dns_context::stream;
-    use dnsctx::pcapio;
-    use dnsctx::zeek_lite::MonitorConfig;
-    use xkit::obs::{Metrics, SpanLog};
+    use xkit::obs::SpanLog;
 
     // The pcap bytes live in memory, so cap the workload like `obs` does.
-    let houses = opts.houses.min(50);
-    let days = opts.days.min(1.0);
-    let cfg = WorkloadConfig {
-        scale: ScaleKnobs { houses, days, activity: opts.scale },
-        ..WorkloadConfig::default()
-    };
-    let window = Duration::from_secs_f64(opts.window_secs.max(0.0));
+    let scale = opts.scale_capped(50, 1.0);
+    let (houses, days) = (scale.houses, scale.days);
     eprintln!(
         "# stream: {houses} houses x {days} days at activity {} (seed {}, threads {}, window {}s) ...",
         opts.scale, opts.seed, opts.threads, opts.window_secs
     );
     let mut spans = SpanLog::new();
-    let mut metrics = Metrics::new();
     let (hub, server) = start_serving(opts, "stream");
 
     // stage.capture: simulate the trace and render it to pcap bytes.
     let s = spans.start("stage.capture");
-    let sim = Simulation::new(cfg, opts.seed)
-        .expect("valid config")
-        .with_threads(opts.threads);
-    let mut pcap = Vec::new();
-    let (_truth, frames, sim_metrics) =
-        sim.run_pcap_observed(&mut pcap, 65_535).expect("in-memory pcap");
-    metrics.merge(&sim_metrics);
+    let (pcap, frames, mut metrics) = capture_pcap(&scale, opts.seed, opts.threads);
     spans.note(s, "frames", frames as f64);
     spans.note(s, "pcap_bytes", pcap.len() as f64);
     spans.finish(s);
 
-    // stage.stream: one pass over the capture, epoch by epoch. Released
-    // rows are classified incrementally and replayed through the
-    // whole-house cache model, then dropped — nothing accumulates.
+    // stage.stream: the driver's one pass over the capture, epoch by
+    // epoch. With `--serve`, every epoch boundary also publishes a
+    // prefix snapshot to the hub.
     let s = spans.start("stage.stream");
-    let mut source = pcapio::source::file(&pcap[..]).expect("pcap header");
-    let mut replay = cache_sim::CacheReplay::new(Duration::from_secs(60));
-    let window_nanos = window.nanos();
-    // One pass through the ingestion seam: `process_source` owns the
-    // epoch windowing (same boundary semantics as `pcapio::Epochs`); the
-    // sink replays each epoch's released DNS rows through the cache
-    // model and drops them. With `--serve`, every epoch boundary also
-    // publishes a prefix snapshot to the hub.
-    let result = stream::process_source_observed(
-        &mut source,
-        window,
-        MonitorConfig::default(),
-        opts.analysis_cfg(),
-        hub.as_ref(),
-        |out| {
-            for txn in &out.dns {
-                replay.offer(txn);
-            }
-        },
-    )
-    .expect("stream run");
-    metrics.merge(&source.metrics());
-    for txn in &result.tail.dns {
-        replay.offer(txn);
-    }
-    metrics.merge(&result.analysis_metrics);
-    metrics.merge(&result.stream_metrics);
-    metrics.add("cache.hits", replay.hits());
-    metrics.add("cache.misses", replay.misses());
-    metrics.add("cache.evicted", replay.evicted());
-    metrics.gauge_max("cache.peak_live", replay.peak_live() as f64);
+    let spec = RunSpec {
+        source: Source::Pcap(pcap),
+        window_secs: opts.window_secs,
+        threads: opts.threads,
+    };
+    metrics.merge(&pipeline::run(&spec, hub.as_ref()).expect("in-memory source"));
     spans.note(s, "epochs", metrics.counter("stream.epochs") as f64);
     spans.note(s, "conn_rows", metrics.counter("zeek.conn_rows") as f64);
     spans.note(s, "dns_rows", metrics.counter("zeek.dns_rows") as f64);
@@ -1094,19 +1064,20 @@ fn stream(opts: &Opts) {
     );
     eprintln!(
         "# stream: cache replay {} hits / {} misses (peak {} live)",
-        count(replay.hits() as usize),
-        count(replay.misses() as usize),
-        replay.peak_live()
+        count(metrics.counter("cache.hits") as usize),
+        count(metrics.counter("cache.misses") as usize),
+        metrics.gauge("cache.peak_live").unwrap_or(0.0)
     );
-    if window_nanos > 0 {
+    if spec.window().nanos() > 0 {
         assert!(
             (peak_flows as u64) < conn_rows && (peak_answers as u64) < dns_rows,
             "finite window must bound live state below the full-trace totals"
         );
     }
 
-    // The settled snapshot: after this, `/snapshot` matches the stdout
-    // document's metrics section and `/spans` carries the Chrome trace.
+    // The settled snapshot: the driver's plus `sim.*`, so `/snapshot`
+    // matches the stdout document's metrics section, and `/spans`
+    // carries the Chrome trace.
     if let Some(hub) = &hub {
         hub.publish_metrics(metrics.clone());
         hub.publish_spans(spans.to_chrome_trace());
@@ -1125,9 +1096,8 @@ fn stream(opts: &Opts) {
     println!("{json}");
 }
 
-/// `ingest` experiment: one monitor + analysis pass driven through the
-/// pluggable `RecordSource` seam, with the backend picked on the command
-/// line.
+/// `ingest` experiment: the driver's pass with the `RecordSource`
+/// backend picked on the command line.
 ///
 /// `--source file` renders the simulated capture to in-memory pcap bytes
 /// and replays them through the file backend. `--source ring` pipes the
@@ -1142,149 +1112,28 @@ fn stream(opts: &Opts) {
 /// `ring` run over the same workload emit byte-identical JSON.
 /// `verify.sh` pins that equivalence.
 fn ingest(opts: &Opts) {
-    use dnsctx::dns_context::stream;
-    use dnsctx::pcapio::{self, RecordSource};
-    use dnsctx::zeek_lite::MonitorConfig;
-    use xkit::obs::Metrics;
-
-    // Same workload cap as `stream`: the frames live in memory either way.
-    let houses = opts.houses.min(50);
-    let days = opts.days.min(1.0);
-    let cfg = WorkloadConfig {
-        scale: ScaleKnobs { houses, days, activity: opts.scale },
-        ..WorkloadConfig::default()
+    let fail = |msg: String| -> ! {
+        eprintln!("# ingest: {msg}");
+        std::process::exit(2);
     };
-    let window = Duration::from_secs_f64(opts.window_secs.max(0.0));
+    // Same workload cap as `stream`: the frames live in memory either way.
+    let scale = opts.scale_capped(50, 1.0);
+    let (houses, days) = (scale.houses, scale.days);
     eprintln!(
         "# ingest: source {} ({houses} houses x {days} days at activity {}, seed {}, threads {}, window {}s) ...",
         opts.source, opts.scale, opts.seed, opts.threads, opts.window_secs
     );
-    let mut metrics = Metrics::new();
-    let mut replay = cache_sim::CacheReplay::new(Duration::from_secs(60));
-    let monitor_cfg = MonitorConfig::default();
-    let (hub, server) = start_serving(opts, "ingest");
-
-    // Every backend funnels into the same `process_source` call; only the
-    // way records arrive differs. The sink closure replays released DNS
-    // rows through the cache model, exactly like `stream`.
-    let result = match opts.source.as_str() {
-        "file" => {
-            let sim = Simulation::new(cfg, opts.seed)
-                .expect("valid config")
-                .with_threads(opts.threads);
-            let mut pcap = Vec::new();
-            let (_truth, _frames, sim_metrics) =
-                sim.run_pcap_observed(&mut pcap, 65_535).expect("in-memory pcap");
-            metrics.merge(&sim_metrics);
-            let mut source = pcapio::source::file(&pcap[..]).expect("pcap header");
-            let result = stream::process_source_observed(
-                &mut source,
-                window,
-                monitor_cfg,
-                opts.analysis_cfg(),
-                hub.as_ref(),
-                |out| {
-                    for txn in &out.dns {
-                        replay.offer(txn);
-                    }
-                },
-            )
-            .expect("ingest run");
-            metrics.merge(&source.metrics());
-            result
-        }
-        "ring" => {
-            let sim = Simulation::new(cfg, opts.seed)
-                .expect("valid config")
-                .with_threads(opts.threads);
-            let (mut tx, mut rx) =
-                pcapio::ring::channel(1 << 20, 65_535, pcapio::Backpressure::Block);
-            // Producer-side stalls land in the same flight ring the
-            // consumer serves, so `/events` shows backpressure live.
-            if let Some(hub) = &hub {
-                tx.set_flight(hub.flight().clone());
-            }
-            // The producer owns the sink; dropping it at the end of the
-            // closure closes the ring and the consumer sees EOF. Block
-            // policy means nothing drops, so the consumed sequence equals
-            // the offered sequence and the snapshot below is identical to
-            // the file backend's. The scoped join is the sanctioned
-            // spawn seam (thread-spawn-fence).
-            let (result, sim_metrics) = xkit::par::join(
-                2,
-                || {
-                    stream::process_source_observed(
-                        &mut rx,
-                        window,
-                        monitor_cfg,
-                        opts.analysis_cfg(),
-                        hub.as_ref(),
-                        |out| {
-                            for txn in &out.dns {
-                                replay.offer(txn);
-                            }
-                        },
-                    )
-                    .expect("ingest run")
-                },
-                move || {
-                    let (_truth, _frames, sim_metrics) = sim.run_ring(&mut tx);
-                    sim_metrics
-                },
-            );
-            metrics.merge(&sim_metrics);
-            metrics.merge(&rx.metrics());
-            result
-        }
-        "iface" => {
-            #[cfg(feature = "raw-socket")]
-            {
-                let mut source = match pcapio::raw::RawSource::open(&opts.iface, 65_535) {
-                    Ok(s) => s.with_limit(opts.frames),
-                    Err(e) => {
-                        eprintln!("# ingest: cannot open interface {}: {e:?}", opts.iface);
-                        std::process::exit(2);
-                    }
-                };
-                let result = stream::process_source_observed(
-                    &mut source,
-                    window,
-                    monitor_cfg,
-                    opts.analysis_cfg(),
-                    hub.as_ref(),
-                    |out| {
-                        for txn in &out.dns {
-                            replay.offer(txn);
-                        }
-                    },
-                )
-                .expect("ingest run");
-                metrics.merge(&source.metrics());
-                result
-            }
-            #[cfg(not(feature = "raw-socket"))]
-            {
-                eprintln!(
-                    "# ingest: --source iface needs a build with --features raw-socket"
-                );
-                std::process::exit(2);
-            }
-        }
-        other => {
-            eprintln!("# ingest: unknown source {other:?} (expected file, ring, or iface)");
-            std::process::exit(2);
-        }
+    let source = match opts.source.as_str() {
+        "file" => Source::SimPcap { scale, seed: opts.seed },
+        "ring" => Source::SimRing { scale, seed: opts.seed },
+        "iface" => Source::Iface { name: opts.iface.clone(), frames: opts.frames },
+        other => fail(format!("unknown source {other:?} (expected file, ring, or iface)")),
     };
-
-    for txn in &result.tail.dns {
-        replay.offer(txn);
-    }
-    metrics.merge(&result.analysis_metrics);
-    metrics.merge(&result.stream_metrics);
-    metrics.add("cache.hits", replay.hits());
-    metrics.add("cache.misses", replay.misses());
-    metrics.add("cache.evicted", replay.evicted());
-    metrics.gauge_max("cache.peak_live", replay.peak_live() as f64);
+    let spec = RunSpec { source, window_secs: opts.window_secs, threads: opts.threads };
+    let (hub, server) = start_serving(opts, "ingest");
+    // The driver settles the live plane: `/snapshot` matches the stdout
+    // metrics section exactly. `ingest` has no spans, so `/spans` stays `[]`.
+    let metrics = pipeline::run(&spec, hub.as_ref()).unwrap_or_else(|e| fail(e));
 
     eprintln!(
         "# ingest[{}]: {} frames in, {} epochs, {} conn rows / {} dns rows",
@@ -1294,12 +1143,6 @@ fn ingest(opts: &Opts) {
         count(metrics.counter("zeek.conn_rows") as usize),
         count(metrics.counter("zeek.dns_rows") as usize),
     );
-
-    // Settle the live plane: `/snapshot` now matches the stdout metrics
-    // section exactly. `ingest` has no spans, so `/spans` stays `[]`.
-    if let Some(hub) = &hub {
-        hub.publish_metrics(metrics.clone());
-    }
     finish_serving(opts, "ingest", server);
 
     let json = format!(
@@ -1329,13 +1172,12 @@ fn serve_daemon(opts: &Opts) {
 
     // Per-tenant workload cap, same spirit as stream/ingest: the daemon
     // scales by tenant count, not per-tenant size.
-    let houses = opts.houses.min(12);
-    let days = opts.days.min(0.25);
+    let ScaleKnobs { houses, days, activity } = opts.scale_capped(12, 0.25);
     let tenants = opts.tenants.max(1);
     let addr = if opts.serve.is_empty() { "127.0.0.1:0" } else { &opts.serve };
     eprintln!(
-        "# serve: {tenants} tenants ({houses} houses x {days} days at activity {}, base seed {}, threads {}, window {}s)",
-        opts.scale, opts.seed, opts.threads, opts.window_secs
+        "# serve: {tenants} tenants ({houses} houses x {days} days at activity {activity}, base seed {}, threads {}, window {}s)",
+        opts.seed, opts.threads, opts.window_secs
     );
 
     let daemon = Daemon::new(DaemonConfig {
@@ -1348,14 +1190,9 @@ fn serve_daemon(opts: &Opts) {
     eprintln!("# serve: tenant-routed observability on http://{bound}");
 
     for k in 0..tenants {
-        let mut spec = TenantSpec::sim(
-            &format!("t{k:03}"),
-            houses,
-            days,
-            opts.scale,
-            opts.seed.wrapping_add(k as u64),
-        );
-        spec.window_secs = opts.window_secs;
+        let seed = opts.seed.wrapping_add(k as u64);
+        let mut spec = TenantSpec::sim(&format!("t{k:03}"), houses, days, activity, seed);
+        spec.run.window_secs = opts.window_secs;
         daemon.add_tenant(spec).expect("unique tenant id");
     }
 
@@ -1364,16 +1201,8 @@ fn serve_daemon(opts: &Opts) {
         eprintln!("# serve: {} tenant(s) failed", daemon.panicked());
         std::process::exit(1);
     }
-
     if opts.serve_check {
-        let addr = bound.to_string();
-        match check_live_endpoints(&addr).and_then(|()| check_tenant_endpoints(&addr, tenants)) {
-            Ok(()) => eprintln!("# serve: serve-check OK on {addr}"),
-            Err(e) => {
-                eprintln!("# serve: serve-check FAILED: {e}");
-                std::process::exit(1);
-            }
-        }
+        serve_check("serve", &bound.to_string(), Some(tenants));
     }
 
     let roster = daemon.tenants();
@@ -1387,20 +1216,16 @@ fn serve_daemon(opts: &Opts) {
         count(aggregate.counter("zeek.dns_rows") as usize),
     );
 
-    let mut roster_json = String::from("[");
-    for (i, (id, state)) in roster.iter().enumerate() {
-        if i > 0 {
-            roster_json.push(',');
-        }
-        roster_json.push_str(&format!("{{\"id\":\"{id}\",\"state\":\"{state}\"}}"));
-    }
-    roster_json.push(']');
+    let roster_json: Vec<String> = roster
+        .iter()
+        .map(|(id, state)| format!("{{\"id\":\"{id}\",\"state\":\"{}\"}}", state.as_str()))
+        .collect();
     let json = format!(
-        "{{\"meta\":{{\"experiment\":\"serve\",\"tenants\":{tenants},\"houses\":{houses},\"days\":{days},\"activity\":{},\"seed\":{},\"threads\":{},\"window_secs\":{}}},\"tenants\":{roster_json},\"metrics\":{}}}",
-        opts.scale,
+        "{{\"meta\":{{\"experiment\":\"serve\",\"tenants\":{tenants},\"houses\":{houses},\"days\":{days},\"activity\":{activity},\"seed\":{},\"threads\":{},\"window_secs\":{}}},\"tenants\":[{}],\"metrics\":{}}}",
         opts.seed,
         opts.threads,
         opts.window_secs,
+        roster_json.join(","),
         aggregate.to_json()
     );
     println!("{json}");
@@ -1410,12 +1235,8 @@ fn serve_daemon(opts: &Opts) {
 /// the drained roster, every tenant's snapshot parses back and its
 /// Prometheus view agrees, and unknown tenants 404.
 fn check_tenant_endpoints(addr: &str, expect: usize) -> Result<(), String> {
-    use xkit::obs::{http, json, Metrics};
-    let (status, body) = http::get(addr, "/tenants").map_err(|e| format!("GET /tenants: {e}"))?;
-    if status != 200 {
-        return Err(format!("GET /tenants: status {status}"));
-    }
-    let v = json::parse(&body).map_err(|e| format!("/tenants: {e}"))?;
+    use xkit::obs::{http, json, TenantState};
+    let v = json::parse(&fetch(addr, "/tenants")?).map_err(|e| format!("/tenants: {e}"))?;
     let roster = v
         .get("tenants")
         .and_then(|t| t.as_arr())
@@ -1430,21 +1251,10 @@ fn check_tenant_endpoints(addr: &str, expect: usize) -> Result<(), String> {
             .and_then(|x| x.as_str())
             .ok_or("/tenants: entry without id")?;
         let state = entry.get("state").and_then(|x| x.as_str()).unwrap_or("?");
-        if state != "drained" {
+        if state != TenantState::Drained.as_str() {
             return Err(format!("tenant {id} in state {state:?} after drain"));
         }
-        let path = format!("/tenants/{id}/snapshot");
-        let (status, snap) = http::get(addr, &path).map_err(|e| format!("GET {path}: {e}"))?;
-        if status != 200 {
-            return Err(format!("GET {path}: status {status}"));
-        }
-        let sv = json::parse(&snap).map_err(|e| format!("{path}: {e}"))?;
-        let parsed = Metrics::from_json_value(&sv).map_err(|e| format!("{path}: {e}"))?;
-        let path = format!("/tenants/{id}/metrics");
-        let (status, prom) = http::get(addr, &path).map_err(|e| format!("GET {path}: {e}"))?;
-        if status != 200 || prom != parsed.to_prometheus("dnsctx") {
-            return Err(format!("{path} is not the Prometheus rendering of the snapshot"));
-        }
+        check_snapshot_views(addr, &format!("/tenants/{id}"))?;
     }
     let (status, _) = http::get(addr, "/tenants/no-such-tenant/snapshot")
         .map_err(|e| format!("GET unknown tenant: {e}"))?;
@@ -1499,21 +1309,12 @@ fn fuzz(opts: &Opts) {
 
     // The packet path buffers every frame, so cap the workload well below
     // the analysis default (still overridable downward via the flags).
-    let houses = opts.houses.min(25);
-    let days = opts.days.min(1.0);
-    let cfg = WorkloadConfig {
-        scale: ScaleKnobs { houses, days, activity: opts.scale },
-        ..WorkloadConfig::default()
-    };
+    let scale = opts.scale_capped(25, 1.0);
     eprintln!(
-        "# fuzz: simulating {houses} houses x {days} days at activity {} (seed {}) ...",
-        opts.scale, opts.seed
+        "# fuzz: simulating {} houses x {} days at activity {} (seed {}) ...",
+        scale.houses, scale.days, opts.scale, opts.seed
     );
-    let sim = Simulation::new(cfg, opts.seed)
-        .expect("valid config")
-        .with_threads(opts.threads);
-    let mut clean = Vec::new();
-    let (_, frames) = sim.run_pcap(&mut clean, 65_535).expect("in-memory pcap");
+    let (clean, frames, _) = capture_pcap(&scale, opts.seed, opts.threads);
     eprintln!("# fuzz: {} frames, {} pcap bytes", count(frames as usize), count(clean.len()));
 
     let baseline = Monitor::process_pcap(&clean[..], MonitorConfig::default())

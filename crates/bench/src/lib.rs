@@ -1,6 +1,8 @@
 //! Shared fixtures for the `xkit::bench` benches and the `repro`
-//! harness, plus the [`serve`] daemon behind `repro serve`.
+//! harness, the [`pipeline`] driver behind `repro stream`/`ingest`, and
+//! the [`serve`] daemon that runs it once per tenant.
 
+pub mod pipeline;
 pub mod serve;
 
 use dnsctx::ccz_sim::{ScaleKnobs, SimOutput, Simulation, WorkloadConfig};

@@ -23,45 +23,28 @@
 //! accept thread — a scrape that raced shutdown saw either a live
 //! prefix or the settled aggregate, never a torn state.
 
-use dnsctx::ccz_sim::{ScaleKnobs, Simulation, WorkloadConfig};
-use dnsctx::dns_context::{stream, AnalysisConfig};
-use dnsctx::zeek_lite::{Duration, MonitorConfig};
-use dnsctx::{cache_sim, pcapio};
-use pcapio::RecordSource;
+use crate::pipeline::{self, RunSpec, Source};
+use dnsctx::ccz_sim::ScaleKnobs;
 use xkit::obs::http::{self, ObsServer};
-use xkit::obs::{HubRegistry, Metrics, ObsHub};
+use xkit::obs::{HubRegistry, Metrics, ObsHub, TenantState};
 use xkit::par::Pool;
 
-/// Where a tenant's records come from.
-#[derive(Debug, Clone)]
-pub enum TenantSource {
-    /// Replay an in-memory pcap byte stream (the file backend).
-    Pcap(Vec<u8>),
-    /// A per-tenant `Simulation::run_ring` generator feeding a
-    /// `Block`-policy SPSC ring: producer and engine run concurrently
-    /// inside the tenant's pool slot, and Block policy keeps the
-    /// settled snapshot identical to a pcap replay of the same world.
-    SimRing { houses: usize, days: f64, activity: f64, seed: u64, capacity: usize },
-}
-
-/// One tenant stream: a stable id, a source, and the epoch window its
-/// engine releases on. The settled snapshot is a pure function of this
-/// struct — the root of the daemon's determinism argument.
+/// One tenant stream: a stable id plus the run description its engine
+/// executes. The settled snapshot is a pure function of this struct —
+/// the root of the daemon's determinism argument.
 #[derive(Debug, Clone)]
 pub struct TenantSpec {
     pub id: String,
-    pub source: TenantSource,
-    pub window_secs: f64,
+    pub run: RunSpec,
 }
 
 impl TenantSpec {
-    /// A simulation-fed tenant at the given scale.
+    /// A simulation-fed ring tenant at the given scale, on 60 s epochs.
+    /// One thread per tenant: parallelism lives across tenants, so the
+    /// settled snapshot cannot depend on the pool width.
     pub fn sim(id: &str, houses: usize, days: f64, activity: f64, seed: u64) -> TenantSpec {
-        TenantSpec {
-            id: id.to_string(),
-            source: TenantSource::SimRing { houses, days, activity, seed, capacity: 1 << 18 },
-            window_secs: 60.0,
-        }
+        let source = Source::SimRing { scale: ScaleKnobs { houses, days, activity }, seed };
+        TenantSpec { id: id.to_string(), run: RunSpec { source, window_secs: 60.0, threads: 1 } }
     }
 }
 
@@ -138,7 +121,7 @@ impl Daemon {
         let root = self.root.clone();
         self.pool.submit(move || {
             let id = spec.id.clone();
-            registry.set_state(&id, "running");
+            registry.set_state(&id, TenantState::Running);
             // Contained by the pool's panic fence: a tenant whose run
             // panics is marked failed and the daemon keeps serving.
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -146,11 +129,11 @@ impl Daemon {
             }));
             match outcome {
                 Ok(_) => {
-                    registry.set_state(&id, "drained");
+                    registry.set_state(&id, TenantState::Drained);
                     root.flight().record("tenant.drain", id, 0.0);
                 }
                 Err(payload) => {
-                    registry.set_state(&id, "failed");
+                    registry.set_state(&id, TenantState::Failed);
                     root.flight().record("tenant.fail", id, 0.0);
                     std::panic::resume_unwind(payload);
                 }
@@ -170,7 +153,7 @@ impl Daemon {
     pub fn remove_tenant(&self, id: &str) -> bool {
         match self.registry.state(id) {
             None => return false,
-            Some(state) if state != "drained" && state != "failed" => self.drain(),
+            Some(state) if !state.settled() => self.drain(),
             Some(_) => {}
         }
         let removed = self.registry.remove(id);
@@ -181,7 +164,7 @@ impl Daemon {
     }
 
     /// `(id, state)` pairs in tenant-id order.
-    pub fn tenants(&self) -> Vec<(String, String)> {
+    pub fn tenants(&self) -> Vec<(String, TenantState)> {
         self.registry.tenants()
     }
 
@@ -211,101 +194,12 @@ impl Daemon {
     }
 }
 
-/// Run one tenant's stream to completion: source → engine (epoch
-/// windowing, watermark eviction, single-threaded analysis) → cache
-/// replay, publishing prefix-valid snapshots into `hub` along the way.
-/// Returns — and publishes as the tenant's settled snapshot — the full
-/// per-tenant document: `sim.* capture.* zeek.* stream.*` plus the
-/// analysis and `cache.*` sections, mirroring the `repro ingest`
-/// metrics section so one tenant of the daemon is comparable to one
-/// standalone run.
+/// Run one tenant's stream to completion through [`pipeline::run`]:
+/// prefix-valid snapshots into `hub` along the way, then — returned and
+/// published as the tenant's settled snapshot — the same document a
+/// standalone `repro ingest` of that description prints.
 pub fn run_tenant(spec: &TenantSpec, hub: Option<&ObsHub>) -> Metrics {
-    let window = Duration::from_secs_f64(spec.window_secs.max(0.0));
-    let monitor_cfg = MonitorConfig::default();
-    // One thread per engine: cross-tenant parallelism only, so the
-    // settled snapshot cannot depend on the pool width.
-    let mut analysis_cfg = AnalysisConfig::default();
-    analysis_cfg.threads = 1;
-    let mut replay = cache_sim::CacheReplay::new(Duration::from_secs(60));
-    let mut metrics = Metrics::new();
-
-    let result = match &spec.source {
-        TenantSource::Pcap(bytes) => {
-            let mut source = pcapio::source::file(&bytes[..]).expect("tenant pcap header");
-            let result = stream::process_source_observed(
-                &mut source,
-                window,
-                monitor_cfg,
-                analysis_cfg,
-                hub,
-                |out| {
-                    for txn in &out.dns {
-                        replay.offer(txn);
-                    }
-                },
-            )
-            .expect("tenant stream run");
-            metrics.merge(&source.metrics());
-            result
-        }
-        TenantSource::SimRing { houses, days, activity, seed, capacity } => {
-            let cfg = WorkloadConfig {
-                scale: ScaleKnobs { houses: *houses, days: *days, activity: *activity },
-                ..WorkloadConfig::default()
-            };
-            let sim = Simulation::new(cfg, *seed).expect("valid tenant config");
-            let (mut tx, mut rx) =
-                pcapio::ring::channel(*capacity, 65_535, pcapio::Backpressure::Block);
-            if let Some(hub) = hub {
-                tx.set_flight(hub.flight().clone());
-            }
-            // Producer and engine share the tenant's pool slot via a
-            // scoped join; dropping the sink at the end of the producer
-            // closure closes the ring and the engine sees EOF.
-            let (result, sim_metrics) = xkit::par::join(
-                2,
-                || {
-                    stream::process_source_observed(
-                        &mut rx,
-                        window,
-                        monitor_cfg,
-                        analysis_cfg,
-                        hub,
-                        |out| {
-                            for txn in &out.dns {
-                                replay.offer(txn);
-                            }
-                        },
-                    )
-                    .expect("tenant stream run")
-                },
-                move || {
-                    let (_truth, _frames, sim_metrics) = sim.run_ring(&mut tx);
-                    sim_metrics
-                },
-            );
-            metrics.merge(&sim_metrics);
-            metrics.merge(&rx.metrics());
-            result
-        }
-    };
-
-    for txn in &result.tail.dns {
-        replay.offer(txn);
-    }
-    metrics.merge(&result.settled_metrics());
-    metrics.add("cache.hits", replay.hits());
-    metrics.add("cache.misses", replay.misses());
-    metrics.add("cache.evicted", replay.evicted());
-    metrics.gauge_max("cache.peak_live", replay.peak_live() as f64);
-
-    // The tenant's settled snapshot replaces the engine's last
-    // (analysis+stream only) publication, so `/tenants/<id>/snapshot`
-    // carries the full document.
-    if let Some(hub) = hub {
-        hub.publish_metrics(metrics.clone());
-    }
-    metrics
+    pipeline::run(&spec.run, hub).expect("tenant source opens")
 }
 
 /// The sequential reference fold: run every spec in id order on this

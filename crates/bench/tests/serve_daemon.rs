@@ -6,8 +6,9 @@
 //! the sequential id-ordered fold for any pool width; and removing a
 //! tenant frees its state (its peak gauges drop out of the aggregate).
 
-use bench::serve::{sequential_aggregate, Daemon, DaemonConfig, TenantSpec, TenantSource};
-use xkit::obs::{http, json, Metric, Metrics};
+use bench::pipeline::{RunSpec, Source};
+use bench::serve::{sequential_aggregate, Daemon, DaemonConfig, TenantSpec};
+use xkit::obs::{http, json, Metric, Metrics, TenantState};
 
 /// Eight small tenants: six simulation-fed rings plus two pcap replays
 /// of other worlds, so both source kinds ride the same pool.
@@ -15,7 +16,7 @@ fn specs() -> Vec<TenantSpec> {
     let mut specs: Vec<TenantSpec> = (0..6)
         .map(|k| {
             let mut spec = TenantSpec::sim(&format!("t{k:03}"), 4, 0.05, 0.1, 100 + k as u64);
-            spec.window_secs = 30.0;
+            spec.run.window_secs = 30.0;
             spec
         })
         .collect();
@@ -26,8 +27,7 @@ fn specs() -> Vec<TenantSpec> {
             .expect("in-memory pcap");
         specs.push(TenantSpec {
             id: format!("t{k:03}"),
-            source: TenantSource::Pcap(pcap),
-            window_secs: 30.0,
+            run: RunSpec { source: Source::Pcap(pcap), window_secs: 30.0, threads: 1 },
         });
     }
     specs
@@ -65,7 +65,7 @@ fn post_drain_aggregate_is_byte_identical_to_the_sequential_fold() {
     // bounded: the engines ran with a finite window, so the aggregate
     // peak gauges sit far below the total row counts.
     for (id, state) in wide.tenants() {
-        assert_eq!(state, "drained", "tenant {id}");
+        assert_eq!(state, TenantState::Drained, "tenant {id}");
     }
     assert_eq!(wide.panicked(), 0);
     let agg = wide.aggregate();
@@ -97,7 +97,7 @@ fn mid_run_tenant_scrapes_are_prefix_valid() {
             mid = Some(snap);
             break;
         }
-        if daemon.registry().state("t000").as_deref() == Some("drained") {
+        if daemon.registry().state("t000") == Some(TenantState::Drained) {
             break;
         }
         std::thread::yield_now();

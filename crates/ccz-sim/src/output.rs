@@ -514,10 +514,11 @@ impl PcapSink {
         let half = Duration(e.rtt.nanos() / 2);
         // Enough datagrams that (i) no inter-packet gap exceeds the
         // monitor's 60 s flow timeout and (ii) no single datagram declares
-        // more than the UDP maximum.
+        // more than the UDP maximum. Both hold for any flow only because
+        // the count is uncapped.
         let by_time = e.duration.as_secs() / 25 + 1;
         let by_size = (e.orig_bytes.max(e.resp_bytes) / 60_000) + 1;
-        let steps = by_time.max(by_size).clamp(1, 4096);
+        let steps = by_time.max(by_size);
         let per_o = split_bytes(e.orig_bytes, steps);
         let per_r = split_bytes(e.resp_bytes, steps);
         for k in 0..steps {

@@ -685,9 +685,9 @@ pub fn process_source_observed<S: pcapio::RecordSource + ?Sized>(
         engine.set_hub(hub.clone());
     }
     let window_nanos = window.nanos();
-    // Inline epoch windowing over the source's borrowed records (the
-    // frames feed the engine immediately, so nothing needs to be owned).
-    // Semantics mirror `pcapio::Epochs` exactly: epoch k covers
+    // Epoch windowing over the source's borrowed records (the frames
+    // feed the engine immediately, so nothing needs to be owned) — the
+    // workspace's one copy of the rule: epoch k covers
     // [k*window, (k+1)*window) ns, the epoch index is clamped monotone on
     // disordered input, the first record opens its own epoch, window 0 is
     // a single epoch with no boundary, and a read error ends the stream
@@ -909,6 +909,60 @@ mod tests {
             events.iter().any(|e| e.kind == "state.evict" && e.value == 1.0),
             "the older expired entry's eviction must hit the flight ring"
         );
+    }
+
+    /// `stream.epochs` after streaming a capture of one-byte frames
+    /// stamped `stamps` (ns) through [`process_source`] at `window_nanos`.
+    fn epochs_cut(stamps: &[u64], window_nanos: u64) -> u64 {
+        let mut buf = Vec::new();
+        let mut w = pcapio::PcapWriter::new(&mut buf, 96, pcapio::TsPrecision::Nano).unwrap();
+        for ts in stamps {
+            w.write_packet(*ts, &[*ts as u8], None).unwrap();
+        }
+        let mut sunk = 0u64;
+        let result = process_source(
+            &mut pcapio::source::file(&buf[..]).unwrap(),
+            Duration(window_nanos),
+            MonitorConfig::default(),
+            AnalysisConfig::default(),
+            |_| sunk += 1,
+        )
+        .unwrap();
+        assert_eq!(result.analysis_metrics.counter("zeek.frames_seen"), stamps.len() as u64);
+        let epochs = result.stream_metrics.counter("stream.epochs");
+        assert_eq!(sunk, epochs, "every epoch reaches the sink exactly once");
+        epochs
+    }
+
+    #[test]
+    fn epochs_split_on_window_boundaries() {
+        // Window of 10 ns: [0,10), [10,20), [30,40) — empty windows open
+        // no epoch.
+        assert_eq!(epochs_cut(&[1, 5, 9, 10, 19, 35], 10), 3);
+    }
+
+    #[test]
+    fn epochs_clamp_monotone_on_disordered_input() {
+        // 25 opens epoch 2; the out-of-order 4 stays in epoch 2 rather
+        // than reopening epoch 0.
+        assert_eq!(epochs_cut(&[25, 4, 31], 10), 2);
+    }
+
+    #[test]
+    fn epochs_empty_capture_yields_nothing() {
+        assert_eq!(epochs_cut(&[], 10), 0);
+    }
+
+    #[test]
+    fn epochs_zero_window_is_single_epoch() {
+        assert_eq!(epochs_cut(&[1, 500, 1_000_000], 0), 1);
+    }
+
+    #[test]
+    fn epochs_concatenation_is_lossless() {
+        // 100 frames over 11 windows: `epochs_cut` checks none is lost.
+        let stamps: Vec<u64> = (0..100).map(|i| i * 7).collect();
+        assert_eq!(epochs_cut(&stamps, 64), 11);
     }
 
     #[test]

@@ -41,7 +41,7 @@ impl Message {
         Message {
             id: self.id,
             flags: Flags::response(Rcode::NoError),
-            questions: self.questions.clone(), // owned-fallback: response builder (simulator side), not the decode path
+            questions: self.questions.clone(), // lint: allow(no-owned-copy-hotpath): response builder (simulator side), not the decode path
             answers: Vec::new(),
             authorities: Vec::new(),
             additionals: Vec::new(),

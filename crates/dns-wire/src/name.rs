@@ -98,7 +98,7 @@ impl Name {
             return None;
         }
         Some(Name {
-            labels: self.labels[1..].to_vec(), // owned-fallback: analysis-time name algebra, not per-frame decode
+            labels: self.labels[1..].to_vec(), // lint: allow(no-owned-copy-hotpath): analysis-time name algebra, not per-frame decode
         })
     }
 
@@ -130,10 +130,10 @@ impl Name {
     /// than two labels return themselves.
     pub fn base_domain(&self) -> Name {
         if self.labels.len() <= 2 {
-            return self.clone(); // owned-fallback: analysis-time name algebra, not per-frame decode
+            return self.clone(); // lint: allow(no-owned-copy-hotpath): analysis-time name algebra, not per-frame decode
         }
         Name {
-            labels: self.labels[self.labels.len() - 2..].to_vec(), // owned-fallback: analysis-time name algebra
+            labels: self.labels[self.labels.len() - 2..].to_vec(), // lint: allow(no-owned-copy-hotpath): analysis-time name algebra
         }
     }
 
@@ -157,7 +157,7 @@ impl Name {
         let mut idx = 0usize;
         while idx < self.labels.len() {
             let suffix = Name {
-                labels: self.labels[idx..].to_vec(), // owned-fallback: encoder (simulator side), not the decode path
+                labels: self.labels[idx..].to_vec(), // lint: allow(no-owned-copy-hotpath): encoder (simulator side), not the decode path
             };
             if let Some(&off) = compressor.get(&suffix) {
                 debug_assert!(off < 0x4000);

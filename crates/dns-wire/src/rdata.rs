@@ -186,7 +186,7 @@ impl RData {
                     let s = raw
                         .get(i..i + l)
                         .ok_or(WireError::Truncated { context: "TXT string" })?;
-                    strings.push(s.to_vec()); // owned-fallback: TXT strings outlive the message buffer by design
+                    strings.push(s.to_vec()); // lint: allow(no-owned-copy-hotpath): TXT strings outlive the message buffer by design
                     i += l;
                 }
                 Ok(RData::Txt(strings))
@@ -229,8 +229,8 @@ impl RData {
                     target,
                 }))
             }
-            RrType::Opt => Ok(RData::Opt(raw.to_vec())), // owned-fallback: opaque rdata kept owned
-            other => Ok(RData::Unknown(other.to_u16(), raw.to_vec())), // owned-fallback: opaque rdata kept owned
+            RrType::Opt => Ok(RData::Opt(raw.to_vec())), // lint: allow(no-owned-copy-hotpath): opaque rdata kept owned
+            other => Ok(RData::Unknown(other.to_u16(), raw.to_vec())), // lint: allow(no-owned-copy-hotpath): opaque rdata kept owned
         }
     }
 }

@@ -70,8 +70,8 @@ impl Deframer {
         loop {
             match deframe(&self.buf) {
                 Ok(Some((msg, rest))) => {
-                    out.push(msg.to_vec()); // owned-fallback: stream reassembly must buffer across chunks
-                    self.buf = rest.to_vec(); // owned-fallback: stream reassembly must buffer across chunks
+                    out.push(msg.to_vec()); // lint: allow(no-owned-copy-hotpath): stream reassembly must buffer across chunks
+                    self.buf = rest.to_vec(); // lint: allow(no-owned-copy-hotpath): stream reassembly must buffer across chunks
                 }
                 _ => break,
             }

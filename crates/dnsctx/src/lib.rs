@@ -39,8 +39,8 @@ pub mod obskit {
     pub use xkit::obs::http;
     pub use xkit::obs::json;
     pub use xkit::obs::{
-        Counter, FlightEvent, FlightRecorder, Gauge, HistSpec, Histogram, HistogramHandle,
-        Metric, Metrics, ObsHub, Registry, SpanId, SpanLog, SpanRecord,
+        FlightEvent, FlightRecorder, HistSpec, Histogram, Metric, Metrics, ObsHub, SpanId,
+        SpanLog, SpanRecord,
     };
 
     /// One snapshot for a whole [`Study`](crate::pipeline::Study): the

@@ -13,8 +13,7 @@
 //! parses back through `xkit::obs::json`.
 //!
 //! Inline allowlisting: a comment on the flagged line containing
-//! `lint: allow(<rule-id>)` suppresses that rule there; the pre-existing
-//! `owned-fallback` markers keep working for `no-owned-copy-hotpath`.
+//! `lint: allow(<rule-id>)` suppresses that rule there.
 //!
 //! Entry points: [`lint_workspace`] walks a workspace root;
 //! [`lint_file`] checks one in-memory file (the fixture tests use it).
@@ -254,7 +253,7 @@ fn push_rust_hit(
         false
     };
     let allow = format!("lint: allow({})", rule.id);
-    if suppressed(&allow) || rule.markers.iter().any(|m| suppressed(m)) {
+    if suppressed(&allow) {
         return;
     }
     out.push(Diagnostic {

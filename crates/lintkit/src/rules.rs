@@ -8,8 +8,8 @@
 //! keeps ad-hoc source scanning from creeping back into verify.sh.
 //!
 //! Any diagnostic can be suppressed for one line by a comment on that
-//! line containing `lint: allow(<rule-id>)`; `no-owned-copy-hotpath`
-//! also honours the pre-existing `owned-fallback` markers.
+//! line (or in the comment block directly above it) containing
+//! `lint: allow(<rule-id>)` — the one suppression syntax.
 
 use crate::lexer::{Lexed, Lexeme};
 
@@ -52,9 +52,6 @@ pub struct Rule {
     pub scope: Scope,
     /// How it matches.
     pub check: Check,
-    /// Extra legacy marker substrings that suppress this rule's
-    /// diagnostics on their line (besides `lint: allow(<id>)`).
-    pub markers: &'static [&'static str],
 }
 
 /// Map/set types whose bucket order is nondeterministic.
@@ -80,12 +77,11 @@ pub fn rules() -> Vec<Rule> {
                 include_tests: false,
             },
             check: Check::Needles(&[".unwrap()", ".expect("]),
-            markers: &[],
         },
         Rule {
             id: "no-owned-copy-hotpath",
             desc: "per-frame parse paths stay copy-free: no .to_vec()/.clone() in pcapio, netpkt, dns-wire",
-            hint: "borrow from the record buffer; mark a sanctioned exit with `// owned-fallback: why`",
+            hint: "borrow from the record buffer; mark a sanctioned exit with `// lint: allow(no-owned-copy-hotpath): why`",
             scope: Scope {
                 roots: &["crates/pcapio/src", "crates/netpkt/src", "crates/dns-wire/src"],
                 exclude: &[],
@@ -93,7 +89,6 @@ pub fn rules() -> Vec<Rule> {
                 include_tests: false,
             },
             check: Check::Needles(&[".to_vec()", ".clone()"]),
-            markers: &["owned-fallback"],
         },
         Rule {
             id: "clock-seam",
@@ -106,7 +101,6 @@ pub fn rules() -> Vec<Rule> {
                 include_tests: true,
             },
             check: Check::Needles(&["Instant::now"]),
-            markers: &[],
         },
         Rule {
             id: "socket-fence",
@@ -119,7 +113,6 @@ pub fn rules() -> Vec<Rule> {
                 include_tests: false,
             },
             check: Check::Needles(&["TcpListener", "TcpStream", "UdpSocket"]),
-            markers: &[],
         },
         Rule {
             id: "ingest-seam",
@@ -132,7 +125,6 @@ pub fn rules() -> Vec<Rule> {
                 include_tests: false,
             },
             check: Check::Needles(&["PcapReader::new"]),
-            markers: &[],
         },
         Rule {
             id: "no-batch-in-stream",
@@ -150,7 +142,6 @@ pub fn rules() -> Vec<Rule> {
                 "Monitor::process_pcap",
                 ".finish().metrics()",
             ]),
-            markers: &[],
         },
         Rule {
             id: "dep-denylist",
@@ -163,7 +154,6 @@ pub fn rules() -> Vec<Rule> {
                 include_tests: true,
             },
             check: Check::DepDenylist(&["rand", "criterion", "proptest", "crossbeam", "parking_lot"]),
-            markers: &[],
         },
         Rule {
             id: "no-map-iteration",
@@ -176,7 +166,6 @@ pub fn rules() -> Vec<Rule> {
                 include_tests: false,
             },
             check: Check::MapIteration,
-            markers: &[],
         },
         Rule {
             id: "unsafe-needs-safety-comment",
@@ -189,7 +178,6 @@ pub fn rules() -> Vec<Rule> {
                 include_tests: false,
             },
             check: Check::UnsafeSafety,
-            markers: &[],
         },
         Rule {
             id: "stdout-discipline",
@@ -202,7 +190,6 @@ pub fn rules() -> Vec<Rule> {
                 include_tests: false,
             },
             check: Check::Needles(&["println!", "print!", "dbg!"]),
-            markers: &[],
         },
         Rule {
             id: "no-wallclock",
@@ -215,7 +202,6 @@ pub fn rules() -> Vec<Rule> {
                 include_tests: false,
             },
             check: Check::Needles(&["SystemTime::now", "thread::sleep"]),
-            markers: &[],
         },
         Rule {
             id: "thread-spawn-fence",
@@ -228,7 +214,6 @@ pub fn rules() -> Vec<Rule> {
                 include_tests: false,
             },
             check: Check::Needles(&["thread::spawn"]),
-            markers: &[],
         },
         Rule {
             id: "verify-shell-discipline",
@@ -241,7 +226,6 @@ pub fn rules() -> Vec<Rule> {
                 include_tests: true,
             },
             check: Check::ShellScan,
-            markers: &[],
         },
     ]
 }

@@ -67,11 +67,14 @@ fn allow_marker_suppresses_on_line_and_from_block_above() {
 // ---- no-owned-copy-hotpath ---------------------------------------------
 
 #[test]
-fn clone_on_hot_path_fires_and_owned_fallback_suppresses() {
+fn clone_on_hot_path_fires_and_only_lint_allow_suppresses() {
     let src = "pub fn f(d: &[u8]) -> Vec<u8> { d.to_vec() }\n";
     assert_eq!(fired("crates/pcapio/src/lib.rs", src), vec!["no-owned-copy-hotpath"]);
-    let marked = "pub fn f(d: &[u8]) -> Vec<u8> { d.to_vec() } // owned-fallback: rewrite seam\n";
+    let marked = "pub fn f(d: &[u8]) -> Vec<u8> { d.to_vec() } // lint: allow(no-owned-copy-hotpath): rewrite seam\n";
     assert!(diags("crates/pcapio/src/lib.rs", marked).is_empty());
+    // The pre-lintkit marker is no longer a second syntax.
+    let legacy = "pub fn f(d: &[u8]) -> Vec<u8> { d.to_vec() } // owned-fallback: rewrite seam\n";
+    assert_eq!(fired("crates/pcapio/src/lib.rs", legacy), vec!["no-owned-copy-hotpath"]);
 }
 
 #[test]

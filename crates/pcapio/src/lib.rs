@@ -151,7 +151,7 @@ impl RecordRef<'_> {
         PcapRecord {
             ts_nanos: self.ts_nanos,
             orig_len: self.orig_len,
-            data: self.data.to_vec(), // owned-fallback: leaves the zero-copy path by design
+            data: self.data.to_vec(), // lint: allow(no-owned-copy-hotpath): leaves the zero-copy path by design
         }
     }
 }
@@ -398,140 +398,11 @@ pub struct Records<R: Read> {
     reader: PcapReader<R>,
 }
 
-impl<R: Read> Records<R> {
-    /// The wrapped reader (for its counters).
-    pub fn reader(&self) -> &PcapReader<R> {
-        &self.reader
-    }
-}
-
 impl<R: Read> Iterator for Records<R> {
     type Item = Result<PcapRecord, PcapError>;
 
     fn next(&mut self) -> Option<Self::Item> {
         self.reader.next_packet().transpose()
-    }
-}
-
-/// Iterator adapter that groups a record stream into fixed time windows
-/// ("epochs") so downstream consumers can process a capture in bounded
-/// memory: only one window's records are materialised at a time.
-///
-/// Epoch `k` covers timestamps `[k * window, (k + 1) * window)` nanoseconds.
-/// The epoch index is clamped monotone — a record whose timestamp falls
-/// before the current epoch (out-of-order input) is kept in the current
-/// epoch rather than opening an earlier one, so epochs are always yielded
-/// in increasing order even on disordered captures. A `window` of zero
-/// means "no windowing": the whole capture becomes a single epoch.
-///
-/// Read errors end the stream: the failing record is dropped (it is
-/// already counted in the reader's `capture.frames_rejected`) and the
-/// records buffered so far are yielded as the final epoch.
-pub struct Epochs<R: Read> {
-    records: Records<R>,
-    window_nanos: u64,
-    /// Lookahead: the first record of the *next* epoch, read while closing
-    /// the current one.
-    pending: Option<PcapRecord>,
-    current_epoch: u64,
-    started: bool,
-    done: bool,
-}
-
-/// One time window's worth of records, with its epoch index.
-#[derive(Debug)]
-pub struct Epoch {
-    /// Window index: covers `[index * window, (index + 1) * window)` ns.
-    pub index: u64,
-    /// Records whose (monotone-clamped) timestamps fall in this window,
-    /// in capture order.
-    pub records: Vec<PcapRecord>,
-}
-
-impl Epoch {
-    /// Exclusive upper bound of this window in nanoseconds, or `None` for
-    /// the unwindowed (window = 0) single epoch.
-    pub fn end_nanos(&self, window_nanos: u64) -> Option<u64> {
-        if window_nanos == 0 {
-            None
-        } else {
-            Some((self.index + 1).saturating_mul(window_nanos))
-        }
-    }
-}
-
-impl<R: Read> Epochs<R> {
-    /// Group `records` into windows of `window_nanos` nanoseconds
-    /// (0 = single epoch).
-    pub fn new(records: Records<R>, window_nanos: u64) -> Epochs<R> {
-        Epochs {
-            records,
-            window_nanos,
-            pending: None,
-            current_epoch: 0,
-            started: false,
-            done: false,
-        }
-    }
-
-    /// The wrapped reader (for its counters).
-    pub fn reader(&self) -> &PcapReader<R> {
-        self.records.reader()
-    }
-
-    /// The window size this chunker was built with.
-    pub fn window_nanos(&self) -> u64 {
-        self.window_nanos
-    }
-
-    fn epoch_of(&self, ts_nanos: u64) -> u64 {
-        if self.window_nanos == 0 {
-            0
-        } else {
-            // Clamp monotone: never step backwards on disordered input.
-            (ts_nanos / self.window_nanos).max(self.current_epoch)
-        }
-    }
-}
-
-impl<R: Read> Iterator for Epochs<R> {
-    type Item = Epoch;
-
-    fn next(&mut self) -> Option<Epoch> {
-        if self.done {
-            return None;
-        }
-        let mut batch = Vec::new();
-        if let Some(first) = self.pending.take() {
-            self.current_epoch = self.epoch_of(first.ts_nanos);
-            batch.push(first);
-        }
-        loop {
-            match self.records.next() {
-                Some(Ok(rec)) => {
-                    let e = self.epoch_of(rec.ts_nanos);
-                    if !self.started && batch.is_empty() {
-                        // First record of the capture opens its own epoch.
-                        self.current_epoch = e;
-                        self.started = true;
-                        batch.push(rec);
-                    } else if e == self.current_epoch {
-                        batch.push(rec);
-                    } else {
-                        self.pending = Some(rec);
-                        return Some(Epoch { index: self.current_epoch, records: batch });
-                    }
-                    self.started = true;
-                }
-                Some(Err(_)) | None => {
-                    self.done = true;
-                    if batch.is_empty() && !self.started {
-                        return None;
-                    }
-                    return Some(Epoch { index: self.current_epoch, records: batch });
-                }
-            }
-        }
     }
 }
 
@@ -877,67 +748,6 @@ mod tests {
         assert!(r.next_packet().is_err());
         assert_eq!(r.records_rejected(), 1);
         assert_eq!(r.metrics().counter("capture.frames_rejected"), 1);
-    }
-
-    fn capture_with_stamps(stamps: &[u64]) -> Vec<u8> {
-        let mut buf = Vec::new();
-        let mut w = PcapWriter::new(&mut buf, 96, TsPrecision::Nano).unwrap();
-        for ts in stamps {
-            w.write_packet(*ts, &[*ts as u8], None).unwrap();
-        }
-        buf
-    }
-
-    #[test]
-    fn epochs_split_on_window_boundaries() {
-        // Window of 10 ns: [0,10), [10,20), ...
-        let buf = capture_with_stamps(&[1, 5, 9, 10, 19, 35]);
-        let epochs: Vec<_> =
-            Epochs::new(PcapReader::new(&buf[..]).unwrap().records(), 10).collect();
-        let shape: Vec<(u64, usize)> = epochs.iter().map(|e| (e.index, e.records.len())).collect();
-        assert_eq!(shape, vec![(0, 3), (1, 2), (3, 1)]);
-        assert_eq!(epochs[1].records[0].ts_nanos, 10);
-        assert_eq!(epochs[0].end_nanos(10), Some(10));
-    }
-
-    #[test]
-    fn epochs_zero_window_is_single_epoch() {
-        let buf = capture_with_stamps(&[1, 500, 1_000_000]);
-        let epochs: Vec<_> =
-            Epochs::new(PcapReader::new(&buf[..]).unwrap().records(), 0).collect();
-        assert_eq!(epochs.len(), 1);
-        assert_eq!(epochs[0].index, 0);
-        assert_eq!(epochs[0].records.len(), 3);
-        assert_eq!(epochs[0].end_nanos(0), None);
-    }
-
-    #[test]
-    fn epochs_clamp_monotone_on_disordered_input() {
-        // 25 opens epoch 2; the out-of-order 4 stays in epoch 2 rather
-        // than reopening epoch 0.
-        let buf = capture_with_stamps(&[25, 4, 31]);
-        let epochs: Vec<_> =
-            Epochs::new(PcapReader::new(&buf[..]).unwrap().records(), 10).collect();
-        let shape: Vec<(u64, usize)> = epochs.iter().map(|e| (e.index, e.records.len())).collect();
-        assert_eq!(shape, vec![(2, 2), (3, 1)]);
-    }
-
-    #[test]
-    fn epochs_empty_capture_yields_nothing() {
-        let buf = capture_with_stamps(&[]);
-        let mut epochs = Epochs::new(PcapReader::new(&buf[..]).unwrap().records(), 10);
-        assert!(epochs.next().is_none());
-        assert_eq!(epochs.reader().records_read(), 0);
-    }
-
-    #[test]
-    fn epochs_concatenation_is_lossless() {
-        let stamps: Vec<u64> = (0..100).map(|i| i * 7).collect();
-        let buf = capture_with_stamps(&stamps);
-        let all: Vec<u64> = Epochs::new(PcapReader::new(&buf[..]).unwrap().records(), 64)
-            .flat_map(|e| e.records.into_iter().map(|r| r.ts_nanos))
-            .collect();
-        assert_eq!(all, stamps);
     }
 
     #[test]

@@ -623,7 +623,7 @@ mod tests {
         t1.publish_metrics(m);
         reg.add("t0", t0).expect("t0");
         reg.add("t1", t1).expect("t1");
-        reg.set_state("t1", "running");
+        reg.set_state("t1", crate::obs::TenantState::Running);
 
         let mut server =
             serve_tenants("127.0.0.1:0", "dnsctx", test_hub(), reg.clone()).expect("bind");

@@ -237,17 +237,6 @@ impl Histogram {
         (self.count > 0).then_some(self.max)
     }
 
-    /// Replace the tracked extrema with exact values read elsewhere
-    /// (registry snapshots transfer their atomic min/max through this).
-    /// No-op on an empty histogram.
-    pub(crate) fn with_exact_extrema(mut self, min: f64, max: f64) -> Histogram {
-        if self.count > 0 {
-            self.min = min;
-            self.max = max;
-        }
-        self
-    }
-
     /// Estimated quantile (`q` in `[0, 1]`) from bucket geometric
     /// midpoints; `None` when empty. Underflow resolves to `min`,
     /// overflow to `max`.
@@ -363,10 +352,8 @@ pub enum Metric {
 
 /// A name-ordered, deterministic-merge metric snapshot.
 ///
-/// This is both the per-shard recorder used on hot paths that don't need
-/// atomics, and the snapshot type the atomic
-/// [`Registry`](crate::obs::Registry) produces — one merge path for
-/// everything.
+/// This is both the per-shard recorder on the hot paths and the snapshot
+/// type every exporter reads — one merge path for everything.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Metrics {
     map: BTreeMap<String, Metric>,

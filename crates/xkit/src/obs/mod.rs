@@ -2,7 +2,7 @@
 //!
 //! The pipeline computes the paper's per-stage aggregates — pairing
 //! coverage, class mix, blocking delay — and this module is how every
-//! stage reports what it did. Four pieces:
+//! stage reports what it did. The pieces:
 //!
 //! * [`clock`] — the workspace's only monotonic-clock access point.
 //!   `scripts/verify.sh` denies `Instant::now()` outside `xkit`, so all
@@ -12,9 +12,6 @@
 //!   exact (`u64` arithmetic, no float sums). Per-shard snapshots folded
 //!   in shard order are byte-identical for any `--threads N`, the same
 //!   discipline the simulator uses for its logs.
-//! * [`Registry`] — thread-safe atomic handles ([`Counter`], [`Gauge`],
-//!   [`HistogramHandle`]) that snapshot into the same [`Metrics`] type,
-//!   so concurrent and per-shard recording share one merge/export path.
 //! * [`SpanLog`] — driver-side stage timers rendered as an indented tree
 //!   or exported as Chrome trace-event JSON
 //!   ([`SpanLog::to_chrome_trace`]). Span wall times are
@@ -47,13 +44,11 @@ mod hub;
 pub mod http;
 pub mod json;
 mod metrics;
-mod registry;
 mod span;
 mod tenants;
 
 pub use flight::{FlightEvent, FlightRecorder};
 pub use hub::ObsHub;
 pub use metrics::{HistSpec, Histogram, Metric, Metrics};
-pub use registry::{Counter, Gauge, HistogramHandle, Registry};
 pub use span::{SpanId, SpanLog, SpanRecord};
-pub use tenants::{valid_tenant_id, HubRegistry};
+pub use tenants::{valid_tenant_id, HubRegistry, TenantState};

@@ -12,9 +12,8 @@
 //!   byte-identical no matter how many workers raced the tenants to
 //!   completion — the same shard-fold discipline the analysis pipeline
 //!   uses for `--threads N` invariance (DESIGN.md §15).
-//! * **Lifecycle as data.** States are plain strings
-//!   (`queued`/`running`/`drained`/`failed`) set by the daemon;
-//!   the registry only stores and reports them, it never schedules.
+//! * **Lifecycle as data.** A [`TenantState`] is set by the daemon;
+//!   the registry only stores and reports it, it never schedules.
 //! * **Removal frees state.** [`HubRegistry::remove`] drops the
 //!   tenant's hub (and with it the last reference to its snapshots), so
 //!   peak gauges from a removed tenant vanish from the aggregate.
@@ -27,10 +26,40 @@ use super::metrics::Metrics;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 
+/// Where a tenant is in its lifecycle.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TenantState {
+    /// Registered, waiting for a pool worker.
+    Queued,
+    /// A worker is running its engine.
+    Running,
+    /// The engine finished and published its settled snapshot.
+    Drained,
+    /// Its job panicked.
+    Failed,
+}
+
+impl TenantState {
+    /// The word `/tenants` and the `serve` roster render.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            TenantState::Queued => "queued",
+            TenantState::Running => "running",
+            TenantState::Drained => "drained",
+            TenantState::Failed => "failed",
+        }
+    }
+
+    /// `true` once the tenant's engine has stopped (drained or failed).
+    pub fn settled(self) -> bool {
+        matches!(self, TenantState::Drained | TenantState::Failed)
+    }
+}
+
 #[derive(Debug)]
 struct Tenant {
     hub: ObsHub,
-    state: String,
+    state: TenantState,
 }
 
 /// A shared, id-ordered map of tenant observability hubs. Cheap to
@@ -75,13 +104,8 @@ impl HubRegistry {
         if map.contains_key(id) {
             return Err(format!("duplicate tenant id {id:?}"));
         }
-        map.insert(
-            id.to_string(),
-            Tenant {
-                hub,
-                state: "queued".to_string(),
-            },
-        );
+        let state = TenantState::Queued;
+        map.insert(id.to_string(), Tenant { hub, state });
         Ok(())
     }
 
@@ -99,10 +123,10 @@ impl HubRegistry {
     }
 
     /// Set the tenant's lifecycle state; `false` if unknown.
-    pub fn set_state(&self, id: &str, state: &str) -> bool {
+    pub fn set_state(&self, id: &str, state: TenantState) -> bool {
         match self.lock().get_mut(id) {
             Some(t) => {
-                t.state = state.to_string();
+                t.state = state;
                 true
             }
             None => false,
@@ -110,15 +134,15 @@ impl HubRegistry {
     }
 
     /// The tenant's lifecycle state, if registered.
-    pub fn state(&self, id: &str) -> Option<String> {
-        self.lock().get(id).map(|t| t.state.clone())
+    pub fn state(&self, id: &str) -> Option<TenantState> {
+        self.lock().get(id).map(|t| t.state)
     }
 
     /// `(id, state)` pairs in tenant-id order.
-    pub fn tenants(&self) -> Vec<(String, String)> {
+    pub fn tenants(&self) -> Vec<(String, TenantState)> {
         self.lock()
             .iter()
-            .map(|(id, t)| (id.clone(), t.state.clone()))
+            .map(|(id, t)| (id.clone(), t.state))
             .collect()
     }
 
@@ -158,7 +182,7 @@ impl HubRegistry {
             }
             out.push_str(&format!(
                 "\n    {{\"id\": \"{id}\", \"state\": \"{}\"}}",
-                tenant.state
+                tenant.state.as_str()
             ));
         }
         if !map.is_empty() {
@@ -193,10 +217,10 @@ mod tests {
         // Id-ordered listing regardless of insertion order.
         let ids: Vec<String> = reg.tenants().into_iter().map(|(id, _)| id).collect();
         assert_eq!(ids, vec!["t0".to_string(), "t1".to_string()]);
-        assert_eq!(reg.state("t0").as_deref(), Some("queued"));
-        assert!(reg.set_state("t0", "running"));
-        assert_eq!(reg.state("t0").as_deref(), Some("running"));
-        assert!(!reg.set_state("missing", "running"));
+        assert_eq!(reg.state("t0"), Some(TenantState::Queued));
+        assert!(reg.set_state("t0", TenantState::Running));
+        assert_eq!(reg.state("t0"), Some(TenantState::Running));
+        assert!(!reg.set_state("missing", TenantState::Running));
 
         assert!(reg.remove("t0"));
         assert!(!reg.remove("t0"));
@@ -237,7 +261,7 @@ mod tests {
         assert_eq!(reg.to_json(), "{\n  \"tenants\": []\n}");
         reg.add("b", ObsHub::new(1)).expect("b");
         reg.add("a", ObsHub::new(1)).expect("a");
-        reg.set_state("b", "drained");
+        reg.set_state("b", TenantState::Drained);
         let doc = reg.to_json();
         let v = crate::obs::json::parse(&doc).expect("valid JSON");
         let arr = v

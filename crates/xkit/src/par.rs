@@ -100,18 +100,6 @@ where
     par_map(threads, (0..count).collect(), |_, i| f(i))
 }
 
-/// Sharded map-reduce: map every item on the pool, then fold the results
-/// sequentially *in input order* (so non-commutative folds are safe).
-pub fn par_reduce<T, U, A, F, G>(threads: usize, items: Vec<T>, map: F, init: A, fold: G) -> A
-where
-    T: Send,
-    U: Send,
-    F: Fn(usize, T) -> U + Sync,
-    G: FnMut(A, U) -> A,
-{
-    par_map(threads, items, map).into_iter().fold(init, fold)
-}
-
 /// Run two independent closures on separate threads and return both
 /// results. Degrades to sequential calls when `threads <= 1`.
 pub fn join<A, B, FA, FB>(threads: usize, fa: FA, fb: FB) -> (A, B)
@@ -349,18 +337,6 @@ mod tests {
             i
         });
         assert_eq!(seen.load(Ordering::Relaxed), 100);
-    }
-
-    #[test]
-    fn par_reduce_folds_in_input_order() {
-        let s = par_reduce(
-            4,
-            (0..10).collect::<Vec<u32>>(),
-            |_, x| x.to_string(),
-            String::new(),
-            |acc, x| acc + &x,
-        );
-        assert_eq!(s, "0123456789");
     }
 
     #[test]

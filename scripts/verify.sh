@@ -11,6 +11,10 @@ cargo build --release --offline
 
 echo "== cargo test -q --offline =="
 cargo test -q --offline
+# The bench ladder is a workspace of its own; its 1 s smoke per workload
+# is the only thing that compiles it against the crates, so an API
+# deletion that breaks it fails here instead of at the next bench run.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
 echo "== lint (token-aware invariant checker) =="
 # One invocation replaces the old awk/grep deny-lists: dependency

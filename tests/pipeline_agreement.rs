@@ -117,3 +117,33 @@ fn snaplen_variations_do_not_change_results() {
     let b2: u64 = l2.app_conns().map(|c| c.total_bytes()).sum();
     assert_eq!(b1, b2);
 }
+
+#[test]
+fn oversize_udp_flow_is_split_by_size_without_a_cap() {
+    // This world holds a UDP flow above 245 MB — more than 4096 datagrams
+    // of 60 000 bytes — which a capped split packed into datagrams
+    // declaring more than a UDP length field can hold.
+    let cfg = WorkloadConfig {
+        scale: ScaleKnobs { houses: 12, days: 0.1, activity: 1.0 },
+        ..WorkloadConfig::default()
+    };
+    let sim = Simulation::new(cfg, 42_303).unwrap();
+    let direct = sim.run();
+    assert!(
+        direct.logs.conns.iter().any(|c| c.orig_bytes.max(c.resp_bytes) > 4096 * 60_000),
+        "the world lost its oversize flow"
+    );
+
+    let mut pcap = Vec::new();
+    sim.run_pcap(&mut pcap, 600).unwrap();
+    let logs = Monitor::process_pcap(&pcap[..], MonitorConfig::default()).unwrap();
+
+    let flows = |conns: &mut dyn Iterator<Item = &dnsctx::zeek_lite::ConnRecord>| {
+        let mut rows: Vec<_> = conns
+            .map(|c| (c.ts, format!("{:?}", c.id), c.orig_bytes, c.resp_bytes))
+            .collect();
+        rows.sort();
+        rows
+    };
+    assert_eq!(flows(&mut logs.app_conns()), flows(&mut direct.logs.conns.iter()));
+}
