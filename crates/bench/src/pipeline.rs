@@ -43,8 +43,9 @@ pub struct RunSpec {
     pub source: Source,
     /// Epoch window in seconds (0 = one epoch, released at the end).
     pub window_secs: f64,
-    /// Workers for the simulation and the analysis (0 = one per core);
-    /// the snapshot is the same for every value.
+    /// Workers for the simulation (0 = one per core; the stream engine
+    /// itself runs on the calling thread); the snapshot is the same for
+    /// every value.
     pub threads: usize,
 }
 

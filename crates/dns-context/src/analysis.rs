@@ -29,8 +29,9 @@ pub struct AnalysisConfig {
     pub significance_rel_pct: f64,
     /// Resolver-address → platform mapping.
     pub platform_map: PlatformMap,
-    /// Worker threads for the independent analysis stages (0 = one per
-    /// core). Results are identical for every value.
+    /// Worker threads for the independent batch analysis stages (0 = one
+    /// per core). Results are identical for every value. The stream
+    /// engine pairs on its own thread and ignores it.
     pub threads: usize,
 }
 

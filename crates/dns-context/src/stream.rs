@@ -40,6 +40,19 @@
 //! O(lookups). Per-lookup claim state (first-use) is reference-counted
 //! and freed when a lookup's last index entry goes.
 //!
+//! # Cost of a boundary
+//!
+//! Closing an epoch costs time and allocation in proportion to the rows
+//! that arrived, were released, or were evicted in it, never to what is
+//! merely held. Every entry that has a successor under its key sits in a
+//! min-heap keyed by the instant it becomes droppable
+//! (`max(expires, successor.completed)`), so eviction pops exactly the
+//! keys that drop something and single-entry keys are never visited;
+//! unreleased rows wait in `(ts, arrival)` order, so a release pops a
+//! prefix and leaves the retained rows where they are; and after an
+//! engine's first publication the hub's snapshot is overwritten value
+//! by value under its lock, which allocates nothing.
+//!
 //! # Deferred SC/R split
 //!
 //! The per-resolver SC/R thresholds need the *whole* trace (minimum
@@ -64,8 +77,10 @@
 use crate::classify::ThresholdRule;
 use crate::pairing::PairingPolicy;
 use crate::{AnalysisConfig, ClassCounts};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use std::net::Ipv4Addr;
+use xkit::collections::FastMap;
 use xkit::obs::{HistSpec, Metrics};
 use zeek_lite::{ConnRecord, DnsTransaction, Duration, Monitor, MonitorConfig, Timestamp};
 
@@ -105,16 +120,37 @@ impl ResolverAcc {
     }
 }
 
-/// A released connection's pairing outcome, before the sequential
-/// first-use / metrics fold (pure function of the index, so it can be
-/// computed in parallel).
-#[derive(Debug, Clone, Copy)]
-struct PairedLite {
-    dns_idx: Option<usize>,
-    gap: Duration,
-    expired: bool,
-    resolver: Ipv4Addr,
-    rtt: Duration,
+/// Per-lookup state shared by all of a lookup's index entries.
+#[derive(Debug, Default)]
+struct Lookup {
+    /// Live index entries referencing this lookup.
+    refs: usize,
+    /// Whether a first-use connection has claimed it.
+    claimed: bool,
+}
+
+/// The index key: `(client, address)` packed into one word, as in the
+/// batch pairer.
+fn pack_key(client: Ipv4Addr, addr: Ipv4Addr) -> u64 {
+    (u64::from(u32::from(client)) << 32) | u64::from(u32::from(addr))
+}
+
+/// Completed-but-unreleased rows in `(ts, arrival)` order. Both release
+/// predicates are on `ts`, so releasing pops a prefix; rows that stay are
+/// not moved.
+type Pending<T> = BTreeMap<(Timestamp, u64), T>;
+
+/// Remove and return the rows stamped strictly before `w`, in
+/// `(ts, arrival)` order.
+fn release_before<T>(rows: &mut Pending<T>, w: Timestamp) -> Vec<T> {
+    let mut out = Vec::new();
+    while let Some(first) = rows.first_entry() {
+        if first.key().0 >= w {
+            break;
+        }
+        out.push(first.remove());
+    }
+    out
 }
 
 /// The rows released at one epoch boundary, in canonical log order.
@@ -174,15 +210,21 @@ pub struct StreamEngine {
     cfg: AnalysisConfig,
     floor: Duration,
     /// Completed-but-unreleased rows; bounded by the window, not the trace.
-    buf_conns: Vec<ConnRecord>,
-    buf_dns: Vec<DnsTransaction>,
+    buf_conns: Pending<ConnRecord>,
+    buf_dns: Pending<DnsTransaction>,
+    /// Rows buffered so far: the arrival half of the next buffer key.
+    arrived: u64,
     /// The streaming pairing index, per-key sorted by `(completed, dns_idx)`.
-    index: HashMap<(Ipv4Addr, Ipv4Addr), Vec<StreamEntry>>,
-    live_entries: u64,
-    /// dns_idx → number of live index entries referencing it.
-    refcount: HashMap<usize, usize>,
-    /// Lookups already claimed by a first-use connection.
-    claimed: HashSet<usize>,
+    /// Addressed by key only, never iterated.
+    index: FastMap<u64, Vec<StreamEntry>>,
+    /// `(droppable at, key)` for every index entry that has a successor
+    /// under its key: `max(expires, successor.completed)` is the first
+    /// watermark at which the eviction rule drops it. An insert between
+    /// two entries pushes the predecessor's earlier instant and leaves
+    /// the old item behind; popping that one later prunes nothing.
+    droppable: BinaryHeap<Reverse<(Timestamp, u64)>>,
+    /// dns_idx → refcount and first-use claim of every indexed lookup.
+    lookups: FastMap<usize, Lookup>,
     next_dns_idx: usize,
     resolvers: HashMap<Ipv4Addr, ResolverAcc>,
     /// Incrementally folded counters and histograms (`pair.*`, `perf.*`,
@@ -204,6 +246,10 @@ pub struct StreamEngine {
     /// here at every epoch boundary and notable moments hit its flight
     /// recorder. `None` costs nothing on the frame path.
     hub: Option<xkit::obs::ObsHub>,
+    /// Whether this engine has published to `hub` yet: a hub outlives
+    /// engines, so the first publication replaces whatever it holds and
+    /// only later ones overwrite in place.
+    published: bool,
 }
 
 impl StreamEngine {
@@ -219,12 +265,12 @@ impl StreamEngine {
             monitor: Monitor::new(monitor),
             cfg,
             floor,
-            buf_conns: Vec::new(),
-            buf_dns: Vec::new(),
-            index: HashMap::new(),
-            live_entries: 0,
-            refcount: HashMap::new(),
-            claimed: HashSet::new(),
+            buf_conns: Pending::new(),
+            buf_dns: Pending::new(),
+            arrived: 0,
+            index: FastMap::default(),
+            droppable: BinaryHeap::new(),
+            lookups: FastMap::default(),
             next_dns_idx: 0,
             resolvers: HashMap::new(),
             acc: Metrics::new(),
@@ -241,6 +287,7 @@ impl StreamEngine {
             peak_live_flows: 0,
             peak_live_answers: 0,
             hub: None,
+            published: false,
         }
     }
 
@@ -253,6 +300,7 @@ impl StreamEngine {
     pub fn set_hub(&mut self, hub: xkit::obs::ObsHub) {
         self.monitor.set_flight(hub.flight().clone());
         self.hub = Some(hub);
+        self.published = false;
     }
 
     /// Fold current state into the hub (no-op without one). Published
@@ -260,29 +308,53 @@ impl StreamEngine {
     /// two epochs never exceeds the final value of any counter and the
     /// degradation identities hold at every instant; the `stream.live_*`
     /// and `stream.w_*` gauges are point-in-time readings.
-    fn publish_live(&self, w_conn: Timestamp, w_dns: Timestamp) {
+    fn publish_live(&mut self, w_conn: Timestamp, w_dns: Timestamp) {
         let Some(hub) = &self.hub else { return };
-        let mut m = self.monitor.live_metrics();
-        m.add("zeek.conn_rows", self.released_conns);
-        m.add("zeek.dns_rows", self.released_dns);
-        m.add("zeek.app_conns", self.released_app);
-        m.merge(&self.acc);
-        m.add("cover.app_conns", self.released_app);
-        m.add("cover.paired", self.paired);
-        m.add("class.no_dns", self.class_no_dns);
-        m.add("class.local_cache", self.class_local_cache);
-        m.add("class.prefetched", self.class_prefetched);
-        m.add("stream.epochs", self.epochs);
-        m.add("stream.evicted_answers", self.evicted_answers);
-        m.add("stream.evicted_flows", self.evicted_flows);
-        m.gauge_max("stream.peak_live_flows", self.peak_live_flows as f64);
-        m.gauge_max("stream.peak_live_answers", self.peak_live_answers as f64);
+        if self.published {
+            hub.update_metrics(|m| self.store_live(m, w_conn, w_dns));
+        } else {
+            let mut m = Metrics::new();
+            self.store_live(&mut m, w_conn, w_dns);
+            hub.publish_metrics(m);
+            self.published = true;
+        }
+    }
+
+    /// Write the live snapshot over `m`. Every key is overwritten and the
+    /// key set only grows during a run, so the result is the same whether
+    /// `m` is empty or this engine's previous snapshot.
+    fn store_live(&self, m: &mut Metrics, w_conn: Timestamp, w_dns: Timestamp) {
+        self.monitor.store_live_metrics(m);
+        self.store_released(m);
+        self.store_stream(m);
         let (flows, answers) = self.live_state();
-        m.gauge_max("stream.live_flows", flows as f64);
-        m.gauge_max("stream.live_answers", answers as f64);
-        m.gauge_max("stream.w_conn_s", w_conn.0 as f64 / 1e9);
-        m.gauge_max("stream.w_dns_s", w_dns.0 as f64 / 1e9);
-        hub.publish_metrics(m);
+        m.set_gauge("stream.live_flows", flows as f64);
+        m.set_gauge("stream.live_answers", answers as f64);
+        m.set_gauge("stream.w_conn_s", w_conn.0 as f64 / 1e9);
+        m.set_gauge("stream.w_dns_s", w_dns.0 as f64 / 1e9);
+    }
+
+    /// What the released rows have folded to so far: row counts, the
+    /// accumulators, coverage and the classes known at release time.
+    fn store_released(&self, m: &mut Metrics) {
+        m.set_counter("zeek.conn_rows", self.released_conns);
+        m.set_counter("zeek.dns_rows", self.released_dns);
+        m.set_counter("zeek.app_conns", self.released_app);
+        m.assign_from(&self.acc);
+        m.set_counter("cover.app_conns", self.released_app);
+        m.set_counter("cover.paired", self.paired);
+        m.set_counter("class.no_dns", self.class_no_dns);
+        m.set_counter("class.local_cache", self.class_local_cache);
+        m.set_counter("class.prefetched", self.class_prefetched);
+    }
+
+    /// The engine's own `stream.*` totals and peaks.
+    fn store_stream(&self, m: &mut Metrics) {
+        m.set_counter("stream.epochs", self.epochs);
+        m.set_counter("stream.evicted_answers", self.evicted_answers);
+        m.set_counter("stream.evicted_flows", self.evicted_flows);
+        m.set_gauge("stream.peak_live_flows", self.peak_live_flows as f64);
+        m.set_gauge("stream.peak_live_answers", self.peak_live_answers as f64);
     }
 
     /// Feed one captured frame to the embedded monitor.
@@ -297,8 +369,8 @@ impl StreamEngine {
     /// folded counters.
     pub fn end_epoch(&mut self, boundary: Option<Timestamp>) -> EpochOutput {
         self.epochs += 1;
-        self.buf_conns.extend(self.monitor.drain_conns());
-        self.buf_dns.extend(self.monitor.drain_dns());
+        let (conns, dns) = (self.monitor.drain_conns(), self.monitor.drain_dns());
+        self.buffer(conns, dns);
 
         // High-water marks over everything currently held in memory,
         // measured before the release empties the buffers.
@@ -307,7 +379,7 @@ impl StreamEngine {
         // Answers are counted per *lookup* (a multi-address response pins
         // one row however many index entries it fans out to), so the peak
         // compares directly against the full-trace dns.log row count.
-        let live_answers = self.refcount.len() as u64
+        let live_answers = self.lookups.len() as u64
             + self.buf_dns.len() as u64
             + self.monitor.pending_dns() as u64;
         self.peak_live_answers = self.peak_live_answers.max(live_answers);
@@ -359,8 +431,7 @@ impl StreamEngine {
             std::mem::replace(&mut self.monitor, Monitor::new(MonitorConfig::default()));
         let residual = monitor.finish();
         let zeek_lite::Logs { conns, dns, stats, degradation } = residual;
-        self.buf_conns.extend(conns);
-        self.buf_dns.extend(dns);
+        self.buffer(conns, dns);
         let tail = self.release(Timestamp(u64::MAX), Timestamp(u64::MAX));
 
         // Settle the deferred SC/R split from the per-resolver buckets.
@@ -395,19 +466,21 @@ impl StreamEngine {
         // `logs.metrics()` merged with `Analysis::metrics()` exactly.
         let mut m = stats.to_metrics();
         m.merge(&degradation.to_metrics());
-        m.add("zeek.conn_rows", self.released_conns);
-        m.add("zeek.dns_rows", self.released_dns);
-        m.add("zeek.app_conns", self.released_app);
-        // The batch snapshot always carries this key, even at zero.
-        m.add("perf.blocked_conns", 0);
-        m.merge(&self.acc);
+        // The batch snapshot always carries these keys, even at zero (a
+        // trace with no application connection never folds them).
+        for key in [
+            "perf.blocked_conns",
+            "pair.hit",
+            "pair.fallback",
+            "pair.miss",
+            "pair.first_use",
+            "pair.app_conns",
+        ] {
+            m.add(key, 0);
+        }
+        self.store_released(&mut m);
         m.gauge_max("cover.frame_acceptance", degradation.frame_acceptance());
         m.gauge_max("cover.dns_acceptance", degradation.dns_acceptance());
-        m.add("cover.app_conns", self.released_app);
-        m.add("cover.paired", self.paired);
-        m.add("class.no_dns", self.class_no_dns);
-        m.add("class.local_cache", self.class_local_cache);
-        m.add("class.prefetched", self.class_prefetched);
         m.add("class.shared_cache", shared_cache);
         m.add("class.resolution", resolution);
         m.add("threshold.resolvers", thresholds.len() as u64);
@@ -417,11 +490,7 @@ impl StreamEngine {
         }
 
         let mut s = Metrics::new();
-        s.add("stream.epochs", self.epochs);
-        s.add("stream.evicted_answers", self.evicted_answers);
-        s.add("stream.evicted_flows", self.evicted_flows);
-        s.gauge_max("stream.peak_live_flows", self.peak_live_flows as f64);
-        s.gauge_max("stream.peak_live_answers", self.peak_live_answers as f64);
+        self.store_stream(&mut s);
 
         // The last published snapshot is the settled one: every mid-run
         // scrape was a prefix of it.
@@ -440,21 +509,33 @@ impl StreamEngine {
         }
     }
 
+    /// Buffer completed rows, in the order given, until a watermark
+    /// releases them.
+    fn buffer(&mut self, conns: Vec<ConnRecord>, dns: Vec<DnsTransaction>) {
+        for conn in conns {
+            self.buf_conns.insert((conn.ts, self.arrived), conn);
+            self.arrived += 1;
+        }
+        for txn in dns {
+            self.buf_dns.insert((txn.ts, self.arrived), txn);
+            self.arrived += 1;
+        }
+    }
+
     /// Release buffered rows below the watermarks: DNS first (the index
     /// must contain every lookup a released connection could pair with),
     /// then connections.
     fn release(&mut self, w_conn: Timestamp, w_dns: Timestamp) -> EpochOutput {
-        let (mut dns_out, keep): (Vec<_>, Vec<_>) =
-            std::mem::take(&mut self.buf_dns).into_iter().partition(|d| d.ts < w_dns);
-        self.buf_dns = keep;
+        // The prefix comes out in `(ts, arrival)` order; the stable sorts
+        // only order rows of equal `ts`, keeping arrival order for full
+        // ties exactly as a stable sort of the arrival-ordered rows does.
+        let mut dns_out = release_before(&mut self.buf_dns, w_dns);
         dns_out.sort_by(DnsTransaction::log_order);
         for txn in &dns_out {
             self.ingest_dns(txn);
         }
 
-        let (mut conn_out, keep): (Vec<_>, Vec<_>) =
-            std::mem::take(&mut self.buf_conns).into_iter().partition(|c| c.ts < w_conn);
-        self.buf_conns = keep;
+        let mut conn_out = release_before(&mut self.buf_conns, w_conn);
         conn_out.sort_by_key(|c| (c.ts, c.uid));
         self.absorb_conns(&conn_out);
 
@@ -478,101 +559,71 @@ impl StreamEngine {
         };
         let rtt = txn.rtt.expect("completed lookups are answered");
         for addr in txn.addrs() {
-            let entries = self.index.entry((txn.client, addr)).or_default();
+            let key = pack_key(txn.client, addr);
+            let entries = self.index.entry(key).or_default();
             let pos = entries.partition_point(|e| (e.completed, e.dns_idx) <= (completed, idx));
             entries.insert(
                 pos,
                 StreamEntry { completed, expires, dns_idx: idx, resolver: txn.resolver, rtt },
             );
-            self.live_entries += 1;
-            *self.refcount.entry(idx).or_insert(0) += 1;
+            // The new entry is droppable once its successor has completed;
+            // its predecessor's successor is now the new entry.
+            if let Some(next) = entries.get(pos + 1) {
+                self.droppable.push(Reverse((expires.max(next.completed), key)));
+            }
+            if pos > 0 {
+                self.droppable.push(Reverse((entries[pos - 1].expires.max(completed), key)));
+            }
+            self.lookups.entry(idx).or_default().refs += 1;
         }
     }
 
     /// Pair one application connection against the index — the exact
-    /// per-connection rule of [`Pairing::build`], over released lookups.
-    fn pair_conn(
-        index: &HashMap<(Ipv4Addr, Ipv4Addr), Vec<StreamEntry>>,
-        conn: &ConnRecord,
-    ) -> PairedLite {
-        let unpaired = PairedLite {
-            dns_idx: None,
-            gap: Duration::ZERO,
-            expired: false,
-            resolver: Ipv4Addr::UNSPECIFIED,
-            rtt: Duration::ZERO,
-        };
-        let Some(entries) = index.get(&(conn.id.orig_addr, conn.id.resp_addr)) else {
-            return unpaired;
-        };
+    /// per-connection rule of [`Pairing::build`], over released lookups:
+    /// the chosen entry and whether it was the expired fallback.
+    fn pair_conn(&self, conn: &ConnRecord) -> Option<(StreamEntry, bool)> {
+        let entries = self.index.get(&pack_key(conn.id.orig_addr, conn.id.resp_addr))?;
         let upto = entries.partition_point(|e| e.completed <= conn.ts);
-        if upto == 0 {
-            return unpaired;
-        }
         let prior = &entries[..upto];
         // Streaming is MostRecent-only, so one reverse scan for the newest
         // live entry replaces collecting candidates into a Vec.
-        let last_live = prior.iter().rev().find(|e| e.expires > conn.ts);
-        let (chosen, expired) = if let Some(last_live) = last_live {
-            (*last_live, false)
-        } else {
-            (*prior.last().expect("upto > 0"), true)
-        };
-        PairedLite {
-            dns_idx: Some(chosen.dns_idx),
-            gap: conn.ts.since(chosen.completed),
-            expired,
-            resolver: chosen.resolver,
-            rtt: chosen.rtt,
+        match prior.iter().rev().find(|e| e.expires > conn.ts) {
+            Some(last_live) => Some((*last_live, false)),
+            None => prior.last().map(|newest| (*newest, true)),
         }
     }
 
     /// Fold a `(ts, uid)`-sorted release batch of connections into the
-    /// pairing/classification accumulators. Candidate lookup fans out
-    /// over the configured worker threads (a pure read of the index);
-    /// the first-use claim pass and the metric folds stay sequential, so
-    /// results are identical for every thread count.
+    /// pairing/classification accumulators, one connection at a time on
+    /// the engine thread (a release batch at a finite window is tens of
+    /// rows; fanning the look-ups out measured slower at every window).
     fn absorb_conns(&mut self, conns: &[ConnRecord]) {
         self.released_conns += conns.len() as u64;
-        let app: Vec<&ConnRecord> = conns.iter().filter(|c| !c.is_dns()).collect();
-        if app.is_empty() {
-            return;
-        }
-        let index = &self.index;
-        let workers = xkit::par::resolve_threads(self.cfg.threads).min(app.len());
-        let lite: Vec<PairedLite> = if workers <= 1 {
-            app.iter().map(|c| Self::pair_conn(index, c)).collect()
-        } else {
-            let chunks: Vec<&[&ConnRecord]> = app.chunks(app.len().div_ceil(workers)).collect();
-            xkit::par::par_map(self.cfg.threads, chunks, |_, chunk| {
-                chunk.iter().map(|c| Self::pair_conn(index, c)).collect::<Vec<PairedLite>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect()
-        };
-
+        let mut app = 0u64;
         let mut hit = 0u64;
         let mut fallback = 0u64;
         let mut miss = 0u64;
         let mut first_uses = 0u64;
-        for p in &lite {
-            self.released_app += 1;
-            let Some(di) = p.dns_idx else {
+        for conn in conns.iter().filter(|c| !c.is_dns()) {
+            app += 1;
+            let Some((chosen, expired)) = self.pair_conn(conn) else {
                 miss += 1;
                 self.class_no_dns += 1;
                 continue;
             };
             self.paired += 1;
-            if p.expired {
+            if expired {
                 fallback += 1;
             } else {
                 hit += 1;
             }
-            self.acc.observe_with("pair.gap_ms", HistSpec::time_ms(), p.gap.as_millis_f64());
-            let first_use = self.claimed.insert(di);
+            let gap = conn.ts.since(chosen.completed);
+            self.acc.observe_with("pair.gap_ms", HistSpec::time_ms(), gap.as_millis_f64());
+            let lookup =
+                self.lookups.get_mut(&chosen.dns_idx).expect("indexed lookups are refcounted");
+            let first_use = !std::mem::replace(&mut lookup.claimed, true);
             first_uses += u64::from(first_use);
-            if p.gap > self.cfg.block_threshold {
+            if gap > self.cfg.block_threshold {
                 if first_use {
                     self.class_prefetched += 1;
                 } else {
@@ -585,29 +636,40 @@ impl StreamEngine {
                 self.acc.observe_with(
                     "perf.blocked_dns_ms",
                     HistSpec::time_ms(),
-                    p.rtt.as_millis_f64(),
+                    chosen.rtt.as_millis_f64(),
                 );
-                let acc = self.resolvers.entry(p.resolver).or_insert_with(ResolverAcc::new);
+                let acc = self.resolvers.entry(chosen.resolver).or_insert_with(ResolverAcc::new);
                 acc.blocked_total += 1;
-                *acc.blocked_ceil_ms.entry(p.rtt.nanos().div_ceil(1_000_000)).or_insert(0) += 1;
-                if p.rtt <= self.floor {
+                *acc.blocked_ceil_ms.entry(chosen.rtt.nanos().div_ceil(1_000_000)).or_insert(0) +=
+                    1;
+                if chosen.rtt <= self.floor {
                     acc.blocked_le_floor += 1;
                 }
             }
         }
+        if app == 0 {
+            return;
+        }
+        self.released_app += app;
         self.acc.add("pair.hit", hit);
         self.acc.add("pair.fallback", fallback);
         self.acc.add("pair.miss", miss);
         self.acc.add("pair.first_use", first_uses);
-        self.acc.add("pair.app_conns", app.len() as u64);
+        self.acc.add("pair.app_conns", app);
     }
 
     /// Drop index entries no future connection can pair with (module
     /// docs), releasing per-lookup claim state when the last entry goes.
+    /// Only keys with an entry whose droppable instant has passed are
+    /// visited; each gets the whole rule, so a key visited twice in one
+    /// pass (or through a superseded heap item) is pruned once.
     fn evict(&mut self, w: Timestamp) {
-        let mut dropped: Vec<usize> = Vec::new();
-        // lint: allow(no-map-iteration): each key's run is pruned independently
-        for entries in self.index.values_mut() {
+        while let Some(&Reverse((at, key))) = self.droppable.peek() {
+            if at > w {
+                break;
+            }
+            self.droppable.pop();
+            let entries = self.index.get_mut(&key).expect("keys keep their newest entry");
             let cut = entries.partition_point(|e| e.completed <= w);
             if cut < 2 {
                 // No entry has both a newer completed witness and a
@@ -620,20 +682,16 @@ impl StreamEngine {
                 let gone = pos < last_keep && e.expires <= w;
                 pos += 1;
                 if gone {
-                    dropped.push(e.dns_idx);
+                    self.evicted_answers += 1;
+                    let lookup =
+                        self.lookups.get_mut(&e.dns_idx).expect("evicted entries are refcounted");
+                    lookup.refs -= 1;
+                    if lookup.refs == 0 {
+                        self.lookups.remove(&e.dns_idx);
+                    }
                 }
                 !gone
             });
-        }
-        for di in dropped {
-            self.evicted_answers += 1;
-            self.live_entries -= 1;
-            let rc = self.refcount.get_mut(&di).expect("evicted entries are refcounted");
-            *rc -= 1;
-            if *rc == 0 {
-                self.refcount.remove(&di);
-                self.claimed.remove(&di);
-            }
         }
     }
 
@@ -642,7 +700,7 @@ impl StreamEngine {
     pub fn live_state(&self) -> (u64, u64) {
         (
             self.monitor.active_flows() as u64 + self.buf_conns.len() as u64,
-            self.refcount.len() as u64
+            self.lookups.len() as u64
                 + self.buf_dns.len() as u64
                 + self.monitor.pending_dns() as u64,
         )
@@ -744,6 +802,7 @@ mod tests {
     use super::*;
     use crate::Analysis;
     use std::net::Ipv4Addr;
+    use xkit::rng::{RngExt, SeedableRng, StdRng};
     use zeek_lite::{Answer, ConnState, FiveTuple, Logs, Proto};
 
     const HOUSE: Ipv4Addr = Ipv4Addr::new(10, 77, 0, 1);
@@ -793,18 +852,38 @@ mod tests {
         conns: Vec<ConnRecord>,
         dns: Vec<DnsTransaction>,
         boundaries_ms: &[u64],
-        mut cfg: AnalysisConfig,
+        cfg: AnalysisConfig,
     ) -> (Vec<ConnRecord>, Vec<DnsTransaction>, StreamResult) {
-        cfg.threads = 1;
         let mut engine = StreamEngine::new(MonitorConfig::default(), cfg);
-        engine.buf_conns = conns;
-        engine.buf_dns = dns;
+        engine.buffer(conns, dns);
         let mut got_conns = Vec::new();
         let mut got_dns = Vec::new();
         for &b in boundaries_ms {
-            let out = engine.end_epoch(Some(Timestamp::from_millis(b)));
+            let w = Timestamp::from_millis(b);
+            let out = engine.end_epoch(Some(w));
+            // A row stamped exactly at the cut stays behind.
+            assert!(out.conns.iter().all(|c| c.ts < w) && out.dns.iter().all(|d| d.ts < w));
+            let held = engine.buf_conns.keys().chain(engine.buf_dns.keys());
+            assert!(held.into_iter().all(|k| k.0 >= w));
             got_conns.extend(out.conns);
             got_dns.extend(out.dns);
+            // With no monitor state both watermarks are the boundary. The
+            // rule applied to every key (the walk the heap replaces) must
+            // find nothing left to drop, and every lookup's refcount must
+            // be its surviving entries.
+            let mut refs: HashMap<usize, usize> = HashMap::new();
+            for entries in engine.index.values() {
+                let cut = entries.partition_point(|e| e.completed <= w);
+                let prefix = &entries[..cut.saturating_sub(1)];
+                assert!(prefix.iter().all(|e| e.expires > w), "entry left droppable at {b} ms");
+                for e in entries {
+                    *refs.entry(e.dns_idx).or_insert(0) += 1;
+                }
+            }
+            assert_eq!(refs.len(), engine.lookups.len(), "lookup state leaked at {b} ms");
+            for (di, n) in refs {
+                assert_eq!(engine.lookups[&di].refs, n, "refcount of lookup {di} at {b} ms");
+            }
         }
         let result = engine.finish();
         got_conns.extend(result.tail.conns.iter().cloned());
@@ -865,8 +944,7 @@ mod tests {
     fn unwindowed_epoch_releases_nothing_until_finish() {
         let cfg = AnalysisConfig::default();
         let mut engine = StreamEngine::new(MonitorConfig::default(), cfg);
-        engine.buf_conns = vec![conn(1_000, 1)];
-        engine.buf_dns = vec![txn(500, 1, 60)];
+        engine.buffer(vec![conn(1_000, 1)], vec![txn(500, 1, 60)]);
         let out = engine.end_epoch(None);
         assert!(out.conns.is_empty() && out.dns.is_empty());
         let result = engine.finish();
@@ -879,12 +957,10 @@ mod tests {
     fn hub_sees_prefix_snapshots_and_flight_events() {
         let mut cfg = AnalysisConfig::default();
         cfg.threshold_rule.min_lookups = 1;
-        cfg.threads = 1;
         let hub = xkit::obs::ObsHub::default();
         let mut engine = StreamEngine::new(MonitorConfig::default(), cfg);
         engine.set_hub(hub.clone());
-        engine.buf_dns = vec![txn(1_000, 1, 1), txn(2_000, 2, 1)];
-        engine.buf_conns = vec![conn(500_000, 1)];
+        engine.buffer(vec![conn(500_000, 1)], vec![txn(1_000, 1, 1), txn(2_000, 2, 1)]);
 
         engine.end_epoch(Some(Timestamp::from_millis(100_000)));
         let mid = hub.metrics();
@@ -909,6 +985,104 @@ mod tests {
             events.iter().any(|e| e.kind == "state.evict" && e.value == 1.0),
             "the older expired entry's eviction must hit the flight ring"
         );
+    }
+
+    /// A seeded tiny world on a 100 ms grid: two clients, three addresses,
+    /// TTLs of 0–5 s and lookups that take up to 1.5 s, so completion,
+    /// expiry and connection start collide with each other and with the
+    /// cuts; a slow answer lands between older entries of its key
+    /// (completed order ≠ `dns_idx` order); short TTLs prune a key to one
+    /// entry before it regrows; a two-address answer spreads one lookup
+    /// over two keys that evict at different times. Rows come back in
+    /// shuffled (arrival) order.
+    fn tiny_world(rng: &mut StdRng) -> (Vec<ConnRecord>, Vec<DnsTransaction>) {
+        let clients = [HOUSE, Ipv4Addr::new(10, 77, 0, 2)];
+        let addrs = [SERVER, Ipv4Addr::new(104, 16, 0, 2), Ipv4Addr::new(104, 16, 0, 3)];
+        let resolvers = [RESOLVER, Ipv4Addr::new(198, 51, 100, 54)];
+        let n_dns = rng.random_range(1..=14usize);
+        let n_conns = rng.random_range(0..=14usize);
+        let mut dns: Vec<DnsTransaction> = (0..n_dns)
+            .map(|i| {
+                let ttl = *rng.choose(&[0u32, 1, 1, 2, 5]).unwrap();
+                let first = rng.random_range(0..addrs.len());
+                let mut answers = vec![Answer::addr(addrs[first], ttl)];
+                if rng.random_bool(0.3) {
+                    answers.push(Answer::addr(addrs[(first + 1) % addrs.len()], ttl));
+                }
+                if rng.random_bool(0.1) {
+                    answers.clear();
+                }
+                let rtt_ms = *rng.choose(&[0u64, 100, 100, 200, 300, 1_500]).unwrap();
+                DnsTransaction {
+                    client: *rng.choose(&clients).unwrap(),
+                    resolver: *rng.choose(&resolvers).unwrap(),
+                    rtt: (!rng.random_bool(0.1)).then(|| Duration::from_millis(rtt_ms)),
+                    answers,
+                    ..txn(100 * rng.random_range(0..100u64), i as u16, ttl)
+                }
+            })
+            .collect();
+        let mut conns: Vec<ConnRecord> = (0..n_conns)
+            .map(|j| {
+                let mut c = conn(100 * rng.random_range(0..120u64), j as u64);
+                c.id.orig_addr = *rng.choose(&clients).unwrap();
+                c.id.resp_addr = *rng.choose(&addrs).unwrap();
+                if rng.random_bool(0.1) {
+                    c.service = Some("dns");
+                }
+                c
+            })
+            .collect();
+        rng.shuffle(&mut dns);
+        rng.shuffle(&mut conns);
+        (conns, dns)
+    }
+
+    #[test]
+    fn eviction_differential_over_seeded_tiny_worlds() {
+        let mut cfg = AnalysisConfig::default();
+        cfg.threshold_rule.min_lookups = 1;
+        let mut evicted = 0u64;
+        for seed in 0..320u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (conns, dns) = tiny_world(&mut rng);
+            let size = format!("seed {seed}, {} dns + {} conn rows", dns.len(), conns.len());
+            let mut logs = Logs { conns: conns.clone(), dns: dns.clone(), ..Default::default() };
+            logs.sort();
+            let analysis = Analysis::run(&logs, cfg.clone());
+            let mut batch = logs.metrics();
+            batch.merge(&analysis.metrics());
+
+            // One epoch; every grid instant its own epoch (so a cut falls
+            // exactly on every `ts`, `completed` and `expires`, and every
+            // row is alone with the rows of its instant); random cuts on
+            // and off the grid.
+            let every_tick: Vec<u64> = (0..=180).map(|t| 100 * t).collect();
+            let mut random: Vec<u64> = (0..rng.random_range(1..=8usize))
+                .map(|_| 50 * rng.random_range(0..360u64))
+                .collect();
+            random.sort_unstable();
+            for (cuts, boundaries) in
+                [("one epoch", vec![18_000]), ("every tick", every_tick), ("random", random)]
+            {
+                let (got_conns, got_dns, result) =
+                    stream_rows(conns.clone(), dns.clone(), &boundaries, cfg.clone());
+                assert_eq!(got_conns, logs.conns, "conn releases, {cuts} cuts, {size}");
+                assert_eq!(got_dns, logs.dns, "dns releases, {cuts} cuts, {size}");
+                assert_eq!(
+                    result.class_counts,
+                    analysis.class_counts(),
+                    "class counts, {cuts} cuts, {size}"
+                );
+                assert_eq!(
+                    result.analysis_metrics.to_json(),
+                    batch.to_json(),
+                    "analysis metrics, {cuts} cuts, {size}"
+                );
+                evicted += result.stream_metrics.counter("stream.evicted_answers");
+            }
+        }
+        assert!(evicted > 1_000, "worlds too tame to exercise eviction: {evicted} drops");
     }
 
     /// `stream.epochs` after streaming a capture of one-byte frames

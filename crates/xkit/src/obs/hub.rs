@@ -6,9 +6,10 @@
 //! publishes the final merged snapshot and Chrome-trace spans when the
 //! run completes, and every [`http`](crate::obs::http) endpoint reads
 //! whatever is current. Publication replaces the whole snapshot
-//! atomically (one mutex swap), so a scrape never sees a half-merged
-//! state — mid-run it sees a valid prefix of the final metrics, after
-//! the run it sees exactly the final document's metrics section.
+//! atomically (one mutex swap) or rewrites it under the same mutex, so
+//! a scrape never sees a half-merged state — mid-run it sees a valid
+//! prefix of the final metrics, after the run it sees exactly the final
+//! document's metrics section.
 
 use super::flight::FlightRecorder;
 use super::metrics::Metrics;
@@ -47,6 +48,19 @@ impl ObsHub {
         match self.inner.metrics.lock() {
             Ok(mut guard) => *guard = snapshot,
             Err(poison) => *poison.into_inner() = snapshot,
+        }
+    }
+
+    /// Rewrite the published snapshot in place. `rewrite` runs under the
+    /// snapshot's lock, so a scrape sees the snapshot before or after it,
+    /// never between two of its writes. For a publisher that owns the
+    /// snapshot from its first [`publish_metrics`](ObsHub::publish_metrics)
+    /// on and only overwrites values afterwards (the stream engine, once
+    /// per epoch): nothing is allocated and nothing is dropped.
+    pub fn update_metrics(&self, rewrite: impl FnOnce(&mut Metrics)) {
+        match self.inner.metrics.lock() {
+            Ok(mut guard) => rewrite(&mut guard),
+            Err(poison) => rewrite(&mut poison.into_inner()),
         }
     }
 
@@ -111,6 +125,24 @@ mod tests {
 
         hub.publish_spans("[{\"ph\":\"X\"}]".into());
         assert_eq!(hub.spans_json(), "[{\"ph\":\"X\"}]");
+    }
+
+    #[test]
+    fn update_rewrites_in_place_and_publish_still_replaces() {
+        let hub = ObsHub::default();
+        let mut m = Metrics::new();
+        m.add("zeek.frames_seen", 10);
+        m.add("class.shared_cache", 4);
+        hub.publish_metrics(m);
+        hub.update_metrics(|m| m.set_counter("zeek.frames_seen", 25));
+        let snap = hub.metrics();
+        assert_eq!(snap.counter("zeek.frames_seen"), 25);
+        assert_eq!(snap.counter("class.shared_cache"), 4, "update keeps other keys");
+
+        let mut next = Metrics::new();
+        next.add("zeek.frames_seen", 1);
+        hub.publish_metrics(next);
+        assert_eq!(hub.metrics().len(), 1, "a new publisher starts from nothing");
     }
 
     #[test]

@@ -190,6 +190,20 @@ impl Histogram {
         }
     }
 
+    /// Overwrite this histogram with `other`'s contents, reusing the
+    /// bucket storage already held (no allocation when the specs match).
+    pub fn assign_from(&mut self, other: &Histogram) {
+        self.bounds.clone_from(&other.bounds);
+        self.counts.clone_from(&other.counts);
+        self.spec = other.spec;
+        self.underflow = other.underflow;
+        self.overflow = other.overflow;
+        self.nonfinite = other.nonfinite;
+        self.count = other.count;
+        self.min = other.min;
+        self.max = other.max;
+    }
+
     /// The spec this histogram was built from.
     pub fn spec(&self) -> HistSpec {
         self.spec
@@ -399,6 +413,35 @@ impl Metrics {
         }
     }
 
+    /// Overwrite the counter `name` with `n` (creating it). Together with
+    /// [`set_gauge`](Metrics::set_gauge) and
+    /// [`assign_from`](Metrics::assign_from) this rewrites a snapshot in
+    /// place: once every key exists, no call allocates.
+    pub fn set_counter(&mut self, name: &str, n: u64) {
+        match self.map.get_mut(name) {
+            Some(Metric::Counter(c)) => *c = n,
+            Some(_) => self.conflict(),
+            None => {
+                self.map.insert(name.to_string(), Metric::Counter(n));
+            }
+        }
+    }
+
+    /// Overwrite the gauge `name` with `v` (creating it); non-finite
+    /// values are ignored, as in [`gauge_max`](Metrics::gauge_max).
+    pub fn set_gauge(&mut self, name: &str, v: f64) {
+        if !v.is_finite() {
+            return;
+        }
+        match self.map.get_mut(name) {
+            Some(Metric::Gauge(g)) => *g = v,
+            Some(_) => self.conflict(),
+            None => {
+                self.map.insert(name.to_string(), Metric::Gauge(v));
+            }
+        }
+    }
+
     /// Record `v` into the histogram `name`, creating it with `spec` on
     /// first use.
     pub fn observe_with(&mut self, name: &str, spec: HistSpec, v: f64) {
@@ -508,6 +551,23 @@ impl Metrics {
                     }
                 }
                 (Some(Metric::Hist(a)), Metric::Hist(b)) => a.merge(b),
+                (Some(_), _) => self.conflict(),
+            }
+        }
+    }
+
+    /// Overwrite every metric `other` carries with `other`'s value
+    /// (creating missing ones); metrics only `self` has are untouched.
+    /// Histogram counts are copied into the storage already held.
+    pub fn assign_from(&mut self, other: &Metrics) {
+        for (name, metric) in &other.map {
+            match (self.map.get_mut(name), metric) {
+                (None, m) => {
+                    self.map.insert(name.clone(), m.clone());
+                }
+                (Some(Metric::Counter(a)), Metric::Counter(b)) => *a = *b,
+                (Some(Metric::Gauge(a)), Metric::Gauge(b)) => *a = *b,
+                (Some(Metric::Hist(a)), Metric::Hist(b)) => a.assign_from(b),
                 (Some(_), _) => self.conflict(),
             }
         }
@@ -980,6 +1040,37 @@ mod tests {
         }
         assert_eq!(merged, whole);
         assert_eq!(merged.to_json(), whole.to_json());
+    }
+
+    #[test]
+    fn in_place_rewrite_equals_a_fresh_build() {
+        // A snapshot rewritten with set_*/assign_from must equal the one
+        // built from scratch with add/gauge_max/merge, whatever it held.
+        let mut acc = Metrics::new();
+        acc.add("pair.hit", 7);
+        acc.insert("pair.gap_ms", Metric::Hist(filled(5, 300)));
+        let mut fresh = Metrics::new();
+        fresh.add("zeek.conn_rows", 40);
+        fresh.gauge_max("stream.live_flows", 3.0);
+        fresh.merge(&acc);
+
+        let mut reused = Metrics::new();
+        reused.set_counter("zeek.conn_rows", 90);
+        reused.set_gauge("stream.live_flows", 12.0);
+        reused.add("pair.hit", 100);
+        reused.insert("pair.gap_ms", Metric::Hist(filled(6, 900)));
+        reused.set_counter("zeek.conn_rows", 40);
+        reused.set_gauge("stream.live_flows", 3.0); // gauges may fall
+        reused.set_gauge("stream.live_flows", f64::NAN);
+        reused.assign_from(&acc);
+        assert_eq!(reused, fresh);
+        assert_eq!(reused.to_json(), fresh.to_json());
+
+        // Kind mismatches are recorded, never applied.
+        reused.set_gauge("pair.hit", 1.0);
+        reused.set_counter("stream.live_flows", 1);
+        assert_eq!(reused.counter("obs.kind_conflicts"), 2);
+        assert_eq!(reused.counter("pair.hit"), 7);
     }
 
     #[test]

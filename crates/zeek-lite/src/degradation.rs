@@ -127,13 +127,20 @@ impl DegradationStats {
     /// stage shares); `from_metrics` inverts it exactly.
     pub fn to_metrics(&self) -> Metrics {
         let mut m = Metrics::new();
+        self.store_metrics(&mut m);
+        m
+    }
+
+    /// Overwrite this struct's keys in `m` with the current values
+    /// (creating them): [`to_metrics`](DegradationStats::to_metrics) into
+    /// a snapshot that already exists.
+    pub fn store_metrics(&self, m: &mut Metrics) {
         macro_rules! emit {
             ($($field:ident => $name:literal,)*) => {
-                $( m.add($name, self.$field); )*
+                $( m.set_counter($name, self.$field); )*
             };
         }
         degradation_fields!(emit);
-        m
     }
 
     /// Rebuild the struct view from an obs snapshot (absent counters read

@@ -84,14 +84,22 @@ impl MonitorStats {
     /// `zeek.peak_active_flows`.
     pub fn to_metrics(&self) -> Metrics {
         let mut m = Metrics::new();
+        self.store_metrics(&mut m);
+        m
+    }
+
+    /// Overwrite this struct's keys in `m` with the current values
+    /// (creating them) — [`to_metrics`](MonitorStats::to_metrics) into a
+    /// snapshot that already exists, so a per-epoch publisher allocates
+    /// nothing.
+    pub fn store_metrics(&self, m: &mut Metrics) {
         macro_rules! emit {
             ($($field:ident => $name:literal,)*) => {
-                $( m.add($name, self.$field); )*
+                $( m.set_counter($name, self.$field); )*
             };
         }
         monitor_counters!(emit);
-        m.gauge_max("zeek.peak_active_flows", self.peak_active_flows as f64);
-        m
+        m.set_gauge("zeek.peak_active_flows", self.peak_active_flows as f64);
     }
 
     /// Rebuild the struct view from an obs snapshot (absent metrics read
@@ -317,9 +325,17 @@ impl Monitor {
     /// particular `zeek.frames_seen = zeek.frames_accepted +
     /// Σ zeek.reject.*` holds at every instant.
     pub fn live_metrics(&self) -> Metrics {
-        let mut m = self.stats.to_metrics();
-        m.merge(&self.degradation.to_metrics());
+        let mut m = Metrics::new();
+        self.store_live_metrics(&mut m);
         m
+    }
+
+    /// [`live_metrics`](Monitor::live_metrics) written over a snapshot
+    /// that already exists: every key is overwritten, none is allocated
+    /// after the first call on the same snapshot.
+    pub fn store_live_metrics(&self, m: &mut Metrics) {
+        self.stats.store_metrics(m);
+        self.degradation.store_metrics(m);
     }
 
     /// Process one captured frame. `captured` holds the stored bytes

@@ -60,6 +60,10 @@ echo "== stream suite =="
 # Streamed output must be byte-identical to batch at every tested
 # window/thread combination, with live state bounded for finite windows.
 cargo test -q --release --offline -p dnsctx --test stream_agreement
+# Eviction and release against batch over seeded tiny worlds, and the
+# allocation count of an idle epoch at two sizes of held state.
+cargo test -q --offline -p dns-context --lib stream::tests
+cargo test -q --offline -p dnsctx --test epoch_cost
 cargo test -q --offline -p pcapio
 cargo run -q --release --offline -p bench --bin repro -- \
     stream --houses 20 --days 0.1 --window-secs 60 >/dev/null

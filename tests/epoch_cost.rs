@@ -1,0 +1,113 @@
+//! The cost of closing an epoch is independent of the state held: an
+//! epoch that releases and evicts nothing allocates the same whether the
+//! engine holds a hundred single-entry keys and buffered rows or ten
+//! thousand. Counted with the allocation counter, not timed. One test
+//! in this binary, so nothing else allocates while it measures.
+
+use std::net::Ipv4Addr;
+
+use dnsctx::dns_context::{stream::StreamEngine, AnalysisConfig};
+use dnsctx::dns_wire::{Message, Name, Record, RrType};
+use dnsctx::netpkt::{Frame, MacAddr, TcpFlags, TcpHeader};
+use dnsctx::obskit::ObsHub;
+use dnsctx::xkit::bench::alloc::{self, CountingAlloc, StageAllocs};
+use dnsctx::zeek_lite::{Duration, MonitorConfig, Timestamp};
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+const HOUSE: Ipv4Addr = Ipv4Addr::new(10, 77, 0, 1);
+const RESOLVER: Ipv4Addr = Ipv4Addr::new(198, 51, 100, 53);
+const SERVER: Ipv4Addr = Ipv4Addr::new(203, 0, 113, 7);
+
+fn feed(engine: &mut StreamEngine, ts_us: u64, f: &Frame) {
+    engine.handle_frame(Timestamp(ts_us * 1_000), &f.encode(), f.wire_len() as u32);
+}
+
+/// One answered lookup of `name`: the query at `ts_us`, the answer
+/// 500 µs later.
+fn lookup(engine: &mut StreamEngine, ts_us: u64, id: u16, name: &str, addr: Ipv4Addr) {
+    let name = Name::parse(name).unwrap();
+    let q = Message::query(id, name.clone(), RrType::A);
+    let mut resp = q.answer_template();
+    resp.answers.push(Record::a(name, 86_400, addr));
+    let (up, down) = (MacAddr::UPSTREAM, MacAddr::LOCAL);
+    feed(engine, ts_us, &Frame::udp(down, up, HOUSE, RESOLVER, 54321, 53, &q.encode()));
+    feed(engine, ts_us + 500, &Frame::udp(up, down, RESOLVER, HOUSE, 53, 54321, &resp.encode()));
+}
+
+/// An engine holding `n` single-entry index keys, `n` buffered DNS rows
+/// and `n` buffered connections that no watermark can release, then
+/// three more epochs closed on it: what each of those allocated.
+fn idle_epoch_allocs(n: u32) -> [StageAllocs; 3] {
+    let monitor = MonitorConfig {
+        udp_timeout: Duration::from_secs(5),
+        tcp_timeout: Duration::from_secs(3_600),
+        dns_query_timeout: Duration::from_secs(3_600),
+        ..MonitorConfig::default()
+    };
+    let mut engine = StreamEngine::new(monitor, AnalysisConfig::default());
+    engine.set_hub(ObsHub::default());
+    let addr = |i: u32| Ipv4Addr::from(u32::from(Ipv4Addr::new(104, 16, 0, 0)) + i);
+
+    // A flow that never ends pins the connection watermark at 1 s.
+    let syn = TcpHeader::syn(40_000, 443, 100);
+    let (down, up) = (MacAddr::LOCAL, MacAddr::UPSTREAM);
+    feed(&mut engine, 1_000_000, &Frame::tcp(down, up, HOUSE, SERVER, syn, &[]));
+    // Epoch 1: n lookups of n addresses, all released at its boundary —
+    // n keys of one entry each.
+    for i in 0..n {
+        let ts_us = 2_000_000 + 1_000 * i as u64;
+        lookup(&mut engine, ts_us, i as u16, &format!("a{i}.example.com"), addr(i));
+    }
+    let out = engine.end_epoch(Some(Timestamp::from_millis(30_000)));
+    assert_eq!((out.dns.len(), out.conns.len()), (n as usize, 0));
+
+    // Epoch 2: a query that is never answered pins the DNS watermark at
+    // 31 s; the n lookups and n one-packet flows after it complete but
+    // cannot be released.
+    let pending = Message::query(65_000, Name::parse("pending.example.com").unwrap(), RrType::A);
+    let pending = Frame::udp(down, up, HOUSE, RESOLVER, 54321, 53, &pending.encode());
+    feed(&mut engine, 31_000_000, &pending);
+    for i in 0..n {
+        let ts_us = 31_001_000 + 1_000 * i as u64;
+        lookup(&mut engine, ts_us, i as u16, &format!("b{i}.example.com"), addr(i));
+        let quic = Frame::udp(down, up, HOUSE, SERVER, 10_000 + i as u16, 4433, b"x");
+        feed(&mut engine, ts_us, &quic);
+    }
+    // One late packet on the pinned flow sweeps the idle UDP flows out.
+    let ack = TcpHeader { flags: TcpFlags::ACK, ..TcpHeader::syn(40_000, 443, 101) };
+    feed(&mut engine, 58_000_000, &Frame::tcp(down, up, HOUSE, SERVER, ack, &[]));
+    let out = engine.end_epoch(Some(Timestamp::from_millis(60_000)));
+    assert_eq!((out.dns.len(), out.conns.len()), (0, 0));
+    let (flows, answers) = engine.live_state();
+    assert!(
+        flows > n as u64 && answers > 2 * n as u64,
+        "state not held: {flows} flows, {answers} answers"
+    );
+
+    [90_000, 120_000, 150_000].map(|boundary_ms| {
+        let (out, allocs) =
+            alloc::measure(|| engine.end_epoch(Some(Timestamp::from_millis(boundary_ms))));
+        assert_eq!((out.dns.len(), out.conns.len()), (0, 0));
+        allocs
+    })
+}
+
+#[test]
+fn an_idle_epoch_costs_the_same_whatever_is_held() {
+    let small = idle_epoch_allocs(100);
+    let large = idle_epoch_allocs(10_000);
+    for (epoch, (s, l)) in small.iter().zip(&large).enumerate() {
+        assert!(
+            l.allocs.abs_diff(s.allocs) <= 2 && l.bytes.abs_diff(s.bytes) <= 64,
+            "idle epoch {epoch}: {} allocations / {} B holding 100, {} / {} B holding 10 000",
+            s.allocs,
+            s.bytes,
+            l.allocs,
+            l.bytes
+        );
+    }
+    // The per-epoch flight event is all that is left.
+    assert!(small[2].allocs <= 4, "an idle epoch allocated {} times", small[2].allocs);
+}

@@ -117,6 +117,54 @@ fn midrun_scrapes_are_valid_prefixes_of_the_final_snapshot() {
     assert!(final_cs.contains_key("class.shared_cache"));
 }
 
+/// A hub outlives an engine (the bench ladder reuses one across
+/// repetitions, `serve` re-adds tenants): a second run publishing into
+/// the hub the first one settled must start from nothing — none of the
+/// first run's finish-only keys, no counter above the second run's own
+/// final value — although later epochs overwrite the snapshot in place.
+#[test]
+fn a_second_run_on_the_same_hub_publishes_its_own_prefixes() {
+    let hub = ObsHub::default();
+    let mut run = |cfg: WorkloadConfig, seed: u64| {
+        let mut pcap = Vec::new();
+        Simulation::new(cfg, seed).unwrap().run_pcap(&mut pcap, 600).unwrap();
+        let mut scrapes: Vec<Metrics> = Vec::new();
+        let result = stream::process_source_observed(
+            &mut pcapio::source::file(&pcap[..]).unwrap(),
+            Duration::from_secs(30),
+            MonitorConfig::default(),
+            analysis_cfg(),
+            Some(&hub),
+            |_| scrapes.push(hub.metrics()),
+        )
+        .unwrap();
+        assert_eq!(hub.metrics().to_json(), result.settled_metrics().to_json());
+        (scrapes, counters(&result.settled_metrics()))
+    };
+
+    // The larger run first, so anything it leaves behind would stand out.
+    let (_, first_final) = run(small_cfg(), 42);
+    let smaller = WorkloadConfig {
+        scale: ScaleKnobs { houses: 2, days: 0.02, activity: 1.0 },
+        ..small_cfg()
+    };
+    let (scrapes, final_cs) = run(smaller, 7);
+    assert!(scrapes.len() > 2, "second workload too small to produce mid-run scrapes");
+    assert!(first_final["zeek.frames_seen"] > final_cs["zeek.frames_seen"]);
+    for (i, m) in scrapes.iter().enumerate() {
+        let cs = counters(m);
+        assert_frame_identity(&cs, &format!("at scrape {i} of the second run"));
+        for (k, v) in &cs {
+            let fin = final_cs.get(k).copied().unwrap_or(0);
+            assert!(*v <= fin, "second run: {k} = {v} at scrape {i} exceeds its final {fin}");
+        }
+        let leaked = m.iter().map(|(k, _)| k).find(|k| {
+            *k == "class.shared_cache" || *k == "class.resolution" || k.starts_with("threshold.")
+        });
+        assert_eq!(leaked, None, "finish-only key of the first run in scrape {i} of the second");
+    }
+}
+
 #[test]
 fn endpoints_answer_during_a_live_run() {
     let pcap = capture();

@@ -143,3 +143,31 @@ fn finite_windows_bound_live_state() {
     assert_eq!(result.stream_metrics.counter("stream.epochs"), 1);
     assert_eq!(result.stream_metrics.counter("stream.evicted_flows"), 0);
 }
+
+/// The eviction schedule on the seed-42 capture, as the rule applied to
+/// every key at every boundary gives it: what is dropped, and when, is
+/// part of the engine's contract, so a lazier or more eager policy shows
+/// up here even though the analysis agrees.
+#[test]
+fn eviction_schedule_is_pinned() {
+    let batch = batch_oracle();
+    // (window s, epochs, evicted answers, evicted flows, peak flows, peak answers)
+    for (window_secs, epochs, evicted_answers, evicted_flows, peak_flows, peak_answers) in
+        [(30u64, 83u64, 81u64, 561u64, 223.0, 127.0), (300, 9, 81, 561, 240.0, 131.0)]
+    {
+        let (_, result) = streamed(&batch, Duration::from_secs(window_secs), 1);
+        let s = &result.stream_metrics;
+        let got = (
+            s.counter("stream.epochs"),
+            s.counter("stream.evicted_answers"),
+            s.counter("stream.evicted_flows"),
+            s.gauge("stream.peak_live_flows"),
+            s.gauge("stream.peak_live_answers"),
+        );
+        assert_eq!(
+            got,
+            (epochs, evicted_answers, evicted_flows, Some(peak_flows), Some(peak_answers)),
+            "window={window_secs}s"
+        );
+    }
+}
