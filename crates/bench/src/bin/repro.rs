@@ -39,6 +39,7 @@
 use bench::pipeline::{self, capture_pcap, RunSpec, Source};
 use dnsctx::cache_sim;
 use dnsctx::ccz_sim::{ScaleKnobs, Simulation, WorkloadConfig};
+use dnsctx::dns_context::classify::ThresholdRule;
 use dnsctx::dns_context::report::{cdf_series, cdf_strip, count, f1, f2, Table};
 use dnsctx::dns_context::{Analysis, AnalysisConfig, ConnClass, Ecdf, PairingPolicy};
 use dnsctx::zeek_lite::{Duration, Logs};
@@ -683,8 +684,7 @@ fn ablate_scr(logs: &Logs) {
     );
     for (mult, floor) in [(1.0, 3.0), (1.3, 5.0), (1.6, 5.0), (2.0, 8.0), (3.0, 10.0)] {
         let mut cfg = AnalysisConfig::default();
-        cfg.threshold_rule.mult = mult;
-        cfg.threshold_rule.floor_ms = floor;
+        cfg.threshold_rule = ThresholdRule { mult, floor_ms: floor, ..cfg.threshold_rule };
         let a = Analysis::run(logs, cfg);
         let c = a.class_counts();
         t.row(&[
@@ -883,7 +883,10 @@ fn finish_serving(opts: &Opts, who: &str, server: Option<xkit::obs::http::ObsSer
 /// metrics table) goes to stderr; stdout carries exactly one JSON
 /// document, also written to `--obs-out`.
 fn obs(opts: &Opts) {
-    use dnsctx::dns_context::classify::{classify_parallel, count_classes, resolver_thresholds};
+    use dnsctx::dns_context::classify::{
+        classify_parallel, count_classes, resolver_thresholds, store_class_metrics,
+        store_threshold_metrics,
+    };
     use dnsctx::dns_context::perf::PerfAnalysis;
     use dnsctx::dns_context::{Coverage, Pairing};
     use dnsctx::zeek_lite::{Monitor, MonitorConfig, Timestamp};
@@ -939,40 +942,29 @@ fn obs(opts: &Opts) {
     let conn_cols = logs.conn_columns();
     let dns_cols = logs.dns_columns();
     let thresholds = resolver_thresholds(&dns_cols, acfg.threshold_rule);
-    metrics.add("threshold.resolvers", thresholds.len() as u64);
-    for (addr, thr) in &thresholds {
-        metrics.gauge_max(&format!("threshold.{addr}.ms"), thr.as_millis_f64());
-    }
+    store_threshold_metrics(&mut metrics, &thresholds);
     spans.note(s, "resolvers", thresholds.len() as f64);
     spans.finish(s);
 
     // stage.classify: the Table 2 five-way split.
     let s = spans.start("stage.classify");
-    let floor = Duration::from_secs_f64(acfg.threshold_rule.floor_ms / 1e3);
     let classes = classify_parallel(
         opts.threads,
         &dns_cols,
         &pairing,
         acfg.block_threshold,
         &thresholds,
-        floor,
+        acfg.threshold_rule.floor(),
     );
     let counts = count_classes(&classes);
-    metrics.add("class.no_dns", counts.no_dns as u64);
-    metrics.add("class.local_cache", counts.local_cache as u64);
-    metrics.add("class.prefetched", counts.prefetched as u64);
-    metrics.add("class.shared_cache", counts.shared_cache as u64);
-    metrics.add("class.resolution", counts.resolution as u64);
+    store_class_metrics(&mut metrics, &counts);
     spans.note(s, "classified", counts.total() as f64);
     spans.finish(s);
 
     // stage.perf: blocked-connection delay figures.
     let s = spans.start("stage.perf");
     let perf = PerfAnalysis::compute(&conn_cols, &dns_cols, &pairing, &classes);
-    metrics.add("perf.blocked_conns", perf.blocked.len() as u64);
-    for b in &perf.blocked {
-        metrics.observe_with("perf.blocked_dns_ms", xkit::obs::HistSpec::time_ms(), b.dns_ms);
-    }
+    perf.store_metrics(&mut metrics);
     spans.note(s, "blocked_conns", perf.blocked.len() as f64);
     spans.finish(s);
 
@@ -1549,7 +1541,7 @@ fn bench(cfg: &WorkloadConfig, opts: &Opts, logs: &Logs, analysis: &Analysis<'_>
         Pairing::build_with(&mut pair_scratch, &logs.conns, &logs.dns, acfg.policy).pairs.len()
     });
 
-    let floor = Duration::from_secs_f64(acfg.threshold_rule.floor_ms / 1e3);
+    let floor = acfg.threshold_rule.floor();
     let dns_cols = analysis.dns_columns();
     let (_, a) = alloc::measure(|| {
         classify_parallel(

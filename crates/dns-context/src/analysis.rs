@@ -2,9 +2,11 @@
 
 use crate::blocking::GapAnalysis;
 use crate::classify::{
-    classify_parallel, count_classes, no_dns_breakdown, resolver_thresholds, ttl_stats,
-    ClassCounts, ConnClass, NoDnsBreakdown, ThresholdRule, TtlStats,
+    classify_parallel, count_classes, no_dns_breakdown, resolver_thresholds,
+    store_class_metrics, store_threshold_metrics, ttl_stats, ClassCounts, ConnClass,
+    NoDnsBreakdown, ThresholdRule, TtlStats,
 };
+use crate::kernel::{store_cover, Tally};
 use crate::pairing::{Pairing, PairingPolicy, PairingScratch};
 use crate::perf::{PerfAnalysis, Significance};
 use crate::resolver::{platform_reports, PlatformMap, PlatformReport};
@@ -86,10 +88,7 @@ impl Coverage {
     /// snapshot/merge path.
     pub fn to_metrics(&self) -> xkit::obs::Metrics {
         let mut m = xkit::obs::Metrics::new();
-        m.gauge_max("cover.frame_acceptance", self.frame_acceptance);
-        m.gauge_max("cover.dns_acceptance", self.dns_acceptance);
-        m.add("cover.app_conns", self.app_conns as u64);
-        m.add("cover.paired", self.paired as u64);
+        store_cover(&mut m, self);
         m
     }
 
@@ -126,7 +125,7 @@ impl std::fmt::Display for Coverage {
 /// the pairing allocations every run.
 #[derive(Default)]
 pub struct AnalysisScratch {
-    /// Pairing arena, span map, and first-use tables.
+    /// Pairing arena and span map.
     pub pairing: PairingScratch,
 }
 
@@ -176,14 +175,13 @@ impl<'a> Analysis<'a> {
             || Pairing::build_with(pairing_scratch, &logs.conns, &logs.dns, cfg.policy),
             || resolver_thresholds(&dns_cols, cfg.threshold_rule),
         );
-        let floor = Duration::from_secs_f64(cfg.threshold_rule.floor_ms / 1e3);
         let classes = classify_parallel(
             cfg.threads,
             &dns_cols,
             &pairing,
             cfg.block_threshold,
             &thresholds,
-            floor,
+            cfg.threshold_rule.floor(),
         );
         Analysis { logs, cfg, conn_cols, dns_cols, pairing, classes, thresholds }
     }
@@ -273,24 +271,21 @@ impl<'a> Analysis<'a> {
     /// view. Pure function of the logs, so identical for any thread
     /// count.
     pub fn metrics(&self) -> xkit::obs::Metrics {
-        let mut m = self.pairing.metrics();
-        m.merge(&self.coverage().to_metrics());
-        let counts = self.class_counts();
-        m.add("class.no_dns", counts.no_dns as u64);
-        m.add("class.local_cache", counts.local_cache as u64);
-        m.add("class.prefetched", counts.prefetched as u64);
-        m.add("class.shared_cache", counts.shared_cache as u64);
-        m.add("class.resolution", counts.resolution as u64);
-        m.add("threshold.resolvers", self.thresholds.len() as u64);
-        // lint: allow(no-map-iteration): one metrics key per map key; Metrics stores sorted
-        for (addr, thr) in &self.thresholds {
-            m.gauge_max(&format!("threshold.{addr}.ms"), thr.as_millis_f64());
+        let mut m = xkit::obs::Metrics::new();
+        let mut tally = Tally::default();
+        for (p, class) in self.pairing.pairs.iter().zip(&self.classes) {
+            tally.pair(&mut m, p.outcome());
+            if matches!(class, ConnClass::SharedCache | ConnClass::Resolution) {
+                let di = p.dns.expect("blocked conns are paired");
+                let rtt = self.dns_cols.rtt[di].expect("paired lookups answered");
+                tally.blocked(&mut m, rtt.as_millis_f64());
+            }
         }
-        let perf = self.perf();
-        m.add("perf.blocked_conns", perf.blocked.len() as u64);
-        for b in &perf.blocked {
-            m.observe_with("perf.blocked_dns_ms", xkit::obs::HistSpec::time_ms(), b.dns_ms);
-        }
+        tally.store_pair(&mut m);
+        tally.store_perf(&mut m);
+        store_cover(&mut m, &self.coverage());
+        store_class_metrics(&mut m, &self.class_counts());
+        store_threshold_metrics(&mut m, &self.thresholds);
         m
     }
 

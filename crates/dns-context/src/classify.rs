@@ -1,7 +1,9 @@
 //! Connection classification (paper §5, Table 2) and the §5.1/§5.2
 //! in-text analyses.
 
-use crate::pairing::Pairing;
+use crate::kernel::{blocked_class, release_class};
+pub use crate::kernel::{store_class_metrics, store_threshold_metrics, ThresholdRule};
+use crate::pairing::{PairedConn, Pairing};
 use crate::stats::{pct, Ecdf};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
@@ -89,6 +91,17 @@ impl ClassCounts {
         }
     }
 
+    /// Count one connection of `class`.
+    pub fn record(&mut self, class: ConnClass) {
+        match class {
+            ConnClass::NoDns => self.no_dns += 1,
+            ConnClass::LocalCache => self.local_cache += 1,
+            ConnClass::Prefetched => self.prefetched += 1,
+            ConnClass::SharedCache => self.shared_cache += 1,
+            ConnClass::Resolution => self.resolution += 1,
+        }
+    }
+
     /// Percentage for one class (Table 2's last column).
     pub fn share_pct(&self, class: ConnClass) -> f64 {
         pct(self.get(class), self.total())
@@ -111,28 +124,6 @@ impl ClassCounts {
     }
 }
 
-/// How the SC/R resolver thresholds are derived (paper §5.3): anchor on
-/// the minimum observed duration per resolver (≈ the network RTT), scale
-/// and pad slightly, and never go below the floor used for unpopular
-/// resolvers.
-#[derive(Debug, Clone, Copy)]
-pub struct ThresholdRule {
-    /// Minimum lookups a resolver needs for its own threshold.
-    pub min_lookups: usize,
-    /// Multiplier on the minimum duration.
-    pub mult: f64,
-    /// Additive pad, milliseconds.
-    pub add_ms: f64,
-    /// Default/floor threshold, milliseconds (the paper's 5 ms).
-    pub floor_ms: f64,
-}
-
-impl Default for ThresholdRule {
-    fn default() -> Self {
-        ThresholdRule { min_lookups: 1_000, mult: 1.5, add_ms: 2.0, floor_ms: 5.0 }
-    }
-}
-
 /// Compute per-resolver SC/R thresholds from the lookup-duration
 /// distributions (paper §5.3). Scans the resolver and rtt columns.
 pub fn resolver_thresholds(dns: &DnsColumns, rule: ThresholdRule) -> HashMap<Ipv4Addr, Duration> {
@@ -147,11 +138,7 @@ pub fn resolver_thresholds(dns: &DnsColumns, rule: ThresholdRule) -> HashMap<Ipv
     by_resolver
         // lint: allow(no-map-iteration): map-to-map transform, no order reaches output
         .into_iter()
-        .filter(|(_, (_, n))| *n >= rule.min_lookups)
-        .map(|(addr, (min_ms, _))| {
-            let thr = (min_ms * rule.mult + rule.add_ms).max(rule.floor_ms).ceil();
-            (addr, Duration::from_secs_f64(thr / 1e3))
-        })
+        .filter_map(|(addr, (min_ms, n))| Some((addr, rule.threshold(min_ms, n)?)))
         .collect()
 }
 
@@ -171,34 +158,22 @@ pub fn classify(
         .collect()
 }
 
-/// The per-connection classification rule (paper §4): unpaired → N;
-/// gap beyond the blocking threshold → P/LC by first use; blocked →
-/// SC/R by the paired lookup's duration against its resolver threshold.
-/// Reads only the resolver and rtt columns of the paired lookup.
+/// One connection's class: what pairing alone decides
+/// ([`release_class`]), else SC/R by the paired lookup's duration against
+/// its resolver's threshold. Reads only the resolver and rtt columns of
+/// the paired lookup.
 fn classify_pair(
-    p: &crate::pairing::PairedConn,
+    p: &PairedConn,
     dns: &DnsColumns,
     block_threshold: Duration,
     thresholds: &HashMap<Ipv4Addr, Duration>,
     floor: Duration,
 ) -> ConnClass {
-    let Some(di) = p.dns else { return ConnClass::NoDns };
-    let gap = p.gap.expect("paired conns have gaps");
-    if gap > block_threshold {
-        if p.first_use {
-            ConnClass::Prefetched
-        } else {
-            ConnClass::LocalCache
-        }
-    } else {
+    release_class(p.outcome(), block_threshold).unwrap_or_else(|| {
+        let di = p.dns.expect("blocked conns are paired");
         let thr = thresholds.get(&dns.resolver[di]).copied().unwrap_or(floor);
-        let dur = dns.rtt[di].unwrap_or(Duration::ZERO);
-        if dur <= thr {
-            ConnClass::SharedCache
-        } else {
-            ConnClass::Resolution
-        }
-    }
+        blocked_class(dns.rtt[di].unwrap_or(Duration::ZERO), thr)
+    })
 }
 
 /// [`classify`] fanned out over worker threads: contiguous chunks of the
@@ -218,8 +193,7 @@ pub fn classify_parallel(
     if workers <= 1 {
         return classify(dns, pairing, block_threshold, thresholds, floor);
     }
-    let chunks: Vec<&[crate::pairing::PairedConn]> =
-        pairing.pairs.chunks(n.div_ceil(workers)).collect();
+    let chunks: Vec<&[PairedConn]> = pairing.pairs.chunks(n.div_ceil(workers)).collect();
     xkit::par::par_map(threads, chunks, |_, chunk| {
         chunk
             .iter()
@@ -235,13 +209,7 @@ pub fn classify_parallel(
 pub fn count_classes(classes: &[ConnClass]) -> ClassCounts {
     let mut c = ClassCounts::default();
     for class in classes {
-        match class {
-            ConnClass::NoDns => c.no_dns += 1,
-            ConnClass::LocalCache => c.local_cache += 1,
-            ConnClass::Prefetched => c.prefetched += 1,
-            ConnClass::SharedCache => c.shared_cache += 1,
-            ConnClass::Resolution => c.resolution += 1,
-        }
+        c.record(*class);
     }
     c
 }

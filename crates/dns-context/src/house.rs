@@ -63,13 +63,7 @@ pub fn house_reports(
     for (pair, class) in pairing.pairs.iter().zip(classes) {
         let conn = &conns[pair.conn];
         let a = acc(&mut by_house, conn.id.orig_addr);
-        match class {
-            ConnClass::NoDns => a.classes.no_dns += 1,
-            ConnClass::LocalCache => a.classes.local_cache += 1,
-            ConnClass::Prefetched => a.classes.prefetched += 1,
-            ConnClass::SharedCache => a.classes.shared_cache += 1,
-            ConnClass::Resolution => a.classes.resolution += 1,
-        }
+        a.classes.record(*class);
         a.bytes += conn.total_bytes();
         if matches!(class, ConnClass::SharedCache | ConnClass::Resolution) {
             if let Some(di) = pair.dns {

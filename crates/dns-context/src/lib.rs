@@ -42,6 +42,7 @@ pub mod stream;
 pub mod timeseries;
 
 mod analysis;
+mod kernel;
 
 pub use analysis::{Analysis, AnalysisConfig, AnalysisScratch, Coverage};
 pub use classify::{ClassCounts, ConnClass};

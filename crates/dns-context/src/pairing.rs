@@ -11,11 +11,10 @@
 //! paper used as a robustness check is available as
 //! [`PairingPolicy::RandomNonExpired`].
 
-use xkit::rng::StdRng;
-use xkit::rng::{RngExt, SeedableRng};
-use std::collections::hash_map::Entry;
+use crate::kernel::{pack_key, select, Entry, Paired, Tally};
+use std::collections::hash_map::Entry as Slot;
 use xkit::collections::FastMap;
-use std::net::Ipv4Addr;
+use xkit::rng::{RngExt, SeedableRng, StdRng};
 use zeek_lite::{ConnRecord, DnsTransaction, Duration, Timestamp};
 
 /// Which candidate lookup a connection pairs with.
@@ -28,8 +27,9 @@ pub enum PairingPolicy {
     RandomNonExpired,
 }
 
-/// Pairing outcome for one application connection.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Pairing outcome for one application connection; the default is an
+/// unpaired one.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PairedConn {
     /// Index into the connection log.
     pub conn: usize,
@@ -46,35 +46,25 @@ pub struct PairedConn {
     pub first_use: bool,
 }
 
-/// One lookup's relevance to one address, packed flat in the arena.
-///
-/// `key` packs (client, answer address); a single global sort on
-/// `(key, completed, dns_idx)` groups each key's entries contiguously in
-/// exactly the order the old per-key `Vec` sort produced, so lookups
-/// become span scans over one allocation instead of a map of Vecs.
-#[derive(Debug, Clone, Copy)]
-struct ArenaEntry {
-    key: u64,
-    completed: Timestamp,
-    expires: Timestamp,
-    dns_idx: u32,
-}
-
-#[inline]
-fn pack_key(client: Ipv4Addr, addr: Ipv4Addr) -> u64 {
-    (u64::from(u32::from(client)) << 32) | u64::from(u32::from(addr))
+impl PairedConn {
+    /// The pairing as the kernel's class rule and tally take it.
+    pub(crate) fn outcome(&self) -> Option<Paired> {
+        self.gap.map(|gap| Paired { gap, expired: self.expired, first_use: self.first_use })
+    }
 }
 
 /// Reusable buffers for [`Pairing::build_with`].
 ///
 /// A default scratch starts empty; passing the same scratch to repeated
-/// builds (the repro sweep, windowed re-analysis) reuses the arena, the
-/// span map, and the first-use tables instead of reallocating them.
+/// builds (the repro sweep, windowed re-analysis) reuses the arena and
+/// the span map instead of reallocating them.
 #[derive(Default)]
 pub struct PairingScratch {
-    arena: Vec<ArenaEntry>,
-    /// Entries in dns-log order, before placement into keyed runs.
-    staged: Vec<ArenaEntry>,
+    /// Every `(client, answer address)` key's run, back to back: one
+    /// allocation scanned by span instead of a map of Vecs.
+    arena: Vec<Entry>,
+    /// Keyed entries in dns-log order, before placement into runs.
+    staged: Vec<(u64, Entry)>,
     /// Keys in first-seen order — the deterministic traversal the
     /// counting sort uses instead of iterating the map.
     keys_in_order: Vec<u64>,
@@ -82,12 +72,7 @@ pub struct PairingScratch {
     /// addressed by key only, never iterated (bucket order must not
     /// leak into output).
     spans: FastMap<u64, (u32, u32)>,
-    first_use_ts: Vec<Timestamp>,
-    claimed: Vec<u64>,
 }
-
-/// Sentinel for "no connection has used this lookup yet".
-const UNSEEN: Timestamp = Timestamp(u64::MAX);
 
 /// The pairing index and results.
 pub struct Pairing {
@@ -120,7 +105,6 @@ impl Pairing {
         dns: &[DnsTransaction],
         policy: PairingPolicy,
     ) -> Pairing {
-        assert!(dns.len() <= u32::MAX as usize, "dns log exceeds u32 arena indices");
         // Flat arena of (client, answer address) entries, grouped into
         // per-key runs by a counting sort: stage entries in dns order,
         // count per key, carve contiguous runs (in first-seen key order),
@@ -132,29 +116,25 @@ impl Pairing {
         // completion time and its per-run sort is close to linear.
         let staged = &mut scratch.staged;
         staged.clear();
-        for (i, txn) in dns.iter().enumerate() {
+        for (dns_idx, txn) in dns.iter().enumerate() {
             let (Some(completed), Some(expires)) = (txn.completed_at(), txn.expires_at()) else {
                 continue;
             };
             for addr in txn.addrs() {
-                staged.push(ArenaEntry {
-                    key: pack_key(txn.client, addr),
-                    completed,
-                    expires,
-                    dns_idx: i as u32,
-                });
+                staged.push((pack_key(txn.client, addr), Entry { completed, expires, dns_idx }));
             }
         }
+        assert!(staged.len() <= u32::MAX as usize, "index exceeds u32 arena offsets");
         let spans = &mut scratch.spans;
         spans.clear();
         let keys_in_order = &mut scratch.keys_in_order;
         keys_in_order.clear();
-        for e in staged.iter() {
-            match spans.entry(e.key) {
-                Entry::Occupied(mut o) => o.get_mut().1 += 1,
-                Entry::Vacant(v) => {
+        for (key, _) in staged.iter() {
+            match spans.entry(*key) {
+                Slot::Occupied(mut o) => o.get_mut().1 += 1,
+                Slot::Vacant(v) => {
                     v.insert((0, 1));
-                    keys_in_order.push(e.key);
+                    keys_in_order.push(*key);
                 }
             }
         }
@@ -168,12 +148,10 @@ impl Pairing {
         }
         let arena = &mut scratch.arena;
         arena.clear();
-        arena.resize(
-            staged.len(),
-            ArenaEntry { key: 0, completed: UNSEEN, expires: UNSEEN, dns_idx: 0 },
-        );
-        for e in staged.iter() {
-            let slot = spans.get_mut(&e.key).expect("counted key");
+        let unplaced = Entry { completed: Timestamp::ZERO, expires: Timestamp::ZERO, dns_idx: 0 };
+        arena.resize(staged.len(), unplaced);
+        for (key, e) in staged.iter() {
+            let slot = spans.get_mut(key).expect("counted key");
             arena[slot.1 as usize] = *e;
             slot.1 += 1;
         }
@@ -192,102 +170,30 @@ impl Pairing {
                 continue;
             }
             app_conn_indices.push(ci);
-            let key = pack_key(conn.id.orig_addr, conn.id.resp_addr);
-            let unpaired = PairedConn {
-                conn: ci,
-                dns: None,
-                gap: None,
-                expired: false,
-                candidates: 0,
-                first_use: false,
-            };
-            let span = spans.get(&key).map(|&(s, e)| &arena[s as usize..e as usize]);
-            let pair = match span {
-                None => unpaired,
-                Some(entries) => {
-                    // Only lookups completed at or before the connection start.
-                    let upto = entries.partition_point(|e| e.completed <= conn.ts);
-                    if upto == 0 {
-                        unpaired
-                    } else {
-                        let prior = &entries[..upto];
-                        // Count live candidates in place (remembering the
-                        // last one) rather than collecting them into a Vec;
-                        // the random policy draws an index over that count
-                        // and rescans to it, preserving the draw sequence.
-                        let mut live_count = 0usize;
-                        let mut last_live = None;
-                        for e in prior {
-                            if e.expires > conn.ts {
-                                live_count += 1;
-                                last_live = Some(e);
-                            }
-                        }
-                        let (chosen, expired) = if live_count == 0 {
-                            (prior.last().unwrap(), true)
-                        } else {
-                            match policy {
-                                PairingPolicy::MostRecent => (last_live.unwrap(), false),
-                                PairingPolicy::RandomNonExpired => {
-                                    let k = rng.random_range(0..live_count);
-                                    let mut seen = 0usize;
-                                    let mut hit = last_live.unwrap();
-                                    for e in prior {
-                                        if e.expires > conn.ts {
-                                            if seen == k {
-                                                hit = e;
-                                                break;
-                                            }
-                                            seen += 1;
-                                        }
-                                    }
-                                    (hit, false)
-                                }
-                            }
-                        };
-                        PairedConn {
-                            conn: ci,
-                            dns: Some(chosen.dns_idx as usize),
-                            gap: Some(conn.ts.since(chosen.completed)),
-                            expired,
-                            candidates: live_count,
-                            first_use: false, // filled below
-                        }
+            let mut pair = PairedConn { conn: ci, ..PairedConn::default() };
+            let run = spans
+                .get(&pack_key(conn.id.orig_addr, conn.id.resp_addr))
+                .map_or(&[][..], |&(s, e)| &arena[s as usize..e as usize]);
+            if let Some(found) = select(run, conn.ts) {
+                let live = || found.prior.iter().filter(|e| e.live_at(conn.ts));
+                pair.expired = found.expired;
+                pair.candidates = live().count();
+                let chosen = match policy {
+                    // One draw per connection with a live candidate, in
+                    // connection order, over the candidates oldest first.
+                    PairingPolicy::RandomNonExpired if !found.expired => {
+                        let k = rng.random_range(0..pair.candidates);
+                        live().nth(k).expect("k < live candidates")
                     }
-                }
-            };
+                    _ => found.chosen,
+                };
+                pair.dns = Some(chosen.dns_idx);
+                pair.gap = Some(conn.ts.since(chosen.completed));
+                // The conn log is ts-sorted, so the first connection to
+                // pair with a lookup is its earliest use.
+                pair.first_use = !std::mem::replace(&mut dns_used[chosen.dns_idx], true);
+            }
             pairs.push(pair);
-        }
-
-        // First-use determination: the earliest-starting connection paired
-        // with each lookup (conn log is ts-sorted, so first pairing wins).
-        // Indexed by dns position instead of a HashMap.
-        let first_use_ts = &mut scratch.first_use_ts;
-        first_use_ts.clear();
-        first_use_ts.resize(dns.len(), UNSEEN);
-        for pair in &pairs {
-            if let Some(di) = pair.dns {
-                dns_used[di] = true;
-                if first_use_ts[di] == UNSEEN {
-                    first_use_ts[di] = conns[pair.conn].ts;
-                }
-            }
-        }
-        // Ties on timestamp: exactly one connection (the earliest in log
-        // order) is the first use. Single deterministic pass over a bit set.
-        let claimed = &mut scratch.claimed;
-        claimed.clear();
-        claimed.resize((dns.len() + 63) / 64, 0);
-        for pair in &mut pairs {
-            if let Some(di) = pair.dns {
-                let (word, bit) = (di / 64, 1u64 << (di % 64));
-                if first_use_ts[di] == conns[pair.conn].ts && claimed[word] & bit == 0 {
-                    claimed[word] |= bit;
-                    pair.first_use = true;
-                } else {
-                    pair.first_use = false;
-                }
-            }
         }
 
         Pairing { pairs, app_conn_indices, dns_used }
@@ -305,26 +211,11 @@ impl Pairing {
     /// gaps. `hit + fallback + miss == app_conns` by construction.
     pub fn metrics(&self) -> xkit::obs::Metrics {
         let mut m = xkit::obs::Metrics::new();
-        let mut hit = 0u64;
-        let mut fallback = 0u64;
-        let mut miss = 0u64;
-        let mut first_use = 0u64;
+        let mut tally = Tally::default();
         for p in &self.pairs {
-            match (p.dns, p.expired) {
-                (Some(_), false) => hit += 1,
-                (Some(_), true) => fallback += 1,
-                (None, _) => miss += 1,
-            }
-            first_use += u64::from(p.first_use);
-            if let Some(gap) = p.gap {
-                m.observe_with("pair.gap_ms", xkit::obs::HistSpec::time_ms(), gap.as_millis_f64());
-            }
+            tally.pair(&mut m, p.outcome());
         }
-        m.add("pair.hit", hit);
-        m.add("pair.fallback", fallback);
-        m.add("pair.miss", miss);
-        m.add("pair.first_use", first_use);
-        m.add("pair.app_conns", self.pairs.len() as u64);
+        tally.store_pair(&mut m);
         m
     }
 
@@ -365,6 +256,7 @@ impl Pairing {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::net::Ipv4Addr;
     use zeek_lite::{Answer, ConnState, FiveTuple, Proto};
 
     const HOUSE: Ipv4Addr = Ipv4Addr::new(10, 77, 0, 1);
@@ -530,5 +422,13 @@ mod tests {
             seen.insert(pair.dns.unwrap());
         }
         assert!(seen.len() > 1, "random policy should spread: {seen:?}");
+        // The seeded draw sequence, recorded before the candidate scan
+        // moved into the kernel.
+        let chosen: Vec<usize> = p.pairs.iter().map(|x| x.dns.unwrap()).collect();
+        let pinned = [
+            0, 1, 1, 2, 2, 0, 1, 1, 1, 0, 2, 0, 0, 2, 0, 1, 1, 1, 1, 2, 2, 1, 2, 2, 1, 0, 1, 1, 1,
+            0, 2, 1, 1, 1, 0, 0, 0, 0, 1, 2, 2, 1, 2, 1, 2, 2, 2, 2, 0, 1,
+        ];
+        assert_eq!(chosen, pinned);
     }
 }

@@ -24,9 +24,10 @@
 //! sweeps fire on the same frames), so released connections only ever
 //! look up lookups that have already been released into the pairing
 //! index. The index assigns each released row its batch `dns_idx`
-//! ordinal, which makes candidate selection — `partition_point` on
-//! `(completed, dns_idx)` order, most-recent-live or expired-fallback —
-//! identical to [`Pairing::build`] over the full logs.
+//! ordinal, so each key's run holds, in the same `(completed, dns_idx)`
+//! order, the entries of the batch arena's run that a future connection
+//! can still select, and candidate selection is the one function
+//! [`Pairing::build`] calls over the full logs: `kernel::select`.
 //!
 //! # Eviction
 //!
@@ -74,28 +75,21 @@
 //!   policy draws from one RNG in conn order interleaved with index
 //!   state, which has no bounded-memory equivalent; `new` asserts this.
 
-use crate::classify::ThresholdRule;
+use crate::classify::{store_class_metrics, store_threshold_metrics};
+use crate::kernel::{
+    blocked_class, pack_key, release_class, select, store_cover, store_release_classes, Entry,
+    Paired, Tally,
+};
 use crate::pairing::PairingPolicy;
-use crate::{AnalysisConfig, ClassCounts};
+use crate::{AnalysisConfig, ClassCounts, ConnClass, Coverage};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use std::net::Ipv4Addr;
 use xkit::collections::FastMap;
 use xkit::obs::{HistSpec, Metrics};
-use zeek_lite::{ConnRecord, DnsTransaction, Duration, Monitor, MonitorConfig, Timestamp};
-
-/// One lookup's relevance to one `(client, address)` key, carrying enough
-/// of the transaction to classify a released connection without retaining
-/// the DNS log itself.
-#[derive(Debug, Clone, Copy)]
-struct StreamEntry {
-    completed: Timestamp,
-    expires: Timestamp,
-    /// The lookup's position in the (virtual) batch dns.log.
-    dns_idx: usize,
-    resolver: Ipv4Addr,
-    rtt: Duration,
-}
+use zeek_lite::{
+    ConnRecord, DegradationStats, DnsTransaction, Duration, Monitor, MonitorConfig, Timestamp,
+};
 
 /// Per-resolver accumulators: threshold inputs plus the deferred SC/R
 /// bucket counts. Bounded by the resolver population, not the trace.
@@ -110,29 +104,44 @@ struct ResolverAcc {
     /// Blocked connections with duration `<= floor` (used when the
     /// resolver ends below `min_lookups`).
     blocked_le_floor: u64,
-    /// All blocked connections attributed to this resolver.
-    blocked_total: u64,
 }
 
 impl ResolverAcc {
     fn new() -> ResolverAcc {
         ResolverAcc { min_ms: f64::INFINITY, ..ResolverAcc::default() }
     }
+
+    /// Fold one blocked connection whose lookup took `rtt`.
+    fn block(&mut self, rtt: Duration, floor: Duration) {
+        *self.blocked_ceil_ms.entry(rtt.nanos().div_ceil(1_000_000)).or_insert(0) += 1;
+        if blocked_class(rtt, floor) == ConnClass::SharedCache {
+            self.blocked_le_floor += 1;
+        }
+    }
+
+    /// How many of the blocked connections settle as `SC` under the
+    /// resolver's `own` threshold (`None`: the floor). An own threshold
+    /// is a whole number of milliseconds, so a bucket's bound decides for
+    /// every duration in it.
+    fn shared_cache(&self, own: Option<Duration>) -> u64 {
+        let Some(thr) = own else { return self.blocked_le_floor };
+        let shared =
+            |ms: u64| blocked_class(Duration::from_millis(ms), thr) == ConnClass::SharedCache;
+        self.blocked_ceil_ms.iter().filter(|(ms, _)| shared(**ms)).map(|(_, n)| n).sum()
+    }
 }
 
-/// Per-lookup state shared by all of a lookup's index entries.
-#[derive(Debug, Default)]
+/// Per-lookup state shared by all of a lookup's index entries: enough of
+/// the transaction to classify a released connection without retaining
+/// the DNS log itself.
+#[derive(Debug)]
 struct Lookup {
     /// Live index entries referencing this lookup.
     refs: usize,
     /// Whether a first-use connection has claimed it.
     claimed: bool,
-}
-
-/// The index key: `(client, address)` packed into one word, as in the
-/// batch pairer.
-fn pack_key(client: Ipv4Addr, addr: Ipv4Addr) -> u64 {
-    (u64::from(u32::from(client)) << 32) | u64::from(u32::from(addr))
+    resolver: Ipv4Addr,
+    rtt: Duration,
 }
 
 /// Completed-but-unreleased rows in `(ts, arrival)` order. Both release
@@ -216,7 +225,7 @@ pub struct StreamEngine {
     arrived: u64,
     /// The streaming pairing index, per-key sorted by `(completed, dns_idx)`.
     /// Addressed by key only, never iterated.
-    index: FastMap<u64, Vec<StreamEntry>>,
+    index: FastMap<u64, Vec<Entry>>,
     /// `(droppable at, key)` for every index entry that has a successor
     /// under its key: `max(expires, successor.completed)` is the first
     /// watermark at which the eviction rule drops it. An insert between
@@ -227,16 +236,15 @@ pub struct StreamEngine {
     lookups: FastMap<usize, Lookup>,
     next_dns_idx: usize,
     resolvers: HashMap<Ipv4Addr, ResolverAcc>,
-    /// Incrementally folded counters and histograms (`pair.*`, `perf.*`,
-    /// `zeek.dns_rtt_ms`, class N/LC/P).
+    /// Incrementally folded histograms (`pair.gap_ms`,
+    /// `perf.blocked_dns_ms`, `zeek.dns_rtt_ms`).
     acc: Metrics,
-    class_no_dns: u64,
-    class_local_cache: u64,
-    class_prefetched: u64,
+    /// Pairing outcomes of the released application connections.
+    tally: Tally,
+    /// Their classes; `SC`/`R` stay zero until [`finish`](Self::finish).
+    classes: ClassCounts,
     released_conns: u64,
     released_dns: u64,
-    released_app: u64,
-    paired: u64,
     epochs: u64,
     evicted_answers: u64,
     evicted_flows: u64,
@@ -260,11 +268,10 @@ impl StreamEngine {
             matches!(cfg.policy, PairingPolicy::MostRecent),
             "streaming supports the MostRecent pairing policy only"
         );
-        let floor = Duration::from_secs_f64(cfg.threshold_rule.floor_ms / 1e3);
         StreamEngine {
             monitor: Monitor::new(monitor),
+            floor: cfg.threshold_rule.floor(),
             cfg,
-            floor,
             buf_conns: Pending::new(),
             buf_dns: Pending::new(),
             arrived: 0,
@@ -274,13 +281,10 @@ impl StreamEngine {
             next_dns_idx: 0,
             resolvers: HashMap::new(),
             acc: Metrics::new(),
-            class_no_dns: 0,
-            class_local_cache: 0,
-            class_prefetched: 0,
+            tally: Tally::default(),
+            classes: ClassCounts::default(),
             released_conns: 0,
             released_dns: 0,
-            released_app: 0,
-            paired: 0,
             epochs: 0,
             evicted_answers: 0,
             evicted_flows: 0,
@@ -325,7 +329,7 @@ impl StreamEngine {
     /// `m` is empty or this engine's previous snapshot.
     fn store_live(&self, m: &mut Metrics, w_conn: Timestamp, w_dns: Timestamp) {
         self.monitor.store_live_metrics(m);
-        self.store_released(m);
+        self.store_released(m, self.monitor.degradation());
         self.store_stream(m);
         let (flows, answers) = self.live_state();
         m.set_gauge("stream.live_flows", flows as f64);
@@ -335,17 +339,23 @@ impl StreamEngine {
     }
 
     /// What the released rows have folded to so far: row counts, the
-    /// accumulators, coverage and the classes known at release time.
-    fn store_released(&self, m: &mut Metrics) {
+    /// histograms, pairing outcomes, coverage (against the monitor's
+    /// `degradation` as of now) and the classes known at release time.
+    fn store_released(&self, m: &mut Metrics, degradation: &DegradationStats) {
         m.set_counter("zeek.conn_rows", self.released_conns);
         m.set_counter("zeek.dns_rows", self.released_dns);
-        m.set_counter("zeek.app_conns", self.released_app);
+        m.set_counter("zeek.app_conns", self.tally.app_conns());
         m.assign_from(&self.acc);
-        m.set_counter("cover.app_conns", self.released_app);
-        m.set_counter("cover.paired", self.paired);
-        m.set_counter("class.no_dns", self.class_no_dns);
-        m.set_counter("class.local_cache", self.class_local_cache);
-        m.set_counter("class.prefetched", self.class_prefetched);
+        self.tally.store_pair(m);
+        self.tally.store_perf(m);
+        let cover = Coverage {
+            frame_acceptance: degradation.frame_acceptance(),
+            dns_acceptance: degradation.dns_acceptance(),
+            app_conns: self.tally.app_conns() as usize,
+            paired: self.tally.paired() as usize,
+        };
+        store_cover(m, &cover);
+        store_release_classes(m, &self.classes);
     }
 
     /// The engine's own `stream.*` totals and peaks.
@@ -435,78 +445,41 @@ impl StreamEngine {
         let tail = self.release(Timestamp(u64::MAX), Timestamp(u64::MAX));
 
         // Settle the deferred SC/R split from the per-resolver buckets.
-        let rule: ThresholdRule = self.cfg.threshold_rule;
         let mut thresholds: HashMap<Ipv4Addr, Duration> = HashMap::new();
-        let mut shared_cache = 0u64;
-        let mut resolution = 0u64;
         // lint: allow(no-map-iteration): order-insensitive integer folds per resolver
         for (addr, acc) in &self.resolvers {
-            if acc.answered >= rule.min_lookups {
-                let thr_ms = (acc.min_ms * rule.mult + rule.add_ms).max(rule.floor_ms).ceil();
-                thresholds.insert(*addr, Duration::from_secs_f64(thr_ms / 1e3));
-                // Derived thresholds are whole milliseconds, so
-                // `dur <= thr` is exactly `ceil_ms(dur) <= thr_ms`.
-                let sc: u64 = acc.blocked_ceil_ms.range(..=thr_ms as u64).map(|(_, n)| n).sum();
-                shared_cache += sc;
-                resolution += acc.blocked_total - sc;
-            } else {
-                shared_cache += acc.blocked_le_floor;
-                resolution += acc.blocked_total - acc.blocked_le_floor;
-            }
+            let own = self.cfg.threshold_rule.threshold(acc.min_ms, acc.answered);
+            thresholds.extend(own.map(|thr| (*addr, thr)));
+            let blocked: u64 = acc.blocked_ceil_ms.values().sum();
+            let shared_cache = acc.shared_cache(own);
+            self.classes.shared_cache += shared_cache as usize;
+            self.classes.resolution += (blocked - shared_cache) as usize;
         }
-        let class_counts = ClassCounts {
-            no_dns: self.class_no_dns as usize,
-            local_cache: self.class_local_cache as usize,
-            prefetched: self.class_prefetched as usize,
-            shared_cache: shared_cache as usize,
-            resolution: resolution as usize,
-        };
 
         // The analysis snapshot, assembled to match the batch pipeline's
         // `logs.metrics()` merged with `Analysis::metrics()` exactly.
         let mut m = stats.to_metrics();
         m.merge(&degradation.to_metrics());
-        // The batch snapshot always carries these keys, even at zero (a
-        // trace with no application connection never folds them).
-        for key in [
-            "perf.blocked_conns",
-            "pair.hit",
-            "pair.fallback",
-            "pair.miss",
-            "pair.first_use",
-            "pair.app_conns",
-        ] {
-            m.add(key, 0);
-        }
-        self.store_released(&mut m);
-        m.gauge_max("cover.frame_acceptance", degradation.frame_acceptance());
-        m.gauge_max("cover.dns_acceptance", degradation.dns_acceptance());
-        m.add("class.shared_cache", shared_cache);
-        m.add("class.resolution", resolution);
-        m.add("threshold.resolvers", thresholds.len() as u64);
-        // lint: allow(no-map-iteration): one metrics key per map key; Metrics stores sorted
-        for (addr, thr) in &thresholds {
-            m.gauge_max(&format!("threshold.{addr}.ms"), thr.as_millis_f64());
-        }
+        self.store_released(&mut m, &degradation);
+        store_class_metrics(&mut m, &self.classes);
+        store_threshold_metrics(&mut m, &thresholds);
 
         let mut s = Metrics::new();
         self.store_stream(&mut s);
 
-        // The last published snapshot is the settled one: every mid-run
-        // scrape was a prefix of it.
-        if let Some(hub) = &self.hub {
-            let mut all = m.clone();
-            all.merge(&s);
-            hub.publish_metrics(all);
-        }
-
-        StreamResult {
+        let result = StreamResult {
             tail,
             analysis_metrics: m,
             stream_metrics: s,
-            class_counts,
+            class_counts: self.classes,
             thresholds,
+        };
+        // The last published snapshot is the settled one: every mid-run
+        // scrape was a prefix of it.
+        if let Some(hub) = &self.hub {
+            hub.publish_metrics(result.settled_metrics());
         }
+        result
     }
 
     /// Buffer completed rows, in the order given, until a watermark
@@ -562,10 +535,7 @@ impl StreamEngine {
             let key = pack_key(txn.client, addr);
             let entries = self.index.entry(key).or_default();
             let pos = entries.partition_point(|e| (e.completed, e.dns_idx) <= (completed, idx));
-            entries.insert(
-                pos,
-                StreamEntry { completed, expires, dns_idx: idx, resolver: txn.resolver, rtt },
-            );
+            entries.insert(pos, Entry { completed, expires, dns_idx: idx });
             // The new entry is droppable once its successor has completed;
             // its predecessor's successor is now the new entry.
             if let Some(next) = entries.get(pos + 1) {
@@ -574,22 +544,8 @@ impl StreamEngine {
             if pos > 0 {
                 self.droppable.push(Reverse((entries[pos - 1].expires.max(completed), key)));
             }
-            self.lookups.entry(idx).or_default().refs += 1;
-        }
-    }
-
-    /// Pair one application connection against the index — the exact
-    /// per-connection rule of [`Pairing::build`], over released lookups:
-    /// the chosen entry and whether it was the expired fallback.
-    fn pair_conn(&self, conn: &ConnRecord) -> Option<(StreamEntry, bool)> {
-        let entries = self.index.get(&pack_key(conn.id.orig_addr, conn.id.resp_addr))?;
-        let upto = entries.partition_point(|e| e.completed <= conn.ts);
-        let prior = &entries[..upto];
-        // Streaming is MostRecent-only, so one reverse scan for the newest
-        // live entry replaces collecting candidates into a Vec.
-        match prior.iter().rev().find(|e| e.expires > conn.ts) {
-            Some(last_live) => Some((*last_live, false)),
-            None => prior.last().map(|newest| (*newest, true)),
+            let lookup = Lookup { refs: 0, claimed: false, resolver: txn.resolver, rtt };
+            self.lookups.entry(idx).or_insert(lookup).refs += 1;
         }
     }
 
@@ -599,63 +555,31 @@ impl StreamEngine {
     /// rows; fanning the look-ups out measured slower at every window).
     fn absorb_conns(&mut self, conns: &[ConnRecord]) {
         self.released_conns += conns.len() as u64;
-        let mut app = 0u64;
-        let mut hit = 0u64;
-        let mut fallback = 0u64;
-        let mut miss = 0u64;
-        let mut first_uses = 0u64;
         for conn in conns.iter().filter(|c| !c.is_dns()) {
-            app += 1;
-            let Some((chosen, expired)) = self.pair_conn(conn) else {
-                miss += 1;
-                self.class_no_dns += 1;
+            let run = self.index.get(&pack_key(conn.id.orig_addr, conn.id.resp_addr));
+            let found = run.and_then(|run| select(run, conn.ts)).map(|found| {
+                let lookup = self
+                    .lookups
+                    .get_mut(&found.chosen.dns_idx)
+                    .expect("indexed lookups are refcounted");
+                // Releases are in log order, so the first to pair claims.
+                let first_use = !std::mem::replace(&mut lookup.claimed, true);
+                let gap = conn.ts.since(found.chosen.completed);
+                (Paired { gap, expired: found.expired, first_use }, &*lookup)
+            });
+            let paired = found.map(|(paired, _)| paired);
+            self.tally.pair(&mut self.acc, paired);
+            if let Some(class) = release_class(paired, self.cfg.block_threshold) {
+                self.classes.record(class);
                 continue;
-            };
-            self.paired += 1;
-            if expired {
-                fallback += 1;
-            } else {
-                hit += 1;
             }
-            let gap = conn.ts.since(chosen.completed);
-            self.acc.observe_with("pair.gap_ms", HistSpec::time_ms(), gap.as_millis_f64());
-            let lookup =
-                self.lookups.get_mut(&chosen.dns_idx).expect("indexed lookups are refcounted");
-            let first_use = !std::mem::replace(&mut lookup.claimed, true);
-            first_uses += u64::from(first_use);
-            if gap > self.cfg.block_threshold {
-                if first_use {
-                    self.class_prefetched += 1;
-                } else {
-                    self.class_local_cache += 1;
-                }
-            } else {
-                // Blocked: SC vs R settles at finish; everything else
-                // about the connection is already known.
-                self.acc.add("perf.blocked_conns", 1);
-                self.acc.observe_with(
-                    "perf.blocked_dns_ms",
-                    HistSpec::time_ms(),
-                    chosen.rtt.as_millis_f64(),
-                );
-                let acc = self.resolvers.entry(chosen.resolver).or_insert_with(ResolverAcc::new);
-                acc.blocked_total += 1;
-                *acc.blocked_ceil_ms.entry(chosen.rtt.nanos().div_ceil(1_000_000)).or_insert(0) +=
-                    1;
-                if chosen.rtt <= self.floor {
-                    acc.blocked_le_floor += 1;
-                }
-            }
+            // Blocked: SC vs R settles at finish; everything else about
+            // the connection is already known.
+            let (_, lookup) = found.expect("blocked conns are paired");
+            self.tally.blocked(&mut self.acc, lookup.rtt.as_millis_f64());
+            let acc = self.resolvers.entry(lookup.resolver).or_insert_with(ResolverAcc::new);
+            acc.block(lookup.rtt, self.floor);
         }
-        if app == 0 {
-            return;
-        }
-        self.released_app += app;
-        self.acc.add("pair.hit", hit);
-        self.acc.add("pair.fallback", fallback);
-        self.acc.add("pair.miss", miss);
-        self.acc.add("pair.first_use", first_uses);
-        self.acc.add("pair.app_conns", app);
     }
 
     /// Drop index entries no future connection can pair with (module

@@ -48,14 +48,7 @@ pub fn bucketize(
             let start = first + Duration(width.nanos() * buckets.len() as u64);
             buckets.push(Bucket { start, classes: ClassCounts::default() });
         }
-        let c = &mut buckets[idx].classes;
-        match class {
-            ConnClass::NoDns => c.no_dns += 1,
-            ConnClass::LocalCache => c.local_cache += 1,
-            ConnClass::Prefetched => c.prefetched += 1,
-            ConnClass::SharedCache => c.shared_cache += 1,
-            ConnClass::Resolution => c.resolution += 1,
-        }
+        buckets[idx].classes.record(*class);
     }
     buckets
 }
@@ -72,14 +65,7 @@ pub fn hour_of_day_profile(
     for (pair, class) in pairing.pairs.iter().zip(classes) {
         let secs = conns[pair.conn].ts.nanos() / 1_000_000_000;
         let hour = ((secs / 3_600) % 24) as usize;
-        let c = &mut out[hour].1;
-        match class {
-            ConnClass::NoDns => c.no_dns += 1,
-            ConnClass::LocalCache => c.local_cache += 1,
-            ConnClass::Prefetched => c.prefetched += 1,
-            ConnClass::SharedCache => c.shared_cache += 1,
-            ConnClass::Resolution => c.resolution += 1,
-        }
+        out[hour].1.record(*class);
     }
     out
 }

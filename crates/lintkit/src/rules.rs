@@ -4,8 +4,10 @@
 //! Seven rules port the old `scripts/verify.sh` awk/grep deny-lists;
 //! `no-map-iteration`, `unsafe-needs-safety-comment`,
 //! `stdout-discipline`, and `no-wallclock` are new invariants the shell
-//! could not express; `verify-shell-discipline` is the meta-rule that
-//! keeps ad-hoc source scanning from creeping back into verify.sh.
+//! could not express; `threshold-rule-fence` keeps the SC/R threshold
+//! formula in the one file that defines it; `verify-shell-discipline` is
+//! the meta-rule that keeps ad-hoc source scanning from creeping back
+//! into verify.sh.
 //!
 //! Any diagnostic can be suppressed for one line by a comment on that
 //! line (or in the comment block directly above it) containing
@@ -142,6 +144,18 @@ pub fn rules() -> Vec<Rule> {
                 "Monitor::process_pcap",
                 ".finish().metrics()",
             ]),
+        },
+        Rule {
+            id: "threshold-rule-fence",
+            desc: "the SC/R threshold formula is written once: no .add_ms/.floor_ms reads outside the file that defines ThresholdRule",
+            hint: "call ThresholdRule::threshold / ThresholdRule::floor",
+            scope: Scope {
+                roots: &["crates"],
+                exclude: &["crates/dns-context/src/kernel.rs"],
+                src_only: true,
+                include_tests: false,
+            },
+            check: Check::Needles(&[".add_ms", ".floor_ms"]),
         },
         Rule {
             id: "dep-denylist",

@@ -152,6 +152,28 @@ fn batch_entry_points_fire_only_in_stream_rs() {
     assert!(diags("crates/dns-context/src/analysis.rs", src).is_empty());
 }
 
+// ---- threshold-rule-fence ------------------------------------------------
+
+#[test]
+fn threshold_formula_fields_fire_outside_the_kernel() {
+    let src = "pub fn f(r: ThresholdRule) -> f64 { (r.add_ms).max(r.floor_ms) / 1e3 }\n";
+    let stream = "crates/dns-context/src/stream.rs";
+    assert_eq!(fired(stream, src), vec!["threshold-rule-fence"; 2]);
+    assert_eq!(fired("crates/bench/src/bin/repro.rs", src), vec!["threshold-rule-fence"; 2]);
+    assert!(diags("crates/dns-context/src/kernel.rs", src).is_empty());
+}
+
+#[test]
+fn threshold_rule_construction_calls_and_tests_are_exempt() {
+    // Setting the knobs in a literal and calling the two methods is the
+    // sanctioned use; tests may read the fields to pin the defaults.
+    let src = "pub fn f(r: ThresholdRule) -> Duration {\n\
+               let r = ThresholdRule { add_ms: 1.0, floor_ms: 3.0, ..r };\n\
+               r.threshold(4.0, 9).unwrap_or(r.floor())\n}\n\
+               #[cfg(test)]\nmod tests { fn t(r: ThresholdRule) { assert_eq!(r.floor_ms, 5.0); } }\n";
+    assert!(diags("crates/dns-context/src/analysis.rs", src).is_empty());
+}
+
 // ---- dep-denylist -------------------------------------------------------
 
 #[test]

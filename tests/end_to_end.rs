@@ -266,3 +266,27 @@ fn random_pairing_policy_shifts_results_only_slightly() {
         assert!(d < 8.0, "{class:?} share moved {d:.2} points under random pairing");
     }
 }
+
+#[test]
+fn random_pairing_policy_draw_sequence_is_pinned() {
+    // The seeded policy draws once per connection with a live candidate,
+    // in connection order; a change to the candidate scan that shifts one
+    // draw moves these counts. The capture is `stream_agreement`'s.
+    let cfg = WorkloadConfig {
+        scale: ScaleKnobs { houses: 4, days: 0.03, activity: 1.0 },
+        services: 200,
+        shared_services: 30,
+        ..WorkloadConfig::default()
+    };
+    let mut pcap = Vec::new();
+    Simulation::new(cfg, SEED).unwrap().run_pcap(&mut pcap, 600).unwrap();
+    let logs = Monitor::process_pcap(&pcap[..], MonitorConfig::default()).unwrap();
+    let mut acfg = AnalysisConfig::default();
+    acfg.threshold_rule.min_lookups = 50;
+    acfg.policy = dnsctx::dns_context::PairingPolicy::RandomNonExpired;
+    let c = Analysis::run(&logs, acfg).class_counts();
+    assert_eq!(
+        [c.no_dns, c.local_cache, c.prefetched, c.shared_cache, c.resolution],
+        [243, 70, 27, 64, 25]
+    );
+}
