@@ -9,17 +9,18 @@
 //! ```
 //!
 //! Experiments: `table1 table2 table3 fig1 fig2 fig3 sec51 sec52 sec7
-//! sec8 diurnal houses ablate-threshold ablate-pairing ablate-scr bench
-//! fuzz obs all`.
+//! sec8 diurnal houses ablate-threshold ablate-pairing ablate-scr fuzz
+//! obs stream ingest serve lint all`. An unknown experiment or flag
+//! prints the usage on stderr and exits 2 before any work.
 //!
-//! `obs` (also reachable as `--obs`) runs the instrumented packet
-//! pipeline end to end: every stage (capture, zeek, pairing, thresholds,
-//! classify, perf, report) is timed as a `stage.*` span, the per-stage
-//! counters are merged into one deterministic metrics snapshot, the span
-//! tree and a human-readable metrics table go to stderr, and the JSON
-//! snapshot goes to stdout and to `--obs-out PATH` (default
-//! `OBS_repro.json`). The `metrics` section is byte-identical for every
-//! `--threads` value; wall times live only in the `spans` section.
+//! `obs` runs the instrumented packet pipeline end to end: every stage
+//! (capture, zeek, pairing, thresholds, classify, perf, report) is timed
+//! as a `stage.*` span, the per-stage counters are merged into one
+//! deterministic metrics snapshot, the span tree and a human-readable
+//! metrics table go to stderr, and the JSON snapshot goes to stdout and
+//! to `--obs-out PATH` (default `OBS_repro.json`). The `metrics` section
+//! is byte-identical for every `--threads` value; wall times live only
+//! in the `spans` section.
 //!
 //! `fuzz` sweeps deterministic fault rates (drop/truncate/bit-flip/
 //! duplicate/reorder) over a simulated capture, prints the per-rate
@@ -33,8 +34,8 @@
 //! `--threads N` (0 = one worker per core; output is bit-identical for
 //! every value), `--csv` (emit CDF point series for the figures).
 //!
-//! `bench` times the pipeline stages with `xkit::bench` and writes
-//! `BENCH_repro.json` to the current directory.
+//! Timing lives in the bench ladder (`benchmark/`, contract in
+//! `BENCHMARK.json`), not here.
 
 use bench::pipeline::{self, capture_pcap, RunSpec, Source};
 use dnsctx::cache_sim;
@@ -44,14 +45,6 @@ use dnsctx::dns_context::report::{cdf_series, cdf_strip, count, f1, f2, Table};
 use dnsctx::dns_context::{Analysis, AnalysisConfig, ConnClass, Ecdf, PairingPolicy};
 use dnsctx::zeek_lite::{Duration, Logs};
 
-/// Every allocation in this binary goes through the counting shim, so
-/// `bench` can report per-stage allocation counts and peak live bytes
-/// (see the `*_allocs` / `*_alloc_bytes` / `*_peak_bytes` notes in
-/// `BENCH_repro.json`). The counters are relaxed atomics — overhead is
-/// a few nanoseconds per allocation event.
-#[global_allocator]
-static ALLOC: xkit::bench::alloc::CountingAlloc = xkit::bench::alloc::CountingAlloc;
-
 struct Opts {
     houses: usize,
     days: f64,
@@ -60,7 +53,6 @@ struct Opts {
     seeds: usize,
     threads: usize,
     csv: bool,
-    obs: bool,
     obs_out: String,
     serve: String,
     serve_check: bool,
@@ -94,6 +86,33 @@ impl Opts {
     }
 }
 
+/// Every name `repro` accepts as an experiment; `parse_args` rejects the
+/// rest, so a typo never falls through to the default simulation.
+const EXPERIMENTS: &[&str] = &[
+    "table1", "table2", "table3", "fig1", "fig2", "fig3", "sec51", "sec52", "sec7", "sec8",
+    "diurnal", "houses", "ablate-threshold", "ablate-pairing", "ablate-scr", "fuzz", "obs",
+    "stream", "ingest", "serve", "lint", "all",
+];
+
+const USAGE: &str = "\
+usage: repro <experiment...> [--houses N] [--days D] [--scale A] [--seed S] [--seeds K] [--threads N] [--csv] [--obs-out PATH] [--serve ADDR] [--serve-check] [--window-secs W] [--source file|ring|iface] [--iface NAME] [--frames N] [--tenants N]
+experiments: table1 table2 table3 fig1 fig2 fig3 sec51 sec52 sec7 sec8
+               diurnal houses ablate-threshold ablate-pairing ablate-scr fuzz obs stream ingest serve all
+obs-check <snapshot.json>: validate a snapshot written by `repro obs`
+obs-check --url ADDR: validate the live endpoints of a running --serve instance
+stream: bounded-memory epoch pipeline (window set by --window-secs, 0 = unwindowed)
+        --serve ADDR exposes /metrics /snapshot /spans /events /healthz live during
+        the run (stream and ingest; --serve-check self-validates every endpoint)
+ingest: stream pipeline behind the RecordSource seam; --source picks the backend
+        (file = pcap round trip, ring = in-memory SPSC ring, iface = AF_PACKET via
+        --iface/--frames, needs the raw-socket build and CAP_NET_RAW)
+serve: multi-tenant streaming daemon; --tenants N concurrent simulated vantage
+        points sharded over --threads workers, tenant-routed observability on
+        --serve ADDR (/tenants, /tenants/<id>/snapshot|metrics + aggregate views)
+lint: token-aware invariant checker over the workspace sources
+      [--format human|json] [--rule ID] [--root PATH]; exits 1 on violations
+timing: the bench ladder (benchmark/, contract in BENCHMARK.json), not this binary";
+
 fn parse_args() -> Opts {
     let mut opts = Opts {
         houses: 100,
@@ -103,7 +122,6 @@ fn parse_args() -> Opts {
         seeds: 1,
         threads: 0,
         csv: false,
-        obs: false,
         obs_out: "OBS_repro.json".into(),
         serve: String::new(),
         serve_check: false,
@@ -131,7 +149,6 @@ fn parse_args() -> Opts {
             "--seeds" => opts.seeds = grab("--seeds").parse().expect("seeds"),
             "--threads" => opts.threads = grab("--threads").parse().expect("threads"),
             "--csv" => opts.csv = true,
-            "--obs" => opts.obs = true,
             "--obs-out" => opts.obs_out = grab("--obs-out"),
             "--serve" => opts.serve = grab("--serve"),
             "--serve-check" => opts.serve_check = true,
@@ -146,27 +163,19 @@ fn parse_args() -> Opts {
             "--rule" => opts.rule = grab("--rule"),
             "--root" => opts.root = grab("--root"),
             "--help" | "-h" => {
-                println!(
-                    "usage: repro <experiment...> [--houses N] [--days D] [--scale A] [--seed S] [--seeds K] [--threads N] [--csv] [--obs] [--obs-out PATH] [--serve ADDR] [--serve-check] [--window-secs W] [--source file|ring|iface] [--iface NAME] [--frames N] [--tenants N]\n\
-                     experiments: table1 table2 table3 fig1 fig2 fig3 sec51 sec52 sec7 sec8\n\
-                     \x20              diurnal houses ablate-threshold ablate-pairing ablate-scr bench fuzz obs stream ingest serve all\n\
-                     obs-check <snapshot.json>: validate a snapshot written by `repro obs`\n\
-                     obs-check --url ADDR: validate the live endpoints of a running --serve instance\n\
-                     stream: bounded-memory epoch pipeline (window set by --window-secs, 0 = unwindowed)\n\
-                     \x20       --serve ADDR exposes /metrics /snapshot /spans /events /healthz live during\n\
-                     \x20       the run (stream and ingest; --serve-check self-validates every endpoint)\n\
-                     ingest: stream pipeline behind the RecordSource seam; --source picks the backend\n\
-                     \x20       (file = pcap round trip, ring = in-memory SPSC ring, iface = AF_PACKET via\n\
-                     \x20       --iface/--frames, needs the raw-socket build and CAP_NET_RAW)\n\
-                     serve: multi-tenant streaming daemon; --tenants N concurrent simulated vantage\n\
-                     \x20       points sharded over --threads workers, tenant-routed observability on\n\
-                     \x20       --serve ADDR (/tenants, /tenants/<id>/snapshot|metrics + aggregate views)\n\
-                     lint: token-aware invariant checker over the workspace sources\n\
-                     \x20     [--format human|json] [--rule ID] [--root PATH]; exits 1 on violations"
-                );
+                println!("{USAGE}");
                 std::process::exit(0);
             }
             exp => opts.experiments.push(exp.to_string()),
+        }
+    }
+    // `obs-check` takes free-form operands (a path, or `--url ADDR`) and
+    // prints its own usage; everything else must be a known experiment.
+    if opts.experiments.first().map(String::as_str) != Some("obs-check") {
+        if let Some(bad) = opts.experiments.iter().find(|e| !EXPERIMENTS.contains(&e.as_str())) {
+            let kind = if bad.starts_with('-') { "flag" } else { "experiment" };
+            eprintln!("repro: unknown {kind} `{bad}`\n{USAGE}");
+            std::process::exit(2);
         }
     }
     if opts.experiments.is_empty() {
@@ -178,8 +187,8 @@ fn parse_args() -> Opts {
 fn main() {
     let opts = parse_args();
     // `obs` drives the instrumented packet pipeline at its own (capped)
-    // scale, like `fuzz`; the bare `--obs` flag selects it too.
-    if opts.obs || opts.experiments.iter().any(|e| e == "obs") {
+    // scale, like `fuzz`.
+    if opts.experiments.iter().any(|e| e == "obs") {
         obs(&opts);
         return;
     }
@@ -226,9 +235,7 @@ fn main() {
         scale: ScaleKnobs { houses: opts.houses, days: opts.days, activity: opts.scale },
         ..WorkloadConfig::default()
     };
-    // `bench` needs the single-seed pipeline below (its sweep uses
-    // --seeds itself), so the sweep shortcut only applies without it.
-    if opts.seeds > 1 && !opts.experiments.iter().any(|e| e == "bench") {
+    if opts.seeds > 1 {
         multi_seed(&cfg, &opts);
         return;
     }
@@ -297,11 +304,6 @@ fn main() {
     }
     if want("ablate-scr") {
         ablate_scr(&out.logs);
-    }
-    // Not part of `all`: timings are inherently run-to-run noisy, and
-    // `all`'s stdout must stay byte-identical across thread counts.
-    if opts.experiments.iter().any(|e| e == "bench") {
-        bench(&cfg, &opts, &out.logs, &analysis);
     }
 }
 
@@ -1488,137 +1490,4 @@ fn multi_seed(cfg: &WorkloadConfig, opts: &Opts) {
     t.row(&mean_row);
     t.row(&spread_row);
     println!("{}", t.render());
-}
-
-/// `bench` experiment: time the pipeline stages (simulate, pair,
-/// classify, perf) with `xkit::bench`, measure the seed sweep
-/// sequential vs parallel, and write `BENCH_repro.json` to the current
-/// directory as a baseline for future runs.
-fn bench(cfg: &WorkloadConfig, opts: &Opts, logs: &Logs, analysis: &Analysis<'_>) {
-    use dnsctx::dns_context::classify::classify_parallel;
-    use dnsctx::dns_context::{AnalysisScratch, Pairing, PairingScratch};
-    use xkit::bench::alloc;
-
-    eprintln!("# bench: timing pipeline stages ...");
-    let mut h = xkit::bench::Harness::coarse("repro");
-    h.samples = 3;
-    let acfg = opts.analysis_cfg();
-
-    // One instrumented run per stage first: allocation events, bytes
-    // requested, and peak live bytes, reported as notes next to the
-    // timings. The timed samples below then run uninstrumented closures
-    // of the same shape.
-    let mut stage_allocs: Vec<(&str, alloc::StageAllocs)> = Vec::new();
-
-    let (_, a) = alloc::measure(|| {
-        Simulation::new(cfg.clone(), opts.seed)
-            .expect("valid config")
-            .with_threads(opts.threads)
-            .run()
-            .logs
-            .conns
-            .len()
-    });
-    stage_allocs.push(("simulate", a));
-    h.bench("simulate", || {
-        Simulation::new(cfg.clone(), opts.seed)
-            .expect("valid config")
-            .with_threads(opts.threads)
-            .run()
-            .logs
-            .conns
-            .len()
-    });
-
-    // Steady-state pairing: the arena scratch is built once and reused,
-    // as the analysis facade and the sweep workers do.
-    let mut pair_scratch = PairingScratch::default();
-    let (_, a) = alloc::measure(|| {
-        Pairing::build_with(&mut pair_scratch, &logs.conns, &logs.dns, acfg.policy).pairs.len()
-    });
-    stage_allocs.push(("pair", a));
-    h.bench("pair", || {
-        Pairing::build_with(&mut pair_scratch, &logs.conns, &logs.dns, acfg.policy).pairs.len()
-    });
-
-    let floor = acfg.threshold_rule.floor();
-    let dns_cols = analysis.dns_columns();
-    let (_, a) = alloc::measure(|| {
-        classify_parallel(
-            opts.threads,
-            dns_cols,
-            &analysis.pairing,
-            acfg.block_threshold,
-            &analysis.thresholds,
-            floor,
-        )
-        .len()
-    });
-    stage_allocs.push(("classify", a));
-    h.bench("classify", || {
-        classify_parallel(
-            opts.threads,
-            dns_cols,
-            &analysis.pairing,
-            acfg.block_threshold,
-            &analysis.thresholds,
-            floor,
-        )
-        .len()
-    });
-
-    let (_, a) = alloc::measure(|| analysis.perf().blocked.len());
-    stage_allocs.push(("perf", a));
-    h.bench("perf", || analysis.perf().blocked.len());
-
-    // Seed-sweep scaling: the identical K-seed sweep on one worker vs
-    // the requested thread count. The headline statistics must agree
-    // exactly — the sweep is deterministic per seed. Each worker gets
-    // one analysis scratch, built once and reused across its seeds.
-    let sweep_seeds: Vec<u64> = (0..opts.seeds.max(2) as u64).map(|k| opts.seed + k).collect();
-    eprintln!(
-        "# bench: {}-seed sweep, sequential vs parallel ...",
-        sweep_seeds.len()
-    );
-    let t = xkit::obs::clock::now();
-    let seq = xkit::par::par_map_with(
-        1,
-        sweep_seeds.clone(),
-        AnalysisScratch::default,
-        |scratch, _, seed| headline_for_seed(cfg, scratch, seed),
-    );
-    let seq_s = t.elapsed_secs();
-    let t = xkit::obs::clock::now();
-    let par = xkit::par::par_map_with(
-        opts.threads,
-        sweep_seeds.clone(),
-        AnalysisScratch::default,
-        |scratch, _, seed| headline_for_seed(cfg, scratch, seed),
-    );
-    let par_s = t.elapsed_secs();
-    assert_eq!(seq.len(), par.len());
-    assert!(
-        seq.iter().zip(&par).all(|(a, b)| a.shares == b.shares),
-        "parallel sweep diverged from sequential"
-    );
-
-    h.note("cores", xkit::par::available_threads() as f64);
-    h.note("threads", xkit::par::resolve_threads(opts.threads) as f64);
-    h.note("houses", opts.houses as f64);
-    h.note("days", opts.days);
-    h.note("activity", opts.scale);
-    h.note("sweep_seeds", sweep_seeds.len() as f64);
-    h.note("sweep_seq_s", seq_s);
-    h.note("sweep_par_s", par_s);
-    h.note("sweep_speedup_x", seq_s / par_s.max(1e-9));
-    for (stage, a) in &stage_allocs {
-        h.note(&format!("{stage}_allocs"), a.allocs as f64);
-        h.note(&format!("{stage}_alloc_bytes"), a.bytes as f64);
-        h.note(&format!("{stage}_peak_bytes"), a.peak_live as f64);
-    }
-    // Timing tables are diagnostics: stderr, never stdout.
-    eprint!("{}", h.render_table());
-    let path = std::path::Path::new("BENCH_repro.json");
-    h.write_json(path).expect("write BENCH_repro.json");
-    eprintln!("# bench: wrote {}", path.display());
 }

@@ -1,4 +1,4 @@
-//! CLI-level checks for `repro --obs`: stdout carries exactly one valid
+//! CLI-level checks for `repro obs`: stdout carries exactly one valid
 //! JSON document, the `metrics` section is byte-identical across thread
 //! counts, and every pipeline stage appears as a named span with a wall
 //! time and at least one counter note.

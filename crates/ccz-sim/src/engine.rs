@@ -182,6 +182,18 @@ impl Simulation {
         SimOutput { logs, truth, platform_stats, metrics }
     }
 
+    /// Packet mode's common body: drive every shard into a [`PcapSink`]
+    /// and merge them in shard order. Each entry point below only picks
+    /// how the merged frames leave.
+    fn drive_packets(&self) -> (PcapSink, GroundTruth, Metrics) {
+        let (sinks, truth, _, metrics) = self.drive_all(PcapSink::new);
+        let mut merged = PcapSink::new();
+        for s in sinks {
+            merged.absorb(s);
+        }
+        (merged, truth, metrics)
+    }
+
     /// Run in packet mode: write a pcap capture of the whole trace to
     /// `out` and return the ground truth plus the frame count. Feed the
     /// bytes to [`zeek_lite::Monitor::process_pcap`] to obtain logs the
@@ -198,11 +210,7 @@ impl Simulation {
         out: W,
         snaplen: u32,
     ) -> io::Result<(GroundTruth, u64, Metrics)> {
-        let (sinks, truth, _, mut metrics) = self.drive_all(PcapSink::new);
-        let mut merged = PcapSink::new();
-        for s in sinks {
-            merged.absorb(s);
-        }
+        let (merged, truth, mut metrics) = self.drive_packets();
         let frames = merged.write_pcap(out, snaplen)?;
         metrics.add("sim.frames_written", frames);
         Ok((truth, frames, metrics))
@@ -223,13 +231,8 @@ impl Simulation {
         &self,
         sink: &mut pcapio::RingSink,
     ) -> (GroundTruth, u64, Metrics) {
-        let (sinks, truth, _, mut metrics) = self.drive_all(PcapSink::new);
-        let mut merged = PcapSink::new();
-        for s in sinks {
-            merged.absorb(s);
-        }
-        let snaplen = sink.snaplen();
-        let frames = merged.emit_records(snaplen, |ts_nanos, orig_len, data| {
+        let (merged, truth, mut metrics) = self.drive_packets();
+        let frames = merged.emit_records(sink.snaplen(), |ts_nanos, orig_len, data| {
             sink.push(ts_nanos, orig_len, data);
         });
         metrics.add("sim.frames_written", frames);

@@ -160,7 +160,7 @@ pub fn rules() -> Vec<Rule> {
         Rule {
             id: "dep-denylist",
             desc: "the workspace is zero-dependency: no external crates in any manifest",
-            hint: "use the in-tree equivalent (xkit::rng, xkit::par, xkit::bench, xkit::collections)",
+            hint: "use the in-tree equivalent (xkit::rng, xkit::par, xkit::collections); timing goes in the bench ladder (benchmark/)",
             scope: Scope {
                 roots: &["Cargo.toml", "crates"],
                 exclude: &[],

@@ -475,42 +475,16 @@ where
     W: Write,
     T: RecordTransform + ?Sized,
 {
-    rewrite_observed(input, out, transform, &mut xkit::obs::Metrics::new())
-}
-
-/// [`rewrite`], additionally folding the reader/writer counters into
-/// `obs` (`capture.frames_read`, `capture.bytes_read`,
-/// `capture.frames_rejected`, `capture.frames_written`,
-/// `capture.bytes_written`). On error the counters observed up to the
-/// failure are still merged.
-pub fn rewrite_observed<R, W, T>(
-    input: R,
-    out: W,
-    transform: &mut T,
-    obs: &mut xkit::obs::Metrics,
-) -> Result<u64, PcapError>
-where
-    R: Read,
-    W: Write,
-    T: RecordTransform + ?Sized,
-{
     let mut reader = PcapReader::new(input)?;
     let mut w = PcapWriter::new(out, reader.snaplen(), TsPrecision::Nano)?;
-    let mut run = |reader: &mut PcapReader<R>, w: &mut PcapWriter<W>| -> Result<(), PcapError> {
-        while let Some(rec) = reader.next_packet()? {
-            for r in transform.apply(rec) {
-                w.write_packet(r.ts_nanos, &r.data, Some(r.orig_len))?;
-            }
-        }
-        for r in transform.flush() {
+    while let Some(rec) = reader.next_packet()? {
+        for r in transform.apply(rec) {
             w.write_packet(r.ts_nanos, &r.data, Some(r.orig_len))?;
         }
-        Ok(())
-    };
-    let result = run(&mut reader, &mut w);
-    obs.merge(&reader.metrics());
-    obs.merge(&w.metrics());
-    result?;
+    }
+    for r in transform.flush() {
+        w.write_packet(r.ts_nanos, &r.data, Some(r.orig_len))?;
+    }
     let n = w.packets_written();
     w.into_inner()?;
     Ok(n)
@@ -730,14 +704,12 @@ mod tests {
         assert_eq!(m.counter("capture.frames_read"), 2);
         assert_eq!(m.counter("capture.bytes_read"), 8);
 
-        let mut obs = xkit::obs::Metrics::new();
-        let mut out = Vec::new();
-        let n = rewrite_observed(&buf[..], &mut out, &mut |r: PcapRecord| vec![r], &mut obs)
-            .unwrap();
-        assert_eq!(n, 2);
-        assert_eq!(obs.counter("capture.frames_read"), 2);
-        assert_eq!(obs.counter("capture.frames_written"), 2);
-        assert_eq!(obs.counter("capture.bytes_written"), 8);
+        let mut w = PcapWriter::new(Vec::new(), 96, TsPrecision::Nano).unwrap();
+        w.write_packet(1, b"abc", None).unwrap();
+        w.write_packet(2, b"defgh", None).unwrap();
+        let m = w.metrics();
+        assert_eq!(m.counter("capture.frames_written"), 2);
+        assert_eq!(m.counter("capture.bytes_written"), 8);
     }
 
     #[test]

@@ -1,231 +1,6 @@
-//! A small offline bench harness: warmup, sampled iterations, robust
-//! summary statistics, JSON baseline emit.
-//!
-//! Criterion-shaped where it matters — call [`Harness::bench`] with a
-//! closure, get median/p95 nanoseconds per iteration — without the
-//! registry dependency. Results accumulate in the harness and can be
-//! printed as a table or serialized with [`Harness::to_json`] so future
-//! runs have a baseline to compare against.
-
-use crate::obs::clock;
-use std::time::Duration;
-
-/// Summary statistics for one benchmark.
-#[derive(Debug, Clone)]
-pub struct BenchResult {
-    /// Benchmark name.
-    pub name: String,
-    /// Total measured iterations across all samples.
-    pub iters: u64,
-    /// Median nanoseconds per iteration across samples.
-    pub median_ns: f64,
-    /// 95th-percentile nanoseconds per iteration across samples.
-    pub p95_ns: f64,
-    /// Mean nanoseconds per iteration across samples.
-    pub mean_ns: f64,
-    /// Fastest sample, nanoseconds per iteration.
-    pub min_ns: f64,
-}
-
-impl BenchResult {
-    /// Human-readable time per iteration.
-    pub fn pretty_median(&self) -> String {
-        pretty_ns(self.median_ns)
-    }
-}
-
-fn pretty_ns(ns: f64) -> String {
-    if ns < 1e3 {
-        format!("{ns:.0} ns")
-    } else if ns < 1e6 {
-        format!("{:.2} µs", ns / 1e3)
-    } else if ns < 1e9 {
-        format!("{:.2} ms", ns / 1e6)
-    } else {
-        format!("{:.3} s", ns / 1e9)
-    }
-}
-
-/// Percentile of an unsorted sample set (linear interpolation).
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = p / 100.0 * (sorted.len() - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
-    if lo == hi {
-        sorted[lo]
-    } else {
-        sorted[lo] + (rank - lo as f64) * (sorted[hi] - sorted[lo])
-    }
-}
-
-/// Bench runner + result accumulator for one named group.
-pub struct Harness {
-    /// Group name (becomes the JSON `group` field).
-    pub group: String,
-    /// Time spent warming up each benchmark before measuring.
-    pub warmup: Duration,
-    /// Number of timed samples per benchmark.
-    pub samples: usize,
-    /// Target wall-clock per sample (iterations are scaled to reach it).
-    pub sample_time: Duration,
-    /// Completed results, in registration order.
-    pub results: Vec<BenchResult>,
-    /// Free-form scalar metrics recorded alongside the benches
-    /// (e.g. speedups, thread counts).
-    pub notes: Vec<(String, f64)>,
-}
-
-impl Harness {
-    /// A harness with defaults suited to sub-second benchmarks.
-    pub fn new(group: &str) -> Harness {
-        Harness {
-            group: group.to_string(),
-            warmup: Duration::from_millis(60),
-            samples: 15,
-            sample_time: Duration::from_millis(25),
-            results: Vec::new(),
-            notes: Vec::new(),
-        }
-    }
-
-    /// A harness tuned for expensive (multi-millisecond) benchmarks:
-    /// fewer samples, one iteration per sample.
-    pub fn coarse(group: &str) -> Harness {
-        Harness {
-            group: group.to_string(),
-            warmup: Duration::ZERO,
-            samples: 5,
-            sample_time: Duration::ZERO,
-            results: Vec::new(),
-            notes: Vec::new(),
-        }
-    }
-
-    /// Measure `f`, record and return its summary.
-    ///
-    /// The closure's return value is consumed with [`std::hint::black_box`]
-    /// so the optimizer cannot elide the work.
-    pub fn bench<F, R>(&mut self, name: &str, mut f: F) -> &BenchResult
-    where
-        F: FnMut() -> R,
-    {
-        // Warmup, also used to size the per-sample iteration count.
-        let mut warm_iters = 0u64;
-        let warm_start = clock::now();
-        while warm_start.elapsed() < self.warmup || warm_iters == 0 {
-            std::hint::black_box(f());
-            warm_iters += 1;
-            if warm_iters >= 1 << 20 {
-                break;
-            }
-        }
-        let per_iter = warm_start.elapsed().as_secs_f64() / warm_iters as f64;
-        let iters_per_sample = if self.sample_time.is_zero() {
-            1
-        } else {
-            ((self.sample_time.as_secs_f64() / per_iter.max(1e-9)) as u64).clamp(1, 1 << 24)
-        };
-
-        let mut samples_ns = Vec::with_capacity(self.samples);
-        let mut total_iters = 0u64;
-        for _ in 0..self.samples {
-            let start = clock::now();
-            for _ in 0..iters_per_sample {
-                std::hint::black_box(f());
-            }
-            let ns = start.elapsed_ns() as f64 / iters_per_sample as f64;
-            samples_ns.push(ns);
-            total_iters += iters_per_sample;
-        }
-        samples_ns.sort_by(|a, b| a.total_cmp(b));
-        let result = BenchResult {
-            name: name.to_string(),
-            iters: total_iters,
-            median_ns: percentile(&samples_ns, 50.0),
-            p95_ns: percentile(&samples_ns, 95.0),
-            mean_ns: samples_ns.iter().sum::<f64>() / samples_ns.len() as f64,
-            min_ns: samples_ns.first().copied().unwrap_or(0.0),
-        };
-        self.results.push(result);
-        self.results.last().unwrap()
-    }
-
-    /// Record a scalar metric (shows up in the JSON under `notes`).
-    pub fn note(&mut self, name: &str, value: f64) {
-        self.notes.push((name.to_string(), value));
-    }
-
-    /// The aligned summary table as a string, so callers choose the
-    /// stream (the repro harness sends it to stderr to keep stdout
-    /// machine-readable).
-    pub fn render_table(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("== bench group: {} ==\n", self.group));
-        let width = self.results.iter().map(|r| r.name.len()).max().unwrap_or(4).max(4);
-        out.push_str(&format!(
-            "{:width$}  {:>12} {:>12} {:>12}\n",
-            "name", "median", "p95", "mean"
-        ));
-        for r in &self.results {
-            out.push_str(&format!(
-                "{:width$}  {:>12} {:>12} {:>12}\n",
-                r.name,
-                pretty_ns(r.median_ns),
-                pretty_ns(r.p95_ns),
-                pretty_ns(r.mean_ns),
-            ));
-        }
-        for (name, value) in &self.notes {
-            out.push_str(&format!("{name} = {value:.3}\n"));
-        }
-        out
-    }
-
-    /// Print the summary table to stdout (standalone bench targets,
-    /// where stdout *is* the report).
-    pub fn print_table(&self) {
-        // lint: allow(stdout-discipline): bench targets report on stdout by contract
-        print!("{}", self.render_table());
-    }
-
-    /// Serialize the group to pretty-printed JSON.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("  \"group\": {},\n", json_string(&self.group)));
-        out.push_str("  \"benches\": [\n");
-        for (i, r) in self.results.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"name\": {}, \"iters\": {}, \"median_ns\": {:.1}, \"p95_ns\": {:.1}, \"mean_ns\": {:.1}, \"min_ns\": {:.1}}}{}\n",
-                json_string(&r.name),
-                r.iters,
-                r.median_ns,
-                r.p95_ns,
-                r.mean_ns,
-                r.min_ns,
-                if i + 1 < self.results.len() { "," } else { "" },
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"notes\": {");
-        for (i, (name, value)) in self.notes.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("{}: {}", json_string(name), json_number(*value)));
-        }
-        out.push_str("}\n}\n");
-        out
-    }
-
-    /// Write the JSON report to `path`.
-    pub fn write_json(&self, path: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
-    }
-}
+//! What the bench ladder (`benchmark/`) needs from inside the workspace:
+//! the counting allocator behind its allocation metrics ([`alloc`]) and
+//! the JSON string escaper every `obs` serializer shares.
 
 /// Heap-allocation accounting for bench runs.
 ///
@@ -395,55 +170,12 @@ pub fn json_string(s: &str) -> String {
     out
 }
 
-/// Render a float as valid JSON (no NaN/Inf literals).
-pub fn json_number(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.3}")
-    } else {
-        "null".to_string()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn bench_measures_something_positive() {
-        let mut h = Harness::new("unit");
-        h.warmup = Duration::from_millis(1);
-        h.samples = 5;
-        h.sample_time = Duration::from_micros(200);
-        let r = h.bench("sum", || (0..1000u64).sum::<u64>());
-        assert!(r.median_ns > 0.0);
-        assert!(r.p95_ns >= r.median_ns);
-        assert!(r.iters >= 5);
-    }
-
-    #[test]
-    fn json_is_well_formed_enough() {
-        let mut h = Harness::coarse("g");
-        h.bench("noop", || 1u8);
-        h.note("speedup_x", 2.5);
-        let j = h.to_json();
-        assert!(j.contains("\"group\": \"g\""));
-        assert!(j.contains("\"name\": \"noop\""));
-        assert!(j.contains("\"speedup_x\": 2.500"));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-    }
-
-    #[test]
     fn json_string_escapes() {
         assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_number(f64::NAN), "null");
-        assert_eq!(json_number(1.5), "1.500");
-    }
-
-    #[test]
-    fn percentile_interpolates() {
-        let v = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(percentile(&v, 0.0), 1.0);
-        assert_eq!(percentile(&v, 100.0), 4.0);
-        assert_eq!(percentile(&v, 50.0), 2.5);
     }
 }

@@ -10,9 +10,9 @@
 //!   stay bit-reproducible at a fixed seed.
 //! * [`par`] — scoped worker-pool helpers over `std::thread::scope` and
 //!   `std::sync::Mutex`, replacing `crossbeam` + `parking_lot`.
-//! * [`bench`] — a lightweight Criterion replacement (warmup, sampled
-//!   iterations, median/p95, JSON baseline emit) so the bench targets run
-//!   offline.
+//! * [`bench`] — the counting allocator behind the bench ladder's
+//!   allocation metrics (`benchmark/`, contract in `BENCHMARK.json`), and
+//!   the JSON string escaper the `obs` serializers share.
 //!
 //! On top of those, [`fault`] provides a seeded deterministic fault
 //! injector (drop/truncate/bit-flip/duplicate/reorder) used to prove the

@@ -319,20 +319,13 @@ impl Monitor {
     }
 
     /// Mid-run snapshot: the monitor counters plus the degradation
-    /// buckets, without finishing the capture. Every family is a
-    /// monotone counter (plus the max-merged occupancy gauge), so any
-    /// snapshot is a valid prefix of the final [`Logs::metrics`] — in
-    /// particular `zeek.frames_seen = zeek.frames_accepted +
-    /// Σ zeek.reject.*` holds at every instant.
-    pub fn live_metrics(&self) -> Metrics {
-        let mut m = Metrics::new();
-        self.store_live_metrics(&mut m);
-        m
-    }
-
-    /// [`live_metrics`](Monitor::live_metrics) written over a snapshot
-    /// that already exists: every key is overwritten, none is allocated
-    /// after the first call on the same snapshot.
+    /// buckets, without finishing the capture, written over `m`. Every
+    /// family is a monotone counter (plus the max-merged occupancy
+    /// gauge), so any snapshot is a valid prefix of the final
+    /// [`Logs::metrics`] — in particular `zeek.frames_seen =
+    /// zeek.frames_accepted + Σ zeek.reject.*` holds at every instant.
+    /// Every key is overwritten, none is allocated after the first call
+    /// on the same snapshot.
     pub fn store_live_metrics(&self, m: &mut Metrics) {
         self.stats.store_metrics(m);
         self.degradation.store_metrics(m);
@@ -571,38 +564,6 @@ impl Monitor {
         while let Some(record) = source.next()? {
             monitor.handle_frame(Timestamp(record.ts_nanos), record.data, record.orig_len);
         }
-        Ok(monitor.finish())
-    }
-
-    /// [`Monitor::process_source`] with a live observability plane:
-    /// feeds the hub's flight recorder and publishes a
-    /// [`live_metrics`](Monitor::live_metrics) + source-counter snapshot
-    /// into `hub` every `publish_every` frames (clamped to ≥ 1) and once
-    /// after the source drains. Scrape-at-any-time: every published
-    /// counter is monotone, so a mid-run scrape is a valid prefix of
-    /// the final snapshot.
-    pub fn process_source_observed<S: pcapio::RecordSource + ?Sized>(
-        source: &mut S,
-        config: MonitorConfig,
-        hub: &xkit::obs::ObsHub,
-        publish_every: u64,
-    ) -> Result<Logs, pcapio::PcapError> {
-        let every = publish_every.max(1);
-        let mut monitor = Monitor::new(config);
-        monitor.set_flight(hub.flight().clone());
-        let mut frames = 0u64;
-        while let Some(record) = source.next()? {
-            monitor.handle_frame(Timestamp(record.ts_nanos), record.data, record.orig_len);
-            frames += 1;
-            if frames % every == 0 {
-                let mut m = monitor.live_metrics();
-                m.merge(&source.metrics());
-                hub.publish_metrics(m);
-            }
-        }
-        let mut m = monitor.live_metrics();
-        m.merge(&source.metrics());
-        hub.publish_metrics(m);
         Ok(monitor.finish())
     }
 
@@ -900,42 +861,11 @@ mod tests {
         let kinds: Vec<&str> = flight.snapshot().iter().map(|e| e.kind).collect();
         assert_eq!(kinds, vec!["fault.reject", "parse.degrade"]);
         // Mid-run snapshot upholds the frames identity.
-        let live = m.live_metrics();
+        let mut live = Metrics::new();
+        m.store_live_metrics(&mut live);
         assert_eq!(
             live.counter("zeek.frames_seen"),
             live.counter("zeek.frames_accepted") + live.sum_counters("zeek.reject.")
-        );
-    }
-
-    #[test]
-    fn process_source_observed_publishes_prefix_snapshots() {
-        use pcapio::{PcapWriter, TsPrecision};
-        let mut buf = Vec::new();
-        {
-            let mut w = PcapWriter::new(&mut buf, 65535, TsPrecision::Nano).unwrap();
-            for i in 0..6u16 {
-                let q = dns_query(i, "obs.example.com");
-                let r = dns_response(i, "obs.example.com", SERVER, 60);
-                w.write_packet(u64::from(i) * 2_000_000_000, &q.encode(), None).unwrap();
-                w.write_packet(u64::from(i) * 2_000_000_000 + 4_000_000, &r.encode(), None)
-                    .unwrap();
-            }
-        }
-        let hub = xkit::obs::ObsHub::new(16);
-        let mut source = pcapio::source::file(&buf[..]).unwrap();
-        let logs =
-            Monitor::process_source_observed(&mut source, MonitorConfig::default(), &hub, 5)
-                .unwrap();
-        let published = hub.metrics();
-        // The final publication covers the whole capture...
-        assert_eq!(published.counter("zeek.frames_seen"), 12);
-        assert_eq!(published.counter("capture.frames_read"), 12);
-        // ...and agrees with the finished logs on every shared counter.
-        let final_m = logs.metrics();
-        assert_eq!(published.counter("zeek.dns_messages"), final_m.counter("zeek.dns_messages"));
-        assert_eq!(
-            published.counter("zeek.frames_seen"),
-            published.counter("zeek.frames_accepted") + published.sum_counters("zeek.reject.")
         );
     }
 
