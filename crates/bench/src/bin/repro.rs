@@ -6,33 +6,17 @@
 //! cargo run --release -p bench --bin repro -- all
 //! cargo run --release -p bench --bin repro -- table2 --scale 0.3 --seed 7
 //! cargo run --release -p bench --bin repro -- fig2 --csv
+//! cargo run --release -p bench --bin repro -- --help
 //! ```
 //!
-//! Experiments: `table1 table2 table3 fig1 fig2 fig3 sec51 sec52 sec7
-//! sec8 diurnal houses ablate-threshold ablate-pairing ablate-scr fuzz
-//! obs stream ingest serve lint all`. An unknown experiment or flag
-//! prints the usage on stderr and exits 2 before any work.
-//!
-//! `obs` runs the instrumented packet pipeline end to end: every stage
-//! (capture, zeek, pairing, thresholds, classify, perf, report) is timed
-//! as a `stage.*` span, the per-stage counters are merged into one
-//! deterministic metrics snapshot, the span tree and a human-readable
-//! metrics table go to stderr, and the JSON snapshot goes to stdout and
-//! to `--obs-out PATH` (default `OBS_repro.json`). The `metrics` section
-//! is byte-identical for every `--threads` value; wall times live only
-//! in the `spans` section.
-//!
-//! `fuzz` sweeps deterministic fault rates (drop/truncate/bit-flip/
-//! duplicate/reorder) over a simulated capture, prints the per-rate
-//! degradation statistics, and asserts the graceful-degradation
-//! invariants: zero panics, monotone coverage loss, and a rate-0 run
-//! byte-identical to the clean pipeline. It caps the workload at 25
-//! houses × 1 day (the packet path buffers every frame).
-//!
-//! Options: `--houses N` (100), `--days D` (7), `--scale A` (0.1 activity),
-//! `--seed S` (42), `--seeds K` (1; >1 runs a parallel seed sweep),
-//! `--threads N` (0 = one worker per core; output is bit-identical for
-//! every value), `--csv` (emit CDF point series for the figures).
+//! [`EXPERIMENTS`] is the one table of what `repro` runs; dispatch, the
+//! `--help` text and the unknown-name check all read it. The paper's
+//! artifacts print from one shared simulate-and-analyse run (`all`, the
+//! default, prints every one); the other experiments drive the packet
+//! path at their own capped scale and put one JSON document on stdout,
+//! everything human-readable on stderr. An unknown experiment or flag,
+//! or a flag value that is missing, unparsable or out of range, prints
+//! the usage on stderr and exits 2 before any work.
 //!
 //! Timing lives in the bench ladder (`benchmark/`, contract in
 //! `BENCHMARK.json`), not here.
@@ -42,8 +26,11 @@ use dnsctx::cache_sim;
 use dnsctx::ccz_sim::{ScaleKnobs, Simulation, WorkloadConfig};
 use dnsctx::dns_context::classify::ThresholdRule;
 use dnsctx::dns_context::report::{cdf_series, cdf_strip, count, f1, f2, Table};
-use dnsctx::dns_context::{Analysis, AnalysisConfig, ConnClass, Ecdf, PairingPolicy};
+use dnsctx::dns_context::{
+    Analysis, AnalysisConfig, ClassCounts, ConnClass, Ecdf, PairingPolicy,
+};
 use dnsctx::zeek_lite::{Duration, Logs};
+use xkit::obs::SpanLog;
 
 struct Opts {
     houses: usize,
@@ -84,34 +71,131 @@ impl Opts {
             activity: self.scale,
         }
     }
+
+    /// The `meta` pairs every stdout document opens with.
+    fn meta(&self, experiment: &str, world: &ScaleKnobs) -> Vec<(&'static str, String)> {
+        vec![
+            ("experiment", format!("\"{experiment}\"")),
+            ("houses", world.houses.to_string()),
+            ("days", world.days.to_string()),
+            ("activity", world.activity.to_string()),
+            ("seed", self.seed.to_string()),
+            ("threads", self.threads.to_string()),
+        ]
+    }
 }
 
-/// Every name `repro` accepts as an experiment; `parse_args` rejects the
-/// rest, so a typo never falls through to the default simulation.
-const EXPERIMENTS: &[&str] = &[
-    "table1", "table2", "table3", "fig1", "fig2", "fig3", "sec51", "sec52", "sec7", "sec8",
-    "diurnal", "houses", "ablate-threshold", "ablate-pairing", "ablate-scr", "fuzz", "obs",
-    "stream", "ingest", "serve", "lint", "all",
+/// The one stdout document of `obs`, `stream`, `ingest` and `serve`: a
+/// `meta` object, then each section, all from ordered `(key, rendered
+/// JSON value)` pairs.
+fn document(meta: &[(&str, String)], sections: &[(&str, String)]) -> String {
+    let members = |pairs: &[(&str, String)]| {
+        let rendered: Vec<String> = pairs.iter().map(|(k, v)| format!("\"{k}\":{v}")).collect();
+        rendered.join(",")
+    };
+    format!("{{\"meta\":{{{}}},{}}}", members(meta), members(sections))
+}
+
+/// A class mix as N/LC/P/SC/R shares, percent.
+fn shares(c: &ClassCounts) -> [f64; 5] {
+    ConnClass::all().map(|class| c.share_pct(class))
+}
+
+/// How an experiment runs.
+enum Runner {
+    /// Prints from the shared simulate-and-analyse run.
+    Report(fn(&Opts, &Analysis<'_>)),
+    /// Every `Report`, in table order.
+    All,
+    /// Drives its own world (or none) and is the whole run.
+    Own(fn(&Opts)),
+}
+
+/// Every experiment `repro` accepts: `(name, help, runner)`. `Report`
+/// rows are in the order `all` prints them; when several `Own` rows are
+/// named, the first in the table runs.
+const EXPERIMENTS: &[(&str, &str, Runner)] = &[
+    ("table1", "use of resolver platforms", Runner::Report(table1)),
+    ("table2", "DNS information origin by connection (N/LC/P/SC/R)", Runner::Report(table2)),
+    ("fig1", "gap between DNS completion and connection start", Runner::Report(fig1)),
+    ("sec51", "connections using no DNS", Runner::Report(sec51)),
+    ("sec52", "local caching, prefetching, TTL violations", Runner::Report(sec52)),
+    ("fig2", "lookup delay, DNS contribution, significance quadrants", Runner::Report(fig2)),
+    ("sec7", "shared-cache hit rate by platform", Runner::Report(sec7)),
+    ("fig3", "R-lookup delay and throughput per platform", Runner::Report(fig3)),
+    ("sec8", "a whole-house cache", Runner::Report(sec8)),
+    ("table3", "efficacy of refreshing expiring names", Runner::Report(table3)),
+    ("diurnal", "class mix by hour of day (extension)", Runner::Report(diurnal)),
+    ("houses", "per-house DNS exposure (extension)", Runner::Report(houses)),
+    ("ablate-threshold", "blocking-threshold sweep", Runner::Report(ablate_threshold)),
+    ("ablate-pairing", "pairing policy: most-recent vs random", Runner::Report(ablate_pairing)),
+    ("ablate-scr", "SC/R resolver-threshold rule", Runner::Report(ablate_scr)),
+    ("all", "every table and figure above (the default)", Runner::All),
+    (
+        "obs",
+        "instrumented packet pipeline: capture -> monitor -> Analysis under stage.* spans;\n\
+         snapshot JSON on stdout and in --obs-out PATH (OBS_repro.json)",
+        Runner::Own(obs),
+    ),
+    (
+        "lint",
+        "token-aware invariant checker over the workspace sources\n\
+         [--format human|json] [--rule ID] [--root PATH]; exits 1 on violations",
+        Runner::Own(lint),
+    ),
+    (
+        "stream",
+        "bounded-memory epoch pipeline (window set by --window-secs, 0 = unwindowed);\n\
+         --serve ADDR exposes /metrics /snapshot /spans /events /healthz live during the\n\
+         run (stream and ingest; --serve-check self-validates every endpoint)",
+        Runner::Own(stream),
+    ),
+    (
+        "ingest",
+        "stream pipeline behind the RecordSource seam; --source picks the backend\n\
+         (file = pcap round trip, ring = in-memory SPSC ring, iface = AF_PACKET via\n\
+         --iface/--frames, needs the raw-socket build and CAP_NET_RAW)",
+        Runner::Own(ingest),
+    ),
+    (
+        "serve",
+        "multi-tenant streaming daemon; --tenants N concurrent simulated vantage points\n\
+         sharded over --threads workers, tenant-routed observability on --serve ADDR\n\
+         (/tenants, /tenants/<id>/snapshot|metrics + aggregate views)",
+        Runner::Own(serve_daemon),
+    ),
+    (
+        "fuzz",
+        "fault-rate sweep (drop/truncate/bit-flip/duplicate/reorder) over a capture;\n\
+         asserts graceful degradation",
+        Runner::Own(fuzz),
+    ),
 ];
 
-const USAGE: &str = "\
-usage: repro <experiment...> [--houses N] [--days D] [--scale A] [--seed S] [--seeds K] [--threads N] [--csv] [--obs-out PATH] [--serve ADDR] [--serve-check] [--window-secs W] [--source file|ring|iface] [--iface NAME] [--frames N] [--tenants N]
-experiments: table1 table2 table3 fig1 fig2 fig3 sec51 sec52 sec7 sec8
-               diurnal houses ablate-threshold ablate-pairing ablate-scr fuzz obs stream ingest serve all
+const FLAGS: &str = "\
+flags: --houses N (100)  --days D (7)  --scale A (0.1 activity)  --seed S (42)
+       --seeds K (1; >1 runs a parallel seed sweep)  --csv (CDF point series for the figures)
+       --threads N (0 = one worker per core; output is identical for every value)
+       --obs-out PATH  --serve ADDR  --serve-check  --window-secs W (60)  --tenants N (8)
+       --source file|ring|iface  --iface NAME (lo)  --frames N (200)
 obs-check <snapshot.json>: validate a snapshot written by `repro obs`
 obs-check --url ADDR: validate the live endpoints of a running --serve instance
-stream: bounded-memory epoch pipeline (window set by --window-secs, 0 = unwindowed)
-        --serve ADDR exposes /metrics /snapshot /spans /events /healthz live during
-        the run (stream and ingest; --serve-check self-validates every endpoint)
-ingest: stream pipeline behind the RecordSource seam; --source picks the backend
-        (file = pcap round trip, ring = in-memory SPSC ring, iface = AF_PACKET via
-        --iface/--frames, needs the raw-socket build and CAP_NET_RAW)
-serve: multi-tenant streaming daemon; --tenants N concurrent simulated vantage
-        points sharded over --threads workers, tenant-routed observability on
-        --serve ADDR (/tenants, /tenants/<id>/snapshot|metrics + aggregate views)
-lint: token-aware invariant checker over the workspace sources
-      [--format human|json] [--rule ID] [--root PATH]; exits 1 on violations
 timing: the bench ladder (benchmark/, contract in BENCHMARK.json), not this binary";
+
+/// The `--help` text, from the table.
+fn usage() -> String {
+    let mut out = String::from("usage: repro <experiment...> [flags]\nexperiments:\n");
+    for (name, help, _) in EXPERIMENTS {
+        out.push_str(&format!("  {name:<17}{}\n", help.replace('\n', "\n                   ")));
+    }
+    out + FLAGS
+}
+
+/// Print `repro: <msg>` and the usage on stderr, exit 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("repro: {msg}\n{}", usage());
+    std::process::exit(2);
+}
 
 fn parse_args() -> Opts {
     let mut opts = Opts {
@@ -136,46 +220,56 @@ fn parse_args() -> Opts {
         experiments: Vec::new(),
     };
     let mut args = std::env::args().skip(1);
+    /// The value after `flag`, parsed and in range, or the usage error.
+    fn value<T: std::str::FromStr>(
+        args: &mut impl Iterator<Item = String>,
+        flag: &str,
+        in_range: impl Fn(&T) -> bool,
+    ) -> T {
+        match args.next().and_then(|v| v.parse().ok()).filter(in_range) {
+            Some(v) => v,
+            None => usage_error(&format!("bad value for {flag}")),
+        }
+    }
+    fn any<T>(_: &T) -> bool {
+        true
+    }
+    let positive = |x: &f64| x.is_finite() && *x > 0.0;
     while let Some(a) = args.next() {
-        let mut grab = |what: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("{what} needs a value"))
-        };
-        match a.as_str() {
-            "--houses" => opts.houses = grab("--houses").parse().expect("houses"),
-            "--days" => opts.days = grab("--days").parse().expect("days"),
-            "--scale" => opts.scale = grab("--scale").parse().expect("scale"),
-            "--seed" => opts.seed = grab("--seed").parse().expect("seed"),
-            "--seeds" => opts.seeds = grab("--seeds").parse().expect("seeds"),
-            "--threads" => opts.threads = grab("--threads").parse().expect("threads"),
+        let flag = a.as_str();
+        match flag {
+            "--houses" => opts.houses = value(&mut args, flag, |n| *n > 0),
+            "--days" => opts.days = value(&mut args, flag, positive),
+            "--scale" => opts.scale = value(&mut args, flag, positive),
+            "--seed" => opts.seed = value(&mut args, flag, any),
+            "--seeds" => opts.seeds = value(&mut args, flag, |k| *k > 0),
+            "--threads" => opts.threads = value(&mut args, flag, any),
             "--csv" => opts.csv = true,
-            "--obs-out" => opts.obs_out = grab("--obs-out"),
-            "--serve" => opts.serve = grab("--serve"),
+            "--obs-out" => opts.obs_out = value(&mut args, flag, any),
+            "--serve" => opts.serve = value(&mut args, flag, any),
             "--serve-check" => opts.serve_check = true,
-            "--window-secs" => {
-                opts.window_secs = grab("--window-secs").parse().expect("window-secs")
-            }
-            "--tenants" => opts.tenants = grab("--tenants").parse().expect("tenants"),
-            "--source" => opts.source = grab("--source"),
-            "--iface" => opts.iface = grab("--iface"),
-            "--frames" => opts.frames = grab("--frames").parse().expect("frames"),
-            "--format" => opts.format = grab("--format"),
-            "--rule" => opts.rule = grab("--rule"),
-            "--root" => opts.root = grab("--root"),
+            "--window-secs" => opts.window_secs = value(&mut args, flag, |w: &f64| w.is_finite()),
+            "--tenants" => opts.tenants = value(&mut args, flag, any),
+            "--source" => opts.source = value(&mut args, flag, any),
+            "--iface" => opts.iface = value(&mut args, flag, any),
+            "--frames" => opts.frames = value(&mut args, flag, any),
+            "--format" => opts.format = value(&mut args, flag, any),
+            "--rule" => opts.rule = value(&mut args, flag, any),
+            "--root" => opts.root = value(&mut args, flag, any),
             "--help" | "-h" => {
-                println!("{USAGE}");
+                println!("{}", usage());
                 std::process::exit(0);
             }
             exp => opts.experiments.push(exp.to_string()),
         }
     }
     // `obs-check` takes free-form operands (a path, or `--url ADDR`) and
-    // prints its own usage; everything else must be a known experiment.
+    // prints its own usage; everything else must be in the table.
     if opts.experiments.first().map(String::as_str) != Some("obs-check") {
-        if let Some(bad) = opts.experiments.iter().find(|e| !EXPERIMENTS.contains(&e.as_str())) {
+        let known = |e: &String| EXPERIMENTS.iter().any(|(name, ..)| name == e);
+        if let Some(bad) = opts.experiments.iter().find(|e| !known(e)) {
             let kind = if bad.starts_with('-') { "flag" } else { "experiment" };
-            eprintln!("repro: unknown {kind} `{bad}`\n{USAGE}");
-            std::process::exit(2);
+            usage_error(&format!("unknown {kind} `{bad}`"));
         }
     }
     if opts.experiments.is_empty() {
@@ -186,12 +280,6 @@ fn parse_args() -> Opts {
 
 fn main() {
     let opts = parse_args();
-    // `obs` drives the instrumented packet pipeline at its own (capped)
-    // scale, like `fuzz`.
-    if opts.experiments.iter().any(|e| e == "obs") {
-        obs(&opts);
-        return;
-    }
     // `obs-check PATH` parses a snapshot back and checks its contract;
     // `obs-check --url ADDR` does the same against a live server.
     if opts.experiments.first().map(String::as_str) == Some("obs-check") {
@@ -205,31 +293,11 @@ fn main() {
         }
         return;
     }
-    // `lint` runs the token-aware invariant checker over the workspace.
-    if opts.experiments.iter().any(|e| e == "lint") {
-        lint(&opts);
-        return;
-    }
-    // `stream` drives the bounded-memory epoch pipeline, capped like obs.
-    if opts.experiments.iter().any(|e| e == "stream") {
-        stream(&opts);
-        return;
-    }
-    // `ingest` drives the same pipeline through a chosen RecordSource
-    // backend; file and ring emit identical stdout documents.
-    if opts.experiments.iter().any(|e| e == "ingest") {
-        ingest(&opts);
-        return;
-    }
-    // `serve` runs the multi-tenant streaming daemon.
-    if opts.experiments.iter().any(|e| e == "serve") {
-        serve_daemon(&opts);
-        return;
-    }
-    // `fuzz` drives the packet path at its own (capped) scale.
-    if opts.experiments.iter().any(|e| e == "fuzz") {
-        fuzz(&opts);
-        return;
+    let named = |name: &str| opts.experiments.iter().any(|e| e == name);
+    for (name, _, runner) in EXPERIMENTS {
+        if let (Runner::Own(run), true) = (runner, named(name)) {
+            return run(&opts);
+        }
     }
     let cfg = WorkloadConfig {
         scale: ScaleKnobs { houses: opts.houses, days: opts.days, activity: opts.scale },
@@ -244,7 +312,7 @@ fn main() {
         opts.houses, opts.days, opts.scale, opts.seed
     );
     let t0 = xkit::obs::clock::now();
-    let out = Simulation::new(cfg.clone(), opts.seed)
+    let out = Simulation::new(cfg, opts.seed)
         .expect("valid config")
         .with_threads(opts.threads)
         .run();
@@ -257,53 +325,11 @@ fn main() {
     let analysis = Analysis::run(&out.logs, opts.analysis_cfg());
     eprintln!("# analysis done in {:.1}s total\n", t0.elapsed_secs());
 
-    let all = opts.experiments.iter().any(|e| e == "all");
-    let want = |name: &str| all || opts.experiments.iter().any(|e| e == name);
-
-    if want("table1") {
-        table1(&analysis);
-    }
-    if want("table2") {
-        table2(&analysis);
-    }
-    if want("fig1") {
-        fig1(&analysis, opts.csv);
-    }
-    if want("sec51") {
-        sec51(&out.logs, &analysis);
-    }
-    if want("sec52") {
-        sec52(&analysis);
-    }
-    if want("fig2") {
-        fig2(&analysis, opts.csv);
-    }
-    if want("sec7") {
-        sec7(&analysis);
-    }
-    if want("fig3") {
-        fig3(&analysis, opts.csv);
-    }
-    if want("sec8") {
-        sec8(&out.logs, &analysis);
-    }
-    if want("table3") {
-        table3(&out.logs, &analysis);
-    }
-    if want("diurnal") {
-        diurnal(&analysis);
-    }
-    if want("houses") {
-        houses(&analysis);
-    }
-    if want("ablate-threshold") {
-        ablate_threshold(&out.logs);
-    }
-    if want("ablate-pairing") {
-        ablate_pairing(&out.logs);
-    }
-    if want("ablate-scr") {
-        ablate_scr(&out.logs);
+    let all = EXPERIMENTS.iter().any(|(name, _, r)| matches!(r, Runner::All) && named(name));
+    for (name, _, runner) in EXPERIMENTS {
+        if let (Runner::Report(run), true) = (runner, all || named(name)) {
+            run(&opts, &analysis);
+        }
     }
 }
 
@@ -346,7 +372,7 @@ fn lint(opts: &Opts) {
     std::process::exit(if report.ok() { 0 } else { 1 });
 }
 
-fn table1(analysis: &Analysis<'_>) {
+fn table1(_: &Opts, analysis: &Analysis<'_>) {
     let reports = analysis.platform_reports();
     let mut t = Table::new(
         "Table 1: use of resolver platforms (paper: Local 92.4/72.8/74.0/70.8, Google 83.5/12.9/8.3/9.2, OpenDNS 25.3/9.4/14.2/13.5, Cloudflare 3.8/3.9/2.9/5.7)",
@@ -364,7 +390,7 @@ fn table1(analysis: &Analysis<'_>) {
     println!("{}", t.render());
 }
 
-fn table2(analysis: &Analysis<'_>) {
+fn table2(_: &Opts, analysis: &Analysis<'_>) {
     let c = analysis.class_counts();
     let mut t = Table::new(
         "Table 2: DNS information origin by connection (paper: N 7.2, LC 42.9, P 7.8, SC 26.3, R 15.7)",
@@ -386,7 +412,7 @@ fn table2(analysis: &Analysis<'_>) {
     );
 }
 
-fn fig1(analysis: &Analysis<'_>, csv: bool) {
+fn fig1(opts: &Opts, analysis: &Analysis<'_>) {
     let g = analysis.gap_analysis();
     println!("== Figure 1: gap between DNS completion and connection start ==");
     print!("{}", cdf_strip("gap (ms)", &g.gaps_ms, ""));
@@ -409,12 +435,13 @@ fn fig1(analysis: &Analysis<'_>, csv: bool) {
         ),
         None => println!("estimated knee: none (distribution does not flatten)\n"),
     }
-    if csv {
+    if opts.csv {
         print!("{}", cdf_series("fig1_gap_ms", &g.gaps_ms, 200));
     }
 }
 
-fn sec51(logs: &Logs, analysis: &Analysis<'_>) {
+fn sec51(_: &Opts, analysis: &Analysis<'_>) {
+    let logs = analysis.logs();
     let b = analysis.no_dns_breakdown();
     println!("== par.5.1: connections using no DNS ==");
     println!(
@@ -436,7 +463,7 @@ fn sec51(logs: &Logs, analysis: &Analysis<'_>) {
     );
 }
 
-fn sec52(analysis: &Analysis<'_>) {
+fn sec52(_: &Opts, analysis: &Analysis<'_>) {
     let t = analysis.ttl_stats();
     println!("== par.5.2: local caching, prefetching, TTL violations ==");
     println!(
@@ -464,7 +491,7 @@ fn sec52(analysis: &Analysis<'_>) {
     );
 }
 
-fn fig2(analysis: &Analysis<'_>, csv: bool) {
+fn fig2(opts: &Opts, analysis: &Analysis<'_>) {
     let p = analysis.perf();
     println!("== Figure 2 (top): lookup delay for SC+R connections ==");
     print!("{}", cdf_strip("delay", &p.delay_ms, "ms"));
@@ -491,7 +518,7 @@ fn fig2(analysis: &Analysis<'_>, csv: bool) {
     println!("   absolute-only:             {:.1}% (paper 15.9%)", s.abs_only_pct);
     println!("   significant (both):        {:.1}% (paper 8.6%)", s.both_pct);
     println!("   significant, of ALL conns: {:.1}% (paper 3.6%)\n", s.both_share_of_all_pct);
-    if csv {
+    if opts.csv {
         print!("{}", cdf_series("fig2_delay_ms", &p.delay_ms, 200));
         print!("{}", cdf_series("fig2_contrib_all_pct", &p.contribution_pct, 200));
         print!("{}", cdf_series("fig2_contrib_sc_pct", &p.contribution_sc_pct, 200));
@@ -499,7 +526,7 @@ fn fig2(analysis: &Analysis<'_>, csv: bool) {
     }
 }
 
-fn sec7(analysis: &Analysis<'_>) {
+fn sec7(_: &Opts, analysis: &Analysis<'_>) {
     let reports = analysis.platform_reports();
     let mut t = Table::new(
         "par.7: shared-cache hit rate by platform (paper: Cloudflare 83.6, Local 71.2, OpenDNS 58.8, Google 23.0)",
@@ -513,7 +540,7 @@ fn sec7(analysis: &Analysis<'_>) {
     println!("{}", t.render());
 }
 
-fn fig3(analysis: &Analysis<'_>, csv: bool) {
+fn fig3(opts: &Opts, analysis: &Analysis<'_>) {
     let reports = analysis.platform_reports();
     println!("== Figure 3 (top): lookup delay for R connections, per platform ==");
     for r in &reports {
@@ -535,7 +562,7 @@ fn fig3(analysis: &Analysis<'_>, csv: bool) {
         }
     }
     println!();
-    if csv {
+    if opts.csv {
         for r in &reports {
             print!("{}", cdf_series(&format!("fig3_rdelay_ms_{}", r.name), &r.r_delay_ms, 200));
             print!("{}", cdf_series(&format!("fig3_tput_bps_{}", r.name), &r.throughput_bps, 200));
@@ -549,8 +576,8 @@ fn fig3(analysis: &Analysis<'_>, csv: bool) {
     }
 }
 
-fn sec8(logs: &Logs, analysis: &Analysis<'_>) {
-    let wh = cache_sim::whole_house(logs, analysis);
+fn sec8(_: &Opts, analysis: &Analysis<'_>) {
+    let wh = cache_sim::whole_house(analysis.logs(), analysis);
     println!("== par.8: a whole-house cache ==");
     println!(
         "conns moving SC/R -> LC: {} of {} = {:.1}% (paper 9.8%)",
@@ -564,8 +591,8 @@ fn sec8(logs: &Logs, analysis: &Analysis<'_>) {
     );
 }
 
-fn table3(logs: &Logs, analysis: &Analysis<'_>) {
-    let r = cache_sim::refresh(logs, analysis, Duration::from_secs(10));
+fn table3(_: &Opts, analysis: &Analysis<'_>) {
+    let r = cache_sim::refresh(analysis.logs(), analysis, Duration::from_secs(10));
     let mut t = Table::new(
         "Table 3: efficacy of refreshing expiring names (paper: hits 61.0%->96.6%, lookups 8.4M->1.2B, 0.2->25.2 q/s/house)",
         &["", "Standard", "Refresh All"],
@@ -587,7 +614,7 @@ fn table3(logs: &Logs, analysis: &Analysis<'_>) {
     println!("lookup blow-up: {:.0}x (paper ~144x)\n", r.lookup_ratio());
 }
 
-fn diurnal(analysis: &Analysis<'_>) {
+fn diurnal(_: &Opts, analysis: &Analysis<'_>) {
     println!("== diurnal profile: class mix by hour of day (extension; not a paper artifact) ==");
     let mut t = Table::new(
         "hour-of-day classification",
@@ -607,7 +634,7 @@ fn diurnal(analysis: &Analysis<'_>) {
     println!("{}", t.render());
 }
 
-fn houses(analysis: &Analysis<'_>) {
+fn houses(_: &Opts, analysis: &Analysis<'_>) {
     println!("== per-house DNS exposure (extension; not a paper artifact) ==");
     let mut t = Table::new(
         "top 12 houses by connection count",
@@ -628,31 +655,28 @@ fn houses(analysis: &Analysis<'_>) {
     println!("{}", t.render());
 }
 
-fn ablate_threshold(logs: &Logs) {
+fn ablate_threshold(opts: &Opts, analysis: &Analysis<'_>) {
+    let logs = analysis.logs();
     println!("== ablation: blocking threshold sweep (paper footnote 5) ==");
     let mut t = Table::new(
         "class mix vs blocking threshold",
         &["threshold ms", "N %", "LC %", "P %", "SC %", "R %", "blocked %"],
     );
     for ms in [10u64, 20, 50, 100, 200, 500] {
-        let mut cfg = AnalysisConfig::default();
+        let mut cfg = opts.analysis_cfg();
         cfg.block_threshold = Duration::from_millis(ms);
         let a = Analysis::run(logs, cfg);
         let c = a.class_counts();
-        t.row(&[
-            ms.to_string(),
-            f1(c.share_pct(ConnClass::NoDns)),
-            f1(c.share_pct(ConnClass::LocalCache)),
-            f1(c.share_pct(ConnClass::Prefetched)),
-            f1(c.share_pct(ConnClass::SharedCache)),
-            f1(c.share_pct(ConnClass::Resolution)),
-            f1(c.blocked_share_pct()),
-        ]);
+        let mut row = vec![ms.to_string()];
+        row.extend(shares(&c).map(f1));
+        row.push(f1(c.blocked_share_pct()));
+        t.row(&row);
     }
     println!("{}", t.render());
 }
 
-fn ablate_pairing(logs: &Logs) {
+fn ablate_pairing(opts: &Opts, analysis: &Analysis<'_>) {
+    let logs = analysis.logs();
     println!("== ablation: pairing policy (paper par.4 robustness check) ==");
     let mut t = Table::new(
         "class mix vs pairing policy",
@@ -662,30 +686,25 @@ fn ablate_pairing(logs: &Logs) {
         ("most-recent", PairingPolicy::MostRecent),
         ("random", PairingPolicy::RandomNonExpired),
     ] {
-        let mut cfg = AnalysisConfig::default();
+        let mut cfg = opts.analysis_cfg();
         cfg.policy = policy;
         let a = Analysis::run(logs, cfg);
-        let c = a.class_counts();
-        t.row(&[
-            name.into(),
-            f1(c.share_pct(ConnClass::NoDns)),
-            f1(c.share_pct(ConnClass::LocalCache)),
-            f1(c.share_pct(ConnClass::Prefetched)),
-            f1(c.share_pct(ConnClass::SharedCache)),
-            f1(c.share_pct(ConnClass::Resolution)),
-        ]);
+        let mut row = vec![name.to_string()];
+        row.extend(shares(&a.class_counts()).map(f1));
+        t.row(&row);
     }
     println!("{}", t.render());
 }
 
-fn ablate_scr(logs: &Logs) {
+fn ablate_scr(opts: &Opts, analysis: &Analysis<'_>) {
+    let logs = analysis.logs();
     println!("== ablation: SC/R resolver-threshold rule (paper par.5.3, footnote 7) ==");
     let mut t = Table::new(
         "SC/R split vs threshold multiplier",
         &["multiplier", "floor ms", "SC %", "R %", "hit rate %"],
     );
     for (mult, floor) in [(1.0, 3.0), (1.3, 5.0), (1.6, 5.0), (2.0, 8.0), (3.0, 10.0)] {
-        let mut cfg = AnalysisConfig::default();
+        let mut cfg = opts.analysis_cfg();
         cfg.threshold_rule = ThresholdRule { mult, floor_ms: floor, ..cfg.threshold_rule };
         let a = Analysis::run(logs, cfg);
         let c = a.class_counts();
@@ -699,6 +718,10 @@ fn ablate_scr(logs: &Logs) {
     }
     println!("{}", t.render());
 }
+
+/// The spans of a `repro obs` run, in order.
+const OBS_STAGES: [&str; 5] =
+    ["stage.capture", "stage.zeek", "stage.analysis", "stage.perf", "stage.report"];
 
 /// Parse a snapshot written by `repro obs` back with the in-tree JSON
 /// parser and check its contract: a `meta` section, a non-empty
@@ -729,13 +752,10 @@ fn obs_check(path: &str) {
         Some(s) => s,
         None => fail(format!("{path}: missing `spans` array")),
     };
-    for want in
-        ["capture", "zeek", "pair", "thresholds", "classify", "perf", "report"]
-    {
-        let name = format!("stage.{want}");
+    for name in OBS_STAGES {
         let span = spans
             .iter()
-            .find(|s| s.get("name").and_then(|n| n.as_str()) == Some(&name))
+            .find(|s| s.get("name").and_then(|n| n.as_str()) == Some(name))
             .unwrap_or_else(|| fail(format!("{path}: missing span {name}")));
         if span.get("wall_ns").and_then(|w| w.as_f64()).is_none() {
             fail(format!("{path}: span {name} has no wall_ns"));
@@ -875,125 +895,70 @@ fn finish_serving(opts: &Opts, who: &str, server: Option<xkit::obs::http::ObsSer
 /// `obs` experiment: the packet pipeline end to end with full
 /// instrumentation.
 ///
-/// Each stage runs under a `stage.*` span (monotonic wall time plus at
-/// least one key counter as a note) and contributes its counters to one
-/// [`xkit::obs::Metrics`] snapshot, merged in a fixed stage order. The
-/// snapshot is a pure function of (config, seed) — sharded work merges
-/// in shard order upstream — so the JSON `metrics` section is
+/// Capture, monitor, [`Analysis::run`] (the one batch pipeline), the §6
+/// figures and the report each run under one of the [`OBS_STAGES`] spans
+/// (monotonic wall time plus at least one counter note). The snapshot is
+/// `sim.*` ∪ `capture.*` ∪ `Logs::metrics()` ∪ `Analysis::metrics()`, a
+/// pure function of (config, seed), so the JSON `metrics` section is
 /// byte-identical for every `--threads` value; wall-clock times live
 /// only in the `spans` section. Human-readable output (span tree,
 /// metrics table) goes to stderr; stdout carries exactly one JSON
 /// document, also written to `--obs-out`.
 fn obs(opts: &Opts) {
-    use dnsctx::dns_context::classify::{
-        classify_parallel, count_classes, resolver_thresholds, store_class_metrics,
-        store_threshold_metrics,
-    };
-    use dnsctx::dns_context::perf::PerfAnalysis;
-    use dnsctx::dns_context::{Coverage, Pairing};
-    use dnsctx::zeek_lite::{Monitor, MonitorConfig, Timestamp};
-    use xkit::obs::SpanLog;
+    use dnsctx::zeek_lite::{Monitor, MonitorConfig};
 
     // The packet path buffers every frame, so cap the workload — but keep
     // it above one simulation shard (25 houses) so the thread-invariance
     // of the snapshot exercises a real multi-shard merge.
     let scale = opts.scale_capped(50, 1.0);
-    let (houses, days) = (scale.houses, scale.days);
     eprintln!(
-        "# obs: simulating {houses} houses x {days} days at activity {} (seed {}, threads {}) ...",
-        opts.scale, opts.seed, opts.threads
+        "# obs: simulating {} houses x {} days at activity {} (seed {}, threads {}) ...",
+        scale.houses, scale.days, opts.scale, opts.seed, opts.threads
     );
     let mut spans = SpanLog::new();
-    let acfg = opts.analysis_cfg();
+    let [capture, zeek, analyse, perf, report] = OBS_STAGES;
 
-    // stage.capture: simulate the trace and render it to pcap bytes.
-    let s = spans.start("stage.capture");
+    let s = spans.start(capture);
     let (pcap, frames, mut metrics) = capture_pcap(&scale, opts.seed, opts.threads);
     spans.note(s, "frames", frames as f64);
     spans.note(s, "pcap_bytes", pcap.len() as f64);
     spans.finish(s);
 
-    // stage.zeek: read the capture record-by-record through the monitor
-    // (borrowed records over the source's reusable buffer — no per-frame
-    // allocation; the file backend of the ingestion seam).
-    let s = spans.start("stage.zeek");
+    // Borrowed records over the file backend's reusable buffer: no
+    // per-frame allocation.
+    let s = spans.start(zeek);
     let mut source = dnsctx::pcapio::source::file(&pcap[..]).expect("pcap header");
-    let mut monitor = Monitor::new(MonitorConfig::default());
-    while let Some(record) = source.next_record().expect("pcap record") {
-        monitor.handle_frame(Timestamp(record.ts_nanos), record.data, record.orig_len);
-    }
+    let logs = Monitor::process_source(&mut source, MonitorConfig::default()).expect("pcap record");
     metrics.merge(&source.metrics());
-    let logs = monitor.finish();
-    metrics.merge(&logs.metrics());
     spans.note(s, "conn_rows", logs.conns.len() as f64);
     spans.note(s, "dns_rows", logs.dns.len() as f64);
     spans.finish(s);
 
-    // stage.pair: DN-Hunter pairing of connections with lookups.
-    let s = spans.start("stage.pair");
-    let pairing = Pairing::build(&logs.conns, &logs.dns, acfg.policy);
-    let pair_metrics = pairing.metrics();
-    spans.note(s, "app_conns", pairing.app_conn_count() as f64);
-    spans.note(s, "hits", pair_metrics.counter("pair.hit") as f64);
-    metrics.merge(&pair_metrics);
+    let s = spans.start(analyse);
+    let analysis = Analysis::run(&logs, opts.analysis_cfg());
+    spans.note(s, "app_conns", analysis.pairing.app_conn_count() as f64);
+    spans.note(s, "resolvers", analysis.thresholds.len() as f64);
+    spans.note(s, "classified", analysis.classes.len() as f64);
     spans.finish(s);
 
-    // stage.thresholds: per-resolver SC/R duration thresholds (scans the
-    // columnar projections built once here).
-    let s = spans.start("stage.thresholds");
-    let conn_cols = logs.conn_columns();
-    let dns_cols = logs.dns_columns();
-    let thresholds = resolver_thresholds(&dns_cols, acfg.threshold_rule);
-    store_threshold_metrics(&mut metrics, &thresholds);
-    spans.note(s, "resolvers", thresholds.len() as f64);
+    let s = spans.start(perf);
+    spans.note(s, "blocked_conns", analysis.perf().blocked.len() as f64);
     spans.finish(s);
 
-    // stage.classify: the Table 2 five-way split.
-    let s = spans.start("stage.classify");
-    let classes = classify_parallel(
-        opts.threads,
-        &dns_cols,
-        &pairing,
-        acfg.block_threshold,
-        &thresholds,
-        acfg.threshold_rule.floor(),
-    );
-    let counts = count_classes(&classes);
-    store_class_metrics(&mut metrics, &counts);
-    spans.note(s, "classified", counts.total() as f64);
-    spans.finish(s);
-
-    // stage.perf: blocked-connection delay figures.
-    let s = spans.start("stage.perf");
-    let perf = PerfAnalysis::compute(&conn_cols, &dns_cols, &pairing, &classes);
-    perf.store_metrics(&mut metrics);
-    spans.note(s, "blocked_conns", perf.blocked.len() as f64);
-    spans.finish(s);
-
-    // stage.report: coverage summary + human-readable rendering (stderr).
-    let s = spans.start("stage.report");
-    let coverage = Coverage {
-        frame_acceptance: logs.degradation.frame_acceptance(),
-        dns_acceptance: logs.degradation.dns_acceptance(),
-        app_conns: pairing.app_conn_count(),
-        paired: pairing.pairs.iter().filter(|p| p.dns.is_some()).count(),
-    };
-    metrics.merge(&coverage.to_metrics());
+    let s = spans.start(report);
+    metrics.merge(&logs.metrics());
+    metrics.merge(&analysis.metrics());
     let table = metrics.render_table();
     spans.note(s, "metrics", metrics.len() as f64);
     spans.finish(s);
 
-    eprintln!("# obs: coverage {coverage}");
+    eprintln!("# obs: coverage {}", analysis.coverage());
     eprint!("{table}");
     eprint!("{}", spans.render_tree());
 
-    let json = format!(
-        "{{\"meta\":{{\"experiment\":\"obs\",\"houses\":{houses},\"days\":{days},\"activity\":{},\"seed\":{},\"threads\":{}}},\"metrics\":{},\"spans\":{}}}",
-        opts.scale,
-        opts.seed,
-        opts.threads,
-        metrics.to_json(),
-        spans.to_json()
+    let json = document(
+        &opts.meta("obs", &scale),
+        &[("metrics", metrics.to_json()), ("spans", spans.to_json())],
     );
     std::fs::write(&opts.obs_out, format!("{json}\n")).expect("write obs snapshot");
     eprintln!("# obs: wrote {}", opts.obs_out);
@@ -1010,8 +975,6 @@ fn obs(opts: &Opts) {
 /// full-trace row totals — that is the point of the exercise, and the
 /// run asserts it.
 fn stream(opts: &Opts) {
-    use xkit::obs::SpanLog;
-
     // The pcap bytes live in memory, so cap the workload like `obs` does.
     let scale = opts.scale_capped(50, 1.0);
     let (houses, days) = (scale.houses, scale.days);
@@ -1078,16 +1041,9 @@ fn stream(opts: &Opts) {
     }
     finish_serving(opts, "stream", server);
 
-    let json = format!(
-        "{{\"meta\":{{\"experiment\":\"stream\",\"houses\":{houses},\"days\":{days},\"activity\":{},\"seed\":{},\"threads\":{},\"window_secs\":{}}},\"metrics\":{},\"spans\":{}}}",
-        opts.scale,
-        opts.seed,
-        opts.threads,
-        opts.window_secs,
-        metrics.to_json(),
-        spans.to_json()
-    );
-    println!("{json}");
+    let mut meta = opts.meta("stream", &scale);
+    meta.push(("window_secs", opts.window_secs.to_string()));
+    println!("{}", document(&meta, &[("metrics", metrics.to_json()), ("spans", spans.to_json())]));
 }
 
 /// `ingest` experiment: the driver's pass with the `RecordSource`
@@ -1117,6 +1073,8 @@ fn ingest(opts: &Opts) {
         "# ingest: source {} ({houses} houses x {days} days at activity {}, seed {}, threads {}, window {}s) ...",
         opts.source, opts.scale, opts.seed, opts.threads, opts.window_secs
     );
+    let mut meta = opts.meta("ingest", &scale);
+    meta.push(("window_secs", opts.window_secs.to_string()));
     let source = match opts.source.as_str() {
         "file" => Source::SimPcap { scale, seed: opts.seed },
         "ring" => Source::SimRing { scale, seed: opts.seed },
@@ -1139,15 +1097,7 @@ fn ingest(opts: &Opts) {
     );
     finish_serving(opts, "ingest", server);
 
-    let json = format!(
-        "{{\"meta\":{{\"experiment\":\"ingest\",\"houses\":{houses},\"days\":{days},\"activity\":{},\"seed\":{},\"threads\":{},\"window_secs\":{}}},\"metrics\":{}}}",
-        opts.scale,
-        opts.seed,
-        opts.threads,
-        opts.window_secs,
-        metrics.to_json()
-    );
-    println!("{json}");
+    println!("{}", document(&meta, &[("metrics", metrics.to_json())]));
 }
 
 /// `serve` experiment: the multi-tenant streaming daemon (DESIGN.md
@@ -1166,7 +1116,8 @@ fn serve_daemon(opts: &Opts) {
 
     // Per-tenant workload cap, same spirit as stream/ingest: the daemon
     // scales by tenant count, not per-tenant size.
-    let ScaleKnobs { houses, days, activity } = opts.scale_capped(12, 0.25);
+    let scale = opts.scale_capped(12, 0.25);
+    let ScaleKnobs { houses, days, activity } = scale;
     let tenants = opts.tenants.max(1);
     let addr = if opts.serve.is_empty() { "127.0.0.1:0" } else { &opts.serve };
     eprintln!(
@@ -1214,15 +1165,12 @@ fn serve_daemon(opts: &Opts) {
         .iter()
         .map(|(id, state)| format!("{{\"id\":\"{id}\",\"state\":\"{}\"}}", state.as_str()))
         .collect();
-    let json = format!(
-        "{{\"meta\":{{\"experiment\":\"serve\",\"tenants\":{tenants},\"houses\":{houses},\"days\":{days},\"activity\":{activity},\"seed\":{},\"threads\":{},\"window_secs\":{}}},\"tenants\":[{}],\"metrics\":{}}}",
-        opts.seed,
-        opts.threads,
-        opts.window_secs,
-        roster_json.join(","),
-        aggregate.to_json()
-    );
-    println!("{json}");
+    let mut meta = opts.meta("serve", &scale);
+    meta.insert(1, ("tenants", tenants.to_string()));
+    meta.push(("window_secs", opts.window_secs.to_string()));
+    let sections =
+        [("tenants", format!("[{}]", roster_json.join(","))), ("metrics", aggregate.to_json())];
+    println!("{}", document(&meta, &sections));
 }
 
 /// The tenant-plane half of `--serve-check`: `/tenants` lists exactly
@@ -1270,27 +1218,10 @@ fn check_tenant_endpoints(addr: &str, expect: usize) -> Result<(), String> {
 /// the rate-0 capture and its logs are byte-identical to the clean
 /// pipeline's.
 fn fuzz(opts: &Opts) {
-    use dnsctx::pcapio::{self, PcapRecord, RecordTransform};
+    use dnsctx::pcapio;
     use dnsctx::zeek_lite::{logfmt, Monitor, MonitorConfig};
-    use xkit::fault::{FaultConfig, FaultInjector, RawFrame};
+    use xkit::fault::{FaultConfig, FaultInjector};
     use xkit::rng::{SeedableRng, StdRng};
-
-    /// Bridge the injector into the pcap rewrite seam.
-    struct Corruptor(FaultInjector);
-    impl Corruptor {
-        fn to_rec(f: RawFrame) -> PcapRecord {
-            PcapRecord { ts_nanos: f.ts_nanos, orig_len: f.orig_len, data: f.data }
-        }
-    }
-    impl RecordTransform for Corruptor {
-        fn apply(&mut self, r: PcapRecord) -> Vec<PcapRecord> {
-            let raw = RawFrame { ts_nanos: r.ts_nanos, orig_len: r.orig_len, data: r.data };
-            self.0.apply(raw).into_iter().map(Self::to_rec).collect()
-        }
-        fn flush(&mut self) -> Vec<PcapRecord> {
-            self.0.flush().into_iter().map(Self::to_rec).collect()
-        }
-    }
 
     /// Serialize both logs to their Zeek-style TSV form for byte-exact
     /// comparison.
@@ -1321,14 +1252,13 @@ fn fuzz(opts: &Opts) {
     let mut coverages = Vec::new();
     for (i, &rate) in rates.iter().enumerate() {
         let mut corrupted = Vec::new();
-        let mut c = Corruptor(FaultInjector::new(FaultConfig::uniform(rate), master.split(i as u64)));
-        pcapio::rewrite(&clean[..], &mut corrupted, &mut c).expect("in-memory rewrite");
-        let fs = *c.0.stats();
+        let mut injector = FaultInjector::new(FaultConfig::uniform(rate), master.split(i as u64));
+        pcapio::rewrite(&clean[..], &mut corrupted, &mut injector).expect("in-memory rewrite");
+        let fs = *injector.stats();
         let logs = Monitor::process_pcap(&corrupted[..], MonitorConfig::default())
             .expect("corrupted capture still reads record-by-record");
         let analysis = Analysis::run(&logs, opts.analysis_cfg());
         let cov = analysis.coverage();
-        let counts = analysis.class_counts();
 
         println!("== fuzz: fault rate {rate} ==");
         println!(
@@ -1337,14 +1267,8 @@ fn fuzz(opts: &Opts) {
         );
         print!("{}", logs.degradation);
         println!("coverage: {cov}");
-        println!(
-            "class mix: N {:.1}%  LC {:.1}%  P {:.1}%  SC {:.1}%  R {:.1}%\n",
-            counts.share_pct(ConnClass::NoDns),
-            counts.share_pct(ConnClass::LocalCache),
-            counts.share_pct(ConnClass::Prefetched),
-            counts.share_pct(ConnClass::SharedCache),
-            counts.share_pct(ConnClass::Resolution),
-        );
+        let [n, lc, p, sc, r] = shares(&analysis.class_counts());
+        println!("class mix: N {n:.1}%  LC {lc:.1}%  P {p:.1}%  SC {sc:.1}%  R {r:.1}%\n");
 
         if rate == 0.0 {
             assert_eq!(corrupted, clean, "rate-0 rewrite must be byte-identical to the capture");
@@ -1382,15 +1306,10 @@ fn fuzz(opts: &Opts) {
     );
 }
 
-/// One seed's headline statistics, for the multi-seed spread table.
-#[derive(Clone, Copy)]
-struct Headline {
-    seed: u64,
-    shares: [f64; 5],
-    blocked: f64,
-    hit_rate: f64,
-    significant_all: f64,
-}
+/// One seed's headline statistics, a row of the multi-seed table: the
+/// N/LC/P/SC/R shares, blocked share, shared-cache hit rate and the
+/// significant share of all connections, percent.
+type Headline = [f64; 8];
 
 /// Run one full simulation + analysis and distill the headline numbers.
 /// Each worker runs its simulation single-threaded: in a seed sweep the
@@ -1410,20 +1329,9 @@ fn headline_for_seed(
     acfg.threads = 1;
     let analysis = Analysis::run_with(scratch, &out.logs, acfg);
     let c = analysis.class_counts();
-    let shares = [
-        c.share_pct(ConnClass::NoDns),
-        c.share_pct(ConnClass::LocalCache),
-        c.share_pct(ConnClass::Prefetched),
-        c.share_pct(ConnClass::SharedCache),
-        c.share_pct(ConnClass::Resolution),
-    ];
-    Headline {
-        seed,
-        shares,
-        blocked: c.blocked_share_pct(),
-        hit_rate: 100.0 * c.shared_hit_rate(),
-        significant_all: analysis.significance().both_share_of_all_pct,
-    }
+    let [n, lc, p, sc, r] = shares(&c);
+    let significant = analysis.significance().both_share_of_all_pct;
+    [n, lc, p, sc, r, c.blocked_share_pct(), 100.0 * c.shared_hit_rate(), significant]
 }
 
 /// Multi-seed mode: run K simulations in parallel and report the spread
@@ -1440,9 +1348,9 @@ fn multi_seed(cfg: &WorkloadConfig, opts: &Opts) {
     let seeds: Vec<u64> = (0..opts.seeds as u64).map(|k| opts.seed + k).collect();
     // par_map_with preserves input order (the rows come back seed-sorted)
     // and builds one analysis scratch per worker, reused across seeds.
-    let rows = xkit::par::par_map_with(
+    let rows: Vec<Headline> = xkit::par::par_map_with(
         opts.threads,
-        seeds,
+        seeds.clone(),
         dnsctx::dns_context::AnalysisScratch::default,
         |scratch, _, seed| headline_for_seed(cfg, scratch, seed),
     );
@@ -1451,41 +1359,20 @@ fn multi_seed(cfg: &WorkloadConfig, opts: &Opts) {
         "headline statistics across seeds (paper: N 7.2, LC 42.9, P 7.8, SC 26.3, R 15.7; blocked 42.1; hit 62.6; signif 3.6)",
         &["seed", "N %", "LC %", "P %", "SC %", "R %", "blocked %", "hit %", "signif %"],
     );
-    for h in &rows {
-        t.row(&[
-            h.seed.to_string(),
-            f1(h.shares[0]),
-            f1(h.shares[1]),
-            f1(h.shares[2]),
-            f1(h.shares[3]),
-            f1(h.shares[4]),
-            f1(h.blocked),
-            f1(h.hit_rate),
-            f1(h.significant_all),
-        ]);
+    for (seed, h) in seeds.iter().zip(&rows) {
+        let mut row = vec![seed.to_string()];
+        row.extend(h.map(f1));
+        t.row(&row);
     }
-    let col = |f: &dyn Fn(&Headline) -> f64| {
-        let vals: Vec<f64> = rows.iter().map(f).collect();
-        let mean = vals.iter().sum::<f64>() / vals.len() as f64;
-        let spread = vals.iter().cloned().fold(f64::NEG_INFINITY, f64::max)
-            - vals.iter().cloned().fold(f64::INFINITY, f64::min);
-        (mean, spread)
-    };
-    let summary: Vec<(f64, f64)> = vec![
-        col(&|h| h.shares[0]),
-        col(&|h| h.shares[1]),
-        col(&|h| h.shares[2]),
-        col(&|h| h.shares[3]),
-        col(&|h| h.shares[4]),
-        col(&|h| h.blocked),
-        col(&|h| h.hit_rate),
-        col(&|h| h.significant_all),
-    ];
     let mut mean_row = vec!["mean".to_string()];
     let mut spread_row = vec!["spread".to_string()];
-    for (m, s) in &summary {
-        mean_row.push(f1(*m));
-        spread_row.push(f1(*s));
+    for col in 0..rows[0].len() {
+        let vals = rows.iter().map(|h| h[col]);
+        let mean = vals.clone().sum::<f64>() / rows.len() as f64;
+        let spread = vals.clone().fold(f64::NEG_INFINITY, f64::max)
+            - vals.fold(f64::INFINITY, f64::min);
+        mean_row.push(f1(mean));
+        spread_row.push(f1(spread));
     }
     t.row(&mean_row);
     t.row(&spread_row);

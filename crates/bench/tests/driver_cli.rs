@@ -5,8 +5,9 @@
 //! `ingest --source ring`.
 //!
 //! Also pinned here, because nothing else drives them at the CLI: the
-//! `--seeds K` sweep is independent of `--threads`, and an unknown
-//! experiment or flag is a usage error before any work.
+//! `--seeds K` sweep is independent of `--threads`; an unknown
+//! experiment or flag, or a bad flag value, is a usage error before any
+//! work; and `repro obs` publishes exactly the library's fold.
 
 use std::process::{Command, Output};
 use xkit::obs::json;
@@ -79,12 +80,49 @@ fn seed_sweep_is_thread_invariant() {
 
 #[test]
 fn unknown_experiment_or_flag_is_a_usage_error_before_any_work() {
-    for args in [&["bench"][..], &["nosuch"], &["table2", "--seedz", "1"]] {
+    for args in [
+        &["bench"][..],
+        &["nosuch"],
+        &["table2", "--seedz", "1"],
+        &["table2", "--houses"],
+        &["table2", "--houses", "abc"],
+        &["table2", "--houses", "0"],
+    ] {
         let output = repro(args);
         assert_eq!(output.status.code(), Some(2), "repro {args:?}: {output:?}");
         assert!(output.stdout.is_empty(), "repro {args:?} wrote to stdout: {output:?}");
         let stderr = String::from_utf8(output.stderr).expect("utf8 stderr");
         assert!(stderr.contains("usage: repro"), "repro {args:?} printed no usage: {stderr}");
         assert!(!stderr.contains("# simulating"), "repro {args:?} simulated: {stderr}");
+        assert!(!stderr.contains("panicked"), "repro {args:?} panicked: {stderr}");
     }
+}
+
+#[test]
+fn obs_metrics_are_the_library_fold() {
+    use dnsctx::ccz_sim::ScaleKnobs;
+    use dnsctx::dns_context::{Analysis, AnalysisConfig};
+    use dnsctx::zeek_lite::{Monitor, MonitorConfig};
+
+    let out = std::env::temp_dir().join(format!("driver_cli_obs_{}.json", std::process::id()));
+    let output = repro(&[
+        "obs", "--houses", "30", "--days", "0.02", "--scale", "0.3", "--obs-out",
+        out.to_str().expect("utf8 temp path"),
+    ]);
+    let _ = std::fs::remove_file(&out);
+    assert!(output.status.success(), "repro obs failed: {output:?}");
+    let doc = String::from_utf8(output.stdout).expect("utf8 stdout");
+    let cli = json::parse(&doc).expect("one JSON document on stdout");
+
+    // sim.* ∪ capture.* ∪ Logs::metrics() ∪ Analysis::metrics(), in process.
+    let scale = ScaleKnobs { houses: 30, days: 0.02, activity: 0.3 };
+    let (pcap, _frames, mut fold) = bench::pipeline::capture_pcap(&scale, 42, 0);
+    let mut source = dnsctx::pcapio::source::file(&pcap[..]).expect("pcap header");
+    let logs = Monitor::process_source(&mut source, MonitorConfig::default()).expect("reads");
+    fold.merge(&source.metrics());
+    fold.merge(&logs.metrics());
+    fold.merge(&Analysis::run(&logs, AnalysisConfig::default()).metrics());
+
+    let lib = json::parse(&fold.to_json()).expect("canonical snapshot");
+    assert_eq!(cli.get("metrics").expect("metrics section").render(), lib.render());
 }

@@ -47,17 +47,8 @@ fn obs_json_parses_back_and_is_thread_invariant() {
         .iter()
         .filter_map(|s| s.get("name").and_then(|n| n.as_str()))
         .collect();
-    for want in [
-        "stage.capture",
-        "stage.zeek",
-        "stage.pair",
-        "stage.thresholds",
-        "stage.classify",
-        "stage.perf",
-        "stage.report",
-    ] {
-        assert!(names.contains(&want), "missing span {want} in {names:?}");
-    }
+    let stages = ["stage.capture", "stage.zeek", "stage.analysis", "stage.perf", "stage.report"];
+    assert_eq!(names, stages, "obs is five stages over `Analysis`");
     for s in spans {
         let wall = s.get("wall_ns").and_then(|w| w.as_f64()).expect("wall_ns");
         assert!(wall >= 0.0);

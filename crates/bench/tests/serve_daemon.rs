@@ -123,7 +123,10 @@ fn mid_run_tenant_scrapes_are_prefix_valid() {
                 }
                 Metric::Gauge(_) => {}
                 Metric::Hist(h) => {
-                    let f = fin.hist(name).map(|h| h.count()).unwrap_or(0);
+                    let f = match fin.get(name) {
+                        Some(Metric::Hist(f)) => f.count(),
+                        _ => 0,
+                    };
                     assert!(h.count() <= f, "hist {name}: mid count {} > final {f}", h.count());
                 }
             }

@@ -11,9 +11,9 @@
 
 use dnsctx::ccz_sim::{ScaleKnobs, Simulation, WorkloadConfig};
 use dnsctx::dns_context::{stream, Analysis, AnalysisConfig};
-use dnsctx::pcapio::{self, PcapRecord, RecordTransform};
+use dnsctx::pcapio;
 use dnsctx::zeek_lite::{logfmt, Duration, Logs, Monitor, MonitorConfig};
-use xkit::fault::{FaultConfig, FaultInjector, RawFrame};
+use xkit::fault::{FaultConfig, FaultInjector};
 use xkit::rng::{SeedableRng, StdRng};
 
 const SEED: u64 = 1303;
@@ -126,26 +126,6 @@ fn stream_agrees_for_all_windows_and_threads() {
     }
 }
 
-/// Bridge the fault injector into the pcap rewrite seam — the path that
-/// deliberately leaves the zero-copy reader via `RecordRef::to_owned`.
-struct Corruptor(FaultInjector);
-
-impl Corruptor {
-    fn to_rec(f: RawFrame) -> PcapRecord {
-        PcapRecord { ts_nanos: f.ts_nanos, orig_len: f.orig_len, data: f.data }
-    }
-}
-
-impl RecordTransform for Corruptor {
-    fn apply(&mut self, r: PcapRecord) -> Vec<PcapRecord> {
-        let raw = RawFrame { ts_nanos: r.ts_nanos, orig_len: r.orig_len, data: r.data };
-        self.0.apply(raw).into_iter().map(Self::to_rec).collect()
-    }
-    fn flush(&mut self) -> Vec<PcapRecord> {
-        self.0.flush().into_iter().map(Self::to_rec).collect()
-    }
-}
-
 #[test]
 fn owned_fallback_rewrite_agrees_with_borrowed_reader() {
     let clean = capture_bytes(1);
@@ -153,8 +133,7 @@ fn owned_fallback_rewrite_agrees_with_borrowed_reader() {
     // Rate 0: the owned round-trip must reproduce the capture bit for
     // bit, and its logs must match the borrowed reader's.
     let mut copied = Vec::new();
-    let mut identity =
-        Corruptor(FaultInjector::new(FaultConfig::clean(), StdRng::seed_from_u64(SEED)));
+    let mut identity = FaultInjector::new(FaultConfig::clean(), StdRng::seed_from_u64(SEED));
     pcapio::rewrite(&clean[..], &mut copied, &mut identity).expect("in-memory rewrite");
     assert_eq!(copied, clean, "rate-0 rewrite must be byte-identical");
     let borrowed = Monitor::process_pcap(&clean[..], MonitorConfig::default()).expect("parses");
@@ -165,11 +144,9 @@ fn owned_fallback_rewrite_agrees_with_borrowed_reader() {
     // corrupted bytes, and the downstream analysis is thread-invariant.
     let corrupt_once = || {
         let mut out = Vec::new();
-        let mut c = Corruptor(FaultInjector::new(
-            FaultConfig::uniform(0.05),
-            StdRng::seed_from_u64(SEED),
-        ));
-        pcapio::rewrite(&clean[..], &mut out, &mut c).expect("in-memory rewrite");
+        let mut injector =
+            FaultInjector::new(FaultConfig::uniform(0.05), StdRng::seed_from_u64(SEED));
+        pcapio::rewrite(&clean[..], &mut out, &mut injector).expect("in-memory rewrite");
         out
     };
     let corrupted = corrupt_once();

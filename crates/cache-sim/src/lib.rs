@@ -63,20 +63,14 @@ pub fn whole_house(logs: &Logs, analysis: &Analysis<'_>) -> WholeHouseReport {
     let mut moved_sc = 0usize;
     let mut moved_r = 0usize;
     for (pair, class) in analysis.pairing.pairs.iter().zip(&analysis.classes) {
-        match class {
-            ConnClass::SharedCache => {
-                sc += 1;
-                if absorbed[pair.dns.expect("SC paired")] {
-                    moved_sc += 1;
-                }
-            }
-            ConnClass::Resolution => {
-                r += 1;
-                if absorbed[pair.dns.expect("R paired")] {
-                    moved_r += 1;
-                }
-            }
-            _ => {}
+        let (blocked, moved) = match class {
+            ConnClass::SharedCache => (&mut sc, &mut moved_sc),
+            ConnClass::Resolution => (&mut r, &mut moved_r),
+            _ => continue,
+        };
+        *blocked += 1;
+        if absorbed[pair.dns.expect("blocked conns are paired")] {
+            *moved += 1;
         }
     }
     let total = analysis.pairing.app_conn_count();
@@ -86,9 +80,9 @@ pub fn whole_house(logs: &Logs, analysis: &Analysis<'_>) -> WholeHouseReport {
         sc_conns: sc,
         r_conns: r,
         moved,
-        moved_share_of_all_pct: pct(moved, total),
-        sc_benefit_pct: pct(moved_sc, sc),
-        r_benefit_pct: pct(moved_r, r),
+        moved_share_of_all_pct: pct(moved as u64, total as u64),
+        sc_benefit_pct: pct(moved_sc as u64, sc as u64),
+        r_benefit_pct: pct(moved_r as u64, r as u64),
     }
 }
 
@@ -263,77 +257,112 @@ struct Need {
     name: usize,
 }
 
-/// Gather the per-connection name needs and the per-name authoritative
-/// TTLs (maximum observed TTL per query name, per the paper).
-fn needs_and_ttls(logs: &Logs, analysis: &Analysis<'_>) -> (Vec<Need>, Vec<u32>, Vec<String>) {
-    let mut name_ids: HashMap<&str, usize> = HashMap::new();
-    let mut names: Vec<String> = Vec::new();
-    let mut max_ttl: Vec<u32> = Vec::new();
-    for txn in &logs.dns {
-        let id = *name_ids.entry(txn.query.as_str()).or_insert_with(|| {
-            names.push(txn.query.clone());
-            max_ttl.push(0);
-            names.len() - 1
-        });
-        if let Some(ttl) = txn.min_ttl() {
-            max_ttl[id] = max_ttl[id].max(ttl);
-        }
-    }
-    let mut needs = Vec::new();
-    for pair in &analysis.pairing.pairs {
-        let Some(di) = pair.dns else { continue };
-        let txn = &logs.dns[di];
-        let conn = &logs.conns[pair.conn];
-        needs.push(Need {
-            ts: conn.ts,
-            house: conn.id.orig_addr,
-            name: name_ids[txn.query.as_str()],
-        });
-    }
-    needs.sort_by_key(|n| n.ts);
-    (needs, max_ttl, names)
+/// What the refresh policies replay, built once per call.
+struct Trace {
+    /// The DNS-using connections, in start order.
+    needs: Vec<Need>,
+    /// Per interned name, its authoritative TTL in seconds: the maximum
+    /// observed for it (per the paper), at least 1.
+    ttl_secs: Vec<u32>,
+    /// Trace length for the rates: first record to the last record of
+    /// either log, seconds (at least 1).
+    secs: f64,
+    /// Houses observed (at least 1).
+    houses: usize,
+    /// Where refreshing stops: the last connection's start. No need
+    /// comes later, whatever the DNS log still holds.
+    refresh_end: Timestamp,
 }
 
-fn trace_geometry(logs: &Logs) -> (f64, usize) {
-    let houses: HashSet<Ipv4Addr> = logs.dns.iter().map(|t| t.client).collect();
-    let start = logs
-        .conns
-        .first()
-        .map(|c| c.ts)
-        .or_else(|| logs.dns.first().map(|d| d.ts))
-        .unwrap_or(Timestamp::ZERO);
-    let end_c = logs.conns.last().map(|c| c.ts).unwrap_or(start);
-    let end_d = logs.dns.last().map(|d| d.ts).unwrap_or(start);
-    let end = end_c.max(end_d);
-    (end.since(start).as_secs_f64().max(1.0), houses.len().max(1))
+impl Trace {
+    fn new(logs: &Logs, analysis: &Analysis<'_>) -> Trace {
+        let mut name_ids: HashMap<&str, usize> = HashMap::new();
+        let mut ttl_secs: Vec<u32> = Vec::new();
+        for txn in &logs.dns {
+            let id = *name_ids.entry(txn.query.as_str()).or_insert_with(|| {
+                ttl_secs.push(1);
+                ttl_secs.len() - 1
+            });
+            if let Some(ttl) = txn.min_ttl() {
+                ttl_secs[id] = ttl_secs[id].max(ttl);
+            }
+        }
+        let mut needs = Vec::new();
+        for pair in &analysis.pairing.pairs {
+            let Some(di) = pair.dns else { continue };
+            let conn = &logs.conns[pair.conn];
+            needs.push(Need {
+                ts: conn.ts,
+                house: conn.id.orig_addr,
+                name: name_ids[logs.dns[di].query.as_str()],
+            });
+        }
+        needs.sort_by_key(|n| n.ts);
+
+        let houses: HashSet<Ipv4Addr> = logs.dns.iter().map(|t| t.client).collect();
+        let first_dns = logs.dns.first().map(|d| d.ts);
+        let last_conn = logs.conns.last().map(|c| c.ts);
+        let start = logs.conns.first().map(|c| c.ts).or(first_dns).unwrap_or(Timestamp::ZERO);
+        let end = last_conn.unwrap_or(start).max(logs.dns.last().map_or(start, |d| d.ts));
+        Trace {
+            needs,
+            ttl_secs,
+            secs: end.since(start).as_secs_f64().max(1.0),
+            houses: houses.len().max(1),
+            refresh_end: last_conn.unwrap_or(Timestamp::ZERO),
+        }
+    }
+
+    fn ttl(&self, name: usize) -> Duration {
+        Duration::from_secs(u64::from(self.ttl_secs[name]))
+    }
+
+    /// Refreshes that keep `name` fresh from `from` to `to`: one per TTL.
+    fn refreshes(&self, name: usize, from: Timestamp, to: Timestamp) -> u64 {
+        (to.since(from).as_secs_f64() / f64::from(self.ttl_secs[name])).floor() as u64
+    }
+
+    /// One Table 3 column from a policy's tallies.
+    fn report(&self, lookups: u64, hits: u64, misses: u64) -> CachePolicyReport {
+        CachePolicyReport {
+            conns: self.needs.len(),
+            lookups,
+            lookups_per_sec_per_house: lookups as f64 / self.secs / self.houses as f64,
+            hit_pct: pct(hits, hits + misses),
+            miss_pct: pct(misses, hits + misses),
+        }
+    }
+}
+
+/// A demand cache of `(house, name)` → expiry of the cached record.
+type DemandCache = HashMap<(Ipv4Addr, usize), Option<Timestamp>>;
+
+/// The demand cache, spelled once: a use at `ts` hits while the cached
+/// record is live (`expiry > ts`, strict — [`CacheReplay::offer`]'s
+/// boundary); otherwise it misses and the lookup re-primes the slot for
+/// `ttl`.
+fn demand_hit(expiry: &mut Option<Timestamp>, ts: Timestamp, ttl: Duration) -> bool {
+    if expiry.is_some_and(|e| e > ts) {
+        return true;
+    }
+    *expiry = Some(ts + ttl);
+    false
 }
 
 /// Run Table 3's two policies. `refresh_min_ttl` is the paper's 10 s
 /// floor below which entries are not refreshed.
 pub fn refresh(logs: &Logs, analysis: &Analysis<'_>, refresh_min_ttl: Duration) -> RefreshReport {
-    let (needs, max_ttl, _names) = needs_and_ttls(logs, analysis);
-    let (trace_secs, houses) = trace_geometry(logs);
-    let end = logs
-        .conns
-        .last()
-        .map(|c| c.ts)
-        .unwrap_or(Timestamp::ZERO);
+    let trace = Trace::new(logs, analysis);
 
     // ---- standard policy ----
-    let mut cache: HashMap<(Ipv4Addr, usize), Timestamp> = HashMap::new();
+    let mut cache = DemandCache::new();
     let mut std_hits = 0u64;
     let mut std_misses = 0u64;
-    for n in &needs {
-        let ttl = max_ttl[n.name].max(1);
-        let hit = cache
-            .get(&(n.house, n.name))
-            .map(|expiry| *expiry > n.ts)
-            .unwrap_or(false);
-        if hit {
+    for n in &trace.needs {
+        if demand_hit(cache.entry((n.house, n.name)).or_default(), n.ts, trace.ttl(n.name)) {
             std_hits += 1;
         } else {
             std_misses += 1;
-            cache.insert((n.house, n.name), n.ts + Duration::from_secs(ttl as u64));
         }
     }
 
@@ -345,29 +374,22 @@ pub fn refresh(logs: &Logs, analysis: &Analysis<'_>, refresh_min_ttl: Duration) 
     let mut first_seen: HashMap<(Ipv4Addr, usize), Timestamp> = HashMap::new();
     let mut ref_hits = 0u64;
     let mut ref_misses = 0u64;
-    let mut demand_cache: HashMap<(Ipv4Addr, usize), Timestamp> = HashMap::new();
-    for n in &needs {
-        let ttl = max_ttl[n.name].max(1);
-        let refreshable = Duration::from_secs(ttl as u64) >= refresh_min_ttl;
-        if refreshable {
-            if first_seen.contains_key(&(n.house, n.name)) {
-                ref_hits += 1;
-            } else {
-                ref_misses += 1;
+    let mut low_ttl = DemandCache::new();
+    for n in &trace.needs {
+        let ttl = trace.ttl(n.name);
+        let hit = if ttl >= refresh_min_ttl {
+            let seen = first_seen.contains_key(&(n.house, n.name));
+            if !seen {
                 first_seen.insert((n.house, n.name), n.ts);
             }
+            seen
         } else {
-            // Low-TTL names behave like the standard cache.
-            let hit = demand_cache
-                .get(&(n.house, n.name))
-                .map(|expiry| *expiry > n.ts)
-                .unwrap_or(false);
-            if hit {
-                ref_hits += 1;
-            } else {
-                ref_misses += 1;
-                demand_cache.insert((n.house, n.name), n.ts + Duration::from_secs(ttl as u64));
-            }
+            demand_hit(low_ttl.entry((n.house, n.name)).or_default(), n.ts, ttl)
+        };
+        if hit {
+            ref_hits += 1;
+        } else {
+            ref_misses += 1;
         }
     }
     // Refresh lookup cost: every demand miss (both kinds) is one lookup,
@@ -376,23 +398,14 @@ pub fn refresh(logs: &Logs, analysis: &Analysis<'_>, refresh_min_ttl: Duration) 
     let mut refresh_lookups: u64 = ref_misses;
     // lint: allow(no-map-iteration): order-insensitive integer fold
     for ((_, name), t0) in &first_seen {
-        let ttl = max_ttl[*name].max(1) as f64;
-        let window = end.since(*t0).as_secs_f64();
-        refresh_lookups += (window / ttl).floor() as u64;
+        refresh_lookups += trace.refreshes(*name, *t0, trace.refresh_end);
     }
 
-    let policy = |lookups: u64, hits: u64, misses: u64| CachePolicyReport {
-        conns: needs.len(),
-        lookups,
-        lookups_per_sec_per_house: lookups as f64 / trace_secs / houses as f64,
-        hit_pct: pct64(hits, hits + misses),
-        miss_pct: pct64(misses, hits + misses),
-    };
     RefreshReport {
-        standard: policy(std_misses, std_hits, std_misses),
-        refresh_all: policy(refresh_lookups, ref_hits, ref_misses),
-        trace_secs,
-        houses,
+        standard: trace.report(std_misses, std_hits, std_misses),
+        refresh_all: trace.report(refresh_lookups, ref_hits, ref_misses),
+        trace_secs: trace.secs,
+        houses: trace.houses,
     }
 }
 
@@ -407,40 +420,28 @@ pub fn serve_stale(
     analysis: &Analysis<'_>,
     max_stale: Duration,
 ) -> CachePolicyReport {
-    let (needs, max_ttl, _names) = needs_and_ttls(logs, analysis);
-    let (trace_secs, houses) = trace_geometry(logs);
+    let trace = Trace::new(logs, analysis);
     // Entry state: expiry of the freshest copy ever fetched.
-    let mut cache: HashMap<(Ipv4Addr, usize), Timestamp> = HashMap::new();
+    let mut cache = DemandCache::new();
     let mut hits = 0u64;
     let mut misses = 0u64;
     let mut lookups = 0u64;
-    for n in &needs {
-        let ttl = Duration::from_secs(max_ttl[n.name].max(1) as u64);
-        match cache.get(&(n.house, n.name)).copied() {
-            Some(expiry) if expiry > n.ts => {
-                hits += 1;
-            }
-            Some(expiry) if n.ts.since(expiry) <= max_stale => {
-                // Stale-but-usable: serve it, refresh in the background.
-                hits += 1;
-                lookups += 1;
-                cache.insert((n.house, n.name), n.ts + ttl);
-            }
-            _ => {
-                // Cold (or too stale to serve): the client blocks.
-                misses += 1;
-                lookups += 1;
-                cache.insert((n.house, n.name), n.ts + ttl);
-            }
+    for n in &trace.needs {
+        let slot = cache.entry((n.house, n.name)).or_default();
+        let stale = *slot;
+        if demand_hit(slot, n.ts, trace.ttl(n.name)) {
+            hits += 1;
+            continue;
+        }
+        lookups += 1;
+        match stale {
+            // Stale-but-usable: served at once, refreshed in the background.
+            Some(expiry) if n.ts.since(expiry) <= max_stale => hits += 1,
+            // Cold (or too stale to serve): the client blocks.
+            _ => misses += 1,
         }
     }
-    CachePolicyReport {
-        conns: needs.len(),
-        lookups,
-        lookups_per_sec_per_house: lookups as f64 / trace_secs / houses as f64,
-        hit_pct: pct64(hits, hits + misses),
-        miss_pct: pct64(misses, hits + misses),
-    }
+    trace.report(lookups, hits, misses)
 }
 
 /// The future-work policy: refresh only names the house used at least
@@ -453,13 +454,11 @@ pub fn refresh_selective(
     min_uses: usize,
     idle_cutoff: Duration,
 ) -> CachePolicyReport {
-    let (needs, max_ttl, _names) = needs_and_ttls(logs, analysis);
-    let (trace_secs, houses) = trace_geometry(logs);
-    let end = logs.conns.last().map(|c| c.ts).unwrap_or(Timestamp::ZERO);
+    let trace = Trace::new(logs, analysis);
 
     // Pass 1: per (house, name), the use timestamps.
     let mut uses: HashMap<(Ipv4Addr, usize), Vec<Timestamp>> = HashMap::new();
-    for n in &needs {
+    for n in &trace.needs {
         uses.entry((n.house, n.name)).or_default().push(n.ts);
     }
 
@@ -468,19 +467,17 @@ pub fn refresh_selective(
     let mut lookups = 0u64;
     // lint: allow(no-map-iteration): order-insensitive integer fold per key
     for ((_house, name), times) in &uses {
-        let ttl = max_ttl[*name].max(1);
-        let ttl_d = Duration::from_secs(ttl as u64);
-        let qualifies = times.len() >= min_uses && ttl_d >= refresh_min_ttl;
+        let ttl = trace.ttl(*name);
+        let qualifies = times.len() >= min_uses && ttl >= refresh_min_ttl;
         if !qualifies {
             // Standard demand behaviour for this (house, name).
-            let mut expiry: Option<Timestamp> = None;
+            let mut expiry = None;
             for t in times {
-                if expiry.map(|e| e > *t).unwrap_or(false) {
+                if demand_hit(&mut expiry, *t, ttl) {
                     hits += 1;
                 } else {
                     misses += 1;
                     lookups += 1;
-                    expiry = Some(*t + ttl_d);
                 }
             }
             continue;
@@ -493,36 +490,21 @@ pub fn refresh_selective(
         let mut horizon = times[0];
         for (i, t) in times.iter().enumerate() {
             let next_use = times.get(i + 1).copied();
-            let warm_until = (*t + idle_cutoff).min(end);
+            let warm_until = (*t + idle_cutoff).min(trace.refresh_end);
             let warm_until = match next_use {
                 Some(nu) if nu <= warm_until => nu,
                 _ => warm_until,
             };
             if warm_until > horizon {
-                let span = warm_until.since(horizon).as_secs_f64();
-                lookups += (span / ttl as f64).floor() as u64;
+                lookups += trace.refreshes(*name, horizon, warm_until);
                 horizon = warm_until;
             }
         }
     }
-    CachePolicyReport {
-        conns: needs.len(),
-        lookups,
-        lookups_per_sec_per_house: lookups as f64 / trace_secs / houses as f64,
-        hit_pct: pct64(hits, hits + misses),
-        miss_pct: pct64(misses, hits + misses),
-    }
+    trace.report(lookups, hits, misses)
 }
 
-fn pct(part: usize, whole: usize) -> f64 {
-    if whole == 0 {
-        0.0
-    } else {
-        100.0 * part as f64 / whole as f64
-    }
-}
-
-fn pct64(part: u64, whole: u64) -> f64 {
+fn pct(part: u64, whole: u64) -> f64 {
     if whole == 0 {
         0.0
     } else {
@@ -731,6 +713,34 @@ mod tests {
         assert_eq!(replay.evicted(), 1);
         // The miss re-primed the cache.
         assert_eq!(replay.live(), 1);
+    }
+
+    /// The policies' demand cache has `CacheReplay`'s boundary: a use at
+    /// the expiry instant finds the record dead, one tick earlier live.
+    #[test]
+    fn demand_expiry_boundary_is_strict_in_refresh_and_serve_stale() {
+        let ttl_ns = 10_000_000_000u64;
+        for (gap_ns, lookups, hit_pct) in [(ttl_ns - 1, 1, 50.0), (ttl_ns, 2, 0.0)] {
+            // One name, TTL 10 s, used at t0 (primes the cache until
+            // t0 + 10 s) and again `gap_ns` later.
+            let mut logs = Logs::default();
+            logs.dns = vec![txn(0, "a.example.com", SERVER, 10, 4)];
+            let (first, mut second) = (conn(6, SERVER, 0), conn(6, SERVER, 1));
+            second.ts = Timestamp(first.ts.nanos() + gap_ns);
+            logs.conns = vec![first, second];
+            logs.sort();
+            let analysis = Analysis::run(&logs, AnalysisConfig::default());
+
+            // A floor above the TTL sends the refresh-all column down its
+            // low-TTL demand fallback too.
+            let r = refresh(&logs, &analysis, Duration::from_secs(3_600));
+            assert_eq!(r.standard.conns, 2);
+            assert_eq!((r.standard.lookups, r.standard.hit_pct), (lookups, hit_pct), "gap {gap_ns}");
+            assert_eq!(r.refresh_all, r.standard, "gap {gap_ns}");
+            // At its expiry instant the record is stale: served, re-fetched.
+            let ss = serve_stale(&logs, &analysis, Duration::ZERO);
+            assert_eq!((ss.lookups, ss.hit_pct), (lookups, 50.0), "gap {gap_ns}");
+        }
     }
 
     #[test]

@@ -103,8 +103,7 @@ pub struct WorkloadConfig {
     /// Probability a page view also fires a lookup for a non-existent
     /// name (typos, dead links, software probing retired hostnames).
     /// NXDOMAIN responses carry no addresses, so these lookups never pair
-    /// with a connection. Default 0 (the paper does not separate them);
-    /// the `typo_traffic` scenario turns them on.
+    /// with a connection. Default 0 (the paper does not separate them).
     pub p_nxdomain: f64,
     /// Probability a name use bypasses the device's stub cache entirely
     /// (a different process/browser with its own empty cache): the same
@@ -282,15 +281,6 @@ impl Default for WorkloadConfig {
 }
 
 impl WorkloadConfig {
-    /// A configuration sized for unit/integration tests: a handful of
-    /// houses over a few hours, full activity so behaviours still occur.
-    pub fn test_small() -> WorkloadConfig {
-        WorkloadConfig {
-            scale: ScaleKnobs { houses: 8, days: 0.25, activity: 1.0 },
-            ..WorkloadConfig::default()
-        }
-    }
-
     /// Validate internal consistency (weights positive, probabilities in
     /// range, platform table shaped as the `platform` module expects).
     pub fn validate(&self) -> Result<(), String> {
@@ -341,7 +331,6 @@ mod tests {
     #[test]
     fn default_config_is_valid() {
         WorkloadConfig::default().validate().unwrap();
-        WorkloadConfig::test_small().validate().unwrap();
     }
 
     #[test]

@@ -36,7 +36,7 @@ impl LogNormal {
 }
 
 /// One draw from the standard normal via Box–Muller.
-pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     // Avoid ln(0) by sampling the half-open (0, 1].
     let u1: f64 = 1.0 - rng.random::<f64>();
     let u2: f64 = rng.random();

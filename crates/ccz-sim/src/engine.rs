@@ -17,7 +17,7 @@ use std::net::Ipv4Addr;
 use zeek_lite::{Duration, Logs, Proto, Timestamp};
 
 /// Capture epoch: 2019-02-06 00:00:00 UTC, the start of the paper's week.
-pub const EPOCH_UNIX: u64 = 1_549_411_200;
+const EPOCH_UNIX: u64 = 1_549_411_200;
 
 /// Hard-coded server addresses (the paper's §5.1 examples).
 mod hardcoded {

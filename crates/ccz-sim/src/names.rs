@@ -191,15 +191,8 @@ impl NameUniverse {
     }
 
     /// Names fetched by a page of the given service: a mix of the
-    /// service's own auxiliary hostnames and popular shared third parties.
-    pub fn embedded_for_page<R: Rng + ?Sized>(&self, svc: ServiceId, count: usize, rng: &mut R) -> Vec<NameId> {
-        let mut out = Vec::new();
-        self.embedded_for_page_into(svc, count, rng, &mut out);
-        out
-    }
-
-    /// Allocation-free [`NameUniverse::embedded_for_page`]: fills `out`
-    /// (cleared first) with the same draws.
+    /// service's own auxiliary hostnames and popular shared third
+    /// parties. Fills `out` (cleared first).
     pub fn embedded_for_page_into<R: Rng + ?Sized>(
         &self,
         svc: ServiceId,
@@ -361,8 +354,10 @@ mod tests {
             .unwrap();
         let mut own = 0;
         let mut shared = 0;
+        let mut page = Vec::new();
         for _ in 0..200 {
-            for id in u.embedded_for_page(svc, 6, &mut rng) {
+            u.embedded_for_page_into(svc, 6, &mut rng, &mut page);
+            for &id in &page {
                 if u.services[svc.0 as usize].extras.contains(&id) {
                     own += 1;
                 } else {

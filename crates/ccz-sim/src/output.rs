@@ -107,11 +107,6 @@ impl LogSink {
         LogSink { conns: Vec::new(), dns: Vec::new() }
     }
 
-    /// Finish into sorted logs.
-    pub fn into_logs(self) -> Logs {
-        self.into_logs_and_dns_perm().0
-    }
-
     /// Append another sink's emissions after this one's, keeping the
     /// uid = emission-index invariant by offsetting the absorbed uids.
     /// This is how per-shard sinks from a parallel run are merged back
@@ -279,11 +274,6 @@ impl PcapSink {
     fn push(&mut self, ts: Timestamp, frame: Frame) {
         self.seq += 1;
         self.frames.push(PendingFrame { ts, seq: self.seq, frame });
-    }
-
-    /// Number of frames buffered.
-    pub fn frame_count(&self) -> usize {
-        self.frames.len()
     }
 
     /// Append another sink's frames after this one's. Sequence numbers
@@ -591,7 +581,7 @@ mod tests {
         let mut sink = LogSink::new();
         sink.dns(&dns_emission());
         sink.conn(&conn_emission(ConnFate::Established, Proto::Tcp));
-        let logs = sink.into_logs();
+        let logs = sink.into_logs_and_dns_perm().0;
         assert_eq!(logs.dns.len(), 1);
         assert_eq!(logs.conns.len(), 1);
         let d = &logs.dns[0];
@@ -608,7 +598,7 @@ mod tests {
         let mut sink = LogSink::new();
         sink.conn(&conn_emission(ConnFate::NoAnswer, Proto::Tcp));
         sink.conn(&conn_emission(ConnFate::Refused, Proto::Tcp));
-        let logs = sink.into_logs();
+        let logs = sink.into_logs_and_dns_perm().0;
         assert_eq!(logs.conns[0].state, ConnState::S0);
         assert_eq!(logs.conns[0].resp_bytes, 0);
         assert_eq!(logs.conns[1].state, ConnState::Rej);

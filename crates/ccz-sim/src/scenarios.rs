@@ -39,18 +39,6 @@ pub fn p2p_heavy(activity: f64) -> WorkloadConfig {
     }
 }
 
-/// Every house pinned to the ISP resolvers (the paper's hypothesised
-/// forwarder-intercept configuration, network-wide). Isolates the local
-/// platform's behaviour.
-pub fn local_only(activity: f64) -> WorkloadConfig {
-    WorkloadConfig {
-        p_house_forwarder_only: 1.0,
-        p_house_opendns: 0.0,
-        p_house_cloudflare: 0.0,
-        ..paper_week(activity)
-    }
-}
-
 /// A low-TTL world (CDNs pushing 30–60 s TTLs everywhere): caching decays
 /// and the blocked share climbs — the counterfactual behind the paper's
 /// §8 refresh costs.
@@ -66,16 +54,6 @@ pub fn short_ttl_world(activity: f64) -> WorkloadConfig {
 pub fn ttl_honest(activity: f64) -> WorkloadConfig {
     WorkloadConfig {
         p_stale_reuse: 0.0,
-        ..paper_week(activity)
-    }
-}
-
-/// Two percent of page views also fire a dead-name lookup (typos, dead
-/// links): exercises NXDOMAIN handling end to end without changing the
-/// paper-calibrated mechanisms.
-pub fn typo_traffic(activity: f64) -> WorkloadConfig {
-    WorkloadConfig {
-        p_nxdomain: 0.02,
         ..paper_week(activity)
     }
 }
@@ -98,10 +76,8 @@ mod tests {
             paper_week(0.1),
             streaming_heavy(0.1),
             p2p_heavy(0.1),
-            local_only(0.1),
             short_ttl_world(0.1),
             ttl_honest(0.1),
-            typo_traffic(0.1),
         ] {
             cfg.validate().unwrap();
             let out = Simulation::new(shrink(cfg), 3).unwrap().run();
@@ -124,7 +100,15 @@ mod tests {
 
     #[test]
     fn local_only_uses_single_platform() {
-        let out = Simulation::new(shrink(local_only(1.0)), 5).unwrap().run();
+        // Every house pinned to the ISP resolvers (the paper's
+        // hypothesised forwarder-intercept configuration, network-wide).
+        let local_only = WorkloadConfig {
+            p_house_forwarder_only: 1.0,
+            p_house_opendns: 0.0,
+            p_house_cloudflare: 0.0,
+            ..paper_week(1.0)
+        };
+        let out = Simulation::new(shrink(local_only), 5).unwrap().run();
         for (name, queries, _) in &out.platform_stats {
             if name != "Local" {
                 assert_eq!(*queries, 0, "{name} should be unused");
@@ -140,7 +124,9 @@ mod tests {
 
     #[test]
     fn typo_traffic_produces_unpaired_nxdomain() {
-        let out = Simulation::new(shrink(typo_traffic(1.0)), 5).unwrap().run();
+        // Two percent of page views also fire a dead-name lookup.
+        let typo_traffic = WorkloadConfig { p_nxdomain: 0.02, ..paper_week(1.0) };
+        let out = Simulation::new(shrink(typo_traffic), 5).unwrap().run();
         let nx: Vec<_> = out
             .logs
             .dns

@@ -89,11 +89,12 @@ pub struct GroundTruth {
 
 impl GroundTruth {
     /// Count of connections with the given true class.
-    pub fn class_count(&self, class: ConnClass) -> usize {
+    pub(crate) fn class_count(&self, class: ConnClass) -> usize {
         self.conns.iter().filter(|c| c.class == class).count()
     }
 
     /// Share (0..1) of connections with the given true class.
+    // lint: allow(unused-pub): ROADMAP item 1's confusion matrix reads ground truth through it; the scenario tests already do
     pub fn class_share(&self, class: ConnClass) -> f64 {
         if self.conns.is_empty() {
             return 0.0;

@@ -2,11 +2,10 @@
 
 use crate::blocking::GapAnalysis;
 use crate::classify::{
-    classify_parallel, count_classes, no_dns_breakdown, resolver_thresholds,
-    store_class_metrics, store_threshold_metrics, ttl_stats, ClassCounts, ConnClass,
-    NoDnsBreakdown, ThresholdRule, TtlStats,
+    classify_parallel, count_classes, no_dns_breakdown, resolver_thresholds, ttl_stats,
+    ClassCounts, ConnClass, NoDnsBreakdown, ThresholdRule, TtlStats,
 };
-use crate::kernel::{store_cover, Tally};
+use crate::kernel::{store_class_metrics, store_cover, store_threshold_metrics, Tally};
 use crate::pairing::{Pairing, PairingPolicy, PairingScratch};
 use crate::perf::{PerfAnalysis, Significance};
 use crate::resolver::{platform_reports, PlatformMap, PlatformReport};
@@ -79,27 +78,6 @@ impl Coverage {
             1.0
         } else {
             self.paired as f64 / self.app_conns as f64
-        }
-    }
-
-    /// Express the report as an obs snapshot (`cover.*`): acceptance
-    /// ratios as gauges, connection counts as counters. `from_metrics`
-    /// inverts it exactly, so this struct is a thin view over the one
-    /// snapshot/merge path.
-    pub fn to_metrics(&self) -> xkit::obs::Metrics {
-        let mut m = xkit::obs::Metrics::new();
-        store_cover(&mut m, self);
-        m
-    }
-
-    /// Rebuild the view from an obs snapshot (absent gauges read as
-    /// fully-accepted, matching the direct-log default).
-    pub fn from_metrics(m: &xkit::obs::Metrics) -> Coverage {
-        Coverage {
-            frame_acceptance: m.gauge("cover.frame_acceptance").unwrap_or(1.0),
-            dns_acceptance: m.gauge("cover.dns_acceptance").unwrap_or(1.0),
-            app_conns: m.counter("cover.app_conns") as usize,
-            paired: m.counter("cover.paired") as usize,
         }
     }
 }
@@ -251,6 +229,7 @@ impl<'a> Analysis<'a> {
     }
 
     /// Class mix over fixed-width time buckets (operator view).
+    // lint: allow(unused-pub): tests/extensions.rs pins the bucket partition through it
     pub fn timeseries(&self, width: Duration) -> Vec<crate::timeseries::Bucket> {
         crate::timeseries::bucketize(&self.logs.conns, &self.pairing, &self.classes, width)
     }
@@ -392,8 +371,12 @@ mod tests {
         assert_eq!(app, a.pairing.app_conn_count() as u64);
         // Per-class counts sum to the total.
         assert_eq!(m.sum_counters("class."), a.class_counts().total() as u64);
-        // Coverage is a thin view over the same snapshot.
-        assert_eq!(Coverage::from_metrics(&m), a.coverage());
+        // The `cover.*` keys are the coverage report.
+        let cov = a.coverage();
+        assert_eq!(m.gauge("cover.frame_acceptance"), Some(cov.frame_acceptance));
+        assert_eq!(m.gauge("cover.dns_acceptance"), Some(cov.dns_acceptance));
+        assert_eq!(m.counter("cover.app_conns"), cov.app_conns as u64);
+        assert_eq!(m.counter("cover.paired"), cov.paired as u64);
         // Every derived resolver threshold appears as a gauge.
         assert_eq!(m.counter("threshold.resolvers"), a.thresholds.len() as u64);
         for (addr, thr) in &a.thresholds {

@@ -48,12 +48,6 @@ impl GapAnalysis {
         }
     }
 
-    /// Fraction of paired connections with gap at or below `d` — the CDF
-    /// Figure 1 plots.
-    pub fn fraction_within(&self, d: Duration) -> f64 {
-        self.gaps_ms.fraction_at_or_below(d.as_millis_f64())
-    }
-
     /// Estimate the knee of the gap distribution — where the CDF's slope
     /// (in log-time) collapses after the blocked mode (the paper reads
     /// ≈20 ms off its Figure 1 by eye).
@@ -148,7 +142,7 @@ mod tests {
     fn fraction_within_threshold() {
         let p = pairing_of(vec![pair(Some(5), true), pair(Some(50), false), pair(Some(5_000), false)]);
         let g = GapAnalysis::compute(&p, Duration::from_millis(20));
-        assert!((g.fraction_within(Duration::from_millis(100)) - 2.0 / 3.0).abs() < 1e-12);
+        assert!((g.gaps_ms.fraction_at_or_below(100.0) - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

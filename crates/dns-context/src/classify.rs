@@ -2,7 +2,7 @@
 //! in-text analyses.
 
 use crate::kernel::{blocked_class, release_class};
-pub use crate::kernel::{store_class_metrics, store_threshold_metrics, ThresholdRule};
+pub use crate::kernel::ThresholdRule;
 use crate::pairing::{PairedConn, Pairing};
 use crate::stats::{pct, Ecdf};
 use std::collections::HashMap;

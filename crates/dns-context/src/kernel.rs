@@ -211,7 +211,7 @@ pub(crate) fn store_release_classes(m: &mut Metrics, c: &ClassCounts) {
 }
 
 /// Write all five `class.*` counters of a settled classification.
-pub fn store_class_metrics(m: &mut Metrics, c: &ClassCounts) {
+pub(crate) fn store_class_metrics(m: &mut Metrics, c: &ClassCounts) {
     store_release_classes(m, c);
     m.set_counter("class.shared_cache", c.shared_cache as u64);
     m.set_counter("class.resolution", c.resolution as u64);
@@ -219,7 +219,7 @@ pub fn store_class_metrics(m: &mut Metrics, c: &ClassCounts) {
 
 /// Write the `threshold.*` keys: how many resolvers earned a threshold of
 /// their own, and each one's, in milliseconds.
-pub fn store_threshold_metrics(m: &mut Metrics, thresholds: &HashMap<Ipv4Addr, Duration>) {
+pub(crate) fn store_threshold_metrics(m: &mut Metrics, thresholds: &HashMap<Ipv4Addr, Duration>) {
     m.set_counter("threshold.resolvers", thresholds.len() as u64);
     // lint: allow(no-map-iteration): one metrics key per map key; Metrics stores sorted
     for (addr, thr) in thresholds {

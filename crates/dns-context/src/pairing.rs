@@ -221,6 +221,7 @@ impl Pairing {
 
     /// Fraction of *paired* connections with exactly one non-expired
     /// candidate (the paper reports 82 %).
+    // lint: allow(unused-pub): the paper's 82 %, pinned through this by tests/end_to_end.rs and tests/reproduction_bands.rs
     pub fn single_candidate_share(&self) -> f64 {
         let paired_live: Vec<&PairedConn> = self
             .pairs

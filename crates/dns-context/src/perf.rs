@@ -6,7 +6,6 @@
 //! relative > 1 %).
 
 use crate::classify::ConnClass;
-use crate::kernel::Tally;
 use crate::pairing::Pairing;
 use crate::stats::Ecdf;
 use zeek_lite::{ConnColumns, DnsColumns};
@@ -94,16 +93,6 @@ impl PerfAnalysis {
             blocked.iter().filter(|b| !b.shared_cache).map(|b| b.contribution_pct()).collect(),
         );
         PerfAnalysis { blocked, delay_ms, contribution_pct, contribution_sc_pct, contribution_r_pct }
-    }
-
-    /// Write the `perf.blocked_*` keys: the blocked-connection count and
-    /// the histogram of their lookup delays.
-    pub fn store_metrics(&self, m: &mut xkit::obs::Metrics) {
-        let mut tally = Tally::default();
-        for b in &self.blocked {
-            tally.blocked(m, b.dns_ms);
-        }
-        tally.store_perf(m);
     }
 
     /// The quadrant decomposition with the given thresholds (paper: 20 ms

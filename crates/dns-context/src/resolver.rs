@@ -40,7 +40,7 @@ impl Default for PlatformMap {
 
 impl PlatformMap {
     /// Platform name for a resolver address.
-    pub fn platform_of(&self, addr: Ipv4Addr) -> &str {
+    fn platform_of(&self, addr: Ipv4Addr) -> &str {
         for (name, addrs) in &self.entries {
             if addrs.contains(&addr) {
                 return name;
@@ -86,7 +86,7 @@ pub struct PlatformReport {
 }
 
 /// The Android captive-portal-detection hostname the paper singles out.
-pub const CONNECTIVITY_CHECK: &str = "connectivitycheck.gstatic.com";
+const CONNECTIVITY_CHECK: &str = "connectivitycheck.gstatic.com";
 
 /// Build Table 1 / §7 / Figure 3 for every platform.
 pub fn platform_reports(

@@ -75,7 +75,7 @@
 //!   policy draws from one RNG in conn order interleaved with index
 //!   state, which has no bounded-memory equivalent; `new` asserts this.
 
-use crate::classify::{store_class_metrics, store_threshold_metrics};
+use crate::kernel::{store_class_metrics, store_threshold_metrics};
 use crate::kernel::{
     blocked_class, pack_key, release_class, select, store_cover, store_release_classes, Entry,
     Paired, Tally,
@@ -621,7 +621,7 @@ impl StreamEngine {
 
     /// Live state right now: `(flows, answers)` — tracker + buffered
     /// connections, and pinned + buffered + pending DNS lookups.
-    pub fn live_state(&self) -> (u64, u64) {
+    fn live_state(&self) -> (u64, u64) {
         (
             self.monitor.active_flows() as u64 + self.buf_conns.len() as u64,
             self.lookups.len() as u64

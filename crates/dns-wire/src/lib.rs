@@ -56,9 +56,6 @@ pub use question::Question;
 pub use rdata::{RData, SoaData, SrvData};
 pub use record::{Record, RrClass, RrType};
 
-/// Maximum length of a DNS message carried over UDP without EDNS (RFC 1035 §2.3.4).
-pub const MAX_UDP_PAYLOAD: usize = 512;
-
 /// Conventional DNS server port.
 pub const DNS_PORT: u16 = 53;
 

@@ -3,7 +3,6 @@ use crate::question::Question;
 use crate::record::Record;
 use crate::{Name, RrType, WireError};
 use std::collections::HashMap;
-use std::net::Ipv4Addr;
 
 /// A complete DNS message: header plus the four record sections.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -63,37 +62,6 @@ impl Message {
             rdata: crate::RData::Soa(soa),
         });
         m
-    }
-
-    /// True when `self` is a plausible response to `query`: response bit
-    /// set, matching transaction id, and a matching first question —
-    /// the checks a stub resolver applies before accepting an answer.
-    pub fn is_response_to(&self, query: &Message) -> bool {
-        self.flags.qr
-            && !query.flags.qr
-            && self.id == query.id
-            && match (self.questions.first(), query.questions.first()) {
-                (Some(a), Some(b)) => a == b,
-                _ => false,
-            }
-    }
-
-    /// All IPv4 addresses in the answer section (following the convention
-    /// that CNAME chains terminate in A records within the same response).
-    pub fn answer_ipv4(&self) -> Vec<Ipv4Addr> {
-        self.answers.iter().filter_map(|r| r.rdata.as_ipv4()).collect()
-    }
-
-    /// The first question's name, if any — what passive monitors log as the
-    /// query string.
-    pub fn query_name(&self) -> Option<&Name> {
-        self.questions.first().map(|q| &q.name)
-    }
-
-    /// Minimum TTL across answer records, or `None` for an empty answer
-    /// section. This is the effective lifetime of the response as a unit.
-    pub fn min_answer_ttl(&self) -> Option<u32> {
-        self.answers.iter().map(|r| r.ttl).min()
     }
 
     /// Encode to wire format with name compression.
@@ -161,6 +129,7 @@ impl Message {
 mod tests {
     use super::*;
     use crate::rdata::RData;
+    use std::net::Ipv4Addr;
 
     fn sample_response() -> Message {
         let q = Message::query(7, Name::parse("www.example.com").unwrap(), RrType::A);
@@ -211,15 +180,6 @@ mod tests {
                 .map(|r| r.name.wire_len() + 10 + 64)
                 .sum::<usize>();
         assert!(compressed.len() < uncompressed_len);
-    }
-
-    #[test]
-    fn query_helpers() {
-        let m = sample_response();
-        assert_eq!(m.query_name().unwrap().to_string(), "www.example.com");
-        assert_eq!(m.answer_ipv4(), vec![Ipv4Addr::new(203, 0, 113, 7)]);
-        assert_eq!(m.min_answer_ttl(), Some(30));
-        assert_eq!(Message::query(1, Name::root(), RrType::A).min_answer_ttl(), None);
     }
 
     #[test]
@@ -275,31 +235,7 @@ mod tests {
         // Round-trips on the wire.
         let back = Message::decode(&resp.encode()).unwrap();
         assert_eq!(back, resp);
-        assert!(back.is_response_to(&q));
-    }
-
-    #[test]
-    fn is_response_to_rejects_mismatches() {
-        let q = Message::query(7, Name::parse("a.example.com").unwrap(), RrType::A);
-        let mut good = q.answer_template();
-        assert!(good.is_response_to(&q));
-
-        let mut wrong_id = good.clone();
-        wrong_id.id = 8;
-        assert!(!wrong_id.is_response_to(&q));
-
-        let mut wrong_q = good.clone();
-        wrong_q.questions[0].name = Name::parse("b.example.com").unwrap();
-        assert!(!wrong_q.is_response_to(&q));
-
-        good.flags.qr = false; // not a response at all
-        assert!(!good.is_response_to(&q));
-        let q2 = {
-            let mut m = q.clone();
-            m.flags.qr = true; // "query" that is actually a response
-            m
-        };
-        assert!(!q.answer_template().is_response_to(&q2));
+        assert_eq!((back.id, &back.questions), (q.id, &q.questions));
     }
 
     #[test]

@@ -4,9 +4,9 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 
 /// Maximum total encoded length of a name, including the root octet.
-pub const MAX_NAME_LEN: usize = 255;
+const MAX_NAME_LEN: usize = 255;
 /// Maximum length of one label.
-pub const MAX_LABEL_LEN: usize = 63;
+const MAX_LABEL_LEN: usize = 63;
 /// Upper bound on compression-pointer hops while decoding one name.
 const MAX_POINTER_HOPS: usize = 64;
 
@@ -65,31 +65,9 @@ impl Name {
         Name { labels }
     }
 
-    /// Number of labels (zero for the root).
-    pub fn label_count(&self) -> usize {
-        self.labels.len()
-    }
-
-    /// Iterate over the labels, most-specific first.
-    pub fn labels(&self) -> impl Iterator<Item = &[u8]> {
-        self.labels.iter().map(|l| l.as_ref())
-    }
-
     /// Encoded length on the wire without compression.
     pub fn wire_len(&self) -> usize {
         1 + self.labels.iter().map(|l| 1 + l.len()).sum::<usize>()
-    }
-
-    /// True if `self` is a subdomain of (or equal to) `ancestor`.
-    pub fn is_within(&self, ancestor: &Name) -> bool {
-        if ancestor.labels.len() > self.labels.len() {
-            return false;
-        }
-        self.labels
-            .iter()
-            .rev()
-            .zip(ancestor.labels.iter().rev())
-            .all(|(a, b)| a == b)
     }
 
     /// The parent name (one label removed), or `None` at the root.
@@ -100,29 +78,6 @@ impl Name {
         Some(Name {
             labels: self.labels[1..].to_vec(), // lint: allow(no-owned-copy-hotpath): analysis-time name algebra, not per-frame decode
         })
-    }
-
-    /// Prepend a label, returning the child name.
-    pub fn child(&self, label: &str) -> Result<Name, WireError> {
-        let mut labels = Vec::with_capacity(self.labels.len() + 1);
-        if label.is_empty() {
-            return Err(WireError::EmptyLabel);
-        }
-        if label.len() > MAX_LABEL_LEN {
-            return Err(WireError::LabelTooLong(label.len()));
-        }
-        for &b in label.as_bytes() {
-            if !label_byte_ok(b) {
-                return Err(WireError::BadNameString(label.to_string()));
-            }
-        }
-        labels.push(label.to_ascii_lowercase().into_bytes().into_boxed_slice());
-        labels.extend_from_slice(&self.labels);
-        let n = Name { labels };
-        if n.wire_len() > MAX_NAME_LEN {
-            return Err(WireError::NameTooLong(n.wire_len()));
-        }
-        Ok(n)
     }
 
     /// The registrable-suffix heuristic used by log analysis: the last two
@@ -234,11 +189,6 @@ impl Name {
             }
         }
     }
-
-    /// True if this is the root name.
-    pub fn is_root(&self) -> bool {
-        self.labels.is_empty()
-    }
 }
 
 fn label_byte_ok(b: u8) -> bool {
@@ -312,7 +262,7 @@ mod tests {
     fn parse_and_display_round_trip() {
         let n = Name::parse("WWW.Example.COM").unwrap();
         assert_eq!(n.to_string(), "www.example.com");
-        assert_eq!(n.label_count(), 3);
+        assert_eq!(n.parent().unwrap().to_string(), "example.com");
     }
 
     #[test]
@@ -323,7 +273,8 @@ mod tests {
     #[test]
     fn root_name() {
         let r = Name::parse("").unwrap();
-        assert!(r.is_root());
+        assert_eq!(r, Name::root());
+        assert!(r.parent().is_none());
         assert_eq!(r.to_string(), ".");
         assert_eq!(r.wire_len(), 1);
     }
@@ -445,25 +396,6 @@ mod tests {
             Name::decode(&buf, &mut pos),
             Err(WireError::ReservedLabelType(_))
         ));
-    }
-
-    #[test]
-    fn is_within_and_parent() {
-        let n = Name::parse("a.b.example.com").unwrap();
-        let anc = Name::parse("example.com").unwrap();
-        assert!(n.is_within(&anc));
-        assert!(n.is_within(&n));
-        assert!(!anc.is_within(&n));
-        assert_eq!(n.parent().unwrap().to_string(), "b.example.com");
-        assert!(Name::root().parent().is_none());
-        assert!(n.is_within(&Name::root()));
-    }
-
-    #[test]
-    fn child_builds_down() {
-        let n = Name::parse("example.com").unwrap();
-        assert_eq!(n.child("www").unwrap().to_string(), "www.example.com");
-        assert!(n.child("").is_err());
     }
 
     #[test]

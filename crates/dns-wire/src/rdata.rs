@@ -84,6 +84,7 @@ impl RData {
     }
 
     /// The IPv4 address if this is an A record.
+    // lint: allow(unused-pub): pinned by rdata::tests::as_ipv4 alone since `Message::answer_ipv4` went; goes with it in a later removal slot
     pub fn as_ipv4(&self) -> Option<Ipv4Addr> {
         match self {
             RData::A(a) => Some(*a),

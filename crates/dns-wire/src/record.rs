@@ -2,7 +2,7 @@ use crate::rdata::RData;
 use crate::{Name, WireError};
 use std::collections::HashMap;
 use std::fmt;
-use std::net::{Ipv4Addr, Ipv6Addr};
+use std::net::Ipv4Addr;
 
 /// DNS record (RR) types understood by the codec.
 ///
@@ -143,16 +143,6 @@ impl Record {
             class: RrClass::In,
             ttl,
             rdata: RData::A(addr),
-        }
-    }
-
-    /// Convenience constructor for an AAAA record.
-    pub fn aaaa(name: Name, ttl: u32, addr: Ipv6Addr) -> Record {
-        Record {
-            name,
-            class: RrClass::In,
-            ttl,
-            rdata: RData::Aaaa(addr),
         }
     }
 

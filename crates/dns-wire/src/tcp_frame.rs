@@ -19,7 +19,7 @@ pub fn frame(payload: &[u8]) -> Vec<u8> {
 /// Returns the message payload and the remaining bytes, or `Ok(None)` if
 /// the buffer does not yet hold a complete message (streaming callers
 /// accumulate and retry).
-pub fn deframe(buf: &[u8]) -> Result<Option<(&[u8], &[u8])>, WireError> {
+fn deframe(buf: &[u8]) -> Result<Option<(&[u8], &[u8])>, WireError> {
     if buf.len() < 2 {
         return Ok(None);
     }
@@ -33,6 +33,7 @@ pub fn deframe(buf: &[u8]) -> Result<Option<(&[u8], &[u8])>, WireError> {
 
 /// Split a buffer into all complete framed messages, erroring on a
 /// trailing partial frame (used when a whole TCP stream has been captured).
+// lint: allow(unused-pub): nine floor tests (this module's, tests/fault_tolerance.rs, dns-wire's proptests and fuzz_smoke) pin TCP framing through it
 pub fn deframe_all(mut buf: &[u8]) -> Result<Vec<&[u8]>, WireError> {
     let mut out = Vec::new();
     while !buf.is_empty() {
@@ -83,11 +84,6 @@ impl Deframer {
     pub fn pending(&self) -> usize {
         self.buf.len()
     }
-
-    /// True when the stream ended mid-message.
-    pub fn has_partial(&self) -> bool {
-        !self.buf.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -108,7 +104,7 @@ mod tests {
             got.extend(d.push(&[*b]));
         }
         assert_eq!(got, msgs);
-        assert!(!d.has_partial());
+        assert_eq!(d.pending(), 0);
     }
 
     #[test]
@@ -116,7 +112,6 @@ mod tests {
         let mut d = Deframer::new();
         let framed = frame(b"hello");
         assert!(d.push(&framed[..4]).is_empty());
-        assert!(d.has_partial());
         assert_eq!(d.pending(), 4);
         let got = d.push(&framed[4..]);
         assert_eq!(got, vec![b"hello".to_vec()]);

@@ -27,35 +27,6 @@ pub use pcapio;
 pub use xkit;
 pub use zeek_lite;
 
-pub mod obskit {
-    //! Thin facade over [`xkit::obs`]: the metrics/tracing vocabulary the
-    //! pipeline crates share, plus helpers that assemble whole-pipeline
-    //! snapshots. Naming conventions: `capture.*` (pcap I/O), `zeek.*`
-    //! (monitor + degradation), `sim.*`/`resolver.*` (workload),
-    //! `pair.*`/`class.*`/`threshold.*`/`perf.*`/`cover.*` (analysis),
-    //! `fault.*` (injected damage), `stage.*` (span timers).
-
-    pub use xkit::obs::clock;
-    pub use xkit::obs::http;
-    pub use xkit::obs::json;
-    pub use xkit::obs::{
-        FlightEvent, FlightRecorder, HistSpec, Histogram, Metric, Metrics, ObsHub, SpanId,
-        SpanLog, SpanRecord,
-    };
-
-    /// One snapshot for a whole [`Study`](crate::pipeline::Study): the
-    /// workload-side `sim.*`/`resolver.*` counters, the monitor's
-    /// `zeek.*` counters, and the analysis' `pair.*`/`class.*`/
-    /// `threshold.*`/`perf.*`/`cover.*` families, merged through the one
-    /// deterministic merge path.
-    pub fn study_metrics(study: &crate::pipeline::Study) -> Metrics {
-        let mut m = study.sim.metrics.clone();
-        m.merge(&study.sim.logs.metrics());
-        m.merge(&study.analysis().metrics());
-        m
-    }
-}
-
 pub mod pipeline {
     //! Prebuilt end-to-end pipelines.
 

@@ -16,7 +16,8 @@
 //! `lint: allow(<rule-id>)` suppresses that rule there.
 //!
 //! Entry points: [`lint_workspace`] walks a workspace root;
-//! [`lint_file`] checks one in-memory file (the fixture tests use it).
+//! [`lint_file`] checks one in-memory file against the per-file rules
+//! (the fixture tests use it).
 
 #![forbid(unsafe_code)]
 
@@ -166,6 +167,7 @@ fn in_scope(rule: &Rule, path: &str) -> bool {
 
 /// Lint one in-memory file under its workspace-relative path. Pass
 /// `only` to restrict to a single rule id.
+// lint: allow(unused-pub): crates/lintkit/tests/fixtures.rs checks each per-file rule on one snippet through it
 pub fn lint_file(path: &str, src: &str, only: Option<&str>) -> Vec<Diagnostic> {
     let all = rules::rules();
     let active: Vec<&Rule> = all
@@ -214,12 +216,42 @@ pub fn lint_file(path: &str, src: &str, only: Option<&str>) -> Vec<Diagnostic> {
                     push_line_hit(&mut out, rule, src, path, off, what);
                 }
             }
+            // Needs every file: `lint_workspace` runs it.
+            Check::UnusedPub => {}
         }
     }
-    out.sort_by(|a, b| {
+    sort_diagnostics(&mut out);
+    out
+}
+
+/// Lint a set of `(workspace-relative path, source)` files: every
+/// per-file rule on each, then the workspace-wide `unused-pub` pass over
+/// all of them together.
+fn lint_files(files: &[(&str, &str)], only: Option<&str>) -> Vec<Diagnostic> {
+    let mut out: Vec<Diagnostic> =
+        files.iter().flat_map(|(path, src)| lint_file(path, src, only)).collect();
+    let workspace_pass = rules::rules()
+        .into_iter()
+        .find(|r| matches!(r.check, Check::UnusedPub) && only.is_none_or(|id| id == r.id));
+    if let Some(rule) = workspace_pass {
+        let scoped: Vec<(&str, Lexed<'_>)> = files
+            .iter()
+            .filter(|(path, _)| in_scope(&rule, path))
+            .map(|(path, src)| (*path, Lexed::lex(src)))
+            .collect();
+        for (file, hit) in rules::unused_pub_hits(&scoped) {
+            let (path, lexed) = &scoped[file];
+            push_rust_hit(&mut out, &rule, lexed, path, hit.at, hit.what);
+        }
+    }
+    sort_diagnostics(&mut out);
+    out
+}
+
+fn sort_diagnostics(diags: &mut [Diagnostic]) {
+    diags.sort_by(|a, b| {
         (&a.file, a.line, a.col, &a.rule).cmp(&(&b.file, b.line, b.col, &b.rule))
     });
-    out
 }
 
 /// Append a hit from a lexed Rust file, applying test-scope and
@@ -315,10 +347,10 @@ fn excerpt(line: &str) -> String {
     }
 }
 
-/// Lint a workspace: walks `crates/`, `tests/`, `scripts/`, and the
-/// root `Cargo.toml` under `root`, applies every rule (or just `only`),
-/// and returns the sorted report. IO problems are errors, not
-/// diagnostics.
+/// Lint a workspace: walks `crates/`, `tests/`, `scripts/`, `examples/`,
+/// `benchmark/src/` and the root `Cargo.toml` under `root`, applies every
+/// rule (or just `only`), and returns the sorted report. IO problems are
+/// errors, not diagnostics.
 pub fn lint_workspace(root: &Path, only: Option<&str>) -> Result<Report, String> {
     if let Some(id) = only {
         if !rules::rules().iter().any(|r| r.id == id) {
@@ -327,7 +359,7 @@ pub fn lint_workspace(root: &Path, only: Option<&str>) -> Result<Report, String>
         }
     }
     let mut files: Vec<PathBuf> = Vec::new();
-    for top in ["crates", "tests", "scripts"] {
+    for top in ["crates", "tests", "scripts", "examples", "benchmark/src"] {
         let dir = root.join(top);
         if dir.is_dir() {
             walk(&dir, &mut files)?;
@@ -347,8 +379,7 @@ pub fn lint_workspace(root: &Path, only: Option<&str>) -> Result<Report, String>
         .collect();
     rels.sort();
 
-    let mut diagnostics = Vec::new();
-    let mut files_checked = 0usize;
+    let mut sources: Vec<(&str, String)> = Vec::new();
     for (rel, path) in &rels {
         let relevant = rules::rules()
             .iter()
@@ -359,13 +390,10 @@ pub fn lint_workspace(root: &Path, only: Option<&str>) -> Result<Report, String>
         }
         let src = std::fs::read_to_string(path)
             .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        files_checked += 1;
-        diagnostics.extend(lint_file(rel, &src, only));
+        sources.push((rel, src));
     }
-    diagnostics.sort_by(|a, b| {
-        (&a.file, a.line, a.col, &a.rule).cmp(&(&b.file, b.line, b.col, &b.rule))
-    });
-    Ok(Report { diagnostics, files_checked })
+    let files: Vec<(&str, &str)> = sources.iter().map(|(rel, src)| (*rel, src.as_str())).collect();
+    Ok(Report { diagnostics: lint_files(&files, only), files_checked: files.len() })
 }
 
 /// Recursive, sorted directory walk; skips build and VCS trees.

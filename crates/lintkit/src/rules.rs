@@ -5,9 +5,10 @@
 //! `no-map-iteration`, `unsafe-needs-safety-comment`,
 //! `stdout-discipline`, and `no-wallclock` are new invariants the shell
 //! could not express; `threshold-rule-fence` keeps the SC/R threshold
-//! formula in the one file that defines it; `verify-shell-discipline` is
-//! the meta-rule that keeps ad-hoc source scanning from creeping back
-//! into verify.sh.
+//! formula in the one file that defines it; `unused-pub` is the one
+//! workspace-wide pass (a `pub` item nothing outside its file uses);
+//! `verify-shell-discipline` is the meta-rule that keeps ad-hoc source
+//! scanning from creeping back into verify.sh.
 //!
 //! Any diagnostic can be suppressed for one line by a comment on that
 //! line (or in the comment block directly above it) containing
@@ -40,6 +41,9 @@ pub enum Check {
     DepDenylist(&'static [&'static str]),
     /// awk/grep source scanning inside `scripts/verify.sh`.
     ShellScan,
+    /// `pub` items with no reference outside their defining file. Needs
+    /// every file at once: `lint_workspace` runs it, not `lint_file`.
+    UnusedPub,
 }
 
 /// One invariant.
@@ -57,10 +61,10 @@ pub struct Rule {
 }
 
 /// Map/set types whose bucket order is nondeterministic.
-pub const HASHED_TYPES: [&str; 4] = ["FastMap", "FastSet", "HashMap", "HashSet"];
+const HASHED_TYPES: [&str; 4] = ["FastMap", "FastSet", "HashMap", "HashSet"];
 
 /// Methods that iterate a map in bucket order.
-pub const ITER_METHODS: [&str; 9] = [
+const ITER_METHODS: [&str; 9] = [
     "iter", "iter_mut", "into_iter", "keys", "values", "values_mut", "into_keys",
     "into_values", "drain",
 ];
@@ -228,6 +232,18 @@ pub fn rules() -> Vec<Rule> {
                 include_tests: false,
             },
             check: Check::Needles(&["thread::spawn"]),
+        },
+        Rule {
+            id: "unused-pub",
+            desc: "public surface has a user: a pub fn/const/static under crates/*/src is named by non-test code outside its file (other src, examples/, benchmark/src), a pub struct/enum/trait/type by anything but its own definition and impl headers; matching is by name, so a shared name counts as used",
+            hint: "delete it, or drop `pub` if this file uses it; an item the roadmap or an integration test needs carries `// lint: allow(unused-pub): why`",
+            scope: Scope {
+                roots: &["crates", "examples", "benchmark/src"],
+                exclude: &[],
+                src_only: false,
+                include_tests: false,
+            },
+            check: Check::UnusedPub,
         },
         Rule {
             id: "verify-shell-discipline",
@@ -459,6 +475,111 @@ pub fn unsafe_safety_hits(lexed: &Lexed<'_>) -> Vec<Hit> {
         let covered = (line.saturating_sub(3)..=line).any(|l| l >= 1 && lexed.line_has_marker(l, "SAFETY:"));
         if !covered {
             hits.push(Hit { at, what: "unsafe without SAFETY: rationale".to_string() });
+        }
+    }
+    hits
+}
+
+/// The `unused-pub` pass over every in-scope file at once; a hit carries
+/// the index of its file. References are identifier tokens in non-test
+/// code, not counting the name an item definition introduces, `pub use`
+/// re-exports and `impl` headers. Items are bare-`pub` definitions under
+/// `crates/*/src` outside test scope and outside nested `mod { }` blocks.
+pub fn unused_pub_hits(files: &[(&str, Lexed<'_>)]) -> Vec<(usize, Hit)> {
+    const VALUE_KW: [&str; 3] = ["fn", "const", "static"];
+    const TYPE_KW: [&str; 4] = ["struct", "enum", "trait", "type"];
+    struct Item<'a> {
+        file: usize,
+        at: usize,
+        kw: &'a str,
+        name: &'a str,
+    }
+    let mut items: Vec<Item<'_>> = Vec::new();
+    // name -> (the first file that references it, whether a later one does).
+    let mut users: std::collections::HashMap<&str, (usize, bool)> =
+        std::collections::HashMap::new();
+
+    for (file, (path, lexed)) in files.iter().enumerate() {
+        let defines = path.starts_with("crates/") && path.contains("/src/");
+        let toks: Vec<(usize, Lexeme<'_>)> = lexed
+            .code_lexemes()
+            .into_iter()
+            .filter(|(at, _)| !lexed.in_test(*at))
+            .collect();
+        let ident = |i: usize| match toks.get(i) {
+            Some((_, Lexeme::Ident(s))) => Some(*s),
+            _ => None,
+        };
+        let punct = |i: usize| match toks.get(i) {
+            Some((_, Lexeme::Punct(b))) => Some(*b),
+            _ => None,
+        };
+        let mut depth = 0usize;
+        // Brace depths at which a `mod name {` body opened.
+        let mut mods: Vec<usize> = Vec::new();
+        // Tokens before this index are a re-export or an impl header.
+        let mut muted_until = 0usize;
+        for i in 0..toks.len() {
+            match toks[i].1 {
+                Lexeme::Punct(b'{') => depth += 1,
+                Lexeme::Punct(b'}') => {
+                    if mods.last() == Some(&depth) {
+                        mods.pop();
+                    }
+                    depth = depth.saturating_sub(1);
+                }
+                Lexeme::Punct(_) => {}
+                Lexeme::Ident(_) if i < muted_until => {}
+                Lexeme::Ident("mod") if punct(i + 2) == Some(b'{') => mods.push(depth + 1),
+                // `impl` opening an item (not `impl Trait` in a type).
+                Lexeme::Ident("impl")
+                    if i == 0
+                        || matches!(punct(i - 1), Some(b'}' | b';' | b']' | b'{'))
+                        || ident(i - 1) == Some("unsafe") =>
+                {
+                    let body = (i..toks.len()).find(|&k| punct(k) == Some(b'{'));
+                    muted_until = body.unwrap_or(toks.len());
+                }
+                Lexeme::Ident("pub") if punct(i + 1) != Some(b'(') => {
+                    let mut j = i + 1;
+                    while matches!(ident(j), Some("unsafe" | "async" | "extern"))
+                        || (ident(j) == Some("const") && ident(j + 1) == Some("fn"))
+                    {
+                        j += 1;
+                    }
+                    let Some(kw) = ident(j) else { continue };
+                    if kw == "use" {
+                        let end = (j..toks.len()).find(|&k| punct(k) == Some(b';'));
+                        muted_until = end.unwrap_or(toks.len());
+                    }
+                    let name = if ident(j + 1) == Some("mut") { ident(j + 2) } else { ident(j + 1) };
+                    let is_item = VALUE_KW.contains(&kw) || TYPE_KW.contains(&kw);
+                    if let (true, true, true, Some(name)) = (defines, is_item, mods.is_empty(), name) {
+                        items.push(Item { file, at: toks[i].0, kw, name });
+                    }
+                }
+                Lexeme::Ident(name) => {
+                    let introduced = i > 0
+                        && ident(i - 1).is_some_and(|kw| {
+                            VALUE_KW.contains(&kw) || TYPE_KW.contains(&kw) || kw == "mod"
+                        });
+                    if !introduced {
+                        let (first, elsewhere) = users.entry(name).or_insert((file, false));
+                        *elsewhere |= *first != file;
+                    }
+                }
+            }
+        }
+    }
+
+    let mut hits = Vec::new();
+    for item in items {
+        let used = users.get(item.name).is_some_and(|(first, elsewhere)| {
+            TYPE_KW.contains(&item.kw) || *first != item.file || *elsewhere
+        });
+        if !used {
+            let what = format!("unused pub {} `{}`", item.kw, item.name);
+            hits.push((item.file, Hit { at: item.at, what }));
         }
     }
     hits

@@ -269,6 +269,97 @@ fn eprintln_and_bin_targets_are_fine() {
     assert!(diags("crates/bench/src/bin/repro.rs", "pub fn f() { println!(\"x\"); }\n").is_empty());
 }
 
+// ---- unused-pub ------------------------------------------------------------
+
+/// What `unused-pub` reports, as `file: what`, on a throwaway workspace
+/// holding `files`. It is the one workspace-wide pass, so the fixtures
+/// go through the walk.
+fn unused_pub(tag: &str, files: &[(&str, &str)]) -> Vec<String> {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../target")
+        .join(format!("lintkit_unused_pub_{tag}_{}", std::process::id()));
+    for (path, src) in files {
+        let file = root.join(path);
+        std::fs::create_dir_all(file.parent().expect("fixture paths have a directory"))
+            .expect("mkdir");
+        std::fs::write(file, src).expect("write fixture");
+    }
+    let report = lintkit::lint_workspace(&root, Some("unused-pub")).expect("fixture tree lints");
+    std::fs::remove_dir_all(&root).ok();
+    report.diagnostics.iter().map(|d| format!("{}: {}", d.file, d.what)).collect()
+}
+
+#[test]
+fn unused_pub_fires_on_an_orphan_and_on_a_pub_only_its_own_file_uses() {
+    let lib = "pub fn orphan() {}\npub fn helper() {}\npub fn entry() { helper() }\n";
+    let got = unused_pub("orphan", &[("crates/a/src/lib.rs", lib)]);
+    let want = [
+        "crates/a/src/lib.rs: unused pub fn `orphan`",
+        "crates/a/src/lib.rs: unused pub fn `helper`",
+        "crates/a/src/lib.rs: unused pub fn `entry`",
+    ];
+    assert_eq!(got, want);
+    let d = lint_file("crates/a/src/lib.rs", lib, None);
+    assert!(d.is_empty(), "a single file cannot know: {d:?}");
+}
+
+#[test]
+fn unused_pub_is_silent_when_another_src_an_example_or_the_ladder_uses_it() {
+    let lib = "pub fn by_crate() {}\npub fn by_example() {}\npub const BY_LADDER: u8 = 1;\n";
+    let got = unused_pub(
+        "used",
+        &[
+            ("crates/a/src/lib.rs", lib),
+            ("crates/b/src/lib.rs", "fn f() { a::by_crate() }\n"),
+            ("examples/demo.rs", "fn main() { a::by_example() }\n"),
+            ("benchmark/src/main.rs", "fn main() { let _ = a::BY_LADDER; }\n"),
+        ],
+    );
+    assert!(got.is_empty(), "{got:?}");
+}
+
+#[test]
+fn unused_pub_still_fires_when_only_tests_or_a_re_export_name_it() {
+    let lib = "pub fn by_test_dir() {}\npub fn by_unit_test() {}\npub fn re_exported() {}\n\
+               #[cfg(test)]\nmod tests { #[test] fn t() { super::by_unit_test() } }\n";
+    let got = unused_pub(
+        "tests",
+        &[
+            ("crates/a/src/imp.rs", lib),
+            ("crates/a/src/lib.rs", "mod imp;\npub use imp::re_exported;\n"),
+            ("crates/a/tests/it.rs", "#[test] fn t() { a::by_test_dir() }\n"),
+            ("tests/root.rs", "#[test] fn t() { a::by_test_dir() }\n"),
+        ],
+    );
+    let want = [
+        "crates/a/src/imp.rs: unused pub fn `by_test_dir`",
+        "crates/a/src/imp.rs: unused pub fn `by_unit_test`",
+        "crates/a/src/imp.rs: unused pub fn `re_exported`",
+    ];
+    assert_eq!(got, want);
+}
+
+#[test]
+fn unused_pub_types_count_any_naming_but_their_own_definition_and_impl_headers() {
+    let lib = "pub struct Lonely;\nimpl Lonely { fn new() -> Self { Self } }\n\
+               impl Default for Lonely { fn default() -> Self { Self::new() } }\n\
+               pub struct Returned;\npub fn make() -> Returned { Returned }\n\
+               mod nr { pub const SYSCALL: usize = 41; }\npub(crate) fn inner() {}\n";
+    let got = unused_pub(
+        "types",
+        &[("crates/a/src/lib.rs", lib), ("crates/b/src/lib.rs", "fn f() { a::make(); }\n")],
+    );
+    assert_eq!(got, ["crates/a/src/lib.rs: unused pub struct `Lonely`"]);
+}
+
+#[test]
+fn unused_pub_allow_marker_is_honoured() {
+    let lib = "/// Docs.\n// lint: allow(unused-pub): the next roadmap item needs it\n\
+               pub fn kept() {}\npub fn dropped() {}\n";
+    let got = unused_pub("allow", &[("crates/a/src/lib.rs", lib)]);
+    assert_eq!(got, ["crates/a/src/lib.rs: unused pub fn `dropped`"]);
+}
+
 // ---- verify-shell-discipline --------------------------------------------
 
 #[test]
@@ -334,4 +425,24 @@ fn the_workspace_itself_is_clean() {
     let report = lintkit::lint_workspace(&root, None).expect("workspace lints");
     assert!(report.ok(), "workspace must lint clean:\n{}", report.render_human());
     assert!(report.files_checked > 50, "walk found {} files", report.files_checked);
+}
+
+#[test]
+fn unused_pub_allowances_stay_few() {
+    // "Keep it deleted": a marker is for an item the roadmap needs next or
+    // an integration test pins, not a way to keep surface nobody uses.
+    fn count(dir: &std::path::Path, marker: &str) -> usize {
+        std::fs::read_dir(dir).expect("readable source tree").flatten().fold(0, |n, entry| {
+            let path = entry.path();
+            if path.is_dir() {
+                n + count(&path, marker)
+            } else {
+                let src = std::fs::read_to_string(&path).unwrap_or_default();
+                n + src.lines().filter(|l| l.trim_start().starts_with(marker)).count()
+            }
+        })
+    }
+    let crates = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+    let n = count(&crates, "// lint: allow(unused-pub):");
+    assert!(n <= 15, "{n} unused-pub allow markers in crates/ (at most 15)");
 }

@@ -13,11 +13,6 @@ impl MacAddr {
     pub const LOCAL: MacAddr = MacAddr([0x02, 0x00, 0x00, 0x00, 0x00, 0x01]);
     /// Conventional address used by the simulator for the ISP aggregation router.
     pub const UPSTREAM: MacAddr = MacAddr([0x02, 0x00, 0x00, 0x00, 0x00, 0x02]);
-
-    /// True for locally-administered addresses (bit 1 of the first octet).
-    pub fn is_local_admin(&self) -> bool {
-        self.0[0] & 0x02 != 0
-    }
 }
 
 impl fmt::Display for MacAddr {
@@ -146,7 +141,5 @@ mod tests {
     #[test]
     fn mac_display_and_flags() {
         assert_eq!(MacAddr::LOCAL.to_string(), "02:00:00:00:00:01");
-        assert!(MacAddr::LOCAL.is_local_admin());
-        assert!(!MacAddr([0x00, 0, 0, 0, 0, 0]).is_local_admin());
     }
 }

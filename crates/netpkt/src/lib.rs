@@ -47,5 +47,5 @@ pub use error::PktError;
 pub use ethernet::{EtherType, EthernetHeader, MacAddr, ETHERNET_HEADER_LEN};
 pub use frame::{Frame, Packet, Transport};
 pub use ipv4::{IpProtocol, Ipv4Header, IPV4_HEADER_LEN};
-pub use tcp::{TcpFlags, TcpHeader, TCP_HEADER_LEN};
+pub use tcp::{TcpFlags, TcpHeader};
 pub use udp::{UdpHeader, UDP_HEADER_LEN};

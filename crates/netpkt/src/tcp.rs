@@ -4,7 +4,7 @@ use crate::PktError;
 use std::fmt;
 
 /// Length of a TCP header without options.
-pub const TCP_HEADER_LEN: usize = 20;
+const TCP_HEADER_LEN: usize = 20;
 
 /// The TCP flag bits a connection tracker cares about.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -25,6 +25,7 @@ pub struct TcpFlags {
 
 impl TcpFlags {
     /// Just SYN.
+    // lint: allow(unused-pub): zeek-lite's tracker tests open their flows with it; non-test code goes through `TcpHeader::syn`
     pub const SYN: TcpFlags = TcpFlags { syn: true, fin: false, rst: false, psh: false, ack: false, urg: false };
     /// SYN+ACK.
     pub const SYN_ACK: TcpFlags = TcpFlags { syn: true, ack: true, fin: false, rst: false, psh: false, urg: false };
@@ -165,8 +166,8 @@ impl<'a> TcpHeader<'a> {
 
     /// Decode from the front of `buf`; returns the header and payload offset.
     ///
-    /// Checksum verification requires the full segment; snaplen-truncated
-    /// captures skip it (see [`TcpHeader::verify`]).
+    /// The checksum is not verified: that needs the full segment, which a
+    /// snaplen-truncated capture does not hold.
     pub fn decode(buf: &'a [u8]) -> Result<(TcpHeader<'a>, usize), PktError> {
         if buf.len() < TCP_HEADER_LEN {
             return Err(PktError::Truncated {
@@ -201,8 +202,10 @@ impl<'a> TcpHeader<'a> {
         ))
     }
 
-    /// Verify the checksum of a fully-captured segment.
-    pub fn verify(ip: &Ipv4Header, tcp_bytes: &[u8]) -> Result<(), PktError> {
+    /// Verify the checksum of a fully-captured segment: the oracle the
+    /// encoder's tests check it against.
+    #[cfg(test)]
+    fn verify(ip: &Ipv4Header, tcp_bytes: &[u8]) -> Result<(), PktError> {
         if tcp_bytes.len() < TCP_HEADER_LEN {
             return Err(PktError::Truncated {
                 layer: "tcp",

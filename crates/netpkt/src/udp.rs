@@ -46,9 +46,8 @@ impl UdpHeader {
 
     /// Decode from the front of `buf`; returns the header and payload offset.
     ///
-    /// The checksum is *not* verified here: a snaplen-truncated capture
-    /// cannot reproduce it. Callers with full payloads can use
-    /// [`UdpHeader::verify`].
+    /// The checksum is *not* verified: a snaplen-truncated capture cannot
+    /// reproduce it.
     pub fn decode(buf: &[u8]) -> Result<(UdpHeader, usize), PktError> {
         if buf.len() < UDP_HEADER_LEN {
             return Err(PktError::Truncated {
@@ -67,8 +66,10 @@ impl UdpHeader {
         ))
     }
 
-    /// Verify the checksum of a fully-captured datagram.
-    pub fn verify(ip: &Ipv4Header, udp_bytes: &[u8]) -> Result<(), PktError> {
+    /// Verify the checksum of a fully-captured datagram: the oracle the
+    /// encoder's tests check it against.
+    #[cfg(test)]
+    fn verify(ip: &Ipv4Header, udp_bytes: &[u8]) -> Result<(), PktError> {
         if udp_bytes.len() < UDP_HEADER_LEN {
             return Err(PktError::Truncated {
                 layer: "udp",

@@ -28,8 +28,8 @@
 //! w.write_packet(1_549_497_600_000_000_123, b"frame bytes", None).unwrap();
 //! drop(w);
 //!
-//! let mut r = PcapReader::new(&buf[..]).unwrap();
-//! let rec = r.next_packet().unwrap().unwrap();
+//! let r = PcapReader::new(&buf[..]).unwrap();
+//! let rec = r.records().next().unwrap().unwrap();
 //! assert_eq!(rec.ts_nanos, 1_549_497_600_000_000_123);
 //! assert_eq!(rec.data, b"frame bytes");
 //! ```
@@ -53,15 +53,15 @@ pub use ring::{Backpressure, RingSink, RingSource};
 pub use source::{RecordSource, SourceHeader};
 
 /// Magic number for microsecond-precision captures.
-pub const MAGIC_MICRO: u32 = 0xA1B2_C3D4;
+const MAGIC_MICRO: u32 = 0xA1B2_C3D4;
 /// Magic number for nanosecond-precision captures.
-pub const MAGIC_NANO: u32 = 0xA1B2_3C4D;
+const MAGIC_NANO: u32 = 0xA1B2_3C4D;
 /// Link type for Ethernet frames.
 pub const LINKTYPE_ETHERNET: u32 = 1;
 /// Size of the global file header.
-pub const GLOBAL_HEADER_LEN: usize = 24;
+const GLOBAL_HEADER_LEN: usize = 24;
 /// Size of each per-packet record header.
-pub const RECORD_HEADER_LEN: usize = 16;
+const RECORD_HEADER_LEN: usize = 16;
 
 /// Timestamp precision of a capture file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -215,11 +215,6 @@ impl<W: Write> PcapWriter<W> {
         self.packets_written
     }
 
-    /// Total record payload bytes written so far (excluding headers).
-    pub fn bytes_written(&self) -> u64 {
-        self.bytes_written
-    }
-
     /// Writer-side counters as an obs snapshot (`capture.frames_written`,
     /// `capture.bytes_written`).
     pub fn metrics(&self) -> xkit::obs::Metrics {
@@ -301,19 +296,9 @@ impl<R: Read> PcapReader<R> {
         self.snaplen
     }
 
-    /// Records successfully read so far.
-    pub fn records_read(&self) -> u64 {
-        self.records_read
-    }
-
     /// Record payload bytes successfully read so far.
     pub fn bytes_read(&self) -> u64 {
         self.bytes_read
-    }
-
-    /// Records rejected so far (implausible header or truncated body).
-    pub fn records_rejected(&self) -> u64 {
-        self.records_rejected
     }
 
     /// Reader-side counters as an obs snapshot (`capture.frames_read`,
@@ -324,11 +309,6 @@ impl<R: Read> PcapReader<R> {
         m.add("capture.bytes_read", self.bytes_read);
         m.add("capture.frames_rejected", self.records_rejected);
         m
-    }
-
-    /// The file's timestamp precision.
-    pub fn precision(&self) -> TsPrecision {
-        self.precision
     }
 
     /// Read the next record as a borrowed view over the reader's internal
@@ -383,7 +363,7 @@ impl<R: Read> PcapReader<R> {
     /// Read the next record into an owned [`PcapRecord`], or `Ok(None)` at
     /// a clean end of file. Allocates per record; prefer
     /// [`PcapReader::next_record`] on hot paths.
-    pub fn next_packet(&mut self) -> Result<Option<PcapRecord>, PcapError> {
+    fn next_packet(&mut self) -> Result<Option<PcapRecord>, PcapError> {
         Ok(self.next_record()?.map(|r| r.to_owned()))
     }
 
@@ -460,6 +440,25 @@ impl<F: FnMut(PcapRecord) -> Vec<PcapRecord>> RecordTransform for F {
     }
 }
 
+/// The fault→pcap bridge: an injector corrupts a capture through
+/// [`rewrite`]. `RawFrame` mirrors [`PcapRecord`] field for field (`xkit`
+/// cannot name this crate), so the conversion is a move.
+impl RecordTransform for xkit::fault::FaultInjector {
+    fn apply(&mut self, rec: PcapRecord) -> Vec<PcapRecord> {
+        let PcapRecord { ts_nanos, orig_len, data } = rec;
+        let out = self.apply(xkit::fault::RawFrame { ts_nanos, orig_len, data });
+        out.into_iter().map(from_raw).collect()
+    }
+
+    fn flush(&mut self) -> Vec<PcapRecord> {
+        self.flush().into_iter().map(from_raw).collect()
+    }
+}
+
+fn from_raw(f: xkit::fault::RawFrame) -> PcapRecord {
+    PcapRecord { ts_nanos: f.ts_nanos, orig_len: f.orig_len, data: f.data }
+}
+
 /// Copy a capture record-by-record through a caller-supplied transform.
 ///
 /// Each input record maps to zero or more output records (drop, modify,
@@ -508,7 +507,7 @@ mod tests {
     fn round_trip_nano() {
         let buf = write_capture(TsPrecision::Nano, 65535, &[(b"abc", None), (b"defgh", None)]);
         let r = PcapReader::new(&buf[..]).unwrap();
-        assert_eq!(r.precision(), TsPrecision::Nano);
+        assert_eq!(r.precision, TsPrecision::Nano);
         let recs: Vec<_> = r.records().map(|r| r.unwrap()).collect();
         assert_eq!(recs.len(), 2);
         assert_eq!(recs[0].data, b"abc");
@@ -697,9 +696,9 @@ mod tests {
         let buf = write_capture(TsPrecision::Nano, 96, &[(b"abc", None), (b"defgh", None)]);
         let mut r = PcapReader::new(&buf[..]).unwrap();
         while let Some(_) = r.next_packet().unwrap() {}
-        assert_eq!(r.records_read(), 2);
+        assert_eq!(r.records_read, 2);
         assert_eq!(r.bytes_read(), 8);
-        assert_eq!(r.records_rejected(), 0);
+        assert_eq!(r.records_rejected, 0);
         let m = r.metrics();
         assert_eq!(m.counter("capture.frames_read"), 2);
         assert_eq!(m.counter("capture.bytes_read"), 8);
@@ -718,7 +717,7 @@ mod tests {
         buf.truncate(buf.len() - 2);
         let mut r = PcapReader::new(&buf[..]).unwrap();
         assert!(r.next_packet().is_err());
-        assert_eq!(r.records_rejected(), 1);
+        assert_eq!(r.records_rejected, 1);
         assert_eq!(r.metrics().counter("capture.frames_rejected"), 1);
     }
 
@@ -745,7 +744,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(borrowed.records_read(), 40);
+        assert_eq!(borrowed.records_read, 40);
         assert_eq!(borrowed.bytes_read(), owned.bytes_read());
     }
 

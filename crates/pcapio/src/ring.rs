@@ -39,7 +39,7 @@ use crate::{PcapError, RecordRef, LINKTYPE_ETHERNET};
 
 /// Bytes of framing per record in the ring: timestamp (8) + on-wire
 /// length (4) + stored length (4).
-pub const FRAME_HEADER_LEN: usize = 16;
+const FRAME_HEADER_LEN: usize = 16;
 
 /// What a full ring does to the producer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,8 +123,8 @@ impl Shared {
 /// Build a ring of `capacity` bytes with the given snaplen and
 /// backpressure policy, returning the producer and consumer halves.
 ///
-/// `capacity` bounds the framed bytes in flight (each record costs
-/// [`FRAME_HEADER_LEN`] + its stored length); a record whose framed size
+/// `capacity` bounds the framed bytes in flight (each record costs its
+/// 16-byte frame header + its stored length); a record whose framed size
 /// exceeds `capacity` outright is dropped-with-counter under either
 /// policy.
 pub fn channel(capacity: usize, snaplen: u32, policy: Backpressure) -> (RingSink, RingSource) {
@@ -242,6 +242,7 @@ impl RingSink {
     }
 
     /// Records offered so far (enqueued + dropped).
+    // lint: allow(unused-pub): the conservation identity (ring_props, ingest_agreement) reads it; ROADMAP item 3's Ledger is its next user
     pub fn produced(&self) -> u64 {
         self.shared.lock().produced
     }
@@ -297,9 +298,9 @@ fn pop_frame(buf: &mut Vec<u8>, st: &mut State) -> (u64, u32, usize) {
 }
 
 impl RingSource {
-    /// Non-blocking pull: `None` when the ring is currently empty but the
-    /// producer is still live (distinguish from end-of-stream via
-    /// [`RingSource::is_closed`]).
+    /// Non-blocking pull: `None` when the ring is currently empty
+    /// (whether or not the producer is still live).
+    // lint: allow(unused-pub): ring_props' model checks drive it; ROADMAP item 2's soak polls a ring without parking
     pub fn try_next(&mut self) -> Option<RecordRef<'_>> {
         let mut st = self.shared.lock();
         if st.len == 0 {
@@ -313,13 +314,8 @@ impl RingSource {
         Some(RecordRef { ts_nanos, orig_len, data: &self.buf[..stored] })
     }
 
-    /// Whether the producer has closed its half (records may still be
-    /// pending in the ring).
-    pub fn is_closed(&self) -> bool {
-        self.shared.lock().tx_closed
-    }
-
     /// Records consumed so far.
+    // lint: allow(unused-pub): the conservation identity (ring_props, ingest_agreement) reads it; ROADMAP item 3's Ledger is its next user
     pub fn consumed(&self) -> u64 {
         self.shared.lock().consumed
     }
@@ -335,6 +331,7 @@ impl RingSource {
     /// as `Dropped`, so a serve daemon can abort a tenant's feed early
     /// while keeping the source around to read conservation counters.
     /// Idempotent; `Drop` does the same implicitly.
+    // lint: allow(unused-pub): ROADMAP item 2's soak closes a ring under a parked producer
     pub fn close(&mut self) {
         let mut st = self.shared.lock();
         st.rx_closed = true;

@@ -1,8 +1,11 @@
 //! Randomized tests: capture files round-trip and the reader survives
 //! fuzz, driven by a fixed `xkit::rng` stream.
 
-use pcapio::{PcapReader, PcapWriter, TsPrecision, GLOBAL_HEADER_LEN};
+use pcapio::{PcapReader, PcapWriter, TsPrecision};
 use xkit::rng::{RngExt, SeedableRng, StdRng};
+
+/// The pcap global file header, fixed by the format.
+const GLOBAL_HEADER_LEN: usize = 24;
 
 const CASES: usize = 128;
 
@@ -84,7 +87,7 @@ fn snaplen_truncation() {
         let mut w = PcapWriter::new(&mut buf, snaplen, TsPrecision::Nano).unwrap();
         w.write_packet(7, &data, None).unwrap();
         drop(w);
-        let rec = PcapReader::new(&buf[..]).unwrap().next_packet().unwrap().unwrap();
+        let rec = PcapReader::new(&buf[..]).unwrap().records().next().unwrap().unwrap();
         let expect = data.len().min(snaplen as usize);
         assert_eq!(&rec.data, &data[..expect]);
         assert_eq!(rec.orig_len as usize, data.len());

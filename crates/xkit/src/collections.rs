@@ -13,15 +13,12 @@
 //! iteration order reaches logs, metrics, or pcap bytes must stay on
 //! `BTreeMap` or sort their keys first.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// `HashMap` with the [`FxHasher`] — for key-addressed hot maps only
 /// (see the module docs for the no-iteration rule).
 pub type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
-
-/// `HashSet` companion of [`FastMap`], same rules.
-pub type FastSet<T> = HashSet<T, BuildHasherDefault<FxHasher>>;
 
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
@@ -108,7 +105,7 @@ mod tests {
 
     #[test]
     fn set_round_trips() {
-        let mut s: FastSet<u32> = FastSet::default();
+        let mut s: std::collections::HashSet<u32, BuildHasherDefault<FxHasher>> = Default::default();
         assert!(s.insert(7));
         assert!(!s.insert(7));
         assert!(s.contains(&7));

@@ -107,12 +107,6 @@ impl FaultStats {
         self.reordered += other.reordered;
     }
 
-    /// Total frames a fault touched (dropping, clipping, flipping,
-    /// duplicating, or reordering).
-    pub fn faulted(&self) -> u64 {
-        self.dropped + self.truncated + self.bit_flipped + self.duplicated + self.reordered
-    }
-
     /// Express the counters as an obs snapshot.
     ///
     /// Damage events live under `fault.*` (`fault.dropped`,
@@ -257,29 +251,30 @@ impl FaultInjector {
     }
 }
 
-/// Corrupt an in-memory frame stream in one call.
-///
-/// Convenience wrapper over [`FaultInjector`]: applies faults to every
-/// frame in order, flushes the reorder slot, and returns the corrupted
-/// stream together with the stats.
-pub fn corrupt_stream(
-    frames: impl IntoIterator<Item = RawFrame>,
-    cfg: FaultConfig,
-    rng: StdRng,
-) -> (Vec<RawFrame>, FaultStats) {
-    let mut inj = FaultInjector::new(cfg, rng);
-    let mut out = Vec::new();
-    for f in frames {
-        out.extend(inj.apply(f));
-    }
-    out.extend(inj.flush());
-    (out, *inj.stats())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rng::{Rng, SeedableRng};
+
+    /// Every frame through one injector, reorder slot flushed.
+    fn corrupt_stream(
+        frames: Vec<RawFrame>,
+        cfg: FaultConfig,
+        rng: StdRng,
+    ) -> (Vec<RawFrame>, FaultStats) {
+        let mut inj = FaultInjector::new(cfg, rng);
+        let mut out = Vec::new();
+        for f in frames {
+            out.extend(inj.apply(f));
+        }
+        out.extend(inj.flush());
+        (out, *inj.stats())
+    }
+
+    /// Frames a fault touched.
+    fn faulted(st: &FaultStats) -> u64 {
+        st.dropped + st.truncated + st.bit_flipped + st.duplicated + st.reordered
+    }
 
     fn frames(n: usize) -> Vec<RawFrame> {
         (0..n)
@@ -302,7 +297,7 @@ mod tests {
         }
         out.extend(inj.flush());
         assert_eq!(out, input);
-        assert_eq!(inj.stats().faulted(), 0);
+        assert_eq!(faulted(inj.stats()), 0);
         assert_eq!(inj.stats().frames_in, 100);
         assert_eq!(inj.stats().frames_out, 100);
         // The injector's RNG state is untouched.
@@ -342,7 +337,7 @@ mod tests {
     fn fault_rates_land_near_configured_probability() {
         let cfg = FaultConfig::uniform(0.2);
         let (_, st) = corrupt_stream(frames(20_000), cfg, StdRng::seed_from_u64(5));
-        let rate = st.faulted() as f64 / st.frames_in as f64;
+        let rate = faulted(&st) as f64 / st.frames_in as f64;
         assert!((rate - 0.2).abs() < 0.02, "observed fault rate {rate}");
     }
 
@@ -419,6 +414,6 @@ mod tests {
         let mut m = a;
         m.merge(&b);
         assert_eq!(m.frames_in, 500);
-        assert_eq!(m.faulted(), a.faulted() + b.faulted());
+        assert_eq!(faulted(&m), faulted(&a) + faulted(&b));
     }
 }

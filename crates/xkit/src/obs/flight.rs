@@ -118,11 +118,6 @@ impl FlightRecorder {
         self.len() == 0
     }
 
-    /// Total events ever recorded (held + dropped).
-    pub fn recorded(&self) -> u64 {
-        self.with_state(|s| s.seq)
-    }
-
     /// Events evicted to make room (recorded − held).
     pub fn dropped(&self) -> u64 {
         self.with_state(|s| s.dropped)
@@ -178,14 +173,14 @@ mod tests {
             fr.record("epoch.release", format!("epoch {i}"), i as f64);
         }
         assert_eq!(fr.len(), 3);
-        assert_eq!(fr.recorded(), 10);
+        assert_eq!(fr.with_state(|s| s.seq), 10);
         assert_eq!(fr.dropped(), 7);
         let events = fr.snapshot();
         let seqs: Vec<u64> = events.iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![7, 8, 9], "oldest dropped first, order kept");
         assert_eq!(events[0].detail, "epoch 7");
         // recorded = held + dropped at all times.
-        assert_eq!(fr.recorded(), fr.len() as u64 + fr.dropped());
+        assert_eq!(fr.with_state(|s| s.seq), fr.len() as u64 + fr.dropped());
     }
 
     #[test]

@@ -151,7 +151,7 @@ mod tests {
         let viewer = hub.clone();
         hub.flight().record("epoch.release", "epoch 0", 1.0);
         let mut m = Metrics::new();
-        m.inc("x");
+        m.add("x", 1);
         hub.publish_metrics(m);
         assert_eq!(viewer.metrics().counter("x"), 1);
         assert_eq!(viewer.flight().len(), 1);

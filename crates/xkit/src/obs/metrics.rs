@@ -42,11 +42,6 @@ impl HistSpec {
         HistSpec::log(1e-3, 9, 4)
     }
 
-    /// Default spec for sizes/rates: 1 .. 10^12, two buckets per decade.
-    pub fn magnitude() -> HistSpec {
-        HistSpec::log(1.0, 12, 2)
-    }
-
     /// Number of in-range buckets.
     pub fn buckets(&self) -> usize {
         (self.decades * self.per_decade) as usize
@@ -125,12 +120,12 @@ impl Histogram {
     /// Record one value. Finite values update `count`/`min`/`max` and one
     /// of the bucket / underflow / overflow counters; non-finite values
     /// only bump the `nonfinite` counter.
-    pub fn observe(&mut self, v: f64) {
+    fn observe(&mut self, v: f64) {
         self.observe_n(v, 1)
     }
 
     /// Record the same value `n` times in O(1).
-    pub fn observe_n(&mut self, v: f64, n: u64) {
+    fn observe_n(&mut self, v: f64, n: u64) {
         if n == 0 {
             return;
         }
@@ -214,29 +209,9 @@ impl Histogram {
         &self.bounds
     }
 
-    /// Per-bucket counts, aligned with [`bounds`](Histogram::bounds).
-    pub fn bucket_counts(&self) -> &[u64] {
-        &self.counts
-    }
-
     /// Finite values recorded (includes underflow and overflow).
     pub fn count(&self) -> u64 {
         self.count
-    }
-
-    /// Values below the first bucket edge.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Values at or above the last bucket edge.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// NaN/infinite values offered (never counted in `count`).
-    pub fn nonfinite(&self) -> u64 {
-        self.nonfinite
     }
 
     /// Smallest finite value recorded, `None` when empty. Exact under
@@ -284,7 +259,7 @@ impl Histogram {
     /// understates the true quantile by construction — the pinned
     /// contract for `p50<=`/`p95<=`/`p99<=` table columns and the
     /// Prometheus `_q` lines.
-    pub fn quantile_upper(&self, q: f64) -> Option<f64> {
+    fn quantile_upper(&self, q: f64) -> Option<f64> {
         if self.count == 0 {
             return None;
         }
@@ -306,7 +281,7 @@ impl Histogram {
     /// [`Metrics::to_json`] `hist` object). `count` is recomputed as
     /// `underflow + overflow + Σ counts`; `min`/`max` are required
     /// whenever that count is positive.
-    pub fn from_parts(
+    fn from_parts(
         spec: HistSpec,
         counts: Vec<u64>,
         underflow: u64,
@@ -340,7 +315,7 @@ impl Histogram {
     /// Estimated sum of recorded values (bucket geometric midpoints;
     /// under/overflow contribute `min`/`max`). Export-time convenience
     /// only — never merged, so it cannot perturb determinism.
-    pub fn sum_estimate(&self) -> f64 {
+    fn sum_estimate(&self) -> f64 {
         let mut sum = self.underflow as f64 * if self.underflow > 0 { self.min } else { 0.0 };
         sum += self.overflow as f64 * if self.overflow > 0 { self.max } else { 0.0 };
         for (i, &n) in self.counts.iter().enumerate() {
@@ -388,11 +363,6 @@ impl Metrics {
                 self.map.insert(name.to_string(), Metric::Counter(n));
             }
         }
-    }
-
-    /// Increment the counter `name` by one.
-    pub fn inc(&mut self, name: &str) {
-        self.add(name, 1);
     }
 
     /// Raise the gauge `name` to at least `v` (creating it at `v`).
@@ -456,12 +426,6 @@ impl Metrics {
         }
     }
 
-    /// Record `v` into the histogram `name` with the default
-    /// [`HistSpec::time_ms`] spec.
-    pub fn observe(&mut self, name: &str, v: f64) {
-        self.observe_with(name, HistSpec::time_ms(), v);
-    }
-
     /// Insert a pre-built metric under `name`, replacing any previous one.
     pub fn insert(&mut self, name: &str, metric: Metric) {
         self.map.insert(name.to_string(), metric);
@@ -500,16 +464,9 @@ impl Metrics {
         }
     }
 
-    /// Histogram under `name`, if present.
-    pub fn hist(&self, name: &str) -> Option<&Histogram> {
-        match self.map.get(name) {
-            Some(Metric::Hist(h)) => Some(h),
-            _ => None,
-        }
-    }
-
     /// Sum of every counter whose name starts with `prefix` (invariant
     /// checks: `sum_counters("zeek.reject.")`).
+    // lint: allow(unused-pub): tests/obs_pipeline.rs states the conservation identities with it; ROADMAP item 3's Ledger is its next user
     pub fn sum_counters(&self, prefix: &str) -> u64 {
         self.map
             .iter()
@@ -653,7 +610,7 @@ impl Metrics {
                             h.count()
                         )
                     }
-                    _ => format!("n=0 (+{} nonfinite)", h.nonfinite()),
+                    _ => format!("n=0 (+{} nonfinite)", h.nonfinite),
                 },
             };
             out.push_str(&format!("{name:width$}  {value}\n"));
@@ -805,14 +762,14 @@ mod tests {
         // A value exactly on edge i belongs to bucket i, not i-1.
         for (i, &edge) in bounds.iter().enumerate().take(bounds.len() - 1) {
             h.observe(edge);
-            assert_eq!(h.bucket_counts()[i], 1, "edge {edge} lands in bucket {i}");
+            assert_eq!(h.counts[i], 1, "edge {edge} lands in bucket {i}");
         }
         // The last edge overflows.
         h.observe(bounds[bounds.len() - 1]);
-        assert_eq!(h.overflow(), 1);
+        assert_eq!(h.overflow, 1);
         // Just below the first edge underflows.
         h.observe(bounds[0] * 0.999);
-        assert_eq!(h.underflow(), 1);
+        assert_eq!(h.underflow, 1);
     }
 
     #[test]
@@ -825,10 +782,10 @@ mod tests {
         h.observe(f64::NEG_INFINITY);
         h.observe(1e-3); // exactly lo → first bucket
         h.observe(1e9); // way past the top
-        assert_eq!(h.underflow(), 2);
-        assert_eq!(h.nonfinite(), 3);
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.bucket_counts()[0], 1);
+        assert_eq!(h.underflow, 2);
+        assert_eq!(h.nonfinite, 3);
+        assert_eq!(h.overflow, 1);
+        assert_eq!(h.counts[0], 1);
         assert_eq!(h.count(), 4, "nonfinite never enters count");
         assert_eq!(h.min(), Some(-5.0));
         assert_eq!(h.max(), Some(1e9));
@@ -871,13 +828,13 @@ mod tests {
     fn cross_spec_merge_preserves_count_and_extrema() {
         let mut a = Histogram::new(HistSpec::time_ms());
         a.observe(5.0);
-        let mut b = Histogram::new(HistSpec::magnitude());
+        let mut b = Histogram::new(HistSpec::log(1.0, 12, 2));
         b.observe(2.0);
         b.observe(1e14); // overflow in b
         b.observe(f64::NAN);
         a.merge(&b);
         assert_eq!(a.count(), 3);
-        assert_eq!(a.nonfinite(), 1);
+        assert_eq!(a.nonfinite, 1);
         assert_eq!(a.min(), Some(2.0));
         assert_eq!(a.max(), Some(1e14));
     }
@@ -940,7 +897,7 @@ mod tests {
         // overflow branch must return max(bounds[last], max).
         let spec = HistSpec::time_ms();
         let probe = Histogram::new(spec.clone());
-        let n_buckets = probe.bucket_counts().len();
+        let n_buckets = probe.counts.len();
         let mut counts = vec![0u64; n_buckets];
         counts[n_buckets - 1] = 95; // p95 rank lands here → bounds[last]
         let h = Histogram::from_parts(spec, counts, 0, 5, 0, Some(1.0), Some(1.0))
@@ -958,10 +915,10 @@ mod tests {
         let h = filled(9, 400);
         let rebuilt = Histogram::from_parts(
             h.spec(),
-            h.bucket_counts().to_vec(),
-            h.underflow(),
-            h.overflow(),
-            h.nonfinite(),
+            h.counts.to_vec(),
+            h.underflow,
+            h.overflow,
+            h.nonfinite,
             h.min(),
             h.max(),
         )
@@ -990,7 +947,7 @@ mod tests {
         m.add("zeek.frames_seen", 12345);
         m.gauge_max("stream.live_flows", 77.25);
         m.insert("h", Metric::Hist(filled(4, 250)));
-        m.observe("empty-ish", f64::NAN); // nonfinite-only histogram
+        m.observe_with("empty-ish", HistSpec::time_ms(), f64::NAN); // nonfinite-only histogram
         let v = crate::obs::json::parse(&m.to_json()).expect("valid JSON");
         let back = Metrics::from_json_value(&v).expect("reconstructs");
         assert_eq!(back, m);
@@ -1006,7 +963,7 @@ mod tests {
     #[test]
     fn metrics_counters_gauges_and_conflicts() {
         let mut m = Metrics::new();
-        m.inc("a.x");
+        m.add("a.x", 1);
         m.add("a.x", 4);
         m.gauge_max("g", 2.0);
         m.gauge_max("g", 1.0);
@@ -1027,11 +984,11 @@ mod tests {
         for i in 0..1000u64 {
             let v = (i % 97) as f64 + 0.5;
             whole.add("n", 1);
-            whole.observe("h", v);
+            whole.observe_with("h", HistSpec::time_ms(), v);
             whole.gauge_max("g", v);
             let p = &mut parts[(i % 4) as usize];
             p.add("n", 1);
-            p.observe("h", v);
+            p.observe_with("h", HistSpec::time_ms(), v);
             p.gauge_max("g", v);
         }
         let mut merged = Metrics::new();
@@ -1088,7 +1045,7 @@ mod tests {
         let mut m = Metrics::new();
         m.add("pair.hit", 3);
         m.gauge_max("zeek.peak", 4.0);
-        m.observe("pair.gap_ms", 12.0);
+        m.observe_with("pair.gap_ms", HistSpec::time_ms(), 12.0);
         let table = m.render_table();
         assert!(table.contains("pair.hit"));
         assert!(table.contains("n=1"));

@@ -51,4 +51,4 @@ pub use flight::{FlightEvent, FlightRecorder};
 pub use hub::ObsHub;
 pub use metrics::{HistSpec, Histogram, Metric, Metrics};
 pub use span::{SpanId, SpanLog, SpanRecord};
-pub use tenants::{valid_tenant_id, HubRegistry, TenantState};
+pub use tenants::{HubRegistry, TenantState};

@@ -70,7 +70,7 @@ pub struct HubRegistry {
 }
 
 /// `true` when `id` is non-empty and uses only URL/JSON-safe bytes.
-pub fn valid_tenant_id(id: &str) -> bool {
+fn valid_tenant_id(id: &str) -> bool {
     !id.is_empty()
         && id.len() <= 128
         && id

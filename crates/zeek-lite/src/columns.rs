@@ -8,9 +8,7 @@
 //! These projections lay the scanned fields out as contiguous columns:
 //!
 //! * [`ConnColumns`] carries *every* conn.log field (all are `Copy`), so
-//!   it can also reconstruct exact rows — [`ConnColumns::row`] is the
-//!   row view used by the columnar log writer, which must byte-match
-//!   the row writer.
+//!   it can also reconstruct exact rows ([`ConnColumns::row`]).
 //! * [`DnsColumns`] carries only the per-transaction scalars the
 //!   analyses scan (client, resolver, rtt, derived completion/expiry);
 //!   variable-length data (query names, answer sets) stays in the rows.
@@ -124,8 +122,7 @@ impl ConnColumns {
     }
 
     /// Reassemble row `i` exactly (every conn.log field is `Copy`, so
-    /// this allocates nothing). The columnar log writer serialises these
-    /// views and byte-matches the row writer.
+    /// this allocates nothing).
     pub fn row(&self, i: usize) -> ConnRecord {
         ConnRecord {
             uid: self.uid[i],

@@ -167,7 +167,7 @@ impl DegradationStats {
     }
 
     /// Frames rejected at any layer.
-    pub fn frames_rejected(&self) -> u64 {
+    fn frames_rejected(&self) -> u64 {
         self.truncated_ethernet
             + self.truncated_ipv4
             + self.truncated_transport
@@ -180,7 +180,7 @@ impl DegradationStats {
     }
 
     /// Port-53 payloads the DNS decoder rejected.
-    pub fn dns_rejected(&self) -> u64 {
+    fn dns_rejected(&self) -> u64 {
         self.dns_truncated + self.dns_bad_name + self.dns_bad_pointer + self.dns_length_mismatch + self.dns_other
     }
 

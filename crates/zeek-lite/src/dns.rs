@@ -31,7 +31,7 @@ impl Answer {
     }
 
     /// The address if this is an A answer.
-    pub fn as_addr(&self) -> Option<Ipv4Addr> {
+    fn as_addr(&self) -> Option<Ipv4Addr> {
         match self.data {
             AnswerData::Addr(a) => Some(a),
             _ => None,

@@ -15,7 +15,7 @@ use std::ops::Deref;
 
 /// A connection-history code string stored inline (no heap allocation).
 ///
-/// Capacity is [`History::CAPACITY`] bytes — comfortably above the 12-byte
+/// Capacity is 15 bytes — comfortably above the 12-byte
 /// maximum a well-formed history can reach. Pushes beyond capacity are
 /// silently dropped rather than panicking, matching the "best-effort
 /// annotation" role the column plays in Zeek.
@@ -27,7 +27,7 @@ pub struct History {
 
 impl History {
     /// Maximum number of code bytes an instance can hold.
-    pub const CAPACITY: usize = 15;
+    const CAPACITY: usize = 15;
 
     /// The empty history.
     pub const fn new() -> History {

@@ -117,20 +117,6 @@ pub fn write_conn_log<W: Write>(mut out: W, conns: &[ConnRecord]) -> io::Result<
     Ok(())
 }
 
-/// Write a conn.log from a columnar projection, via its row views.
-/// Byte-identical to [`write_conn_log`] over the rows the projection
-/// was built from (both writers share the same line formatter).
-pub fn write_conn_log_columns<W: Write>(
-    mut out: W,
-    cols: &crate::columns::ConnColumns,
-) -> io::Result<()> {
-    write_conn_header(&mut out)?;
-    for c in cols.rows() {
-        write_conn_line(&mut out, &c)?;
-    }
-    Ok(())
-}
-
 /// Read a conn.log written by [`write_conn_log`].
 pub fn read_conn_log<R: Read>(input: R) -> Result<Vec<ConnRecord>, LogError> {
     let reader = BufReader::new(input);
@@ -381,24 +367,6 @@ mod tests {
         write_conn_log(&mut buf, &conns).unwrap();
         let back = read_conn_log(&buf[..]).unwrap();
         assert_eq!(back, conns);
-    }
-
-    #[test]
-    fn columnar_conn_writer_is_byte_identical() {
-        let mut conns = Vec::new();
-        for i in 0..50u64 {
-            let mut c = sample_conn();
-            c.uid = i;
-            c.ts = Timestamp(i * 999_999_937);
-            c.history = if i % 3 == 0 { History::new() } else { "ShAaDdFf".into() };
-            c.service = if i % 2 == 0 { None } else { Some("ssl") };
-            conns.push(c);
-        }
-        let cols = crate::columns::ConnColumns::from_rows(&conns);
-        let (mut by_rows, mut by_cols) = (Vec::new(), Vec::new());
-        write_conn_log(&mut by_rows, &conns).unwrap();
-        write_conn_log_columns(&mut by_cols, &cols).unwrap();
-        assert_eq!(by_rows, by_cols);
     }
 
     #[test]

@@ -61,11 +61,6 @@ impl Duration {
         Duration(ms * 1_000_000)
     }
 
-    /// Construct from microseconds.
-    pub const fn from_micros(us: u64) -> Duration {
-        Duration(us * 1_000)
-    }
-
     /// Construct from fractional seconds; negative input clamps to zero.
     pub fn from_secs_f64(s: f64) -> Duration {
         if s <= 0.0 {
@@ -165,7 +160,7 @@ mod tests {
     #[test]
     fn conversions() {
         assert_eq!(Duration::from_secs(2).as_secs(), 2);
-        assert_eq!(Duration::from_micros(1500).as_millis_f64(), 1.5);
+        assert_eq!(Duration(1_500_000).as_millis_f64(), 1.5);
         assert_eq!(Duration::from_secs_f64(0.25).nanos(), 250_000_000);
         assert_eq!(Duration::from_secs_f64(-3.0), Duration::ZERO);
         assert_eq!(Timestamp::from_millis(1500).as_secs_f64(), 1.5);
@@ -174,7 +169,7 @@ mod tests {
     #[test]
     fn display_fixed_precision() {
         assert_eq!(Timestamp::from_millis(1500).to_string(), "1.500000");
-        assert_eq!(Duration::from_micros(250).to_string(), "0.000250");
+        assert_eq!(Duration(250_000).to_string(), "0.000250");
     }
 
     #[test]

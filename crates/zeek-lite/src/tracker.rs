@@ -59,11 +59,6 @@ impl ConnState {
             _ => return None,
         })
     }
-
-    /// Whether any payload could have been exchanged (handshake completed).
-    pub fn established(self) -> bool {
-        matches!(self, ConnState::S1 | ConnState::SF | ConnState::RstO | ConnState::RstR)
-    }
 }
 
 /// One connection summary — the analogue of a Bro conn.log line.
@@ -699,7 +694,7 @@ mod tests {
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].orig_bytes, 100);
         assert_eq!(recs[0].resp_bytes, 200);
-        assert!(recs[0].state.established());
+        assert!(matches!(recs[0].state, ConnState::SF | ConnState::RstO));
     }
 
     #[test]

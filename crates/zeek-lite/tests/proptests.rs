@@ -103,7 +103,7 @@ fn gen_dns(r: &mut StdRng) -> DnsTransaction {
     let answered = r.random::<bool>();
     let (rtt, rcode, answers) = if answered {
         (
-            Some(Duration::from_micros(r.random_range(0u64..60_000))),
+            Some(Duration(1_000 * r.random_range(0u64..60_000))),
             Some(Rcode::from_u8(r.random_range(0u8..6))),
             (0..r.random_range(0..5usize)).map(|_| gen_answer(r)).collect(),
         )

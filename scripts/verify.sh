@@ -1,7 +1,8 @@
 #!/bin/sh
-# Tier-1 gate: offline build + tests, then the lintkit invariant
-# checker (`repro lint`) over every source-level deny-list the
-# workspace enforces, then the per-subsystem suites.
+# Tier-1 gate: offline build, every test target once (debug profile,
+# workspace-wide), the ladder's own tests, the lintkit invariant checker
+# (`repro lint`) on the real tree, then per subsystem the `--release`
+# agreement suites and the CLI smokes and `cmp` gates.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -24,31 +25,21 @@ echo "== lint (token-aware invariant checker) =="
 # never express (map iteration, SAFETY comments, stdout discipline,
 # wall-clock seams, and this script's own scan hygiene). Exit code 1 on
 # any violation keeps the old contract.
-cargo test -q --offline -p lintkit
-cargo test -q --offline -p bench --test lint_cli
 lint_json=$(mktemp /tmp/verify_lint.XXXXXX.json)
 cargo run -q --release --offline -p bench --bin repro -- \
     lint --format json > "$lint_json"
 # The JSON diagnostic document must parse back through xkit::obs::json
-# and carry ok=true (lint_cli tests the schema in depth; this is the
-# live gate on the real tree).
+# and carry ok=true (crates/bench/tests/lint_cli.rs tests the schema in
+# depth; this is the live gate on the real tree).
 grep -q '"tool":"lintkit"' "$lint_json"
 grep -q '"ok":true' "$lint_json"
 rm -f "$lint_json"
 echo "clean: repro lint exits clean on the workspace"
 
 echo "== fault suite =="
-cargo test -q --offline -p dnsctx --test fault_tolerance --test fault_injection
-cargo test -q --offline -p netpkt --test fuzz_smoke
-cargo test -q --offline -p dns-wire --test fuzz_smoke
-cargo test -q --offline -p zeek-lite --test logs_invariants
 cargo run -q --release --offline -p bench --bin repro -- fuzz --seed 0
 
 echo "== obs suite =="
-cargo test -q --offline -p xkit obs
-cargo test -q --offline -p zeek-lite
-cargo test -q --offline -p dnsctx --test obs_pipeline
-cargo test -q --offline -p bench --test obs_cli
 # The obs experiment must emit a JSON snapshot we can parse back.
 obs_out=$(mktemp /tmp/verify_obs.XXXXXX.json)
 cargo run -q --release --offline -p bench --bin repro -- \
@@ -60,11 +51,6 @@ echo "== stream suite =="
 # Streamed output must be byte-identical to batch at every tested
 # window/thread combination, with live state bounded for finite windows.
 cargo test -q --release --offline -p dnsctx --test stream_agreement
-# Eviction and release against batch over seeded tiny worlds, and the
-# allocation count of an idle epoch at two sizes of held state.
-cargo test -q --offline -p dns-context --lib stream::tests
-cargo test -q --offline -p dnsctx --test epoch_cost
-cargo test -q --offline -p pcapio
 cargo run -q --release --offline -p bench --bin repro -- \
     stream --houses 20 --days 0.1 --window-secs 60 >/dev/null
 # Batch-fallback scanning now lives in `repro lint` (no-batch-in-stream).
@@ -73,7 +59,6 @@ echo "== ingest suite =="
 # One RecordSource seam, three backends: the file and ring paths must be
 # indistinguishable downstream, and the ring must conserve every record.
 cargo test -q --release --offline -p dnsctx --test ingest_agreement
-cargo test -q --offline -p pcapio --test ring_props
 cargo build -q --offline -p pcapio --features raw-socket
 # The ring-fed CLI run must emit the exact stdout document of the
 # file-fed run over the same workload (spans are excluded by design).
@@ -108,11 +93,6 @@ echo "== perf-hygiene suite =="
 cargo test -q --release --offline -p bench --test zero_copy_agreement
 
 echo "== obs-serve suite =="
-# The live observability plane: flight ring + hub semantics, the JSON
-# parser's fuzz-smoke, mid-run prefix validity, and the CLI serve path.
-cargo test -q --offline -p xkit --test json_fuzz
-cargo test -q --offline -p dnsctx --test obs_serve
-cargo test -q --offline -p bench --test serve_cli
 # Serve smoke on an ephemeral port: every endpoint must answer and
 # self-validate while the run is live.
 cargo run -q --release --offline -p bench --bin repro -- \
@@ -137,11 +117,8 @@ echo "clean: --serve leaves the stdout document byte-identical"
 # Socket-fence scanning now lives in `repro lint` (socket-fence).
 
 echo "== serve-daemon suite =="
-# The multi-tenant daemon (DESIGN.md §15): lifecycle tests (concurrent
-# tenants, prefix-valid mid-run scrapes, pool-width-independent
-# aggregate, removal frees state) plus an ephemeral-port CLI smoke
+# The multi-tenant daemon (DESIGN.md §15): an ephemeral-port CLI smoke
 # that self-validates the tenant routes before shutdown.
-cargo test -q --offline -p bench --test serve_daemon
 cargo run -q --release --offline -p bench --bin repro -- \
     serve --tenants 8 --houses 4 --days 0.05 \
     --serve 127.0.0.1:0 --serve-check >/dev/null

@@ -9,7 +9,7 @@ use std::net::Ipv4Addr;
 use dnsctx::dns_context::{stream::StreamEngine, AnalysisConfig};
 use dnsctx::dns_wire::{Message, Name, Record, RrType};
 use dnsctx::netpkt::{Frame, MacAddr, TcpFlags, TcpHeader};
-use dnsctx::obskit::ObsHub;
+use dnsctx::xkit::obs::ObsHub;
 use dnsctx::xkit::bench::alloc::{self, CountingAlloc, StageAllocs};
 use dnsctx::zeek_lite::{Duration, MonitorConfig, Timestamp};
 
@@ -47,7 +47,8 @@ fn idle_epoch_allocs(n: u32) -> [StageAllocs; 3] {
         ..MonitorConfig::default()
     };
     let mut engine = StreamEngine::new(monitor, AnalysisConfig::default());
-    engine.set_hub(ObsHub::default());
+    let hub = ObsHub::default();
+    engine.set_hub(hub.clone());
     let addr = |i: u32| Ipv4Addr::from(u32::from(Ipv4Addr::new(104, 16, 0, 0)) + i);
 
     // A flow that never ends pins the connection watermark at 1 s.
@@ -80,9 +81,11 @@ fn idle_epoch_allocs(n: u32) -> [StageAllocs; 3] {
     feed(&mut engine, 58_000_000, &Frame::tcp(down, up, HOUSE, SERVER, ack, &[]));
     let out = engine.end_epoch(Some(Timestamp::from_millis(60_000)));
     assert_eq!((out.dns.len(), out.conns.len()), (0, 0));
-    let (flows, answers) = engine.live_state();
+    let live = hub.metrics();
+    let flows = live.gauge("stream.live_flows").expect("published at the boundary");
+    let answers = live.gauge("stream.live_answers").expect("published at the boundary");
     assert!(
-        flows > n as u64 && answers > 2 * n as u64,
+        flows > f64::from(n) && answers > 2.0 * f64::from(n),
         "state not held: {flows} flows, {answers} answers"
     );
 

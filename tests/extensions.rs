@@ -123,7 +123,7 @@ fn captures_merge_and_reanalyse() {
 
 #[test]
 fn nxdomain_traffic_round_trips_through_packets() {
-    let mut cfg = dnsctx::ccz_sim::scenarios::typo_traffic(1.0);
+    let mut cfg = dnsctx::ccz_sim::scenarios::paper_week(1.0);
     cfg.scale = dnsctx::ccz_sim::ScaleKnobs { houses: 4, days: 0.03, activity: 1.0 };
     cfg.p_nxdomain = 0.2; // make sure some occur in the short window
     let sim = dnsctx::ccz_sim::Simulation::new(cfg, 6).unwrap();

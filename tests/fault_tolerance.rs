@@ -196,13 +196,13 @@ fn mid_record_tcp_stream_cuts_are_err_not_panic() {
     stream.extend_from_slice(&tcp_frame::frame(&payload));
     assert_eq!(tcp_frame::deframe_all(&stream).unwrap().len(), 2);
     // Cutting anywhere inside the second message leaves a trailing
-    // partial frame: deframe_all must reject it, and what does deframe
-    // must still decode or error cleanly.
+    // partial frame: deframe_all must reject it, and what the
+    // incremental deframer does release must still decode or error cleanly.
     for cut in (payload.len() + 3)..stream.len() {
         let cut_stream = &stream[..cut];
         assert!(tcp_frame::deframe_all(cut_stream).is_err(), "cut at {cut}");
-        if let Ok(Some((msg, _))) = tcp_frame::deframe(cut_stream) {
-            let _ = Message::decode(msg);
+        for msg in tcp_frame::Deframer::new().push(cut_stream) {
+            let _ = Message::decode(&msg);
         }
     }
     // A length prefix promising bytes that never arrive is a clean error.

@@ -13,7 +13,7 @@
 
 use dnsctx::ccz_sim::{ScaleKnobs, Simulation, WorkloadConfig};
 use dnsctx::dns_context::{Analysis, AnalysisConfig};
-use dnsctx::obskit::Metrics;
+use dnsctx::xkit::obs::Metrics;
 use dnsctx::pcapio::{self, Backpressure, RecordSource};
 use dnsctx::xkit::fault::{FaultConfig, FaultInjector, RawFrame};
 use dnsctx::xkit::rng::{SeedableRng, StdRng};
@@ -162,7 +162,9 @@ fn snapshot_identical_across_backends() {
 #[test]
 fn study_metrics_facade_agrees_with_views() {
     let study = dnsctx::pipeline::quick_study(4, 0.2, 7);
-    let m = dnsctx::obskit::study_metrics(&study);
+    let mut m = study.sim.metrics.clone();
+    m.merge(&study.sim.logs.metrics());
+    m.merge(&study.analysis().metrics());
     assert_eq!(m.counter("sim.conns"), study.sim.truth.conns.len() as u64);
     assert_eq!(m.counter("zeek.conn_rows"), study.logs().conns.len() as u64);
     assert_eq!(m.sum_counters("class."), study.analysis().class_counts().total() as u64);

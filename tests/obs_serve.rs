@@ -9,7 +9,7 @@ use std::collections::BTreeMap;
 
 use dnsctx::ccz_sim::{ScaleKnobs, Simulation, WorkloadConfig};
 use dnsctx::dns_context::{stream, AnalysisConfig};
-use dnsctx::obskit::{http, json, Metrics, ObsHub};
+use dnsctx::xkit::obs::{http, json, Metrics, ObsHub};
 use dnsctx::pcapio;
 use dnsctx::zeek_lite::{Duration, MonitorConfig};
 
