@@ -59,6 +59,18 @@ fn capture_bytes_are_thread_invariant() {
     assert_eq!(t1, capture_bytes(1), "same seed, same bytes");
 }
 
+/// The simulator's DNS encoder makes the compression decisions it made
+/// with the `HashMap<Name, usize>` compressor: the capture's FNV-1a
+/// digest is the one recorded on that commit.
+#[test]
+fn capture_bytes_match_the_recorded_digest() {
+    let bytes = capture_bytes(1);
+    let digest = bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3));
+    assert_eq!((bytes.len(), digest), (4_504_520, 0xb9f3_793c_8430_003c));
+}
+
 #[test]
 fn batch_pipeline_agrees_across_threads() {
     let bytes = capture_bytes(1);

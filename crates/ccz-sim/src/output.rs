@@ -263,12 +263,19 @@ struct PendingFrame {
 pub struct PcapSink {
     frames: Vec<PendingFrame>,
     seq: u64,
+    /// MNAME and RNAME of the SOA every negative response carries.
+    soa_names: (Name, Name),
 }
 
 impl PcapSink {
     /// An empty sink.
     pub fn new() -> PcapSink {
-        PcapSink { frames: Vec::new(), seq: 0 }
+        let name = |s| Name::parse(s).expect("static name");
+        PcapSink {
+            frames: Vec::new(),
+            seq: 0,
+            soa_names: (name("ns1.cdnint.net"), name("hostmaster.cdnint.net")),
+        }
     }
 
     fn push(&mut self, ts: Timestamp, frame: Frame) {
@@ -303,8 +310,10 @@ impl PcapSink {
         // deterministic (and skips the stable sort's merge buffer).
         self.frames.sort_unstable_by_key(|f| (f.ts, f.seq));
         let mut n = 0u64;
+        let mut bytes = Vec::new();
         for f in &self.frames {
-            let bytes = f.frame.encode();
+            bytes.clear();
+            f.frame.encode_into(&mut bytes);
             let stored = bytes.len().min(snaplen as usize);
             emit(f.ts.nanos(), f.frame.wire_len() as u32, &bytes[..stored]);
             n += 1;
@@ -359,9 +368,10 @@ impl Sink for PcapSink {
         if e.rcode == Rcode::NxDomain && e.addrs.is_empty() {
             // RFC 2308 negative response: SOA of the missing name's zone.
             let zone = name.base_domain();
+            let (mname, rname) = self.soa_names.clone();
             let soa = dns_wire::SoaData {
-                mname: Name::parse("ns1.cdnint.net").expect("static name"),
-                rname: Name::parse("hostmaster.cdnint.net").expect("static name"),
+                mname,
+                rname,
                 serial: 2019_02_06,
                 refresh: 7_200,
                 retry: 3_600,

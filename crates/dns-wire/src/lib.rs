@@ -8,6 +8,10 @@
 //!   pointers (§4.1.4).
 //! * [`Message`] / [`Header`] / [`Question`] / [`Record`] — full message
 //!   encode and decode for the common record types (see [`RData`]).
+//! * [`MessageView`] — the same decode checks over a borrowed buffer,
+//!   allocating nothing: id, flags, the first question and the answer
+//!   records, names read into a caller-owned [`NameBuf`]. The owned decode
+//!   is this view, collected.
 //! * [`tcp_frame`] — the 2-byte length prefix used for DNS over TCP (§4.2.2).
 //!
 //! The codec is strict on decode (malformed packets return [`WireError`]
@@ -50,11 +54,11 @@ pub mod tcp_frame;
 
 pub use error::WireError;
 pub use header::{Flags, Header, Opcode, Rcode};
-pub use message::Message;
-pub use name::Name;
-pub use question::Question;
+pub use message::{Message, MessageView};
+pub use name::{Compressor, Name, NameBuf, NameRef};
+pub use question::{Question, QuestionView};
 pub use rdata::{RData, SoaData, SrvData};
-pub use record::{Record, RrClass, RrType};
+pub use record::{Record, RecordView, RrClass, RrType};
 
 /// Conventional DNS server port.
 pub const DNS_PORT: u16 = 53;

@@ -1,8 +1,8 @@
-use crate::header::{Flags, Header, Rcode};
-use crate::question::Question;
-use crate::record::Record;
+use crate::header::{Flags, Header, Rcode, HEADER_LEN};
+use crate::name::Compressor;
+use crate::question::{Question, QuestionView};
+use crate::record::{Record, RecordView};
 use crate::{Name, RrType, WireError};
-use std::collections::HashMap;
 
 /// A complete DNS message: header plus the four record sections.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -76,7 +76,7 @@ impl Message {
             arcount: self.additionals.len() as u16,
         }
         .encode(&mut out);
-        let mut comp: HashMap<Name, usize> = HashMap::new();
+        let mut comp = Compressor::default();
         for q in &self.questions {
             q.encode(&mut out, &mut comp);
         }
@@ -92,36 +92,92 @@ impl Message {
     /// (they occur in the wild, e.g. TSIG-stripped messages); short
     /// sections are an error.
     pub fn decode(msg: &[u8]) -> Result<Message, WireError> {
-        let header = Header::decode(msg)?;
-        let mut pos = crate::header::HEADER_LEN;
+        let view = MessageView::parse(msg)?;
+        let header = view.header;
+        // The counts are honest by now, so each section is sized once.
         let mut questions = Vec::with_capacity(header.qdcount as usize);
+        questions.extend(view.questions().map(Question::from));
+        let sections = [header.ancount, header.nscount, header.arcount].map(usize::from);
+        let mut records = view.records(sections.iter().sum());
+        let [answers, authorities, additionals] = sections.map(|count| {
+            let mut section = Vec::with_capacity(count);
+            section.extend(records.by_ref().take(count).map(Record::from));
+            section
+        });
+        Ok(Message { id: header.id, flags: header.flags, questions, answers, authorities, additionals })
+    }
+}
+
+/// A message checked in place: every section walked once with the
+/// checks [`Message::decode`] applies (which is this, collected), nothing
+/// copied out. What a monitor needs — id, flags, the first question, the
+/// answer records — is then read straight from the buffer.
+pub struct MessageView<'a> {
+    msg: &'a [u8],
+    header: Header,
+    /// Offset of the answer section.
+    answers_at: usize,
+}
+
+impl<'a> MessageView<'a> {
+    /// Check `msg` from header to the last record its counts promise.
+    pub fn parse(msg: &'a [u8]) -> Result<Self, WireError> {
+        let header = Header::decode(msg)?;
+        let mut pos = HEADER_LEN;
         for _ in 0..header.qdcount {
-            questions.push(
-                Question::decode(msg, &mut pos)
-                    .map_err(|_| WireError::CountMismatch { section: "question" })?,
-            );
+            QuestionView::parse(msg, &mut pos)
+                .map_err(|_| WireError::CountMismatch { section: "question" })?;
         }
-        let mut decode_section = |count: u16, section: &'static str| -> Result<Vec<Record>, WireError> {
-            let mut records = Vec::with_capacity(count as usize);
+        let answers_at = pos;
+        let sections =
+            [(header.ancount, "answer"), (header.nscount, "authority"), (header.arcount, "additional")];
+        for (count, section) in sections {
             for _ in 0..count {
-                records.push(Record::decode(msg, &mut pos).map_err(|e| match e {
+                RecordView::parse(msg, &mut pos).map_err(|e| match e {
                     WireError::Truncated { .. } => WireError::CountMismatch { section },
                     other => other,
-                })?);
+                })?;
             }
-            Ok(records)
-        };
-        let answers = decode_section(header.ancount, "answer")?;
-        let authorities = decode_section(header.nscount, "authority")?;
-        let additionals = decode_section(header.arcount, "additional")?;
-        Ok(Message {
-            id: header.id,
-            flags: header.flags,
-            questions,
-            answers,
-            authorities,
-            additionals,
-        })
+        }
+        Ok(MessageView { msg, header, answers_at })
+    }
+
+    /// Transaction id.
+    pub fn id(&self) -> u16 {
+        self.header.id
+    }
+
+    /// Header flag bits.
+    pub fn flags(&self) -> Flags {
+        self.header.flags
+    }
+
+    fn questions(&self) -> impl Iterator<Item = QuestionView<'a>> {
+        let (msg, mut pos) = (self.msg, HEADER_LEN);
+        // `parse` accepted exactly these questions, so none is lost to `ok()`.
+        (0..self.header.qdcount).map_while(move |_| QuestionView::parse(msg, &mut pos).ok())
+    }
+
+    /// The first `count` records from the answer section on.
+    fn records(&self, count: usize) -> impl Iterator<Item = RecordView<'a>> {
+        let (msg, mut pos) = (self.msg, self.answers_at);
+        // As in `questions`: these records have been accepted once already.
+        (0..count).map_while(move |_| RecordView::parse(msg, &mut pos).ok())
+    }
+
+    /// The first question, if the message carries one.
+    pub fn question(&self) -> Option<QuestionView<'a>> {
+        self.questions().next()
+    }
+
+    /// How many records [`answers`](MessageView::answers) yields.
+    pub fn answer_count(&self) -> usize {
+        self.header.ancount as usize
+    }
+
+    /// The answer section, in order.
+    pub fn answers(&self) -> impl Iterator<Item = RecordView<'a>> {
+        self.records(self.answer_count())
     }
 }
 

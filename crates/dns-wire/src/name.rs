@@ -1,7 +1,6 @@
 use crate::WireError;
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::{Hash, Hasher};
 
 /// Maximum total encoded length of a name, including the root octet.
 const MAX_NAME_LEN: usize = 255;
@@ -10,20 +9,216 @@ const MAX_LABEL_LEN: usize = 63;
 /// Upper bound on compression-pointer hops while decoding one name.
 const MAX_POINTER_HOPS: usize = 64;
 
+/// The one walk of a name on the wire: starts at `*pos` within `msg`
+/// (the whole message, needed to chase compression pointers), hands
+/// every label to `label` as it sits on the wire, and advances `*pos`
+/// past the name as it appears at the original location. The labels
+/// handed out total at most 254 octets with their length prefixes.
+fn walk_labels(msg: &[u8], pos: &mut usize, mut label: impl FnMut(&[u8])) -> Result<(), WireError> {
+    let mut cursor = *pos;
+    let mut jumped = false;
+    let mut hops = 0usize;
+    let mut total = 1usize;
+    loop {
+        let len_octet = *msg
+            .get(cursor)
+            .ok_or(WireError::Truncated { context: "name length octet" })?;
+        match len_octet & 0xC0 {
+            0x00 => {
+                if len_octet == 0 {
+                    if !jumped {
+                        *pos = cursor + 1;
+                    }
+                    return Ok(());
+                }
+                let len = len_octet as usize;
+                let start = cursor + 1;
+                let end = start + len;
+                let bytes = msg
+                    .get(start..end)
+                    .ok_or(WireError::Truncated { context: "name label" })?;
+                total += 1 + len;
+                if total > MAX_NAME_LEN {
+                    return Err(WireError::NameTooLong(total));
+                }
+                label(bytes);
+                cursor = end;
+            }
+            0xC0 => {
+                let second = *msg
+                    .get(cursor + 1)
+                    .ok_or(WireError::Truncated { context: "pointer second octet" })?;
+                let target = (((len_octet & 0x3F) as usize) << 8) | second as usize;
+                // Pointers must reference earlier data; this also bounds
+                // the chase together with the hop budget.
+                if target >= cursor {
+                    return Err(WireError::BadPointer { target });
+                }
+                hops += 1;
+                if hops > MAX_POINTER_HOPS {
+                    return Err(WireError::BadPointer { target });
+                }
+                if !jumped {
+                    *pos = cursor + 2;
+                    jumped = true;
+                }
+                cursor = target;
+            }
+            other => return Err(WireError::ReservedLabelType(other)),
+        }
+    }
+}
+
+/// The labels of a flat name — `[len][lower-cased bytes]` runs, the wire
+/// form without its root octet — first to last.
+fn labels(mut flat: &[u8]) -> impl Iterator<Item = &[u8]> {
+    std::iter::from_fn(move || {
+        let (&len, rest) = flat.split_first()?;
+        let (label, rest) = rest.split_at_checked(len as usize)?;
+        flat = rest;
+        Some(label)
+    })
+}
+
+/// The one presentation writer: labels joined by `.`, the root as `.`.
+/// Every byte outside `0x21..=0x7e`, and `.` inside a label, `,` and `\`,
+/// is written as `\xNN`, so a rendered name is one tab-, comma- and
+/// newline-free token that maps back to exactly one wire name.
+fn write_presentation(flat: &[u8], mut put: impl FnMut(char)) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    if flat.is_empty() {
+        return put('.');
+    }
+    for (i, label) in labels(flat).enumerate() {
+        if i > 0 {
+            put('.');
+        }
+        for &b in label {
+            if matches!(b, 0x21..=0x7e) && !matches!(b, b'.' | b',' | b'\\') {
+                put(b as char);
+            } else {
+                put('\\');
+                put('x');
+                put(HEX[(b >> 4) as usize] as char);
+                put(HEX[(b & 0x0F) as usize] as char);
+            }
+        }
+    }
+}
+
+/// A caller-owned, fixed-size buffer one name is read into: lower-cased
+/// and flat (see [`NameRef::read_into`]), no heap behind it.
+pub struct NameBuf {
+    len: u8,
+    bytes: [u8; MAX_NAME_LEN],
+}
+
+impl NameBuf {
+    /// An empty buffer (the root name).
+    pub fn new() -> Self {
+        NameBuf { len: 0, bytes: [0; MAX_NAME_LEN] }
+    }
+
+    fn flat(&self) -> &[u8] {
+        &self.bytes[..self.len as usize]
+    }
+
+    /// Read the name at `*pos`, replacing what the buffer held.
+    fn read(&mut self, msg: &[u8], pos: &mut usize) -> Result<(), WireError> {
+        self.len = 0;
+        walk_labels(msg, pos, |label| {
+            // The walk bounds the labels of one name to what fits here.
+            let at = self.len as usize;
+            if let Some(dst) = self.bytes.get_mut(at..at + 1 + label.len()) {
+                dst[0] = label.len() as u8;
+                for (d, s) in dst[1..].iter_mut().zip(label) {
+                    *d = s.to_ascii_lowercase();
+                }
+                self.len += 1 + label.len() as u8;
+            }
+        })
+    }
+
+    fn to_name(&self) -> Name {
+        Name { flat: self.flat().into() }
+    }
+
+    /// Append the presentation form (as [`Name`]'s `Display` writes it)
+    /// to `out`.
+    pub fn write_presentation(&self, out: &mut String) {
+        write_presentation(self.flat(), |c| out.push(c));
+    }
+
+    /// The presentation form as a `String` of exactly its length.
+    pub fn presentation(&self) -> String {
+        let mut len = 0usize;
+        write_presentation(self.flat(), |_| len += 1);
+        let mut out = String::with_capacity(len);
+        self.write_presentation(&mut out);
+        out
+    }
+}
+
+impl Default for NameBuf {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// A name inside a message whose walk has been checked: reading it
+/// cannot fail any more, and costs nothing until someone asks.
+#[derive(Clone, Copy)]
+pub struct NameRef<'a> {
+    msg: &'a [u8],
+    at: usize,
+}
+
+impl<'a> NameRef<'a> {
+    /// Check the name at `*pos` and step over it.
+    pub(crate) fn parse(msg: &'a [u8], pos: &mut usize) -> Result<Self, WireError> {
+        let at = *pos;
+        walk_labels(msg, pos, |_| {})?;
+        Ok(NameRef { msg, at })
+    }
+
+    /// Write the name, lower-cased, into `buf`.
+    pub fn read_into(&self, buf: &mut NameBuf) {
+        let mut pos = self.at;
+        // Cannot fail: `parse` walked these same bytes.
+        let _ = buf.read(self.msg, &mut pos);
+    }
+
+    pub(crate) fn to_name(self) -> Name {
+        let mut buf = NameBuf::new();
+        self.read_into(&mut buf);
+        buf.to_name()
+    }
+}
+
+/// Where each name suffix a message has already spelled out starts,
+/// keyed by the suffix's flat bytes — borrowed from the names being
+/// encoded, so registering a suffix copies nothing.
+#[derive(Default)]
+pub struct Compressor<'a> {
+    offsets: HashMap<&'a [u8], u16>,
+}
+
 /// A fully-qualified domain name.
 ///
-/// Stored as lower-cased labels (DNS names compare case-insensitively,
-/// RFC 1035 §2.3.3; we normalise on construction so `Eq`/`Hash` are cheap).
-/// The root name has zero labels and displays as `.`.
-#[derive(Clone, Eq)]
+/// Stored lower-cased (DNS names compare case-insensitively, RFC 1035
+/// §2.3.3; normalising on construction keeps `Eq`/`Hash` a byte
+/// comparison) as one flat buffer of length-prefixed labels — the
+/// uncompressed wire form without its root octet. The root name is the
+/// empty buffer and displays as `.`.
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Name {
-    labels: Vec<Box<[u8]>>,
+    flat: Box<[u8]>,
 }
 
 impl Name {
     /// The root name (zero labels).
     pub fn root() -> Self {
-        Name { labels: Vec::new() }
+        Name { flat: Box::default() }
     }
 
     /// Parse a presentation-format name such as `"www.example.com"`.
@@ -37,8 +232,8 @@ impl Name {
         if s.is_empty() {
             return Ok(Name::root());
         }
-        let mut labels = Vec::new();
-        let mut total = 1usize; // root octet
+        // Each dot becomes a length octet, plus one for the first label.
+        let mut flat = Vec::with_capacity(s.len() + 1);
         for raw in s.split('.') {
             if raw.is_empty() {
                 return Err(WireError::EmptyLabel);
@@ -46,87 +241,75 @@ impl Name {
             if raw.len() > MAX_LABEL_LEN {
                 return Err(WireError::LabelTooLong(raw.len()));
             }
-            for &b in raw.as_bytes() {
-                if !label_byte_ok(b) {
-                    return Err(WireError::BadNameString(s.to_string()));
-                }
+            if !raw.bytes().all(label_byte_ok) {
+                return Err(WireError::BadNameString(s.to_string()));
             }
-            total += 1 + raw.len();
-            labels.push(raw.to_ascii_lowercase().into_bytes().into_boxed_slice());
+            flat.push(raw.len() as u8);
+            flat.extend(raw.bytes().map(|b| b.to_ascii_lowercase()));
         }
+        let total = flat.len() + 1; // root octet
         if total > MAX_NAME_LEN {
             return Err(WireError::NameTooLong(total));
         }
-        Ok(Name { labels })
-    }
-
-    /// Construct from already-validated labels. Used by the decoder.
-    fn from_labels(labels: Vec<Box<[u8]>>) -> Self {
-        Name { labels }
+        Ok(Name { flat: flat.into_boxed_slice() })
     }
 
     /// Encoded length on the wire without compression.
     pub fn wire_len(&self) -> usize {
-        1 + self.labels.iter().map(|l| 1 + l.len()).sum::<usize>()
+        self.flat.len() + 1
+    }
+
+    /// The name from its label at byte `at` of the flat buffer on.
+    fn suffix(&self, at: usize) -> Name {
+        Name { flat: self.flat[at..].into() }
     }
 
     /// The parent name (one label removed), or `None` at the root.
     pub fn parent(&self) -> Option<Name> {
-        if self.labels.is_empty() {
-            return None;
-        }
-        Some(Name {
-            labels: self.labels[1..].to_vec(), // lint: allow(no-owned-copy-hotpath): analysis-time name algebra, not per-frame decode
-        })
+        let first = labels(&self.flat).next()?;
+        Some(self.suffix(1 + first.len()))
     }
 
     /// The registrable-suffix heuristic used by log analysis: the last two
     /// labels (e.g. `example.com` for `www.example.com`). Names with fewer
     /// than two labels return themselves.
     pub fn base_domain(&self) -> Name {
-        if self.labels.len() <= 2 {
-            return self.clone(); // lint: allow(no-owned-copy-hotpath): analysis-time name algebra, not per-frame decode
+        // Where the last two labels seen start.
+        let (mut keep_from, mut last, mut at) = (0, 0, 0);
+        for label in labels(&self.flat) {
+            (keep_from, last) = (last, at);
+            at += 1 + label.len();
         }
-        Name {
-            labels: self.labels[self.labels.len() - 2..].to_vec(), // lint: allow(no-owned-copy-hotpath): analysis-time name algebra
-        }
+        self.suffix(keep_from)
     }
 
     /// Encode without compression, appending to `out`.
     pub fn encode_uncompressed(&self, out: &mut Vec<u8>) {
-        for l in &self.labels {
-            out.push(l.len() as u8);
-            out.extend_from_slice(l);
-        }
+        out.extend_from_slice(&self.flat);
         out.push(0);
     }
 
     /// Encode with message compression.
     ///
-    /// `compressor` maps previously-emitted names (as suffix strings) to
+    /// `compressor` maps the suffixes of previously-emitted names to
     /// their offsets. Offsets beyond the 14-bit pointer range are not
     /// registered, per RFC 1035 §4.1.4.
-    pub fn encode_compressed(&self, out: &mut Vec<u8>, compressor: &mut HashMap<Name, usize>) {
+    pub fn encode_compressed<'a>(&'a self, out: &mut Vec<u8>, compressor: &mut Compressor<'a>) {
         // Walk suffixes from the full name down; emit labels until a known
         // suffix is found, then emit a pointer.
-        let mut idx = 0usize;
-        while idx < self.labels.len() {
-            let suffix = Name {
-                labels: self.labels[idx..].to_vec(), // lint: allow(no-owned-copy-hotpath): encoder (simulator side), not the decode path
-            };
-            if let Some(&off) = compressor.get(&suffix) {
-                debug_assert!(off < 0x4000);
-                out.push(0xC0 | ((off >> 8) as u8));
-                out.push((off & 0xFF) as u8);
+        let mut suffix: &'a [u8] = &self.flat;
+        while let Some(label) = labels(suffix).next() {
+            if let Some(&off) = compressor.offsets.get(suffix) {
+                out.extend_from_slice(&(0xC000 | off).to_be_bytes());
                 return;
             }
             if out.len() < 0x4000 {
-                compressor.insert(suffix, out.len());
+                compressor.offsets.insert(suffix, out.len() as u16);
             }
-            let l = &self.labels[idx];
-            out.push(l.len() as u8);
-            out.extend_from_slice(l);
-            idx += 1;
+            // A flat label, length octet included, is its own wire form.
+            let (wire, rest) = suffix.split_at(1 + label.len());
+            out.extend_from_slice(wire);
+            suffix = rest;
         }
         out.push(0);
     }
@@ -135,76 +318,14 @@ impl Name {
     /// needed to chase compression pointers). Advances `*pos` past the name
     /// as it appears at the original location.
     pub fn decode(msg: &[u8], pos: &mut usize) -> Result<Self, WireError> {
-        let mut labels = Vec::new();
-        let mut cursor = *pos;
-        let mut jumped = false;
-        let mut hops = 0usize;
-        let mut total = 1usize;
-        loop {
-            let len_octet = *msg
-                .get(cursor)
-                .ok_or(WireError::Truncated { context: "name length octet" })?;
-            match len_octet & 0xC0 {
-                0x00 => {
-                    if len_octet == 0 {
-                        if !jumped {
-                            *pos = cursor + 1;
-                        }
-                        return Ok(Name::from_labels(labels));
-                    }
-                    let len = len_octet as usize;
-                    let start = cursor + 1;
-                    let end = start + len;
-                    let bytes = msg
-                        .get(start..end)
-                        .ok_or(WireError::Truncated { context: "name label" })?;
-                    total += 1 + len;
-                    if total > MAX_NAME_LEN {
-                        return Err(WireError::NameTooLong(total));
-                    }
-                    labels.push(bytes.to_ascii_lowercase().into_boxed_slice());
-                    cursor = end;
-                }
-                0xC0 => {
-                    let second = *msg
-                        .get(cursor + 1)
-                        .ok_or(WireError::Truncated { context: "pointer second octet" })?;
-                    let target = (((len_octet & 0x3F) as usize) << 8) | second as usize;
-                    // Pointers must reference earlier data; this also bounds
-                    // the chase together with the hop budget.
-                    if target >= cursor {
-                        return Err(WireError::BadPointer { target });
-                    }
-                    hops += 1;
-                    if hops > MAX_POINTER_HOPS {
-                        return Err(WireError::BadPointer { target });
-                    }
-                    if !jumped {
-                        *pos = cursor + 2;
-                        jumped = true;
-                    }
-                    cursor = target;
-                }
-                other => return Err(WireError::ReservedLabelType(other)),
-            }
-        }
+        let mut buf = NameBuf::new();
+        buf.read(msg, pos)?;
+        Ok(buf.to_name())
     }
 }
 
 fn label_byte_ok(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b == b'-' || b == b'_'
-}
-
-impl PartialEq for Name {
-    fn eq(&self, other: &Self) -> bool {
-        self.labels == other.labels
-    }
-}
-
-impl Hash for Name {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.labels.hash(state)
-    }
 }
 
 impl PartialOrd for Name {
@@ -216,28 +337,21 @@ impl PartialOrd for Name {
 impl Ord for Name {
     /// Canonical DNS ordering: compare label sequences from the root down.
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.labels
-            .iter()
-            .rev()
-            .cmp(other.labels.iter().rev())
-            .then(self.labels.len().cmp(&other.labels.len()))
+        let (a, b): (Vec<_>, Vec<_>) = (labels(&self.flat).collect(), labels(&other.flat).collect());
+        a.iter().rev().cmp(b.iter().rev())
     }
 }
 
 impl fmt::Display for Name {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.labels.is_empty() {
-            return write!(f, ".");
-        }
-        for (i, l) in self.labels.iter().enumerate() {
-            if i > 0 {
-                write!(f, ".")?;
+        use fmt::Write;
+        let mut result = Ok(());
+        write_presentation(&self.flat, |c| {
+            if result.is_ok() {
+                result = f.write_char(c);
             }
-            for &b in l.iter() {
-                write!(f, "{}", b as char)?;
-            }
-        }
-        Ok(())
+        });
+        result
     }
 }
 
@@ -263,6 +377,28 @@ mod tests {
         let n = Name::parse("WWW.Example.COM").unwrap();
         assert_eq!(n.to_string(), "www.example.com");
         assert_eq!(n.parent().unwrap().to_string(), "example.com");
+    }
+
+    /// Wire labels are arbitrary bytes; the presentation form stays one
+    /// token that maps back to one name, and the view's buffer writes
+    /// what `Display` writes.
+    #[test]
+    fn presentation_escapes_what_a_hostname_cannot_hold() {
+        let wire = [3, b'A', b'.', b'b', 2, b'\t', b',', 1, b'\\', 1, 0x80, 1, b'~', 1, b' ', 1, b'\n', 0];
+        let mut pos = 0;
+        let n = Name::decode(&wire, &mut pos).unwrap();
+        assert_eq!(pos, wire.len());
+        assert_eq!(n.to_string(), r"a\x2eb.\x09\x2c.\x5c.\x80.~.\x20.\x0a");
+        let mut buf = NameBuf::new();
+        NameRef::parse(&wire, &mut 0).unwrap().read_into(&mut buf);
+        assert_eq!(buf.presentation(), n.to_string());
+        assert_eq!(buf.presentation().capacity(), n.to_string().len());
+        let mut line = String::from("query\t");
+        buf.write_presentation(&mut line);
+        assert_eq!(line, format!("query\t{n}"));
+        // A reused buffer holds only the last name read.
+        NameRef::parse(&[0], &mut 0).unwrap().read_into(&mut buf);
+        assert_eq!(buf.presentation(), ".");
     }
 
     #[test]
@@ -333,7 +469,7 @@ mod tests {
     #[test]
     fn compression_emits_pointer_for_shared_suffix() {
         let mut buf = Vec::new();
-        let mut comp = HashMap::new();
+        let mut comp = Compressor::default();
         let a = Name::parse("www.example.com").unwrap();
         let b = Name::parse("mail.example.com").unwrap();
         a.encode_compressed(&mut buf, &mut comp);
@@ -351,7 +487,7 @@ mod tests {
     #[test]
     fn identical_name_compresses_to_single_pointer() {
         let mut buf = Vec::new();
-        let mut comp = HashMap::new();
+        let mut comp = Compressor::default();
         let a = Name::parse("www.example.com").unwrap();
         a.encode_compressed(&mut buf, &mut comp);
         let len_a = buf.len();

@@ -1,6 +1,6 @@
+use crate::name::{Compressor, NameRef};
 use crate::record::{RrClass, RrType};
 use crate::{Name, WireError};
-use std::collections::HashMap;
 
 /// One entry of the question section (RFC 1035 §4.1.2).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -24,7 +24,7 @@ impl Question {
     }
 
     /// Encode with name compression, appending to `out`.
-    pub fn encode(&self, out: &mut Vec<u8>, compressor: &mut HashMap<Name, usize>) {
+    pub fn encode<'a>(&'a self, out: &mut Vec<u8>, compressor: &mut Compressor<'a>) {
         self.name.encode_compressed(out, compressor);
         out.extend_from_slice(&self.rtype.to_u16().to_be_bytes());
         out.extend_from_slice(&self.rclass.to_u16().to_be_bytes());
@@ -32,14 +32,38 @@ impl Question {
 
     /// Decode one question starting at `*pos` within `msg`.
     pub fn decode(msg: &[u8], pos: &mut usize) -> Result<Question, WireError> {
-        let name = Name::decode(msg, pos)?;
+        QuestionView::parse(msg, pos).map(Question::from)
+    }
+}
+
+/// One question checked in place.
+#[derive(Clone, Copy)]
+pub struct QuestionView<'a> {
+    /// Name being asked about.
+    pub name: NameRef<'a>,
+    /// Type being asked for.
+    pub rtype: RrType,
+    /// Class (always `In` in resolution traffic).
+    pub rclass: RrClass,
+}
+
+impl<'a> QuestionView<'a> {
+    /// Check one question starting at `*pos` within `msg` and step over it.
+    pub(crate) fn parse(msg: &'a [u8], pos: &mut usize) -> Result<Self, WireError> {
+        let name = NameRef::parse(msg, pos)?;
         let fixed = msg
             .get(*pos..*pos + 4)
             .ok_or(WireError::Truncated { context: "question fixed fields" })?;
         let rtype = RrType::from_u16(u16::from_be_bytes([fixed[0], fixed[1]]));
         let rclass = RrClass::from_u16(u16::from_be_bytes([fixed[2], fixed[3]]));
         *pos += 4;
-        Ok(Question { name, rtype, rclass })
+        Ok(QuestionView { name, rtype, rclass })
+    }
+}
+
+impl From<QuestionView<'_>> for Question {
+    fn from(view: QuestionView<'_>) -> Question {
+        Question { name: view.name.to_name(), rtype: view.rtype, rclass: view.rclass }
     }
 }
 
@@ -51,7 +75,7 @@ mod tests {
     fn round_trip() {
         let q = Question::new(Name::parse("www.example.com").unwrap(), RrType::Aaaa);
         let mut buf = Vec::new();
-        let mut comp = HashMap::new();
+        let mut comp = Compressor::default();
         q.encode(&mut buf, &mut comp);
         let mut pos = 0;
         assert_eq!(Question::decode(&buf, &mut pos).unwrap(), q);
@@ -62,7 +86,7 @@ mod tests {
     fn truncated_rejected() {
         let q = Question::new(Name::parse("a.b").unwrap(), RrType::A);
         let mut buf = Vec::new();
-        let mut comp = HashMap::new();
+        let mut comp = Compressor::default();
         q.encode(&mut buf, &mut comp);
         buf.truncate(buf.len() - 2);
         let mut pos = 0;

@@ -1,6 +1,6 @@
+use crate::name::{Compressor, NameRef};
 use crate::record::RrType;
 use crate::{Name, WireError};
-use std::collections::HashMap;
 use std::net::{Ipv4Addr, Ipv6Addr};
 
 /// SOA record data (RFC 1035 §3.3.13).
@@ -96,7 +96,7 @@ impl RData {
     ///
     /// Names inside NS/CNAME/PTR/MX/SOA/SRV participate in compression,
     /// matching common server behaviour.
-    pub fn encode(&self, out: &mut Vec<u8>, compressor: &mut HashMap<Name, usize>) {
+    pub fn encode<'a>(&'a self, out: &mut Vec<u8>, compressor: &mut Compressor<'a>) {
         match self {
             RData::A(a) => out.extend_from_slice(&a.octets()),
             RData::Aaaa(a) => out.extend_from_slice(&a.octets()),
@@ -134,104 +134,154 @@ impl RData {
     /// `msg` (the full message is required because RDATA names may contain
     /// compression pointers into earlier sections).
     pub fn decode(msg: &[u8], start: usize, rdlen: usize, rtype: RrType) -> Result<RData, WireError> {
-        let end = start + rdlen;
-        let raw = &msg[start..end];
-        let exact = |want: usize| -> Result<(), WireError> {
-            if rdlen != want {
-                Err(WireError::RdataLengthMismatch { declared: rdlen, actual: want })
-            } else {
+        RDataView::parse(msg, start, rdlen, rtype).map(RData::from)
+    }
+}
+
+/// The `<character-string>`s of a TXT record, each checked against the
+/// end of the RDATA as it is reached.
+fn txt_strings(mut raw: &[u8]) -> impl Iterator<Item = Result<&[u8], WireError>> {
+    std::iter::from_fn(move || {
+        let (&len, rest) = raw.split_first()?;
+        let Some((string, rest)) = rest.split_at_checked(len as usize) else {
+            raw = &[];
+            return Some(Err(WireError::Truncated { context: "TXT string" }));
+        };
+        raw = rest;
+        Some(Ok(string))
+    })
+}
+
+/// RDATA checked in place: fixed-size fields decoded, names and byte
+/// strings left in the message. [`RDataView::parse`] holds the per-type
+/// length checks; [`RData`] is this, collected.
+#[derive(Clone, Copy)]
+pub(crate) enum RDataView<'a> {
+    A(Ipv4Addr),
+    Aaaa(Ipv6Addr),
+    Cname(NameRef<'a>),
+    Ns(NameRef<'a>),
+    Ptr(NameRef<'a>),
+    Mx(u16, NameRef<'a>),
+    Txt(&'a [u8]),
+    Soa { mname: NameRef<'a>, rname: NameRef<'a>, counters: [u32; 5] },
+    Srv { priority: u16, weight: u16, port: u16, target: NameRef<'a> },
+    Opt(&'a [u8]),
+    Unknown(u16, &'a [u8]),
+}
+
+impl<'a> RDataView<'a> {
+    pub(crate) fn parse(
+        msg: &'a [u8],
+        start: usize,
+        rdlen: usize,
+        rtype: RrType,
+    ) -> Result<Self, WireError> {
+        let raw = start
+            .checked_add(rdlen)
+            .and_then(|end| msg.get(start..end))
+            .ok_or(WireError::Truncated { context: "rdata" })?;
+        // A name (and what follows it) must end exactly where RDLENGTH says.
+        let ends_at = |pos: usize| {
+            if pos == start + rdlen {
                 Ok(())
+            } else {
+                Err(WireError::RdataLengthMismatch { declared: rdlen, actual: pos - start })
             }
         };
+        let be16 = |at: usize| u16::from_be_bytes([raw[at], raw[at + 1]]);
         match rtype {
             RrType::A => {
-                exact(4)?;
-                Ok(RData::A(Ipv4Addr::new(raw[0], raw[1], raw[2], raw[3])))
+                let octets: [u8; 4] = raw
+                    .try_into()
+                    .map_err(|_| WireError::RdataLengthMismatch { declared: rdlen, actual: 4 })?;
+                Ok(RDataView::A(Ipv4Addr::from(octets)))
             }
             RrType::Aaaa => {
-                exact(16)?;
-                let mut o = [0u8; 16];
-                o.copy_from_slice(raw);
-                Ok(RData::Aaaa(Ipv6Addr::from(o)))
+                let octets: [u8; 16] = raw
+                    .try_into()
+                    .map_err(|_| WireError::RdataLengthMismatch { declared: rdlen, actual: 16 })?;
+                Ok(RDataView::Aaaa(Ipv6Addr::from(octets)))
             }
             RrType::Cname | RrType::Ns | RrType::Ptr => {
                 let mut pos = start;
-                let n = Name::decode(msg, &mut pos)?;
-                if pos != end {
-                    return Err(WireError::RdataLengthMismatch { declared: rdlen, actual: pos - start });
-                }
+                let n = NameRef::parse(msg, &mut pos)?;
+                ends_at(pos)?;
                 Ok(match rtype {
-                    RrType::Cname => RData::Cname(n),
-                    RrType::Ns => RData::Ns(n),
-                    _ => RData::Ptr(n),
+                    RrType::Cname => RDataView::Cname(n),
+                    RrType::Ns => RDataView::Ns(n),
+                    _ => RDataView::Ptr(n),
                 })
             }
             RrType::Mx => {
                 if rdlen < 3 {
                     return Err(WireError::Truncated { context: "MX rdata" });
                 }
-                let pref = u16::from_be_bytes([raw[0], raw[1]]);
                 let mut pos = start + 2;
-                let n = Name::decode(msg, &mut pos)?;
-                if pos != end {
-                    return Err(WireError::RdataLengthMismatch { declared: rdlen, actual: pos - start });
-                }
-                Ok(RData::Mx(pref, n))
+                let n = NameRef::parse(msg, &mut pos)?;
+                ends_at(pos)?;
+                Ok(RDataView::Mx(be16(0), n))
             }
             RrType::Txt => {
-                let mut strings = Vec::new();
-                let mut i = 0usize;
-                while i < raw.len() {
-                    let l = raw[i] as usize;
-                    i += 1;
-                    let s = raw
-                        .get(i..i + l)
-                        .ok_or(WireError::Truncated { context: "TXT string" })?;
-                    strings.push(s.to_vec()); // lint: allow(no-owned-copy-hotpath): TXT strings outlive the message buffer by design
-                    i += l;
-                }
-                Ok(RData::Txt(strings))
+                txt_strings(raw).try_for_each(|s| s.map(drop))?;
+                Ok(RDataView::Txt(raw))
             }
             RrType::Soa => {
                 let mut pos = start;
-                let mname = Name::decode(msg, &mut pos)?;
-                let rname = Name::decode(msg, &mut pos)?;
+                let mname = NameRef::parse(msg, &mut pos)?;
+                let rname = NameRef::parse(msg, &mut pos)?;
                 let fixed = msg
                     .get(pos..pos + 20)
                     .ok_or(WireError::Truncated { context: "SOA counters" })?;
-                let rd = |i: usize| u32::from_be_bytes([fixed[i], fixed[i + 1], fixed[i + 2], fixed[i + 3]]);
-                pos += 20;
-                if pos != end {
-                    return Err(WireError::RdataLengthMismatch { declared: rdlen, actual: pos - start });
+                ends_at(pos + 20)?;
+                let mut counters = [0u32; 5];
+                for (v, b) in counters.iter_mut().zip(fixed.chunks_exact(4)) {
+                    *v = u32::from_be_bytes([b[0], b[1], b[2], b[3]]);
                 }
-                Ok(RData::Soa(SoaData {
-                    mname,
-                    rname,
-                    serial: rd(0),
-                    refresh: rd(4),
-                    retry: rd(8),
-                    expire: rd(12),
-                    minimum: rd(16),
-                }))
+                Ok(RDataView::Soa { mname, rname, counters })
             }
             RrType::Srv => {
                 if rdlen < 7 {
                     return Err(WireError::Truncated { context: "SRV rdata" });
                 }
                 let mut pos = start + 6;
-                let target = Name::decode(msg, &mut pos)?;
-                if pos != end {
-                    return Err(WireError::RdataLengthMismatch { declared: rdlen, actual: pos - start });
-                }
-                Ok(RData::Srv(SrvData {
-                    priority: u16::from_be_bytes([raw[0], raw[1]]),
-                    weight: u16::from_be_bytes([raw[2], raw[3]]),
-                    port: u16::from_be_bytes([raw[4], raw[5]]),
-                    target,
-                }))
+                let target = NameRef::parse(msg, &mut pos)?;
+                ends_at(pos)?;
+                Ok(RDataView::Srv { priority: be16(0), weight: be16(2), port: be16(4), target })
             }
-            RrType::Opt => Ok(RData::Opt(raw.to_vec())), // lint: allow(no-owned-copy-hotpath): opaque rdata kept owned
-            other => Ok(RData::Unknown(other.to_u16(), raw.to_vec())), // lint: allow(no-owned-copy-hotpath): opaque rdata kept owned
+            RrType::Opt => Ok(RDataView::Opt(raw)),
+            other => Ok(RDataView::Unknown(other.to_u16(), raw)),
+        }
+    }
+}
+
+impl From<RDataView<'_>> for RData {
+    fn from(view: RDataView<'_>) -> RData {
+        match view {
+            RDataView::A(a) => RData::A(a),
+            RDataView::Aaaa(a) => RData::Aaaa(a),
+            RDataView::Cname(n) => RData::Cname(n.to_name()),
+            RDataView::Ns(n) => RData::Ns(n.to_name()),
+            RDataView::Ptr(n) => RData::Ptr(n.to_name()),
+            RDataView::Mx(pref, n) => RData::Mx(pref, n.to_name()),
+            // lint: allow(no-owned-copy-hotpath): TXT strings outlive the message buffer by design
+            RDataView::Txt(raw) => RData::Txt(txt_strings(raw).flatten().map(|s| s.to_vec()).collect()),
+            RDataView::Soa { mname, rname, counters: [serial, refresh, retry, expire, minimum] } => {
+                RData::Soa(SoaData {
+                    mname: mname.to_name(),
+                    rname: rname.to_name(),
+                    serial,
+                    refresh,
+                    retry,
+                    expire,
+                    minimum,
+                })
+            }
+            RDataView::Srv { priority, weight, port, target } => {
+                RData::Srv(SrvData { priority, weight, port, target: target.to_name() })
+            }
+            RDataView::Opt(raw) => RData::Opt(raw.to_vec()), // lint: allow(no-owned-copy-hotpath): opaque rdata kept owned
+            RDataView::Unknown(t, raw) => RData::Unknown(t, raw.to_vec()), // lint: allow(no-owned-copy-hotpath): opaque rdata kept owned
         }
     }
 }
@@ -242,7 +292,7 @@ mod tests {
 
     fn round_trip(rd: RData) {
         let mut buf = Vec::new();
-        let mut comp = HashMap::new();
+        let mut comp = Compressor::default();
         let rtype = rd.rtype();
         rd.encode(&mut buf, &mut comp);
         let back = RData::decode(&buf, 0, buf.len(), rtype).unwrap();

@@ -1,6 +1,6 @@
-use crate::rdata::RData;
+use crate::name::{Compressor, NameRef};
+use crate::rdata::{RData, RDataView};
 use crate::{Name, WireError};
-use std::collections::HashMap;
 use std::fmt;
 use std::net::Ipv4Addr;
 
@@ -162,7 +162,7 @@ impl Record {
     }
 
     /// Encode with name compression, appending to `out`.
-    pub fn encode(&self, out: &mut Vec<u8>, compressor: &mut HashMap<Name, usize>) {
+    pub fn encode<'a>(&'a self, out: &mut Vec<u8>, compressor: &mut Compressor<'a>) {
         self.name.encode_compressed(out, compressor);
         out.extend_from_slice(&self.rtype().to_u16().to_be_bytes());
         out.extend_from_slice(&self.class.to_u16().to_be_bytes());
@@ -178,7 +178,29 @@ impl Record {
 
     /// Decode one record starting at `*pos` within `msg`.
     pub fn decode(msg: &[u8], pos: &mut usize) -> Result<Record, WireError> {
-        let name = Name::decode(msg, pos)?;
+        RecordView::parse(msg, pos).map(Record::from)
+    }
+}
+
+/// One record checked in place: what a monitor reads off an answer
+/// without owning any of it.
+#[derive(Clone, Copy)]
+pub struct RecordView<'a> {
+    /// Owner name the record is about.
+    pub name: NameRef<'a>,
+    /// The record's type code.
+    pub rtype: RrType,
+    /// Record class (always `In` in resolution traffic).
+    pub class: RrClass,
+    /// Time-to-live in seconds.
+    pub ttl: u32,
+    rdata: RDataView<'a>,
+}
+
+impl<'a> RecordView<'a> {
+    /// Check one record starting at `*pos` within `msg` and step over it.
+    pub(crate) fn parse(msg: &'a [u8], pos: &mut usize) -> Result<Self, WireError> {
+        let name = NameRef::parse(msg, pos)?;
         let fixed = msg
             .get(*pos..*pos + 10)
             .ok_or(WireError::Truncated { context: "record fixed fields" })?;
@@ -187,14 +209,36 @@ impl Record {
         let ttl = u32::from_be_bytes([fixed[4], fixed[5], fixed[6], fixed[7]]);
         let rdlen = u16::from_be_bytes([fixed[8], fixed[9]]) as usize;
         *pos += 10;
-        let rdata_start = *pos;
-        let rdata_end = rdata_start + rdlen;
-        if msg.len() < rdata_end {
-            return Err(WireError::Truncated { context: "rdata" });
+        let rdata = RDataView::parse(msg, *pos, rdlen, rtype)?;
+        *pos += rdlen;
+        Ok(RecordView { name, rtype, class, ttl, rdata })
+    }
+
+    /// The address if this is an A record.
+    pub fn a(&self) -> Option<Ipv4Addr> {
+        match self.rdata {
+            RDataView::A(a) => Some(a),
+            _ => None,
         }
-        let rdata = RData::decode(msg, rdata_start, rdlen, rtype)?;
-        *pos = rdata_end;
-        Ok(Record { name, class, ttl, rdata })
+    }
+
+    /// The alias target if this is a CNAME record.
+    pub fn cname(&self) -> Option<NameRef<'a>> {
+        match self.rdata {
+            RDataView::Cname(target) => Some(target),
+            _ => None,
+        }
+    }
+}
+
+impl From<RecordView<'_>> for Record {
+    fn from(view: RecordView<'_>) -> Record {
+        Record {
+            name: view.name.to_name(),
+            class: view.class,
+            ttl: view.ttl,
+            rdata: view.rdata.into(),
+        }
     }
 }
 
@@ -222,7 +266,7 @@ mod tests {
     fn a_record_round_trip() {
         let r = Record::a(Name::parse("x.test").unwrap(), 60, Ipv4Addr::new(10, 0, 0, 1));
         let mut buf = Vec::new();
-        let mut comp = HashMap::new();
+        let mut comp = Compressor::default();
         r.encode(&mut buf, &mut comp);
         let mut pos = 0;
         let back = Record::decode(&buf, &mut pos).unwrap();
@@ -234,7 +278,7 @@ mod tests {
     fn truncated_rdata_rejected() {
         let r = Record::a(Name::parse("x.test").unwrap(), 60, Ipv4Addr::new(10, 0, 0, 1));
         let mut buf = Vec::new();
-        let mut comp = HashMap::new();
+        let mut comp = Compressor::default();
         r.encode(&mut buf, &mut comp);
         buf.truncate(buf.len() - 1);
         let mut pos = 0;

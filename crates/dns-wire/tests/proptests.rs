@@ -1,7 +1,11 @@
 //! Randomized tests for the DNS wire codec, driven by a fixed
 //! `xkit::rng` stream so every run exercises the same cases.
 
-use dns_wire::{Flags, Message, Name, RData, Record, RrClass, RrType, SoaData, SrvData};
+use dns_wire::{
+    Compressor, Flags, Message, MessageView, Name, NameBuf, RData, Record, RrClass, RrType, SoaData,
+    SrvData,
+};
+use std::collections::BTreeMap;
 use std::net::{Ipv4Addr, Ipv6Addr};
 use xkit::rng::{RngExt, SeedableRng, StdRng};
 
@@ -143,7 +147,7 @@ fn compression_is_lossless_and_never_larger() {
     for _ in 0..CASES {
         let names: Vec<Name> = (0..r.random_range(1..8usize)).map(|_| gen_name(&mut r)).collect();
         let mut compressed = Vec::new();
-        let mut comp = std::collections::HashMap::new();
+        let mut comp = Compressor::default();
         let mut uncompressed = Vec::new();
         for n in &names {
             n.encode_compressed(&mut compressed, &mut comp);
@@ -157,6 +161,186 @@ fn compression_is_lossless_and_never_larger() {
         }
         assert_eq!(pos, compressed.len());
     }
+}
+
+/// The deepest name the 255-octet limit admits: 127 one-byte labels.
+/// Its second spelling is one pointer, and it decodes back.
+#[test]
+fn deepest_name_compresses_to_one_pointer() {
+    let deepest = Name::parse(&["a"; 127].join(".")).unwrap();
+    assert_eq!(deepest.wire_len(), 255);
+    assert!(Name::parse(&["a"; 128].join(".")).is_err());
+    let mut buf = Vec::new();
+    let mut comp = Compressor::default();
+    deepest.encode_compressed(&mut buf, &mut comp);
+    assert_eq!(buf.len(), 255);
+    deepest.encode_compressed(&mut buf, &mut comp);
+    assert_eq!(buf.len(), 257);
+    // A sibling shares all but its first label.
+    let sibling = Name::parse(&format!("b.{}", ["a"; 126].join("."))).unwrap();
+    sibling.encode_compressed(&mut buf, &mut comp);
+    assert_eq!(buf.len(), 257 + 2 + 2);
+    let mut pos = 0;
+    for n in [&deepest, &deepest, &sibling] {
+        assert_eq!(&Name::decode(&buf, &mut pos).unwrap(), n);
+    }
+    assert_eq!(pos, buf.len());
+}
+
+/// Names first written at or past offset 0x4000 cannot be pointed at
+/// (a pointer holds 14 bits): they are spelled out every time, while
+/// suffixes registered below the limit keep compressing.
+#[test]
+fn names_past_the_pointer_limit_are_spelled_out() {
+    let owner = Name::parse("big.example.com").unwrap();
+    let late = Name::parse("late.example.org").unwrap();
+    let mut m = Message::query(1, owner.clone(), RrType::Txt).answer_template();
+    // 70 records of ~250 bytes carry the message past 0x4000.
+    for _ in 0..70 {
+        m.answers.push(Record {
+            name: owner.clone(),
+            class: RrClass::In,
+            ttl: 1,
+            rdata: RData::Txt(vec![vec![b'x'; 240]]),
+        });
+    }
+    m.additionals.push(Record::cname(late.clone(), 1, late.clone()));
+    m.additionals.push(Record::cname(late.clone(), 1, owner.clone()));
+    let wire = m.encode();
+    assert!(wire.len() > 0x4000 + 2 * late.wire_len());
+    assert_eq!(Message::decode(&wire).unwrap(), m);
+    // `late` is written in full three times; `owner` is a pointer each time.
+    let spelled = wire.windows(5).filter(|w| w == b"\x04late").count();
+    assert_eq!(spelled, 3);
+    assert_eq!(wire.windows(4).filter(|w| w == b"\x03big").count(), 1);
+}
+
+fn fnv1a(h: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *h ^= u64::from(b);
+        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// 20 000 seeded corruptions of `gen_message` output, then every prefix
+/// truncation of 200 valid messages.
+fn hostile_corpus() -> Vec<Vec<u8>> {
+    const POKES: &[u8] = &[0x00, 0x3F, 0x40, 0x80, 0xC0, 0xC1, 0xFF];
+    let mut r = rng(7);
+    let mut out = Vec::new();
+    for _ in 0..20_000 {
+        let mut wire = gen_message(&mut r).encode();
+        for _ in 0..r.random_range(1..8usize) {
+            let i = r.random_range(0..wire.len());
+            if r.random_bool(0.5) {
+                wire[i] ^= r.random::<u8>();
+            } else {
+                wire[i] = *r.choose(POKES).unwrap();
+            }
+        }
+        out.push(wire);
+    }
+    let mut r = rng(8);
+    for _ in 0..200 {
+        let wire = gen_message(&mut r).encode();
+        out.extend((0..wire.len()).map(|cut| wire[..cut].to_vec()));
+    }
+    out
+}
+
+/// What the view hands a monitor equals what the owned decode holds.
+fn assert_view_agrees(view: &MessageView<'_>, owned: &Message) {
+    assert_eq!((view.id(), view.flags()), (owned.id, owned.flags));
+    let mut buf = NameBuf::new();
+    match (view.question(), owned.questions.first()) {
+        (None, None) => {}
+        (Some(v), Some(o)) => {
+            v.name.read_into(&mut buf);
+            assert_eq!(buf.presentation(), o.name.to_string());
+            assert_eq!((v.rtype, v.rclass), (o.rtype, o.rclass));
+        }
+        _ => panic!("first question differs"),
+    }
+    assert_eq!(view.answer_count(), owned.answers.len());
+    assert_eq!(view.answers().count(), owned.answers.len());
+    for (v, o) in view.answers().zip(&owned.answers) {
+        assert_eq!((v.ttl, v.rtype, v.class, v.a()), (o.ttl, o.rtype(), o.class, o.rdata.as_ipv4()));
+        let target = v.cname().map(|n| {
+            n.read_into(&mut buf);
+            buf.presentation()
+        });
+        let owned_target = match &o.rdata {
+            RData::Cname(n) => Some(n.to_string()),
+            _ => None,
+        };
+        assert_eq!(target, owned_target);
+    }
+}
+
+/// The decoder's verdict on hostile input, recorded on the commit before
+/// the borrowed view existed: how many inputs decode, how many fail with
+/// each error — payload included — and a digest over every outcome in
+/// order (an accepted message contributes its re-encoding). The view must
+/// reach the same verdict on every input.
+#[test]
+fn decode_outcomes_match_the_recorded_parent() {
+    let corpus = hostile_corpus();
+    assert_eq!(corpus.len(), 85_464);
+    let mut outcomes: BTreeMap<String, usize> = BTreeMap::new();
+    let mut digest = FNV_OFFSET;
+    for buf in &corpus {
+        let owned = Message::decode(buf);
+        let view = MessageView::parse(buf);
+        assert_eq!(view.as_ref().err(), owned.as_ref().err());
+        let outcome = match &owned {
+            Ok(m) => {
+                assert_view_agrees(view.as_ref().unwrap(), m);
+                fnv1a(&mut digest, b"Ok");
+                fnv1a(&mut digest, &m.encode());
+                "Ok".to_string()
+            }
+            Err(e) => {
+                let e = format!("{e:?}");
+                fnv1a(&mut digest, e.as_bytes());
+                e
+            }
+        };
+        *outcomes.entry(outcome).or_default() += 1;
+    }
+    let count = |prefix: &str| -> usize {
+        outcomes.iter().filter(|(k, _)| k.starts_with(prefix)).map(|(_, n)| n).sum()
+    };
+    let section = |s: &str| count(&format!("CountMismatch {{ section: {s:?} }}"));
+    let summary = format!("{outcomes:#?}");
+    assert_eq!(count("Ok"), 11_908, "{summary}");
+    assert_eq!(count("Truncated { context: \"header\" }"), 2_400, "{summary}");
+    assert_eq!(count("Truncated"), 2_400, "{summary}");
+    assert_eq!(
+        [section("question"), section("answer"), section("authority"), section("additional")],
+        [8_408, 25_841, 16_748, 16_378],
+        "{summary}"
+    );
+    assert_eq!(count("BadPointer"), 1_172, "{summary}");
+    assert_eq!(count("ReservedLabelType"), 2_253, "{summary}");
+    assert_eq!(count("RdataLengthMismatch"), 352, "{summary}");
+    assert_eq!(count("NameTooLong"), 4, "{summary}");
+    assert_eq!(outcomes.len(), 979, "distinct outcomes, payloads included");
+    assert_eq!(outcomes.values().sum::<usize>(), corpus.len());
+    assert_eq!(digest, 0x3410_6532_c314_ceb0, "{summary}");
+}
+
+/// Compression decisions did not move: the encoder's bytes over 2 000
+/// seeded messages hash to what the `HashMap<Name, usize>` compressor
+/// produced.
+#[test]
+fn encode_bytes_match_the_recorded_parent() {
+    let mut digest = FNV_OFFSET;
+    for seed in 0..2_000u64 {
+        fnv1a(&mut digest, &gen_message(&mut rng(1_000 + seed)).encode());
+    }
+    assert_eq!(digest, 0x4b6e_7b5f_ba90_45e1);
 }
 
 /// TCP framing round trips over concatenated messages.

@@ -5,7 +5,9 @@
 //! `no-map-iteration`, `unsafe-needs-safety-comment`,
 //! `stdout-discipline`, and `no-wallclock` are new invariants the shell
 //! could not express; `threshold-rule-fence` keeps the SC/R threshold
-//! formula in the one file that defines it; `unused-pub` is the one
+//! formula in the one file that defines it; `monitor-stays-borrowed`
+//! keeps the owned DNS decode and per-packet strings out of the monitor;
+//! `unused-pub` is the one
 //! workspace-wide pass (a `pub` item nothing outside its file uses);
 //! `verify-shell-discipline` is the meta-rule that keeps ad-hoc source
 //! scanning from creeping back into verify.sh.
@@ -95,6 +97,18 @@ pub fn rules() -> Vec<Rule> {
                 include_tests: false,
             },
             check: Check::Needles(&[".to_vec()", ".clone()"]),
+        },
+        Rule {
+            id: "monitor-stays-borrowed",
+            desc: "the monitor reads DNS through dns_wire::MessageView and builds no string per packet: no Message::decode/.to_string()/format! in zeek-lite's monitor.rs and tracker.rs",
+            hint: "read names through NameBuf into the reused key; a report or rejection path may carry `// lint: allow(monitor-stays-borrowed): why`",
+            scope: Scope {
+                roots: &["crates/zeek-lite/src/monitor.rs", "crates/zeek-lite/src/tracker.rs"],
+                exclude: &[],
+                src_only: true,
+                include_tests: false,
+            },
+            check: Check::Needles(&["Message::decode", ".to_string()", "format!"]),
         },
         Rule {
             id: "clock-seam",

@@ -83,6 +83,34 @@ fn clone_outside_hot_crates_is_out_of_scope() {
     assert!(diags("crates/cache-sim/src/lib.rs", src).is_empty());
 }
 
+// ---- monitor-stays-borrowed ----------------------------------------------
+
+#[test]
+fn owned_decode_and_per_packet_strings_fire_in_the_monitor() {
+    let decode = "fn f(p: &[u8]) { let _ = dns_wire::Message::decode(p); }\n";
+    let render = "fn f(n: &dns_wire::Name) -> String { n.to_string() }\n";
+    let build = "fn f(e: u8) -> String { format!(\"{e:?}\") }\n";
+    for file in ["crates/zeek-lite/src/monitor.rs", "crates/zeek-lite/src/tracker.rs"] {
+        for src in [decode, render, build] {
+            assert_eq!(fired(file, src), vec!["monitor-stays-borrowed"], "{file}: {src}");
+        }
+    }
+    // The view is what the monitor reads through.
+    let view = "fn f(p: &[u8]) { let _ = dns_wire::MessageView::parse(p); }\n";
+    assert!(diags("crates/zeek-lite/src/monitor.rs", view).is_empty());
+}
+
+#[test]
+fn the_monitor_fence_exempts_marked_lines_tests_and_other_files() {
+    let marked = "fn f(e: u8) -> String {\n    // lint: allow(monitor-stays-borrowed): rejection path\n    format!(\"{e:?}\")\n}\n";
+    assert!(diags("crates/zeek-lite/src/monitor.rs", marked).is_empty());
+    let in_test = "#[cfg(test)]\nmod tests {\n    fn f(n: u8) -> String { n.to_string() }\n}\n";
+    assert!(diags("crates/zeek-lite/src/monitor.rs", in_test).is_empty());
+    let render = "fn f(n: u8) -> String { n.to_string() }\n";
+    assert!(diags("crates/zeek-lite/src/logfmt.rs", render).is_empty());
+    assert!(diags("crates/dns-context/src/stream.rs", render).is_empty());
+}
+
 // ---- clock-seam / no-wallclock -----------------------------------------
 
 #[test]

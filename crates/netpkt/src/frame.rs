@@ -106,10 +106,15 @@ impl Frame {
     /// Bytes actually stored in the capture.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(ETHERNET_HEADER_LEN + IPV4_HEADER_LEN + self.transport_bytes.len());
-        self.eth.encode(&mut out);
-        self.ip.encode(&mut out);
-        out.extend_from_slice(&self.transport_bytes);
+        self.encode_into(&mut out);
         out
+    }
+
+    /// [`encode`](Frame::encode), appending to a buffer the caller reuses.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        self.eth.encode(out);
+        self.ip.encode(out);
+        out.extend_from_slice(&self.transport_bytes);
     }
 
     /// Length the frame had on the wire (captured + virtual payload).

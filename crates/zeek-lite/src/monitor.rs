@@ -5,7 +5,7 @@ use crate::dns::{Answer, AnswerData, DnsTransaction};
 use crate::time::{Duration, Timestamp};
 use crate::tracker::{ConnRecord, FlowTracker, PktMeta};
 use crate::types::Proto;
-use dns_wire::{Message, RData, RrType};
+use dns_wire::{MessageView, NameBuf, RrType};
 use netpkt::{Packet, PktError, Transport};
 use std::collections::HashMap;
 use std::io::Read;
@@ -251,6 +251,7 @@ impl Logs {
         let mut out: Vec<(String, usize, u64)> = acc
             // lint: allow(no-map-iteration): sorted just below under a total order
             .into_iter()
+            // lint: allow(monitor-stays-borrowed): a report over finished logs, one string per service
             .map(|(s, (n, b))| (s.to_string(), n, b))
             .collect();
         out.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
@@ -273,6 +274,8 @@ struct DnsKey {
     client: Ipv4Addr,
     resolver: Ipv4Addr,
     trans_id: u16,
+    /// Question name in presentation form; a matched response moves it
+    /// into the row's `query`.
     query: String,
     qtype: u16,
 }
@@ -289,6 +292,11 @@ pub struct Monitor {
     config: MonitorConfig,
     tracker: FlowTracker,
     pending_dns: HashMap<DnsKey, PendingQuery>,
+    /// The key of the message in hand, rendered once into a reused
+    /// `String` and looked up by reference.
+    dns_key: DnsKey,
+    /// The name being read off the wire.
+    name: NameBuf,
     dns_log: Vec<DnsTransaction>,
     stats: MonitorStats,
     degradation: DegradationStats,
@@ -303,6 +311,14 @@ impl Monitor {
             tracker: FlowTracker::new(config.udp_timeout, config.tcp_timeout),
             config,
             pending_dns: HashMap::new(),
+            dns_key: DnsKey {
+                client: Ipv4Addr::UNSPECIFIED,
+                resolver: Ipv4Addr::UNSPECIFIED,
+                trans_id: 0,
+                query: String::new(),
+                qtype: 0,
+            },
+            name: NameBuf::new(),
             dns_log: Vec::new(),
             stats: MonitorStats::default(),
             degradation: DegradationStats::default(),
@@ -351,7 +367,7 @@ impl Monitor {
                 if let Some(flight) = &self.flight {
                     flight.record(
                         "fault.reject",
-                        format!("{e:?}"),
+                        format!("{e:?}"), // lint: allow(monitor-stays-borrowed): rejection path, recorder attached
                         self.degradation.frames_seen as f64,
                     );
                 }
@@ -392,7 +408,7 @@ impl Monitor {
 
     fn handle_dns_payload(&mut self, ts: Timestamp, src: Ipv4Addr, dst: Ipv4Addr, payload: &[u8]) {
         self.degradation.dns_payloads += 1;
-        let msg = match Message::decode(payload) {
+        let msg = match MessageView::parse(payload) {
             Ok(m) => m,
             Err(e) => {
                 self.stats.dns_decode_errors += 1;
@@ -400,7 +416,7 @@ impl Monitor {
                 if let Some(flight) = &self.flight {
                     flight.record(
                         "parse.degrade",
-                        format!("{e:?}"),
+                        format!("{e:?}"), // lint: allow(monitor-stays-borrowed): rejection path, recorder attached
                         self.degradation.dns_payloads as f64,
                     );
                 }
@@ -409,58 +425,54 @@ impl Monitor {
         };
         self.stats.dns_messages += 1;
         self.degradation.dns_accepted += 1;
-        let Some(q) = msg.questions.first() else { return };
-        if !msg.flags.qr {
-            // Query: client -> resolver. First query wins (retransmits
-            // keep the original timestamp, matching Bro).
-            let key = DnsKey {
-                client: src,
-                resolver: dst,
-                trans_id: msg.id,
-                query: q.name.to_string(),
-                qtype: q.rtype.to_u16(),
-            };
-            self.pending_dns
-                .entry(key)
-                .or_insert(PendingQuery { ts, qtype: q.rtype });
-        } else {
-            // Response: resolver -> client.
-            let key = DnsKey {
-                client: dst,
-                resolver: src,
-                trans_id: msg.id,
-                query: q.name.to_string(),
-                qtype: q.rtype.to_u16(),
-            };
-            let Some(pending) = self.pending_dns.remove(&key) else {
-                // Response without an observed query (e.g. capture started
-                // mid-flight); skip rather than fabricate a timestamp.
-                return;
-            };
-            let answers = msg
-                .answers
-                .iter()
-                .map(|r| Answer {
-                    ttl: r.ttl,
-                    data: match &r.rdata {
-                        RData::A(a) => AnswerData::Addr(*a),
-                        RData::Cname(n) => AnswerData::Cname(n.to_string()),
-                        other => AnswerData::Other(other.rtype().log_name()),
-                    },
-                })
-                .collect();
-            self.dns_log.push(DnsTransaction {
-                ts: pending.ts,
-                client: dst,
-                resolver: src,
-                trans_id: msg.id,
-                query: key.query,
-                qtype: pending.qtype,
-                rcode: Some(msg.flags.rcode),
-                rtt: Some(ts.since(pending.ts)),
-                answers,
-            });
+        let Some(q) = msg.question() else { return };
+        let response = msg.flags().qr;
+        // A query travels client -> resolver, its response back.
+        let (client, resolver) = if response { (dst, src) } else { (src, dst) };
+        let key = &mut self.dns_key;
+        key.client = client;
+        key.resolver = resolver;
+        key.trans_id = msg.id();
+        key.qtype = q.rtype.to_u16();
+        q.name.read_into(&mut self.name);
+        key.query.clear();
+        self.name.write_presentation(&mut key.query);
+        if !response {
+            // First query wins (retransmits keep the original timestamp,
+            // matching Bro).
+            if !self.pending_dns.contains_key(key) {
+                self.pending_dns.insert(key.clone(), PendingQuery { ts, qtype: q.rtype });
+            }
+            return;
         }
+        let Some((key, pending)) = self.pending_dns.remove_entry(key) else {
+            // Response without an observed query (e.g. capture started
+            // mid-flight); skip rather than fabricate a timestamp.
+            return;
+        };
+        let mut answers = Vec::with_capacity(msg.answer_count());
+        answers.extend(msg.answers().map(|r| Answer {
+            ttl: r.ttl,
+            data: if let Some(a) = r.a() {
+                AnswerData::Addr(a)
+            } else if let Some(target) = r.cname() {
+                target.read_into(&mut self.name);
+                AnswerData::Cname(self.name.presentation())
+            } else {
+                AnswerData::Other(r.rtype.log_name())
+            },
+        }));
+        self.dns_log.push(DnsTransaction {
+            ts: pending.ts,
+            client,
+            resolver,
+            trans_id: key.trans_id,
+            query: key.query,
+            qtype: pending.qtype,
+            rcode: Some(msg.flags().rcode),
+            rtt: Some(ts.since(pending.ts)),
+            answers,
+        });
     }
 
     fn maybe_sweep_dns(&mut self, now: Timestamp) {
@@ -468,20 +480,15 @@ impl Monitor {
             return;
         }
         self.last_dns_sweep = now;
-        let timeout = self.config.dns_query_timeout;
-        let expired: Vec<DnsKey> = self
-            .pending_dns
-            // lint: allow(no-map-iteration): expired rows are re-sorted by the total log order
-            .iter()
-            .filter(|(_, p)| now.since(p.ts) >= timeout)
-            .map(|(k, _)| k.clone())
-            .collect();
-        for key in expired {
-            let pending = self.pending_dns.remove(&key).unwrap();
-            if self.config.emit_unanswered_dns {
-                self.dns_log.push(unanswered(&key, &pending));
+        let (timeout, emit) = (self.config.dns_query_timeout, self.config.emit_unanswered_dns);
+        // Expired rows are re-sorted by the total log order.
+        self.pending_dns.retain(|key, pending| {
+            let expired = now.since(pending.ts) >= timeout;
+            if expired && emit {
+                self.dns_log.push(unanswered(key, pending));
             }
-        }
+            !expired
+        });
     }
 
     /// Drain connection records that have already completed, for streaming
@@ -593,7 +600,7 @@ fn unanswered(key: &DnsKey, pending: &PendingQuery) -> DnsTransaction {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dns_wire::{Name, Record};
+    use dns_wire::{Message, Name, Record};
     use netpkt::{Frame, MacAddr, TcpFlags, TcpHeader};
 
     const HOUSE: Ipv4Addr = Ipv4Addr::new(10, 1, 1, 2);
@@ -634,6 +641,60 @@ mod tests {
         assert_eq!(logs.conns.len(), 1);
         assert!(logs.conns[0].is_dns());
         assert_eq!(logs.app_conns().count(), 0);
+    }
+
+    /// Labels are arbitrary bytes on the wire; in the log a name is one
+    /// tab-, comma- and newline-free token, so the row survives logfmt.
+    #[test]
+    fn hostile_names_log_as_one_escaped_row() {
+        fn name(labels: &[&[u8]]) -> Vec<u8> {
+            let mut out = Vec::new();
+            for l in labels {
+                out.push(l.len() as u8);
+                out.extend_from_slice(l);
+            }
+            out.push(0);
+            out
+        }
+        let message = |response: bool, answers: &[Vec<u8>]| {
+            let mut out = Vec::new();
+            dns_wire::Header {
+                id: 7,
+                flags: if response { dns_wire::Flags::response(dns_wire::Rcode::NoError) } else { dns_wire::Flags::query() },
+                qdcount: 1,
+                ancount: answers.len() as u16,
+                nscount: 0,
+                arcount: 0,
+            }
+            .encode(&mut out);
+            out.extend(name(&[b"A\tb", b"c.d", b"com"]));
+            out.extend([0, 1, 0, 1]); // A, IN
+            for target in answers {
+                out.extend([0xC0, 12, 0, 5, 0, 1, 0, 0, 0, 60]); // owner = question, CNAME, IN, ttl 60
+                out.extend((target.len() as u16).to_be_bytes());
+                out.extend(target);
+            }
+            out
+        };
+        let targets = [name(&[b"x,y", b"z\nw", b"\\", b"\xe9"]), name(&[])];
+        let mut m = Monitor::new(MonitorConfig::default());
+        let query = Frame::udp(MacAddr::LOCAL, MacAddr::UPSTREAM, HOUSE, RESOLVER, 54321, 53, &message(false, &[]));
+        let response =
+            Frame::udp(MacAddr::UPSTREAM, MacAddr::LOCAL, RESOLVER, HOUSE, 53, 54321, &message(true, &targets));
+        feed(&mut m, 1000, &query);
+        feed(&mut m, 1008, &response);
+        let logs = m.finish();
+        assert_eq!(logs.stats.dns_decode_errors, 0);
+        assert_eq!(logs.dns.len(), 1);
+        assert_eq!(logs.dns[0].query, r"a\x09b.c\x2ed.com");
+        let rendered: Vec<_> = logs.dns[0].answers.iter().map(|a| &a.data).collect();
+        assert_eq!(
+            rendered,
+            [&AnswerData::Cname(r"x\x2cy.z\x0aw.\x5c.\xe9".into()), &AnswerData::Cname(".".into())]
+        );
+        let mut text = Vec::new();
+        crate::logfmt::write_dns_log(&mut text, &logs.dns).unwrap();
+        assert_eq!(crate::logfmt::read_dns_log(&text[..]).unwrap(), logs.dns);
     }
 
     #[test]

@@ -10,7 +10,7 @@ use crate::history::History;
 use crate::time::{Duration, Timestamp};
 use crate::types::{FiveTuple, Proto};
 use netpkt::TcpFlags;
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::net::Ipv4Addr;
 
 /// Terminal state of a connection, following Zeek's conn_state vocabulary.
@@ -328,20 +328,8 @@ impl FlowTracker {
             proto: m.proto,
         };
         let key = tuple.canonical_key();
-        // A terminated TCP flow followed by a fresh SYN on the same tuple
-        // starts a new connection (port reuse).
-        if let Some(flow) = self.flows.get(&key) {
-            let fresh_syn = m
-                .tcp_flags
-                .map(|f| f.syn && !f.ack)
-                .unwrap_or(false);
-            if flow.terminated() && fresh_syn {
-                let flow = self.flows.remove(&key).unwrap();
-                self.completed.push(flow.into_record());
-            }
-        }
         let next_uid = &mut self.next_uid;
-        let flow = self.flows.entry(key).or_insert_with(|| {
+        let mut new_flow = || {
             let uid = *next_uid;
             *next_uid += 1;
             Flow {
@@ -353,7 +341,20 @@ impl FlowTracker {
                 resp: DirStats::default(),
                 history: History::new(),
             }
-        });
+        };
+        let flow = match self.flows.entry(key) {
+            Entry::Occupied(slot) => {
+                let flow = slot.into_mut();
+                // A terminated TCP flow followed by a fresh SYN on the same
+                // tuple starts a new connection (port reuse).
+                let fresh_syn = m.tcp_flags.is_some_and(|f| f.syn && !f.ack);
+                if fresh_syn && flow.terminated() {
+                    self.completed.push(std::mem::replace(flow, new_flow()).into_record());
+                }
+                flow
+            }
+            Entry::Vacant(slot) => slot.insert(new_flow()),
+        };
         flow.last = m.ts;
         let from_orig = m.src == flow.tuple.orig_addr && m.src_port == flow.tuple.orig_port;
         let (dir, hist_case): (&mut DirStats, fn(char) -> char) = if from_orig {
@@ -665,11 +666,12 @@ mod tests {
         drive_normal_tcp(&mut t, 0, 10, 10);
         // Same 5-tuple, fresh SYN.
         drive_normal_tcp(&mut t, 10_000, 20, 20);
+        // And again inside the linger, before a sweep has removed the
+        // closed flow: its table entry is replaced in place.
+        drive_normal_tcp(&mut t, 12_000, 30, 30);
         let recs = t.finish();
-        assert_eq!(recs.len(), 2);
-        assert_eq!(recs[0].orig_bytes, 10);
-        assert_eq!(recs[1].orig_bytes, 20);
-        assert_ne!(recs[0].uid, recs[1].uid);
+        assert_eq!(recs.iter().map(|r| r.orig_bytes).collect::<Vec<_>>(), [10, 20, 30]);
+        assert_eq!(recs.iter().map(|r| r.uid).collect::<Vec<_>>(), [1, 2, 3]);
     }
 
     #[test]

@@ -1,0 +1,127 @@
+//! What the monitor allocates for a DNS transaction is what the
+//! transaction's row owns — the `query` string, the answer vector, one
+//! string per CNAME — and a packet that produces no row allocates
+//! nothing. Counted with the allocation counter (a `realloc` is an
+//! event), not timed. One test in this binary, so nothing else allocates
+//! while it measures.
+
+use std::net::Ipv4Addr;
+
+use dnsctx::dns_wire::{Message, Name, Record, RrType};
+use dnsctx::netpkt::{Frame, MacAddr, TcpFlags, TcpHeader};
+use dnsctx::xkit::bench::alloc::{self, CountingAlloc};
+use dnsctx::zeek_lite::{AnswerData, Monitor, MonitorConfig, Timestamp};
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+const HOUSE: Ipv4Addr = Ipv4Addr::new(10, 77, 0, 1);
+const RESOLVER: Ipv4Addr = Ipv4Addr::new(198, 51, 100, 53);
+const SERVER: Ipv4Addr = Ipv4Addr::new(203, 0, 113, 7);
+const UP: MacAddr = MacAddr::UPSTREAM;
+const DOWN: MacAddr = MacAddr::LOCAL;
+
+/// A frame as the capture stores it: `(bytes, wire length)`.
+type Stored = (Vec<u8>, u32);
+
+fn stored(f: &Frame) -> Stored {
+    (f.encode(), f.wire_len() as u32)
+}
+
+/// Query and response (CNAME + 2 × A) of lookup `i`, from its own client
+/// port. Every name is as long as every other, so the first message sizes
+/// the monitor's reused key for all of them.
+fn lookup(i: u16) -> [Stored; 2] {
+    let name = Name::parse(&format!("w{i:05}.example.com")).unwrap();
+    let edge = Name::parse(&format!("e{i:05}.cdn.example.net")).unwrap();
+    let q = Message::query(i, name.clone(), RrType::A);
+    let mut resp = q.answer_template();
+    resp.answers.push(Record::cname(name, 300, edge.clone()));
+    for host in [1, 2] {
+        resp.answers.push(Record::a(edge.clone(), 60, Ipv4Addr::new(104, 16, (i >> 8) as u8, host)));
+    }
+    let port = 20_000 + i;
+    [
+        stored(&Frame::udp(DOWN, UP, HOUSE, RESOLVER, port, 53, &q.encode())),
+        stored(&Frame::udp(UP, DOWN, RESOLVER, HOUSE, 53, port, &resp.encode())),
+    ]
+}
+
+#[test]
+fn a_transaction_allocates_its_row_and_nothing_else_allocates() {
+    const N: u16 = 1_000;
+    let mut monitor = Monitor::new(MonitorConfig::default());
+    let mut now_us = 0u64;
+    let mut feed = |monitor: &mut Monitor, (bytes, wire_len): &Stored| {
+        now_us += 500;
+        monitor.handle_frame(Timestamp(now_us * 1_000), bytes, *wire_len);
+    };
+
+    // The first message sizes the reused key; it is not measured.
+    let [warm_q, warm_r] = lookup(N);
+    feed(&mut monitor, &warm_q);
+
+    // A retransmitted query, and a response nobody asked for (the id of a
+    // lookup not made yet, on the flow the monitor already tracks).
+    let mut stray = Message::query(7, Name::parse("w00007.example.com").unwrap(), RrType::A)
+        .answer_template();
+    stray.answers.push(Record::a(Name::parse("w00007.example.com").unwrap(), 60, SERVER));
+    let stray = stored(&Frame::udp(UP, DOWN, RESOLVER, HOUSE, 53, 20_000 + N, &stray.encode()));
+    let ((), idle) = alloc::measure(|| {
+        feed(&mut monitor, &warm_q);
+        feed(&mut monitor, &stray);
+    });
+    assert_eq!(idle.allocs, 0, "a retransmit plus an unmatched response allocated");
+    feed(&mut monitor, &warm_r);
+
+    // N matched lookups: three allocations each — the row's query string,
+    // its answer vector, its CNAME target — plus the doublings of the
+    // flow table and the row vector.
+    let frames: Vec<[Stored; 2]> = (0..N).map(lookup).collect();
+    let ((), matched) = alloc::measure(|| {
+        for [q, r] in &frames {
+            feed(&mut monitor, q);
+            feed(&mut monitor, r);
+        }
+    });
+    let growth = matched.allocs.saturating_sub(3 * u64::from(N));
+    assert!(
+        matched.allocs >= 3 * u64::from(N) && growth <= 32,
+        "{} allocations for {N} transactions",
+        matched.allocs
+    );
+
+    // An established TCP flow: nothing per segment.
+    let seg = |from_house: bool, seq: u32, ack: u32, flags: TcpFlags| {
+        let frame = if from_house {
+            Frame::tcp(DOWN, UP, HOUSE, SERVER, TcpHeader::segment(40_000, 443, seq, ack, flags), &[])
+        } else {
+            Frame::tcp(UP, DOWN, SERVER, HOUSE, TcpHeader::segment(443, 40_000, seq, ack, flags), &[])
+        };
+        stored(&frame)
+    };
+    feed(&mut monitor, &stored(&Frame::tcp(DOWN, UP, HOUSE, SERVER, TcpHeader::syn(40_000, 443, 100), &[])));
+    feed(&mut monitor, &seg(false, 900, 101, TcpFlags::SYN_ACK));
+    feed(&mut monitor, &seg(true, 101, 901, TcpFlags::ACK));
+    let segments: Vec<Stored> = (0..10_000u32)
+        .map(|k| seg(k % 2 == 0, 101 + 700 * k, 901 + 700 * k, TcpFlags::PSH_ACK))
+        .collect();
+    let ((), tcp) = alloc::measure(|| {
+        for s in &segments {
+            feed(&mut monitor, s);
+        }
+    });
+    assert_eq!(tcp.allocs, 0, "segments on an established flow allocated");
+
+    // The rows are what was paid for, strings sized exactly.
+    let logs = monitor.finish();
+    assert_eq!(logs.dns.len(), usize::from(N) + 1);
+    for t in &logs.dns {
+        assert_eq!((t.query.len(), t.query.capacity()), (18, 18), "{}", t.query);
+        assert_eq!((t.answers.len(), t.answers.capacity()), (3, 3));
+        let AnswerData::Cname(target) = &t.answers[0].data else { panic!("no CNAME in {t:?}") };
+        assert_eq!((target.len(), target.capacity()), (22, 22), "{target}");
+    }
+    let tcp_flow = logs.app_conns().next().expect("the TCP flow");
+    assert_eq!(tcp_flow.orig_pkts + tcp_flow.resp_pkts, 10_003);
+}
