@@ -16,7 +16,8 @@
 //! path at their own capped scale and put one JSON document on stdout,
 //! everything human-readable on stderr. An unknown experiment or flag,
 //! or a flag value that is missing, unparsable or out of range, prints
-//! the usage on stderr and exits 2 before any work.
+//! the usage on stderr and exits 2 before any work; a `stream` or `fuzz`
+//! run whose own result fails its self-check exits 1 with one line.
 //!
 //! Timing lives in the bench ladder (`benchmark/`, contract in
 //! `BENCHMARK.json`), not here.
@@ -46,8 +47,6 @@ struct Opts {
     window_secs: f64,
     tenants: usize,
     source: String,
-    iface: String,
-    frames: u64,
     format: String,
     rule: String,
     root: String,
@@ -153,8 +152,7 @@ const EXPERIMENTS: &[(&str, &str, Runner)] = &[
     (
         "ingest",
         "stream pipeline behind the RecordSource seam; --source picks the backend\n\
-         (file = pcap round trip, ring = in-memory SPSC ring, iface = AF_PACKET via\n\
-         --iface/--frames, needs the raw-socket build and CAP_NET_RAW)",
+         (file = pcap round trip, ring = in-memory SPSC ring)",
         Runner::Own(ingest),
     ),
     (
@@ -167,7 +165,7 @@ const EXPERIMENTS: &[(&str, &str, Runner)] = &[
     (
         "fuzz",
         "fault-rate sweep (drop/truncate/bit-flip/duplicate/reorder) over a capture;\n\
-         asserts graceful degradation",
+         checks graceful degradation",
         Runner::Own(fuzz),
     ),
 ];
@@ -177,7 +175,7 @@ flags: --houses N (100)  --days D (7)  --scale A (0.1 activity)  --seed S (42)
        --seeds K (1; >1 runs a parallel seed sweep)  --csv (CDF point series for the figures)
        --threads N (0 = one worker per core; output is identical for every value)
        --obs-out PATH  --serve ADDR  --serve-check  --window-secs W (60)  --tenants N (8)
-       --source file|ring|iface  --iface NAME (lo)  --frames N (200)
+       --source file|ring (file)
 obs-check <snapshot.json>: validate a snapshot written by `repro obs`
 obs-check --url ADDR: validate the live endpoints of a running --serve instance
 timing: the bench ladder (benchmark/, contract in BENCHMARK.json), not this binary";
@@ -197,6 +195,15 @@ fn usage_error(msg: &str) -> ! {
     std::process::exit(2);
 }
 
+/// An experiment's self-check on its own result: a failure prints
+/// `repro <experiment>: check failed: <message>` on stderr and exits 1.
+fn check(experiment: &str, ok: bool, message: &str) {
+    if !ok {
+        eprintln!("repro {experiment}: check failed: {message}");
+        std::process::exit(1);
+    }
+}
+
 fn parse_args() -> Opts {
     let mut opts = Opts {
         houses: 100,
@@ -212,8 +219,6 @@ fn parse_args() -> Opts {
         window_secs: 60.0,
         tenants: 8,
         source: "file".into(),
-        iface: "lo".into(),
-        frames: 200,
         format: "human".into(),
         rule: String::new(),
         root: ".".into(),
@@ -248,11 +253,13 @@ fn parse_args() -> Opts {
             "--obs-out" => opts.obs_out = value(&mut args, flag, any),
             "--serve" => opts.serve = value(&mut args, flag, any),
             "--serve-check" => opts.serve_check = true,
-            "--window-secs" => opts.window_secs = value(&mut args, flag, |w: &f64| w.is_finite()),
-            "--tenants" => opts.tenants = value(&mut args, flag, any),
-            "--source" => opts.source = value(&mut args, flag, any),
-            "--iface" => opts.iface = value(&mut args, flag, any),
-            "--frames" => opts.frames = value(&mut args, flag, any),
+            "--window-secs" => {
+                opts.window_secs = value(&mut args, flag, |w: &f64| w.is_finite() && *w >= 0.0)
+            }
+            "--tenants" => opts.tenants = value(&mut args, flag, |n| *n > 0),
+            "--source" => {
+                opts.source = value(&mut args, flag, |s: &String| s == "file" || s == "ring")
+            }
             "--format" => opts.format = value(&mut args, flag, any),
             "--rule" => opts.rule = value(&mut args, flag, any),
             "--root" => opts.root = value(&mut args, flag, any),
@@ -973,7 +980,7 @@ fn obs(opts: &Opts) {
 /// whole-house cache numbers come out of the same single pass. For a
 /// finite window the peak-live gauges must come in strictly below the
 /// full-trace row totals — that is the point of the exercise, and the
-/// run asserts it.
+/// run checks it.
 fn stream(opts: &Opts) {
     // The pcap bytes live in memory, so cap the workload like `obs` does.
     let scale = opts.scale_capped(50, 1.0);
@@ -1001,7 +1008,7 @@ fn stream(opts: &Opts) {
         window_secs: opts.window_secs,
         threads: opts.threads,
     };
-    metrics.merge(&pipeline::run(&spec, hub.as_ref()).expect("in-memory source"));
+    metrics.merge(&pipeline::run(&spec, hub.as_ref()));
     spans.note(s, "epochs", metrics.counter("stream.epochs") as f64);
     spans.note(s, "conn_rows", metrics.counter("zeek.conn_rows") as f64);
     spans.note(s, "dns_rows", metrics.counter("zeek.dns_rows") as f64);
@@ -1025,12 +1032,12 @@ fn stream(opts: &Opts) {
         count(metrics.counter("cache.misses") as usize),
         metrics.gauge("cache.peak_live").unwrap_or(0.0)
     );
-    if spec.window().nanos() > 0 {
-        assert!(
-            (peak_flows as u64) < conn_rows && (peak_answers as u64) < dns_rows,
-            "finite window must bound live state below the full-trace totals"
-        );
-    }
+    check(
+        "stream",
+        spec.window().nanos() == 0
+            || ((peak_flows as u64) < conn_rows && (peak_answers as u64) < dns_rows),
+        "finite window must bound live state below the full-trace totals",
+    );
 
     // The settled snapshot: the driver's plus `sim.*`, so `/snapshot`
     // matches the stdout document's metrics section, and `/spans`
@@ -1053,19 +1060,13 @@ fn stream(opts: &Opts) {
 /// and replays them through the file backend. `--source ring` pipes the
 /// same frames from a producer thread straight into the monitor over the
 /// in-memory ring — no pcap serialization, no parse on the consumer
-/// side. `--source iface` reads live frames from an `AF_PACKET` socket
-/// (requires `--features raw-socket` and CAP_NET_RAW; `--frames N` caps
-/// the read).
+/// side.
 ///
 /// The stdout document carries only the deterministic metrics snapshot —
 /// no spans, and no backend name in the meta — so a `file` run and a
 /// `ring` run over the same workload emit byte-identical JSON.
 /// `verify.sh` pins that equivalence.
 fn ingest(opts: &Opts) {
-    let fail = |msg: String| -> ! {
-        eprintln!("# ingest: {msg}");
-        std::process::exit(2);
-    };
     // Same workload cap as `stream`: the frames live in memory either way.
     let scale = opts.scale_capped(50, 1.0);
     let (houses, days) = (scale.houses, scale.days);
@@ -1075,17 +1076,17 @@ fn ingest(opts: &Opts) {
     );
     let mut meta = opts.meta("ingest", &scale);
     meta.push(("window_secs", opts.window_secs.to_string()));
-    let source = match opts.source.as_str() {
-        "file" => Source::SimPcap { scale, seed: opts.seed },
-        "ring" => Source::SimRing { scale, seed: opts.seed },
-        "iface" => Source::Iface { name: opts.iface.clone(), frames: opts.frames },
-        other => fail(format!("unknown source {other:?} (expected file, ring, or iface)")),
+    // `parse_args` admits `file` and `ring` only.
+    let source = if opts.source == "ring" {
+        Source::SimRing { scale, seed: opts.seed }
+    } else {
+        Source::SimPcap { scale, seed: opts.seed }
     };
     let spec = RunSpec { source, window_secs: opts.window_secs, threads: opts.threads };
     let (hub, server) = start_serving(opts, "ingest");
     // The driver settles the live plane: `/snapshot` matches the stdout
     // metrics section exactly. `ingest` has no spans, so `/spans` stays `[]`.
-    let metrics = pipeline::run(&spec, hub.as_ref()).unwrap_or_else(|e| fail(e));
+    let metrics = pipeline::run(&spec, hub.as_ref());
 
     eprintln!(
         "# ingest[{}]: {} frames in, {} epochs, {} conn rows / {} dns rows",
@@ -1118,19 +1119,15 @@ fn serve_daemon(opts: &Opts) {
     // scales by tenant count, not per-tenant size.
     let scale = opts.scale_capped(12, 0.25);
     let ScaleKnobs { houses, days, activity } = scale;
-    let tenants = opts.tenants.max(1);
+    let tenants = opts.tenants;
     let addr = if opts.serve.is_empty() { "127.0.0.1:0" } else { &opts.serve };
     eprintln!(
         "# serve: {tenants} tenants ({houses} houses x {days} days at activity {activity}, base seed {}, threads {}, window {}s)",
         opts.seed, opts.threads, opts.window_secs
     );
 
-    let daemon = Daemon::new(DaemonConfig {
-        threads: opts.threads,
-        serve: Some(addr.to_string()),
-        namespace: "dnsctx".to_string(),
-    })
-    .expect("bind daemon observability server");
+    let daemon = Daemon::new(DaemonConfig { threads: opts.threads, serve: Some(addr.to_string()) })
+        .expect("bind daemon observability server");
     let bound = daemon.addr().expect("daemon serves");
     eprintln!("# serve: tenant-routed observability on http://{bound}");
 
@@ -1213,7 +1210,7 @@ fn check_tenant_endpoints(addr: &str, expect: usize) -> Result<(), String> {
 /// those bytes through a seeded [`xkit::fault::FaultInjector`] (split off
 /// the master RNG per rate, so every run is byte-reproducible), re-parses
 /// the corrupted capture with the monitor, and runs the full analysis.
-/// Asserted invariants: the sweep completes without a panic, frame
+/// Checked invariants: the sweep completes without a panic, frame
 /// acceptance and pair coverage degrade monotonically with the rate, and
 /// the rate-0 capture and its logs are byte-identical to the clean
 /// pipeline's.
@@ -1271,13 +1268,11 @@ fn fuzz(opts: &Opts) {
         println!("class mix: N {n:.1}%  LC {lc:.1}%  P {p:.1}%  SC {sc:.1}%  R {r:.1}%\n");
 
         if rate == 0.0 {
-            assert_eq!(corrupted, clean, "rate-0 rewrite must be byte-identical to the capture");
-            assert_eq!(
-                render_logs(&logs),
-                baseline_fmt,
-                "rate-0 logs must be byte-identical to the clean pipeline"
-            );
-            assert!(logs.degradation.is_clean(), "rate-0 run must reject nothing");
+            let same_bytes = corrupted == clean;
+            check("fuzz", same_bytes, "rate-0 rewrite must be byte-identical to the capture");
+            let same_logs = render_logs(&logs) == baseline_fmt;
+            check("fuzz", same_logs, "rate-0 logs must be byte-identical to the clean pipeline");
+            check("fuzz", logs.degradation.is_clean(), "rate-0 run must reject nothing");
         }
         acceptances.push(cov.frame_acceptance);
         coverages.push(cov.pair_coverage());
@@ -1287,20 +1282,20 @@ fn fuzz(opts: &Opts) {
     // pair coverage follows with a small stochastic slack (corrupting a
     // SYN removes the connection from the denominator too).
     for i in 1..rates.len() {
-        assert!(
+        let rose = |what: &str, v: &[f64]| {
+            let (lo, hi) = (rates[i - 1], rates[i]);
+            format!("{what} rose between rates {lo} and {hi}: {} -> {}", v[i - 1], v[i])
+        };
+        check(
+            "fuzz",
             acceptances[i] <= acceptances[i - 1] + 1e-9,
-            "frame acceptance rose between rates {} and {}: {} -> {}",
-            rates[i - 1], rates[i], acceptances[i - 1], acceptances[i]
+            &rose("frame acceptance", &acceptances),
         );
-        assert!(
-            coverages[i] <= coverages[i - 1] + 0.02,
-            "pair coverage rose between rates {} and {}: {} -> {}",
-            rates[i - 1], rates[i], coverages[i - 1], coverages[i]
-        );
+        check("fuzz", coverages[i] <= coverages[i - 1] + 0.02, &rose("pair coverage", &coverages));
     }
     let last = rates.len() - 1;
-    assert!(acceptances[last] < acceptances[0], "20% faults must reject frames");
-    assert!(coverages[last] < coverages[0], "20% faults must cost pair coverage");
+    check("fuzz", acceptances[last] < acceptances[0], "20% faults must reject frames");
+    check("fuzz", coverages[last] < coverages[0], "20% faults must cost pair coverage");
     println!(
         "fuzz OK: rates {rates:?}, zero panics, monotone degradation, rate-0 byte-identical"
     );
@@ -1313,21 +1308,15 @@ type Headline = [f64; 8];
 
 /// Run one full simulation + analysis and distill the headline numbers.
 /// Each worker runs its simulation single-threaded: in a seed sweep the
-/// parallelism budget is spent across seeds, not within one. The
-/// caller's scratch (one per sweep worker, built once) carries the
-/// pairing arena across seeds.
-fn headline_for_seed(
-    cfg: &WorkloadConfig,
-    scratch: &mut dnsctx::dns_context::AnalysisScratch,
-    seed: u64,
-) -> Headline {
+/// parallelism budget is spent across seeds, not within one.
+fn headline_for_seed(cfg: &WorkloadConfig, seed: u64) -> Headline {
     let out = Simulation::new(cfg.clone(), seed)
         .expect("valid config")
         .with_threads(1)
         .run();
     let mut acfg = AnalysisConfig::default();
     acfg.threads = 1;
-    let analysis = Analysis::run_with(scratch, &out.logs, acfg);
+    let analysis = Analysis::run(&out.logs, acfg);
     let c = analysis.class_counts();
     let [n, lc, p, sc, r] = shares(&c);
     let significant = analysis.significance().both_share_of_all_pct;
@@ -1346,14 +1335,9 @@ fn multi_seed(cfg: &WorkloadConfig, opts: &Opts) {
         xkit::par::resolve_threads(opts.threads).min(opts.seeds)
     );
     let seeds: Vec<u64> = (0..opts.seeds as u64).map(|k| opts.seed + k).collect();
-    // par_map_with preserves input order (the rows come back seed-sorted)
-    // and builds one analysis scratch per worker, reused across seeds.
-    let rows: Vec<Headline> = xkit::par::par_map_with(
-        opts.threads,
-        seeds.clone(),
-        dnsctx::dns_context::AnalysisScratch::default,
-        |scratch, _, seed| headline_for_seed(cfg, scratch, seed),
-    );
+    // par_map preserves input order: the rows come back seed-sorted.
+    let rows: Vec<Headline> =
+        xkit::par::par_map(opts.threads, seeds.clone(), |_, seed| headline_for_seed(cfg, seed));
 
     let mut t = Table::new(
         "headline statistics across seeds (paper: N 7.2, LC 42.9, P 7.8, SC 26.3, R 15.7; blocked 42.1; hit 62.6; signif 3.6)",

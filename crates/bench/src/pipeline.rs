@@ -31,13 +31,10 @@ pub enum Source {
     /// by the engine as it fills: no pcap round trip, and since nothing
     /// drops, the same settled snapshot as [`Source::SimPcap`].
     SimRing { scale: ScaleKnobs, seed: u64 },
-    /// Read `frames` live frames from an `AF_PACKET` socket on `name`
-    /// (needs the `raw-socket` feature and CAP_NET_RAW).
-    Iface { name: String, frames: u64 },
 }
 
 /// One run of the stream pipeline. Its settled snapshot is a pure
-/// function of this struct for every source but [`Source::Iface`].
+/// function of this struct.
 #[derive(Debug, Clone)]
 pub struct RunSpec {
     pub source: Source,
@@ -73,8 +70,7 @@ pub fn capture_pcap(scale: &ScaleKnobs, seed: u64, threads: usize) -> (Vec<u8>, 
 /// (simulated sources), `capture.*`, `zeek.*`, `pair.*`, `class.*`,
 /// `stream.*` and `cache.*`. With a hub, every epoch boundary publishes
 /// a prefix-valid snapshot and the settled one replaces it at the end.
-/// `Err` only when an interface cannot be opened.
-pub fn run(spec: &RunSpec, hub: Option<&ObsHub>) -> Result<Metrics, String> {
+pub fn run(spec: &RunSpec, hub: Option<&ObsHub>) -> Metrics {
     let metrics = match &spec.source {
         Source::Pcap(bytes) => drive(
             &mut pcapio::source::file(&bytes[..]).expect("pcap header"),
@@ -107,27 +103,11 @@ pub fn run(spec: &RunSpec, hub: Option<&ObsHub>) -> Result<Metrics, String> {
             metrics.merge(&sim_metrics);
             metrics
         }
-        Source::Iface { name, frames } => {
-            #[cfg(feature = "raw-socket")]
-            {
-                let mut source = pcapio::raw::RawSource::open(name, SNAPLEN)
-                    .map_err(|e| format!("cannot open interface {name}: {e:?}"))?
-                    .with_limit(*frames);
-                drive(&mut source, spec, hub)
-            }
-            #[cfg(not(feature = "raw-socket"))]
-            {
-                let _ = frames;
-                return Err(format!(
-                    "interface {name}: this build lacks --features raw-socket"
-                ));
-            }
-        }
     };
     if let Some(hub) = hub {
         hub.publish_metrics(metrics.clone());
     }
-    Ok(metrics)
+    metrics
 }
 
 /// One pass over an open source: the engine cuts epochs, each epoch's

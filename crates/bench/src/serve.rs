@@ -48,8 +48,11 @@ impl TenantSpec {
     }
 }
 
+/// Prometheus metric-name prefix of every daemon's `/metrics` view.
+const NAMESPACE: &str = "dnsctx";
+
 /// Daemon construction knobs.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct DaemonConfig {
     /// Pool width (0 = one worker per core). Tenant *engines* are
     /// always single-threaded; this is cross-tenant parallelism only.
@@ -57,14 +60,6 @@ pub struct DaemonConfig {
     /// `Some(addr)` serves the tenant-routed observability plane
     /// (`127.0.0.1:0` binds an ephemeral port).
     pub serve: Option<String>,
-    /// Prometheus metric-name prefix.
-    pub namespace: String,
-}
-
-impl Default for DaemonConfig {
-    fn default() -> DaemonConfig {
-        DaemonConfig { threads: 0, serve: None, namespace: "dnsctx".to_string() }
-    }
 }
 
 /// The long-running serve daemon: a tenant registry, a worker pool, and
@@ -82,12 +77,9 @@ impl Daemon {
         let registry = HubRegistry::new();
         let root = ObsHub::default();
         let server = match &cfg.serve {
-            Some(addr) => Some(http::serve_tenants(
-                addr,
-                &cfg.namespace,
-                root.clone(),
-                registry.clone(),
-            )?),
+            Some(addr) => {
+                Some(http::serve_tenants(addr, NAMESPACE, root.clone(), registry.clone())?)
+            }
             None => None,
         };
         Ok(Daemon { registry, root, pool: Pool::new(cfg.threads), server })
@@ -200,7 +192,7 @@ impl Daemon {
 /// published as the tenant's settled snapshot — the same document a
 /// standalone `repro ingest` of that description prints.
 pub fn run_tenant(spec: &TenantSpec, hub: Option<&ObsHub>) -> Metrics {
-    pipeline::run(&spec.run, hub).expect("tenant source opens")
+    pipeline::run(&spec.run, hub)
 }
 
 /// The sequential reference fold: run every spec in id order on this

@@ -7,7 +7,8 @@
 //! Also pinned here, because nothing else drives them at the CLI: the
 //! `--seeds K` sweep is independent of `--threads`; an unknown
 //! experiment or flag, or a bad flag value, is a usage error before any
-//! work; and `repro obs` publishes exactly the library's fold.
+//! work; a failed self-check is one line and exit 1, not a panic; and
+//! `repro obs` publishes exactly the library's fold.
 
 use std::process::{Command, Output};
 use xkit::obs::json;
@@ -87,15 +88,32 @@ fn unknown_experiment_or_flag_is_a_usage_error_before_any_work() {
         &["table2", "--houses"],
         &["table2", "--houses", "abc"],
         &["table2", "--houses", "0"],
+        &["stream", "--window-secs", "-5"],
+        &["serve", "--tenants", "0"],
+        &["ingest", "--source", "bogus"],
+        &["ingest", "--source", "iface"],
+        &["ingest", "--iface", "lo"],
     ] {
         let output = repro(args);
         assert_eq!(output.status.code(), Some(2), "repro {args:?}: {output:?}");
         assert!(output.stdout.is_empty(), "repro {args:?} wrote to stdout: {output:?}");
         let stderr = String::from_utf8(output.stderr).expect("utf8 stderr");
         assert!(stderr.contains("usage: repro"), "repro {args:?} printed no usage: {stderr}");
-        assert!(!stderr.contains("# simulating"), "repro {args:?} simulated: {stderr}");
+        assert!(!stderr.contains("# "), "repro {args:?} started work: {stderr}");
         assert!(!stderr.contains("panicked"), "repro {args:?} panicked: {stderr}");
     }
+}
+
+#[test]
+fn a_failed_self_check_is_one_line_and_exit_one() {
+    // Every flow of a 14-minute trace is still open at one 60 s boundary,
+    // so the finite-window bound on live state does not hold.
+    let output = repro(&["stream", "--houses", "2", "--days", "0.01"]);
+    assert_eq!(output.status.code(), Some(1), "{output:?}");
+    assert!(output.stdout.is_empty(), "the document comes after the check: {output:?}");
+    let stderr = String::from_utf8(output.stderr).expect("utf8 stderr");
+    assert_eq!(stderr.matches("repro stream: check failed: ").count(), 1, "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
 #[test]

@@ -34,12 +34,9 @@ fn specs() -> Vec<TenantSpec> {
 }
 
 fn drained_daemon(threads: usize, serve: bool) -> (Daemon, Vec<TenantSpec>) {
-    let daemon = Daemon::new(DaemonConfig {
-        threads,
-        serve: serve.then(|| "127.0.0.1:0".to_string()),
-        namespace: "dnsctx".to_string(),
-    })
-    .expect("daemon");
+    let daemon =
+        Daemon::new(DaemonConfig { threads, serve: serve.then(|| "127.0.0.1:0".to_string()) })
+            .expect("daemon");
     let specs = specs();
     for spec in &specs {
         daemon.add_tenant(spec.clone()).expect("unique id");
@@ -137,12 +134,8 @@ fn mid_run_tenant_scrapes_are_prefix_valid() {
 
 #[test]
 fn remove_frees_tenant_state_and_peak_gauges_drop() {
-    let daemon = Daemon::new(DaemonConfig {
-        threads: 2,
-        serve: Some("127.0.0.1:0".to_string()),
-        namespace: "dnsctx".to_string(),
-    })
-    .expect("daemon");
+    let daemon = Daemon::new(DaemonConfig { threads: 2, serve: Some("127.0.0.1:0".to_string()) })
+        .expect("daemon");
     let addr = daemon.addr().expect("serving").to_string();
 
     let big = TenantSpec::sim("big", 8, 0.08, 0.2, 7);

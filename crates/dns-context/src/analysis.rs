@@ -6,7 +6,7 @@ use crate::classify::{
     ClassCounts, ConnClass, NoDnsBreakdown, ThresholdRule, TtlStats,
 };
 use crate::kernel::{store_class_metrics, store_cover, store_threshold_metrics, Tally};
-use crate::pairing::{Pairing, PairingPolicy, PairingScratch};
+use crate::pairing::{Pairing, PairingPolicy};
 use crate::perf::{PerfAnalysis, Significance};
 use crate::resolver::{platform_reports, PlatformMap, PlatformReport};
 use std::collections::HashMap;
@@ -96,17 +96,6 @@ impl std::fmt::Display for Coverage {
     }
 }
 
-/// Reusable buffers for [`Analysis::run_with`]: the pairing arena plus
-/// anything future stages want to retain across runs. A default scratch
-/// starts empty; repeated analyses (windowed sweeps, multi-seed
-/// benchmarks) that thread the same scratch through avoid rebuilding
-/// the pairing allocations every run.
-#[derive(Default)]
-pub struct AnalysisScratch {
-    /// Pairing arena and span map.
-    pub pairing: PairingScratch,
-}
-
 /// The full pipeline, run once over a set of logs.
 pub struct Analysis<'a> {
     logs: &'a Logs,
@@ -131,26 +120,13 @@ impl<'a> Analysis<'a> {
     /// out over contiguous chunks of the pairing. Every stage is a pure
     /// function of the logs, so the thread count never changes a result.
     pub fn run(logs: &'a Logs, cfg: AnalysisConfig) -> Analysis<'a> {
-        let mut scratch = AnalysisScratch::default();
-        Self::run_with(&mut scratch, logs, cfg)
-    }
-
-    /// [`Analysis::run`] with caller-provided scratch, so repeated runs
-    /// reuse the pairing allocations.
-    pub fn run_with(
-        scratch: &mut AnalysisScratch,
-        logs: &'a Logs,
-        cfg: AnalysisConfig,
-    ) -> Analysis<'a> {
-        // Columnar projections are built once up front; every downstream
-        // stage (thresholds, classification, §5.2, §6) scans these
-        // contiguous columns instead of striding through the rows.
+        // The columns downstream stages scan (thresholds, classification,
+        // §5.2, §6) are projected once up front.
         let conn_cols = logs.conn_columns();
         let dns_cols = logs.dns_columns();
-        let pairing_scratch = &mut scratch.pairing;
         let (pairing, thresholds) = xkit::par::join(
             cfg.threads,
-            || Pairing::build_with(pairing_scratch, &logs.conns, &logs.dns, cfg.policy),
+            || Pairing::build(&logs.conns, &logs.dns, cfg.policy),
             || resolver_thresholds(&dns_cols, cfg.threshold_rule),
         );
         let classes = classify_parallel(
@@ -167,16 +143,6 @@ impl<'a> Analysis<'a> {
     /// The logs under analysis.
     pub fn logs(&self) -> &Logs {
         self.logs
-    }
-
-    /// The connection-log columnar projection built for this run.
-    pub fn conn_columns(&self) -> &ConnColumns {
-        &self.conn_cols
-    }
-
-    /// The DNS-log columnar projection built for this run.
-    pub fn dns_columns(&self) -> &DnsColumns {
-        &self.dns_cols
     }
 
     /// The configuration used.

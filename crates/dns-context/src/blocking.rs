@@ -116,7 +116,6 @@ mod tests {
 
     fn pairing_of(pairs: Vec<PairedConn>) -> Pairing {
         Pairing {
-            app_conn_indices: (0..pairs.len()).collect(),
             dns_used: vec![true],
             pairs,
         }

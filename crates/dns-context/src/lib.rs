@@ -44,8 +44,8 @@ pub mod timeseries;
 mod analysis;
 mod kernel;
 
-pub use analysis::{Analysis, AnalysisConfig, AnalysisScratch, Coverage};
+pub use analysis::{Analysis, AnalysisConfig, Coverage};
 pub use classify::{ClassCounts, ConnClass};
-pub use pairing::{PairedConn, Pairing, PairingPolicy, PairingScratch};
+pub use pairing::{PairedConn, Pairing, PairingPolicy};
 pub use stats::Ecdf;
 pub use stream::{EpochOutput, StreamEngine, StreamResult};

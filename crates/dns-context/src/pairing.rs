@@ -53,34 +53,10 @@ impl PairedConn {
     }
 }
 
-/// Reusable buffers for [`Pairing::build_with`].
-///
-/// A default scratch starts empty; passing the same scratch to repeated
-/// builds (the repro sweep, windowed re-analysis) reuses the arena and
-/// the span map instead of reallocating them.
-#[derive(Default)]
-pub struct PairingScratch {
-    /// Every `(client, answer address)` key's run, back to back: one
-    /// allocation scanned by span instead of a map of Vecs.
-    arena: Vec<Entry>,
-    /// Keyed entries in dns-log order, before placement into runs.
-    staged: Vec<(u64, Entry)>,
-    /// Keys in first-seen order — the deterministic traversal the
-    /// counting sort uses instead of iterating the map.
-    keys_in_order: Vec<u64>,
-    /// `packed key -> (start, end)` run in the arena. FxHash map:
-    /// addressed by key only, never iterated (bucket order must not
-    /// leak into output).
-    spans: FastMap<u64, (u32, u32)>,
-}
-
 /// The pairing index and results.
 pub struct Pairing {
     /// One entry per *application* connection, in connection-log order.
     pub pairs: Vec<PairedConn>,
-    /// Indices (into the conn log) of the application connections that
-    /// were analysed, in the same order as `pairs`.
-    pub app_conn_indices: Vec<usize>,
     /// For each DNS-log index: whether any connection paired with it.
     pub dns_used: Vec<bool>,
 }
@@ -93,18 +69,6 @@ impl Pairing {
     /// in the paper (the DNS log is its own dataset). The random policy
     /// draws from a fixed-seed RNG so analyses are reproducible.
     pub fn build(conns: &[ConnRecord], dns: &[DnsTransaction], policy: PairingPolicy) -> Pairing {
-        let mut scratch = PairingScratch::default();
-        Self::build_with(&mut scratch, conns, dns, policy)
-    }
-
-    /// [`Pairing::build`] with caller-provided scratch buffers, so the
-    /// arena and index tables are reused across repeated builds.
-    pub fn build_with(
-        scratch: &mut PairingScratch,
-        conns: &[ConnRecord],
-        dns: &[DnsTransaction],
-        policy: PairingPolicy,
-    ) -> Pairing {
         // Flat arena of (client, answer address) entries, grouped into
         // per-key runs by a counting sort: stage entries in dns order,
         // count per key, carve contiguous runs (in first-seen key order),
@@ -114,8 +78,9 @@ impl Pairing {
         // consumer observes that — every read goes through `spans`. The
         // dns log is ts-sorted, so each run arrives nearly sorted by
         // completion time and its per-run sort is close to linear.
-        let staged = &mut scratch.staged;
-        staged.clear();
+        //
+        // `staged`: keyed entries in dns-log order, before placement.
+        let mut staged: Vec<(u64, Entry)> = Vec::new();
         for (dns_idx, txn) in dns.iter().enumerate() {
             let (Some(completed), Some(expires)) = (txn.completed_at(), txn.expires_at()) else {
                 continue;
@@ -125,11 +90,13 @@ impl Pairing {
             }
         }
         assert!(staged.len() <= u32::MAX as usize, "index exceeds u32 arena offsets");
-        let spans = &mut scratch.spans;
-        spans.clear();
-        let keys_in_order = &mut scratch.keys_in_order;
-        keys_in_order.clear();
-        for (key, _) in staged.iter() {
+        // `packed key -> (start, end)` run in the arena. FxHash map:
+        // addressed by key only, never iterated (bucket order must not
+        // leak into output); `keys_in_order` is the deterministic
+        // first-seen traversal the counting sort uses instead.
+        let mut spans: FastMap<u64, (u32, u32)> = FastMap::default();
+        let mut keys_in_order: Vec<u64> = Vec::new();
+        for (key, _) in &staged {
             match spans.entry(*key) {
                 Slot::Occupied(mut o) => o.get_mut().1 += 1,
                 Slot::Vacant(v) => {
@@ -139,37 +106,33 @@ impl Pairing {
             }
         }
         let mut offset = 0u32;
-        for k in keys_in_order.iter() {
+        for k in &keys_in_order {
             let slot = spans.get_mut(k).expect("counted key");
             let count = slot.1;
             // (start, cursor); the cursor advances to `end` during placement.
             *slot = (offset, offset);
             offset += count;
         }
-        let arena = &mut scratch.arena;
-        arena.clear();
         let unplaced = Entry { completed: Timestamp::ZERO, expires: Timestamp::ZERO, dns_idx: 0 };
-        arena.resize(staged.len(), unplaced);
-        for (key, e) in staged.iter() {
+        let mut arena = vec![unplaced; staged.len()];
+        for (key, e) in &staged {
             let slot = spans.get_mut(key).expect("counted key");
             arena[slot.1 as usize] = *e;
             slot.1 += 1;
         }
-        for k in keys_in_order.iter() {
+        for k in &keys_in_order {
             let &(s, e) = spans.get(k).expect("counted key");
             arena[s as usize..e as usize].sort_unstable_by_key(|en| (en.completed, en.dns_idx));
         }
 
         let mut rng = StdRng::seed_from_u64(0x5ca1ab1e);
         let mut pairs = Vec::with_capacity(conns.len());
-        let mut app_conn_indices = Vec::with_capacity(conns.len());
         let mut dns_used = vec![false; dns.len()];
 
         for (ci, conn) in conns.iter().enumerate() {
             if conn.is_dns() {
                 continue;
             }
-            app_conn_indices.push(ci);
             let mut pair = PairedConn { conn: ci, ..PairedConn::default() };
             let run = spans
                 .get(&pack_key(conn.id.orig_addr, conn.id.resp_addr))
@@ -196,7 +159,7 @@ impl Pairing {
             pairs.push(pair);
         }
 
-        Pairing { pairs, app_conn_indices, dns_used }
+        Pairing { pairs, dns_used }
     }
 
     /// Number of application connections analysed.
@@ -370,7 +333,7 @@ mod tests {
         let conns = vec![conn(1_000, HOUSE, RESOLVER, 53), conn(2_000, HOUSE, SERVER, 443)];
         let p = Pairing::build(&conns, &dns, PairingPolicy::MostRecent);
         assert_eq!(p.app_conn_count(), 1);
-        assert_eq!(p.app_conn_indices, vec![1]);
+        assert_eq!(p.pairs[0].conn, 1);
     }
 
     #[test]

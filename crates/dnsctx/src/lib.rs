@@ -74,16 +74,6 @@ pub mod pipeline {
         let sim = Simulation::new(cfg, seed).expect("valid workload config").run();
         Study { sim, analysis_cfg: AnalysisConfig::default() }
     }
-
-    /// The paper-scale configuration: 100 houses, 7 days, at the given
-    /// activity fraction (1.0 ≈ the CCZ's 11 M connections — heavy; the
-    /// harness defaults to 0.1).
-    pub fn paper_scale(activity: f64) -> WorkloadConfig {
-        WorkloadConfig {
-            scale: ScaleKnobs { houses: 100, days: 7.0, activity },
-            ..WorkloadConfig::default()
-        }
-    }
 }
 
 #[cfg(test)]
@@ -98,13 +88,5 @@ mod tests {
         let analysis = study.analysis();
         let counts = analysis.class_counts();
         assert_eq!(counts.total(), analysis.pairing.app_conn_count());
-    }
-
-    #[test]
-    fn paper_scale_shape() {
-        let cfg = pipeline::paper_scale(0.1);
-        assert_eq!(cfg.scale.houses, 100);
-        assert_eq!(cfg.scale.days, 7.0);
-        cfg.validate().unwrap();
     }
 }

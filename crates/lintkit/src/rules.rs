@@ -124,11 +124,11 @@ pub fn rules() -> Vec<Rule> {
         },
         Rule {
             id: "socket-fence",
-            desc: "sockets stay behind the two seams: no TcpListener/TcpStream/UdpSocket outside xkit::obs::http and pcapio::raw",
-            hint: "serve through xkit::obs::http or capture through pcapio::raw",
+            desc: "sockets stay behind one seam: no TcpListener/TcpStream/UdpSocket outside xkit::obs::http",
+            hint: "serve through xkit::obs::http",
             scope: Scope {
                 roots: &["crates"],
-                exclude: &["crates/xkit/src/obs/http.rs", "crates/pcapio/src/raw.rs"],
+                exclude: &["crates/xkit/src/obs/http.rs"],
                 src_only: true,
                 include_tests: false,
             },

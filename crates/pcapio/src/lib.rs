@@ -11,12 +11,11 @@
 //!
 //! Beyond the file format, the crate owns the monitor's **ingestion
 //! seam**: [`RecordSource`] abstracts "where packets come from" behind a
-//! pull-based one-record-at-a-time contract, with three backends — the
-//! file reader ([`PcapReader`], via [`source::file`]), a fixed-capacity
-//! SPSC in-memory ring ([`ring::channel`]) that lets a producer hand
-//! frames to the monitor with no serialize/parse round trip, and (behind
-//! the `raw-socket` feature) a zero-dependency Linux `AF_PACKET` reader
-//! for live interfaces.
+//! pull-based one-record-at-a-time contract, with two backends — the
+//! file reader ([`PcapReader`], via [`source::file`]) and a
+//! fixed-capacity SPSC in-memory ring ([`ring::channel`]) that lets a
+//! producer hand frames to the monitor with no serialize/parse round
+//! trip.
 //!
 //! # Example
 //!
@@ -34,19 +33,13 @@
 //! assert_eq!(rec.data, b"frame bytes");
 //! ```
 
-// The raw-socket backend needs direct syscalls (the workspace carries no
-// libc), so `forbid` relaxes to `deny` + a module-scoped allow when that
-// feature is on; every other configuration stays forbid-clean.
-#![cfg_attr(not(feature = "raw-socket"), forbid(unsafe_code))]
-#![cfg_attr(feature = "raw-socket", deny(unsafe_code))]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::fmt;
 use std::io::{self, Read, Write};
 
 pub mod ring;
-#[cfg(feature = "raw-socket")]
-pub mod raw;
 pub mod source;
 
 pub use ring::{Backpressure, RingSink, RingSource};

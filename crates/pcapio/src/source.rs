@@ -3,7 +3,7 @@
 //!
 //! Every consumer of capture data — the zeek-lite monitor, the streaming
 //! analysis engine, the repro CLI — drives a [`RecordSource`] instead of
-//! constructing a [`PcapReader`] directly. Three backends implement the
+//! constructing a [`PcapReader`] directly. Two backends implement the
 //! trait:
 //!
 //! * **file** — [`PcapReader`], constructed through [`file`]; unchanged
@@ -11,10 +11,7 @@
 //! * **in-memory ring** — [`crate::ring::RingSource`], the consumer end
 //!   of a fixed-capacity SPSC ring, so a simulator (or any producer)
 //!   pipes frames straight to the monitor with no serialize/parse round
-//!   trip;
-//! * **raw socket** — [`crate::raw::RawSource`] (feature `raw-socket`),
-//!   a zero-dependency Linux `AF_PACKET` reader watching a real
-//!   interface.
+//!   trip.
 //!
 //! The contract mirrors [`PcapReader::next_record`] exactly: each call
 //! yields a borrowed [`RecordRef`] valid until the next call (backends
@@ -49,8 +46,7 @@ pub trait RecordSource {
     fn header(&self) -> SourceHeader;
 
     /// Pull the next record. `Ok(None)` means the stream is exhausted
-    /// (end of file, producer closed the ring, or a configured frame
-    /// limit was reached).
+    /// (end of file, or the producer closed the ring).
     fn next(&mut self) -> Result<Option<RecordRef<'_>>, PcapError>;
 
     /// Source-side counters as an obs snapshot, using the same

@@ -4,9 +4,9 @@
 //! dedicated thread, connections served sequentially (concurrency is
 //! bounded at 1 by construction — an observability plane, not a web
 //! server), per-socket read/write timeouts so a stalled client can
-//! never wedge the exporter. This module and `pcapio::raw` are the only
-//! places in the workspace allowed to touch sockets; the `socket-fence`
-//! lint rule (`repro lint`) fences `TcpListener`/`TcpStream`/`UdpSocket`
+//! never wedge the exporter. This module is the only place in the
+//! workspace allowed to touch sockets; the `socket-fence` lint rule
+//! (`repro lint`) fences `TcpListener`/`TcpStream`/`UdpSocket`
 //! everywhere else.
 //!
 //! Endpoints (all `GET`):

@@ -41,47 +41,20 @@ where
     U: Send,
     F: Fn(usize, T) -> U + Sync,
 {
-    par_map_with(threads, items, || (), |(), i, t| f(i, t))
-}
-
-/// [`par_map`] with per-worker scratch state.
-///
-/// `init` runs once per worker (once total on the sequential path) and the
-/// resulting scratch value is threaded through every item that worker
-/// processes. This is the seam for reusing expensive buffers — pairing
-/// arenas, simulation shards — across a multi-item sweep instead of
-/// rebuilding them for every item. Output order and content must not depend
-/// on which worker handled which item, which holds automatically when the
-/// scratch is pure reusable capacity.
-pub fn par_map_with<T, U, S, I, F>(threads: usize, items: Vec<T>, init: I, f: F) -> Vec<U>
-where
-    T: Send,
-    U: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, T) -> U + Sync,
-{
     let n = items.len();
     let workers = resolve_threads(threads).min(n.max(1));
     if workers <= 1 {
-        let mut scratch = init();
-        return items
-            .into_iter()
-            .enumerate()
-            .map(|(i, t)| f(&mut scratch, i, t))
-            .collect();
+        return items.into_iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
     let queue: Mutex<VecDeque<(usize, T)>> = Mutex::new(items.into_iter().enumerate().collect());
     let slots: Vec<Mutex<Option<U>>> = (0..n).map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|| {
-                let mut scratch = init();
-                loop {
-                    let job = queue.lock().unwrap().pop_front();
-                    let Some((i, item)) = job else { break };
-                    let out = f(&mut scratch, i, item);
-                    *slots[i].lock().unwrap() = Some(out);
-                }
+            scope.spawn(|| loop {
+                let job = queue.lock().unwrap().pop_front();
+                let Some((i, item)) = job else { break };
+                let out = f(i, item);
+                *slots[i].lock().unwrap() = Some(out);
             });
         }
     });
@@ -301,32 +274,6 @@ mod tests {
     fn par_map_handles_empty_and_single() {
         assert_eq!(par_map(8, Vec::<u8>::new(), |_, x| x), Vec::<u8>::new());
         assert_eq!(par_map(8, vec![5], |_, x| x + 1), vec![6]);
-    }
-
-    #[test]
-    fn par_map_with_reuses_scratch_and_preserves_order() {
-        let inits = AtomicUsize::new(0);
-        let items: Vec<u64> = (0..50).collect();
-        let expect: Vec<u64> = items.iter().map(|x| x * 3).collect();
-        for threads in [1, 4] {
-            inits.store(0, Ordering::Relaxed);
-            let got = par_map_with(
-                threads,
-                items.clone(),
-                || {
-                    inits.fetch_add(1, Ordering::Relaxed);
-                    Vec::<u64>::with_capacity(8)
-                },
-                |scratch, _, x| {
-                    scratch.clear();
-                    scratch.extend([x, x, x]);
-                    scratch.iter().sum::<u64>()
-                },
-            );
-            assert_eq!(got, expect, "threads={threads}");
-            // One scratch per worker, never one per item.
-            assert!(inits.load(Ordering::Relaxed) <= threads.max(1));
-        }
     }
 
     #[test]

@@ -56,10 +56,9 @@ cargo run -q --release --offline -p bench --bin repro -- \
 # Batch-fallback scanning now lives in `repro lint` (no-batch-in-stream).
 
 echo "== ingest suite =="
-# One RecordSource seam, three backends: the file and ring paths must be
+# One RecordSource seam, two backends: the file and ring paths must be
 # indistinguishable downstream, and the ring must conserve every record.
 cargo test -q --release --offline -p dnsctx --test ingest_agreement
-cargo build -q --offline -p pcapio --features raw-socket
 # The ring-fed CLI run must emit the exact stdout document of the
 # file-fed run over the same workload (spans are excluded by design).
 ing_file=$(mktemp /tmp/verify_ingest_file.XXXXXX.json)
@@ -75,14 +74,6 @@ if ! cmp -s "$ing_file" "$ing_ring"; then
 fi
 rm -f "$ing_file" "$ing_ring"
 echo "clean: ingest file and ring backends emit identical documents"
-# Raw-socket loopback smoke, only where AF_PACKET is plausibly permitted
-# (the test also self-skips if the open is denied at runtime).
-if [ "$(id -u)" = "0" ]; then
-    cargo test -q --offline -p pcapio --features raw-socket \
-        --test raw_loopback -- --ignored
-else
-    echo "skipping raw-socket loopback smoke (needs CAP_NET_RAW)"
-fi
 # Ingestion-seam scanning now lives in `repro lint` (ingest-seam), as do
 # the clock seam (clock-seam), parse-path panics (no-unwrap-parse), and
 # hot-path copies (no-owned-copy-hotpath).
