@@ -41,7 +41,6 @@ struct Opts {
     seeds: usize,
     threads: usize,
     csv: bool,
-    obs_out: String,
     serve: String,
     serve_check: bool,
     window_secs: f64,
@@ -133,7 +132,7 @@ const EXPERIMENTS: &[(&str, &str, Runner)] = &[
     (
         "obs",
         "instrumented packet pipeline: capture -> monitor -> Analysis under stage.* spans;\n\
-         snapshot JSON on stdout and in --obs-out PATH (OBS_repro.json)",
+         snapshot JSON on stdout",
         Runner::Own(obs),
     ),
     (
@@ -174,7 +173,7 @@ const FLAGS: &str = "\
 flags: --houses N (100)  --days D (7)  --scale A (0.1 activity)  --seed S (42)
        --seeds K (1; >1 runs a parallel seed sweep)  --csv (CDF point series for the figures)
        --threads N (0 = one worker per core; output is identical for every value)
-       --obs-out PATH  --serve ADDR  --serve-check  --window-secs W (60)  --tenants N (8)
+       --serve ADDR  --serve-check  --window-secs W (60)  --tenants N (8)
        --source file|ring (file)
 obs-check <snapshot.json>: validate a snapshot written by `repro obs`
 obs-check --url ADDR: validate the live endpoints of a running --serve instance
@@ -204,6 +203,13 @@ fn check(experiment: &str, ok: bool, message: &str) {
     }
 }
 
+/// A `--serve` address that cannot be bound is the environment's
+/// fault, not a bug: one line on stderr, exit 1, before any work.
+fn cannot_serve(experiment: &str, addr: &str, err: &std::io::Error) -> ! {
+    eprintln!("repro {experiment}: cannot serve on {addr}: {err}");
+    std::process::exit(1);
+}
+
 fn parse_args() -> Opts {
     let mut opts = Opts {
         houses: 100,
@@ -213,7 +219,6 @@ fn parse_args() -> Opts {
         seeds: 1,
         threads: 0,
         csv: false,
-        obs_out: "OBS_repro.json".into(),
         serve: String::new(),
         serve_check: false,
         window_secs: 60.0,
@@ -250,7 +255,6 @@ fn parse_args() -> Opts {
             "--seeds" => opts.seeds = value(&mut args, flag, |k| *k > 0),
             "--threads" => opts.threads = value(&mut args, flag, any),
             "--csv" => opts.csv = true,
-            "--obs-out" => opts.obs_out = value(&mut args, flag, any),
             "--serve" => opts.serve = value(&mut args, flag, any),
             "--serve-check" => opts.serve_check = true,
             "--window-secs" => {
@@ -867,7 +871,7 @@ fn start_serving(
     }
     let hub = xkit::obs::ObsHub::default();
     let server = xkit::obs::http::serve(&opts.serve, "dnsctx", hub.clone())
-        .expect("bind observability server");
+        .unwrap_or_else(|e| cannot_serve(who, &opts.serve, &e));
     eprintln!(
         "# {who}: serving /metrics /snapshot /spans /events /healthz on http://{}",
         server.addr()
@@ -910,7 +914,7 @@ fn finish_serving(opts: &Opts, who: &str, server: Option<xkit::obs::http::ObsSer
 /// byte-identical for every `--threads` value; wall-clock times live
 /// only in the `spans` section. Human-readable output (span tree,
 /// metrics table) goes to stderr; stdout carries exactly one JSON
-/// document, also written to `--obs-out`.
+/// document.
 fn obs(opts: &Opts) {
     use dnsctx::zeek_lite::{Monitor, MonitorConfig};
 
@@ -963,13 +967,8 @@ fn obs(opts: &Opts) {
     eprint!("{table}");
     eprint!("{}", spans.render_tree());
 
-    let json = document(
-        &opts.meta("obs", &scale),
-        &[("metrics", metrics.to_json()), ("spans", spans.to_json())],
-    );
-    std::fs::write(&opts.obs_out, format!("{json}\n")).expect("write obs snapshot");
-    eprintln!("# obs: wrote {}", opts.obs_out);
-    println!("{json}");
+    let sections = [("metrics", metrics.to_json()), ("spans", spans.to_json())];
+    println!("{}", document(&opts.meta("obs", &scale), &sections));
 }
 
 /// `stream` experiment: run the bounded-memory epoch pipeline over a
@@ -1127,7 +1126,7 @@ fn serve_daemon(opts: &Opts) {
     );
 
     let daemon = Daemon::new(DaemonConfig { threads: opts.threads, serve: Some(addr.to_string()) })
-        .expect("bind daemon observability server");
+        .unwrap_or_else(|e| cannot_serve("serve", addr, &e));
     let bound = daemon.addr().expect("daemon serves");
     eprintln!("# serve: tenant-routed observability on http://{bound}");
 
@@ -1218,7 +1217,7 @@ fn fuzz(opts: &Opts) {
     use dnsctx::pcapio;
     use dnsctx::zeek_lite::{logfmt, Monitor, MonitorConfig};
     use xkit::fault::{FaultConfig, FaultInjector};
-    use xkit::rng::{SeedableRng, StdRng};
+    use xkit::rng::StdRng;
 
     /// Serialize both logs to their Zeek-style TSV form for byte-exact
     /// comparison.

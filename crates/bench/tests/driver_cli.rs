@@ -7,8 +7,9 @@
 //! Also pinned here, because nothing else drives them at the CLI: the
 //! `--seeds K` sweep is independent of `--threads`; an unknown
 //! experiment or flag, or a bad flag value, is a usage error before any
-//! work; a failed self-check is one line and exit 1, not a panic; and
-//! `repro obs` publishes exactly the library's fold.
+//! work; a failed self-check, or a `--serve` address that cannot be
+//! bound, is one line and exit 1, not a panic; the monitor's counters are
+//! exported once; and `repro obs` publishes exactly the library's fold.
 
 use std::process::{Command, Output};
 use xkit::obs::json;
@@ -93,6 +94,7 @@ fn unknown_experiment_or_flag_is_a_usage_error_before_any_work() {
         &["ingest", "--source", "bogus"],
         &["ingest", "--source", "iface"],
         &["ingest", "--iface", "lo"],
+        &["obs", "--obs-out", "x"],
     ] {
         let output = repro(args);
         assert_eq!(output.status.code(), Some(2), "repro {args:?}: {output:?}");
@@ -117,17 +119,60 @@ fn a_failed_self_check_is_one_line_and_exit_one() {
 }
 
 #[test]
+fn an_address_that_cannot_be_served_is_one_line_and_exit_one() {
+    // Neither address reaches a resolver: the first has no port, the
+    // second is a literal no local interface holds.
+    for args in [
+        &["stream", "--houses", "3", "--days", "0.02", "--serve", "not-an-addr"][..],
+        &["serve", "--tenants", "1", "--houses", "2", "--days", "0.01", "--serve", "192.0.2.1:1"],
+    ] {
+        let output = repro(args);
+        assert_eq!(output.status.code(), Some(1), "repro {args:?}: {output:?}");
+        assert!(output.stdout.is_empty(), "repro {args:?} wrote to stdout: {output:?}");
+        let stderr = String::from_utf8(output.stderr).expect("utf8 stderr");
+        let line = format!("repro {}: cannot serve on {}: ", args[0], args[args.len() - 1]);
+        assert_eq!(stderr.matches(&line).count(), 1, "{stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    }
+}
+
+/// Each monitor fact is exported under one key: the five counters that
+/// repeated `zeek.frames_seen`, `zeek.reject.*`, `zeek.dns_accepted` and
+/// `zeek.reject_dns.*` are gone from every document, and the identity
+/// they shadowed still holds.
+#[test]
+fn monitor_counters_are_exported_once() {
+    for args in [
+        &["obs"][..],
+        &["stream"],
+        &["ingest", "--source", "ring"],
+        &["serve", "--tenants", "2"],
+    ] {
+        let output = repro(&[args, WORKLOAD].concat());
+        assert!(output.status.success(), "repro {args:?} failed: {output:?}");
+        let doc = String::from_utf8(output.stdout).expect("utf8 stdout");
+        let v = json::parse(&doc).expect("one JSON document on stdout");
+        let m = xkit::obs::Metrics::from_json_value(v.get("metrics").expect("metrics section"))
+            .expect("a metrics snapshot");
+        for gone in ["packets", "non_ipv4", "parse_errors", "dns_messages", "dns_decode_errors"] {
+            assert!(m.get(&format!("zeek.{gone}")).is_none(), "repro {args:?} exports zeek.{gone}");
+        }
+        assert!(m.counter("zeek.frames_seen") > 0, "repro {args:?} saw no frames");
+        assert_eq!(
+            m.counter("zeek.frames_seen"),
+            m.counter("zeek.frames_accepted") + m.sum_counters("zeek.reject."),
+            "repro {args:?}"
+        );
+    }
+}
+
+#[test]
 fn obs_metrics_are_the_library_fold() {
     use dnsctx::ccz_sim::ScaleKnobs;
     use dnsctx::dns_context::{Analysis, AnalysisConfig};
     use dnsctx::zeek_lite::{Monitor, MonitorConfig};
 
-    let out = std::env::temp_dir().join(format!("driver_cli_obs_{}.json", std::process::id()));
-    let output = repro(&[
-        "obs", "--houses", "30", "--days", "0.02", "--scale", "0.3", "--obs-out",
-        out.to_str().expect("utf8 temp path"),
-    ]);
-    let _ = std::fs::remove_file(&out);
+    let output = repro(&["obs", "--houses", "30", "--days", "0.02", "--scale", "0.3"]);
     assert!(output.status.success(), "repro obs failed: {output:?}");
     let doc = String::from_utf8(output.stdout).expect("utf8 stdout");
     let cli = json::parse(&doc).expect("one JSON document on stdout");

@@ -3,16 +3,13 @@
 //! counts, and every pipeline stage appears as a named span with a wall
 //! time and at least one counter note.
 
-use std::path::PathBuf;
 use std::process::Command;
 use xkit::obs::json;
 
-fn run_obs(threads: usize, out: &PathBuf) -> String {
+fn run_obs(threads: usize) -> String {
     let output = Command::new(env!("CARGO_BIN_EXE_repro"))
         .args(["obs", "--houses", "30", "--days", "0.02", "--scale", "0.3"])
         .args(["--threads", &threads.to_string()])
-        .arg("--obs-out")
-        .arg(out)
         .output()
         .expect("spawn repro");
     assert!(output.status.success(), "repro obs failed: {output:?}");
@@ -21,19 +18,9 @@ fn run_obs(threads: usize, out: &PathBuf) -> String {
 
 #[test]
 fn obs_json_parses_back_and_is_thread_invariant() {
-    let dir = std::env::temp_dir();
-    let f1 = dir.join(format!("obs_cli_t1_{}.json", std::process::id()));
-    let f8 = dir.join(format!("obs_cli_t8_{}.json", std::process::id()));
-    let out1 = run_obs(1, &f1);
-    let out8 = run_obs(8, &f8);
-
-    // stdout is one valid JSON document, identical to the --obs-out file.
-    let v1 = json::parse(&out1).expect("valid JSON on stdout (t1)");
-    let v8 = json::parse(&out8).expect("valid JSON on stdout (t8)");
-    let file1 = std::fs::read_to_string(&f1).expect("obs-out written");
-    assert_eq!(out1.trim_end(), file1.trim_end(), "stdout and --obs-out must agree");
-    let _ = std::fs::remove_file(&f1);
-    let _ = std::fs::remove_file(&f8);
+    // stdout is one valid JSON document.
+    let v1 = json::parse(&run_obs(1)).expect("valid JSON on stdout (t1)");
+    let v8 = json::parse(&run_obs(8)).expect("valid JSON on stdout (t8)");
 
     // The metrics section is byte-identical for any thread count
     // (canonical render; wall times live only under "spans").

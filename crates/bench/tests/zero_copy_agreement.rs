@@ -14,7 +14,7 @@ use dnsctx::dns_context::{stream, Analysis, AnalysisConfig};
 use dnsctx::pcapio;
 use dnsctx::zeek_lite::{logfmt, Duration, Logs, Monitor, MonitorConfig};
 use xkit::fault::{FaultConfig, FaultInjector};
-use xkit::rng::{SeedableRng, StdRng};
+use xkit::rng::StdRng;
 
 const SEED: u64 = 1303;
 
@@ -104,11 +104,12 @@ fn stream_agrees_for_all_windows_and_threads() {
     for window in [Duration::from_secs(30), Duration::ZERO] {
         for threads in [1usize, 8] {
             let mut released = Logs::default();
-            let result = stream::process_pcap(
-                &bytes[..],
+            let result = stream::process_source_observed(
+                &mut pcapio::source::file(&bytes[..]).expect("pcap header"),
                 window,
                 MonitorConfig::default(),
                 analysis_cfg(threads),
+                None,
                 |epoch| {
                     released.conns.extend(epoch.conns);
                     released.dns.extend(epoch.dns);

@@ -5,7 +5,7 @@
 use cache_sim::{refresh, refresh_selective, serve_stale, whole_house};
 use dns_context::{Analysis, AnalysisConfig};
 use std::net::Ipv4Addr;
-use xkit::rng::{RngExt, SeedableRng, StdRng};
+use xkit::rng::StdRng;
 use zeek_lite::{
     Answer, ConnRecord, ConnState, DnsTransaction, Duration, FiveTuple, Logs, Proto, Timestamp,
 };

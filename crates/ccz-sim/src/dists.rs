@@ -2,7 +2,7 @@
 //! on top of `xkit::rng`'s uniform primitives (no external distribution
 //! crate is a dependency of this workspace).
 
-use xkit::rng::{Rng, RngExt};
+use xkit::rng::StdRng;
 
 /// Log-normal distribution parameterised by the *median* and the shape
 /// `sigma` (standard deviation of the underlying normal). Medians are how
@@ -24,19 +24,19 @@ impl LogNormal {
     }
 
     /// Draw a sample.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+    pub fn sample(&self, rng: &mut StdRng) -> f64 {
         (self.mu + self.sigma * standard_normal(rng)).exp()
     }
 
     /// Draw a sample clamped to `[lo, hi]` (delay models need bounded
     /// tails so one outlier cannot dominate a small run).
-    pub fn sample_clamped<R: Rng + ?Sized>(&self, rng: &mut R, lo: f64, hi: f64) -> f64 {
+    pub fn sample_clamped(&self, rng: &mut StdRng, lo: f64, hi: f64) -> f64 {
         self.sample(rng).clamp(lo, hi)
     }
 }
 
 /// One draw from the standard normal via Box–Muller.
-fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+fn standard_normal(rng: &mut StdRng) -> f64 {
     // Avoid ln(0) by sampling the half-open (0, 1].
     let u1: f64 = 1.0 - rng.random::<f64>();
     let u2: f64 = rng.random();
@@ -62,7 +62,7 @@ impl BoundedPareto {
     }
 
     /// Draw a sample (inverse-CDF method).
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+    pub fn sample(&self, rng: &mut StdRng) -> f64 {
         let u: f64 = rng.random();
         let la = self.lo.powf(self.alpha);
         let ha = self.hi.powf(self.alpha);
@@ -85,7 +85,7 @@ impl Exponential {
     }
 
     /// Draw a sample.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+    pub fn sample(&self, rng: &mut StdRng) -> f64 {
         let u: f64 = 1.0 - rng.random::<f64>();
         -self.mean * u.ln()
     }
@@ -129,7 +129,7 @@ impl Zipf {
     }
 
     /// Draw a rank in `0..n` (0 = most popular).
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
+    pub fn sample(&self, rng: &mut StdRng) -> usize {
         let u: f64 = rng.random();
         let x = self.h_inv(u * self.h_n);
         (x.round() as usize).clamp(1, self.n) - 1
@@ -147,7 +147,7 @@ impl Zipf {
 }
 
 /// Weighted choice over a small static set.
-pub fn weighted_index<R: Rng + ?Sized>(rng: &mut R, weights: &[f64]) -> usize {
+pub fn weighted_index(rng: &mut StdRng, weights: &[f64]) -> usize {
     debug_assert!(!weights.is_empty());
     let total: f64 = weights.iter().sum();
     let mut x = rng.random::<f64>() * total;
@@ -163,8 +163,6 @@ pub fn weighted_index<R: Rng + ?Sized>(rng: &mut R, weights: &[f64]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xkit::rng::StdRng;
-    use xkit::rng::SeedableRng;
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(42)

@@ -8,7 +8,6 @@ use crate::resolvers::ResolverPlatform;
 use crate::truth::{ConnClass, GroundTruth, TruthConn, TruthDns};
 use xkit::obs::Metrics;
 use xkit::rng::StdRng;
-use xkit::rng::{RngExt, SeedableRng};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use xkit::collections::FastMap;
@@ -36,8 +35,6 @@ pub struct SimOutput {
     pub logs: Logs,
     /// Ground truth aligned with the logs (conn uid = truth index).
     pub truth: GroundTruth,
-    /// Per-platform (name, queries, cache hits) counters.
-    pub platform_stats: Vec<(String, u64, u64)>,
     /// Workload-side obs snapshot: `sim.*` event/emission counters and
     /// `resolver.<platform>.*` query/hit counters, merged in shard order
     /// so the snapshot is identical for any thread count.
@@ -115,10 +112,9 @@ impl Simulation {
 
     /// Drive every shard (in parallel when threads allow) and merge the
     /// ground truth in shard order. Returns the per-shard sinks in that
-    /// same order, plus merged truth and summed platform stats. The
-    /// merged truth's dns indices point into the concatenated emission
-    /// order.
-    fn drive_all<S, F>(&self, make_sink: F) -> (Vec<S>, GroundTruth, Vec<(String, u64, u64)>, Metrics)
+    /// same order, plus merged truth and merged metrics. The merged
+    /// truth's dns indices point into the concatenated emission order.
+    fn drive_all<S, F>(&self, make_sink: F) -> (Vec<S>, GroundTruth, Metrics)
     where
         S: Sink + Send,
         F: Fn() -> S + Sync,
@@ -127,15 +123,14 @@ impl Simulation {
         let spans = shard_spans(self.cfg.scale.houses);
         let parts = xkit::par::par_indexed(self.threads, spans.len(), |k| {
             let mut sink = make_sink();
-            let (truth, stats, metrics) =
+            let (truth, metrics) =
                 Engine::drive_shard(&self.cfg, &shared, k as u64, spans[k].clone(), &mut sink);
-            (sink, truth, stats, metrics)
+            (sink, truth, metrics)
         });
         let mut sinks = Vec::with_capacity(parts.len());
         let mut truth = GroundTruth::default();
-        let mut platform_stats: Vec<(String, u64, u64)> = Vec::new();
         let mut metrics = Metrics::new();
-        for (sink, mut shard_truth, stats, shard_metrics) in parts {
+        for (sink, mut shard_truth, shard_metrics) in parts {
             metrics.merge(&shard_metrics);
             let dns_off = truth.dns.len();
             for tc in &mut shard_truth.conns {
@@ -145,22 +140,14 @@ impl Simulation {
             }
             truth.conns.extend(shard_truth.conns);
             truth.dns.extend(shard_truth.dns);
-            if platform_stats.is_empty() {
-                platform_stats = stats;
-            } else {
-                for (acc, s) in platform_stats.iter_mut().zip(stats) {
-                    acc.1 += s.1;
-                    acc.2 += s.2;
-                }
-            }
             sinks.push(sink);
         }
-        (sinks, truth, platform_stats, metrics)
+        (sinks, truth, metrics)
     }
 
     /// Run in direct-log mode.
     pub fn run(&self) -> SimOutput {
-        let (sinks, mut truth, platform_stats, metrics) = self.drive_all(LogSink::new);
+        let (sinks, mut truth, metrics) = self.drive_all(LogSink::new);
         let mut merged = LogSink::new();
         for s in sinks {
             merged.absorb(s);
@@ -179,14 +166,14 @@ impl Simulation {
                 tc.dns_index = Some(dns_perm[di]);
             }
         }
-        SimOutput { logs, truth, platform_stats, metrics }
+        SimOutput { logs, truth, metrics }
     }
 
     /// Packet mode's common body: drive every shard into a [`PcapSink`]
     /// and merge them in shard order. Each entry point below only picks
     /// how the merged frames leave.
     fn drive_packets(&self) -> (PcapSink, GroundTruth, Metrics) {
-        let (sinks, truth, _, metrics) = self.drive_all(PcapSink::new);
+        let (sinks, truth, metrics) = self.drive_all(PcapSink::new);
         let mut merged = PcapSink::new();
         for s in sinks {
             merged.absorb(s);
@@ -404,7 +391,7 @@ impl<'a, S: Sink> Engine<'a, S> {
         shard: u64,
         span: std::ops::Range<usize>,
         sink: &'a mut S,
-    ) -> (GroundTruth, Vec<(String, u64, u64)>, Metrics) {
+    ) -> (GroundTruth, Metrics) {
         let houses_in_span = span.len() as u64;
         let rng = shared.base_rng.split(shard);
         let platforms: Vec<ResolverPlatform> =
@@ -434,11 +421,6 @@ impl<'a, S: Sink> Engine<'a, S> {
         };
         e.setup(span);
         e.run_loop();
-        let stats: Vec<(String, u64, u64)> = e
-            .platforms
-            .iter()
-            .map(|p| (p.cfg.name.to_string(), p.queries, p.hits))
-            .collect();
         let mut m = Metrics::new();
         m.add("sim.shards", 1);
         m.add("sim.houses", houses_in_span);
@@ -446,12 +428,12 @@ impl<'a, S: Sink> Engine<'a, S> {
         m.add("sim.conns", e.truth.conns.len() as u64);
         m.add("sim.dns_lookups", e.truth.dns.len() as u64);
         m.add("sim.nxdomains", e.nxdomains);
-        for (name, queries, hits) in &stats {
-            let key = name.to_ascii_lowercase();
-            m.add(&format!("resolver.{key}.queries"), *queries);
-            m.add(&format!("resolver.{key}.hits"), *hits);
+        for p in &e.platforms {
+            let key = p.cfg.name.to_ascii_lowercase();
+            m.add(&format!("resolver.{key}.queries"), p.queries);
+            m.add(&format!("resolver.{key}.hits"), p.hits);
         }
-        (e.truth, stats, m)
+        (e.truth, m)
     }
 
     // ---------------- setup ----------------
@@ -1221,6 +1203,14 @@ mod tests {
         }
     }
 
+    /// Lookups summed over every platform's `resolver.<platform>.queries`.
+    fn resolver_queries(m: &Metrics) -> u64 {
+        m.iter()
+            .filter(|(key, _)| key.starts_with("resolver.") && key.ends_with(".queries"))
+            .map(|(key, _)| m.counter(key))
+            .sum()
+    }
+
     #[test]
     fn diurnal_multiplier_bounded_and_peaks_in_evening() {
         let mut min = f64::INFINITY;
@@ -1345,11 +1335,10 @@ mod tests {
     #[test]
     fn platform_stats_cover_all_queries() {
         let out = Simulation::new(tiny_cfg(), 42).unwrap().run();
-        let total: u64 = out.platform_stats.iter().map(|(_, q, _)| q).sum();
+        let total = resolver_queries(&out.metrics);
         assert_eq!(total as usize, out.logs.dns.len());
         // Local must dominate.
-        let local = out.platform_stats.iter().find(|(n, _, _)| n == "Local").unwrap();
-        assert!(local.1 > total / 3);
+        assert!(out.metrics.counter("resolver.local.queries") > total / 3);
     }
 
     #[test]
@@ -1382,8 +1371,8 @@ mod tests {
 
     /// The headline determinism guarantee: the thread count changes only
     /// wall-clock time, never a byte of output — logs, ground truth, and
-    /// platform stats all match between a 1-thread and an N-thread run of
-    /// a multi-shard config.
+    /// the per-platform tally all match between a 1-thread and an
+    /// N-thread run of a multi-shard config.
     #[test]
     fn sim_metrics_match_output_and_platform_stats() {
         let out = Simulation::new(tiny_cfg(), 42).unwrap().run();
@@ -1392,11 +1381,14 @@ mod tests {
         assert_eq!(m.counter("sim.conns"), out.truth.conns.len() as u64);
         assert_eq!(m.counter("sim.dns_lookups"), out.truth.dns.len() as u64);
         assert!(m.counter("sim.events") >= m.counter("sim.conns"));
-        for (name, queries, hits) in &out.platform_stats {
-            let key = name.to_ascii_lowercase();
-            assert_eq!(m.counter(&format!("resolver.{key}.queries")), *queries);
-            assert_eq!(m.counter(&format!("resolver.{key}.hits")), *hits);
+        // Every configured platform carries its tally, used or not.
+        for p in &tiny_cfg().platforms {
+            let key = p.name.to_ascii_lowercase();
+            let queries = format!("resolver.{key}.queries");
+            assert!(m.get(&queries).is_some(), "{queries} missing");
+            assert!(m.counter(&format!("resolver.{key}.hits")) <= m.counter(&queries));
         }
+        assert_eq!(resolver_queries(m), m.counter("sim.dns_lookups"));
     }
 
     #[test]
@@ -1412,7 +1404,6 @@ mod tests {
         let par = Simulation::new(cfg, 11).unwrap().with_threads(4).run();
         assert_eq!(seq.logs.conns, par.logs.conns);
         assert_eq!(seq.logs.dns, par.logs.dns);
-        assert_eq!(seq.platform_stats, par.platform_stats);
         assert_eq!(seq.metrics.to_json(), par.metrics.to_json(), "obs snapshot must be thread-invariant");
         assert_eq!(seq.truth.conns.len(), par.truth.conns.len());
         for (a, b) in seq.truth.conns.iter().zip(&par.truth.conns) {

@@ -2,8 +2,8 @@
 
 use crate::config::WorkloadConfig;
 use crate::dists::{weighted_index, Zipf};
-use xkit::rng::{Rng, RngExt};
 use std::net::Ipv4Addr;
+use xkit::rng::StdRng;
 
 /// Index of a hostname in the universe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -57,7 +57,7 @@ const TLDS: [&str; 5] = ["com", "net", "org", "io", "tv"];
 
 impl NameUniverse {
     /// Generate a universe per the config. Deterministic given the RNG.
-    pub fn generate<R: Rng + ?Sized>(cfg: &WorkloadConfig, rng: &mut R) -> NameUniverse {
+    pub fn generate(cfg: &WorkloadConfig, rng: &mut StdRng) -> NameUniverse {
         let ttl_weights: Vec<f64> = cfg.ttl_classes.iter().map(|(_, w)| *w).collect();
         let mut names: Vec<NameInfo> = Vec::new();
         // Shared CDN edge pool: many names resolve into these addresses.
@@ -72,7 +72,7 @@ impl NameUniverse {
         };
         let mut make_name = |fqdn: String,
                              cdn: bool,
-                             rng: &mut R,
+                             rng: &mut StdRng,
                              names: &mut Vec<NameInfo>|
          -> NameId {
             let ttl = cfg.ttl_classes[weighted_index(rng, &ttl_weights)].0;
@@ -181,7 +181,7 @@ impl NameUniverse {
     }
 
     /// Draw a service by popularity.
-    pub fn pick_service<R: Rng + ?Sized>(&self, rng: &mut R) -> ServiceId {
+    pub fn pick_service(&self, rng: &mut StdRng) -> ServiceId {
         ServiceId(self.service_pop.sample(rng) as u32)
     }
 
@@ -193,11 +193,11 @@ impl NameUniverse {
     /// Names fetched by a page of the given service: a mix of the
     /// service's own auxiliary hostnames and popular shared third
     /// parties. Fills `out` (cleared first).
-    pub fn embedded_for_page_into<R: Rng + ?Sized>(
+    pub fn embedded_for_page_into(
         &self,
         svc: ServiceId,
         count: usize,
-        rng: &mut R,
+        rng: &mut StdRng,
         out: &mut Vec<NameId>,
     ) {
         let s = &self.services[svc.0 as usize];
@@ -218,7 +218,7 @@ impl NameUniverse {
     }
 
     /// Draw a target for a speculative link (any service's primary).
-    pub fn pick_link_target<R: Rng + ?Sized>(&self, rng: &mut R) -> NameId {
+    pub fn pick_link_target(&self, rng: &mut StdRng) -> NameId {
         self.primary(self.pick_service(rng))
     }
 
@@ -239,22 +239,14 @@ impl NameUniverse {
         self.connectivity_check
     }
 
-    /// Answer-set for one response: rotated address order (round-robin
-    /// CDNs) and the CNAME chain if the name has one.
-    pub fn answers<R: Rng + ?Sized>(&self, id: NameId, rng: &mut R) -> (Option<String>, Vec<Ipv4Addr>, u32) {
-        let mut addrs = Vec::new();
-        let (cname, ttl) = self.answers_into(id, rng, &mut addrs);
-        (cname.map(str::to_string), addrs, ttl)
-    }
-
-    /// Allocation-free [`NameUniverse::answers`]: the rotated addresses
-    /// land in `out` (cleared first) and the CNAME is borrowed from the
-    /// universe. Draws exactly the same random rotation as `answers`, so
-    /// the two are interchangeable without disturbing any RNG stream.
-    pub fn answers_into<'a, R: Rng + ?Sized>(
+    /// Answer-set for one response: the addresses in rotated order
+    /// (round-robin CDNs) land in `out` (cleared first), the CNAME if the
+    /// name has one is borrowed from the universe. Allocation-free once
+    /// `out` has grown.
+    pub fn answers_into<'a>(
         &'a self,
         id: NameId,
-        rng: &mut R,
+        rng: &mut StdRng,
         out: &mut Vec<Ipv4Addr>,
     ) -> (Option<&'a str>, u32) {
         let info = self.info(id);
@@ -271,8 +263,6 @@ impl NameUniverse {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xkit::rng::StdRng;
-    use xkit::rng::SeedableRng;
 
     fn universe() -> NameUniverse {
         let cfg = WorkloadConfig::default();
@@ -378,8 +368,9 @@ mod tests {
             .find(|n| u.info(*n).addrs.len() > 1)
             .unwrap();
         let reference: std::collections::BTreeSet<_> = u.info(id).addrs.iter().copied().collect();
+        let mut addrs = Vec::new();
         for _ in 0..20 {
-            let (_, addrs, ttl) = u.answers(id, &mut rng);
+            let (_, ttl) = u.answers_into(id, &mut rng, &mut addrs);
             let set: std::collections::BTreeSet<_> = addrs.iter().copied().collect();
             assert_eq!(set, reference);
             assert_eq!(ttl, u.info(id).ttl);

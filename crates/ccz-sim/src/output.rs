@@ -226,24 +226,8 @@ impl Sink for LogSink {
             resp_pkts,
             state,
             history,
-            service: zeek_lite_service(e.proto, e.dst_port),
+            service: zeek_lite::service_for_port(e.proto, e.dst_port),
         });
-    }
-}
-
-fn zeek_lite_service(proto: Proto, port: u16) -> Option<&'static str> {
-    // Mirror of zeek-lite's port map for records built without packets.
-    match (proto, port) {
-        (_, 53) => Some("dns"),
-        (_, 853) => Some("dot"),
-        (Proto::Tcp, 80) => Some("http"),
-        (Proto::Tcp, 443) => Some("ssl"),
-        (Proto::Udp, 443) => Some("quic"),
-        (Proto::Udp, 123) => Some("ntp"),
-        (Proto::Tcp, 25) | (Proto::Tcp, 465) | (Proto::Tcp, 587) => Some("smtp"),
-        (Proto::Tcp, 993) => Some("imap"),
-        (Proto::Udp, 5353) => Some("mdns"),
-        _ => None,
     }
 }
 

@@ -19,7 +19,7 @@ use crate::config::PlatformConfig;
 use crate::dists::LogNormal;
 use crate::names::NameId;
 use xkit::collections::FastMap;
-use xkit::rng::{Rng, RngExt};
+use xkit::rng::StdRng;
 use std::net::Ipv4Addr;
 use zeek_lite::{Duration, Timestamp};
 
@@ -65,20 +65,20 @@ impl ResolverPlatform {
     }
 
     /// One of the platform's service addresses (clients alternate).
-    pub fn addr<R: Rng + ?Sized>(&self, rng: &mut R) -> Ipv4Addr {
-        let a = &self.cfg.addrs[rng.random_range(0..self.cfg.addrs.len())];
+    pub fn addr(&self, rng: &mut StdRng) -> Ipv4Addr {
+        let a = rng.choose(&self.cfg.addrs).expect("validated: a platform has an address");
         Ipv4Addr::new(a[0], a[1], a[2], a[3])
     }
 
     /// Process one recursive query for `name` with authoritative TTL
     /// `auth_ttl` and global popularity `pop` at time `now`.
-    pub fn query<R: Rng + ?Sized>(
+    pub fn query(
         &mut self,
         name: NameId,
         pop: f64,
         auth_ttl: u32,
         now: Timestamp,
-        rng: &mut R,
+        rng: &mut StdRng,
     ) -> LookupOutcome {
         self.queries += 1;
         let b = rng.random_range(0..self.backends.len());
@@ -127,8 +127,6 @@ impl ResolverPlatform {
 mod tests {
     use super::*;
     use crate::config::WorkloadConfig;
-    use xkit::rng::StdRng;
-    use xkit::rng::SeedableRng;
 
     fn platform(i: usize) -> ResolverPlatform {
         ResolverPlatform::new(WorkloadConfig::default().platforms[i].clone())

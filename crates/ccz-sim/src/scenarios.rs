@@ -109,11 +109,10 @@ mod tests {
             ..paper_week(1.0)
         };
         let out = Simulation::new(shrink(local_only), 5).unwrap().run();
-        for (name, queries, _) in &out.platform_stats {
-            if name != "Local" {
-                assert_eq!(*queries, 0, "{name} should be unused");
-            }
-        }
+        // Every lookup went to Local, so no other platform saw one.
+        let m = &out.metrics;
+        assert!(m.counter("sim.dns_lookups") > 0);
+        assert_eq!(m.counter("resolver.local.queries"), m.counter("sim.dns_lookups"));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! shrunk failure cases in earlier development and must stay covered.
 
 use ccz_sim::{ConnClass, ScaleKnobs, Simulation, WorkloadConfig};
-use xkit::rng::{Rng, RngExt, SeedableRng, StdRng};
+use xkit::rng::StdRng;
 
 const CASES: usize = 16;
 
@@ -18,7 +18,7 @@ fn case_seeds(label: u64) -> Vec<u64> {
     let mut rng = StdRng::seed_from_u64(0xCC2_51A1 ^ label);
     REGRESSION_SEEDS
         .into_iter()
-        .chain((0..CASES).map(|_| rng.next_u64()))
+        .chain((0..CASES).map(|_| rng.random::<u64>()))
         .collect()
 }
 
@@ -81,8 +81,13 @@ fn structural_invariants() {
                 }
             }
         }
-        // Platform stats account for every lookup.
-        let total: u64 = out.platform_stats.iter().map(|(_, q, _)| *q).sum();
+        // The per-platform tally accounts for every lookup.
+        let m = &out.metrics;
+        let total: u64 = m
+            .iter()
+            .filter(|(k, _)| k.starts_with("resolver.") && k.ends_with(".queries"))
+            .map(|(k, _)| m.counter(k))
+            .sum();
         assert_eq!(total as usize, out.logs.dns.len(), "seed {seed}");
     }
 }

@@ -20,14 +20,8 @@ pub struct AnalysisConfig {
     pub policy: PairingPolicy,
     /// Blocking threshold (paper: 100 ms, conservative vs the 20 ms knee).
     pub block_threshold: Duration,
-    /// The knee used for Figure 1's first-use split (paper: 20 ms).
-    pub knee: Duration,
     /// SC/R resolver threshold derivation.
     pub threshold_rule: ThresholdRule,
-    /// §6 absolute significance threshold, ms (paper: 20).
-    pub significance_abs_ms: f64,
-    /// §6 relative significance threshold, percent (paper: 1).
-    pub significance_rel_pct: f64,
     /// Resolver-address → platform mapping.
     pub platform_map: PlatformMap,
     /// Worker threads for the independent batch analysis stages (0 = one
@@ -41,10 +35,7 @@ impl Default for AnalysisConfig {
         AnalysisConfig {
             policy: PairingPolicy::MostRecent,
             block_threshold: Duration::from_millis(100),
-            knee: Duration::from_millis(20),
             threshold_rule: ThresholdRule::default(),
-            significance_abs_ms: 20.0,
-            significance_rel_pct: 1.0,
             platform_map: PlatformMap::default(),
             threads: 0,
         }
@@ -167,7 +158,7 @@ impl<'a> Analysis<'a> {
 
     /// Figure 1.
     pub fn gap_analysis(&self) -> GapAnalysis {
-        GapAnalysis::compute(&self.pairing, self.cfg.knee)
+        GapAnalysis::compute(&self.pairing)
     }
 
     /// §5.1.
@@ -185,13 +176,9 @@ impl<'a> Analysis<'a> {
         PerfAnalysis::compute(&self.conn_cols, &self.dns_cols, &self.pairing, &self.classes)
     }
 
-    /// §6's quadrants at the configured thresholds.
+    /// §6's quadrants at the paper's thresholds.
     pub fn significance(&self) -> Significance {
-        self.perf().significance(
-            self.cfg.significance_abs_ms,
-            self.cfg.significance_rel_pct,
-            self.pairing.app_conn_count(),
-        )
+        self.perf().significance(self.pairing.app_conn_count())
     }
 
     /// Class mix over fixed-width time buckets (operator view).
@@ -356,9 +343,9 @@ mod tests {
     fn default_config_matches_paper_choices() {
         let cfg = AnalysisConfig::default();
         assert_eq!(cfg.block_threshold, Duration::from_millis(100));
-        assert_eq!(cfg.knee, Duration::from_millis(20));
-        assert_eq!(cfg.significance_abs_ms, 20.0);
-        assert_eq!(cfg.significance_rel_pct, 1.0);
+        assert_eq!(crate::blocking::KNEE, Duration::from_millis(20));
+        assert_eq!(crate::perf::SIGNIFICANCE_ABS_MS, 20.0);
+        assert_eq!(crate::perf::SIGNIFICANCE_REL_PCT, 1.0);
         assert_eq!(cfg.threshold_rule.floor_ms, 5.0);
     }
 }

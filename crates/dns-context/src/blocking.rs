@@ -12,29 +12,30 @@ use crate::pairing::Pairing;
 use crate::stats::Ecdf;
 use zeek_lite::Duration;
 
+/// The knee Figure 1's first-use split is taken at (paper: 20 ms).
+pub(crate) const KNEE: Duration = Duration::from_millis(20);
+
 /// Figure 1's ingredients.
 #[derive(Debug)]
 pub struct GapAnalysis {
     /// Gap distribution in milliseconds, over paired connections.
     pub gaps_ms: Ecdf,
-    /// Of connections with gap < the knee: fraction that are first use.
+    /// Of connections with gap < [`KNEE`]: fraction that are first use.
     pub first_use_within_knee: f64,
-    /// Of connections with gap ≥ the knee: fraction that are first use.
+    /// Of connections with gap ≥ [`KNEE`]: fraction that are first use.
     pub first_use_beyond_knee: f64,
-    /// The knee used for the two rates above.
-    pub knee: Duration,
 }
 
 impl GapAnalysis {
-    /// Compute the gap distribution and first-use split at `knee`.
-    pub fn compute(pairing: &Pairing, knee: Duration) -> GapAnalysis {
+    /// Compute the gap distribution and the first-use split at [`KNEE`].
+    pub fn compute(pairing: &Pairing) -> GapAnalysis {
         let mut gaps = Vec::new();
         let mut within = (0usize, 0usize); // (first_use, total)
         let mut beyond = (0usize, 0usize);
         for p in &pairing.pairs {
             let Some(gap) = p.gap else { continue };
             gaps.push(gap.as_millis_f64());
-            let bucket = if gap < knee { &mut within } else { &mut beyond };
+            let bucket = if gap < KNEE { &mut within } else { &mut beyond };
             bucket.1 += 1;
             if p.first_use {
                 bucket.0 += 1;
@@ -44,7 +45,6 @@ impl GapAnalysis {
             gaps_ms: Ecdf::new(gaps),
             first_use_within_knee: ratio(within),
             first_use_beyond_knee: ratio(beyond),
-            knee,
         }
     }
 
@@ -131,7 +131,7 @@ mod tests {
             pair(Some(900), true),
             pair(None, false),
         ]);
-        let g = GapAnalysis::compute(&p, Duration::from_millis(20));
+        let g = GapAnalysis::compute(&p);
         assert_eq!(g.gaps_ms.len(), 5);
         assert!((g.first_use_within_knee - 2.0 / 3.0).abs() < 1e-12);
         assert!((g.first_use_beyond_knee - 0.5).abs() < 1e-12);
@@ -140,13 +140,13 @@ mod tests {
     #[test]
     fn fraction_within_threshold() {
         let p = pairing_of(vec![pair(Some(5), true), pair(Some(50), false), pair(Some(5_000), false)]);
-        let g = GapAnalysis::compute(&p, Duration::from_millis(20));
+        let g = GapAnalysis::compute(&p);
         assert!((g.gaps_ms.fraction_at_or_below(100.0) - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
     fn empty_pairing() {
-        let g = GapAnalysis::compute(&pairing_of(vec![]), Duration::from_millis(20));
+        let g = GapAnalysis::compute(&pairing_of(vec![]));
         assert!(g.gaps_ms.is_empty());
         assert_eq!(g.first_use_within_knee, 0.0);
         assert_eq!(g.estimate_knee(0.1), None);
@@ -163,7 +163,7 @@ mod tests {
         for i in 0..400u64 {
             pairs.push(pair(Some(2_000 + i * 40_000), false));
         }
-        let g = GapAnalysis::compute(&pairing_of(pairs), Duration::from_millis(20));
+        let g = GapAnalysis::compute(&pairing_of(pairs));
         let knee = g.estimate_knee(0.10).expect("knee exists");
         let ms = knee.as_millis_f64();
         assert!(
@@ -176,7 +176,7 @@ mod tests {
     fn unimodal_distribution_flattens_right_after_its_mode() {
         // All gaps in one tight cluster: the knee lands just past it.
         let pairs: Vec<PairedConn> = (0..200).map(|i| pair(Some(10 + i % 3), true)).collect();
-        let g = GapAnalysis::compute(&pairing_of(pairs), Duration::from_millis(20));
+        let g = GapAnalysis::compute(&pairing_of(pairs));
         let knee = g.estimate_knee(0.10).expect("flattens after the cluster");
         assert!(knee.as_millis_f64() > 10.0);
         assert!(knee.as_millis_f64() < 200.0);

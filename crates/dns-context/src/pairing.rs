@@ -14,7 +14,7 @@
 use crate::kernel::{pack_key, select, Entry, Paired, Tally};
 use std::collections::hash_map::Entry as Slot;
 use xkit::collections::FastMap;
-use xkit::rng::{RngExt, SeedableRng, StdRng};
+use xkit::rng::StdRng;
 use zeek_lite::{ConnRecord, DnsTransaction, Duration, Timestamp};
 
 /// Which candidate lookup a connection pairs with.
@@ -260,15 +260,7 @@ mod tests {
             resp_pkts: 4,
             state: ConnState::SF,
             history: zeek_lite::History::new(),
-            service: zeek_lite_service(port),
-        }
-    }
-
-    fn zeek_lite_service(port: u16) -> Option<&'static str> {
-        match port {
-            53 => Some("dns"),
-            443 => Some("ssl"),
-            _ => None,
+            service: zeek_lite::service_for_port(Proto::Tcp, port),
         }
     }
 

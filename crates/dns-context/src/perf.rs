@@ -48,6 +48,11 @@ pub struct PerfAnalysis {
     pub contribution_r_pct: Ecdf,
 }
 
+/// §6 absolute significance threshold, ms (paper: 20).
+pub(crate) const SIGNIFICANCE_ABS_MS: f64 = 20.0;
+/// §6 relative significance threshold, percent (paper: 1).
+pub(crate) const SIGNIFICANCE_REL_PCT: f64 = 1.0;
+
 /// The §6 significance quadrants (shares of SC ∪ R, percent).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Significance {
@@ -95,10 +100,10 @@ impl PerfAnalysis {
         PerfAnalysis { blocked, delay_ms, contribution_pct, contribution_sc_pct, contribution_r_pct }
     }
 
-    /// The quadrant decomposition with the given thresholds (paper: 20 ms
-    /// absolute, 1 % relative) and the total connection count for the
+    /// The quadrant decomposition at [`SIGNIFICANCE_ABS_MS`] and
+    /// [`SIGNIFICANCE_REL_PCT`], with the total connection count for the
     /// all-connections share.
-    pub fn significance(&self, abs_ms: f64, rel_pct: f64, total_conns: usize) -> Significance {
+    pub fn significance(&self, total_conns: usize) -> Significance {
         let n = self.blocked.len();
         if n == 0 {
             return Significance {
@@ -111,8 +116,8 @@ impl PerfAnalysis {
         }
         let mut q = [0usize; 4];
         for b in &self.blocked {
-            let abs = b.dns_ms > abs_ms;
-            let rel = b.contribution_pct() > rel_pct;
+            let abs = b.dns_ms > SIGNIFICANCE_ABS_MS;
+            let rel = b.contribution_pct() > SIGNIFICANCE_REL_PCT;
             let idx = (abs as usize) << 1 | rel as usize;
             q[idx] += 1;
         }
@@ -163,7 +168,7 @@ mod tests {
             BlockedPerf { dns_ms: 50.0, app_ms: 100_000.0, shared_cache: false }, // abs only
             BlockedPerf { dns_ms: 50.0, app_ms: 50.0, shared_cache: false },   // both
         ]);
-        let s = p.significance(20.0, 1.0, 8);
+        let s = p.significance(8);
         assert_eq!(s.neither_pct, 25.0);
         assert_eq!(s.rel_only_pct, 25.0);
         assert_eq!(s.abs_only_pct, 25.0);
@@ -176,7 +181,7 @@ mod tests {
     #[test]
     fn empty_blocked_set() {
         let p = perf_with(vec![]);
-        let s = p.significance(20.0, 1.0, 0);
+        let s = p.significance(0);
         assert_eq!(s.both_pct, 0.0);
         assert!(p.delay_ms.is_empty());
     }

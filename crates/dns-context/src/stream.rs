@@ -459,7 +459,7 @@ impl StreamEngine {
         // The analysis snapshot, assembled to match the batch pipeline's
         // `logs.metrics()` merged with `Analysis::metrics()` exactly.
         let mut m = stats.to_metrics();
-        m.merge(&degradation.to_metrics());
+        degradation.store_metrics(&mut m);
         self.store_released(&mut m, &degradation);
         store_class_metrics(&mut m, &self.classes);
         store_threshold_metrics(&mut m, &thresholds);
@@ -631,29 +631,18 @@ impl StreamEngine {
     }
 }
 
-/// Drive any [`pcapio::RecordSource`] — file reader, in-memory ring, or
-/// live interface — through a [`StreamEngine`] in `window`-sized epochs,
-/// handing each epoch's released rows to `sink`. A zero `window` runs a
-/// single epoch (everything releases at
-/// [`finish`](StreamEngine::finish), as in the batch pipeline).
+/// Drive any [`pcapio::RecordSource`] — file reader or in-memory ring —
+/// through a [`StreamEngine`] in `window`-sized epochs, handing each
+/// epoch's released rows to `sink`. A zero `window` runs a single epoch
+/// (everything releases at [`finish`](StreamEngine::finish), as in the
+/// batch pipeline).
 ///
 /// This is the streaming counterpart of `Monitor::process_source`
 /// followed by `Analysis::run`: same rows, same metrics, O(window) peak
-/// memory.
-pub fn process_source<S: pcapio::RecordSource + ?Sized>(
-    source: &mut S,
-    window: Duration,
-    monitor: MonitorConfig,
-    cfg: AnalysisConfig,
-    sink: impl FnMut(EpochOutput),
-) -> Result<StreamResult, pcapio::PcapError> {
-    process_source_observed(source, window, monitor, cfg, None, sink)
-}
-
-/// [`process_source`] with an optional live observability hub attached to
-/// the engine (see [`StreamEngine::set_hub`]): every epoch boundary
-/// publishes a prefix snapshot and feeds the hub's flight recorder, so an
-/// HTTP scrape at any instant sees internally consistent counters.
+/// memory. With a `hub` (see [`StreamEngine::set_hub`]) every epoch
+/// boundary publishes a prefix snapshot and feeds the hub's flight
+/// recorder, so an HTTP scrape at any instant sees internally consistent
+/// counters.
 pub fn process_source_observed<S: pcapio::RecordSource + ?Sized>(
     source: &mut S,
     window: Duration,
@@ -708,25 +697,12 @@ pub fn process_source_observed<S: pcapio::RecordSource + ?Sized>(
     Ok(engine.finish())
 }
 
-/// The file-backend spelling of [`process_source`]: parse the pcap
-/// global header from `input` and stream the records through the engine.
-pub fn process_pcap<R: std::io::Read>(
-    input: R,
-    window: Duration,
-    monitor: MonitorConfig,
-    cfg: AnalysisConfig,
-    sink: impl FnMut(EpochOutput),
-) -> Result<StreamResult, pcapio::PcapError> {
-    let mut source = pcapio::source::file(input)?;
-    process_source(&mut source, window, monitor, cfg, sink)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::Analysis;
     use std::net::Ipv4Addr;
-    use xkit::rng::{RngExt, SeedableRng, StdRng};
+    use xkit::rng::StdRng;
     use zeek_lite::{Answer, ConnState, FiveTuple, Logs, Proto};
 
     const HOUSE: Ipv4Addr = Ipv4Addr::new(10, 77, 0, 1);
@@ -957,9 +933,16 @@ mod tests {
                 c
             })
             .collect();
-        rng.shuffle(&mut dns);
-        rng.shuffle(&mut conns);
+        shuffle(rng, &mut dns);
+        shuffle(rng, &mut conns);
         (conns, dns)
+    }
+
+    /// Fisher–Yates.
+    fn shuffle<T>(rng: &mut StdRng, rows: &mut [T]) {
+        for i in (1..rows.len()).rev() {
+            rows.swap(i, rng.random_range(0..=i));
+        }
     }
 
     #[test]
@@ -1010,7 +993,8 @@ mod tests {
     }
 
     /// `stream.epochs` after streaming a capture of one-byte frames
-    /// stamped `stamps` (ns) through [`process_source`] at `window_nanos`.
+    /// stamped `stamps` (ns) through [`process_source_observed`] at
+    /// `window_nanos`.
     fn epochs_cut(stamps: &[u64], window_nanos: u64) -> u64 {
         let mut buf = Vec::new();
         let mut w = pcapio::PcapWriter::new(&mut buf, 96, pcapio::TsPrecision::Nano).unwrap();
@@ -1018,11 +1002,12 @@ mod tests {
             w.write_packet(*ts, &[*ts as u8], None).unwrap();
         }
         let mut sunk = 0u64;
-        let result = process_source(
+        let result = process_source_observed(
             &mut pcapio::source::file(&buf[..]).unwrap(),
             Duration(window_nanos),
             MonitorConfig::default(),
             AnalysisConfig::default(),
+            None,
             |_| sunk += 1,
         )
         .unwrap();

@@ -4,7 +4,7 @@
 
 use dns_context::{classify, pairing::Pairing, Analysis, AnalysisConfig, ConnClass, PairingPolicy};
 use std::net::Ipv4Addr;
-use xkit::rng::{RngExt, SeedableRng, StdRng};
+use xkit::rng::StdRng;
 use zeek_lite::{
     Answer, ConnRecord, ConnState, DnsTransaction, Duration, FiveTuple, Logs, Proto, Timestamp,
 };

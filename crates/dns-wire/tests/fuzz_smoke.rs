@@ -7,7 +7,7 @@
 
 use dns_wire::{tcp_frame, Message, Name, Record, RrType};
 use std::net::Ipv4Addr;
-use xkit::rng::{RngExt, SeedableRng, StdRng};
+use xkit::rng::StdRng;
 
 /// Decode, and if accepted, assert the round trip is lossless.
 fn check(buf: &[u8]) {

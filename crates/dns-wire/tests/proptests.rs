@@ -7,7 +7,7 @@ use dns_wire::{
 };
 use std::collections::BTreeMap;
 use std::net::{Ipv4Addr, Ipv6Addr};
-use xkit::rng::{RngExt, SeedableRng, StdRng};
+use xkit::rng::StdRng;
 
 const CASES: usize = 256;
 

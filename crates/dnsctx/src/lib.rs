@@ -37,7 +37,7 @@ pub mod pipeline {
     /// A simulation output bundled with the analysis configuration, ready
     /// to serve every table and figure.
     pub struct Study {
-        /// Raw simulation output (logs + ground truth + platform stats).
+        /// Raw simulation output (logs + ground truth + workload metrics).
         pub sim: SimOutput,
         /// Analysis configuration used by [`Study::analysis`].
         pub analysis_cfg: AnalysisConfig,

@@ -249,7 +249,7 @@ pub fn rules() -> Vec<Rule> {
         },
         Rule {
             id: "unused-pub",
-            desc: "public surface has a user: a pub fn/const/static under crates/*/src is named by non-test code outside its file (other src, examples/, benchmark/src), a pub struct/enum/trait/type by anything but its own definition and impl headers; matching is by name, so a shared name counts as used",
+            desc: "public surface has a user: a pub fn/const/static under crates/*/src is named by non-test code outside its file (other src, examples/, benchmark/src), a pub struct/enum/trait/type by anything but its own definition and impl headers; matching is by name, so a shared name counts as used, except that `Type::name` is no use of a module-level pub fn",
             hint: "delete it, or drop `pub` if this file uses it; an item the roadmap or an integration test needs carries `// lint: allow(unused-pub): why`",
             scope: Scope {
                 roots: &["crates", "examples", "benchmark/src"],
@@ -499,6 +499,9 @@ pub fn unsafe_safety_hits(lexed: &Lexed<'_>) -> Vec<Hit> {
 /// code, not counting the name an item definition introduces, `pub use`
 /// re-exports and `impl` headers. Items are bare-`pub` definitions under
 /// `crates/*/src` outside test scope and outside nested `mod { }` blocks.
+/// A name reached through a type path (`Upper::name`, `Self::name`) is a
+/// method or an associated item, so it is no use of a module-level
+/// `pub fn` of that name.
 pub fn unused_pub_hits(files: &[(&str, Lexed<'_>)]) -> Vec<(usize, Hit)> {
     const VALUE_KW: [&str; 3] = ["fn", "const", "static"];
     const TYPE_KW: [&str; 4] = ["struct", "enum", "trait", "type"];
@@ -507,11 +510,13 @@ pub fn unused_pub_hits(files: &[(&str, Lexed<'_>)]) -> Vec<(usize, Hit)> {
         at: usize,
         kw: &'a str,
         name: &'a str,
+        /// A `fn` at brace depth 0: only calls not through a type reach it.
+        free_fn: bool,
     }
     let mut items: Vec<Item<'_>> = Vec::new();
-    // name -> (the first file that references it, whether a later one does).
-    let mut users: std::collections::HashMap<&str, (usize, bool)> =
-        std::collections::HashMap::new();
+    // name -> (the first file that references it, whether a later one
+    // does): `[0]` over every reference, `[1]` leaving out type paths.
+    let mut users: [std::collections::HashMap<&str, (usize, bool)>; 2] = Default::default();
 
     for (file, (path, lexed)) in files.iter().enumerate() {
         let defines = path.starts_with("crates/") && path.contains("/src/");
@@ -569,7 +574,8 @@ pub fn unused_pub_hits(files: &[(&str, Lexed<'_>)]) -> Vec<(usize, Hit)> {
                     let name = if ident(j + 1) == Some("mut") { ident(j + 2) } else { ident(j + 1) };
                     let is_item = VALUE_KW.contains(&kw) || TYPE_KW.contains(&kw);
                     if let (true, true, true, Some(name)) = (defines, is_item, mods.is_empty(), name) {
-                        items.push(Item { file, at: toks[i].0, kw, name });
+                        let free_fn = kw == "fn" && depth == 0;
+                        items.push(Item { file, at: toks[i].0, kw, name, free_fn });
                     }
                 }
                 Lexeme::Ident(name) => {
@@ -577,8 +583,17 @@ pub fn unused_pub_hits(files: &[(&str, Lexed<'_>)]) -> Vec<(usize, Hit)> {
                         && ident(i - 1).is_some_and(|kw| {
                             VALUE_KW.contains(&kw) || TYPE_KW.contains(&kw) || kw == "mod"
                         });
-                    if !introduced {
-                        let (first, elsewhere) = users.entry(name).or_insert((file, false));
+                    let through_type = i >= 3
+                        && punct(i - 1) == Some(b':')
+                        && punct(i - 2) == Some(b':')
+                        && ident(i - 3).is_some_and(|q| q.starts_with(char::is_uppercase));
+                    let counted = match (introduced, through_type) {
+                        (true, _) => 0,
+                        (false, true) => 1,
+                        (false, false) => 2,
+                    };
+                    for map in &mut users[..counted] {
+                        let (first, elsewhere) = map.entry(name).or_insert((file, false));
                         *elsewhere |= *first != file;
                     }
                 }
@@ -588,7 +603,7 @@ pub fn unused_pub_hits(files: &[(&str, Lexed<'_>)]) -> Vec<(usize, Hit)> {
 
     let mut hits = Vec::new();
     for item in items {
-        let used = users.get(item.name).is_some_and(|(first, elsewhere)| {
+        let used = users[usize::from(item.free_fn)].get(item.name).is_some_and(|(first, elsewhere)| {
             TYPE_KW.contains(&item.kw) || *first != item.file || *elsewhere
         });
         if !used {

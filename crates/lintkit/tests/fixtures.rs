@@ -382,6 +382,18 @@ fn unused_pub_types_count_any_naming_but_their_own_definition_and_impl_headers()
 }
 
 #[test]
+fn unused_pub_a_type_path_is_no_use_of_a_module_level_fn() {
+    let lib = "pub fn process() {}\npub struct Thing;\nimpl Thing { pub fn process() {} }\n";
+    let user = "fn f() { a::Thing::process(); }\nimpl a::Thing { fn g() { Self::process() } }\n";
+    let got = unused_pub("typepath", &[("crates/a/src/lib.rs", lib), ("crates/b/src/lib.rs", user)]);
+    assert_eq!(got, ["crates/a/src/lib.rs: unused pub fn `process`"]);
+    // A call through a module path still reaches the free function.
+    let user = "fn f() { a::process(); a::Thing::process(); }\n";
+    let got = unused_pub("modpath", &[("crates/a/src/lib.rs", lib), ("crates/b/src/lib.rs", user)]);
+    assert!(got.is_empty(), "{got:?}");
+}
+
+#[test]
 fn unused_pub_allow_marker_is_honoured() {
     let lib = "/// Docs.\n// lint: allow(unused-pub): the next roadmap item needs it\n\
                pub fn kept() {}\npub fn dropped() {}\n";

@@ -7,7 +7,7 @@
 
 use netpkt::{Frame, MacAddr, Packet, TcpHeader};
 use std::net::Ipv4Addr;
-use xkit::rng::{RngExt, SeedableRng, StdRng};
+use xkit::rng::StdRng;
 
 const A: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
 const B: Ipv4Addr = Ipv4Addr::new(192, 0, 2, 7);

@@ -3,7 +3,7 @@
 
 use netpkt::{Frame, MacAddr, Packet, PktError, TcpFlags, TcpHeader, Transport};
 use std::net::Ipv4Addr;
-use xkit::rng::{RngExt, SeedableRng, StdRng};
+use xkit::rng::StdRng;
 
 const CASES: usize = 256;
 

@@ -108,17 +108,9 @@ impl From<io::Error> for PcapError {
     }
 }
 
-/// One captured packet as stored in the file.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PcapRecord {
-    /// Timestamp in nanoseconds since the epoch (converted from the file's
-    /// native precision).
-    pub ts_nanos: u64,
-    /// Length the packet had on the wire.
-    pub orig_len: u32,
-    /// Bytes actually stored (at most snaplen).
-    pub data: Vec<u8>,
-}
+/// One captured packet as stored in the file: the frame record
+/// [`xkit::fault`] corrupts, under the name this crate's callers use.
+pub use xkit::fault::RawFrame as PcapRecord;
 
 /// A borrowed view of one captured packet.
 ///
@@ -434,22 +426,15 @@ impl<F: FnMut(PcapRecord) -> Vec<PcapRecord>> RecordTransform for F {
 }
 
 /// The fault→pcap bridge: an injector corrupts a capture through
-/// [`rewrite`]. `RawFrame` mirrors [`PcapRecord`] field for field (`xkit`
-/// cannot name this crate), so the conversion is a move.
+/// [`rewrite`], record in, records out.
 impl RecordTransform for xkit::fault::FaultInjector {
     fn apply(&mut self, rec: PcapRecord) -> Vec<PcapRecord> {
-        let PcapRecord { ts_nanos, orig_len, data } = rec;
-        let out = self.apply(xkit::fault::RawFrame { ts_nanos, orig_len, data });
-        out.into_iter().map(from_raw).collect()
+        xkit::fault::FaultInjector::apply(self, rec)
     }
 
     fn flush(&mut self) -> Vec<PcapRecord> {
-        self.flush().into_iter().map(from_raw).collect()
+        xkit::fault::FaultInjector::flush(self)
     }
-}
-
-fn from_raw(f: xkit::fault::RawFrame) -> PcapRecord {
-    PcapRecord { ts_nanos: f.ts_nanos, orig_len: f.orig_len, data: f.data }
 }
 
 /// Copy a capture record-by-record through a caller-supplied transform.

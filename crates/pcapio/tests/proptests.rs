@@ -2,7 +2,7 @@
 //! fuzz, driven by a fixed `xkit::rng` stream.
 
 use pcapio::{PcapReader, PcapWriter, TsPrecision};
-use xkit::rng::{RngExt, SeedableRng, StdRng};
+use xkit::rng::StdRng;
 
 /// The pcap global file header, fixed by the format.
 const GLOBAL_HEADER_LEN: usize = 24;

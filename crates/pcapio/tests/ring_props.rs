@@ -16,7 +16,7 @@ use std::collections::VecDeque;
 
 use pcapio::ring::{self, Backpressure, PushOutcome};
 use pcapio::RecordSource;
-use xkit::rng::{RngExt, SeedableRng, StdRng};
+use xkit::rng::StdRng;
 
 const SNAPLEN: u32 = 256;
 const FRAME_HEADER_LEN: usize = 16;

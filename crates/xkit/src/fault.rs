@@ -13,7 +13,7 @@
 //! suite assert that a rate-0 fuzz run is byte-identical to the clean
 //! pipeline.
 
-use crate::rng::{RngExt, StdRng};
+use crate::rng::StdRng;
 
 /// Per-kind fault probabilities, each in `[0, 1]`, summed at most 1.
 ///
@@ -130,8 +130,8 @@ impl FaultStats {
 
 /// One captured frame: timestamp, original wire length, captured bytes.
 ///
-/// `xkit` stays dependency-free, so this mirrors (rather than imports) the
-/// pcap record shape; callers convert at the boundary.
+/// The workspace's one owned frame record: `pcapio` re-exports it as
+/// `PcapRecord`, so a capture passes through the injector by move.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RawFrame {
     /// Capture timestamp in nanoseconds since the epoch.
@@ -254,7 +254,6 @@ impl FaultInjector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rng::{Rng, SeedableRng};
 
     /// Every frame through one injector, reorder slot flushed.
     fn corrupt_stream(

@@ -3,11 +3,11 @@
 //! Three small subsystems replace every external crate the workspace used
 //! to pull from the registry:
 //!
-//! * [`rng`] — a seeded SplitMix64/Xoshiro256++ PRNG with the
-//!   `Rng`/`RngExt`/`StdRng`/`SeedableRng` surface the simulator and the
-//!   pairing layer previously took from `rand`, plus deterministic
-//!   per-shard stream splitting ([`rng::StdRng::split`]) so parallel runs
-//!   stay bit-reproducible at a fixed seed.
+//! * [`rng`] — one seeded SplitMix64/Xoshiro256++ generator,
+//!   [`rng::StdRng`], for the simulator, the pairing layer and every
+//!   seeded test, with deterministic per-shard stream splitting
+//!   ([`rng::StdRng::split`]) so parallel runs stay bit-reproducible at a
+//!   fixed seed.
 //! * [`par`] — scoped worker-pool helpers over `std::thread::scope` and
 //!   `std::sync::Mutex`, replacing `crossbeam` + `parking_lot`.
 //! * [`bench`] — the counting allocator behind the bench ladder's

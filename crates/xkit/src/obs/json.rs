@@ -1,7 +1,7 @@
 //! A minimal JSON value, parser, and canonical renderer.
 //!
 //! Just enough JSON to validate and compare the workspace's own reports:
-//! `scripts/verify.sh` parses `OBS_repro.json` back through this module,
+//! `scripts/verify.sh` parses a `repro obs` snapshot back through this module,
 //! and the determinism tests compare the rendered `metrics` sections of
 //! two runs byte-for-byte. Not a general-purpose JSON library — numbers
 //! are `f64`, object key order is preserved as parsed (our emitters

@@ -1,12 +1,12 @@
 //! Seeded pseudo-random numbers: SplitMix64 seeding, Xoshiro256++ streams.
 //!
-//! The trait surface deliberately mirrors the subset of `rand` the
-//! workspace used — `Rng` + `RngExt` bounds, `StdRng::seed_from_u64`,
-//! `random::<f64>()`, `random_range(..)`, `random_bool(p)` — so call
-//! sites only swap imports. On top of that, [`StdRng::split`] derives
-//! statistically independent child streams from a parent state and a
-//! label, which is what makes sharded simulation bit-reproducible
-//! regardless of how many worker threads execute the shards.
+//! One type, [`StdRng`]: `seed_from_u64`, `random::<T>()`,
+//! `random_range(..)`, `random_bool(p)`, `choose`. On top of that,
+//! [`StdRng::split`] derives statistically independent child streams
+//! from a parent state and a label, which is what makes sharded
+//! simulation bit-reproducible regardless of how many worker threads
+//! execute the shards. A golden test pins the streams: a seed yields the
+//! same values on every release.
 
 /// One step of the SplitMix64 sequence (also the seed expander).
 #[inline]
@@ -18,70 +18,43 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Core random source: a stream of uniform `u64`s.
-pub trait Rng {
-    /// The next 64 uniformly distributed bits.
-    fn next_u64(&mut self) -> u64;
-}
-
-impl<R: Rng + ?Sized> Rng for &mut R {
-    #[inline]
-    fn next_u64(&mut self) -> u64 {
-        (**self).next_u64()
-    }
-}
-
-/// Seeding constructor, kept as its own trait to match the old import
-/// shape (`use xkit::rng::{SeedableRng, StdRng}`).
-pub trait SeedableRng: Sized {
-    /// Build a generator whose stream is fully determined by `seed`.
-    fn seed_from_u64(seed: u64) -> Self;
-}
-
-/// Types that can be drawn uniformly from an [`Rng`].
+/// Types [`StdRng::random`] can draw uniformly.
 pub trait Sample: Sized {
     /// Draw one value.
-    fn sample<R: Rng + ?Sized>(rng: &mut R) -> Self;
+    fn sample(rng: &mut StdRng) -> Self;
 }
 
 impl Sample for u64 {
     #[inline]
-    fn sample<R: Rng + ?Sized>(rng: &mut R) -> Self {
+    fn sample(rng: &mut StdRng) -> Self {
         rng.next_u64()
     }
 }
 
 impl Sample for u32 {
     #[inline]
-    fn sample<R: Rng + ?Sized>(rng: &mut R) -> Self {
+    fn sample(rng: &mut StdRng) -> Self {
         (rng.next_u64() >> 32) as u32
     }
 }
 
 impl Sample for u16 {
     #[inline]
-    fn sample<R: Rng + ?Sized>(rng: &mut R) -> Self {
+    fn sample(rng: &mut StdRng) -> Self {
         (rng.next_u64() >> 48) as u16
     }
 }
 
 impl Sample for u8 {
     #[inline]
-    fn sample<R: Rng + ?Sized>(rng: &mut R) -> Self {
+    fn sample(rng: &mut StdRng) -> Self {
         (rng.next_u64() >> 56) as u8
-    }
-}
-
-impl Sample for usize {
-    #[inline]
-    fn sample<R: Rng + ?Sized>(rng: &mut R) -> Self {
-        rng.next_u64() as usize
     }
 }
 
 impl Sample for bool {
     #[inline]
-    fn sample<R: Rng + ?Sized>(rng: &mut R) -> Self {
+    fn sample(rng: &mut StdRng) -> Self {
         rng.next_u64() >> 63 == 1
     }
 }
@@ -89,30 +62,22 @@ impl Sample for bool {
 impl Sample for f64 {
     /// Uniform in `[0, 1)` with 53 bits of precision.
     #[inline]
-    fn sample<R: Rng + ?Sized>(rng: &mut R) -> Self {
+    fn sample(rng: &mut StdRng) -> Self {
         (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 }
 
-impl Sample for f32 {
-    /// Uniform in `[0, 1)` with 24 bits of precision.
-    #[inline]
-    fn sample<R: Rng + ?Sized>(rng: &mut R) -> Self {
-        (rng.next_u64() >> 40) as f32 * (1.0 / (1u32 << 24) as f32)
-    }
-}
-
-/// Element types [`RngExt::random_range`] can draw uniformly.
+/// Element types [`StdRng::random_range`] can draw uniformly.
 pub trait Uniform: Copy + PartialOrd {
     /// Uniform draw from `[lo, hi)` (`inclusive = false`) or `[lo, hi]`
     /// (`inclusive = true`). Panics on an empty range.
-    fn sample_range<R: Rng + ?Sized>(rng: &mut R, lo: Self, hi: Self, inclusive: bool) -> Self;
+    fn sample_range(rng: &mut StdRng, lo: Self, hi: Self, inclusive: bool) -> Self;
 }
 
 /// Unbiased uniform draw in `[0, n)` via Lemire's widening-multiply
 /// rejection method.
 #[inline]
-fn uniform_below<R: Rng + ?Sized>(rng: &mut R, n: u64) -> u64 {
+fn uniform_below(rng: &mut StdRng, n: u64) -> u64 {
     debug_assert!(n > 0);
     let threshold = n.wrapping_neg() % n;
     loop {
@@ -127,7 +92,7 @@ macro_rules! int_uniform {
     ($($t:ty),*) => {$(
         impl Uniform for $t {
             #[inline]
-            fn sample_range<R: Rng + ?Sized>(rng: &mut R, lo: $t, hi: $t, inclusive: bool) -> $t {
+            fn sample_range(rng: &mut StdRng, lo: $t, hi: $t, inclusive: bool) -> $t {
                 if inclusive {
                     assert!(lo <= hi, "empty range");
                     let span = (hi as i128 - lo as i128) as u128 + 1;
@@ -146,13 +111,13 @@ macro_rules! int_uniform {
     )*};
 }
 
-int_uniform!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+int_uniform!(u8, u16, u32, u64, usize);
 
 macro_rules! float_uniform {
     ($($t:ty),*) => {$(
         impl Uniform for $t {
             #[inline]
-            fn sample_range<R: Rng + ?Sized>(rng: &mut R, lo: $t, hi: $t, _inclusive: bool) -> $t {
+            fn sample_range(rng: &mut StdRng, lo: $t, hi: $t, _inclusive: bool) -> $t {
                 assert!(lo < hi, "empty range");
                 let u: $t = Sample::sample(rng);
                 lo + u * (hi - lo)
@@ -161,87 +126,44 @@ macro_rules! float_uniform {
     )*};
 }
 
-float_uniform!(f32, f64);
+float_uniform!(f64);
 
 /// Ranges that can be sampled uniformly (`lo..hi`, `lo..=hi`).
 pub trait SampleRange<T> {
     /// Draw one value from the range. Panics on an empty range.
-    fn sample_from<R: Rng + ?Sized>(self, rng: &mut R) -> T;
+    fn sample_from(self, rng: &mut StdRng) -> T;
 }
 
 impl<T: Uniform> SampleRange<T> for core::ops::Range<T> {
     #[inline]
-    fn sample_from<R: Rng + ?Sized>(self, rng: &mut R) -> T {
+    fn sample_from(self, rng: &mut StdRng) -> T {
         T::sample_range(rng, self.start, self.end, false)
     }
 }
 
 impl<T: Uniform> SampleRange<T> for core::ops::RangeInclusive<T> {
     #[inline]
-    fn sample_from<R: Rng + ?Sized>(self, rng: &mut R) -> T {
+    fn sample_from(self, rng: &mut StdRng) -> T {
         T::sample_range(rng, *self.start(), *self.end(), true)
     }
 }
 
-/// Convenience draws, blanket-implemented for every [`Rng`].
-pub trait RngExt: Rng {
-    /// Draw a uniform value of type `T` (`f64` in `[0, 1)`, integers over
-    /// their whole domain).
-    #[inline]
-    fn random<T: Sample>(&mut self) -> T {
-        T::sample(self)
-    }
-
-    /// Draw uniformly from `lo..hi` or `lo..=hi`.
-    #[inline]
-    fn random_range<T: Uniform, S: SampleRange<T>>(&mut self, range: S) -> T {
-        range.sample_from(self)
-    }
-
-    /// Bernoulli draw: `true` with probability `p` (clamped to `[0, 1]`).
-    #[inline]
-    fn random_bool(&mut self, p: f64) -> bool {
-        let u: f64 = Sample::sample(self);
-        u < p
-    }
-
-    /// A uniformly chosen element, or `None` on an empty slice.
-    #[inline]
-    fn choose<'a, T>(&mut self, slice: &'a [T]) -> Option<&'a T> {
-        if slice.is_empty() {
-            None
-        } else {
-            Some(&slice[uniform_below(self, slice.len() as u64) as usize])
-        }
-    }
-
-    /// Fisher–Yates shuffle.
-    #[inline]
-    fn shuffle<T>(&mut self, slice: &mut [T]) {
-        for i in (1..slice.len()).rev() {
-            let j = uniform_below(self, i as u64 + 1) as usize;
-            slice.swap(i, j);
-        }
-    }
-}
-
-impl<R: Rng + ?Sized> RngExt for R {}
-
 /// The workspace's standard generator: Xoshiro256++ seeded via SplitMix64.
 ///
 /// Fast (one rotate-add-xor round per draw), 256-bit state, passes BigCrush,
-/// and — unlike `rand`'s `StdRng` — guarantees the stream is stable across
-/// releases, which the reproduction tests rely on.
+/// and the stream is stable across releases, which the reproduction tests
+/// rely on.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StdRng {
     s: [u64; 4],
 }
 
 impl StdRng {
-    fn from_state_seed(mut acc: u64) -> StdRng {
+    /// Build a generator whose stream is fully determined by `seed`.
+    pub fn seed_from_u64(mut seed: u64) -> StdRng {
         let mut s = [0u64; 4];
         for w in &mut s {
-            *w = splitmix64(&mut acc);
+            *w = splitmix64(&mut seed);
         }
         if s == [0; 4] {
             // Xoshiro's one forbidden state; unreachable from SplitMix64
@@ -267,19 +189,13 @@ impl StdRng {
         let mut label_state = label;
         acc ^= splitmix64(&mut label_state);
         acc = acc.wrapping_add(label.wrapping_mul(0xA24B_AED4_963E_E407));
-        StdRng::from_state_seed(acc)
+        StdRng::seed_from_u64(acc)
     }
-}
 
-impl SeedableRng for StdRng {
-    fn seed_from_u64(seed: u64) -> StdRng {
-        StdRng::from_state_seed(seed)
-    }
-}
-
-impl Rng for StdRng {
+    /// The next 64 uniformly distributed bits (`random::<u64>()` outside
+    /// this crate).
     #[inline]
-    fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         let result = self.s[0]
             .wrapping_add(self.s[3])
             .rotate_left(23)
@@ -293,11 +209,59 @@ impl Rng for StdRng {
         self.s[3] = self.s[3].rotate_left(45);
         result
     }
+
+    /// Draw a uniform value of type `T` (`f64` in `[0, 1)`, integers over
+    /// their whole domain).
+    #[inline]
+    pub fn random<T: Sample>(&mut self) -> T {
+        T::sample(self)
+    }
+
+    /// Draw uniformly from `lo..hi` or `lo..=hi`.
+    #[inline]
+    pub fn random_range<T: Uniform, S: SampleRange<T>>(&mut self, range: S) -> T {
+        range.sample_from(self)
+    }
+
+    /// Bernoulli draw: `true` with probability `p` (clamped to `[0, 1]`).
+    #[inline]
+    pub fn random_bool(&mut self, p: f64) -> bool {
+        let u: f64 = Sample::sample(self);
+        u < p
+    }
+
+    /// A uniformly chosen element, or `None` on an empty slice.
+    #[inline]
+    pub fn choose<'a, T>(&mut self, slice: &'a [T]) -> Option<&'a T> {
+        if slice.is_empty() {
+            None
+        } else {
+            Some(&slice[uniform_below(self, slice.len() as u64) as usize])
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Taken from the commit before the traits became inherent methods:
+    /// "the stream is stable across releases" as a test.
+    #[test]
+    fn golden_streams() {
+        let mut rng = StdRng::seed_from_u64(42);
+        let first: Vec<u64> = (0..4).map(|_| rng.next_u64()).collect();
+        assert_eq!(
+            first,
+            [0xd0764d4f4476689f, 0x519e4174576f3791, 0xfbe07cfb0c24ed8c, 0xb37d9f600cd835b8]
+        );
+        assert_eq!(StdRng::seed_from_u64(42).split(3).next_u64(), 0x3d065c164bdb13c5);
+        let mut rng = StdRng::seed_from_u64(7);
+        assert_eq!(rng.random_range(0..10u32), 0);
+        assert_eq!(rng.random::<f64>(), 0.17211585444811772);
+        assert!(!rng.random_bool(0.5));
+        assert_eq!(rng.random_range(1u8..=255), 109);
+    }
 
     #[test]
     fn streams_are_deterministic_per_seed() {
@@ -400,18 +364,12 @@ mod tests {
     }
 
     #[test]
-    fn choose_and_shuffle_are_seeded() {
+    fn choose_is_seeded() {
         let mut rng = StdRng::seed_from_u64(5);
         assert!(rng.choose::<u8>(&[]).is_none());
         let items = [10, 20, 30];
         for _ in 0..100 {
             assert!(items.contains(rng.choose(&items).unwrap()));
         }
-        let mut v: Vec<u32> = (0..50).collect();
-        rng.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-        assert_ne!(v, (0..50).collect::<Vec<_>>(), "50 elements never shuffle to identity");
     }
 }

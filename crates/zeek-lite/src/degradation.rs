@@ -7,84 +7,10 @@
 //! they are. The struct rides on [`Logs`](crate::Logs) and merges
 //! shard-wise like every other counter block.
 
+use crate::counters::DegradationStats;
 use dns_wire::WireError;
 use netpkt::PktError;
 use std::fmt;
-use xkit::obs::Metrics;
-
-/// Field ↔ metric-name table shared by `to_metrics`, `from_metrics`, and
-/// `merge`, so the struct and its obs counters cannot drift apart. Frame
-/// rejections live under `zeek.reject.*` and DNS rejections under
-/// `zeek.reject_dns.*` (disjoint prefixes, so prefix sums stay layered).
-macro_rules! degradation_fields {
-    ($mac:ident) => {
-        $mac! {
-            frames_seen => "zeek.frames_seen",
-            frames_accepted => "zeek.frames_accepted",
-            truncated_ethernet => "zeek.reject.truncated_ethernet",
-            truncated_ipv4 => "zeek.reject.truncated_ipv4",
-            truncated_transport => "zeek.reject.truncated_transport",
-            unsupported_ethertype => "zeek.reject.unsupported_ethertype",
-            not_ipv4 => "zeek.reject.not_ipv4",
-            bad_ipv4_header => "zeek.reject.bad_ipv4_header",
-            bad_checksum => "zeek.reject.bad_checksum",
-            unsupported_protocol => "zeek.reject.unsupported_protocol",
-            bad_tcp_offset => "zeek.reject.bad_tcp_offset",
-            dns_payloads => "zeek.dns_payloads",
-            dns_accepted => "zeek.dns_accepted",
-            dns_truncated => "zeek.reject_dns.truncated",
-            dns_bad_name => "zeek.reject_dns.bad_name",
-            dns_bad_pointer => "zeek.reject_dns.bad_pointer",
-            dns_length_mismatch => "zeek.reject_dns.length_mismatch",
-            dns_other => "zeek.reject_dns.other",
-        }
-    };
-}
-
-/// Classified counts of every frame and DNS payload the monitor rejected.
-///
-/// `frames_seen = frames_accepted + sum(frame rejection buckets)` and
-/// `dns_payloads = dns_accepted + sum(dns rejection buckets)` hold by
-/// construction; the tests assert both.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DegradationStats {
-    /// Frames offered to the monitor.
-    pub frames_seen: u64,
-    /// Frames that parsed through Ethernet/IPv4/transport.
-    pub frames_accepted: u64,
-    /// Frame ended inside the Ethernet header.
-    pub truncated_ethernet: u64,
-    /// Frame ended inside the IPv4 header or its options.
-    pub truncated_ipv4: u64,
-    /// Frame ended inside the UDP or TCP header.
-    pub truncated_transport: u64,
-    /// EtherType the monitor does not parse (ARP, IPv6, ...).
-    pub unsupported_ethertype: u64,
-    /// IP version field was not 4.
-    pub not_ipv4: u64,
-    /// Structurally bad IPv4 header (IHL/total-length fields).
-    pub bad_ipv4_header: u64,
-    /// A verified IPv4/UDP/TCP checksum did not match (bit damage).
-    pub bad_checksum: u64,
-    /// IP protocol that is neither TCP nor UDP.
-    pub unsupported_protocol: u64,
-    /// TCP data-offset field below the legal minimum.
-    pub bad_tcp_offset: u64,
-    /// Port-53 payloads offered to the DNS decoder.
-    pub dns_payloads: u64,
-    /// Payloads that decoded into a DNS message.
-    pub dns_accepted: u64,
-    /// DNS message ended mid-structure.
-    pub dns_truncated: u64,
-    /// Malformed name (label/name length, alphabet, empty label).
-    pub dns_bad_name: u64,
-    /// Bad or reserved compression pointer.
-    pub dns_bad_pointer: u64,
-    /// RDLENGTH or section-count fields inconsistent with the bytes.
-    pub dns_length_mismatch: u64,
-    /// Any other DNS decode failure.
-    pub dns_other: u64,
-}
 
 impl DegradationStats {
     /// Classify one frame-level parse failure into its bucket.
@@ -123,65 +49,15 @@ impl DegradationStats {
         }
     }
 
-    /// Express the counters as an obs snapshot (the transport every
-    /// stage shares); `from_metrics` inverts it exactly.
-    pub fn to_metrics(&self) -> Metrics {
-        let mut m = Metrics::new();
-        self.store_metrics(&mut m);
-        m
-    }
-
-    /// Overwrite this struct's keys in `m` with the current values
-    /// (creating them): [`to_metrics`](DegradationStats::to_metrics) into
-    /// a snapshot that already exists.
-    pub fn store_metrics(&self, m: &mut Metrics) {
-        macro_rules! emit {
-            ($($field:ident => $name:literal,)*) => {
-                $( m.set_counter($name, self.$field); )*
-            };
-        }
-        degradation_fields!(emit);
-    }
-
-    /// Rebuild the struct view from an obs snapshot (absent counters read
-    /// as zero, extra metrics are ignored).
-    pub fn from_metrics(m: &Metrics) -> DegradationStats {
-        let mut d = DegradationStats::default();
-        macro_rules! load {
-            ($($field:ident => $name:literal,)*) => {
-                $( d.$field = m.counter($name); )*
-            };
-        }
-        degradation_fields!(load);
-        d
-    }
-
-    /// Fold another capture's (or shard's) counters into this one.
-    ///
-    /// Routed through the obs snapshot so there is exactly one merge path
-    /// for these counters; this struct is a thin view over it.
-    pub fn merge(&mut self, other: &DegradationStats) {
-        let mut m = self.to_metrics();
-        m.merge(&other.to_metrics());
-        *self = DegradationStats::from_metrics(&m);
-    }
-
-    /// Frames rejected at any layer.
+    /// Frames rejected at any layer: `seen − accepted`, the identity the
+    /// block keeps by construction.
     fn frames_rejected(&self) -> u64 {
-        self.truncated_ethernet
-            + self.truncated_ipv4
-            + self.truncated_transport
-            + self.unsupported_ethertype
-            + self.not_ipv4
-            + self.bad_ipv4_header
-            + self.bad_checksum
-            + self.unsupported_protocol
-            + self.bad_tcp_offset
+        self.frames_seen.saturating_sub(self.frames_accepted)
     }
 
     /// Port-53 payloads the DNS decoder rejected.
     fn dns_rejected(&self) -> u64 {
-        self.dns_truncated + self.dns_bad_name + self.dns_bad_pointer + self.dns_length_mismatch + self.dns_other
+        self.dns_payloads.saturating_sub(self.dns_accepted)
     }
 
     /// Fraction of offered frames that parsed, in `[0, 1]` (1.0 when no
@@ -212,6 +88,16 @@ impl DegradationStats {
 
 impl fmt::Display for DegradationStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // A bucket's label is its key suffix, `_` read as a space.
+        let buckets = |f: &mut fmt::Formatter<'_>, prefix: &str, lead: &str| {
+            for (key, _, n) in self.rows() {
+                match key.strip_prefix(prefix) {
+                    Some(label) if n > 0 => writeln!(f, "  {lead}{}: {n}", label.replace('_', " "))?,
+                    _ => {}
+                }
+            }
+            Ok(())
+        };
         writeln!(
             f,
             "frames: {} seen, {} accepted ({:.2}%), {} rejected",
@@ -220,22 +106,7 @@ impl fmt::Display for DegradationStats {
             self.frame_acceptance() * 100.0,
             self.frames_rejected()
         )?;
-        let frame_buckets = [
-            ("truncated ethernet", self.truncated_ethernet),
-            ("truncated ipv4", self.truncated_ipv4),
-            ("truncated transport", self.truncated_transport),
-            ("unsupported ethertype", self.unsupported_ethertype),
-            ("not ipv4", self.not_ipv4),
-            ("bad ipv4 header", self.bad_ipv4_header),
-            ("bad checksum", self.bad_checksum),
-            ("unsupported protocol", self.unsupported_protocol),
-            ("bad tcp offset", self.bad_tcp_offset),
-        ];
-        for (label, n) in frame_buckets {
-            if n > 0 {
-                writeln!(f, "  {label}: {n}")?;
-            }
-        }
+        buckets(f, "zeek.reject.", "")?;
         writeln!(
             f,
             "dns payloads: {} seen, {} decoded ({:.2}%), {} rejected",
@@ -244,19 +115,7 @@ impl fmt::Display for DegradationStats {
             self.dns_acceptance() * 100.0,
             self.dns_rejected()
         )?;
-        let dns_buckets = [
-            ("truncated", self.dns_truncated),
-            ("bad name", self.dns_bad_name),
-            ("bad pointer", self.dns_bad_pointer),
-            ("length mismatch", self.dns_length_mismatch),
-            ("other", self.dns_other),
-        ];
-        for (label, n) in dns_buckets {
-            if n > 0 {
-                writeln!(f, "  dns {label}: {n}")?;
-            }
-        }
-        Ok(())
+        buckets(f, "zeek.reject_dns.", "dns ")
     }
 }
 
@@ -284,7 +143,7 @@ mod tests {
         for e in &errors {
             d.record_pkt_error(e);
         }
-        assert_eq!(d.frames_rejected(), errors.len() as u64);
+        assert_eq!(d.to_metrics().sum_counters("zeek.reject."), errors.len() as u64);
     }
 
     #[test]
@@ -306,7 +165,7 @@ mod tests {
         for e in &errors {
             d.record_dns_error(e);
         }
-        assert_eq!(d.dns_rejected(), errors.len() as u64);
+        assert_eq!(d.to_metrics().sum_counters("zeek.reject_dns."), errors.len() as u64);
     }
 
     #[test]

@@ -26,7 +26,8 @@
 #![warn(missing_docs)]
 
 pub mod columns;
-pub mod degradation;
+mod counters;
+mod degradation;
 pub mod dns;
 pub mod history;
 pub mod logfmt;
@@ -36,10 +37,10 @@ mod tracker;
 pub mod types;
 
 pub use columns::{ConnColumns, DnsColumns};
-pub use degradation::DegradationStats;
+pub use counters::{DegradationStats, MonitorStats};
 pub use dns::{Answer, AnswerData, DnsTransaction};
 pub use history::History;
-pub use monitor::{Logs, Monitor, MonitorConfig, MonitorStats};
+pub use monitor::{Logs, Monitor, MonitorConfig};
 pub use time::{Duration, Timestamp};
-pub use tracker::{ConnRecord, ConnState};
+pub use tracker::{service_for_port, ConnRecord, ConnState};
 pub use types::{FiveTuple, Proto};

@@ -1,33 +1,16 @@
 //! The passive monitor: packets in, conn.log + dns.log out.
 
-use crate::degradation::DegradationStats;
+use crate::counters::{DegradationStats, MonitorStats};
 use crate::dns::{Answer, AnswerData, DnsTransaction};
 use crate::time::{Duration, Timestamp};
 use crate::tracker::{ConnRecord, FlowTracker, PktMeta};
 use crate::types::Proto;
 use dns_wire::{MessageView, NameBuf, RrType};
-use netpkt::{Packet, PktError, Transport};
+use netpkt::{Packet, Transport};
 use std::collections::HashMap;
 use std::io::Read;
 use std::net::Ipv4Addr;
 use xkit::obs::{HistSpec, Metrics};
-
-/// Field ↔ metric-name table for the monitor's summing counters
-/// (`peak_active_flows` is a max-merged gauge and is handled separately).
-macro_rules! monitor_counters {
-    ($mac:ident) => {
-        $mac! {
-            packets => "zeek.packets",
-            wire_bytes => "zeek.wire_bytes",
-            non_ipv4 => "zeek.non_ipv4",
-            non_udp_tcp => "zeek.non_udp_tcp",
-            parse_errors => "zeek.parse_errors",
-            dot_port_packets => "zeek.dot_port_packets",
-            dns_messages => "zeek.dns_messages",
-            dns_decode_errors => "zeek.dns_decode_errors",
-        }
-    };
-}
 
 /// Monitor tuning knobs. Defaults follow Bro's, which the paper relies on.
 #[derive(Debug, Clone)]
@@ -50,79 +33,6 @@ impl Default for MonitorConfig {
             dns_query_timeout: Duration::from_secs(30),
             emit_unanswered_dns: true,
         }
-    }
-}
-
-/// Counters the monitor keeps about the capture as a whole.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct MonitorStats {
-    /// Frames handled.
-    pub packets: u64,
-    /// Wire bytes represented by those frames (pcap `orig_len` sum).
-    pub wire_bytes: u64,
-    /// Frames that were not IPv4.
-    pub non_ipv4: u64,
-    /// IPv4 packets that were neither TCP nor UDP.
-    pub non_udp_tcp: u64,
-    /// Frames that failed to parse.
-    pub parse_errors: u64,
-    /// Packets to/from the DNS-over-TLS port (853) — the paper's §5.1
-    /// encrypted-DNS presence check.
-    pub dot_port_packets: u64,
-    /// Successfully decoded DNS messages.
-    pub dns_messages: u64,
-    /// Port-53 payloads that failed DNS decoding.
-    pub dns_decode_errors: u64,
-    /// Highest number of simultaneously tracked flows (tracker occupancy
-    /// high-water mark; merges by maximum, not sum).
-    pub peak_active_flows: u64,
-}
-
-impl MonitorStats {
-    /// Express the counters as an obs snapshot; `from_metrics` inverts it
-    /// exactly. `peak_active_flows` travels as the max-merged gauge
-    /// `zeek.peak_active_flows`.
-    pub fn to_metrics(&self) -> Metrics {
-        let mut m = Metrics::new();
-        self.store_metrics(&mut m);
-        m
-    }
-
-    /// Overwrite this struct's keys in `m` with the current values
-    /// (creating them) — [`to_metrics`](MonitorStats::to_metrics) into a
-    /// snapshot that already exists, so a per-epoch publisher allocates
-    /// nothing.
-    pub fn store_metrics(&self, m: &mut Metrics) {
-        macro_rules! emit {
-            ($($field:ident => $name:literal,)*) => {
-                $( m.set_counter($name, self.$field); )*
-            };
-        }
-        monitor_counters!(emit);
-        m.set_gauge("zeek.peak_active_flows", self.peak_active_flows as f64);
-    }
-
-    /// Rebuild the struct view from an obs snapshot (absent metrics read
-    /// as zero, extra metrics are ignored).
-    pub fn from_metrics(m: &Metrics) -> MonitorStats {
-        let mut s = MonitorStats::default();
-        macro_rules! load {
-            ($($field:ident => $name:literal,)*) => {
-                $( s.$field = m.counter($name); )*
-            };
-        }
-        monitor_counters!(load);
-        s.peak_active_flows = m.gauge("zeek.peak_active_flows").unwrap_or(0.0) as u64;
-        s
-    }
-
-    /// Fold another capture's counters into this one, through the obs
-    /// snapshot so there is one merge path (counters sum, the occupancy
-    /// peak takes the maximum).
-    pub fn merge(&mut self, other: &MonitorStats) {
-        let mut m = self.to_metrics();
-        m.merge(&other.to_metrics());
-        *self = MonitorStats::from_metrics(&m);
     }
 }
 
@@ -165,7 +75,7 @@ impl Logs {
     /// sharded or ordered.
     pub fn metrics(&self) -> Metrics {
         let mut m = self.stats.to_metrics();
-        m.merge(&self.degradation.to_metrics());
+        self.degradation.store_metrics(&mut m);
         m.add("zeek.conn_rows", self.conns.len() as u64);
         m.add("zeek.dns_rows", self.dns.len() as u64);
         m.add("zeek.app_conns", self.app_conns().count() as u64);
@@ -351,18 +261,11 @@ impl Monitor {
     /// Process one captured frame. `captured` holds the stored bytes
     /// (possibly snaplen-truncated); `orig_len` is the on-wire length.
     pub fn handle_frame(&mut self, ts: Timestamp, captured: &[u8], orig_len: u32) {
-        self.stats.packets += 1;
         self.stats.wire_bytes += orig_len as u64;
         self.degradation.frames_seen += 1;
         let pkt = match Packet::parse(captured, orig_len as usize) {
             Ok(p) => p,
             Err(e) => {
-                // Coarse legacy counters plus the classified bucket.
-                if matches!(e, PktError::UnsupportedEtherType(_)) {
-                    self.stats.non_ipv4 += 1;
-                } else {
-                    self.stats.parse_errors += 1;
-                }
                 self.degradation.record_pkt_error(&e);
                 if let Some(flight) = &self.flight {
                     flight.record(
@@ -411,7 +314,6 @@ impl Monitor {
         let msg = match MessageView::parse(payload) {
             Ok(m) => m,
             Err(e) => {
-                self.stats.dns_decode_errors += 1;
                 self.degradation.record_dns_error(&e);
                 if let Some(flight) = &self.flight {
                     flight.record(
@@ -423,7 +325,6 @@ impl Monitor {
                 return;
             }
         };
-        self.stats.dns_messages += 1;
         self.degradation.dns_accepted += 1;
         let Some(q) = msg.question() else { return };
         let response = msg.flags().qr;
@@ -636,7 +537,7 @@ mod tests {
         assert_eq!(t.rtt, Some(Duration::from_millis(8)));
         assert_eq!(t.addrs().collect::<Vec<_>>(), vec![SERVER]);
         assert_eq!(t.min_ttl(), Some(300));
-        assert_eq!(logs.stats.dns_messages, 2);
+        assert_eq!(logs.degradation.dns_accepted, 2);
         // The DNS flow also appears as a (dns-service) connection.
         assert_eq!(logs.conns.len(), 1);
         assert!(logs.conns[0].is_dns());
@@ -684,7 +585,7 @@ mod tests {
         feed(&mut m, 1000, &query);
         feed(&mut m, 1008, &response);
         let logs = m.finish();
-        assert_eq!(logs.stats.dns_decode_errors, 0);
+        assert_eq!(logs.degradation.dns_accepted, logs.degradation.dns_payloads);
         assert_eq!(logs.dns.len(), 1);
         assert_eq!(logs.dns[0].query, r"a\x09b.c\x2ed.com");
         let rendered: Vec<_> = logs.dns[0].answers.iter().map(|a| &a.data).collect();
@@ -777,7 +678,7 @@ mod tests {
         let junk = Frame::udp(MacAddr::LOCAL, MacAddr::UPSTREAM, HOUSE, RESOLVER, 50000, 53, b"not dns");
         feed(&mut m, 0, &junk);
         let logs = m.finish();
-        assert_eq!(logs.stats.dns_decode_errors, 1);
+        assert_eq!((logs.degradation.dns_payloads, logs.degradation.dns_accepted), (1, 0));
         assert!(logs.dns.is_empty());
     }
 
@@ -803,7 +704,7 @@ mod tests {
         logs1.merge(logs2);
         assert_eq!(logs1.dns.len(), 2);
         assert_eq!(logs1.dns[0].query, "a.example.com");
-        assert_eq!(logs1.stats.dns_messages, 4);
+        assert_eq!(logs1.degradation.dns_accepted, 4);
     }
 
     #[test]
@@ -888,17 +789,17 @@ mod tests {
         assert_eq!(MonitorStats::from_metrics(&snap), logs.stats);
         // Counters sum, the occupancy peak takes the max.
         let mut a = MonitorStats {
-            packets: 3,
+            wire_bytes: 3,
             peak_active_flows: 5,
             ..MonitorStats::default()
         };
         let b = MonitorStats {
-            packets: 4,
+            wire_bytes: 4,
             peak_active_flows: 2,
             ..MonitorStats::default()
         };
         a.merge(&b);
-        assert_eq!(a.packets, 7);
+        assert_eq!(a.wire_bytes, 7);
         assert_eq!(a.peak_active_flows, 5);
     }
 

@@ -112,7 +112,7 @@ impl ConnRecord {
 }
 
 /// Guess the service from the responder port, Zeek-style.
-pub(crate) fn service_for_port(proto: Proto, resp_port: u16) -> Option<&'static str> {
+pub fn service_for_port(proto: Proto, resp_port: u16) -> Option<&'static str> {
     match (proto, resp_port) {
         (_, 53) => Some("dns"),
         (_, 853) => Some("dot"),

@@ -5,7 +5,7 @@
 
 use dns_wire::{Rcode, RrType};
 use std::net::Ipv4Addr;
-use xkit::rng::{RngExt, SeedableRng, StdRng};
+use xkit::rng::StdRng;
 use zeek_lite::{
     logfmt, Answer, AnswerData, ConnRecord, ConnState, DnsTransaction, Duration, FiveTuple,
     Monitor, MonitorConfig, Proto, Timestamp,
@@ -38,22 +38,6 @@ fn gen_state(r: &mut StdRng) -> ConnState {
     .unwrap()
 }
 
-// Mirror of the monitor's port map (the log reader re-derives service).
-fn zeek_lite_service(proto: Proto, port: u16) -> Option<&'static str> {
-    match (proto, port) {
-        (_, 53) => Some("dns"),
-        (_, 853) => Some("dot"),
-        (Proto::Tcp, 80) => Some("http"),
-        (Proto::Tcp, 443) => Some("ssl"),
-        (Proto::Udp, 443) => Some("quic"),
-        (Proto::Udp, 123) => Some("ntp"),
-        (Proto::Tcp, 25) | (Proto::Tcp, 465) | (Proto::Tcp, 587) => Some("smtp"),
-        (Proto::Tcp, 993) => Some("imap"),
-        (Proto::Udp, 5353) => Some("mdns"),
-        _ => None,
-    }
-}
-
 fn gen_conn(r: &mut StdRng) -> ConnRecord {
     let proto = if r.random::<bool>() { Proto::Tcp } else { Proto::Udp };
     let ts_ms = r.random_range(0..u32::MAX as u64);
@@ -75,7 +59,7 @@ fn gen_conn(r: &mut StdRng) -> ConnRecord {
         resp_pkts: r.random_range(0u64..1_000_000),
         state: gen_state(r),
         history: gen_string(r, b"ShAaDdFfRr", 0, 8).into(),
-        service: zeek_lite_service(proto, resp_port),
+        service: zeek_lite::service_for_port(proto, resp_port),
     }
 }
 
@@ -186,7 +170,7 @@ fn monitor_survives_fuzz_frames() {
             m.handle_frame(Timestamp::from_millis(i as u64), f, f.len().max(1) as u32);
         }
         let logs = m.finish();
-        assert_eq!(logs.stats.packets as usize, frames.len());
+        assert_eq!(logs.degradation.frames_seen as usize, frames.len());
     }
 }
 

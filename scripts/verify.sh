@@ -41,11 +41,11 @@ cargo run -q --release --offline -p bench --bin repro -- fuzz --seed 0
 
 echo "== obs suite =="
 # The obs experiment must emit a JSON snapshot we can parse back.
-obs_out=$(mktemp /tmp/verify_obs.XXXXXX.json)
+snapshot=$(mktemp /tmp/verify_obs.XXXXXX.json)
 cargo run -q --release --offline -p bench --bin repro -- \
-    obs --houses 30 --days 0.02 --scale 0.3 --obs-out "$obs_out" >/dev/null
-cargo run -q --release --offline -p bench --bin repro -- obs-check "$obs_out"
-rm -f "$obs_out"
+    obs --houses 30 --days 0.02 --scale 0.3 >"$snapshot"
+cargo run -q --release --offline -p bench --bin repro -- obs-check "$snapshot"
+rm -f "$snapshot"
 
 echo "== stream suite =="
 # Streamed output must be byte-identical to batch at every tested

@@ -8,7 +8,7 @@ use dnsctx::dns_context::{Analysis, AnalysisConfig};
 use dnsctx::pcapio;
 use dnsctx::zeek_lite::{logfmt, Logs, Monitor, MonitorConfig};
 use xkit::fault::{FaultConfig, FaultInjector};
-use xkit::rng::{SeedableRng, StdRng};
+use xkit::rng::StdRng;
 
 fn small_capture(seed: u64) -> Vec<u8> {
     let cfg = WorkloadConfig {

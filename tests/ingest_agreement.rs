@@ -143,11 +143,12 @@ fn stream_agrees_for_all_windows_and_threads() {
         for threads in [1usize, 8] {
             // File backend through the seam.
             let mut file_released = Logs::default();
-            let file_result = stream::process_pcap(
-                &bytes[..],
+            let file_result = stream::process_source_observed(
+                &mut pcapio::source::file(&bytes[..]).expect("pcap header"),
                 window,
                 MonitorConfig::default(),
                 analysis_cfg(threads),
+                None,
                 |epoch| {
                     file_released.conns.extend(epoch.conns);
                     file_released.dns.extend(epoch.dns);
@@ -160,11 +161,12 @@ fn stream_agrees_for_all_windows_and_threads() {
             // Ring backend through the same seam.
             let (mut ring, producer) = ring_source(1 << 16);
             let mut ring_released = Logs::default();
-            let ring_result = stream::process_source(
+            let ring_result = stream::process_source_observed(
                 &mut ring,
                 window,
                 MonitorConfig::default(),
                 analysis_cfg(threads),
+                None,
                 |epoch| {
                     ring_released.conns.extend(epoch.conns);
                     ring_released.dns.extend(epoch.dns);

@@ -16,7 +16,7 @@ use dnsctx::dns_context::{Analysis, AnalysisConfig};
 use dnsctx::xkit::obs::Metrics;
 use dnsctx::pcapio::{self, Backpressure, RecordSource};
 use dnsctx::xkit::fault::{FaultConfig, FaultInjector, RawFrame};
-use dnsctx::xkit::rng::{SeedableRng, StdRng};
+use dnsctx::xkit::rng::StdRng;
 use dnsctx::zeek_lite::{Monitor, MonitorConfig, Timestamp};
 
 /// 30 houses spans two simulation shards (25 houses per shard), so the

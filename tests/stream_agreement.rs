@@ -64,11 +64,12 @@ fn batch_oracle() -> Batch {
 /// releases *in release order* — no re-sort — into one `Logs`.
 fn streamed(batch: &Batch, window: Duration, threads: usize) -> (Logs, stream::StreamResult) {
     let mut out = Logs::default();
-    let result = stream::process_pcap(
-        &batch.pcap[..],
+    let result = stream::process_source_observed(
+        &mut dnsctx::pcapio::source::file(&batch.pcap[..]).expect("pcap header"),
         window,
         MonitorConfig::default(),
         analysis_cfg(threads),
+        None,
         |epoch| {
             out.conns.extend(epoch.conns);
             out.dns.extend(epoch.dns);
