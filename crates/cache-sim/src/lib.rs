@@ -16,13 +16,21 @@
 //!   approach the 96.6 % at sane cost?"): refresh only names a house
 //!   actually used at least `min_uses` times, and stop refreshing a name
 //!   once it has gone unused for `idle_cutoff`.
+//!
+//! The batch entry points intern `logs.dns`' names once per call and run
+//! every cache on `(house, name id)` packed into one word, [`whole_house`]
+//! one such cache per query type; the streaming [`CacheReplay`], whose
+//! rows are dropped behind it, owns its names under `(house, qtype)`. A
+//! record is live while `expiry > ts`, strict: `demand_hit` alone says so.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use dns_context::{Analysis, ConnClass};
-use std::collections::{HashMap, HashSet};
+use dns_wire::RrType;
+use std::collections::HashMap;
 use std::net::Ipv4Addr;
+use xkit::collections::FastMap;
 use zeek_lite::{DnsTransaction, Duration, Logs, Timestamp};
 
 /// Result of the whole-house cache simulation.
@@ -46,43 +54,46 @@ pub struct WholeHouseReport {
 
 /// Simulate a per-house shared cache over the observed lookup stream.
 ///
-/// A lookup that finds its query name still live in the simulated house
-/// cache (populated by the house's earlier lookups, honouring response
-/// TTLs) would never have left the house — so every connection that
-/// blocked on it becomes a local-cache connection.
+/// A lookup that finds its `(house, qtype, name)` still live in the
+/// simulated house cache (populated by the house's earlier lookups,
+/// honouring response TTLs) would never have left the house — so every
+/// connection that blocked on it becomes a local-cache connection.
 pub fn whole_house(logs: &Logs, analysis: &Analysis<'_>) -> WholeHouseReport {
-    // Replay the DNS log per house and decide, for each transaction,
-    // whether a house cache would have answered it. The replay is the
-    // streaming [`CacheReplay`] engine, so eviction semantics (and the
-    // expiry boundary) are pinned in exactly one place.
-    let mut replay = CacheReplay::new(Duration::from_secs(60));
-    let absorbed: Vec<bool> = logs.dns.iter().map(|txn| replay.offer(txn)).collect();
+    // Replay the DNS log and decide, for each transaction, whether a
+    // house cache would have answered it: one `DemandCache` per query
+    // type (a handful, addressed by key only), each row's own expiry as
+    // the fresh one. Nothing is evicted: an expired slot never hits again.
+    let names = Names::intern(&logs.dns);
+    let mut caches: FastMap<RrType, DemandCache> = FastMap::default();
+    let absorbed: Vec<bool> = std::iter::zip(&logs.dns, &names.of_row)
+        .map(|(txn, &name)| {
+            let slot = caches.entry(txn.qtype).or_default().entry(pack_key(txn.client, name));
+            // An unanswered lookup caches nothing: its slot stays dead.
+            demand_hit(slot.or_default(), txn.ts, txn.expires_at().unwrap_or(NEVER))
+        })
+        .collect();
 
-    let mut sc = 0usize;
-    let mut r = 0usize;
-    let mut moved_sc = 0usize;
-    let mut moved_r = 0usize;
+    // Per blocked class, [connections, of which their lookup was absorbed].
+    let (mut sc, mut r) = ([0usize; 2], [0usize; 2]);
     for (pair, class) in analysis.pairing.pairs.iter().zip(&analysis.classes) {
-        let (blocked, moved) = match class {
-            ConnClass::SharedCache => (&mut sc, &mut moved_sc),
-            ConnClass::Resolution => (&mut r, &mut moved_r),
+        let tally = match class {
+            ConnClass::SharedCache => &mut sc,
+            ConnClass::Resolution => &mut r,
             _ => continue,
         };
-        *blocked += 1;
-        if absorbed[pair.dns.expect("blocked conns are paired")] {
-            *moved += 1;
-        }
+        tally[0] += 1;
+        tally[1] += usize::from(absorbed[pair.dns.expect("blocked conns are paired")]);
     }
     let total = analysis.pairing.app_conn_count();
-    let moved = moved_sc + moved_r;
+    let moved = sc[1] + r[1];
     WholeHouseReport {
         total_conns: total,
-        sc_conns: sc,
-        r_conns: r,
+        sc_conns: sc[0],
+        r_conns: r[0],
         moved,
         moved_share_of_all_pct: pct(moved as u64, total as u64),
-        sc_benefit_pct: pct(moved_sc as u64, sc as u64),
-        r_benefit_pct: pct(moved_r as u64, r as u64),
+        sc_benefit_pct: pct(sc[1] as u64, sc[0] as u64),
+        r_benefit_pct: pct(r[1] as u64, r[0] as u64),
     }
 }
 
@@ -94,19 +105,21 @@ pub fn whole_house(logs: &Logs, analysis: &Analysis<'_>) -> WholeHouseReport {
 /// the lookup. Two properties distinguish this from a naive map replay:
 ///
 /// * **Boundary**: an entry answering at its own expiry instant is
-///   already dead (`expiry > ts`, strict) — the same liveness rule the
-///   pairing index uses, so the two simulations cannot drift apart.
-/// * **Eviction**: expired entries are removed the moment they fail a
-///   liveness check, and a periodic sweep clears entries nothing asks
-///   for again, so live state is bounded by the working set rather than
-///   growing with the trace. Because timestamps only move forward, an
-///   expired entry can never hit again; eviction is decision-neutral.
+///   already dead (`demand_hit`'s strict `expiry > ts`) — the same
+///   liveness rule the pairing index uses, so the simulations cannot
+///   drift apart.
+/// * **Eviction**: an expired entry is re-primed in place (or removed,
+///   when the lookup went unanswered) the moment it fails a liveness
+///   check, and a periodic sweep clears entries nothing asks for again,
+///   so live state is bounded by the working set rather than growing
+///   with the trace. Because timestamps only move forward, an expired
+///   entry can never hit again; eviction is decision-neutral.
 ///
 /// [`offer`]: CacheReplay::offer
 #[derive(Debug)]
 pub struct CacheReplay {
-    /// Per house: query name → expiry of the cached record.
-    cache: HashMap<Ipv4Addr, HashMap<String, Timestamp>>,
+    /// Per `(house, qtype)`: query name → expiry of the cached record.
+    cache: HashMap<(Ipv4Addr, RrType), HashMap<String, Timestamp>>,
     sweep_interval: Duration,
     last_sweep: Timestamp,
     live: u64,
@@ -135,28 +148,34 @@ impl CacheReplay {
     /// Replay one transaction; true when the house cache absorbs it.
     pub fn offer(&mut self, txn: &DnsTransaction) -> bool {
         self.maybe_sweep(txn.ts);
-        let house = self.cache.entry(txn.client).or_default();
-        let hit = match house.get(txn.query.as_str()) {
-            Some(expiry) if *expiry > txn.ts => true,
-            Some(_) => {
-                // Expired at (or before) this instant: evict.
-                house.remove(txn.query.as_str());
-                self.live -= 1;
-                self.evicted += 1;
-                false
-            }
-            None => false,
+        let fresh = txn.expires_at();
+        // Only a row that leaves an entry behind may open a house's map.
+        let names = match fresh {
+            Some(_) => Some(self.cache.entry((txn.client, txn.qtype)).or_default()),
+            None => self.cache.get_mut(&(txn.client, txn.qtype)),
         };
-        if hit {
-            self.hits += 1;
-        } else {
-            self.misses += 1;
-            if let Some(expires) = txn.expires_at() {
-                if house.insert(txn.query.clone(), expires).is_none() {
-                    self.live += 1;
+        let mut hit = false;
+        if let Some(names) = names {
+            if let Some(expiry) = names.get_mut(txn.query.as_str()) {
+                hit = demand_hit(expiry, txn.ts, fresh.unwrap_or(NEVER));
+                if !hit {
+                    // Expired at (or before) this instant: evicted. The
+                    // answer took the slot in place; without one it goes.
+                    self.evicted += 1;
+                    if fresh.is_none() {
+                        names.remove(txn.query.as_str());
+                        self.live -= 1;
+                    }
                 }
+            } else if let Some(expires) = fresh {
+                // lint: allow(no-owned-copy-hotpath): the stream releases
+                // and drops its rows, so the cache must own this key
+                names.insert(txn.query.clone(), expires);
+                self.live += 1;
             }
         }
+        self.hits += u64::from(hit);
+        self.misses += u64::from(!hit);
         self.peak_live = self.peak_live.max(self.live);
         hit
     }
@@ -166,20 +185,14 @@ impl CacheReplay {
             return;
         }
         self.last_sweep = now;
-        let mut dropped = 0u64;
-        // lint: allow(no-map-iteration): each house is pruned independently
-        for house in self.cache.values_mut() {
-            house.retain(|_, expiry| {
-                let alive = *expiry > now;
-                if !alive {
-                    dropped += 1;
-                }
-                alive
-            });
-        }
-        self.cache.retain(|_, house| !house.is_empty());
-        self.live -= dropped;
-        self.evicted += dropped;
+        let mut kept = 0u64;
+        self.cache.retain(|_, names| {
+            names.retain(|_, expiry| *expiry > now);
+            kept += names.len() as u64;
+            !names.is_empty()
+        });
+        self.evicted += self.live - kept;
+        self.live = kept;
     }
 
     /// Lookups the cache absorbed.
@@ -249,20 +262,54 @@ impl RefreshReport {
     }
 }
 
+/// `logs.dns`' query names, interned once per call.
+struct Names {
+    /// Per dns row, the id of its query name.
+    of_row: Vec<u32>,
+    /// Per name id, its authoritative TTL in seconds: the maximum
+    /// observed for it (per the paper), at least 1.
+    ttl_secs: Vec<u32>,
+}
+
+impl Names {
+    fn intern(dns: &[DnsTransaction]) -> Names {
+        // Names come off the wire: this table stays on the keyed hasher.
+        let mut ids: HashMap<&str, u32> = HashMap::new();
+        let mut ttl_secs: Vec<u32> = Vec::new();
+        let mut of_row = Vec::with_capacity(dns.len());
+        for txn in dns {
+            let id = *ids.entry(txn.query.as_str()).or_insert_with(|| {
+                ttl_secs.push(1);
+                (ttl_secs.len() - 1) as u32
+            });
+            if let Some(ttl) = txn.min_ttl() {
+                ttl_secs[id as usize] = ttl_secs[id as usize].max(ttl);
+            }
+            of_row.push(id);
+        }
+        Names { of_row, ttl_secs }
+    }
+}
+
 /// A name need: one DNS-using connection replayed against a house cache.
 struct Need {
     ts: Timestamp,
     house: Ipv4Addr,
-    /// Index into the interned name table.
-    name: usize,
+    /// The paired lookup's [`Names`] id.
+    name: u32,
+}
+
+impl Need {
+    fn key(&self) -> u64 {
+        pack_key(self.house, self.name)
+    }
 }
 
 /// What the refresh policies replay, built once per call.
 struct Trace {
     /// The DNS-using connections, in start order.
     needs: Vec<Need>,
-    /// Per interned name, its authoritative TTL in seconds: the maximum
-    /// observed for it (per the paper), at least 1.
+    /// [`Names::ttl_secs`]; the row ids are done with once the needs exist.
     ttl_secs: Vec<u32>,
     /// Trace length for the rates: first record to the last record of
     /// either log, seconds (at least 1).
@@ -276,30 +323,17 @@ struct Trace {
 
 impl Trace {
     fn new(logs: &Logs, analysis: &Analysis<'_>) -> Trace {
-        let mut name_ids: HashMap<&str, usize> = HashMap::new();
-        let mut ttl_secs: Vec<u32> = Vec::new();
-        for txn in &logs.dns {
-            let id = *name_ids.entry(txn.query.as_str()).or_insert_with(|| {
-                ttl_secs.push(1);
-                ttl_secs.len() - 1
-            });
-            if let Some(ttl) = txn.min_ttl() {
-                ttl_secs[id] = ttl_secs[id].max(ttl);
-            }
-        }
-        let mut needs = Vec::new();
+        let Names { of_row, ttl_secs } = Names::intern(&logs.dns);
+        let mut needs = Vec::with_capacity(analysis.pairing.pairs.len());
         for pair in &analysis.pairing.pairs {
             let Some(di) = pair.dns else { continue };
             let conn = &logs.conns[pair.conn];
-            needs.push(Need {
-                ts: conn.ts,
-                house: conn.id.orig_addr,
-                name: name_ids[logs.dns[di].query.as_str()],
-            });
+            needs.push(Need { ts: conn.ts, house: conn.id.orig_addr, name: of_row[di] });
         }
         needs.sort_by_key(|n| n.ts);
 
-        let houses: HashSet<Ipv4Addr> = logs.dns.iter().map(|t| t.client).collect();
+        // Counted, never iterated.
+        let houses: FastMap<u32, ()> = logs.dns.iter().map(|t| (u32::from(t.client), ())).collect();
         let first_dns = logs.dns.first().map(|d| d.ts);
         let last_conn = logs.conns.last().map(|c| c.ts);
         let start = logs.conns.first().map(|c| c.ts).or(first_dns).unwrap_or(Timestamp::ZERO);
@@ -313,39 +347,53 @@ impl Trace {
         }
     }
 
-    fn ttl(&self, name: usize) -> Duration {
-        Duration::from_secs(u64::from(self.ttl_secs[name]))
+    /// The expiry of a record for `n`'s name fetched at `n`'s start.
+    fn fresh(&self, n: &Need) -> Timestamp {
+        n.ts + self.ttl(n.name)
+    }
+
+    fn ttl(&self, name: u32) -> Duration {
+        Duration::from_secs(u64::from(self.ttl_secs[name as usize]))
     }
 
     /// Refreshes that keep `name` fresh from `from` to `to`: one per TTL.
-    fn refreshes(&self, name: usize, from: Timestamp, to: Timestamp) -> u64 {
-        (to.since(from).as_secs_f64() / f64::from(self.ttl_secs[name])).floor() as u64
+    fn refreshes(&self, name: u32, from: Timestamp, to: Timestamp) -> u64 {
+        (to.since(from).as_secs_f64() / f64::from(self.ttl_secs[name as usize])).floor() as u64
     }
 
     /// One Table 3 column from a policy's tallies.
-    fn report(&self, lookups: u64, hits: u64, misses: u64) -> CachePolicyReport {
+    fn report(&self, lookups: u64, hits: u64) -> CachePolicyReport {
+        let conns = self.needs.len();
         CachePolicyReport {
-            conns: self.needs.len(),
+            conns,
             lookups,
             lookups_per_sec_per_house: lookups as f64 / self.secs / self.houses as f64,
-            hit_pct: pct(hits, hits + misses),
-            miss_pct: pct(misses, hits + misses),
+            hit_pct: pct(hits, conns as u64),
+            miss_pct: pct(conns as u64 - hits, conns as u64),
         }
     }
 }
 
-/// A demand cache of `(house, name)` → expiry of the cached record.
-type DemandCache = HashMap<(Ipv4Addr, usize), Option<Timestamp>>;
+/// A demand cache: `(house, name id)` in one word ([`pack_key`]) → expiry
+/// of the cached record, [`NEVER`] in a slot no lookup has primed. FxHash:
+/// addressed by key only, never iterated.
+type DemandCache = FastMap<u64, Timestamp>;
+
+/// The expiry no answered lookup leaves behind, dead at every instant.
+const NEVER: Timestamp = Timestamp::ZERO;
+
+fn pack_key(house: Ipv4Addr, name: u32) -> u64 {
+    (u64::from(u32::from(house)) << 32) | u64::from(name)
+}
 
 /// The demand cache, spelled once: a use at `ts` hits while the cached
-/// record is live (`expiry > ts`, strict — [`CacheReplay::offer`]'s
-/// boundary); otherwise it misses and the lookup re-primes the slot for
-/// `ttl`.
-fn demand_hit(expiry: &mut Option<Timestamp>, ts: Timestamp, ttl: Duration) -> bool {
-    if expiry.is_some_and(|e| e > ts) {
+/// record is live (`expiry > ts`, strict); otherwise it misses and the
+/// lookup re-primes the slot with the `fresh` expiry.
+fn demand_hit(expiry: &mut Timestamp, ts: Timestamp, fresh: Timestamp) -> bool {
+    if *expiry > ts {
         return true;
     }
-    *expiry = Some(ts + ttl);
+    *expiry = fresh;
     false
 }
 
@@ -353,57 +401,31 @@ fn demand_hit(expiry: &mut Option<Timestamp>, ts: Timestamp, ttl: Duration) -> b
 /// floor below which entries are not refreshed.
 pub fn refresh(logs: &Logs, analysis: &Analysis<'_>, refresh_min_ttl: Duration) -> RefreshReport {
     let trace = Trace::new(logs, analysis);
-
-    // ---- standard policy ----
-    let mut cache = DemandCache::new();
+    // One standard cache serves both columns. Refresh-all: after the
+    // first demand miss for (house, name) — its slot was unprimed — the
+    // entry is kept fresh until the end of the trace, at one lookup per
+    // TTL interval from that first sight. Names below the TTL floor (the
+    // paper excludes them) behave exactly as in the standard cache.
+    let mut cache = DemandCache::default();
     let mut std_hits = 0u64;
-    let mut std_misses = 0u64;
-    for n in &trace.needs {
-        if demand_hit(cache.entry((n.house, n.name)).or_default(), n.ts, trace.ttl(n.name)) {
-            std_hits += 1;
-        } else {
-            std_misses += 1;
-        }
-    }
-
-    // ---- refresh-all policy ----
-    // After the first demand miss for (house, name), the entry is kept
-    // perpetually fresh until the end of the trace; the cost is one
-    // lookup per TTL interval. Names below the TTL floor fall back to
-    // demand behaviour (the paper excludes them from refreshing).
-    let mut first_seen: HashMap<(Ipv4Addr, usize), Timestamp> = HashMap::new();
     let mut ref_hits = 0u64;
-    let mut ref_misses = 0u64;
-    let mut low_ttl = DemandCache::new();
+    let mut refreshes = 0u64;
     for n in &trace.needs {
-        let ttl = trace.ttl(n.name);
-        let hit = if ttl >= refresh_min_ttl {
-            let seen = first_seen.contains_key(&(n.house, n.name));
-            if !seen {
-                first_seen.insert((n.house, n.name), n.ts);
-            }
-            seen
-        } else {
-            demand_hit(low_ttl.entry((n.house, n.name)).or_default(), n.ts, ttl)
-        };
-        if hit {
-            ref_hits += 1;
-        } else {
-            ref_misses += 1;
+        let slot = cache.entry(n.key()).or_default();
+        let seen = *slot != NEVER;
+        let std_hit = demand_hit(slot, n.ts, trace.fresh(n));
+        let refreshed = trace.ttl(n.name) >= refresh_min_ttl;
+        if refreshed && !seen {
+            refreshes += trace.refreshes(n.name, n.ts, trace.refresh_end);
         }
+        std_hits += u64::from(std_hit);
+        ref_hits += u64::from(if refreshed { seen } else { std_hit });
     }
-    // Refresh lookup cost: every demand miss (both kinds) is one lookup,
-    // plus one refresh per TTL interval from first sight to trace end for
-    // each refreshed (house, name).
-    let mut refresh_lookups: u64 = ref_misses;
-    // lint: allow(no-map-iteration): order-insensitive integer fold
-    for ((_, name), t0) in &first_seen {
-        refresh_lookups += trace.refreshes(*name, *t0, trace.refresh_end);
-    }
-
+    // Every demand miss is one lookup, in both columns.
+    let conns = trace.needs.len() as u64;
     RefreshReport {
-        standard: trace.report(std_misses, std_hits, std_misses),
-        refresh_all: trace.report(refresh_lookups, ref_hits, ref_misses),
+        standard: trace.report(conns - std_hits, std_hits),
+        refresh_all: trace.report(conns - ref_hits + refreshes, ref_hits),
         trace_secs: trace.secs,
         houses: trace.houses,
     }
@@ -415,33 +437,22 @@ pub fn refresh(logs: &Logs, analysis: &Analysis<'_>, refresh_min_ttl: Duration) 
 /// Only truly cold names miss. The lookup cost equals the standard
 /// cache's (one per expiry-crossing use, plus cold misses), making this
 /// the natural candidate answer to the paper's closing open question.
-pub fn serve_stale(
-    logs: &Logs,
-    analysis: &Analysis<'_>,
-    max_stale: Duration,
-) -> CachePolicyReport {
+pub fn serve_stale(logs: &Logs, analysis: &Analysis<'_>, max_stale: Duration) -> CachePolicyReport {
     let trace = Trace::new(logs, analysis);
     // Entry state: expiry of the freshest copy ever fetched.
-    let mut cache = DemandCache::new();
+    let mut cache = DemandCache::default();
     let mut hits = 0u64;
-    let mut misses = 0u64;
     let mut lookups = 0u64;
     for n in &trace.needs {
-        let slot = cache.entry((n.house, n.name)).or_default();
+        let slot = cache.entry(n.key()).or_default();
         let stale = *slot;
-        if demand_hit(slot, n.ts, trace.ttl(n.name)) {
-            hits += 1;
-            continue;
-        }
-        lookups += 1;
-        match stale {
-            // Stale-but-usable: served at once, refreshed in the background.
-            Some(expiry) if n.ts.since(expiry) <= max_stale => hits += 1,
-            // Cold (or too stale to serve): the client blocks.
-            _ => misses += 1,
-        }
+        let hit = demand_hit(slot, n.ts, trace.fresh(n));
+        lookups += u64::from(!hit);
+        // Stale-but-usable: served at once, refreshed in the background.
+        // Cold (or too stale to serve): the client blocks.
+        hits += u64::from(hit || (stale != NEVER && n.ts.since(stale) <= max_stale));
     }
-    trace.report(lookups, hits, misses)
+    trace.report(lookups, hits)
 }
 
 /// The future-work policy: refresh only names the house used at least
@@ -454,54 +465,43 @@ pub fn refresh_selective(
     min_uses: usize,
     idle_cutoff: Duration,
 ) -> CachePolicyReport {
-    let trace = Trace::new(logs, analysis);
-
-    // Pass 1: per (house, name), the use timestamps.
-    let mut uses: HashMap<(Ipv4Addr, usize), Vec<Timestamp>> = HashMap::new();
-    for n in &trace.needs {
-        uses.entry((n.house, n.name)).or_default().push(n.ts);
-    }
-
+    let mut trace = Trace::new(logs, analysis);
+    // Per (house, name), its uses in time order: the sort is stable and
+    // the needs start out in time order.
+    trace.needs.sort_by_key(Need::key);
     let mut hits = 0u64;
-    let mut misses = 0u64;
     let mut lookups = 0u64;
-    // lint: allow(no-map-iteration): order-insensitive integer fold per key
-    for ((_house, name), times) in &uses {
-        let ttl = trace.ttl(*name);
-        let qualifies = times.len() >= min_uses && ttl >= refresh_min_ttl;
-        if !qualifies {
+    for uses in trace.needs.chunk_by(|a, b| a.key() == b.key()) {
+        let name = uses[0].name;
+        if uses.len() < min_uses || trace.ttl(name) < refresh_min_ttl {
             // Standard demand behaviour for this (house, name).
-            let mut expiry = None;
-            for t in times {
-                if demand_hit(&mut expiry, *t, ttl) {
-                    hits += 1;
-                } else {
-                    misses += 1;
-                    lookups += 1;
-                }
+            let mut expiry = NEVER;
+            for n in uses {
+                let hit = demand_hit(&mut expiry, n.ts, trace.fresh(n));
+                hits += u64::from(hit);
+                lookups += u64::from(!hit);
             }
             continue;
         }
         // Refresh while "warm": from each use, keep refreshing until
         // idle_cutoff elapses with no further use (or the trace ends).
-        misses += 1; // first use is a cold miss
-        hits += (times.len() - 1) as u64;
+        // Only the first use is a (cold) miss.
+        hits += (uses.len() - 1) as u64;
         lookups += 1;
-        let mut horizon = times[0];
-        for (i, t) in times.iter().enumerate() {
-            let next_use = times.get(i + 1).copied();
-            let warm_until = (*t + idle_cutoff).min(trace.refresh_end);
-            let warm_until = match next_use {
-                Some(nu) if nu <= warm_until => nu,
+        let mut horizon = uses[0].ts;
+        for (i, n) in uses.iter().enumerate() {
+            let warm_until = (n.ts + idle_cutoff).min(trace.refresh_end);
+            let warm_until = match uses.get(i + 1) {
+                Some(next) if next.ts <= warm_until => next.ts,
                 _ => warm_until,
             };
             if warm_until > horizon {
-                lookups += trace.refreshes(*name, horizon, warm_until);
+                lookups += trace.refreshes(name, horizon, warm_until);
                 horizon = warm_until;
             }
         }
     }
-    trace.report(lookups, hits, misses)
+    trace.report(lookups, hits)
 }
 
 fn pct(part: u64, whole: u64) -> f64 {
@@ -595,6 +595,54 @@ mod tests {
         let analysis = Analysis::run(&logs, cfg);
         let report = whole_house(&logs, &analysis);
         assert_eq!(report.moved, 0);
+    }
+
+    /// The cache holds records, not names: an `AAAA` answer does not
+    /// absorb the `A` lookup a dual-stack stub sends beside it (the
+    /// fixture's `AAAA` rows carry an address so their connections pair).
+    #[test]
+    fn whole_house_keys_on_the_query_type() {
+        use dns_wire::RrType::{Aaaa, A};
+        for (first, second, moved) in [(A, Aaaa, 0), (Aaaa, A, 0), (A, A, 1)] {
+            let mut logs = Logs::default();
+            logs.dns = vec![
+                DnsTransaction { qtype: first, ..txn(0, "a.example.com", SERVER, 300, 4) },
+                DnsTransaction { qtype: second, ..txn(30_000, "a.example.com", SERVER, 300, 4) },
+            ];
+            logs.conns = vec![conn(6, SERVER, 0), conn(30_006, SERVER, 1)];
+            logs.sort();
+            let mut cfg = AnalysisConfig::default();
+            cfg.threshold_rule.min_lookups = 1;
+            let analysis = Analysis::run(&logs, cfg);
+            assert_eq!(whole_house(&logs, &analysis).moved, moved, "{first:?} then {second:?}");
+
+            let mut replay = CacheReplay::new(Duration::from_secs(60));
+            let absorbed: Vec<bool> = logs.dns.iter().map(|t| replay.offer(t)).collect();
+            assert_eq!(absorbed, [false, moved == 1], "{first:?} then {second:?}");
+            assert_eq!(replay.live(), 2 - moved as u64);
+        }
+    }
+
+    /// A lookup that finds its record expired takes the slot over in
+    /// place; one that went unanswered leaves nothing behind.
+    #[test]
+    fn cache_replay_reprimes_in_place_and_drops_what_nothing_answers() {
+        let mut replay = CacheReplay::new(Duration::from_secs(3_600));
+        let unanswered = |ts_ms| DnsTransaction {
+            rcode: None,
+            rtt: None,
+            answers: Vec::new(),
+            ..txn(ts_ms, "a.example.com", SERVER, 10, 4)
+        };
+        assert!(!replay.offer(&unanswered(0)));
+        assert_eq!((replay.live(), replay.evicted()), (0, 0));
+        assert!(!replay.offer(&txn(1_000, "a.example.com", SERVER, 10, 4)));
+        assert!(!replay.offer(&txn(20_000, "a.example.com", SERVER, 10, 4)));
+        assert_eq!((replay.live(), replay.evicted(), replay.peak_live()), (1, 1, 1));
+        assert!(replay.offer(&txn(21_000, "a.example.com", SERVER, 10, 4)));
+        assert!(!replay.offer(&unanswered(40_000)));
+        assert_eq!((replay.live(), replay.evicted(), replay.peak_live()), (0, 2, 1));
+        assert_eq!((replay.hits(), replay.misses()), (1, 4));
     }
 
     fn many_need_logs() -> Logs {

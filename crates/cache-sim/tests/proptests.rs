@@ -2,21 +2,20 @@
 //! driven by fixed `xkit::rng` streams so every run exercises the same
 //! cases.
 
+mod common;
+
 use cache_sim::{refresh, refresh_selective, serve_stale, whole_house};
+use common::{push_lookup_and_conn, reference_whole_house};
 use dns_context::{Analysis, AnalysisConfig};
 use std::net::Ipv4Addr;
 use xkit::rng::StdRng;
-use zeek_lite::{
-    Answer, ConnRecord, ConnState, DnsTransaction, Duration, FiveTuple, Logs, Proto, Timestamp,
-};
+use zeek_lite::{Duration, Logs};
 
 const CASES: usize = 128;
 
 fn rng(label: u64) -> StdRng {
     StdRng::seed_from_u64(0xCAC_0E5 ^ label)
 }
-
-const RESOLVER: Ipv4Addr = Ipv4Addr::new(198, 51, 100, 53);
 
 fn client(i: u8) -> Ipv4Addr {
     Ipv4Addr::new(10, 77, 0, 1 + (i % 3))
@@ -29,42 +28,14 @@ fn server(i: u8) -> Ipv4Addr {
 /// a connection to the looked-up address from the same house.
 fn gen_logs(r: &mut StdRng) -> Logs {
     let mut logs = Logs::default();
-    for i in 0..r.random_range(1..40usize) {
+    for _ in 0..r.random_range(1..40usize) {
         let ts_ms = r.random_range(0u64..500_000);
         let c = r.random::<u8>();
         let s = r.random::<u8>();
         let ttl = r.random_range(1u32..900);
         let delay_ms = r.random_range(1u64..200);
-        logs.dns.push(DnsTransaction {
-            ts: Timestamp::from_millis(ts_ms),
-            client: client(c),
-            resolver: RESOLVER,
-            trans_id: i as u16,
-            query: format!("svc-{}.example", s % 5),
-            qtype: dns_wire::RrType::A,
-            rcode: Some(dns_wire::Rcode::NoError),
-            rtt: Some(Duration::from_millis(4)),
-            answers: vec![Answer::addr(server(s), ttl)],
-        });
-        logs.conns.push(ConnRecord {
-            uid: i as u64,
-            ts: Timestamp::from_millis(ts_ms + 4 + delay_ms),
-            id: FiveTuple {
-                orig_addr: client(c),
-                orig_port: 40_000 + i as u16,
-                resp_addr: server(s),
-                resp_port: 443,
-                proto: Proto::Tcp,
-            },
-            duration: Duration::from_millis(500),
-            orig_bytes: 100,
-            resp_bytes: 1_000,
-            orig_pkts: 4,
-            resp_pkts: 4,
-            state: ConnState::SF,
-            history: zeek_lite::History::new(),
-            service: Some("ssl"),
-        });
+        let query = format!("svc-{}.example", s % 5);
+        push_lookup_and_conn(&mut logs, (client(c), server(s)), query, ts_ms, Some(ttl), delay_ms);
     }
     logs.sort();
     logs
@@ -168,4 +139,32 @@ fn ttl_floor_monotone() {
             last = rr.refresh_all.lookups;
         }
     }
+}
+
+/// The batch `whole_house` is the streaming replay it used to be, field
+/// for field — also once some lookups ask `AAAA`, go unanswered or come
+/// back with TTL 0.
+#[test]
+fn whole_house_matches_the_streaming_replay() {
+    let mut r = rng(6);
+    let mut moved = 0;
+    for case in 0..2 * CASES {
+        let mut logs = gen_logs(&mut r);
+        if case >= CASES {
+            for txn in &mut logs.dns {
+                match r.random_range(0u8..8) {
+                    0 | 1 => txn.qtype = dns_wire::RrType::Aaaa,
+                    2 => (txn.rcode, txn.rtt, txn.answers) = (None, None, Vec::new()),
+                    3 => txn.answers[0].ttl = 0,
+                    _ => {}
+                }
+            }
+            logs.sort();
+        }
+        let a = Analysis::run(&logs, acfg());
+        let wh = whole_house(&logs, &a);
+        assert_eq!(wh, reference_whole_house(&logs, &a), "case {case}");
+        moved += wh.moved;
+    }
+    assert!(moved > CASES, "the worlds move too little to compare: {moved}");
 }

@@ -88,10 +88,10 @@ pub fn rules() -> Vec<Rule> {
         },
         Rule {
             id: "no-owned-copy-hotpath",
-            desc: "per-frame parse paths stay copy-free: no .to_vec()/.clone() in pcapio, netpkt, dns-wire",
-            hint: "borrow from the record buffer; mark a sanctioned exit with `// lint: allow(no-owned-copy-hotpath): why`",
+            desc: "per-frame parse paths and the per-lookup cache replays stay copy-free: no .to_vec()/.clone() in pcapio, netpkt, dns-wire, cache-sim",
+            hint: "borrow from the record buffer (cache-sim: key on the interned id); mark a sanctioned exit with `// lint: allow(no-owned-copy-hotpath): why`",
             scope: Scope {
-                roots: &["crates/pcapio/src", "crates/netpkt/src", "crates/dns-wire/src"],
+                roots: &["crates/pcapio/src", "crates/netpkt/src", "crates/dns-wire/src", "crates/cache-sim/src"],
                 exclude: &[],
                 src_only: true,
                 include_tests: false,

@@ -80,7 +80,20 @@ fn clone_on_hot_path_fires_and_only_lint_allow_suppresses() {
 #[test]
 fn clone_outside_hot_crates_is_out_of_scope() {
     let src = "pub fn f(d: &[u8]) -> Vec<u8> { d.to_vec() }\n";
-    assert!(diags("crates/cache-sim/src/lib.rs", src).is_empty());
+    assert!(diags("crates/dns-context/src/lib.rs", src).is_empty());
+}
+
+#[test]
+fn a_per_lookup_string_in_the_cache_replays_fires() {
+    // The batch replays key on interned ids; only the streaming replay,
+    // whose rows are dropped behind it, may own a name — and says why.
+    let src = "fn f(m: &mut M, q: &String) { m.insert(q.clone(), 0); }\n";
+    assert_eq!(fired("crates/cache-sim/src/lib.rs", src), vec!["no-owned-copy-hotpath"]);
+    let marked = "fn f(m: &mut M, q: &String) {\n    // lint: allow(no-owned-copy-hotpath): the stream\n    // drops its rows, so the key is owned\n    m.insert(q.clone(), 0);\n}\n";
+    assert!(diags("crates/cache-sim/src/lib.rs", marked).is_empty());
+    let in_test = "#[cfg(test)]\nmod tests {\n    fn f(q: &String) -> String { q.clone() }\n}\n";
+    assert!(diags("crates/cache-sim/src/lib.rs", in_test).is_empty());
+    assert!(diags("crates/cache-sim/tests/proptests.rs", src).is_empty());
 }
 
 // ---- monitor-stays-borrowed ----------------------------------------------

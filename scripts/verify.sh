@@ -82,6 +82,10 @@ echo "== perf-hygiene suite =="
 # The refactored hot path must be unobservable: bytes, logs, counts, and
 # metrics identical across threads, windows, and the owned fallback.
 cargo test -q --release --offline -p bench --test zero_copy_agreement
+# §8's batch replays on packed keys: the differential against the
+# streaming replay over eight simulated days, and the allocation pin.
+cargo test -q --release --offline -p cache-sim
+cargo test -q --release --offline -p dnsctx --test cache_sim_alloc
 
 echo "== obs-serve suite =="
 # Serve smoke on an ephemeral port: every endpoint must answer and
