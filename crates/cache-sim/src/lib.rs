@@ -120,6 +120,10 @@ pub fn whole_house(logs: &Logs, analysis: &Analysis<'_>) -> WholeHouseReport {
 pub struct CacheReplay {
     /// Per `(house, qtype)`: query name → expiry of the cached record.
     cache: HashMap<(Ipv4Addr, RrType), HashMap<String, Timestamp>>,
+    /// Name buffers of evicted entries, for the next entries to own: the
+    /// stream drops its rows, so the cache copies each name it keeps, into
+    /// one of these when there is one. Never more than `peak_live - live`.
+    spare: Vec<String>,
     sweep_interval: Duration,
     last_sweep: Timestamp,
     live: u64,
@@ -135,6 +139,7 @@ impl CacheReplay {
     pub fn new(sweep_interval: Duration) -> CacheReplay {
         CacheReplay {
             cache: HashMap::new(),
+            spare: Vec::new(),
             sweep_interval,
             last_sweep: Timestamp::ZERO,
             live: 0,
@@ -163,14 +168,16 @@ impl CacheReplay {
                     // answer took the slot in place; without one it goes.
                     self.evicted += 1;
                     if fresh.is_none() {
-                        names.remove(txn.query.as_str());
+                        let gone = names.remove_entry(txn.query.as_str());
+                        self.spare.extend(gone.map(|(name, _)| name));
                         self.live -= 1;
                     }
                 }
             } else if let Some(expires) = fresh {
-                // lint: allow(no-owned-copy-hotpath): the stream releases
-                // and drops its rows, so the cache must own this key
-                names.insert(txn.query.clone(), expires);
+                let mut name = self.spare.pop().unwrap_or_default();
+                name.clear();
+                name.push_str(&txn.query);
+                names.insert(name, expires);
                 self.live += 1;
             }
         }
@@ -187,7 +194,8 @@ impl CacheReplay {
         self.last_sweep = now;
         let mut kept = 0u64;
         self.cache.retain(|_, names| {
-            names.retain(|_, expiry| *expiry > now);
+            let expired = names.extract_if(|_, expiry| *expiry <= now);
+            self.spare.extend(expired.map(|(name, _)| name));
             kept += names.len() as u64;
             !names.is_empty()
         });
@@ -803,6 +811,46 @@ mod tests {
         assert!(replay.peak_live() <= 2, "peak {}", replay.peak_live());
         assert_eq!(replay.misses(), 50);
         assert_eq!(replay.evicted() + replay.live(), 50);
+    }
+
+    /// Names come and go in waves — primed, swept away, primed again
+    /// under other names, dropped one by one by unanswered lookups — and
+    /// every buffer the cache gives up is one a later entry takes: spare
+    /// and live buffers together never outnumber the most entries held.
+    #[test]
+    fn cache_replay_spares_stay_under_the_high_water_mark() {
+        let mut replay = CacheReplay::new(Duration::from_secs(60));
+        let unanswered = |ts_ms, name: &str| DnsTransaction {
+            rcode: None,
+            rtt: None,
+            answers: Vec::new(),
+            ..txn(ts_ms, name, SERVER, 5, 4)
+        };
+        let (mut reused, mut lazily_removed) = (0u64, 0u64);
+        for wave in 0..6u64 {
+            let t0 = wave * 200_000;
+            // The wave's width varies, so a narrow one leaves spares over.
+            let width = [40, 10, 60, 5, 25, 40][wave as usize];
+            for i in 0..width {
+                let name = format!("w{wave}-n{i}.example.com");
+                let spares = replay.spare.len();
+                assert!(!replay.offer(&txn(t0 + i, &name, SERVER, 5, 4)));
+                reused += u64::from(replay.spare.len() < spares);
+                assert!(replay.spare.len() as u64 + replay.live() <= replay.peak_live());
+            }
+            // Past the TTL, before the next sweep: every other name is
+            // asked for again and not answered.
+            for i in (0..width).step_by(2) {
+                let name = format!("w{wave}-n{i}.example.com");
+                let spares = replay.spare.len();
+                assert!(!replay.offer(&unanswered(t0 + 10_000 + i, &name)));
+                lazily_removed += u64::from(replay.spare.len() > spares);
+                assert!(replay.spare.len() as u64 + replay.live() <= replay.peak_live());
+            }
+        }
+        assert!(reused > 100 && lazily_removed > 80, "{reused} reused, {lazily_removed} removed");
+        assert_eq!(replay.peak_live(), 60);
+        assert_eq!(replay.evicted() + replay.live(), 180, "every entry is evicted once");
     }
 
     #[test]

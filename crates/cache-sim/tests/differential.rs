@@ -2,11 +2,12 @@
 //! (`common::reference_whole_house`), on simulated days at several seeds
 //! and on rows forced onto every boundary; and the three Table 3 policies
 //! against the reports the commit before they moved onto packed keys
-//! printed for the same days.
+//! printed for the same days; and the streaming replay's own counters
+//! against what the commit before it reused its name buffers counted.
 
 mod common;
 
-use cache_sim::{refresh, refresh_selective, serve_stale, whole_house};
+use cache_sim::{refresh, refresh_selective, serve_stale, whole_house, CacheReplay};
 use ccz_sim::{ScaleKnobs, Simulation, WorkloadConfig};
 use common::{push_lookup_and_conn, reference_whole_house, RTT_MS};
 use dns_context::{Analysis, AnalysisConfig};
@@ -44,9 +45,23 @@ const RECORDED: [(u64, &str, &str, &str); 8] = [
      "CachePolicyReport { conns: 21321, lookups: 153130, lookups_per_sec_per_house: 0.14776105280124588, hit_pct: 82.95108109375732, miss_pct: 17.048918906242672 }"),
 ];
 
+/// Per seed, `[hits, misses, evicted, live, peak_live]` of a 60 s-sweep
+/// [`CacheReplay`] over the same day's dns log, recorded from the commit
+/// before the replay kept its evicted entries' name buffers.
+const REPLAYED: [[u64; 5]; 8] = [
+    [2364, 19066, 18038, 1028, 1065],
+    [1430, 18413, 17575, 838, 929],
+    [1510, 13983, 13054, 929, 972],
+    [2214, 17222, 16273, 949, 1059],
+    [1579, 15650, 14836, 814, 907],
+    [1709, 16152, 15207, 945, 996],
+    [1456, 19424, 18508, 916, 974],
+    [1311, 14532, 13774, 758, 775],
+];
+
 #[test]
 fn simulated_days_agree_with_the_replay_and_the_recorded_policies() {
-    for (seed, refreshed, stale, selective) in RECORDED {
+    for ((seed, refreshed, stale, selective), replayed) in std::iter::zip(RECORDED, REPLAYED) {
         // `dnsctx::pipeline::quick_study(12, 0.5, seed)`, without the cycle.
         let cfg = WorkloadConfig {
             scale: ScaleKnobs { houses: 12, days: 1.0, activity: 0.5 },
@@ -58,6 +73,14 @@ fn simulated_days_agree_with_the_replay_and_the_recorded_policies() {
         let wh = whole_house(&logs, &a);
         assert!(wh.moved > 100, "seed {seed}: the day moves too little to compare: {wh:?}");
         assert_eq!(wh, reference_whole_house(&logs, &a), "seed {seed}");
+
+        let mut replay = CacheReplay::new(Duration::from_secs(60));
+        for txn in &logs.dns {
+            replay.offer(txn);
+        }
+        let counted =
+            [replay.hits(), replay.misses(), replay.evicted(), replay.live(), replay.peak_live()];
+        assert_eq!(counted, replayed, "seed {seed}: the replay's cache.* counters");
 
         let hour = Duration::from_secs(3_600);
         let floor = Duration::from_secs(10);

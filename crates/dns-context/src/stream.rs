@@ -49,10 +49,15 @@
 //! min-heap keyed by the instant it becomes droppable
 //! (`max(expires, successor.completed)`), so eviction pops exactly the
 //! keys that drop something and single-entry keys are never visited;
-//! unreleased rows wait in `(ts, arrival)` order, so a release pops a
-//! prefix and leaves the retained rows where they are; and after an
-//! engine's first publication the hub's snapshot is overwritten value
-//! by value under its lock, which allocates nothing.
+//! unreleased rows wait in a binary min-heap on `(ts, arrival)`, so a
+//! release pops a prefix in that order — arrival breaks every tie, which
+//! is what a stable sort of the arrival-ordered rows would do — and the
+//! retained rows cost nothing; and after an engine's first publication
+//! the hub's snapshot is overwritten value by value under its lock,
+//! which allocates nothing. The heaps, the release scratch and the
+//! monitor's row vectors keep their capacity from epoch to epoch, a key
+//! with one index entry stores it in its map slot, and each output
+//! vector is sized once: a boundary allocates for the rows it hands out.
 //!
 //! # Deferred SC/R split
 //!
@@ -82,7 +87,8 @@ use crate::kernel::{
 };
 use crate::pairing::PairingPolicy;
 use crate::{AnalysisConfig, ClassCounts, ConnClass, Coverage};
-use std::cmp::Reverse;
+use std::cmp::{Ordering, Reverse};
+use std::collections::hash_map::Entry as Slot;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use std::net::Ipv4Addr;
 use xkit::collections::FastMap;
@@ -144,22 +150,120 @@ struct Lookup {
     rtt: Duration,
 }
 
-/// Completed-but-unreleased rows in `(ts, arrival)` order. Both release
-/// predicates are on `ts`, so releasing pops a prefix; rows that stay are
-/// not moved.
-type Pending<T> = BTreeMap<(Timestamp, u64), T>;
+/// A buffered row under its `(ts, arrival)` key. Ordered by the key
+/// alone, reversed, so a [`BinaryHeap`] pops the smallest key first.
+struct Held<T> {
+    at: (Timestamp, u64),
+    row: T,
+}
 
-/// Remove and return the rows stamped strictly before `w`, in
-/// `(ts, arrival)` order.
-fn release_before<T>(rows: &mut Pending<T>, w: Timestamp) -> Vec<T> {
-    let mut out = Vec::new();
-    while let Some(first) = rows.first_entry() {
-        if first.key().0 >= w {
-            break;
-        }
-        out.push(first.remove());
+impl<T> PartialEq for Held<T> {
+    fn eq(&self, other: &Held<T>) -> bool {
+        self.at == other.at
     }
-    out
+}
+
+impl<T> Eq for Held<T> {}
+
+impl<T> PartialOrd for Held<T> {
+    fn partial_cmp(&self, other: &Held<T>) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<T> Ord for Held<T> {
+    fn cmp(&self, other: &Held<T>) -> Ordering {
+        other.at.cmp(&self.at)
+    }
+}
+
+/// Completed-but-unreleased rows. Both release predicates are on `ts`,
+/// so releasing pops a prefix of the `(ts, arrival)` order; rows that
+/// stay are not visited.
+struct Pending<T> {
+    heap: BinaryHeap<Held<T>>,
+    /// Rows buffered so far: the arrival half of the next key.
+    arrived: u64,
+    /// The rows of the release in hand; empty, capacity kept, between
+    /// releases.
+    scratch: Vec<Held<T>>,
+}
+
+impl<T> Pending<T> {
+    fn new() -> Pending<T> {
+        Pending { heap: BinaryHeap::new(), arrived: 0, scratch: Vec::new() }
+    }
+
+    fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    /// Buffer `rows`, in the order given, each under its `ts`.
+    fn extend(&mut self, rows: impl IntoIterator<Item = T>, ts: impl Fn(&T) -> Timestamp) {
+        for row in rows {
+            self.heap.push(Held { at: (ts(&row), self.arrived), row });
+            self.arrived += 1;
+        }
+    }
+
+    /// Remove the rows stamped strictly before `w` and return them in
+    /// `log_order`, arrival order among rows it holds equal — a total
+    /// key, so the sort is in place — in a vector sized once.
+    fn release_before(&mut self, w: Timestamp, log_order: impl Fn(&T, &T) -> Ordering) -> Vec<T> {
+        while let Some(first) = self.heap.peek() {
+            if first.at.0 >= w {
+                break;
+            }
+            self.scratch.extend(self.heap.pop());
+        }
+        self.scratch
+            .sort_unstable_by(|a, b| log_order(&a.row, &b.row).then(a.at.1.cmp(&b.at.1)));
+        let mut out = Vec::with_capacity(self.scratch.len());
+        out.extend(self.scratch.drain(..).map(|held| held.row));
+        out
+    }
+}
+
+/// One key's index entries, sorted by `(completed, dns_idx)`. Most keys
+/// only ever hold one, which lives in the map slot; a second spills the
+/// run to the heap, where it stays.
+enum Run {
+    One(Entry),
+    Many(Vec<Entry>),
+}
+
+impl Run {
+    fn as_slice(&self) -> &[Entry] {
+        match self {
+            Run::One(entry) => std::slice::from_ref(entry),
+            Run::Many(entries) => entries,
+        }
+    }
+
+    /// Insert `entry` at its sorted position and return that position.
+    fn insert(&mut self, entry: Entry) -> usize {
+        let at = (entry.completed, entry.dns_idx);
+        let pos = self.as_slice().partition_point(|e| (e.completed, e.dns_idx) <= at);
+        match self {
+            Run::One(first) => {
+                // The capacity a `Vec` gives its first push.
+                let mut entries = Vec::with_capacity(4);
+                entries.push(*first);
+                entries.insert(pos, entry);
+                *self = Run::Many(entries);
+            }
+            Run::Many(entries) => entries.insert(pos, entry),
+        }
+        pos
+    }
+
+    /// Keep the entries `keep` accepts. Eviction never drops a key's
+    /// newest entry, so a run of one has nothing to offer.
+    fn retain(&mut self, keep: impl FnMut(&Entry) -> bool) {
+        if let Run::Many(entries) = self {
+            entries.retain(keep);
+        }
+    }
 }
 
 /// The rows released at one epoch boundary, in canonical log order.
@@ -221,11 +325,9 @@ pub struct StreamEngine {
     /// Completed-but-unreleased rows; bounded by the window, not the trace.
     buf_conns: Pending<ConnRecord>,
     buf_dns: Pending<DnsTransaction>,
-    /// Rows buffered so far: the arrival half of the next buffer key.
-    arrived: u64,
     /// The streaming pairing index, per-key sorted by `(completed, dns_idx)`.
     /// Addressed by key only, never iterated.
-    index: FastMap<u64, Vec<Entry>>,
+    index: FastMap<u64, Run>,
     /// `(droppable at, key)` for every index entry that has a successor
     /// under its key: `max(expires, successor.completed)` is the first
     /// watermark at which the eviction rule drops it. An insert between
@@ -274,7 +376,6 @@ impl StreamEngine {
             cfg,
             buf_conns: Pending::new(),
             buf_dns: Pending::new(),
-            arrived: 0,
             index: FastMap::default(),
             droppable: BinaryHeap::new(),
             lookups: FastMap::default(),
@@ -379,8 +480,8 @@ impl StreamEngine {
     /// folded counters.
     pub fn end_epoch(&mut self, boundary: Option<Timestamp>) -> EpochOutput {
         self.epochs += 1;
-        let (conns, dns) = (self.monitor.drain_conns(), self.monitor.drain_dns());
-        self.buffer(conns, dns);
+        self.buf_conns.extend(self.monitor.drain_conns(), |c| c.ts);
+        self.buf_dns.extend(self.monitor.drain_dns(), |t| t.ts);
 
         // High-water marks over everything currently held in memory,
         // measured before the release empties the buffers.
@@ -485,34 +586,21 @@ impl StreamEngine {
     /// Buffer completed rows, in the order given, until a watermark
     /// releases them.
     fn buffer(&mut self, conns: Vec<ConnRecord>, dns: Vec<DnsTransaction>) {
-        for conn in conns {
-            self.buf_conns.insert((conn.ts, self.arrived), conn);
-            self.arrived += 1;
-        }
-        for txn in dns {
-            self.buf_dns.insert((txn.ts, self.arrived), txn);
-            self.arrived += 1;
-        }
+        self.buf_conns.extend(conns, |c| c.ts);
+        self.buf_dns.extend(dns, |t| t.ts);
     }
 
     /// Release buffered rows below the watermarks: DNS first (the index
     /// must contain every lookup a released connection could pair with),
     /// then connections.
     fn release(&mut self, w_conn: Timestamp, w_dns: Timestamp) -> EpochOutput {
-        // The prefix comes out in `(ts, arrival)` order; the stable sorts
-        // only order rows of equal `ts`, keeping arrival order for full
-        // ties exactly as a stable sort of the arrival-ordered rows does.
-        let mut dns_out = release_before(&mut self.buf_dns, w_dns);
-        dns_out.sort_by(DnsTransaction::log_order);
-        for txn in &dns_out {
+        let dns = self.buf_dns.release_before(w_dns, DnsTransaction::log_order);
+        for txn in &dns {
             self.ingest_dns(txn);
         }
-
-        let mut conn_out = release_before(&mut self.buf_conns, w_conn);
-        conn_out.sort_by_key(|c| (c.ts, c.uid));
-        self.absorb_conns(&conn_out);
-
-        EpochOutput { conns: conn_out, dns: dns_out }
+        let conns = self.buf_conns.release_before(w_conn, |a, b| (a.ts, a.uid).cmp(&(b.ts, b.uid)));
+        self.absorb_conns(&conns);
+        EpochOutput { conns, dns }
     }
 
     /// Give one released DNS row its batch ordinal and fold it into the
@@ -533,16 +621,26 @@ impl StreamEngine {
         let rtt = txn.rtt.expect("completed lookups are answered");
         for addr in txn.addrs() {
             let key = pack_key(txn.client, addr);
-            let entries = self.index.entry(key).or_default();
-            let pos = entries.partition_point(|e| (e.completed, e.dns_idx) <= (completed, idx));
-            entries.insert(pos, Entry { completed, expires, dns_idx: idx });
-            // The new entry is droppable once its successor has completed;
-            // its predecessor's successor is now the new entry.
-            if let Some(next) = entries.get(pos + 1) {
-                self.droppable.push(Reverse((expires.max(next.completed), key)));
-            }
-            if pos > 0 {
-                self.droppable.push(Reverse((entries[pos - 1].expires.max(completed), key)));
+            let entry = Entry { completed, expires, dns_idx: idx };
+            match self.index.entry(key) {
+                Slot::Vacant(slot) => {
+                    slot.insert(Run::One(entry));
+                }
+                Slot::Occupied(slot) => {
+                    let run = slot.into_mut();
+                    let pos = run.insert(entry);
+                    let entries = run.as_slice();
+                    // The new entry is droppable once its successor has
+                    // completed; its predecessor's successor is now the
+                    // new entry.
+                    if let Some(next) = entries.get(pos + 1) {
+                        self.droppable.push(Reverse((expires.max(next.completed), key)));
+                    }
+                    if pos > 0 {
+                        let before = entries[pos - 1].expires.max(completed);
+                        self.droppable.push(Reverse((before, key)));
+                    }
+                }
             }
             let lookup = Lookup { refs: 0, claimed: false, resolver: txn.resolver, rtt };
             self.lookups.entry(idx).or_insert(lookup).refs += 1;
@@ -557,7 +655,7 @@ impl StreamEngine {
         self.released_conns += conns.len() as u64;
         for conn in conns.iter().filter(|c| !c.is_dns()) {
             let run = self.index.get(&pack_key(conn.id.orig_addr, conn.id.resp_addr));
-            let found = run.and_then(|run| select(run, conn.ts)).map(|found| {
+            let found = run.and_then(|run| select(run.as_slice(), conn.ts)).map(|found| {
                 let lookup = self
                     .lookups
                     .get_mut(&found.chosen.dns_idx)
@@ -593,8 +691,8 @@ impl StreamEngine {
                 break;
             }
             self.droppable.pop();
-            let entries = self.index.get_mut(&key).expect("keys keep their newest entry");
-            let cut = entries.partition_point(|e| e.completed <= w);
+            let run = self.index.get_mut(&key).expect("keys keep their newest entry");
+            let cut = run.as_slice().partition_point(|e| e.completed <= w);
             if cut < 2 {
                 // No entry has both a newer completed witness and a
                 // position before it.
@@ -602,7 +700,7 @@ impl StreamEngine {
             }
             let last_keep = cut - 1;
             let mut pos = 0usize;
-            entries.retain(|e| {
+            run.retain(|e| {
                 let gone = pos < last_keep && e.expires <= w;
                 pos += 1;
                 if gone {
@@ -763,8 +861,8 @@ mod tests {
             let out = engine.end_epoch(Some(w));
             // A row stamped exactly at the cut stays behind.
             assert!(out.conns.iter().all(|c| c.ts < w) && out.dns.iter().all(|d| d.ts < w));
-            let held = engine.buf_conns.keys().chain(engine.buf_dns.keys());
-            assert!(held.into_iter().all(|k| k.0 >= w));
+            let held_conns = engine.buf_conns.heap.iter().map(|h| h.at.0);
+            assert!(held_conns.chain(engine.buf_dns.heap.iter().map(|h| h.at.0)).all(|ts| ts >= w));
             got_conns.extend(out.conns);
             got_dns.extend(out.dns);
             // With no monitor state both watermarks are the boundary. The
@@ -772,7 +870,9 @@ mod tests {
             // find nothing left to drop, and every lookup's refcount must
             // be its surviving entries.
             let mut refs: HashMap<usize, usize> = HashMap::new();
-            for entries in engine.index.values() {
+            for run in engine.index.values() {
+                let entries = run.as_slice();
+                assert!(entries.is_sorted_by_key(|e| (e.completed, e.dns_idx)));
                 let cut = entries.partition_point(|e| e.completed <= w);
                 let prefix = &entries[..cut.saturating_sub(1)];
                 assert!(prefix.iter().all(|e| e.expires > w), "entry left droppable at {b} ms");
@@ -838,6 +938,70 @@ mod tests {
         assert_eq!(evicted, 1, "the older expired entry must be evicted");
         assert_eq!(result.analysis_metrics.to_json(), batch.to_json());
         assert_eq!(result.class_counts, analysis.class_counts());
+    }
+
+    fn entry((completed_ms, dns_idx): (u64, usize)) -> Entry {
+        let completed = Timestamp::from_millis(completed_ms);
+        Entry { completed, expires: completed, dns_idx }
+    }
+
+    /// A run as `(completed ms, dns_idx)` pairs, checked sorted.
+    fn keys(run: &Run) -> Vec<(u64, usize)> {
+        let entries = run.as_slice();
+        assert!(entries.is_sorted_by_key(|e| (e.completed, e.dns_idx)));
+        entries.iter().map(|e| (e.completed.nanos() / 1_000_000, e.dns_idx)).collect()
+    }
+
+    #[test]
+    fn a_run_stays_sorted_across_the_spill_and_back_to_one_entry() {
+        // The second entry before, level with (lower and higher ordinal)
+        // and after the inline one; then a third at every position.
+        for second in [(5, 9), (10, 3), (10, 7), (20, 0)] {
+            for third in [(1, 1), (10, 6), (30, 1)] {
+                let mut run = Run::One(entry((10, 5)));
+                assert_eq!(keys(&run), [(10, 5)]);
+                let mut want = vec![(10, 5), second];
+                want.sort_unstable();
+                assert_eq!(run.insert(entry(second)), usize::from(second > (10, 5)));
+                assert_eq!(keys(&run), want);
+                want.push(third);
+                want.sort_unstable();
+                let third_pos = want.iter().position(|k| *k == third).unwrap();
+                assert_eq!(run.insert(entry(third)), third_pos, "{second:?} then {third:?}");
+                assert_eq!(keys(&run), want);
+
+                // Down to the newest entry, and up again.
+                let newest = want[2];
+                run.retain(|e| (e.completed, e.dns_idx) == (entry(newest).completed, newest.1));
+                assert_eq!(keys(&run), [newest]);
+                assert_eq!(run.insert(entry((0, 2))), 0);
+                assert_eq!(run.insert(entry((40, 0))), 2);
+                assert_eq!(keys(&run), [(0, 2), newest, (40, 0)]);
+            }
+        }
+        // A run of one is its key's newest entry: nothing to drop.
+        let mut run = Run::One(entry((10, 5)));
+        run.retain(|_| false);
+        assert_eq!(keys(&run), [(10, 5)]);
+    }
+
+    #[test]
+    fn pending_rows_leave_in_ts_then_arrival_order_and_the_watermark_row_stays() {
+        // (ts, payload): payloads of equal ts arrive 3, 1, 2, and a row
+        // stamped later arrives before them all.
+        let mut rows: Pending<(u64, u32)> = Pending::new();
+        rows.extend([(30, 0), (10, 3), (20, 9), (10, 1), (10, 2), (20, 8)], |r| Timestamp(r.0));
+        // An order that holds every row equal: arrival alone decides ties.
+        let by_ts = |a: &(u64, u32), b: &(u64, u32)| a.0.cmp(&b.0);
+        assert_eq!(rows.release_before(Timestamp(10), by_ts), []);
+        assert_eq!(rows.release_before(Timestamp(20), by_ts), [(10, 3), (10, 1), (10, 2)]);
+        assert_eq!(rows.len(), 3, "rows stamped at the watermark stay");
+        // The caller's order wins where it tells rows apart.
+        rows.extend([(20, 7)], |r| Timestamp(r.0));
+        let out = rows.release_before(Timestamp(31), |a, b| a.cmp(b));
+        assert_eq!(out, [(20, 7), (20, 8), (20, 9), (30, 0)]);
+        assert!(rows.len() == 0 && rows.scratch.is_empty());
+        assert_eq!(out.capacity(), 4, "the output is sized once");
     }
 
     #[test]

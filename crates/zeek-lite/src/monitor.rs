@@ -392,19 +392,20 @@ impl Monitor {
         });
     }
 
-    /// Drain connection records that have already completed, for streaming
-    /// consumers that do not want to hold the whole capture's logs at once.
-    /// DNS transactions are small and are only returned by
-    /// [`finish`](Monitor::finish).
-    pub fn drain_conns(&mut self) -> Vec<ConnRecord> {
+    /// Hand over the connection records completed since the last call, in
+    /// completion order. The one caller is the stream engine, once per
+    /// epoch; the records are moved out and the monitor keeps the vector's
+    /// capacity, so a steady run stops allocating for it.
+    pub fn drain_conns(&mut self) -> std::vec::Drain<'_, ConnRecord> {
         self.tracker.drain_completed()
     }
 
-    /// Drain DNS transactions recorded so far (matched responses and
-    /// timed-out queries), for streaming consumers. Rows drain in arrival
-    /// order; callers impose the canonical log order themselves.
-    pub fn drain_dns(&mut self) -> Vec<DnsTransaction> {
-        std::mem::take(&mut self.dns_log)
+    /// Hand over the DNS transactions recorded since the last call
+    /// (matched responses and timed-out queries), in arrival order: the
+    /// engine imposes the canonical log order itself. Same contract as
+    /// [`drain_conns`](Monitor::drain_conns): one caller, capacity stays.
+    pub fn drain_dns(&mut self) -> std::vec::Drain<'_, DnsTransaction> {
+        self.dns_log.drain(..)
     }
 
     /// Number of flows currently being tracked.

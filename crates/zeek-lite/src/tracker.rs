@@ -462,9 +462,10 @@ impl FlowTracker {
         }
     }
 
-    /// Drain connection records completed so far.
-    pub fn drain_completed(&mut self) -> Vec<ConnRecord> {
-        std::mem::take(&mut self.completed)
+    /// Drain connection records completed so far, in completion order.
+    /// The vector keeps its capacity for the records to come.
+    pub fn drain_completed(&mut self) -> std::vec::Drain<'_, ConnRecord> {
+        self.completed.drain(..)
     }
 
     /// Flush every remaining flow (end of capture) and return all records.
@@ -615,7 +616,7 @@ mod tests {
         t.handle(udp_pkt(500, false, 2000));
         // 61 s later: a packet on another tuple triggers the sweep.
         t.handle(tcp_pkt(61_500, true, TcpFlags::SYN, 1, 0));
-        let done = t.drain_completed();
+        let done: Vec<ConnRecord> = t.drain_completed().collect();
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].id.proto, Proto::Udp);
         assert_eq!(done[0].orig_bytes, 100);
@@ -630,7 +631,7 @@ mod tests {
         for i in 0..10 {
             t.handle(udp_pkt(i * 30_000, true, 10)); // every 30 s
         }
-        assert!(t.drain_completed().is_empty());
+        assert_eq!(t.drain_completed().len(), 0);
         let recs = t.finish();
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].orig_pkts, 10);

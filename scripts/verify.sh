@@ -86,6 +86,10 @@ cargo test -q --release --offline -p bench --test zero_copy_agreement
 # streaming replay over eight simulated days, and the allocation pin.
 cargo test -q --release --offline -p cache-sim
 cargo test -q --release --offline -p dnsctx --test cache_sim_alloc
+# The streamed path allocates for the rows it emits: what closing an
+# epoch costs whatever it moves or holds, and a whole run against its
+# monitor alone.
+cargo test -q --release --offline -p dnsctx --test epoch_cost --test stream_alloc
 
 echo "== obs-serve suite =="
 # Serve smoke on an ephemeral port: every endpoint must answer and

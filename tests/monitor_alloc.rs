@@ -1,7 +1,8 @@
 //! What the monitor allocates for a DNS transaction is what the
 //! transaction's row owns — the `query` string, the answer vector, one
 //! string per CNAME — and a packet that produces no row allocates
-//! nothing. Counted with the allocation counter (a `realloc` is an
+//! nothing — after a drain too, the row vector's capacity staying with
+//! the monitor. Counted with the allocation counter (a `realloc` is an
 //! event), not timed. One test in this binary, so nothing else allocates
 //! while it measures.
 
@@ -91,6 +92,17 @@ fn a_transaction_allocates_its_row_and_nothing_else_allocates() {
         matched.allocs
     );
 
+    // The rows handed over, the same lookups again: the row vector kept
+    // its capacity and every table is sized, so the rows are all there is.
+    assert_eq!(monitor.drain_dns().count(), usize::from(N) + 1);
+    let ((), again) = alloc::measure(|| {
+        for [q, r] in &frames {
+            feed(&mut monitor, q);
+            feed(&mut monitor, r);
+        }
+    });
+    assert_eq!(again.allocs, 3 * u64::from(N), "after a drain, {N} transactions");
+
     // An established TCP flow: nothing per segment.
     let seg = |from_house: bool, seq: u32, ack: u32, flags: TcpFlags| {
         let frame = if from_house {
@@ -115,7 +127,7 @@ fn a_transaction_allocates_its_row_and_nothing_else_allocates() {
 
     // The rows are what was paid for, strings sized exactly.
     let logs = monitor.finish();
-    assert_eq!(logs.dns.len(), usize::from(N) + 1);
+    assert_eq!(logs.dns.len(), usize::from(N));
     for t in &logs.dns {
         assert_eq!((t.query.len(), t.query.capacity()), (18, 18), "{}", t.query);
         assert_eq!((t.answers.len(), t.answers.capacity()), (3, 3));

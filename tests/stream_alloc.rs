@@ -1,0 +1,89 @@
+//! The streamed path allocates for the rows the monitor builds and for
+//! little else: a capture through the 30 s-window engine into the cache
+//! replay makes a small multiple of the allocation events the monitor
+//! alone makes on the same bytes, and the single-epoch run (window 0,
+//! every row through the buffers at once) makes no more than that.
+//! Counted with the allocation counter (a `realloc` is an event), not
+//! timed. One test in this binary, so nothing else allocates while it
+//! measures.
+
+use dnsctx::cache_sim::CacheReplay;
+use dnsctx::ccz_sim::{ScaleKnobs, Simulation, WorkloadConfig};
+use dnsctx::dns_context::{stream, AnalysisConfig};
+use dnsctx::pcapio;
+use dnsctx::xkit::bench::alloc::{self, CountingAlloc};
+use dnsctx::xkit::obs::ObsHub;
+use dnsctx::zeek_lite::{Duration, Monitor, MonitorConfig};
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// Allocation events of one whole streamed run at `window`, hub attached
+/// and replay fed as `repro stream` does, and the rows it released.
+fn streamed(pcap: &[u8], window: Duration) -> (u64, usize) {
+    let hub = ObsHub::default();
+    let ((rows, hits), spent) = alloc::measure(|| {
+        let mut replay = CacheReplay::new(Duration::from_secs(60));
+        let mut rows = 0usize;
+        let result = stream::process_source_observed(
+            &mut pcapio::source::file(pcap).expect("pcap header"),
+            window,
+            MonitorConfig::default(),
+            AnalysisConfig::default(),
+            Some(&hub),
+            |released| {
+                rows += released.conns.len() + released.dns.len();
+                for txn in &released.dns {
+                    replay.offer(txn);
+                }
+            },
+        )
+        .expect("in-memory capture");
+        rows += result.tail.conns.len() + result.tail.dns.len();
+        for txn in &result.tail.dns {
+            replay.offer(txn);
+        }
+        (rows, replay.hits())
+    });
+    assert!(hits > 0, "the replay absorbed nothing");
+    (spent.allocs, rows)
+}
+
+#[test]
+fn the_streamed_run_allocates_little_more_than_its_monitor() {
+    let cfg = WorkloadConfig {
+        scale: ScaleKnobs { houses: 12, days: 0.2, activity: 1.0 },
+        ..WorkloadConfig::default()
+    };
+    let mut pcap = Vec::new();
+    let (_truth, frames) =
+        Simulation::new(cfg, 7).expect("valid workload config").run_pcap(&mut pcap, 600).unwrap();
+    assert!(frames > 50_000, "capture too small to amortise what is fixed: {frames} frames");
+
+    let (logs, monitor) = alloc::measure(|| {
+        let mut source = pcapio::source::file(&pcap[..]).expect("pcap header");
+        Monitor::process_source(&mut source, MonitorConfig::default()).expect("in-memory capture")
+    });
+    let rows = logs.conns.len() + logs.dns.len();
+    drop(logs);
+
+    let (w30, w30_rows) = streamed(&pcap, Duration::from_secs(30));
+    let (w0, w0_rows) = streamed(&pcap, Duration::ZERO);
+    assert_eq!((w30_rows, w0_rows), (rows, rows), "every row is released once");
+
+    // Measured x 1.22 (30 477 events on the monitor's 24 889): the spilled
+    // index runs, two output vectors and a flight event per epoch, and
+    // the replay's first buffer per live name. (With a fresh row vector
+    // per epoch, a B-tree node per six buffered rows, a `Vec` per index
+    // key and a `String` per cache miss this read x 2.05.)
+    let ratio = w30 as f64 / monitor.allocs as f64;
+    assert!(
+        ratio <= 1.35,
+        "{w30} allocation events streamed at 30 s, {} in the monitor alone: x {ratio:.3}",
+        monitor.allocs
+    );
+    assert!(
+        w0 as f64 <= 1.05 * w30 as f64,
+        "{w0} allocation events in one epoch, {w30} at a 30 s window"
+    );
+}
