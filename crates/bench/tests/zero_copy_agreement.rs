@@ -45,6 +45,12 @@ fn render_logs(logs: &Logs) -> Vec<u8> {
     buf
 }
 
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
 fn analysis_cfg(threads: usize) -> AnalysisConfig {
     AnalysisConfig { threads, ..AnalysisConfig::default() }
 }
@@ -65,10 +71,28 @@ fn capture_bytes_are_thread_invariant() {
 #[test]
 fn capture_bytes_match_the_recorded_digest() {
     let bytes = capture_bytes(1);
-    let digest = bytes
-        .iter()
-        .fold(0xcbf2_9ce4_8422_2325u64, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3));
-    assert_eq!((bytes.len(), digest), (4_504_520, 0xb9f3_793c_8430_003c));
+    assert_eq!((bytes.len(), fnv1a(&bytes)), (4_504_520, 0xb9f3_793c_8430_003c));
+}
+
+/// Three shards and a snaplen that cuts every DNS response: what
+/// `PcapSink::absorb` concatenates and `emit_records` truncates, as
+/// recorded on the commit before the sink wrote into a byte arena.
+#[test]
+fn sharded_truncated_capture_matches_the_recorded_digest() {
+    let cfg = WorkloadConfig {
+        scale: ScaleKnobs { houses: 60, days: 0.05, activity: 0.5 },
+        ..WorkloadConfig::default()
+    };
+    for threads in [1usize, 8] {
+        let sim = Simulation::new(cfg.clone(), SEED).expect("valid config").with_threads(threads);
+        let mut bytes = Vec::new();
+        let (_, frames) = sim.run_pcap(&mut bytes, 96).expect("in-memory pcap");
+        assert_eq!(
+            (frames, bytes.len(), fnv1a(&bytes)),
+            (31_634, 2_382_650, 0xdff0_b30c_af17_f0c8),
+            "threads {threads}"
+        );
+    }
 }
 
 #[test]
