@@ -653,7 +653,7 @@ impl<'a, S: Sink> Engine<'a, S> {
             resolver,
             trans_id,
             client_port,
-            query: &info.fqdn,
+            query: info.fqdn,
             rtt: outcome.duration,
             rcode: dns_wire::Rcode::NoError,
             cname,

@@ -13,21 +13,42 @@ pub struct NameId(pub u32);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ServiceId(pub u32);
 
-/// Everything known about one hostname.
-#[derive(Debug, Clone)]
-pub struct NameInfo {
+/// Everything known about one hostname, borrowed from the universe.
+#[derive(Debug, Clone, Copy)]
+pub struct NameInfo<'a> {
     /// Fully-qualified name in presentation form.
-    pub fqdn: String,
+    pub fqdn: &'a str,
     /// Authoritative TTL, seconds.
     pub ttl: u32,
     /// Addresses returned for the name (stable across the run; CDN
     /// rotation is modelled by answer-order rotation, not set changes).
-    pub addrs: Vec<Ipv4Addr>,
+    pub addrs: &'a [Ipv4Addr],
     /// Optional CNAME the answer chain goes through.
-    pub cname: Option<String>,
+    pub cname: Option<&'a str>,
     /// Whether the name is served from shared CDN infrastructure (several
     /// names on one address; resolver choice affects edge quality).
     pub cdn_hosted: bool,
+}
+
+/// A name never resolves to more addresses than this.
+const MAX_ADDRS: usize = 3;
+
+/// How many distinct `edge-N.cdnint.net` CNAME targets there are.
+const CNAME_TARGETS: u32 = 500;
+
+/// A string in the universe's text arena.
+type Span = std::ops::Range<u32>;
+
+/// One hostname as the universe stores it: plain data, its strings in
+/// the shared text arena.
+struct NameEntry {
+    fqdn: Span,
+    ttl: u32,
+    addrs: [Ipv4Addr; MAX_ADDRS],
+    n_addrs: u8,
+    /// Index into the CNAME targets.
+    cname: Option<u16>,
+    cdn_hosted: bool,
 }
 
 /// One service: a site with a primary hostname and auxiliary hostnames.
@@ -35,13 +56,25 @@ pub struct NameInfo {
 pub struct ServiceInfo {
     /// Primary hostname (what a user "visits").
     pub primary: NameId,
-    /// Auxiliary hostnames (api., img., ...) used by embedded objects.
-    pub extras: Vec<NameId>,
+    /// How many auxiliary hostnames (api., img., ...) embedded objects
+    /// use; their ids follow the primary's.
+    pub n_extras: u32,
+}
+
+impl ServiceInfo {
+    /// The auxiliary hostnames.
+    fn extras(&self) -> impl Iterator<Item = NameId> + '_ {
+        (1..=self.n_extras).map(move |k| NameId(self.primary.0 + k))
+    }
 }
 
 /// The generated universe.
 pub struct NameUniverse {
-    names: Vec<NameInfo>,
+    /// Every hostname and CNAME target, end to end.
+    text: String,
+    /// The CNAME targets, built once; names refer to them by index.
+    cname_targets: Vec<Span>,
+    names: Vec<NameEntry>,
     services: Vec<ServiceInfo>,
     /// Shared third-party hostnames (ads, analytics, CDN libraries).
     shared: Vec<NameId>,
@@ -58,71 +91,68 @@ const TLDS: [&str; 5] = ["com", "net", "org", "io", "tv"];
 impl NameUniverse {
     /// Generate a universe per the config. Deterministic given the RNG.
     pub fn generate(cfg: &WorkloadConfig, rng: &mut StdRng) -> NameUniverse {
+        use std::fmt::Write;
         let ttl_weights: Vec<f64> = cfg.ttl_classes.iter().map(|(_, w)| *w).collect();
-        let mut names: Vec<NameInfo> = Vec::new();
+        let mut names: Vec<NameEntry> = Vec::new();
+        let mut text = String::new();
+        // Append one string to the arena; formatting into a `String` cannot fail.
+        let mut intern = |args: std::fmt::Arguments<'_>| -> Span {
+            let start = text.len() as u32;
+            let _ = text.write_fmt(args);
+            start..text.len() as u32
+        };
+        let cname_targets: Vec<Span> =
+            (0..CNAME_TARGETS).map(|n| intern(format_args!("edge-{n}.cdnint.net"))).collect();
         // Shared CDN edge pool: many names resolve into these addresses.
-        let edge_pool: Vec<Ipv4Addr> = (0..900u32)
-            .map(|i| Ipv4Addr::from(u32::from(Ipv4Addr::new(104, 16, 0, 0)) + i))
-            .collect();
+        let edge = |i: u32| Ipv4Addr::from(u32::from(Ipv4Addr::new(104, 16, 0, 0)) + i);
+        const EDGE_POOL: usize = 900;
         let mut dedicated_counter: u32 = 0;
         let mut alloc_dedicated = || {
             dedicated_counter += 1;
             // 185.0.0.0/8 style dedicated hosting, skipping .0/.255 octets.
             Ipv4Addr::from(u32::from(Ipv4Addr::new(185, 0, 0, 0)) + dedicated_counter * 7 % 0x00FF_FFFF)
         };
-        let mut make_name = |fqdn: String,
-                             cdn: bool,
-                             rng: &mut StdRng,
-                             names: &mut Vec<NameInfo>|
-         -> NameId {
+        // The order and number of RNG draws here is what every seeded
+        // output in the tree starts from.
+        let mut make_name = |fqdn: Span, cdn: bool, rng: &mut StdRng, names: &mut Vec<NameEntry>| -> NameId {
             let ttl = cfg.ttl_classes[weighted_index(rng, &ttl_weights)].0;
             let n_addrs = 1 + rng.random_range(0..3usize).min(1 + rng.random_range(0..2));
-            let addrs: Vec<Ipv4Addr> = (0..n_addrs)
-                .map(|_| {
-                    if cdn {
-                        edge_pool[rng.random_range(0..edge_pool.len())]
-                    } else {
-                        alloc_dedicated()
-                    }
-                })
-                .collect();
-            let cname = if rng.random_bool(cfg.cname_fraction) {
-                Some(format!("edge-{}.cdnint.net", rng.random_range(0..500u32)))
-            } else {
-                None
-            };
+            let mut addrs = [Ipv4Addr::UNSPECIFIED; MAX_ADDRS];
+            for a in &mut addrs[..n_addrs] {
+                *a = if cdn { edge(rng.random_range(0..EDGE_POOL) as u32) } else { alloc_dedicated() };
+            }
+            let cname = rng
+                .random_bool(cfg.cname_fraction)
+                .then(|| rng.random_range(0..CNAME_TARGETS) as u16);
             let id = NameId(names.len() as u32);
-            names.push(NameInfo { fqdn, ttl, addrs, cname, cdn_hosted: cdn });
+            names.push(NameEntry { fqdn, ttl, addrs, n_addrs: n_addrs as u8, cname, cdn_hosted: cdn });
             id
         };
 
         let mut services = Vec::with_capacity(cfg.services);
         for i in 0..cfg.services {
             let tld = TLDS[i % TLDS.len()];
-            let domain = format!("s{i:04}.{tld}");
             let cdn = rng.random_bool(cfg.cohost_fraction);
-            let primary = make_name(format!("www.{domain}"), cdn, rng, &mut names);
+            let primary = make_name(intern(format_args!("www.s{i:04}.{tld}")), cdn, rng, &mut names);
             let n_extras = rng.random_range(0..3usize);
-            let extras = (0..n_extras)
-                .map(|k| {
-                    let sub = ["api", "img", "static"][k];
-                    make_name(format!("{sub}.{domain}"), cdn, rng, &mut names)
-                })
-                .collect();
-            services.push(ServiceInfo { primary, extras });
+            for sub in &["api", "img", "static"][..n_extras] {
+                make_name(intern(format_args!("{sub}.s{i:04}.{tld}")), cdn, rng, &mut names);
+            }
+            services.push(ServiceInfo { primary, n_extras: n_extras as u32 });
         }
 
+        // Big third-party infrastructure publishes longer TTLs than
+        // per-site CDN entries; this locality is what makes cross-page
+        // cache reuse (the paper's dominant LC source) survive page dwell
+        // times.
+        let shared_ttls = [(300u32, 0.30), (3_600, 0.50), (86_400, 0.20)];
+        let shared_weights = shared_ttls.map(|(_, w)| w);
         let shared: Vec<NameId> = (0..cfg.shared_services)
             .map(|j| {
                 let kind = ["ads", "metrics", "cdn", "fonts", "social"][j % 5];
-                let id = make_name(format!("{kind}{j:03}.thirdparty.net"), true, rng, &mut names);
-                // Big third-party infrastructure publishes longer TTLs
-                // than per-site CDN entries; this locality is what makes
-                // cross-page cache reuse (the paper's dominant LC source)
-                // survive page dwell times.
-                let shared_ttls = [(300u32, 0.30), (3_600, 0.50), (86_400, 0.20)];
-                let w: Vec<f64> = shared_ttls.iter().map(|(_, w)| *w).collect();
-                names[id.0 as usize].ttl = shared_ttls[weighted_index(rng, &w)].0;
+                let fqdn = intern(format_args!("{kind}{j:03}.thirdparty.net"));
+                let id = make_name(fqdn, true, rng, &mut names);
+                names[id.0 as usize].ttl = shared_ttls[weighted_index(rng, &shared_weights)].0;
                 id
             })
             .collect();
@@ -130,10 +160,13 @@ impl NameUniverse {
         // connectivitycheck.gstatic.com: Google-hosted, modest TTL, tiny
         // responses; Android devices hit it incessantly (paper §7).
         let cc_id = NameId(names.len() as u32);
-        names.push(NameInfo {
-            fqdn: "connectivitycheck.gstatic.com".into(),
+        let mut cc_addrs = [Ipv4Addr::UNSPECIFIED; MAX_ADDRS];
+        cc_addrs[0] = Ipv4Addr::new(142, 250, 65, 99);
+        names.push(NameEntry {
+            fqdn: intern(format_args!("connectivitycheck.gstatic.com")),
             ttl: 300,
-            addrs: vec![Ipv4Addr::new(142, 250, 65, 99)],
+            addrs: cc_addrs,
+            n_addrs: 1,
             cname: None,
             cdn_hosted: false,
         });
@@ -145,7 +178,7 @@ impl NameUniverse {
         for (rank, s) in services.iter().enumerate() {
             let w = 0.01 / (1.0 + rank as f64).powf(cfg.zipf_exponent);
             pop[s.primary.0 as usize] = w;
-            for e in &s.extras {
+            for e in s.extras() {
                 pop[e.0 as usize] = w * 0.6;
             }
         }
@@ -155,6 +188,8 @@ impl NameUniverse {
         pop[cc_id.0 as usize] = 2.0;
 
         NameUniverse {
+            text,
+            cname_targets,
             names,
             services,
             shared,
@@ -176,8 +211,16 @@ impl NameUniverse {
     }
 
     /// Look up a name's details.
-    pub fn info(&self, id: NameId) -> &NameInfo {
-        &self.names[id.0 as usize]
+    pub fn info(&self, id: NameId) -> NameInfo<'_> {
+        let e = &self.names[id.0 as usize];
+        let text = |span: &Span| &self.text[span.start as usize..span.end as usize];
+        NameInfo {
+            fqdn: text(&e.fqdn),
+            ttl: e.ttl,
+            addrs: &e.addrs[..e.n_addrs as usize],
+            cname: e.cname.map(|t| text(&self.cname_targets[t as usize])),
+            cdn_hosted: e.cdn_hosted,
+        }
     }
 
     /// Draw a service by popularity.
@@ -203,8 +246,8 @@ impl NameUniverse {
         let s = &self.services[svc.0 as usize];
         out.clear();
         out.extend((0..count).map(|_| {
-            if !s.extras.is_empty() && rng.random_bool(0.55) {
-                s.extras[rng.random_range(0..s.extras.len())]
+            if s.n_extras > 0 && rng.random_bool(0.55) {
+                NameId(s.primary.0 + 1 + rng.random_range(0..s.n_extras as usize) as u32)
             } else {
                 self.shared[self.shared_pop.sample(rng)]
             }
@@ -251,12 +294,12 @@ impl NameUniverse {
     ) -> (Option<&'a str>, u32) {
         let info = self.info(id);
         out.clear();
-        out.extend_from_slice(&info.addrs);
+        out.extend_from_slice(info.addrs);
         if out.len() > 1 {
             let rot = rng.random_range(0..out.len());
             out.rotate_left(rot);
         }
-        (info.cname.as_deref(), info.ttl)
+        (info.cname, info.ttl)
     }
 }
 
@@ -288,7 +331,8 @@ mod tests {
         let u = universe();
         for i in 0..u.len() {
             let info = u.info(NameId(i as u32));
-            assert!(dns_wire::Name::parse(&info.fqdn).is_ok(), "{}", info.fqdn);
+            assert!(dns_wire::Name::parse(info.fqdn).is_ok(), "{}", info.fqdn);
+            assert!(info.cname.is_none_or(|c| dns_wire::Name::parse(c).is_ok()));
             assert!(!info.addrs.is_empty());
             assert!(info.ttl > 0);
         }
@@ -311,7 +355,7 @@ mod tests {
         use std::collections::HashMap;
         let mut by_addr: HashMap<Ipv4Addr, usize> = HashMap::new();
         for i in 0..u.len() {
-            for a in &u.info(NameId(i as u32)).addrs {
+            for a in u.info(NameId(i as u32)).addrs {
                 *by_addr.entry(*a).or_default() += 1;
             }
         }
@@ -340,7 +384,7 @@ mod tests {
         // Find a service with extras.
         let svc = (0..u.services.len())
             .map(|i| ServiceId(i as u32))
-            .find(|s| !u.services[s.0 as usize].extras.is_empty())
+            .find(|s| u.services[s.0 as usize].n_extras > 0)
             .unwrap();
         let mut own = 0;
         let mut shared = 0;
@@ -348,7 +392,7 @@ mod tests {
         for _ in 0..200 {
             u.embedded_for_page_into(svc, 6, &mut rng, &mut page);
             for &id in &page {
-                if u.services[svc.0 as usize].extras.contains(&id) {
+                if u.services[svc.0 as usize].extras().any(|e| e == id) {
                     own += 1;
                 } else {
                     shared += 1;

@@ -8,8 +8,8 @@
 use std::io::{self, Write};
 use std::net::Ipv4Addr;
 
-use dns_wire::{Message, Name, Rcode, Record, RrType};
-use netpkt::{Frame, MacAddr, TcpFlags, TcpHeader};
+use dns_wire::{Compressor, Flags, MessageWriter, NameBuf, Rcode, RrType};
+use netpkt::{frame, MacAddr, TcpFlags, TcpHeader};
 use zeek_lite::{
     Answer, AnswerData, ConnRecord, ConnState, DnsTransaction, Duration, FiveTuple, History, Logs,
     Proto, Timestamp,
@@ -231,57 +231,85 @@ impl Sink for LogSink {
     }
 }
 
-/// A frame waiting to be written in time order.
-struct PendingFrame {
+/// Where one frame's stored bytes sit in the arena, and when and how
+/// long it was on the wire. Plain data: nothing on the heap behind it.
+struct FrameEntry {
     ts: Timestamp,
+    /// Emission order, the tiebreak among equal timestamps.
     seq: u64,
-    frame: Frame,
+    offset: usize,
+    stored_len: u32,
+    wire_len: u32,
 }
+
+/// Who a frame goes from and to: hardware and network addresses, source
+/// first.
+type Ends = (MacAddr, MacAddr, Ipv4Addr, Ipv4Addr);
 
 /// Expands emissions into real frames and writes a pcap stream.
 ///
-/// Frames are buffered and time-sorted before writing (connections
-/// overlap, so emission order is not capture order); memory is
-/// proportional to packet count, so this backend is intended for the
+/// Every frame's stored bytes are written once, straight into one byte
+/// arena, and indexed; the index is time-sorted before writing
+/// (connections overlap, so emission order is not capture order). Memory
+/// is proportional to packet count, so this backend is intended for the
 /// validation scale, not for full-week sweeps.
 pub struct PcapSink {
-    frames: Vec<PendingFrame>,
-    seq: u64,
+    arena: Vec<u8>,
+    index: Vec<FrameEntry>,
+    comp: Compressor,
+    /// The name being asked about, and its CNAME target if it has one.
+    query: NameBuf,
+    target: NameBuf,
     /// MNAME and RNAME of the SOA every negative response carries.
-    soa_names: (Name, Name),
+    soa_names: (NameBuf, NameBuf),
 }
 
 impl PcapSink {
     /// An empty sink.
     pub fn new() -> PcapSink {
-        let name = |s| Name::parse(s).expect("static name");
+        let name = |s: &str| s.parse::<NameBuf>().expect("static name");
         PcapSink {
-            frames: Vec::new(),
-            seq: 0,
+            // Doubling from a power of two keeps the capacity one: started
+            // at the first frame's 42 bytes it would end at 42 << k.
+            arena: Vec::with_capacity(1 << 16),
+            index: Vec::new(),
+            comp: Compressor::default(),
+            query: NameBuf::new(),
+            target: NameBuf::new(),
             soa_names: (name("ns1.cdnint.net"), name("hostmaster.cdnint.net")),
         }
     }
 
-    fn push(&mut self, ts: Timestamp, frame: Frame) {
-        self.seq += 1;
-        self.frames.push(PendingFrame { ts, seq: self.seq, frame });
+    /// Index the frame written from `offset` to the arena's end, which
+    /// declared `virtual_payload` bytes more than it carries.
+    fn push(&mut self, ts: Timestamp, offset: usize, virtual_payload: usize) {
+        let stored_len = self.arena.len() - offset;
+        self.index.push(FrameEntry {
+            ts,
+            seq: self.index.len() as u64,
+            offset,
+            stored_len: stored_len as u32,
+            wire_len: (stored_len + virtual_payload) as u32,
+        });
     }
 
     /// Append another sink's frames after this one's. Sequence numbers
-    /// are offset past ours so the final `(ts, seq)` write order stays a
-    /// total order that depends only on shard order, never on worker
-    /// scheduling.
+    /// and arena offsets are moved past ours so the final `(ts, seq)`
+    /// write order stays a total order that depends only on shard order,
+    /// never on worker scheduling.
     pub fn absorb(&mut self, other: PcapSink) {
-        let off = self.seq;
-        if off == 0 {
-            self.frames = other.frames;
-        } else {
-            self.frames.extend(other.frames.into_iter().map(|mut f| {
-                f.seq += off;
-                f
-            }));
+        if self.index.is_empty() {
+            self.arena = other.arena;
+            self.index = other.index;
+            return;
         }
-        self.seq += other.seq;
+        let (bytes, frames) = (self.arena.len(), self.index.len() as u64);
+        self.arena.extend_from_slice(&other.arena);
+        self.index.extend(other.index.into_iter().map(|mut f| {
+            f.offset += bytes;
+            f.seq += frames;
+            f
+        }));
     }
 
     /// Sort by time and hand every record to `emit` as
@@ -292,17 +320,12 @@ impl PcapSink {
     pub fn emit_records<F: FnMut(u64, u32, &[u8])>(mut self, snaplen: u32, mut emit: F) -> u64 {
         // `(ts, seq)` is a strict total order, so the unstable sort is
         // deterministic (and skips the stable sort's merge buffer).
-        self.frames.sort_unstable_by_key(|f| (f.ts, f.seq));
-        let mut n = 0u64;
-        let mut bytes = Vec::new();
-        for f in &self.frames {
-            bytes.clear();
-            f.frame.encode_into(&mut bytes);
-            let stored = bytes.len().min(snaplen as usize);
-            emit(f.ts.nanos(), f.frame.wire_len() as u32, &bytes[..stored]);
-            n += 1;
+        self.index.sort_unstable_by_key(|f| (f.ts, f.seq));
+        for f in &self.index {
+            let stored = f.stored_len.min(snaplen) as usize;
+            emit(f.ts.nanos(), f.wire_len, &self.arena[f.offset..f.offset + stored]);
         }
-        n
+        self.index.len() as u64
     }
 
     /// Sort by time and write the capture (the file-format spelling of
@@ -335,73 +358,44 @@ impl Default for PcapSink {
 
 impl Sink for PcapSink {
     fn dns(&mut self, e: &DnsEmission<'_>) {
-        let name = Name::parse(e.query).expect("simulator names are valid");
-        let query = Message::query(e.trans_id, name.clone(), RrType::A);
-        self.push(
-            e.ts,
-            Frame::udp(
-                MacAddr::LOCAL,
-                MacAddr::UPSTREAM,
-                e.client,
-                e.resolver,
-                e.client_port,
-                dns_wire::DNS_PORT,
-                &query.encode(),
-            ),
-        );
+        let up = (MacAddr::LOCAL, MacAddr::UPSTREAM, e.client, e.resolver);
+        let down = (MacAddr::UPSTREAM, MacAddr::LOCAL, e.resolver, e.client);
+        self.query.set(e.query).expect("simulator names are valid");
+        let at = self.arena.len();
+        dns_frame(&mut self.arena, &mut self.comp, up, (e.client_port, dns_wire::DNS_PORT), e.trans_id, Flags::query(), |w| {
+            w.question(&self.query, RrType::A)
+        });
+        self.push(e.ts, at, 0);
+
+        let at = self.arena.len();
+        let ports = (dns_wire::DNS_PORT, e.client_port);
         if e.rcode == Rcode::NxDomain && e.addrs.is_empty() {
             // RFC 2308 negative response: SOA of the missing name's zone.
-            let zone = name.base_domain();
-            let (mname, rname) = self.soa_names.clone();
-            let soa = dns_wire::SoaData {
-                mname,
-                rname,
-                serial: 2019_02_06,
-                refresh: 7_200,
-                retry: 3_600,
-                expire: 1_209_600,
-                minimum: e.ttl,
-            };
-            let resp = query.nxdomain_response(zone, soa);
-            self.push(
-                e.ts + e.rtt,
-                Frame::udp(
-                    MacAddr::UPSTREAM,
-                    MacAddr::LOCAL,
-                    e.resolver,
-                    e.client,
-                    dns_wire::DNS_PORT,
-                    e.client_port,
-                    &resp.encode(),
-                ),
-            );
-            return;
-        }
-        let mut resp = query.answer_template();
-        resp.flags.rcode = e.rcode;
-        if let Some(c) = e.cname {
-            let target = Name::parse(c).expect("valid cname");
-            resp.answers.push(Record::cname(name.clone(), e.ttl, target.clone()));
-            for a in e.addrs {
-                resp.answers.push(Record::a(target.clone(), e.ttl, *a));
-            }
+            let zone = self.query.base_domain();
+            let counters = [2019_02_06, 7_200, 3_600, 1_209_600, e.ttl];
+            dns_frame(&mut self.arena, &mut self.comp, down, ports, e.trans_id, Flags::response(Rcode::NxDomain), |w| {
+                w.question(&self.query, RrType::A);
+                w.soa(&zone, e.ttl, &self.soa_names.0, &self.soa_names.1, counters);
+            });
         } else {
-            for a in e.addrs {
-                resp.answers.push(Record::a(name.clone(), e.ttl, *a));
-            }
+            let owner = match e.cname {
+                Some(c) => {
+                    self.target.set(c).expect("valid cname");
+                    &self.target
+                }
+                None => &self.query,
+            };
+            dns_frame(&mut self.arena, &mut self.comp, down, ports, e.trans_id, Flags::response(e.rcode), |w| {
+                w.question(&self.query, RrType::A);
+                if e.cname.is_some() {
+                    w.cname(&self.query, e.ttl, owner);
+                }
+                for a in e.addrs {
+                    w.a(owner, e.ttl, *a);
+                }
+            });
         }
-        self.push(
-            e.ts + e.rtt,
-            Frame::udp(
-                MacAddr::UPSTREAM,
-                MacAddr::LOCAL,
-                e.resolver,
-                e.client,
-                dns_wire::DNS_PORT,
-                e.client_port,
-                &resp.encode(),
-            ),
-        );
+        self.push(e.ts + e.rtt, at, 0);
     }
 
     fn conn(&mut self, e: &ConnEmission) {
@@ -412,7 +406,32 @@ impl Sink for PcapSink {
     }
 }
 
+/// One DNS message in one UDP frame at the arena's end: `sections` writes
+/// the question and records behind the header.
+fn dns_frame(
+    arena: &mut Vec<u8>,
+    comp: &mut Compressor,
+    (src_mac, dst_mac, src, dst): Ends,
+    (src_port, dst_port): (u16, u16),
+    id: u16,
+    flags: Flags,
+    sections: impl FnOnce(&mut MessageWriter<'_>),
+) {
+    frame::udp(arena, src_mac, dst_mac, src, dst, src_port, dst_port, |out| {
+        let mut w = MessageWriter::new(out, comp, id, flags);
+        sections(&mut w);
+        w.finish();
+    });
+}
+
 impl PcapSink {
+    /// One payload-free TCP segment.
+    fn tcp_frame(&mut self, ts: Timestamp, (src_mac, dst_mac, src, dst): Ends, header: TcpHeader<'_>) {
+        let at = self.arena.len();
+        frame::tcp(&mut self.arena, src_mac, dst_mac, src, dst, header, &[]);
+        self.push(ts, at, 0);
+    }
+
     fn tcp_conn(&mut self, e: &ConnEmission) {
         // Initial sequence numbers derived from the flow so replays are
         // deterministic.
@@ -420,36 +439,32 @@ impl PcapSink {
         let isn_r = isn_o.wrapping_add(0x1234_5678);
         let half = Duration(e.rtt.nanos() / 2);
         let syn = |seq| TcpHeader::syn(e.orig_port, e.dst_port, seq);
-        let out = |h: TcpHeader| {
-            Frame::tcp(MacAddr::LOCAL, MacAddr::UPSTREAM, e.house, e.dst, h, &[])
-        };
-        let back = |h: TcpHeader| {
-            Frame::tcp(MacAddr::UPSTREAM, MacAddr::LOCAL, e.dst, e.house, h, &[])
-        };
+        let out = (MacAddr::LOCAL, MacAddr::UPSTREAM, e.house, e.dst);
+        let back = (MacAddr::UPSTREAM, MacAddr::LOCAL, e.dst, e.house);
         match e.fate {
             ConnFate::NoAnswer => {
                 // SYN + two retransmits, one second apart (classic backoff).
-                for (i, dt) in [0u64, 1, 3].iter().enumerate() {
-                    let _ = i;
-                    self.push(e.ts + Duration::from_secs(*dt), out(syn(isn_o)));
+                for dt in [0u64, 1, 3] {
+                    self.tcp_frame(e.ts + Duration::from_secs(dt), out, syn(isn_o));
                 }
             }
             ConnFate::Refused => {
-                self.push(e.ts, out(syn(isn_o)));
-                self.push(
+                self.tcp_frame(e.ts, out, syn(isn_o));
+                self.tcp_frame(
                     e.ts + e.rtt,
-                    back(TcpHeader::segment(e.dst_port, e.orig_port, 0, isn_o + 1, TcpFlags::RST)),
+                    back,
+                    TcpHeader::segment(e.dst_port, e.orig_port, 0, isn_o + 1, TcpFlags::RST),
                 );
             }
             ConnFate::Established => {
-                self.push(e.ts, out(syn(isn_o)));
-                self.push(e.ts + half, back(TcpHeader {
+                self.tcp_frame(e.ts, out, syn(isn_o));
+                self.tcp_frame(e.ts + half, back, TcpHeader {
                     flags: TcpFlags::SYN_ACK,
                     ..TcpHeader::syn(e.dst_port, e.orig_port, isn_r)
-                }));
-                self.push(e.ts + e.rtt, out(TcpHeader::segment(
+                });
+                self.tcp_frame(e.ts + e.rtt, out, TcpHeader::segment(
                     e.orig_port, e.dst_port, isn_o.wrapping_add(1), isn_r.wrapping_add(1), TcpFlags::ACK,
-                )));
+                ));
                 // Mid-connection sequence markers: enough to keep the
                 // monitor's inactivity timers from splitting the flow, and
                 // to spread byte progress across the lifetime. Byte counts
@@ -465,37 +480,47 @@ impl PcapSink {
                     }
                     let o_prog = (e.orig_bytes as f64 * frac) as u32;
                     let r_prog = (e.resp_bytes as f64 * frac) as u32;
-                    self.push(at, out(TcpHeader::segment(
+                    self.tcp_frame(at, out, TcpHeader::segment(
                         e.orig_port, e.dst_port,
                         isn_o.wrapping_add(1).wrapping_add(o_prog),
                         isn_r.wrapping_add(1).wrapping_add(r_prog),
                         TcpFlags::PSH_ACK,
-                    )));
-                    self.push(at + half, back(TcpHeader::segment(
+                    ));
+                    self.tcp_frame(at + half, back, TcpHeader::segment(
                         e.dst_port, e.orig_port,
                         isn_r.wrapping_add(1).wrapping_add(r_prog),
                         isn_o.wrapping_add(1).wrapping_add(o_prog),
                         TcpFlags::PSH_ACK,
-                    )));
+                    ));
                 }
                 // Clean close carrying the final sequence positions.
                 let fin_o = isn_o.wrapping_add(1).wrapping_add(e.orig_bytes as u32);
                 let fin_r = isn_r.wrapping_add(1).wrapping_add(e.resp_bytes as u32);
-                self.push(end, out(TcpHeader::segment(
+                self.tcp_frame(end, out, TcpHeader::segment(
                     e.orig_port, e.dst_port, fin_o, fin_r, TcpFlags::FIN_ACK,
-                )));
-                self.push(end + half, back(TcpHeader::segment(
+                ));
+                self.tcp_frame(end + half, back, TcpHeader::segment(
                     e.dst_port, e.orig_port, fin_r, fin_o.wrapping_add(1), TcpFlags::FIN_ACK,
-                )));
-                self.push(end + e.rtt, out(TcpHeader::segment(
+                ));
+                self.tcp_frame(end + e.rtt, out, TcpHeader::segment(
                     e.orig_port, e.dst_port, fin_o.wrapping_add(1), fin_r.wrapping_add(1), TcpFlags::ACK,
-                )));
+                ));
             }
         }
     }
 
+    /// One UDP datagram that declares `declared` payload bytes and
+    /// carries none.
+    fn udp_frame(&mut self, ts: Timestamp, (src_mac, dst_mac, src, dst): Ends, ports: (u16, u16), declared: u64) {
+        let at = self.arena.len();
+        frame::udp_virtual(&mut self.arena, src_mac, dst_mac, src, dst, ports.0, ports.1, declared as usize);
+        self.push(ts, at, declared as usize);
+    }
+
     fn udp_conn(&mut self, e: &ConnEmission) {
         let half = Duration(e.rtt.nanos() / 2);
+        let out = (MacAddr::LOCAL, MacAddr::UPSTREAM, e.house, e.dst);
+        let back = (MacAddr::UPSTREAM, MacAddr::LOCAL, e.dst, e.house);
         // Enough datagrams that (i) no inter-packet gap exceeds the
         // monitor's 60 s flow timeout and (ii) no single datagram declares
         // more than the UDP maximum. Both hold for any flow only because
@@ -503,31 +528,23 @@ impl PcapSink {
         let by_time = e.duration.as_secs() / 25 + 1;
         let by_size = (e.orig_bytes.max(e.resp_bytes) / 60_000) + 1;
         let steps = by_time.max(by_size);
-        let per_o = split_bytes(e.orig_bytes, steps);
-        let per_r = split_bytes(e.resp_bytes, steps);
         for k in 0..steps {
             let at = e.ts + Duration((e.duration.nanos() as f64 * k as f64 / steps as f64) as u64);
-            self.push(at, Frame::udp_virtual(
-                MacAddr::LOCAL, MacAddr::UPSTREAM, e.house, e.dst,
-                e.orig_port, e.dst_port, per_o[k as usize] as usize,
-            ));
-            if e.fate == ConnFate::Established && per_r[k as usize] > 0 {
-                self.push(at + half, Frame::udp_virtual(
-                    MacAddr::UPSTREAM, MacAddr::LOCAL, e.dst, e.house,
-                    e.dst_port, e.orig_port, per_r[k as usize] as usize,
-                ));
+            self.udp_frame(at, out, (e.orig_port, e.dst_port), split_bytes(e.orig_bytes, steps, k));
+            let resp = split_bytes(e.resp_bytes, steps, k);
+            if e.fate == ConnFate::Established && resp > 0 {
+                self.udp_frame(at + half, back, (e.dst_port, e.orig_port), resp);
             }
         }
     }
 }
 
-/// Split `total` bytes into `steps` chunks that sum exactly. A zero total
-/// yields all-zero chunks: the datagrams are still emitted (a flow needs
-/// packets to exist) but declare no payload, matching the log backend.
-fn split_bytes(total: u64, steps: u64) -> Vec<u64> {
-    let base = total / steps;
-    let rem = total % steps;
-    (0..steps).map(|k| base + if k < rem { 1 } else { 0 }).collect()
+/// Chunk `k` of `total` bytes split into `steps` chunks that sum exactly.
+/// A zero total yields all-zero chunks: the datagrams are still emitted (a
+/// flow needs packets to exist) but declare no payload, matching the log
+/// backend.
+fn split_bytes(total: u64, steps: u64, k: u64) -> u64 {
+    total / steps + u64::from(k < total % steps)
 }
 
 #[cfg(test)]
@@ -621,21 +638,60 @@ mod tests {
             c
         };
 
+        let nx = DnsEmission {
+            trans_id: 100,
+            client_port: 54001,
+            query: "gone.www.s0001.com",
+            rcode: Rcode::NxDomain,
+            cname: None,
+            addrs: &[],
+            ..d
+        };
+
         let mut pcap = PcapSink::new();
         pcap.dns(&d);
+        pcap.dns(&nx);
         pcap.conn(&ct);
         pcap.conn(&cu);
         pcap.conn(&failed);
         let mut buf = Vec::new();
-        let frames = pcap.write_pcap(&mut buf, 128).unwrap();
+        // 192: the negative response (139 bytes) is stored whole.
+        let frames = pcap.write_pcap(&mut buf, 192).unwrap();
         assert!(frames > 8);
 
         let logs = Monitor::process_pcap(&buf[..], MonitorConfig::default()).unwrap();
         // DNS side.
-        assert_eq!(logs.dns.len(), 1);
+        assert_eq!(logs.dns.len(), 2);
         assert_eq!(logs.dns[0].query, d.query);
         assert_eq!(logs.dns[0].rtt, Some(d.rtt));
         assert_eq!(logs.dns[0].addrs().collect::<Vec<_>>(), d.addrs);
+        assert_eq!((logs.dns[1].query.as_str(), logs.dns[1].rcode), (nx.query, Some(Rcode::NxDomain)));
+        assert_eq!((logs.dns[1].rtt, logs.dns[1].answers.len()), (Some(nx.rtt), 0));
+        // The negative response carries the SOA of the missing name's
+        // zone, its MINIMUM and TTL the emission's.
+        let negative = {
+            use pcapio::RecordSource;
+            let mut source = pcapio::source::file(&buf[..]).unwrap();
+            let mut found = None;
+            while let Some(rec) = source.next().unwrap() {
+                let pkt = netpkt::Packet::parse(rec.data, rec.orig_len as usize).unwrap();
+                if pkt.transport.src_port() == Some(dns_wire::DNS_PORT) {
+                    found = dns_wire::Message::decode(pkt.payload).ok().filter(|m| m.id == nx.trans_id).or(found);
+                }
+            }
+            found.expect("the NXDOMAIN response is in the capture")
+        };
+        assert!(negative.answers.is_empty());
+        let soa = &negative.authorities[0];
+        assert_eq!((soa.name.to_string().as_str(), soa.ttl), ("s0001.com", nx.ttl));
+        match &soa.rdata {
+            dns_wire::RData::Soa(data) => {
+                assert_eq!(data.mname.to_string(), "ns1.cdnint.net");
+                assert_eq!(data.rname.to_string(), "hostmaster.cdnint.net");
+                assert_eq!((data.serial, data.minimum), (2019_02_06, nx.ttl));
+            }
+            other => panic!("expected SOA, got {other:?}"),
+        }
         // Connections: dns flow + tcp + udp + failed udp.
         let apps: Vec<_> = logs.app_conns().collect();
         assert_eq!(apps.len(), 3);
@@ -657,6 +713,18 @@ mod tests {
             .unwrap();
         assert_eq!(ntp.state, ConnState::S0);
         assert_eq!(ntp.resp_bytes, 0);
+
+        // A snaplen below the 42 header bytes cuts what is stored, never
+        // what the frame declares it was on the wire.
+        let mut cut = PcapSink::new();
+        cut.conn(&cu);
+        let mut declared = 0u64;
+        let frames = cut.emit_records(40, |_, orig_len, data| {
+            assert_eq!(data.len(), 40);
+            declared += u64::from(orig_len) - 42;
+        });
+        assert!(frames >= 12, "130 s of UDP is at least six datagrams each way");
+        assert_eq!(declared, cu.orig_bytes + cu.resp_bytes);
     }
 
     #[test]
@@ -686,9 +754,9 @@ mod tests {
     #[test]
     fn split_bytes_sums_exactly() {
         for (total, steps) in [(0u64, 1u64), (10, 3), (60_001, 2), (1_000_000, 7)] {
-            let v = split_bytes(total, steps);
-            assert_eq!(v.len(), steps as usize);
-            assert_eq!(v.iter().sum::<u64>(), total);
+            let chunks = (0..steps).map(|k| split_bytes(total, steps, k));
+            assert_eq!(chunks.clone().sum::<u64>(), total);
+            assert!(chunks.clone().max().unwrap() - chunks.min().unwrap() <= 1);
         }
     }
 }

@@ -41,10 +41,11 @@ pub struct ResolverPlatform {
     pub cfg: PlatformConfig,
     rtt: LogNormal,
     auth: LogNormal,
-    /// Per-backend cache: name → expiry instant. FxHash map: hit on
-    /// every query, addressed by key; `retain` removal is the only
-    /// traversal and is order-independent.
-    backends: Vec<FastMap<NameId, Timestamp>>,
+    /// Every backend's cache in one map: (backend, name) → expiry
+    /// instant, so a platform of a thousand backends grows one table,
+    /// not a thousand. FxHash map: hit on every query, addressed by key;
+    /// `retain` removal is the only traversal and is order-independent.
+    cache: FastMap<(usize, NameId), Timestamp>,
     /// Counters for the run summary.
     pub queries: u64,
     /// Cache hits among those queries.
@@ -57,7 +58,7 @@ impl ResolverPlatform {
         ResolverPlatform {
             rtt: LogNormal::from_median(cfg.rtt_ms, cfg.rtt_sigma),
             auth: LogNormal::from_median(cfg.auth_delay_ms, cfg.auth_sigma),
-            backends: (0..cfg.backends).map(|_| FastMap::default()).collect(),
+            cache: FastMap::default(),
             cfg,
             queries: 0,
             hits: 0,
@@ -81,12 +82,11 @@ impl ResolverPlatform {
         rng: &mut StdRng,
     ) -> LookupOutcome {
         self.queries += 1;
-        let b = rng.random_range(0..self.backends.len());
-        let backend = &mut self.backends[b];
+        let key = (rng.random_range(0..self.cfg.backends), name);
         let rtt = Duration::from_secs_f64(self.rtt.sample_clamped(rng, 0.3, 500.0) / 1e3);
 
         // Our own traffic's cache entry, if still valid.
-        let own_expiry = backend.get(&name).copied().filter(|e| *e > now);
+        let own_expiry = self.cache.get(&key).copied().filter(|e| *e > now);
         if let Some(expiry) = own_expiry {
             self.hits += 1;
             let remaining = expiry.since(now).as_secs().max(1) as u32;
@@ -102,7 +102,7 @@ impl ResolverPlatform {
             // Uniform residual lifetime for a record cached at a uniformly
             // random point in its TTL window.
             let remaining = rng.random_range(1..=auth_ttl.max(1));
-            backend.insert(name, now + Duration::from_secs(remaining as u64));
+            self.cache.insert(key, now + Duration::from_secs(remaining as u64));
             return LookupOutcome { duration: rtt, cache_hit: true, response_ttl: remaining };
         }
 
@@ -111,15 +111,13 @@ impl ResolverPlatform {
             .auth
             .sample_clamped(rng, 12.0, self.cfg.auth_cap_ms);
         let duration = rtt + Duration::from_secs_f64(auth_ms / 1e3);
-        backend.insert(name, now + Duration::from_secs(auth_ttl as u64));
+        self.cache.insert(key, now + Duration::from_secs(auth_ttl as u64));
         LookupOutcome { duration, cache_hit: false, response_ttl: auth_ttl }
     }
 
     /// Drop expired entries (bounds memory on long runs).
     pub fn compact(&mut self, now: Timestamp) {
-        for b in &mut self.backends {
-            b.retain(|_, expiry| *expiry > now);
-        }
+        self.cache.retain(|_, expiry| *expiry > now);
     }
 }
 
@@ -227,7 +225,7 @@ mod tests {
             p.query(NameId(i), 0.0, 60, Timestamp::from_secs(0), &mut rng);
         }
         p.compact(Timestamp::from_secs(1_000));
-        let total: usize = p.backends.iter().map(|b| b.len()).sum();
+        let total = p.cache.len();
         assert_eq!(total, 0);
     }
 

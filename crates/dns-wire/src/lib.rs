@@ -8,6 +8,9 @@
 //!   pointers (§4.1.4).
 //! * [`Message`] / [`Header`] / [`Question`] / [`Record`] — full message
 //!   encode and decode for the common record types (see [`RData`]).
+//! * [`MessageWriter`] — the one encoder: header, questions and records
+//!   appended to a caller's buffer from flat names ([`NameBuf`]), counts
+//!   patched at the end. The owned encode is a loop over it.
 //! * [`MessageView`] — the same decode checks over a borrowed buffer,
 //!   allocating nothing: id, flags, the first question and the answer
 //!   records, names read into a caller-owned [`NameBuf`]. The owned decode
@@ -22,7 +25,7 @@
 //! # Example
 //!
 //! ```
-//! use dns_wire::{Message, Name, Record, RrType};
+//! use dns_wire::{Compressor, Flags, Message, MessageWriter, Name, NameBuf, Rcode, RrType};
 //! use std::net::Ipv4Addr;
 //!
 //! let q = Message::query(0x1234, Name::parse("www.example.com").unwrap(), RrType::A);
@@ -30,14 +33,14 @@
 //! let back = Message::decode(&wire).unwrap();
 //! assert_eq!(back.questions[0].name.to_string(), "www.example.com");
 //!
-//! let mut resp = back.answer_template();
-//! resp.answers.push(Record::a(
-//!     Name::parse("www.example.com").unwrap(),
-//!     300,
-//!     Ipv4Addr::new(93, 184, 216, 34),
-//! ));
-//! let wire = resp.encode();
-//! assert!(wire.len() < 512);
+//! // The response, written straight into a buffer.
+//! let name: NameBuf = "www.example.com".parse().unwrap();
+//! let (mut wire, mut comp) = (Vec::new(), Compressor::default());
+//! let mut resp = MessageWriter::new(&mut wire, &mut comp, back.id, Flags::response(Rcode::NoError));
+//! resp.question(&name, RrType::A);
+//! resp.a(&name, 300, Ipv4Addr::new(93, 184, 216, 34));
+//! resp.finish();
+//! assert_eq!(Message::decode(&wire).unwrap().answers.len(), 1);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -54,7 +57,7 @@ pub mod tcp_frame;
 
 pub use error::WireError;
 pub use header::{Flags, Header, Opcode, Rcode};
-pub use message::{Message, MessageView};
+pub use message::{Message, MessageView, MessageWriter};
 pub use name::{Compressor, Name, NameBuf, NameRef};
 pub use question::{Question, QuestionView};
 pub use rdata::{RData, SoaData, SrvData};

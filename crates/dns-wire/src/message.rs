@@ -1,8 +1,10 @@
-use crate::header::{Flags, Header, Rcode, HEADER_LEN};
-use crate::name::Compressor;
-use crate::question::{Question, QuestionView};
-use crate::record::{Record, RecordView};
-use crate::{Name, RrType, WireError};
+use crate::header::{Flags, Header, HEADER_LEN};
+use crate::name::{write_compressed, Compressor, NameBuf};
+use crate::question::{self, Question, QuestionView};
+use crate::rdata::write_soa;
+use crate::record::{self, Record, RecordView};
+use crate::{Name, RrClass, RrType, WireError};
+use std::net::Ipv4Addr;
 
 /// A complete DNS message: header plus the four record sections.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -34,55 +36,20 @@ impl Message {
         }
     }
 
-    /// Start a response to this query: same id and question, response
-    /// flags, empty record sections for the caller to fill.
-    pub fn answer_template(&self) -> Message {
-        Message {
-            id: self.id,
-            flags: Flags::response(Rcode::NoError),
-            questions: self.questions.clone(), // lint: allow(no-owned-copy-hotpath): response builder (simulator side), not the decode path
-            answers: Vec::new(),
-            authorities: Vec::new(),
-            additionals: Vec::new(),
-        }
-    }
-
-    /// Build a negative (NXDOMAIN) response to this query, carrying the
-    /// zone's SOA in the authority section as RFC 2308 negative caching
-    /// requires — the SOA's MINIMUM bounds how long the non-existence may
-    /// be cached.
-    pub fn nxdomain_response(&self, zone: Name, soa: crate::SoaData) -> Message {
-        let mut m = self.answer_template();
-        m.flags.rcode = Rcode::NxDomain;
-        let negative_ttl = soa.minimum;
-        m.authorities.push(Record {
-            name: zone,
-            class: crate::RrClass::In,
-            ttl: negative_ttl,
-            rdata: crate::RData::Soa(soa),
-        });
-        m
-    }
-
     /// Encode to wire format with name compression.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64);
-        Header {
-            id: self.id,
-            flags: self.flags,
-            qdcount: self.questions.len() as u16,
-            ancount: self.answers.len() as u16,
-            nscount: self.authorities.len() as u16,
-            arcount: self.additionals.len() as u16,
-        }
-        .encode(&mut out);
         let mut comp = Compressor::default();
+        let mut w = MessageWriter::new(&mut out, &mut comp, self.id, self.flags);
         for q in &self.questions {
-            q.encode(&mut out, &mut comp);
+            w.put_question(q.name.flat(), q.rtype, q.rclass);
         }
-        for r in self.answers.iter().chain(&self.authorities).chain(&self.additionals) {
-            r.encode(&mut out, &mut comp);
+        for (section, records) in [(ANSWER, &self.answers), (AUTHORITY, &self.authorities), (ADDITIONAL, &self.additionals)] {
+            for r in records {
+                w.put_record(section, r.name.flat(), r.rtype(), r.class, r.ttl, |out, comp| r.rdata.encode(out, comp));
+            }
         }
+        w.finish();
         out
     }
 
@@ -105,6 +72,92 @@ impl Message {
             section
         });
         Ok(Message { id: header.id, flags: header.flags, questions, answers, authorities, additionals })
+    }
+}
+
+/// Which of the header's four counts a question or record adds to.
+const QUESTION: usize = 0;
+const ANSWER: usize = 1;
+const AUTHORITY: usize = 2;
+const ADDITIONAL: usize = 3;
+
+/// The one message encoder: writes a message straight into a buffer that
+/// may already hold other bytes (a frame's headers, earlier frames) —
+/// the header with empty counts, then questions and records in section
+/// order, names from flat bytes and compressed against what this message
+/// has spelled out; [`finish`](MessageWriter::finish) patches the counts.
+/// Owns nothing: the buffer and the compressor are the caller's, so a
+/// caller that keeps both writes message after message without
+/// allocating.
+pub struct MessageWriter<'a> {
+    out: &'a mut Vec<u8>,
+    comp: &'a mut Compressor,
+    counts: [u16; 4],
+}
+
+impl<'a> MessageWriter<'a> {
+    /// Start a message at the end of `out`; `comp` forgets the last one.
+    pub fn new(out: &'a mut Vec<u8>, comp: &'a mut Compressor, id: u16, flags: Flags) -> Self {
+        comp.restart(out.len());
+        Header { id, flags, qdcount: 0, ancount: 0, nscount: 0, arcount: 0 }.encode(out);
+        MessageWriter { out, comp, counts: [0; 4] }
+    }
+
+    /// A standard Internet-class question.
+    pub fn question(&mut self, name: &NameBuf, rtype: RrType) {
+        self.put_question(name.flat(), rtype, RrClass::In);
+    }
+
+    /// An A record in the answer section.
+    pub fn a(&mut self, owner: &NameBuf, ttl: u32, addr: Ipv4Addr) {
+        self.put_record(ANSWER, owner.flat(), RrType::A, RrClass::In, ttl, |out, _| {
+            out.extend_from_slice(&addr.octets())
+        });
+    }
+
+    /// A CNAME record in the answer section.
+    pub fn cname(&mut self, owner: &NameBuf, ttl: u32, target: &NameBuf) {
+        self.put_record(ANSWER, owner.flat(), RrType::Cname, RrClass::In, ttl, |out, comp| {
+            write_compressed(target.flat(), out, comp)
+        });
+    }
+
+    /// The SOA of `zone` in the authority section, as an RFC 2308
+    /// negative response carries it; `counters` is serial, refresh,
+    /// retry, expire, minimum, and the minimum bounds how long the
+    /// non-existence may be cached.
+    pub fn soa(&mut self, zone: &NameBuf, ttl: u32, mname: &NameBuf, rname: &NameBuf, counters: [u32; 5]) {
+        self.put_record(AUTHORITY, zone.flat(), RrType::Soa, RrClass::In, ttl, |out, comp| {
+            write_soa(out, comp, mname.flat(), rname.flat(), counters)
+        });
+    }
+
+    /// Write the section counts into the header.
+    pub fn finish(self) {
+        let at = self.comp.base() + 4;
+        for (count, field) in self.counts.iter().zip(self.out[at..at + 8].chunks_exact_mut(2)) {
+            field.copy_from_slice(&count.to_be_bytes());
+        }
+    }
+
+    fn put_question(&mut self, name: &[u8], rtype: RrType, rclass: RrClass) {
+        debug_assert!(self.counts[ANSWER..] == [0; 3], "questions come first");
+        question::write(self.out, self.comp, name, rtype, rclass);
+        self.counts[QUESTION] += 1;
+    }
+
+    fn put_record(
+        &mut self,
+        section: usize,
+        owner: &[u8],
+        rtype: RrType,
+        class: RrClass,
+        ttl: u32,
+        rdata: impl FnOnce(&mut Vec<u8>, &mut Compressor),
+    ) {
+        debug_assert!(self.counts[section + 1..].iter().all(|c| *c == 0), "sections come in order");
+        record::write(self.out, self.comp, owner, rtype, class, ttl, rdata);
+        self.counts[section] += 1;
     }
 }
 
@@ -184,34 +237,38 @@ impl<'a> MessageView<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rdata::RData;
-    use std::net::Ipv4Addr;
+    use crate::header::Rcode;
+    use crate::rdata::{RData, SoaData};
+
+    fn name(s: &str) -> NameBuf {
+        s.parse().unwrap()
+    }
+
+    fn a_record(name: &str, ttl: u32, addr: Ipv4Addr) -> Record {
+        Record { name: Name::parse(name).unwrap(), class: RrClass::In, ttl, rdata: RData::A(addr) }
+    }
 
     fn sample_response() -> Message {
-        let q = Message::query(7, Name::parse("www.example.com").unwrap(), RrType::A);
-        let mut m = q.answer_template();
-        m.answers.push(Record::cname(
-            Name::parse("www.example.com").unwrap(),
-            3600,
-            Name::parse("edge.cdn.example.net").unwrap(),
-        ));
-        m.answers.push(Record::a(
-            Name::parse("edge.cdn.example.net").unwrap(),
-            30,
-            Ipv4Addr::new(203, 0, 113, 7),
-        ));
-        m.authorities.push(Record {
-            name: Name::parse("cdn.example.net").unwrap(),
-            class: crate::RrClass::In,
-            ttl: 86400,
-            rdata: RData::Ns(Name::parse("ns1.cdn.example.net").unwrap()),
-        });
-        m.additionals.push(Record::a(
-            Name::parse("ns1.cdn.example.net").unwrap(),
-            86400,
-            Ipv4Addr::new(198, 51, 100, 53),
-        ));
-        m
+        Message {
+            flags: Flags::response(Rcode::NoError),
+            answers: vec![
+                Record {
+                    name: Name::parse("www.example.com").unwrap(),
+                    class: RrClass::In,
+                    ttl: 3600,
+                    rdata: RData::Cname(Name::parse("edge.cdn.example.net").unwrap()),
+                },
+                a_record("edge.cdn.example.net", 30, Ipv4Addr::new(203, 0, 113, 7)),
+            ],
+            authorities: vec![Record {
+                name: Name::parse("cdn.example.net").unwrap(),
+                class: RrClass::In,
+                ttl: 86400,
+                rdata: RData::Ns(Name::parse("ns1.cdn.example.net").unwrap()),
+            }],
+            additionals: vec![a_record("ns1.cdn.example.net", 86400, Ipv4Addr::new(198, 51, 100, 53))],
+            ..Message::query(7, Name::parse("www.example.com").unwrap(), RrType::A)
+        }
     }
 
     #[test]
@@ -271,27 +328,69 @@ mod tests {
         assert_eq!(Message::decode(&m.encode()).unwrap(), m);
     }
 
+    /// The writer behind a frame's headers, its compressor reused: the
+    /// bytes are the owned encoder's, offsets counted from the message's
+    /// own start.
+    #[test]
+    fn writer_appends_at_a_base_offset_and_reuses_its_compressor() {
+        let (owner, target) = (name("www.example.com"), name("edge.cdn.example.net"));
+        let mut out = vec![0xEE; 42];
+        let mut comp = Compressor::default();
+        for id in [7u16, 8] {
+            let at = out.len();
+            let mut w = MessageWriter::new(&mut out, &mut comp, id, Flags::response(Rcode::NoError));
+            w.question(&owner, RrType::A);
+            w.cname(&owner, 3600, &target);
+            w.a(&target, 30, Ipv4Addr::new(203, 0, 113, 7));
+            w.finish();
+            let owned = Message {
+                id,
+                authorities: vec![],
+                additionals: vec![],
+                ..sample_response()
+            };
+            assert_eq!(out[at..], owned.encode()[..]);
+            assert_eq!(Message::decode(&out[at..]).unwrap(), owned);
+        }
+        assert!(out[..42].iter().all(|b| *b == 0xEE));
+    }
+
     #[test]
     fn nxdomain_response_carries_soa() {
-        let q = Message::query(9, Name::parse("missing.example.com").unwrap(), RrType::A);
-        let soa = crate::SoaData {
-            mname: Name::parse("ns1.example.com").unwrap(),
-            rname: Name::parse("hostmaster.example.com").unwrap(),
-            serial: 1,
-            refresh: 7200,
-            retry: 3600,
-            expire: 1209600,
-            minimum: 300,
-        };
-        let resp = q.nxdomain_response(Name::parse("example.com").unwrap(), soa);
+        let missing = name("missing.example.com");
+        let (mut wire, mut comp) = (Vec::new(), Compressor::default());
+        let mut w = MessageWriter::new(&mut wire, &mut comp, 9, Flags::response(Rcode::NxDomain));
+        w.question(&missing, RrType::A);
+        w.soa(
+            &missing.base_domain(),
+            300,
+            &name("ns1.example.com"),
+            &name("hostmaster.example.com"),
+            [1, 7200, 3600, 1209600, 300],
+        );
+        w.finish();
+        let resp = Message::decode(&wire).unwrap();
         assert_eq!(resp.flags.rcode, Rcode::NxDomain);
         assert!(resp.answers.is_empty());
         assert_eq!(resp.authorities.len(), 1);
+        assert_eq!(resp.authorities[0].name, Name::parse("example.com").unwrap());
         assert_eq!(resp.authorities[0].ttl, 300, "negative ttl = SOA minimum");
-        // Round-trips on the wire.
-        let back = Message::decode(&resp.encode()).unwrap();
-        assert_eq!(back, resp);
-        assert_eq!((back.id, &back.questions), (q.id, &q.questions));
+        assert_eq!(
+            resp.authorities[0].rdata,
+            RData::Soa(SoaData {
+                mname: Name::parse("ns1.example.com").unwrap(),
+                rname: Name::parse("hostmaster.example.com").unwrap(),
+                serial: 1,
+                refresh: 7200,
+                retry: 3600,
+                expire: 1209600,
+                minimum: 300,
+            })
+        );
+        // The owned encoder writes the same bytes.
+        assert_eq!(resp.encode(), wire);
+        let q = Message::query(9, Name::parse("missing.example.com").unwrap(), RrType::A);
+        assert_eq!((resp.id, &resp.questions), (q.id, &q.questions));
     }
 
     #[test]

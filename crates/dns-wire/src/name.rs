@@ -1,5 +1,4 @@
 use crate::WireError;
-use std::collections::HashMap;
 use std::fmt;
 
 /// Maximum total encoded length of a name, including the root octet.
@@ -106,8 +105,10 @@ fn write_presentation(flat: &[u8], mut put: impl FnMut(char)) {
     }
 }
 
-/// A caller-owned, fixed-size buffer one name is read into: lower-cased
-/// and flat (see [`NameRef::read_into`]), no heap behind it.
+/// A caller-owned, fixed-size buffer holding one name, lower-cased and
+/// flat, no heap behind it: read off the wire (see
+/// [`NameRef::read_into`]) or set from a presentation string, and what a
+/// [`MessageWriter`](crate::MessageWriter) writes names from.
 pub struct NameBuf {
     len: u8,
     bytes: [u8; MAX_NAME_LEN],
@@ -119,8 +120,69 @@ impl NameBuf {
         NameBuf { len: 0, bytes: [0; MAX_NAME_LEN] }
     }
 
-    fn flat(&self) -> &[u8] {
+    pub(crate) fn flat(&self) -> &[u8] {
         &self.bytes[..self.len as usize]
+    }
+
+    /// Replace what the buffer held by a presentation-format name such as
+    /// `"www.example.com"`.
+    ///
+    /// A single trailing dot is accepted and ignored. Labels must be
+    /// non-empty, at most 63 octets, and drawn from the letter/digit/hyphen/
+    /// underscore alphabet (underscore appears in real traffic for SRV and
+    /// DKIM names, so a monitor must accept it). On an error the buffer
+    /// holds the root name.
+    pub fn set(&mut self, s: &str) -> Result<(), WireError> {
+        self.len = 0;
+        let s = s.strip_suffix('.').unwrap_or(s);
+        if s.is_empty() {
+            return Ok(());
+        }
+        // Every label is checked before the total is, so the error for a
+        // name that is both too long and malformed names the label.
+        let mut total = 1usize; // root octet
+        for raw in s.split('.') {
+            if raw.is_empty() {
+                return Err(WireError::EmptyLabel);
+            }
+            if raw.len() > MAX_LABEL_LEN {
+                return Err(WireError::LabelTooLong(raw.len()));
+            }
+            if !raw.bytes().all(label_byte_ok) {
+                return Err(WireError::BadNameString(s.to_string()));
+            }
+            let at = total - 1;
+            total += 1 + raw.len();
+            if let Some(dst) = self.bytes.get_mut(at..total - 1) {
+                dst[0] = raw.len() as u8;
+                for (d, b) in dst[1..].iter_mut().zip(raw.bytes()) {
+                    *d = b.to_ascii_lowercase();
+                }
+            }
+        }
+        if total > MAX_NAME_LEN {
+            return Err(WireError::NameTooLong(total));
+        }
+        self.len = (total - 1) as u8;
+        Ok(())
+    }
+
+    /// The registrable-suffix heuristic used for the zone of a negative
+    /// answer: the last two labels (e.g. `example.com` for
+    /// `www.example.com`). Names with fewer than two labels return
+    /// themselves.
+    pub fn base_domain(&self) -> NameBuf {
+        // Where the last two labels seen start.
+        let (mut keep_from, mut last, mut at) = (0, 0, 0);
+        for label in labels(self.flat()) {
+            (keep_from, last) = (last, at);
+            at += 1 + label.len();
+        }
+        let suffix = &self.flat()[keep_from..];
+        let mut out = NameBuf::new();
+        out.bytes[..suffix.len()].copy_from_slice(suffix);
+        out.len = suffix.len() as u8;
+        out
     }
 
     /// Read the name at `*pos`, replacing what the buffer held.
@@ -165,6 +227,16 @@ impl Default for NameBuf {
     }
 }
 
+impl std::str::FromStr for NameBuf {
+    type Err = WireError;
+    /// A buffer [`set`](NameBuf::set) from `s`.
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        let mut buf = NameBuf::new();
+        buf.set(s)?;
+        Ok(buf)
+    }
+}
+
 /// A name inside a message whose walk has been checked: reading it
 /// cannot fail any more, and costs nothing until someone asks.
 #[derive(Clone, Copy)]
@@ -195,12 +267,76 @@ impl<'a> NameRef<'a> {
     }
 }
 
-/// Where each name suffix a message has already spelled out starts,
-/// keyed by the suffix's flat bytes — borrowed from the names being
-/// encoded, so registering a suffix copies nothing.
+/// Where each name suffix a message has already spelled out starts.
+/// The suffixes are kept as copies of their flat bytes in one buffer of
+/// the compressor's own, so nothing is borrowed from the names being
+/// encoded and one instance, [restarted](Compressor::restart), serves
+/// message after message without allocating once it has grown.
 #[derive(Default)]
-pub struct Compressor<'a> {
-    offsets: HashMap<&'a [u8], u16>,
+pub struct Compressor {
+    /// Where the message starts in the buffer it is written into.
+    base: usize,
+    /// Flat bytes of every name that registered a suffix, end to end.
+    names: Vec<u8>,
+    /// A registered suffix: where it sits in `names`, and the message
+    /// offset a pointer to it holds. In registration order, one entry
+    /// per distinct suffix.
+    suffixes: Vec<(std::ops::Range<u32>, u16)>,
+}
+
+impl Compressor {
+    /// Forget the last message; the next one starts at byte `base` of the
+    /// buffer it is written into.
+    pub(crate) fn restart(&mut self, base: usize) {
+        self.base = base;
+        self.names.clear();
+        self.suffixes.clear();
+    }
+
+    /// Where the message being written starts in its buffer.
+    pub(crate) fn base(&self) -> usize {
+        self.base
+    }
+
+    fn find(&self, suffix: &[u8]) -> Option<u16> {
+        self.suffixes
+            .iter()
+            .find(|(at, _)| &self.names[at.start as usize..at.end as usize] == suffix)
+            .map(|(_, offset)| *offset)
+    }
+}
+
+/// Write a flat name with message compression.
+///
+/// `compressor` maps the suffixes of previously-emitted names to their
+/// offsets. Offsets beyond the 14-bit pointer range are not registered,
+/// per RFC 1035 §4.1.4.
+pub(crate) fn write_compressed(flat: &[u8], out: &mut Vec<u8>, compressor: &mut Compressor) {
+    // Walk suffixes from the full name down; emit labels until a known
+    // suffix is found, then emit a pointer.
+    let mut suffix = flat;
+    // Where this name's copy ends in `compressor.names`, once one of its
+    // suffixes is registered: the shorter ones are tails of that copy.
+    let mut copied_to = None;
+    while let Some(label) = labels(suffix).next() {
+        if let Some(off) = compressor.find(suffix) {
+            out.extend_from_slice(&(0xC000 | off).to_be_bytes());
+            return;
+        }
+        let offset = out.len() - compressor.base;
+        if offset < 0x4000 {
+            let end = *copied_to.get_or_insert_with(|| {
+                compressor.names.extend_from_slice(suffix);
+                compressor.names.len() as u32
+            });
+            compressor.suffixes.push((end - suffix.len() as u32..end, offset as u16));
+        }
+        // A flat label, length octet included, is its own wire form.
+        let (wire, rest) = suffix.split_at(1 + label.len());
+        out.extend_from_slice(wire);
+        suffix = rest;
+    }
+    out.push(0);
 }
 
 /// A fully-qualified domain name.
@@ -221,37 +357,14 @@ impl Name {
         Name { flat: Box::default() }
     }
 
-    /// Parse a presentation-format name such as `"www.example.com"`.
-    ///
-    /// A single trailing dot is accepted and ignored. Labels must be
-    /// non-empty, at most 63 octets, and drawn from the letter/digit/hyphen/
-    /// underscore alphabet (underscore appears in real traffic for SRV and
-    /// DKIM names, so a monitor must accept it).
+    /// Parse a presentation-format name such as `"www.example.com"`, with
+    /// the checks of [`NameBuf::set`].
     pub fn parse(s: &str) -> Result<Self, WireError> {
-        let s = s.strip_suffix('.').unwrap_or(s);
-        if s.is_empty() {
-            return Ok(Name::root());
-        }
-        // Each dot becomes a length octet, plus one for the first label.
-        let mut flat = Vec::with_capacity(s.len() + 1);
-        for raw in s.split('.') {
-            if raw.is_empty() {
-                return Err(WireError::EmptyLabel);
-            }
-            if raw.len() > MAX_LABEL_LEN {
-                return Err(WireError::LabelTooLong(raw.len()));
-            }
-            if !raw.bytes().all(label_byte_ok) {
-                return Err(WireError::BadNameString(s.to_string()));
-            }
-            flat.push(raw.len() as u8);
-            flat.extend(raw.bytes().map(|b| b.to_ascii_lowercase()));
-        }
-        let total = flat.len() + 1; // root octet
-        if total > MAX_NAME_LEN {
-            return Err(WireError::NameTooLong(total));
-        }
-        Ok(Name { flat: flat.into_boxed_slice() })
+        Ok(s.parse::<NameBuf>()?.to_name())
+    }
+
+    pub(crate) fn flat(&self) -> &[u8] {
+        &self.flat
     }
 
     /// Encoded length on the wire without compression.
@@ -270,48 +383,16 @@ impl Name {
         Some(self.suffix(1 + first.len()))
     }
 
-    /// The registrable-suffix heuristic used by log analysis: the last two
-    /// labels (e.g. `example.com` for `www.example.com`). Names with fewer
-    /// than two labels return themselves.
-    pub fn base_domain(&self) -> Name {
-        // Where the last two labels seen start.
-        let (mut keep_from, mut last, mut at) = (0, 0, 0);
-        for label in labels(&self.flat) {
-            (keep_from, last) = (last, at);
-            at += 1 + label.len();
-        }
-        self.suffix(keep_from)
-    }
-
     /// Encode without compression, appending to `out`.
     pub fn encode_uncompressed(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.flat);
         out.push(0);
     }
 
-    /// Encode with message compression.
-    ///
-    /// `compressor` maps the suffixes of previously-emitted names to
-    /// their offsets. Offsets beyond the 14-bit pointer range are not
-    /// registered, per RFC 1035 §4.1.4.
-    pub fn encode_compressed<'a>(&'a self, out: &mut Vec<u8>, compressor: &mut Compressor<'a>) {
-        // Walk suffixes from the full name down; emit labels until a known
-        // suffix is found, then emit a pointer.
-        let mut suffix: &'a [u8] = &self.flat;
-        while let Some(label) = labels(suffix).next() {
-            if let Some(&off) = compressor.offsets.get(suffix) {
-                out.extend_from_slice(&(0xC000 | off).to_be_bytes());
-                return;
-            }
-            if out.len() < 0x4000 {
-                compressor.offsets.insert(suffix, out.len() as u16);
-            }
-            // A flat label, length octet included, is its own wire form.
-            let (wire, rest) = suffix.split_at(1 + label.len());
-            out.extend_from_slice(wire);
-            suffix = rest;
-        }
-        out.push(0);
+    /// Encode with message compression: labels until a suffix an earlier
+    /// name of the message spelled out, then a pointer to it.
+    pub fn encode_compressed(&self, out: &mut Vec<u8>, compressor: &mut Compressor) {
+        write_compressed(&self.flat, out, compressor);
     }
 
     /// Decode a name starting at `*pos` within `msg` (the whole message,
@@ -398,6 +479,27 @@ mod tests {
         assert_eq!(line, format!("query\t{n}"));
         // A reused buffer holds only the last name read.
         NameRef::parse(&[0], &mut 0).unwrap().read_into(&mut buf);
+        assert_eq!(buf.presentation(), ".");
+    }
+
+    /// One buffer set again and again: each name replaces the last, a
+    /// rejected one leaves the root, and the label error wins over the
+    /// length error as it does in `Name::parse`.
+    #[test]
+    fn a_buffer_is_set_from_presentation_strings() {
+        let mut buf = NameBuf::new();
+        buf.set("WWW.Example.COM.").unwrap();
+        assert_eq!(buf.flat(), Name::parse("www.example.com").unwrap().flat());
+        buf.set("a.b").unwrap();
+        assert_eq!(buf.presentation(), "a.b");
+        assert!(matches!(buf.set("a..b"), Err(WireError::EmptyLabel)));
+        assert_eq!(buf.presentation(), ".");
+        let long = ["abcdef"; 40].join(".");
+        assert!(matches!(buf.set(&long), Err(WireError::NameTooLong(281))));
+        assert!(matches!(buf.set(&format!("{long}.b d")), Err(WireError::BadNameString(_))));
+        buf.set(&["a"; 127].join(".")).unwrap();
+        assert_eq!(buf.flat().len(), 254);
+        buf.set("").unwrap();
         assert_eq!(buf.presentation(), ".");
     }
 
@@ -536,11 +638,11 @@ mod tests {
 
     #[test]
     fn base_domain() {
-        assert_eq!(
-            Name::parse("a.b.example.com").unwrap().base_domain().to_string(),
-            "example.com"
-        );
-        assert_eq!(Name::parse("com").unwrap().base_domain().to_string(), "com");
+        let mut buf = NameBuf::new();
+        for (name, base) in [("a.b.Example.com", "example.com"), ("example.com", "example.com"), ("com", "com"), ("", ".")] {
+            buf.set(name).unwrap();
+            assert_eq!(buf.base_domain().presentation(), base);
+        }
     }
 
     #[test]

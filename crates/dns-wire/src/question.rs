@@ -1,4 +1,4 @@
-use crate::name::{Compressor, NameRef};
+use crate::name::{write_compressed, Compressor, NameRef};
 use crate::record::{RrClass, RrType};
 use crate::{Name, WireError};
 
@@ -24,16 +24,21 @@ impl Question {
     }
 
     /// Encode with name compression, appending to `out`.
-    pub fn encode<'a>(&'a self, out: &mut Vec<u8>, compressor: &mut Compressor<'a>) {
-        self.name.encode_compressed(out, compressor);
-        out.extend_from_slice(&self.rtype.to_u16().to_be_bytes());
-        out.extend_from_slice(&self.rclass.to_u16().to_be_bytes());
+    pub fn encode(&self, out: &mut Vec<u8>, compressor: &mut Compressor) {
+        write(out, compressor, self.name.flat(), self.rtype, self.rclass);
     }
 
     /// Decode one question starting at `*pos` within `msg`.
     pub fn decode(msg: &[u8], pos: &mut usize) -> Result<Question, WireError> {
         QuestionView::parse(msg, pos).map(Question::from)
     }
+}
+
+/// The one question encoder, from a flat name.
+pub(crate) fn write(out: &mut Vec<u8>, compressor: &mut Compressor, name: &[u8], rtype: RrType, rclass: RrClass) {
+    write_compressed(name, out, compressor);
+    out.extend_from_slice(&rtype.to_u16().to_be_bytes());
+    out.extend_from_slice(&rclass.to_u16().to_be_bytes());
 }
 
 /// One question checked in place.

@@ -1,4 +1,4 @@
-use crate::name::{Compressor, NameRef};
+use crate::name::{write_compressed, Compressor, NameRef};
 use crate::record::RrType;
 use crate::{Name, WireError};
 use std::net::{Ipv4Addr, Ipv6Addr};
@@ -96,7 +96,7 @@ impl RData {
     ///
     /// Names inside NS/CNAME/PTR/MX/SOA/SRV participate in compression,
     /// matching common server behaviour.
-    pub fn encode<'a>(&'a self, out: &mut Vec<u8>, compressor: &mut Compressor<'a>) {
+    pub fn encode(&self, out: &mut Vec<u8>, compressor: &mut Compressor) {
         match self {
             RData::A(a) => out.extend_from_slice(&a.octets()),
             RData::Aaaa(a) => out.extend_from_slice(&a.octets()),
@@ -112,13 +112,13 @@ impl RData {
                     out.extend_from_slice(s);
                 }
             }
-            RData::Soa(soa) => {
-                soa.mname.encode_compressed(out, compressor);
-                soa.rname.encode_compressed(out, compressor);
-                for v in [soa.serial, soa.refresh, soa.retry, soa.expire, soa.minimum] {
-                    out.extend_from_slice(&v.to_be_bytes());
-                }
-            }
+            RData::Soa(soa) => write_soa(
+                out,
+                compressor,
+                soa.mname.flat(),
+                soa.rname.flat(),
+                [soa.serial, soa.refresh, soa.retry, soa.expire, soa.minimum],
+            ),
             RData::Srv(srv) => {
                 out.extend_from_slice(&srv.priority.to_be_bytes());
                 out.extend_from_slice(&srv.weight.to_be_bytes());
@@ -135,6 +135,16 @@ impl RData {
     /// compression pointers into earlier sections).
     pub fn decode(msg: &[u8], start: usize, rdlen: usize, rtype: RrType) -> Result<RData, WireError> {
         RDataView::parse(msg, start, rdlen, rtype).map(RData::from)
+    }
+}
+
+/// SOA RDATA from flat names; `counters` is serial, refresh, retry,
+/// expire, minimum.
+pub(crate) fn write_soa(out: &mut Vec<u8>, compressor: &mut Compressor, mname: &[u8], rname: &[u8], counters: [u32; 5]) {
+    write_compressed(mname, out, compressor);
+    write_compressed(rname, out, compressor);
+    for v in counters {
+        out.extend_from_slice(&v.to_be_bytes());
     }
 }
 

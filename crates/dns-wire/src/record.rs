@@ -1,4 +1,4 @@
-use crate::name::{Compressor, NameRef};
+use crate::name::{write_compressed, Compressor, NameRef};
 use crate::rdata::{RData, RDataView};
 use crate::{Name, WireError};
 use std::fmt;
@@ -136,50 +136,45 @@ pub struct Record {
 }
 
 impl Record {
-    /// Convenience constructor for an A record.
-    pub fn a(name: Name, ttl: u32, addr: Ipv4Addr) -> Record {
-        Record {
-            name,
-            class: RrClass::In,
-            ttl,
-            rdata: RData::A(addr),
-        }
-    }
-
-    /// Convenience constructor for a CNAME record.
-    pub fn cname(name: Name, ttl: u32, target: Name) -> Record {
-        Record {
-            name,
-            class: RrClass::In,
-            ttl,
-            rdata: RData::Cname(target),
-        }
-    }
-
     /// The record's type code, derived from its RDATA.
     pub fn rtype(&self) -> RrType {
         self.rdata.rtype()
     }
 
     /// Encode with name compression, appending to `out`.
-    pub fn encode<'a>(&'a self, out: &mut Vec<u8>, compressor: &mut Compressor<'a>) {
-        self.name.encode_compressed(out, compressor);
-        out.extend_from_slice(&self.rtype().to_u16().to_be_bytes());
-        out.extend_from_slice(&self.class.to_u16().to_be_bytes());
-        out.extend_from_slice(&self.ttl.to_be_bytes());
-        // Reserve RDLENGTH, encode RDATA, then backfill the length.
-        let len_pos = out.len();
-        out.extend_from_slice(&[0, 0]);
-        self.rdata.encode(out, compressor);
-        let rdlen = out.len() - len_pos - 2;
-        debug_assert!(rdlen <= u16::MAX as usize);
-        out[len_pos..len_pos + 2].copy_from_slice(&(rdlen as u16).to_be_bytes());
+    pub fn encode(&self, out: &mut Vec<u8>, compressor: &mut Compressor) {
+        write(out, compressor, self.name.flat(), self.rtype(), self.class, self.ttl, |out, compressor| {
+            self.rdata.encode(out, compressor)
+        });
     }
 
     /// Decode one record starting at `*pos` within `msg`.
     pub fn decode(msg: &[u8], pos: &mut usize) -> Result<Record, WireError> {
         RecordView::parse(msg, pos).map(Record::from)
     }
+}
+
+/// The one record encoder, from a flat owner name: fixed fields, then
+/// whatever `rdata` appends, then RDLENGTH backfilled.
+pub(crate) fn write(
+    out: &mut Vec<u8>,
+    compressor: &mut Compressor,
+    name: &[u8],
+    rtype: RrType,
+    class: RrClass,
+    ttl: u32,
+    rdata: impl FnOnce(&mut Vec<u8>, &mut Compressor),
+) {
+    write_compressed(name, out, compressor);
+    out.extend_from_slice(&rtype.to_u16().to_be_bytes());
+    out.extend_from_slice(&class.to_u16().to_be_bytes());
+    out.extend_from_slice(&ttl.to_be_bytes());
+    let len_pos = out.len();
+    out.extend_from_slice(&[0, 0]);
+    rdata(out, compressor);
+    let rdlen = out.len() - len_pos - 2;
+    debug_assert!(rdlen <= u16::MAX as usize);
+    out[len_pos..len_pos + 2].copy_from_slice(&(rdlen as u16).to_be_bytes());
 }
 
 /// One record checked in place: what a monitor reads off an answer
@@ -262,9 +257,18 @@ mod tests {
         }
     }
 
+    fn a_record() -> Record {
+        Record {
+            name: Name::parse("x.test").unwrap(),
+            class: RrClass::In,
+            ttl: 60,
+            rdata: RData::A(Ipv4Addr::new(10, 0, 0, 1)),
+        }
+    }
+
     #[test]
     fn a_record_round_trip() {
-        let r = Record::a(Name::parse("x.test").unwrap(), 60, Ipv4Addr::new(10, 0, 0, 1));
+        let r = a_record();
         let mut buf = Vec::new();
         let mut comp = Compressor::default();
         r.encode(&mut buf, &mut comp);
@@ -276,7 +280,7 @@ mod tests {
 
     #[test]
     fn truncated_rdata_rejected() {
-        let r = Record::a(Name::parse("x.test").unwrap(), 60, Ipv4Addr::new(10, 0, 0, 1));
+        let r = a_record();
         let mut buf = Vec::new();
         let mut comp = Compressor::default();
         r.encode(&mut buf, &mut comp);

@@ -5,7 +5,7 @@
 //! unchanged — otherwise the monitor and the simulator would disagree
 //! about what was on the wire.
 
-use dns_wire::{tcp_frame, Message, Name, Record, RrType};
+use dns_wire::{tcp_frame, Flags, Message, Name, RData, Rcode, Record, RrClass, RrType};
 use std::net::Ipv4Addr;
 use xkit::rng::StdRng;
 
@@ -32,14 +32,18 @@ fn random_buffers_never_panic() {
 fn mutated_valid_messages_never_panic() {
     let mut rng = StdRng::seed_from_u64(0xC0DE);
     let base = {
-        let q = Message::query(42, Name::parse("fuzz.example.com").unwrap(), RrType::A);
-        let mut resp = q.answer_template();
-        resp.answers.push(Record::a(
-            Name::parse("fuzz.example.com").unwrap(),
-            300,
-            Ipv4Addr::new(192, 0, 2, 1),
-        ));
-        resp.encode()
+        let name = Name::parse("fuzz.example.com").unwrap();
+        Message {
+            flags: Flags::response(Rcode::NoError),
+            answers: vec![Record {
+                name: name.clone(),
+                class: RrClass::In,
+                ttl: 300,
+                rdata: RData::A(Ipv4Addr::new(192, 0, 2, 1)),
+            }],
+            ..Message::query(42, name, RrType::A)
+        }
+        .encode()
     };
     for _ in 0..10_000 {
         let mut buf = base.clone();

@@ -2,8 +2,8 @@
 //! `xkit::rng` stream so every run exercises the same cases.
 
 use dns_wire::{
-    Compressor, Flags, Message, MessageView, Name, NameBuf, RData, Record, RrClass, RrType, SoaData,
-    SrvData,
+    Compressor, Flags, Message, MessageView, Name, NameBuf, RData, Rcode, Record, RrClass, RrType,
+    SoaData, SrvData,
 };
 use std::collections::BTreeMap;
 use std::net::{Ipv4Addr, Ipv6Addr};
@@ -194,7 +194,10 @@ fn deepest_name_compresses_to_one_pointer() {
 fn names_past_the_pointer_limit_are_spelled_out() {
     let owner = Name::parse("big.example.com").unwrap();
     let late = Name::parse("late.example.org").unwrap();
-    let mut m = Message::query(1, owner.clone(), RrType::Txt).answer_template();
+    let mut m = Message {
+        flags: Flags::response(Rcode::NoError),
+        ..Message::query(1, owner.clone(), RrType::Txt)
+    };
     // 70 records of ~250 bytes carry the message past 0x4000.
     for _ in 0..70 {
         m.answers.push(Record {
@@ -204,8 +207,14 @@ fn names_past_the_pointer_limit_are_spelled_out() {
             rdata: RData::Txt(vec![vec![b'x'; 240]]),
         });
     }
-    m.additionals.push(Record::cname(late.clone(), 1, late.clone()));
-    m.additionals.push(Record::cname(late.clone(), 1, owner.clone()));
+    for target in [&late, &owner] {
+        m.additionals.push(Record {
+            name: late.clone(),
+            class: RrClass::In,
+            ttl: 1,
+            rdata: RData::Cname(target.clone()),
+        });
+    }
     let wire = m.encode();
     assert!(wire.len() > 0x4000 + 2 * late.wire_len());
     assert_eq!(Message::decode(&wire).unwrap(), m);

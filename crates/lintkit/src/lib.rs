@@ -183,7 +183,12 @@ pub fn lint_file(path: &str, src: &str, only: Option<&str>) -> Vec<Diagnostic> {
     // Non-Rust checks work on raw lines; Rust checks share one lex.
     let needs_lex = active
         .iter()
-        .any(|r| matches!(r.check, Check::Needles(_) | Check::MapIteration | Check::UnsafeSafety));
+        .any(|r| {
+            matches!(
+                r.check,
+                Check::Needles(_) | Check::NeedlesFrom { .. } | Check::MapIteration | Check::UnsafeSafety
+            )
+        });
     let lexed = if needs_lex { Some(Lexed::lex(src)) } else { None };
 
     for rule in active {
@@ -191,6 +196,12 @@ pub fn lint_file(path: &str, src: &str, only: Option<&str>) -> Vec<Diagnostic> {
             Check::Needles(needles) => {
                 let lexed = lexed.as_ref().expect("lexed");
                 for hit in rules::needle_hits(lexed, needles) {
+                    push_rust_hit(&mut out, rule, lexed, path, hit.at, hit.what);
+                }
+            }
+            Check::NeedlesFrom { anchor, needles } => {
+                let lexed = lexed.as_ref().expect("lexed");
+                for hit in rules::needle_hits_from(lexed, anchor, needles) {
                     push_rust_hit(&mut out, rule, lexed, path, hit.at, hit.what);
                 }
             }

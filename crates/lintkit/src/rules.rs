@@ -7,6 +7,8 @@
 //! could not express; `threshold-rule-fence` keeps the SC/R threshold
 //! formula in the one file that defines it; `monitor-stays-borrowed`
 //! keeps the owned DNS decode and per-packet strings out of the monitor;
+//! `sim-sink-stays-flat` keeps owned frames, owned messages and
+//! per-emission vectors out of the simulator's packet sink;
 //! `unused-pub` is the one
 //! workspace-wide pass (a `pub` item nothing outside its file uses);
 //! `verify-shell-discipline` is the meta-rule that keeps ad-hoc source
@@ -35,6 +37,14 @@ pub enum Check {
     /// Literal needles searched in code tokens only, with identifier
     /// boundary guards (so `println!` never matches inside `eprintln!`).
     Needles(&'static [&'static str]),
+    /// [`Check::Needles`], from the first occurrence of `anchor` in the
+    /// file's code on; a file without the anchor is itself a hit.
+    NeedlesFrom {
+        /// Code text the fenced part of the file starts with.
+        anchor: &'static str,
+        /// What must not appear from there on.
+        needles: &'static [&'static str],
+    },
     /// Iteration over `FastMap`/`FastSet`/`HashMap`/`HashSet` bindings.
     MapIteration,
     /// `unsafe` blocks and `unsafe impl` need a `// SAFETY:` rationale.
@@ -109,6 +119,21 @@ pub fn rules() -> Vec<Rule> {
                 include_tests: false,
             },
             check: Check::Needles(&["Message::decode", ".to_string()", "format!"]),
+        },
+        Rule {
+            id: "sim-sink-stays-flat",
+            desc: "the simulator's packet sink writes each frame once into its byte arena: from `impl Sink for PcapSink` on, output.rs names no Frame::, Message, Name::parse, .encode(), .to_vec(), Vec::with_capacity or vec!",
+            hint: "append through netpkt::frame::{udp, udp_virtual, tcp} and dns_wire::MessageWriter; names go through the sink's NameBufs",
+            scope: Scope {
+                roots: &["crates/ccz-sim/src/output.rs"],
+                exclude: &[],
+                src_only: true,
+                include_tests: false,
+            },
+            check: Check::NeedlesFrom {
+                anchor: "impl Sink for PcapSink",
+                needles: &["Frame::", "Message", "Name::parse", ".encode()", ".to_vec()", "Vec::with_capacity", "vec!"],
+            },
         },
         Rule {
             id: "clock-seam",
@@ -313,6 +338,18 @@ pub fn needle_hits(lexed: &Lexed<'_>, needles: &[&str]) -> Vec<Hit> {
         }
     }
     hits.sort_by_key(|h| h.at);
+    hits
+}
+
+/// [`needle_hits`] at or after the first `anchor` in the file's code; a
+/// missing anchor is one hit at the top, so renaming what the fence
+/// starts at cannot switch the rule off unnoticed.
+pub fn needle_hits_from(lexed: &Lexed<'_>, anchor: &str, needles: &[&str]) -> Vec<Hit> {
+    let Some(from) = needle_hits(lexed, &[anchor]).first().map(|h| h.at) else {
+        return vec![Hit { at: 0, what: format!("no `{anchor}` to fence from") }];
+    };
+    let mut hits = needle_hits(lexed, needles);
+    hits.retain(|h| h.at > from);
     hits
 }
 

@@ -124,6 +124,54 @@ fn the_monitor_fence_exempts_marked_lines_tests_and_other_files() {
     assert!(diags("crates/dns-context/src/stream.rs", render).is_empty());
 }
 
+// ---- sim-sink-stays-flat -------------------------------------------------
+
+const SINK: &str = "crates/ccz-sim/src/output.rs";
+
+#[test]
+fn owned_frames_and_messages_fire_in_the_packet_sink() {
+    // What precedes the impl (the log sink) is not fenced.
+    let head = "fn log_side(m: &M) -> Vec<u8> { let mut v = Vec::with_capacity(4); v.extend(m.encode()); v }\n\
+                impl Sink for PcapSink {\n";
+    for body in [
+        "    fn conn(&mut self) { self.push(Frame::tcp()); }\n",
+        "    fn dns(&mut self) { let q = dns_wire::Message::query(); }\n",
+        "    fn dns(&mut self, e: &E) { let n = Name::parse(e.query); }\n",
+        "    fn dns(&mut self, m: &M) { self.arena.extend(m.encode()); }\n",
+        "    fn dns(&mut self, p: &[u8]) { self.keep(p.to_vec()); }\n",
+        "    fn conn(&mut self, n: usize) { let per = Vec::with_capacity(n); }\n",
+    ] {
+        let src = format!("{head}{body}}}\n");
+        let d = diags(SINK, &src);
+        assert_eq!(d.len(), 1, "{src}: {d:?}");
+        assert_eq!((d[0].rule.as_str(), d[0].line), ("sim-sink-stays-flat", 3), "{src}");
+    }
+    // What follows the impl is fenced too.
+    let after = format!("{head}}}\nfn split(n: u64) -> Vec<u64> {{ vec![0; n as usize] }}\n");
+    assert_eq!(fired(SINK, &after), vec!["sim-sink-stays-flat"]);
+    // The writers are what the sink appends through.
+    let flat = format!(
+        "{head}    fn dns(&mut self) {{ frame::udp(&mut self.arena, |out| MessageWriter::new(out, &mut self.comp).finish()); }}\n}}\n"
+    );
+    assert!(diags(SINK, &flat).is_empty(), "{:?}", diags(SINK, &flat));
+}
+
+#[test]
+fn the_sink_fence_needs_its_anchor_and_exempts_marks_tests_and_other_files() {
+    let unanchored = "impl Sink for ArenaSink {\n    fn dns(&mut self) {}\n}\n";
+    let d = diags(SINK, unanchored);
+    assert_eq!(d.len(), 1, "{d:?}");
+    assert_eq!((d[0].rule.as_str(), d[0].line), ("sim-sink-stays-flat", 1));
+    assert!(d[0].what.contains("impl Sink for PcapSink"));
+    let marked = "impl Sink for PcapSink {\n    // lint: allow(sim-sink-stays-flat): once per run\n    fn new() -> Vec<u8> { Vec::with_capacity(64) }\n}\n";
+    assert!(diags(SINK, marked).is_empty());
+    let in_test = "impl Sink for PcapSink {}\n#[cfg(test)]\nmod tests {\n    fn f() { let _ = Frame::tcp().encode(); }\n}\n";
+    assert!(diags(SINK, in_test).is_empty());
+    let elsewhere = "impl Sink for PcapSink { fn f() { let _ = Frame::tcp(); } }\n";
+    assert!(diags("crates/ccz-sim/src/engine.rs", elsewhere).is_empty());
+    assert!(diags("crates/zeek-lite/src/monitor.rs", elsewhere).is_empty());
+}
+
 // ---- clock-seam / no-wallclock -----------------------------------------
 
 #[test]

@@ -1,3 +1,7 @@
+//! Whole frames: the append-style writers the simulator's packet
+//! backend fills its arena with, [`Frame`] (the same bytes, owned), and
+//! [`Packet`], the parse of what a capture stored.
+
 use crate::ethernet::{EtherType, EthernetHeader, MacAddr, ETHERNET_HEADER_LEN};
 use crate::ipv4::{IpProtocol, Ipv4Header, IPV4_HEADER_LEN};
 use crate::tcp::TcpHeader;
@@ -5,30 +9,100 @@ use crate::udp::{UdpHeader, UDP_HEADER_LEN};
 use crate::PktError;
 use std::net::Ipv4Addr;
 
-/// A frame being built for capture.
+/// Append one UDP frame to `out`, its payload written in place by
+/// `payload` (DNS, whose bytes the monitor must parse): Ethernet, then
+/// room for the IPv4 and UDP headers, then whatever `payload` appends,
+/// then the two headers filled in with the lengths and checksums that
+/// payload gives them.
+#[allow(clippy::too_many_arguments)]
+pub fn udp(
+    out: &mut Vec<u8>,
+    src_mac: MacAddr,
+    dst_mac: MacAddr,
+    src: Ipv4Addr,
+    dst: Ipv4Addr,
+    src_port: u16,
+    dst_port: u16,
+    payload: impl FnOnce(&mut Vec<u8>),
+) {
+    EthernetHeader { dst: dst_mac, src: src_mac, ethertype: EtherType::Ipv4 }.encode(out);
+    let ip_at = out.len();
+    let payload_at = ip_at + IPV4_HEADER_LEN + UDP_HEADER_LEN;
+    out.resize(payload_at, 0);
+    payload(out);
+    let payload_len = out.len() - payload_at;
+    let ip = Ipv4Header::new(src, dst, IpProtocol::Udp, UDP_HEADER_LEN + payload_len);
+    let udp = UdpHeader::new(src_port, dst_port, payload_len).to_bytes(&ip, &out[payload_at..]);
+    out[ip_at..ip_at + IPV4_HEADER_LEN].copy_from_slice(&ip.to_bytes());
+    out[ip_at + IPV4_HEADER_LEN..payload_at].copy_from_slice(&udp);
+}
+
+/// Append one UDP frame that *declares* `declared_payload` bytes but
+/// carries none (checksum transmitted as zero = disabled, which is
+/// legal for UDP and unavoidable when the payload is not materialised).
+/// On the wire the frame was `declared_payload` longer than what is
+/// appended.
+#[allow(clippy::too_many_arguments)]
+pub fn udp_virtual(
+    out: &mut Vec<u8>,
+    src_mac: MacAddr,
+    dst_mac: MacAddr,
+    src: Ipv4Addr,
+    dst: Ipv4Addr,
+    src_port: u16,
+    dst_port: u16,
+    declared_payload: usize,
+) {
+    debug_assert!(UDP_HEADER_LEN + declared_payload <= u16::MAX as usize);
+    EthernetHeader { dst: dst_mac, src: src_mac, ethertype: EtherType::Ipv4 }.encode(out);
+    Ipv4Header::new(src, dst, IpProtocol::Udp, UDP_HEADER_LEN + declared_payload).encode(out);
+    let udp = UdpHeader::new(src_port, dst_port, declared_payload);
+    out.extend_from_slice(&udp.src_port.to_be_bytes());
+    out.extend_from_slice(&udp.dst_port.to_be_bytes());
+    out.extend_from_slice(&udp.length.to_be_bytes());
+    out.extend_from_slice(&[0, 0]); // checksum disabled
+}
+
+/// Append one TCP segment carrying `payload` in full. Bulk data is
+/// represented by advancing `header.seq` between segments rather than
+/// attaching payload; the monitor recovers byte counts from sequence
+/// space, as Zeek does.
+pub fn tcp(
+    out: &mut Vec<u8>,
+    src_mac: MacAddr,
+    dst_mac: MacAddr,
+    src: Ipv4Addr,
+    dst: Ipv4Addr,
+    header: TcpHeader<'_>,
+    payload: &[u8],
+) {
+    EthernetHeader { dst: dst_mac, src: src_mac, ethertype: EtherType::Ipv4 }.encode(out);
+    let ip = Ipv4Header::new(src, dst, IpProtocol::Tcp, header.header_len() + payload.len());
+    ip.encode(out);
+    header.encode(out, &ip, payload);
+    out.extend_from_slice(payload);
+}
+
+/// One frame built for capture, owned: the bytes [`udp`], [`udp_virtual`]
+/// or [`tcp`] append, in a buffer of its own.
 ///
 /// A frame either carries its payload in full, or declares payload it does
-/// not carry (`virtual_payload`), mimicking a snaplen-truncated capture.
-/// Virtual payload is how the simulator represents bulk transfer bytes
-/// without materialising them: the IP/UDP length fields (and, for TCP, the
-/// sequence numbers chosen by the caller) declare the true sizes, while the
-/// capture file stores only the headers — exactly what a production
-/// monitoring deployment records.
+/// not carry, mimicking a snaplen-truncated capture. Virtual payload is
+/// how the simulator represents bulk transfer bytes without materialising
+/// them: the IP/UDP length fields (and, for TCP, the sequence numbers
+/// chosen by the caller) declare the true sizes, while the capture file
+/// stores only the headers — exactly what a production monitoring
+/// deployment records.
 #[derive(Debug, Clone)]
 pub struct Frame {
-    /// Link-layer header.
-    pub eth: EthernetHeader,
-    /// Network-layer header (its `total_len` includes virtual payload).
-    pub ip: Ipv4Header,
-    /// Encoded transport header plus any *carried* payload.
-    transport_bytes: Vec<u8>,
+    /// What the capture stores.
+    stored: Vec<u8>,
     /// Declared-but-not-carried payload bytes.
     virtual_payload: usize,
 }
 
 impl Frame {
-    /// Build a UDP datagram carrying `payload` in full (used for DNS, whose
-    /// payload the monitor must parse).
+    /// Build a UDP datagram carrying `payload` in full.
     pub fn udp(
         src_mac: MacAddr,
         dst_mac: MacAddr,
@@ -38,22 +112,15 @@ impl Frame {
         dst_port: u16,
         payload: &[u8],
     ) -> Frame {
-        let ip = Ipv4Header::new(src, dst, IpProtocol::Udp, UDP_HEADER_LEN + payload.len());
-        let udp = UdpHeader::new(src_port, dst_port, payload.len());
-        let mut transport_bytes = Vec::with_capacity(UDP_HEADER_LEN + payload.len());
-        udp.encode(&mut transport_bytes, &ip, payload);
-        transport_bytes.extend_from_slice(payload);
-        Frame {
-            eth: EthernetHeader { dst: dst_mac, src: src_mac, ethertype: EtherType::Ipv4 },
-            ip,
-            transport_bytes,
-            virtual_payload: 0,
-        }
+        let mut stored = Vec::with_capacity(HEADERS_LEN + UDP_HEADER_LEN + payload.len());
+        udp(&mut stored, src_mac, dst_mac, src, dst, src_port, dst_port, |out| {
+            out.extend_from_slice(payload)
+        });
+        Frame { stored, virtual_payload: 0 }
     }
 
-    /// Build a UDP datagram that *declares* `declared_payload` bytes but
-    /// carries none (checksum transmitted as zero = disabled, which is
-    /// legal for UDP and unavoidable when the payload is not materialised).
+    /// Build a UDP datagram that declares `declared_payload` bytes but
+    /// carries none.
     pub fn udp_virtual(
         src_mac: MacAddr,
         dst_mac: MacAddr,
@@ -63,26 +130,12 @@ impl Frame {
         dst_port: u16,
         declared_payload: usize,
     ) -> Frame {
-        debug_assert!(UDP_HEADER_LEN + declared_payload <= u16::MAX as usize);
-        let ip = Ipv4Header::new(src, dst, IpProtocol::Udp, UDP_HEADER_LEN + declared_payload);
-        let udp = UdpHeader::new(src_port, dst_port, declared_payload);
-        let mut transport_bytes = Vec::with_capacity(UDP_HEADER_LEN);
-        transport_bytes.extend_from_slice(&udp.src_port.to_be_bytes());
-        transport_bytes.extend_from_slice(&udp.dst_port.to_be_bytes());
-        transport_bytes.extend_from_slice(&udp.length.to_be_bytes());
-        transport_bytes.extend_from_slice(&[0, 0]); // checksum disabled
-        Frame {
-            eth: EthernetHeader { dst: dst_mac, src: src_mac, ethertype: EtherType::Ipv4 },
-            ip,
-            transport_bytes,
-            virtual_payload: declared_payload,
-        }
+        let mut stored = Vec::with_capacity(HEADERS_LEN + UDP_HEADER_LEN);
+        udp_virtual(&mut stored, src_mac, dst_mac, src, dst, src_port, dst_port, declared_payload);
+        Frame { stored, virtual_payload: declared_payload }
     }
 
-    /// Build a TCP segment carrying `payload` in full. Bulk data is
-    /// represented by advancing `header.seq` between segments rather than
-    /// attaching payload; the monitor recovers byte counts from sequence
-    /// space, as Zeek does.
+    /// Build a TCP segment carrying `payload` in full.
     pub fn tcp(
         src_mac: MacAddr,
         dst_mac: MacAddr,
@@ -91,37 +144,26 @@ impl Frame {
         header: TcpHeader<'_>,
         payload: &[u8],
     ) -> Frame {
-        let ip = Ipv4Header::new(src, dst, IpProtocol::Tcp, header.header_len() + payload.len());
-        let mut transport_bytes = Vec::with_capacity(header.header_len() + payload.len());
-        header.encode(&mut transport_bytes, &ip, payload);
-        transport_bytes.extend_from_slice(payload);
-        Frame {
-            eth: EthernetHeader { dst: dst_mac, src: src_mac, ethertype: EtherType::Ipv4 },
-            ip,
-            transport_bytes,
-            virtual_payload: 0,
-        }
+        let mut stored = Vec::with_capacity(HEADERS_LEN + header.header_len() + payload.len());
+        tcp(&mut stored, src_mac, dst_mac, src, dst, header, payload);
+        Frame { stored, virtual_payload: 0 }
     }
 
     /// Bytes actually stored in the capture.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(ETHERNET_HEADER_LEN + IPV4_HEADER_LEN + self.transport_bytes.len());
-        self.encode_into(&mut out);
+        let mut out = Vec::with_capacity(self.stored.len());
+        out.extend_from_slice(&self.stored);
         out
-    }
-
-    /// [`encode`](Frame::encode), appending to a buffer the caller reuses.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        self.eth.encode(out);
-        self.ip.encode(out);
-        out.extend_from_slice(&self.transport_bytes);
     }
 
     /// Length the frame had on the wire (captured + virtual payload).
     pub fn wire_len(&self) -> usize {
-        ETHERNET_HEADER_LEN + IPV4_HEADER_LEN + self.transport_bytes.len() + self.virtual_payload
+        self.stored.len() + self.virtual_payload
     }
 }
+
+/// Ethernet plus IPv4 header, what every frame starts with.
+const HEADERS_LEN: usize = ETHERNET_HEADER_LEN + IPV4_HEADER_LEN;
 
 /// Parsed transport layer of a captured packet.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -80,20 +80,27 @@ impl Ipv4Header {
 
     /// Encode (computing the header checksum) and append to `out`.
     pub fn encode(&self, out: &mut Vec<u8>) {
-        let start = out.len();
-        out.push(0x45); // version 4, IHL 5
-        out.push(self.dscp_ecn);
-        out.extend_from_slice(&self.total_len.to_be_bytes());
-        out.extend_from_slice(&self.identification.to_be_bytes());
+        out.extend_from_slice(&self.to_bytes());
+    }
+
+    /// The 20 header octets, checksum included: what [`encode`](Self::encode)
+    /// appends, for a writer that fills the header in once the payload
+    /// behind it is known.
+    pub(crate) fn to_bytes(&self) -> [u8; IPV4_HEADER_LEN] {
+        let mut b = [0u8; IPV4_HEADER_LEN];
+        b[0] = 0x45; // version 4, IHL 5
+        b[1] = self.dscp_ecn;
+        b[2..4].copy_from_slice(&self.total_len.to_be_bytes());
+        b[4..6].copy_from_slice(&self.identification.to_be_bytes());
         let frag = if self.dont_frag { 0x4000u16 } else { 0 };
-        out.extend_from_slice(&frag.to_be_bytes());
-        out.push(self.ttl);
-        out.push(self.protocol.to_u8());
-        out.extend_from_slice(&[0, 0]); // checksum placeholder
-        out.extend_from_slice(&self.src.octets());
-        out.extend_from_slice(&self.dst.octets());
-        let cks = internet_checksum(&[&out[start..]]);
-        out[start + 10..start + 12].copy_from_slice(&cks.to_be_bytes());
+        b[6..8].copy_from_slice(&frag.to_be_bytes());
+        b[8] = self.ttl;
+        b[9] = self.protocol.to_u8();
+        b[12..16].copy_from_slice(&self.src.octets());
+        b[16..20].copy_from_slice(&self.dst.octets());
+        let cks = internet_checksum(&[&b]);
+        b[10..12].copy_from_slice(&cks.to_be_bytes());
+        b
     }
 
     /// Decode from the front of `buf`; returns the header and the offset of

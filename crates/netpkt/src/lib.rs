@@ -37,7 +37,7 @@
 mod checksum;
 mod error;
 mod ethernet;
-mod frame;
+pub mod frame;
 mod ipv4;
 mod tcp;
 mod udp;

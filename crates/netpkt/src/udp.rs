@@ -29,19 +29,26 @@ impl UdpHeader {
     /// Encode (computing the checksum over the pseudo-header and payload)
     /// and append to `out`.
     pub fn encode(&self, out: &mut Vec<u8>, ip: &Ipv4Header, payload: &[u8]) {
-        let start = out.len();
-        out.extend_from_slice(&self.src_port.to_be_bytes());
-        out.extend_from_slice(&self.dst_port.to_be_bytes());
-        out.extend_from_slice(&self.length.to_be_bytes());
-        out.extend_from_slice(&[0, 0]);
+        out.extend_from_slice(&self.to_bytes(ip, payload));
+    }
+
+    /// The 8 header octets with the checksum over `payload`: what
+    /// [`encode`](Self::encode) appends, for a writer whose payload is
+    /// already in place behind the header.
+    pub(crate) fn to_bytes(self, ip: &Ipv4Header, payload: &[u8]) -> [u8; UDP_HEADER_LEN] {
+        let mut b = [0u8; UDP_HEADER_LEN];
+        b[0..2].copy_from_slice(&self.src_port.to_be_bytes());
+        b[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
+        b[4..6].copy_from_slice(&self.length.to_be_bytes());
         let ph = ip.pseudo_header(self.length);
-        let mut cks = internet_checksum(&[&ph, &out[start..], payload]);
+        let mut cks = internet_checksum(&[&ph, &b, payload]);
         // An all-zero transmitted checksum means "no checksum" in UDP;
         // a computed zero is sent as 0xFFFF (RFC 768).
         if cks == 0 {
             cks = 0xFFFF;
         }
-        out[start + 6..start + 8].copy_from_slice(&cks.to_be_bytes());
+        b[6..8].copy_from_slice(&cks.to_be_bytes());
+        b
     }
 
     /// Decode from the front of `buf`; returns the header and payload offset.

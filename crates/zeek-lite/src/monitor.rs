@@ -502,7 +502,7 @@ fn unanswered(key: &DnsKey, pending: &PendingQuery) -> DnsTransaction {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dns_wire::{Message, Name, Record};
+    use dns_wire::{Flags, Message, Name, RData, Rcode, Record, RrClass};
     use netpkt::{Frame, MacAddr, TcpFlags, TcpHeader};
 
     const HOUSE: Ipv4Addr = Ipv4Addr::new(10, 1, 1, 2);
@@ -520,9 +520,12 @@ mod tests {
     }
 
     fn dns_response(id: u16, name: &str, addr: Ipv4Addr, ttl: u32) -> Frame {
-        let q = Message::query(id, Name::parse(name).unwrap(), RrType::A);
-        let mut resp = q.answer_template();
-        resp.answers.push(Record::a(Name::parse(name).unwrap(), ttl, addr));
+        let name = Name::parse(name).unwrap();
+        let resp = Message {
+            flags: Flags::response(Rcode::NoError),
+            answers: vec![Record { name: name.clone(), class: RrClass::In, ttl, rdata: RData::A(addr) }],
+            ..Message::query(id, name, RrType::A)
+        };
         Frame::udp(MacAddr::UPSTREAM, MacAddr::LOCAL, RESOLVER, HOUSE, 53, 54321, &resp.encode())
     }
 

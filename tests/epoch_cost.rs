@@ -10,7 +10,7 @@
 use std::net::Ipv4Addr;
 
 use dnsctx::dns_context::{stream::StreamEngine, AnalysisConfig};
-use dnsctx::dns_wire::{Message, Name, Record, RrType};
+use dnsctx::dns_wire::{Flags, Message, Name, RData, Rcode, Record, RrClass, RrType};
 use dnsctx::netpkt::{Frame, MacAddr, TcpFlags, TcpHeader};
 use dnsctx::xkit::obs::ObsHub;
 use dnsctx::xkit::bench::alloc::{self, CountingAlloc, StageAllocs};
@@ -32,8 +32,11 @@ fn feed(engine: &mut StreamEngine, ts_us: u64, f: &Frame) {
 fn lookup(engine: &mut StreamEngine, ts_us: u64, id: u16, name: &str, addr: Ipv4Addr, ttl: u32) {
     let name = Name::parse(name).unwrap();
     let q = Message::query(id, name.clone(), RrType::A);
-    let mut resp = q.answer_template();
-    resp.answers.push(Record::a(name, ttl, addr));
+    let resp = Message {
+        flags: Flags::response(Rcode::NoError),
+        answers: vec![Record { name, class: RrClass::In, ttl, rdata: RData::A(addr) }],
+        ..q.clone()
+    };
     let (up, down) = (MacAddr::UPSTREAM, MacAddr::LOCAL);
     feed(engine, ts_us, &Frame::udp(down, up, HOUSE, RESOLVER, 54321, 53, &q.encode()));
     feed(engine, ts_us + 500, &Frame::udp(up, down, RESOLVER, HOUSE, 53, 54321, &resp.encode()));

@@ -1,7 +1,9 @@
 //! Adversarial corpus: hand-crafted hostile bytes through every parse
 //! path. Each case must come back as a typed `Err` — never a panic.
 
-use dnsctx::dns_wire::{tcp_frame, Message, Name, RrType, WireError};
+use dnsctx::dns_wire::{
+    tcp_frame, Flags, Message, Name, RData, Rcode, Record, RrClass, RrType, WireError,
+};
 use dnsctx::netpkt::{Frame, MacAddr, Packet, PktError, TcpHeader};
 use std::net::Ipv4Addr;
 
@@ -174,14 +176,18 @@ fn section_counts_exceeding_message_are_err() {
 #[test]
 fn every_cut_of_a_valid_message_is_err_not_panic() {
     let full = {
-        let q = Message::query(3, Name::parse("cut.example.com").unwrap(), RrType::A);
-        let mut resp = q.answer_template();
-        resp.answers.push(dnsctx::dns_wire::Record::a(
-            Name::parse("cut.example.com").unwrap(),
-            300,
-            Ipv4Addr::new(192, 0, 2, 1),
-        ));
-        resp.encode()
+        let name = Name::parse("cut.example.com").unwrap();
+        Message {
+            flags: Flags::response(Rcode::NoError),
+            answers: vec![Record {
+                name: name.clone(),
+                class: RrClass::In,
+                ttl: 300,
+                rdata: RData::A(Ipv4Addr::new(192, 0, 2, 1)),
+            }],
+            ..Message::query(3, name, RrType::A)
+        }
+        .encode()
     };
     assert!(Message::decode(&full).is_ok());
     for cut in 0..full.len() {

@@ -8,7 +8,7 @@
 
 use std::net::Ipv4Addr;
 
-use dnsctx::dns_wire::{Message, Name, Record, RrType};
+use dnsctx::dns_wire::{Flags, Message, Name, RData, Rcode, Record, RrClass, RrType};
 use dnsctx::netpkt::{Frame, MacAddr, TcpFlags, TcpHeader};
 use dnsctx::xkit::bench::alloc::{self, CountingAlloc};
 use dnsctx::zeek_lite::{AnswerData, Monitor, MonitorConfig, Timestamp};
@@ -29,6 +29,15 @@ fn stored(f: &Frame) -> Stored {
     (f.encode(), f.wire_len() as u32)
 }
 
+/// The response to `q` carrying `answers`.
+fn answered(q: Message, answers: Vec<Record>) -> Message {
+    Message { flags: Flags::response(Rcode::NoError), answers, ..q }
+}
+
+fn record(name: &Name, ttl: u32, rdata: RData) -> Record {
+    Record { name: name.clone(), class: RrClass::In, ttl, rdata }
+}
+
 /// Query and response (CNAME + 2 × A) of lookup `i`, from its own client
 /// port. Every name is as long as every other, so the first message sizes
 /// the monitor's reused key for all of them.
@@ -36,11 +45,15 @@ fn lookup(i: u16) -> [Stored; 2] {
     let name = Name::parse(&format!("w{i:05}.example.com")).unwrap();
     let edge = Name::parse(&format!("e{i:05}.cdn.example.net")).unwrap();
     let q = Message::query(i, name.clone(), RrType::A);
-    let mut resp = q.answer_template();
-    resp.answers.push(Record::cname(name, 300, edge.clone()));
-    for host in [1, 2] {
-        resp.answers.push(Record::a(edge.clone(), 60, Ipv4Addr::new(104, 16, (i >> 8) as u8, host)));
-    }
+    let addr = |host| RData::A(Ipv4Addr::new(104, 16, (i >> 8) as u8, host));
+    let resp = answered(
+        q.clone(),
+        vec![
+            record(&name, 300, RData::Cname(edge.clone())),
+            record(&edge, 60, addr(1)),
+            record(&edge, 60, addr(2)),
+        ],
+    );
     let port = 20_000 + i;
     [
         stored(&Frame::udp(DOWN, UP, HOUSE, RESOLVER, port, 53, &q.encode())),
@@ -64,9 +77,11 @@ fn a_transaction_allocates_its_row_and_nothing_else_allocates() {
 
     // A retransmitted query, and a response nobody asked for (the id of a
     // lookup not made yet, on the flow the monitor already tracks).
-    let mut stray = Message::query(7, Name::parse("w00007.example.com").unwrap(), RrType::A)
-        .answer_template();
-    stray.answers.push(Record::a(Name::parse("w00007.example.com").unwrap(), 60, SERVER));
+    let seventh = Name::parse("w00007.example.com").unwrap();
+    let stray = answered(
+        Message::query(7, seventh.clone(), RrType::A),
+        vec![record(&seventh, 60, RData::A(SERVER))],
+    );
     let stray = stored(&Frame::udp(UP, DOWN, RESOLVER, HOUSE, 53, 20_000 + N, &stray.encode()));
     let ((), idle) = alloc::measure(|| {
         feed(&mut monitor, &warm_q);
