@@ -11,10 +11,11 @@ use xkit::fault::{FaultConfig, FaultInjector};
 use xkit::rng::StdRng;
 
 fn small_capture(seed: u64) -> Vec<u8> {
-    let cfg = WorkloadConfig {
-        scale: ScaleKnobs { houses: 5, days: 0.1, activity: 0.1 },
-        ..WorkloadConfig::default()
-    };
+    capture(ScaleKnobs { houses: 5, days: 0.1, activity: 0.1 }, seed)
+}
+
+fn capture(scale: ScaleKnobs, seed: u64) -> Vec<u8> {
+    let cfg = WorkloadConfig { scale, ..WorkloadConfig::default() };
     let sim = Simulation::new(cfg, seed).expect("valid config").with_threads(1);
     let mut pcap = Vec::new();
     let (_, frames) = sim.run_pcap(&mut pcap, 65_535).expect("in-memory pcap");
@@ -34,6 +35,30 @@ fn render_logs(logs: &Logs) -> Vec<u8> {
     logfmt::write_conn_log(&mut buf, &logs.conns).expect("in-memory write");
     logfmt::write_dns_log(&mut buf, &logs.dns).expect("in-memory write");
     buf
+}
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
+/// The monitor's logs over a 12-house capture, clean and at 5 % faults —
+/// where reordered and duplicated frames move the flow-table sweeps and
+/// the order rows complete in — as row counts and the FNV-1a digest of
+/// their rendering, recorded on the commit before the flow table was
+/// keyed by packed words.
+#[test]
+fn monitor_logs_match_the_recorded_digest() {
+    let clean = capture(ScaleKnobs { houses: 12, days: 0.1, activity: 0.3 }, 12);
+    let faulted = corrupt(&clean, FaultConfig::uniform(0.05), StdRng::seed_from_u64(12));
+    let digest = |pcap: &[u8]| {
+        let mut source = pcapio::source::file(pcap).expect("in-memory pcap");
+        let logs = Monitor::process_source(&mut source, MonitorConfig::default()).expect("in-memory pcap");
+        (logs.conns.len(), logs.dns.len(), fnv1a(&render_logs(&logs)))
+    };
+    assert_eq!(digest(&clean), (2_344, 954, 0x36df_09e8_210a_fc8a), "clean");
+    assert_eq!(digest(&faulted), (2_352, 933, 0x2e6b_cf92_6606_cda9), "5 % faults");
 }
 
 #[test]
