@@ -452,14 +452,13 @@ impl Monitor {
                 self.dns_log.push(unanswered(&key, &pending));
             }
         }
-        let mut logs = Logs {
-            conns: self.tracker.finish(),
-            dns: self.dns_log,
-            stats: self.stats,
-            degradation: self.degradation,
-        };
-        logs.sort();
-        logs
+        // The order `Logs::sort` gives. Uids are unique within one monitor,
+        // so `(ts, uid)` needs no stable sort and the conn log sorts in
+        // place, without a scratch copy of its rows.
+        let mut conns = self.tracker.finish();
+        conns.sort_unstable_by_key(|c| (c.ts, c.uid));
+        self.dns_log.sort_by(DnsTransaction::log_order);
+        Logs { conns, dns: self.dns_log, stats: self.stats, degradation: self.degradation }
     }
 
     /// Convenience: drain any [`pcapio::RecordSource`] — file reader,

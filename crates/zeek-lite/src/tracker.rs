@@ -288,7 +288,15 @@ impl Flow {
     }
 }
 
-type CanonKey = ((Ipv4Addr, u16), (Ipv4Addr, u16), Proto);
+/// A flow's orientation-free table key: its two `(address, port)`
+/// endpoints as 48-bit words, the lower one first, and the protocol, in
+/// one `u128` — one keyed hash of 16 bytes per frame.
+fn flow_key(a: Ipv4Addr, a_port: u16, b: Ipv4Addr, b_port: u16, proto: Proto) -> u128 {
+    let a = (u64::from(u32::from(a)) << 16) | u64::from(a_port);
+    let b = (u64::from(u32::from(b)) << 16) | u64::from(b_port);
+    let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
+    (u128::from(lo) << 49) | (u128::from(hi) << 1) | proto as u128
+}
 
 /// The flow table.
 pub(crate) struct FlowTracker {
@@ -297,7 +305,7 @@ pub(crate) struct FlowTracker {
     /// Delay between a TCP connection terminating and its removal, so that
     /// stray retransmits do not spawn ghost flows.
     linger: Duration,
-    flows: HashMap<CanonKey, Flow>,
+    flows: HashMap<u128, Flow>,
     completed: Vec<ConnRecord>,
     next_uid: u64,
     last_sweep: Timestamp,
@@ -327,7 +335,7 @@ impl FlowTracker {
             resp_port: m.dst_port,
             proto: m.proto,
         };
-        let key = tuple.canonical_key();
+        let key = flow_key(m.src, m.src_port, m.dst, m.dst_port, m.proto);
         let next_uid = &mut self.next_uid;
         let mut new_flow = || {
             let uid = *next_uid;
@@ -438,28 +446,16 @@ impl FlowTracker {
         let udp_t = self.udp_timeout;
         let tcp_t = self.tcp_timeout;
         let linger = self.linger;
-        let mut expired: Vec<CanonKey> = Vec::new();
-        // lint: allow(no-map-iteration): expired flows are re-sorted by the total log order
-        for (key, flow) in &self.flows {
+        let expired = self.flows.extract_if(|_, flow| {
             let idle = now.since(flow.last);
-            let done = match flow.tuple.proto {
+            match flow.tuple.proto {
                 Proto::Udp => idle >= udp_t,
-                Proto::Tcp => {
-                    if flow.terminated() {
-                        idle >= linger
-                    } else {
-                        idle >= tcp_t
-                    }
-                }
-            };
-            if done {
-                expired.push(*key);
+                Proto::Tcp if flow.terminated() => idle >= linger,
+                Proto::Tcp => idle >= tcp_t,
             }
-        }
-        for key in expired {
-            let flow = self.flows.remove(&key).unwrap();
-            self.completed.push(flow.into_record());
-        }
+        });
+        // Expired flows leave in bucket order; the log sort is total.
+        self.completed.extend(expired.map(|(_, flow)| flow.into_record()));
     }
 
     /// Drain connection records completed so far, in completion order.
@@ -468,13 +464,13 @@ impl FlowTracker {
         self.completed.drain(..)
     }
 
-    /// Flush every remaining flow (end of capture) and return all records.
-    pub fn finish(mut self) -> Vec<ConnRecord> {
-        let mut out = std::mem::take(&mut self.completed);
-        // lint: allow(no-map-iteration): sorted by start just below; the log sort is total
-        let mut remaining: Vec<Flow> = self.flows.into_values().collect();
-        remaining.sort_by_key(|f| f.start);
-        out.extend(remaining.into_iter().map(Flow::into_record));
+    /// Flush every remaining flow (end of capture) and return all
+    /// records: the completed ones in completion order, then the flushed
+    /// ones in bucket order, for the caller to sort.
+    pub fn finish(self) -> Vec<ConnRecord> {
+        let mut out = self.completed;
+        // lint: allow(no-map-iteration): the caller sorts under the total log order
+        out.extend(self.flows.into_values().map(Flow::into_record));
         out
     }
 
@@ -549,6 +545,20 @@ mod tests {
         t.handle(tcp_pkt(base_ms + 40, false, TcpFlags::PSH_ACK, isn_r + 1, resp_data as u64));
         t.handle(tcp_pkt(base_ms + 50, true, TcpFlags::FIN_ACK, isn_o + 1 + orig_data, 0));
         t.handle(tcp_pkt(base_ms + 60, false, TcpFlags::FIN_ACK, isn_r + 1 + resp_data, 0));
+    }
+
+    #[test]
+    fn canonical_key_is_orientation_free() {
+        let key = flow_key(H, 49152, S, 443, Proto::Tcp);
+        assert_eq!(key, flow_key(S, 443, H, 49152, Proto::Tcp));
+        for other in [
+            flow_key(H, 443, S, 49152, Proto::Tcp),
+            flow_key(H, 49152, S, 443, Proto::Udp),
+            flow_key(Ipv4Addr::new(10, 1, 1, 3), 49152, S, 443, Proto::Tcp),
+            flow_key(H, 49152, Ipv4Addr::new(93, 184, 216, 35), 443, Proto::Tcp),
+        ] {
+            assert_ne!(key, other);
+        }
     }
 
     #[test]

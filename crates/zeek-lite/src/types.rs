@@ -53,30 +53,6 @@ pub struct FiveTuple {
 }
 
 impl FiveTuple {
-    /// The tuple as seen from the responder's side (swapped orientation).
-    // lint: allow(unused-pub): the orientation-free flow key is pinned through it (types::tests); goes with them in a later removal slot
-    pub fn reversed(&self) -> FiveTuple {
-        FiveTuple {
-            orig_addr: self.resp_addr,
-            orig_port: self.resp_port,
-            resp_addr: self.orig_addr,
-            resp_port: self.orig_port,
-            proto: self.proto,
-        }
-    }
-
-    /// An orientation-free key: the endpoint pair sorted so both directions
-    /// of a flow map to the same key.
-    pub fn canonical_key(&self) -> ((Ipv4Addr, u16), (Ipv4Addr, u16), Proto) {
-        let a = (self.orig_addr, self.orig_port);
-        let b = (self.resp_addr, self.resp_port);
-        if a <= b {
-            (a, b, self.proto)
-        } else {
-            (b, a, self.proto)
-        }
-    }
-
     /// True when both ports are ephemeral "high ports" (≥1024) — the
     /// hallmark of peer-to-peer traffic used by the paper's §5.1 analysis.
     pub fn both_high_ports(&self) -> bool {
@@ -106,21 +82,6 @@ mod tests {
             resp_port: 443,
             proto: Proto::Tcp,
         }
-    }
-
-    #[test]
-    fn reversed_swaps_endpoints() {
-        let t = tup();
-        let r = t.reversed();
-        assert_eq!(r.orig_addr, t.resp_addr);
-        assert_eq!(r.resp_port, t.orig_port);
-        assert_eq!(r.reversed(), t);
-    }
-
-    #[test]
-    fn canonical_key_is_orientation_free() {
-        let t = tup();
-        assert_eq!(t.canonical_key(), t.reversed().canonical_key());
     }
 
     #[test]

@@ -88,8 +88,10 @@ cargo test -q --release --offline -p cache-sim
 cargo test -q --release --offline -p dnsctx --test cache_sim_alloc
 # The streamed path allocates for the rows it emits: what closing an
 # epoch costs whatever it moves or holds, and a whole run against its
-# monitor alone.
-cargo test -q --release --offline -p dnsctx --test epoch_cost --test stream_alloc
+# monitor alone. The monitor, the batch analysis and the simulator's
+# packet sink hold their own pins, in the profile the ladder measures.
+cargo test -q --release --offline -p dnsctx --test epoch_cost --test stream_alloc \
+    --test monitor_alloc --test analysis_alloc --test sim_alloc
 
 echo "== obs-serve suite =="
 # Serve smoke on an ephemeral port: every endpoint must answer and

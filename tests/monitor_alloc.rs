@@ -2,9 +2,11 @@
 //! transaction's row owns — the `query` string, the answer vector, one
 //! string per CNAME — and a packet that produces no row allocates
 //! nothing — after a drain too, the row vector's capacity staying with
-//! the monitor. Counted with the allocation counter (a `realloc` is an
-//! event), not timed. One test in this binary, so nothing else allocates
-//! while it measures.
+//! the monitor. Expiring idle flows costs only the doublings of the
+//! completed-row vector, and `finish` sorts the conn log in place.
+//! Counted with the allocation counter (a `realloc` is an event), not
+//! timed. One test in this binary, so nothing else allocates while it
+//! measures.
 
 use std::net::Ipv4Addr;
 
@@ -151,4 +153,38 @@ fn a_transaction_allocates_its_row_and_nothing_else_allocates() {
     }
     let tcp_flow = logs.app_conns().next().expect("the TCP flow");
     assert_eq!(tcp_flow.orig_pkts + tcp_flow.resp_pkts, 10_003);
+
+    // K idle UDP flows, each from its own port, expired by one sweep
+    // (every 10 s of trace time; the UDP timeout is 60 s) that the frame
+    // of a new flow triggers. The rows move into the completed vector,
+    // whose doublings to K (capacities 4, 8, …, 1024) are all the sweep
+    // may allocate.
+    const K: u16 = 1_000;
+    let mut monitor = Monitor::new(MonitorConfig::default());
+    let at = |monitor: &mut Monitor, ms: u64, (bytes, wire_len): &Stored| {
+        monitor.handle_frame(Timestamp(ms * 1_000_000), bytes, *wire_len);
+    };
+    let idle: Vec<Stored> =
+        (0..=K).map(|k| stored(&Frame::udp(DOWN, UP, HOUSE, SERVER, 30_000 + k, 443, &[]))).collect();
+    let (tick, idle) = idle.split_last().expect("K + 1 flows");
+    for (k, flow) in (0..).zip(idle) {
+        at(&mut monitor, k, flow);
+    }
+    let ((), sweep) = alloc::measure(|| at(&mut monitor, 70_000, tick));
+    let doublings = u64::from(K.next_power_of_two().trailing_zeros()) - 1;
+    assert!(sweep.allocs <= doublings, "{} allocations to expire {K} flows", sweep.allocs);
+    assert_eq!(monitor.drain_conns().count(), usize::from(K));
+
+    // Drained, the vector has the room: the next K expire for nothing.
+    for (k, flow) in (0..).zip(idle) {
+        at(&mut monitor, 80_000 + k, flow);
+    }
+    let ((), sweep) = alloc::measure(|| at(&mut monitor, 150_000, tick));
+    assert_eq!(sweep.allocs, 0, "expiring {K} flows into a drained vector allocated");
+
+    // `finish` over those K + 1 rows and the live flow: the rows are
+    // already in a vector with room, so sorting them is all it does.
+    let (logs, finish) = alloc::measure(|| monitor.finish());
+    assert_eq!(logs.conns.len(), usize::from(K) + 2);
+    assert_eq!(finish.allocs, 0, "finish allocated for {} conns", logs.conns.len());
 }
