@@ -1224,7 +1224,7 @@ fn fuzz(opts: &Opts) {
     fn render_logs(logs: &Logs) -> Vec<u8> {
         let mut buf = Vec::new();
         logfmt::write_conn_log(&mut buf, &logs.conns).expect("in-memory write");
-        logfmt::write_dns_log(&mut buf, &logs.dns).expect("in-memory write");
+        logfmt::write_dns_log(&mut buf, &logs.names, &logs.dns).expect("in-memory write");
         buf
     }
 

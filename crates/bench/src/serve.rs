@@ -142,7 +142,7 @@ impl Daemon {
     /// Remove a tenant and free its state (hub, snapshots, peak
     /// gauges). Waits for the pool to go idle first when the tenant has
     /// not settled yet — removal never races a running engine.
-    // lint: allow(unused-pub): ROADMAP item 2's soak races scrapes against it; serve_daemon.rs pins it until then
+    // lint: allow(unused-pub): serve_daemon.rs pins removal, and the scrapes after it, through it
     pub fn remove_tenant(&self, id: &str) -> bool {
         match self.registry.state(id) {
             None => return false,

@@ -41,7 +41,7 @@ fn capture_bytes(threads: usize) -> Vec<u8> {
 fn render_logs(logs: &Logs) -> Vec<u8> {
     let mut buf = Vec::new();
     logfmt::write_conn_log(&mut buf, &logs.conns).expect("in-memory write");
-    logfmt::write_dns_log(&mut buf, &logs.dns).expect("in-memory write");
+    logfmt::write_dns_log(&mut buf, &logs.names, &logs.dns).expect("in-memory write");
     buf
 }
 
@@ -142,6 +142,7 @@ fn stream_agrees_for_all_windows_and_threads() {
             .expect("stream run");
             released.conns.extend(result.tail.conns);
             released.dns.extend(result.tail.dns);
+            released.names = result.names;
 
             assert_eq!(
                 render_logs(&released),

@@ -17,11 +17,12 @@
 //!   actually used at least `min_uses` times, and stop refreshing a name
 //!   once it has gone unused for `idle_cutoff`.
 //!
-//! The batch entry points intern `logs.dns`' names once per call and run
-//! every cache on `(house, name id)` packed into one word, [`whole_house`]
-//! one such cache per query type; the streaming [`CacheReplay`], whose
-//! rows are dropped behind it, owns its names under `(house, qtype)`. A
-//! record is live while `expiry > ts`, strict: `demand_hit` alone says so.
+//! Every cache keys on the name ids the logs' [`zeek_lite::NameTable`]
+//! issued: the batch entry points run on `(house, name id)` packed into
+//! one word, [`whole_house`] one such cache per query type, and the
+//! streaming [`CacheReplay`] on `(house, qtype, name id)`. No cache holds
+//! text of its own. A record is live while `expiry > ts`, strict:
+//! `demand_hit` alone says so.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,7 +32,7 @@ use dns_wire::RrType;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use xkit::collections::FastMap;
-use zeek_lite::{DnsTransaction, Duration, Logs, Timestamp};
+use zeek_lite::{DnsTransaction, Duration, Logs, NameId, Timestamp};
 
 /// Result of the whole-house cache simulation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -63,11 +64,12 @@ pub fn whole_house(logs: &Logs, analysis: &Analysis<'_>) -> WholeHouseReport {
     // house cache would have answered it: one `DemandCache` per query
     // type (a handful, addressed by key only), each row's own expiry as
     // the fresh one. Nothing is evicted: an expired slot never hits again.
-    let names = Names::intern(&logs.dns);
     let mut caches: FastMap<RrType, DemandCache> = FastMap::default();
-    let absorbed: Vec<bool> = std::iter::zip(&logs.dns, &names.of_row)
-        .map(|(txn, &name)| {
-            let slot = caches.entry(txn.qtype).or_default().entry(pack_key(txn.client, name));
+    let absorbed: Vec<bool> = logs
+        .dns
+        .iter()
+        .map(|txn| {
+            let slot = caches.entry(txn.qtype).or_default().entry(pack_key(txn.client, txn.query));
             // An unanswered lookup caches nothing: its slot stays dead.
             demand_hit(slot.or_default(), txn.ts, txn.expires_at().unwrap_or(NEVER))
         })
@@ -115,18 +117,17 @@ pub fn whole_house(logs: &Logs, analysis: &Analysis<'_>) -> WholeHouseReport {
 ///   with the trace. Because timestamps only move forward, an expired
 ///   entry can never hit again; eviction is decision-neutral.
 ///
+/// Rows name their query by id, so every row offered must come from one
+/// name table (a stream's is its monitor's, append-only for the run).
+///
 /// [`offer`]: CacheReplay::offer
 #[derive(Debug)]
 pub struct CacheReplay {
-    /// Per `(house, qtype)`: query name → expiry of the cached record.
-    cache: HashMap<(Ipv4Addr, RrType), HashMap<String, Timestamp>>,
-    /// Name buffers of evicted entries, for the next entries to own: the
-    /// stream drops its rows, so the cache copies each name it keeps, into
-    /// one of these when there is one. Never more than `peak_live - live`.
-    spare: Vec<String>,
+    /// `(house, qtype, query name)` → expiry of the cached record. Keyed
+    /// on the std hasher: the ids stand for names off the wire.
+    cache: HashMap<(Ipv4Addr, RrType, NameId), Timestamp>,
     sweep_interval: Duration,
     last_sweep: Timestamp,
-    live: u64,
     peak_live: u64,
     evicted: u64,
     hits: u64,
@@ -139,10 +140,8 @@ impl CacheReplay {
     pub fn new(sweep_interval: Duration) -> CacheReplay {
         CacheReplay {
             cache: HashMap::new(),
-            spare: Vec::new(),
             sweep_interval,
             last_sweep: Timestamp::ZERO,
-            live: 0,
             peak_live: 0,
             evicted: 0,
             hits: 0,
@@ -154,36 +153,31 @@ impl CacheReplay {
     pub fn offer(&mut self, txn: &DnsTransaction) -> bool {
         self.maybe_sweep(txn.ts);
         let fresh = txn.expires_at();
-        // Only a row that leaves an entry behind may open a house's map.
-        let names = match fresh {
-            Some(_) => Some(self.cache.entry((txn.client, txn.qtype)).or_default()),
-            None => self.cache.get_mut(&(txn.client, txn.qtype)),
-        };
-        let mut hit = false;
-        if let Some(names) = names {
-            if let Some(expiry) = names.get_mut(txn.query.as_str()) {
-                hit = demand_hit(expiry, txn.ts, fresh.unwrap_or(NEVER));
+        let key = (txn.client, txn.qtype, txn.query);
+        let hit = match self.cache.get_mut(&key) {
+            Some(expiry) => {
+                let hit = demand_hit(expiry, txn.ts, fresh.unwrap_or(NEVER));
                 if !hit {
                     // Expired at (or before) this instant: evicted. The
                     // answer took the slot in place; without one it goes.
                     self.evicted += 1;
                     if fresh.is_none() {
-                        let gone = names.remove_entry(txn.query.as_str());
-                        self.spare.extend(gone.map(|(name, _)| name));
-                        self.live -= 1;
+                        self.cache.remove(&key);
                     }
                 }
-            } else if let Some(expires) = fresh {
-                let mut name = self.spare.pop().unwrap_or_default();
-                name.clear();
-                name.push_str(&txn.query);
-                names.insert(name, expires);
-                self.live += 1;
+                hit
             }
-        }
+            None => {
+                // Only a row that leaves an entry behind adds one.
+                if let Some(expires) = fresh {
+                    self.cache.insert(key, expires);
+                }
+                false
+            }
+        };
         self.hits += u64::from(hit);
         self.misses += u64::from(!hit);
-        self.peak_live = self.peak_live.max(self.live);
+        self.peak_live = self.peak_live.max(self.live());
         hit
     }
 
@@ -192,15 +186,9 @@ impl CacheReplay {
             return;
         }
         self.last_sweep = now;
-        let mut kept = 0u64;
-        self.cache.retain(|_, names| {
-            let expired = names.extract_if(|_, expiry| *expiry <= now);
-            self.spare.extend(expired.map(|(name, _)| name));
-            kept += names.len() as u64;
-            !names.is_empty()
-        });
-        self.evicted += self.live - kept;
-        self.live = kept;
+        let live = self.live();
+        self.cache.retain(|_, expiry| *expiry > now);
+        self.evicted += live - self.live();
     }
 
     /// Lookups the cache absorbed.
@@ -220,7 +208,7 @@ impl CacheReplay {
 
     /// Currently-live entries.
     pub fn live(&self) -> u64 {
-        self.live
+        self.cache.len() as u64
     }
 
     /// High-water mark of live entries over the replay so far.
@@ -270,41 +258,12 @@ impl RefreshReport {
     }
 }
 
-/// `logs.dns`' query names, interned once per call.
-struct Names {
-    /// Per dns row, the id of its query name.
-    of_row: Vec<u32>,
-    /// Per name id, its authoritative TTL in seconds: the maximum
-    /// observed for it (per the paper), at least 1.
-    ttl_secs: Vec<u32>,
-}
-
-impl Names {
-    fn intern(dns: &[DnsTransaction]) -> Names {
-        // Names come off the wire: this table stays on the keyed hasher.
-        let mut ids: HashMap<&str, u32> = HashMap::new();
-        let mut ttl_secs: Vec<u32> = Vec::new();
-        let mut of_row = Vec::with_capacity(dns.len());
-        for txn in dns {
-            let id = *ids.entry(txn.query.as_str()).or_insert_with(|| {
-                ttl_secs.push(1);
-                (ttl_secs.len() - 1) as u32
-            });
-            if let Some(ttl) = txn.min_ttl() {
-                ttl_secs[id as usize] = ttl_secs[id as usize].max(ttl);
-            }
-            of_row.push(id);
-        }
-        Names { of_row, ttl_secs }
-    }
-}
-
 /// A name need: one DNS-using connection replayed against a house cache.
 struct Need {
     ts: Timestamp,
     house: Ipv4Addr,
-    /// The paired lookup's [`Names`] id.
-    name: u32,
+    /// The paired lookup's query.
+    name: NameId,
 }
 
 impl Need {
@@ -317,7 +276,8 @@ impl Need {
 struct Trace {
     /// The DNS-using connections, in start order.
     needs: Vec<Need>,
-    /// [`Names::ttl_secs`]; the row ids are done with once the needs exist.
+    /// Per name id, its authoritative TTL in seconds: the maximum
+    /// observed for it (per the paper), at least 1.
     ttl_secs: Vec<u32>,
     /// Trace length for the rates: first record to the last record of
     /// either log, seconds (at least 1).
@@ -331,12 +291,18 @@ struct Trace {
 
 impl Trace {
     fn new(logs: &Logs, analysis: &Analysis<'_>) -> Trace {
-        let Names { of_row, ttl_secs } = Names::intern(&logs.dns);
+        let mut ttl_secs = vec![1u32; logs.names.len()];
+        for txn in &logs.dns {
+            if let Some(ttl) = txn.min_ttl() {
+                let max = &mut ttl_secs[txn.query.0 as usize];
+                *max = (*max).max(ttl);
+            }
+        }
         let mut needs = Vec::with_capacity(analysis.pairing.pairs.len());
         for pair in &analysis.pairing.pairs {
             let Some(di) = pair.dns else { continue };
             let conn = &logs.conns[pair.conn];
-            needs.push(Need { ts: conn.ts, house: conn.id.orig_addr, name: of_row[di] });
+            needs.push(Need { ts: conn.ts, house: conn.id.orig_addr, name: logs.dns[di].query });
         }
         needs.sort_by_key(|n| n.ts);
 
@@ -360,13 +326,13 @@ impl Trace {
         n.ts + self.ttl(n.name)
     }
 
-    fn ttl(&self, name: u32) -> Duration {
-        Duration::from_secs(u64::from(self.ttl_secs[name as usize]))
+    fn ttl(&self, name: NameId) -> Duration {
+        Duration::from_secs(u64::from(self.ttl_secs[name.0 as usize]))
     }
 
     /// Refreshes that keep `name` fresh from `from` to `to`: one per TTL.
-    fn refreshes(&self, name: u32, from: Timestamp, to: Timestamp) -> u64 {
-        (to.since(from).as_secs_f64() / f64::from(self.ttl_secs[name as usize])).floor() as u64
+    fn refreshes(&self, name: NameId, from: Timestamp, to: Timestamp) -> u64 {
+        (to.since(from).as_secs_f64() / f64::from(self.ttl_secs[name.0 as usize])).floor() as u64
     }
 
     /// One Table 3 column from a policy's tallies.
@@ -390,8 +356,8 @@ type DemandCache = FastMap<u64, Timestamp>;
 /// The expiry no answered lookup leaves behind, dead at every instant.
 const NEVER: Timestamp = Timestamp::ZERO;
 
-fn pack_key(house: Ipv4Addr, name: u32) -> u64 {
-    (u64::from(u32::from(house)) << 32) | u64::from(name)
+fn pack_key(house: Ipv4Addr, name: NameId) -> u64 {
+    (u64::from(u32::from(house)) << 32) | u64::from(name.0)
 }
 
 /// The demand cache, spelled once: a use at `ts` hits while the cached
@@ -524,19 +490,19 @@ fn pct(part: u64, whole: u64) -> f64 {
 mod tests {
     use super::*;
     use dns_context::AnalysisConfig;
-    use zeek_lite::{Answer, ConnRecord, ConnState, DnsTransaction, FiveTuple, Proto};
+    use zeek_lite::{Answer, ConnRecord, ConnState, DnsTransaction, FiveTuple, NameTable, Proto};
 
     const HOUSE: Ipv4Addr = Ipv4Addr::new(10, 77, 0, 1);
     const RESOLVER: Ipv4Addr = Ipv4Addr::new(198, 51, 100, 53);
     const SERVER: Ipv4Addr = Ipv4Addr::new(104, 16, 0, 1);
 
-    fn txn(ts_ms: u64, query: &str, addr: Ipv4Addr, ttl: u32, rtt_ms: u64) -> DnsTransaction {
+    fn txn(ts_ms: u64, query: NameId, addr: Ipv4Addr, ttl: u32, rtt_ms: u64) -> DnsTransaction {
         DnsTransaction {
             ts: Timestamp::from_millis(ts_ms),
             client: HOUSE,
             resolver: RESOLVER,
             trans_id: 1,
-            query: query.into(),
+            query,
             qtype: dns_wire::RrType::A,
             rcode: Some(dns_wire::Rcode::NoError),
             rtt: Some(Duration::from_millis(rtt_ms)),
@@ -571,9 +537,10 @@ mod tests {
     #[test]
     fn whole_house_moves_duplicate_lookups() {
         let mut logs = Logs::default();
+        let a = logs.names.intern("a.example.com");
         logs.dns = vec![
-            txn(0, "a.example.com", SERVER, 300, 4),
-            txn(30_000, "a.example.com", SERVER, 300, 4),
+            txn(0, a, SERVER, 300, 4),
+            txn(30_000, a, SERVER, 300, 4),
         ];
         logs.conns = vec![conn(6, SERVER, 0), conn(30_006, SERVER, 1)];
         logs.sort();
@@ -592,9 +559,10 @@ mod tests {
     #[test]
     fn whole_house_respects_ttl() {
         let mut logs = Logs::default();
+        let a = logs.names.intern("a.example.com");
         logs.dns = vec![
-            txn(0, "a.example.com", SERVER, 10, 4),
-            txn(60_000, "a.example.com", SERVER, 10, 4), // 60 s later, TTL 10 s
+            txn(0, a, SERVER, 10, 4),
+            txn(60_000, a, SERVER, 10, 4), // 60 s later, TTL 10 s
         ];
         logs.conns = vec![conn(6, SERVER, 0), conn(60_006, SERVER, 1)];
         logs.sort();
@@ -613,9 +581,10 @@ mod tests {
         use dns_wire::RrType::{Aaaa, A};
         for (first, second, moved) in [(A, Aaaa, 0), (Aaaa, A, 0), (A, A, 1)] {
             let mut logs = Logs::default();
+            let a = logs.names.intern("a.example.com");
             logs.dns = vec![
-                DnsTransaction { qtype: first, ..txn(0, "a.example.com", SERVER, 300, 4) },
-                DnsTransaction { qtype: second, ..txn(30_000, "a.example.com", SERVER, 300, 4) },
+                DnsTransaction { qtype: first, ..txn(0, a, SERVER, 300, 4) },
+                DnsTransaction { qtype: second, ..txn(30_000, a, SERVER, 300, 4) },
             ];
             logs.conns = vec![conn(6, SERVER, 0), conn(30_006, SERVER, 1)];
             logs.sort();
@@ -636,18 +605,19 @@ mod tests {
     #[test]
     fn cache_replay_reprimes_in_place_and_drops_what_nothing_answers() {
         let mut replay = CacheReplay::new(Duration::from_secs(3_600));
+        let a = NameTable::default().intern("a.example.com");
         let unanswered = |ts_ms| DnsTransaction {
             rcode: None,
             rtt: None,
             answers: Vec::new(),
-            ..txn(ts_ms, "a.example.com", SERVER, 10, 4)
+            ..txn(ts_ms, a, SERVER, 10, 4)
         };
         assert!(!replay.offer(&unanswered(0)));
         assert_eq!((replay.live(), replay.evicted()), (0, 0));
-        assert!(!replay.offer(&txn(1_000, "a.example.com", SERVER, 10, 4)));
-        assert!(!replay.offer(&txn(20_000, "a.example.com", SERVER, 10, 4)));
+        assert!(!replay.offer(&txn(1_000, a, SERVER, 10, 4)));
+        assert!(!replay.offer(&txn(20_000, a, SERVER, 10, 4)));
         assert_eq!((replay.live(), replay.evicted(), replay.peak_live()), (1, 1, 1));
-        assert!(replay.offer(&txn(21_000, "a.example.com", SERVER, 10, 4)));
+        assert!(replay.offer(&txn(21_000, a, SERVER, 10, 4)));
         assert!(!replay.offer(&unanswered(40_000)));
         assert_eq!((replay.live(), replay.evicted(), replay.peak_live()), (0, 2, 1));
         assert_eq!((replay.hits(), replay.misses()), (1, 4));
@@ -658,9 +628,10 @@ mod tests {
         // cache alternates hit/miss; refresh-all hits everything but the
         // first.
         let mut logs = Logs::default();
+        let a = logs.names.intern("a.example.com");
         for i in 0..10u64 {
             let t = i * 60_000;
-            logs.dns.push(txn(t, "a.example.com", SERVER, 100, 4));
+            logs.dns.push(txn(t, a, SERVER, 100, 4));
             logs.conns.push(conn(t + 6, SERVER, i));
         }
         logs.sort();
@@ -690,9 +661,10 @@ mod tests {
     fn refresh_respects_ttl_floor() {
         // TTL 5 s < 10 s floor → no refreshing; both policies identical.
         let mut logs = Logs::default();
+        let b = logs.names.intern("b.example.com");
         for i in 0..5u64 {
             let t = i * 60_000;
-            logs.dns.push(txn(t, "b.example.com", SERVER, 5, 4));
+            logs.dns.push(txn(t, b, SERVER, 5, 4));
             logs.conns.push(conn(t + 6, SERVER, i));
         }
         logs.sort();
@@ -753,19 +725,20 @@ mod tests {
     #[test]
     fn cache_expiry_boundary_is_strict() {
         // txn(0, ttl=10 s, rtt=4 ms) caches until exactly 10_004 ms.
-        let first = txn(0, "a.example.com", SERVER, 10, 4);
+        let a = NameTable::default().intern("a.example.com");
+        let first = txn(0, a, SERVER, 10, 4);
         let expiry_ms = 10_004;
 
         // One nanosecond (here: one millisecond) before expiry: hit.
         let mut replay = CacheReplay::new(Duration::from_secs(60));
         assert!(!replay.offer(&first));
-        assert!(replay.offer(&txn(expiry_ms - 1, "a.example.com", SERVER, 10, 4)));
+        assert!(replay.offer(&txn(expiry_ms - 1, a, SERVER, 10, 4)));
 
         // At exactly the expiry instant: dead, by the same strict `>`
         // rule the pairing index applies — and the corpse is evicted.
         let mut replay = CacheReplay::new(Duration::from_secs(60));
         assert!(!replay.offer(&first));
-        assert!(!replay.offer(&txn(expiry_ms, "a.example.com", SERVER, 10, 4)));
+        assert!(!replay.offer(&txn(expiry_ms, a, SERVER, 10, 4)));
         assert_eq!(replay.evicted(), 1);
         // The miss re-primed the cache.
         assert_eq!(replay.live(), 1);
@@ -780,7 +753,8 @@ mod tests {
             // One name, TTL 10 s, used at t0 (primes the cache until
             // t0 + 10 s) and again `gap_ns` later.
             let mut logs = Logs::default();
-            logs.dns = vec![txn(0, "a.example.com", SERVER, 10, 4)];
+            let a = logs.names.intern("a.example.com");
+            logs.dns = vec![txn(0, a, SERVER, 10, 4)];
             let (first, mut second) = (conn(6, SERVER, 0), conn(6, SERVER, 1));
             second.ts = Timestamp(first.ts.nanos() + gap_ns);
             logs.conns = vec![first, second];
@@ -804,53 +778,14 @@ mod tests {
         // Short-TTL names looked up once each, minutes apart: the sweep
         // clears them, so live state never accumulates.
         let mut replay = CacheReplay::new(Duration::from_secs(60));
+        let mut names = NameTable::default();
         for i in 0..50u64 {
-            let name = format!("n{i}.example.com");
-            assert!(!replay.offer(&txn(i * 120_000, &name, SERVER, 5, 4)));
+            let name = names.intern(&format!("n{i}.example.com"));
+            assert!(!replay.offer(&txn(i * 120_000, name, SERVER, 5, 4)));
         }
         assert!(replay.peak_live() <= 2, "peak {}", replay.peak_live());
         assert_eq!(replay.misses(), 50);
         assert_eq!(replay.evicted() + replay.live(), 50);
-    }
-
-    /// Names come and go in waves — primed, swept away, primed again
-    /// under other names, dropped one by one by unanswered lookups — and
-    /// every buffer the cache gives up is one a later entry takes: spare
-    /// and live buffers together never outnumber the most entries held.
-    #[test]
-    fn cache_replay_spares_stay_under_the_high_water_mark() {
-        let mut replay = CacheReplay::new(Duration::from_secs(60));
-        let unanswered = |ts_ms, name: &str| DnsTransaction {
-            rcode: None,
-            rtt: None,
-            answers: Vec::new(),
-            ..txn(ts_ms, name, SERVER, 5, 4)
-        };
-        let (mut reused, mut lazily_removed) = (0u64, 0u64);
-        for wave in 0..6u64 {
-            let t0 = wave * 200_000;
-            // The wave's width varies, so a narrow one leaves spares over.
-            let width = [40, 10, 60, 5, 25, 40][wave as usize];
-            for i in 0..width {
-                let name = format!("w{wave}-n{i}.example.com");
-                let spares = replay.spare.len();
-                assert!(!replay.offer(&txn(t0 + i, &name, SERVER, 5, 4)));
-                reused += u64::from(replay.spare.len() < spares);
-                assert!(replay.spare.len() as u64 + replay.live() <= replay.peak_live());
-            }
-            // Past the TTL, before the next sweep: every other name is
-            // asked for again and not answered.
-            for i in (0..width).step_by(2) {
-                let name = format!("w{wave}-n{i}.example.com");
-                let spares = replay.spare.len();
-                assert!(!replay.offer(&unanswered(t0 + 10_000 + i, &name)));
-                lazily_removed += u64::from(replay.spare.len() > spares);
-                assert!(replay.spare.len() as u64 + replay.live() <= replay.peak_live());
-            }
-        }
-        assert!(reused > 100 && lazily_removed > 80, "{reused} reused, {lazily_removed} removed");
-        assert_eq!(replay.peak_live(), 60);
-        assert_eq!(replay.evicted() + replay.live(), 180, "every entry is evicted once");
     }
 
     #[test]

@@ -17,14 +17,14 @@ pub const RTT_MS: u64 = 4;
 /// `server` for `ttl` seconds, or never (`None`) — and a connection from
 /// `client` to `server` starting `delay_ms` after the answer. Returns the
 /// lookup, for a caller that wants it otherwise.
-pub fn push_lookup_and_conn(
-    logs: &mut Logs,
+pub fn push_lookup_and_conn<'a>(
+    logs: &'a mut Logs,
     (client, server): (Ipv4Addr, Ipv4Addr),
-    query: String,
+    query: &str,
     ts_ms: u64,
     ttl: Option<u32>,
     delay_ms: u64,
-) -> &mut DnsTransaction {
+) -> &'a mut DnsTransaction {
     let i = logs.conns.len();
     logs.conns.push(ConnRecord {
         uid: i as u64,
@@ -50,7 +50,7 @@ pub fn push_lookup_and_conn(
         client,
         resolver: RESOLVER,
         trans_id: i as u16,
-        query,
+        query: logs.names.intern(query),
         qtype: dns_wire::RrType::A,
         rcode: ttl.map(|_| dns_wire::Rcode::NoError),
         rtt: ttl.map(|_| Duration::from_millis(RTT_MS)),

@@ -135,7 +135,7 @@ fn forced_boundary_rows_agree_with_the_replay() {
         for &(h, ts_ms, qtype, ttl) in rows {
             // The connection starts 2 ms after the answer: it blocked.
             let ends = (Ipv4Addr::new(10, 77, 0, h), SERVER);
-            push_lookup_and_conn(&mut logs, ends, "a.example.com".into(), ts_ms, ttl, 2).qtype = qtype;
+            push_lookup_and_conn(&mut logs, ends, "a.example.com", ts_ms, ttl, 2).qtype = qtype;
         }
         logs.sort();
         let mut cfg = AnalysisConfig::default();

@@ -35,7 +35,7 @@ fn gen_logs(r: &mut StdRng) -> Logs {
         let ttl = r.random_range(1u32..900);
         let delay_ms = r.random_range(1u64..200);
         let query = format!("svc-{}.example", s % 5);
-        push_lookup_and_conn(&mut logs, (client(c), server(s)), query, ts_ms, Some(ttl), delay_ms);
+        push_lookup_and_conn(&mut logs, (client(c), server(s)), &query, ts_ms, Some(ttl), delay_ms);
     }
     logs.sort();
     logs

@@ -12,7 +12,7 @@ use dns_wire::{Compressor, Flags, MessageWriter, NameBuf, Rcode, RrType};
 use netpkt::{frame, MacAddr, TcpFlags, TcpHeader};
 use zeek_lite::{
     Answer, AnswerData, ConnRecord, ConnState, DnsTransaction, Duration, FiveTuple, History, Logs,
-    Proto, Timestamp,
+    NameTable, Proto, Timestamp,
 };
 
 /// One DNS transaction as the engine describes it.
@@ -95,20 +95,23 @@ pub trait Sink {
 
 /// Builds `zeek_lite::Logs` directly, bypassing packets. Connection uids
 /// equal the ground-truth index of the connection, which survives the
-/// final time-sort and lets tests join logs back to truth exactly.
+/// final time-sort and lets tests join logs back to truth exactly. Each
+/// DNS row's names are interned into the sink's table.
 pub struct LogSink {
     conns: Vec<ConnRecord>,
     dns: Vec<DnsTransaction>,
+    names: NameTable,
 }
 
 impl LogSink {
     /// An empty sink.
     pub fn new() -> LogSink {
-        LogSink { conns: Vec::new(), dns: Vec::new() }
+        LogSink { conns: Vec::new(), dns: Vec::new(), names: NameTable::default() }
     }
 
     /// Append another sink's emissions after this one's, keeping the
-    /// uid = emission-index invariant by offsetting the absorbed uids.
+    /// uid = emission-index invariant by offsetting the absorbed uids and
+    /// moving the absorbed rows' names into this sink's table.
     /// This is how per-shard sinks from a parallel run are merged back
     /// into one emission stream (in shard order, which is fixed by the
     /// house partition, not by worker scheduling).
@@ -125,9 +128,15 @@ impl LogSink {
             }));
         }
         if self.dns.is_empty() {
+            // Names come only with rows: take the table as it is.
             self.dns = other.dns;
+            self.names = other.names;
         } else {
-            self.dns.extend(other.dns);
+            let ids = self.names.absorb(&other.names);
+            self.dns.extend(other.dns.into_iter().map(|mut t| {
+                t.remap_names(&ids);
+                t
+            }));
         }
     }
 
@@ -154,6 +163,7 @@ impl LogSink {
         let mut logs = Logs {
             conns: self.conns,
             dns,
+            names: self.names,
             ..Default::default()
         };
         // uid == emission index, so (ts, uid) unstable == stable by ts.
@@ -170,9 +180,10 @@ impl Default for LogSink {
 
 impl Sink for LogSink {
     fn dns(&mut self, e: &DnsEmission<'_>) {
+        let query = self.names.intern(e.query);
         let mut answers = Vec::with_capacity(e.addrs.len() + 1);
         if let Some(c) = e.cname {
-            answers.push(Answer { data: AnswerData::Cname(c.to_string()), ttl: e.ttl });
+            answers.push(Answer { data: AnswerData::Cname(self.names.intern(c)), ttl: e.ttl });
         }
         for a in e.addrs {
             answers.push(Answer { data: AnswerData::Addr(*a), ttl: e.ttl });
@@ -182,7 +193,7 @@ impl Sink for LogSink {
             client: e.client,
             resolver: e.resolver,
             trans_id: e.trans_id,
-            query: e.query.to_string(),
+            query,
             qtype: RrType::A,
             rcode: Some(e.rcode),
             rtt: Some(e.rtt),
@@ -604,6 +615,33 @@ mod tests {
         assert_eq!(c.service, Some("ssl"));
     }
 
+    /// A later shard's rows keep their names through the merge: each id
+    /// is remapped into the first shard's table, a name both know once.
+    #[test]
+    fn absorbed_sinks_share_one_name_table() {
+        let mut first = LogSink::new();
+        first.dns(&dns_emission());
+        let mut second = LogSink::new();
+        second.dns(&DnsEmission { query: "www.s0002.com", cname: None, ..dns_emission() });
+        second.dns(&dns_emission());
+        first.absorb(second);
+        let logs = first.into_logs_and_dns_perm().0;
+        let rows: Vec<_> = logs
+            .dns
+            .iter()
+            .map(|t| {
+                let cname = t.answers.iter().find_map(|a| match a.data {
+                    AnswerData::Cname(target) => Some(logs.names.name(target)),
+                    _ => None,
+                });
+                (logs.names.name(t.query), cname)
+            })
+            .collect();
+        let edge = Some("edge-1.cdnint.net");
+        assert_eq!(rows, [("www.s0001.com", edge), ("www.s0002.com", None), ("www.s0001.com", edge)]);
+        assert_eq!(logs.names.len(), 3);
+    }
+
     #[test]
     fn log_sink_failed_conns_have_no_bytes() {
         let mut sink = LogSink::new();
@@ -662,10 +700,10 @@ mod tests {
         let logs = Monitor::process_pcap(&buf[..], MonitorConfig::default()).unwrap();
         // DNS side.
         assert_eq!(logs.dns.len(), 2);
-        assert_eq!(logs.dns[0].query, d.query);
+        assert_eq!(logs.names.name(logs.dns[0].query), d.query);
         assert_eq!(logs.dns[0].rtt, Some(d.rtt));
         assert_eq!(logs.dns[0].addrs().collect::<Vec<_>>(), d.addrs);
-        assert_eq!((logs.dns[1].query.as_str(), logs.dns[1].rcode), (nx.query, Some(Rcode::NxDomain)));
+        assert_eq!((logs.names.name(logs.dns[1].query), logs.dns[1].rcode), (nx.query, Some(Rcode::NxDomain)));
         assert_eq!((logs.dns[1].rtt, logs.dns[1].answers.len()), (Some(nx.rtt), 0));
         // The negative response carries the SOA of the missing name's
         // zone, its MINIMUM and TTL the emission's.

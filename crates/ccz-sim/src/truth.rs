@@ -94,7 +94,7 @@ impl GroundTruth {
     }
 
     /// Share (0..1) of connections with the given true class.
-    // lint: allow(unused-pub): ROADMAP item 1's confusion matrix reads ground truth through it; the scenario tests already do
+    // lint: allow(unused-pub): the scenario presets' tests (scenarios.rs) read ground-truth shares through it
     pub fn class_share(&self, class: ConnClass) -> f64 {
         if self.conns.is_empty() {
             return 0.0;

@@ -226,6 +226,7 @@ impl<'a> Analysis<'a> {
         platform_reports(
             &self.logs.conns,
             &self.logs.dns,
+            &self.logs.names,
             &self.pairing,
             &self.classes,
             &self.cfg.platform_map,
@@ -242,12 +243,13 @@ mod tests {
         let house = std::net::Ipv4Addr::new(10, 77, 0, 1);
         let resolver = std::net::Ipv4Addr::new(198, 51, 100, 53);
         let server = std::net::Ipv4Addr::new(104, 16, 0, 1);
+        let mut names = zeek_lite::NameTable::default();
         let dns = vec![DnsTransaction {
             ts: Timestamp::from_millis(1_000),
             client: house,
             resolver,
             trans_id: 1,
-            query: "www.example.com".into(),
+            query: names.intern("www.example.com"),
             qtype: dns_wire::RrType::A,
             rcode: Some(dns_wire::Rcode::NoError),
             rtt: Some(Duration::from_millis(4)),
@@ -275,6 +277,7 @@ mod tests {
         let mut logs = Logs {
             conns: vec![mk_conn(1_006, 0), mk_conn(30_000, 1)],
             dns,
+            names,
             ..Default::default()
         };
         logs.sort();

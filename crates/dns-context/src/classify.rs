@@ -358,7 +358,7 @@ mod tests {
             client: HOUSE,
             resolver: RES_FAST,
             trans_id: 1,
-            query: "www.example.com".into(),
+            query: zeek_lite::NameTable::default().intern("www.example.com"),
             qtype: dns_wire::RrType::A,
             rcode: Some(dns_wire::Rcode::NoError),
             rtt: Some(Duration::from_millis(rtt_ms)),

@@ -105,7 +105,7 @@ mod tests {
             client,
             resolver: RES,
             trans_id: 1,
-            query: "x.example.com".into(),
+            query: zeek_lite::NameTable::default().intern("x.example.com"),
             qtype: dns_wire::RrType::A,
             rcode: Some(dns_wire::Rcode::NoError),
             rtt: Some(Duration::from_millis(4)),

@@ -5,7 +5,7 @@ use crate::pairing::Pairing;
 use crate::stats::{pct, Ecdf};
 use std::collections::{HashMap, HashSet};
 use std::net::Ipv4Addr;
-use zeek_lite::{ConnRecord, DnsTransaction};
+use zeek_lite::{ConnRecord, DnsTransaction, NameTable};
 
 /// Maps resolver addresses to platform names.
 ///
@@ -88,10 +88,12 @@ pub struct PlatformReport {
 /// The Android captive-portal-detection hostname the paper singles out.
 const CONNECTIVITY_CHECK: &str = "connectivitycheck.gstatic.com";
 
-/// Build Table 1 / §7 / Figure 3 for every platform.
+/// Build Table 1 / §7 / Figure 3 for every platform; `names` holds the
+/// names `dns` refers to.
 pub fn platform_reports(
     conns: &[ConnRecord],
     dns: &[DnsTransaction],
+    names: &NameTable,
     pairing: &Pairing,
     classes: &[ConnClass],
     map: &PlatformMap,
@@ -110,6 +112,7 @@ pub fn platform_reports(
     let total_lookups: usize = lookups.values().sum();
 
     // ---- paired connections ----
+    let connectivity_check = names.get(CONNECTIVITY_CHECK);
     let mut conn_counts: HashMap<&str, usize> = HashMap::new();
     let mut byte_counts: HashMap<&str, u64> = HashMap::new();
     let mut blocked: HashMap<&str, (usize, usize)> = HashMap::new(); // (sc, r)
@@ -133,7 +136,7 @@ pub fn platform_reports(
             let b = blocked.entry(p).or_default();
             let a = artifact.entry(p).or_default();
             a.1 += 1;
-            let is_artifact = txn.query == CONNECTIVITY_CHECK;
+            let is_artifact = Some(txn.query) == connectivity_check;
             if is_artifact {
                 a.0 += 1;
             }
@@ -190,7 +193,7 @@ pub fn platform_reports(
 mod tests {
     use super::*;
     use crate::pairing::PairingPolicy;
-    use zeek_lite::{Answer, ConnState, Duration, FiveTuple, Proto, Timestamp};
+    use zeek_lite::{Answer, ConnState, Duration, FiveTuple, NameId, Proto, Timestamp};
 
     const HOUSE1: Ipv4Addr = Ipv4Addr::new(10, 77, 0, 1);
     const HOUSE2: Ipv4Addr = Ipv4Addr::new(10, 77, 0, 2);
@@ -199,13 +202,13 @@ mod tests {
     const SERVER: Ipv4Addr = Ipv4Addr::new(104, 16, 0, 1);
     const SERVER2: Ipv4Addr = Ipv4Addr::new(104, 16, 0, 2);
 
-    fn txn(ts_ms: u64, client: Ipv4Addr, resolver: Ipv4Addr, addr: Ipv4Addr, rtt_ms: u64, q: &str) -> DnsTransaction {
+    fn txn(ts_ms: u64, client: Ipv4Addr, resolver: Ipv4Addr, addr: Ipv4Addr, rtt_ms: u64, q: NameId) -> DnsTransaction {
         DnsTransaction {
             ts: Timestamp::from_millis(ts_ms),
             client,
             resolver,
             trans_id: 1,
-            query: q.into(),
+            query: q,
             qtype: dns_wire::RrType::A,
             rcode: Some(dns_wire::Rcode::NoError),
             rtt: Some(Duration::from_millis(rtt_ms)),
@@ -246,10 +249,12 @@ mod tests {
 
     #[test]
     fn reports_attribute_by_resolver() {
+        let mut names = NameTable::default();
+        let (a, b) = (names.intern("a.com"), names.intern("b.com"));
         let dns = vec![
-            txn(0, HOUSE1, LOCAL, SERVER, 3, "a.com"),
-            txn(0, HOUSE2, GOOGLE, SERVER2, 25, "b.com"),
-            txn(10_000, HOUSE1, LOCAL, SERVER, 3, "a.com"),
+            txn(0, HOUSE1, LOCAL, SERVER, 3, a),
+            txn(0, HOUSE2, GOOGLE, SERVER2, 25, b),
+            txn(10_000, HOUSE1, LOCAL, SERVER, 3, a),
         ];
         let conns = vec![
             conn(5, HOUSE1, SERVER, 10_000),   // blocked on local lookup
@@ -257,7 +262,7 @@ mod tests {
         ];
         let pairing = Pairing::build(&conns, &dns, PairingPolicy::MostRecent);
         let classes = vec![ConnClass::SharedCache, ConnClass::Resolution];
-        let reports = platform_reports(&conns, &dns, &pairing, &classes, &PlatformMap::default());
+        let reports = platform_reports(&conns, &dns, &names, &pairing, &classes, &PlatformMap::default());
         let local = reports.iter().find(|r| r.name == "Local").unwrap();
         let google = reports.iter().find(|r| r.name == "Google").unwrap();
         assert_eq!(local.houses_pct, 50.0);
@@ -275,17 +280,29 @@ mod tests {
 
     #[test]
     fn connectivity_check_artifact_split() {
+        // The real name is interned first: the check is found by its text.
+        let mut names = NameTable::default();
+        let real = names.intern("real.example.com");
+        let check = names.intern(CONNECTIVITY_CHECK);
         let dns = vec![
-            txn(0, HOUSE1, GOOGLE, SERVER, 20, CONNECTIVITY_CHECK),
-            txn(10_000, HOUSE1, GOOGLE, SERVER2, 20, "real.example.com"),
+            txn(0, HOUSE1, GOOGLE, SERVER, 20, check),
+            txn(10_000, HOUSE1, GOOGLE, SERVER2, 20, real),
         ];
         let conns = vec![conn(25, HOUSE1, SERVER, 200), conn(10_025, HOUSE1, SERVER2, 100_000)];
         let pairing = Pairing::build(&conns, &dns, PairingPolicy::MostRecent);
         let classes = vec![ConnClass::SharedCache, ConnClass::SharedCache];
-        let reports = platform_reports(&conns, &dns, &pairing, &classes, &PlatformMap::default());
+        let reports = platform_reports(&conns, &dns, &names, &pairing, &classes, &PlatformMap::default());
         let google = reports.iter().find(|r| r.name == "Google").unwrap();
         assert_eq!(google.artifact_conn_share_pct, 50.0);
         assert_eq!(google.throughput_bps.len(), 2);
         assert_eq!(google.throughput_no_artifact_bps.len(), 1);
+        // Read through a table where the check's id names another host,
+        // the same rows count no artifact.
+        let mut other = NameTable::default();
+        other.intern("real.example.com");
+        other.intern("x.example.com");
+        let reports = platform_reports(&conns, &dns, &other, &pairing, &classes, &PlatformMap::default());
+        let google = reports.iter().find(|r| r.name == "Google").unwrap();
+        assert_eq!(google.artifact_conn_share_pct, 0.0);
     }
 }

@@ -94,7 +94,8 @@ use std::net::Ipv4Addr;
 use xkit::collections::FastMap;
 use xkit::obs::{HistSpec, Metrics};
 use zeek_lite::{
-    ConnRecord, DegradationStats, DnsTransaction, Duration, Monitor, MonitorConfig, Timestamp,
+    ConnRecord, DegradationStats, DnsTransaction, Duration, Monitor, MonitorConfig, NameTable,
+    Timestamp,
 };
 
 /// Per-resolver accumulators: threshold inputs plus the deferred SC/R
@@ -268,7 +269,9 @@ impl Run {
 
 /// The rows released at one epoch boundary, in canonical log order.
 /// Concatenating every epoch's output (plus [`StreamEngine::finish`]'s
-/// tail) reproduces the batch logs byte-for-byte.
+/// tail) reproduces the batch logs byte-for-byte. The DNS rows name
+/// their query and CNAME targets by id into the engine's monitor table,
+/// which [`StreamResult::names`] hands over at the end.
 #[derive(Debug, Default)]
 pub struct EpochOutput {
     /// Connection records released this epoch, `(ts, uid)`-sorted.
@@ -282,6 +285,8 @@ pub struct EpochOutput {
 pub struct StreamResult {
     /// Rows still held when the input ended (the final release).
     pub tail: EpochOutput,
+    /// The names every released DNS row refers to, tail included.
+    pub names: NameTable,
     /// The analysis snapshot: byte-identical to the batch pipeline's
     /// `logs.metrics()` merged with `Analysis::metrics()`.
     pub analysis_metrics: Metrics,
@@ -508,7 +513,9 @@ impl StreamEngine {
         // docs); the clamp keeps disordered input conservative.
         let w_conn = w_conn.min(w_dns);
         let evicted_before = self.evicted_answers;
-        let out = self.release(w_conn, w_dns);
+        let names = self.monitor.names();
+        let dns = self.buf_dns.release_before(w_dns, |a, b| DnsTransaction::log_order(names, a, b));
+        let out = self.release(dns, w_conn);
         self.evicted_flows += out.conns.len() as u64;
         self.evict(w_conn);
         if let Some(hub) = &self.hub {
@@ -540,10 +547,12 @@ impl StreamEngine {
     pub fn finish(mut self) -> StreamResult {
         let monitor =
             std::mem::replace(&mut self.monitor, Monitor::new(MonitorConfig::default()));
-        let residual = monitor.finish();
-        let zeek_lite::Logs { conns, dns, stats, degradation } = residual;
+        // The residual logs own the monitor's table from here on.
+        let zeek_lite::Logs { conns, dns, names, stats, degradation } = monitor.finish();
         self.buffer(conns, dns);
-        let tail = self.release(Timestamp(u64::MAX), Timestamp(u64::MAX));
+        let end = Timestamp(u64::MAX);
+        let dns = self.buf_dns.release_before(end, |a, b| DnsTransaction::log_order(&names, a, b));
+        let tail = self.release(dns, end);
 
         // Settle the deferred SC/R split from the per-resolver buckets.
         let mut thresholds: HashMap<Ipv4Addr, Duration> = HashMap::new();
@@ -570,6 +579,7 @@ impl StreamEngine {
 
         let result = StreamResult {
             tail,
+            names,
             analysis_metrics: m,
             stream_metrics: s,
             class_counts: self.classes,
@@ -590,11 +600,13 @@ impl StreamEngine {
         self.buf_dns.extend(dns, |t| t.ts);
     }
 
-    /// Release buffered rows below the watermarks: DNS first (the index
-    /// must contain every lookup a released connection could pair with),
-    /// then connections.
-    fn release(&mut self, w_conn: Timestamp, w_dns: Timestamp) -> EpochOutput {
-        let dns = self.buf_dns.release_before(w_dns, DnsTransaction::log_order);
+    /// Release `dns`, the rows the caller took from `buf_dns` below their
+    /// watermark (their log order reads the name table, which the monitor
+    /// owns until [`finish`](Self::finish) and the residual logs after),
+    /// then the buffered connections below `w_conn`: DNS first, because
+    /// the index must contain every lookup a released connection could
+    /// pair with.
+    fn release(&mut self, dns: Vec<DnsTransaction>, w_conn: Timestamp) -> EpochOutput {
         for txn in &dns {
             self.ingest_dns(txn);
         }
@@ -801,11 +813,21 @@ mod tests {
     use crate::Analysis;
     use std::net::Ipv4Addr;
     use xkit::rng::StdRng;
-    use zeek_lite::{Answer, ConnState, FiveTuple, Logs, Proto};
+    use zeek_lite::{Answer, ConnState, FiveTuple, Logs, NameId, Proto};
 
     const HOUSE: Ipv4Addr = Ipv4Addr::new(10, 77, 0, 1);
     const RESOLVER: Ipv4Addr = Ipv4Addr::new(198, 51, 100, 53);
     const SERVER: Ipv4Addr = Ipv4Addr::new(104, 16, 0, 1);
+
+    /// The table the rows of these tests name their queries in:
+    /// `q{id}.example.com` under id `id`.
+    fn names() -> NameTable {
+        let mut names = NameTable::default();
+        for id in 0..16 {
+            names.intern(&format!("q{id}.example.com"));
+        }
+        names
+    }
 
     fn txn(ts_ms: u64, id: u16, ttl: u32) -> DnsTransaction {
         DnsTransaction {
@@ -813,7 +835,7 @@ mod tests {
             client: HOUSE,
             resolver: RESOLVER,
             trans_id: id,
-            query: format!("q{id}.example.com"),
+            query: NameId(u32::from(id)),
             qtype: dns_wire::RrType::A,
             rcode: Some(dns_wire::Rcode::NoError),
             rtt: Some(Duration::from_millis(4)),
@@ -845,7 +867,10 @@ mod tests {
 
     /// Drive pre-built log rows through the engine's release path directly
     /// (bypassing the monitor) by staging them in the buffers, one epoch
-    /// per row timestamp window.
+    /// per row timestamp window. The rows name their queries in
+    /// [`names`], not in the engine's (empty) monitor table; no two of
+    /// them tie before the name in the log order, so the release never
+    /// reads it.
     fn stream_rows(
         conns: Vec<ConnRecord>,
         dns: Vec<DnsTransaction>,
@@ -901,7 +926,7 @@ mod tests {
         // batch run is the oracle either way).
         let dns = vec![txn(1_000, 1, 300), txn(60_000, 2, 300)];
         let conns = vec![conn(1_010, 1), conn(30_000, 2), conn(60_200, 3)];
-        let mut logs = Logs { conns: conns.clone(), dns: dns.clone(), ..Default::default() };
+        let mut logs = Logs { conns: conns.clone(), dns: dns.clone(), names: names(), ..Default::default() };
         logs.sort();
         let analysis = Analysis::run(&logs, cfg.clone());
         let mut batch = logs.metrics();
@@ -927,7 +952,7 @@ mod tests {
         // evicted in between.
         let dns = vec![txn(1_000, 1, 1), txn(2_000, 2, 1)];
         let conns = vec![conn(500_000, 1)];
-        let mut logs = Logs { conns: conns.clone(), dns: dns.clone(), ..Default::default() };
+        let mut logs = Logs { conns: conns.clone(), dns: dns.clone(), names: names(), ..Default::default() };
         logs.sort();
         let analysis = Analysis::run(&logs, cfg.clone());
         let mut batch = logs.metrics();
@@ -1118,7 +1143,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let (conns, dns) = tiny_world(&mut rng);
             let size = format!("seed {seed}, {} dns + {} conn rows", dns.len(), conns.len());
-            let mut logs = Logs { conns: conns.clone(), dns: dns.clone(), ..Default::default() };
+            let mut logs = Logs { conns: conns.clone(), dns: dns.clone(), names: names(), ..Default::default() };
             logs.sort();
             let analysis = Analysis::run(&logs, cfg.clone());
             let mut batch = logs.metrics();

@@ -6,7 +6,8 @@ use dns_context::{classify, pairing::Pairing, Analysis, AnalysisConfig, ConnClas
 use std::net::Ipv4Addr;
 use xkit::rng::StdRng;
 use zeek_lite::{
-    Answer, ConnRecord, ConnState, DnsTransaction, Duration, FiveTuple, Logs, Proto, Timestamp,
+    Answer, ConnRecord, ConnState, DnsTransaction, Duration, FiveTuple, Logs, NameTable, Proto,
+    Timestamp,
 };
 
 const CASES: usize = 256;
@@ -31,13 +32,14 @@ struct World {
 }
 
 fn gen_world(r: &mut StdRng) -> World {
+    let mut names = NameTable::default();
     let dns: Vec<DnsTransaction> = (0..r.random_range(0..25usize))
         .map(|i| DnsTransaction {
             ts: Timestamp::from_millis(r.random_range(0u64..600_000)),
             client: client(r.random::<u8>()),
             resolver: RESOLVER,
             trans_id: i as u16,
-            query: format!("name-{}.example", r.random::<u8>() % 4),
+            query: names.intern(&format!("name-{}.example", r.random::<u8>() % 4)),
             qtype: dns_wire::RrType::A,
             rcode: Some(dns_wire::Rcode::NoError),
             rtt: Some(Duration::from_millis(r.random_range(1u64..60))),
@@ -68,7 +70,7 @@ fn gen_world(r: &mut StdRng) -> World {
             }
         })
         .collect();
-    let mut logs = Logs { conns, dns, ..Default::default() };
+    let mut logs = Logs { conns, dns, names, ..Default::default() };
     logs.sort();
     World { dns: logs.dns, conns: logs.conns }
 }

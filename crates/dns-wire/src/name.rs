@@ -210,15 +210,6 @@ impl NameBuf {
     pub fn write_presentation(&self, out: &mut String) {
         write_presentation(self.flat(), |c| out.push(c));
     }
-
-    /// The presentation form as a `String` of exactly its length.
-    pub fn presentation(&self) -> String {
-        let mut len = 0usize;
-        write_presentation(self.flat(), |_| len += 1);
-        let mut out = String::with_capacity(len);
-        self.write_presentation(&mut out);
-        out
-    }
 }
 
 impl Default for NameBuf {
@@ -453,6 +444,13 @@ impl std::str::FromStr for Name {
 mod tests {
     use super::*;
 
+    /// What [`NameBuf::write_presentation`] writes into an empty string.
+    fn shown(buf: &NameBuf) -> String {
+        let mut out = String::new();
+        buf.write_presentation(&mut out);
+        out
+    }
+
     #[test]
     fn parse_and_display_round_trip() {
         let n = Name::parse("WWW.Example.COM").unwrap();
@@ -472,14 +470,13 @@ mod tests {
         assert_eq!(n.to_string(), r"a\x2eb.\x09\x2c.\x5c.\x80.~.\x20.\x0a");
         let mut buf = NameBuf::new();
         NameRef::parse(&wire, &mut 0).unwrap().read_into(&mut buf);
-        assert_eq!(buf.presentation(), n.to_string());
-        assert_eq!(buf.presentation().capacity(), n.to_string().len());
+        assert_eq!(shown(&buf), n.to_string());
         let mut line = String::from("query\t");
         buf.write_presentation(&mut line);
         assert_eq!(line, format!("query\t{n}"));
         // A reused buffer holds only the last name read.
         NameRef::parse(&[0], &mut 0).unwrap().read_into(&mut buf);
-        assert_eq!(buf.presentation(), ".");
+        assert_eq!(shown(&buf), ".");
     }
 
     /// One buffer set again and again: each name replaces the last, a
@@ -491,16 +488,16 @@ mod tests {
         buf.set("WWW.Example.COM.").unwrap();
         assert_eq!(buf.flat(), Name::parse("www.example.com").unwrap().flat());
         buf.set("a.b").unwrap();
-        assert_eq!(buf.presentation(), "a.b");
+        assert_eq!(shown(&buf), "a.b");
         assert!(matches!(buf.set("a..b"), Err(WireError::EmptyLabel)));
-        assert_eq!(buf.presentation(), ".");
+        assert_eq!(shown(&buf), ".");
         let long = ["abcdef"; 40].join(".");
         assert!(matches!(buf.set(&long), Err(WireError::NameTooLong(281))));
         assert!(matches!(buf.set(&format!("{long}.b d")), Err(WireError::BadNameString(_))));
         buf.set(&["a"; 127].join(".")).unwrap();
         assert_eq!(buf.flat().len(), 254);
         buf.set("").unwrap();
-        assert_eq!(buf.presentation(), ".");
+        assert_eq!(shown(&buf), ".");
     }
 
     #[test]
@@ -641,7 +638,7 @@ mod tests {
         let mut buf = NameBuf::new();
         for (name, base) in [("a.b.Example.com", "example.com"), ("example.com", "example.com"), ("com", "com"), ("", ".")] {
             buf.set(name).unwrap();
-            assert_eq!(buf.base_domain().presentation(), base);
+            assert_eq!(shown(&buf.base_domain()), base);
         }
     }
 

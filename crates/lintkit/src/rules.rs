@@ -6,7 +6,8 @@
 //! `stdout-discipline`, and `no-wallclock` are new invariants the shell
 //! could not express; `threshold-rule-fence` keeps the SC/R threshold
 //! formula in the one file that defines it; `monitor-stays-borrowed`
-//! keeps the owned DNS decode and per-packet strings out of the monitor;
+//! keeps the owned DNS decode and per-packet strings out of the monitor
+//! and its name table;
 //! `sim-sink-stays-flat` keeps owned frames, owned messages and
 //! per-emission vectors out of the simulator's packet sink;
 //! `unused-pub` is the one
@@ -110,15 +111,19 @@ pub fn rules() -> Vec<Rule> {
         },
         Rule {
             id: "monitor-stays-borrowed",
-            desc: "the monitor reads DNS through dns_wire::MessageView and builds no string per packet: no Message::decode/.to_string()/format! in zeek-lite's monitor.rs and tracker.rs",
-            hint: "read names through NameBuf into the reused key; a report or rejection path may carry `// lint: allow(monitor-stays-borrowed): why`",
+            desc: "the monitor reads DNS through dns_wire::MessageView and builds no string per packet, and interning a new name only grows the table's arena: no Message::decode/.to_string()/.to_owned()/format! in zeek-lite's monitor.rs, tracker.rs and names.rs",
+            hint: "read names through NameBuf and intern them; a report or rejection path may carry `// lint: allow(monitor-stays-borrowed): why`",
             scope: Scope {
-                roots: &["crates/zeek-lite/src/monitor.rs", "crates/zeek-lite/src/tracker.rs"],
+                roots: &[
+                    "crates/zeek-lite/src/monitor.rs",
+                    "crates/zeek-lite/src/tracker.rs",
+                    "crates/zeek-lite/src/names.rs",
+                ],
                 exclude: &[],
                 src_only: true,
                 include_tests: false,
             },
-            check: Check::Needles(&["Message::decode", ".to_string()", "format!"]),
+            check: Check::Needles(&["Message::decode", ".to_string()", ".to_owned()", "format!"]),
         },
         Rule {
             id: "sim-sink-stays-flat",

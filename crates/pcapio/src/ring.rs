@@ -242,7 +242,7 @@ impl RingSink {
     }
 
     /// Records offered so far (enqueued + dropped).
-    // lint: allow(unused-pub): the conservation identity (ring_props, ingest_agreement) reads it; ROADMAP item 3's Ledger is its next user
+    // lint: allow(unused-pub): the conservation identity in ring_props and tests/ingest_agreement.rs reads it
     pub fn produced(&self) -> u64 {
         self.shared.lock().produced
     }
@@ -300,7 +300,7 @@ fn pop_frame(buf: &mut Vec<u8>, st: &mut State) -> (u64, u32, usize) {
 impl RingSource {
     /// Non-blocking pull: `None` when the ring is currently empty
     /// (whether or not the producer is still live).
-    // lint: allow(unused-pub): ring_props' model checks drive it; ROADMAP item 2's soak polls a ring without parking
+    // lint: allow(unused-pub): ring_props' model checks drive it
     pub fn try_next(&mut self) -> Option<RecordRef<'_>> {
         let mut st = self.shared.lock();
         if st.len == 0 {
@@ -315,7 +315,7 @@ impl RingSource {
     }
 
     /// Records consumed so far.
-    // lint: allow(unused-pub): the conservation identity (ring_props, ingest_agreement) reads it; ROADMAP item 3's Ledger is its next user
+    // lint: allow(unused-pub): the conservation identity in ring_props and tests/ingest_agreement.rs reads it
     pub fn consumed(&self) -> u64 {
         self.shared.lock().consumed
     }
@@ -326,13 +326,10 @@ impl RingSource {
         self.shared.lock().dropped
     }
 
-    /// Close the consumer half without dropping the source: a parked
-    /// `Block`-policy producer unblocks and its subsequent pushes count
-    /// as `Dropped`, so a serve daemon can abort a tenant's feed early
-    /// while keeping the source around to read conservation counters.
-    /// Idempotent; `Drop` does the same implicitly.
-    // lint: allow(unused-pub): ROADMAP item 2's soak closes a ring under a parked producer
-    pub fn close(&mut self) {
+    /// Close the consumer half: a parked `Block`-policy producer unblocks
+    /// and its subsequent pushes count as `Dropped`. Idempotent; `Drop`
+    /// calls it.
+    fn close(&mut self) {
         let mut st = self.shared.lock();
         st.rx_closed = true;
         drop(st);
@@ -377,10 +374,7 @@ impl RecordSource for RingSource {
 
 impl Drop for RingSource {
     fn drop(&mut self) {
-        let mut st = self.shared.lock();
-        st.rx_closed = true;
-        drop(st);
-        self.shared.space.notify_all();
+        self.close();
     }
 }
 

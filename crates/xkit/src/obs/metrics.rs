@@ -466,7 +466,7 @@ impl Metrics {
 
     /// Sum of every counter whose name starts with `prefix` (invariant
     /// checks: `sum_counters("zeek.reject.")`).
-    // lint: allow(unused-pub): tests/obs_pipeline.rs states the conservation identities with it; ROADMAP item 3's Ledger is its next user
+    // lint: allow(unused-pub): tests/obs_pipeline.rs and crates/bench/tests/driver_cli.rs state the conservation identities with it
     pub fn sum_counters(&self, prefix: &str) -> u64 {
         self.map
             .iter()

@@ -129,7 +129,7 @@ mod tests {
             client: Ipv4Addr::new(10, 0, 0, 1),
             resolver: Ipv4Addr::new(8, 8, 8, 8),
             trans_id: 1,
-            query: "www.example.com".into(),
+            query: crate::NameTable::default().intern("www.example.com"),
             qtype: RrType::A,
             rcode: Some(Rcode::NoError),
             rtt: Some(Duration::from_millis(10)),

@@ -1,5 +1,6 @@
 //! The DNS transaction record — one query/response pair as a monitor logs it.
 
+use crate::names::{NameId, NameTable};
 use crate::time::{Duration, Timestamp};
 use dns_wire::{Rcode, RrType};
 use std::net::Ipv4Addr;
@@ -9,8 +10,8 @@ use std::net::Ipv4Addr;
 pub enum AnswerData {
     /// An A record's address — what connection pairing keys on.
     Addr(Ipv4Addr),
-    /// A CNAME alias target (kept as presentation text).
-    Cname(String),
+    /// A CNAME alias target.
+    Cname(NameId),
     /// Any other record type, kept as its type's log name.
     Other(String),
 }
@@ -43,7 +44,8 @@ impl Answer {
 ///
 /// Mirrors the fields of Bro's dns.log that the paper's analysis needs:
 /// timestamps, the client and resolver addresses, the query, and the full
-/// answer set with TTLs.
+/// answer set with TTLs. Names are ids into the [`NameTable`] of the logs
+/// the row belongs to.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DnsTransaction {
     /// When the query left the client.
@@ -54,8 +56,8 @@ pub struct DnsTransaction {
     pub resolver: Ipv4Addr,
     /// DNS transaction id.
     pub trans_id: u16,
-    /// Query name in presentation form (lower-cased).
-    pub query: String,
+    /// Query name; its text is in presentation form (lower-cased).
+    pub query: NameId,
     /// Query type.
     pub qtype: RrType,
     /// Response code; `None` when no response was observed.
@@ -100,22 +102,29 @@ impl DnsTransaction {
     }
 
     /// The canonical dns.log ordering: query time, then the transaction's
-    /// identifying fields as tiebreakers. This is a total order over any
-    /// transactions the monitor can actually emit (two distinct rows with
-    /// every compared field equal would have collided in the pending-query
-    /// table), so a log sorted with it comes out byte-identical no matter
-    /// how the rows were accumulated — the property the streaming engine's
-    /// per-epoch releases rely on.
-    pub fn log_order(a: &DnsTransaction, b: &DnsTransaction) -> std::cmp::Ordering {
-        (a.ts, a.client, a.resolver, a.trans_id, &a.query, a.qtype.to_u16(), a.rtt).cmp(&(
-            b.ts,
-            b.client,
-            b.resolver,
-            b.trans_id,
-            &b.query,
-            b.qtype.to_u16(),
-            b.rtt,
-        ))
+    /// identifying fields as tiebreakers, the query by its text in
+    /// `names`. This is a total order over any transactions the monitor
+    /// can actually emit (two distinct rows with every compared field
+    /// equal would have collided in the pending-query table), so a log
+    /// sorted with it comes out byte-identical no matter how the rows
+    /// were accumulated or their names numbered — the property the
+    /// streaming engine's per-epoch releases rely on.
+    pub fn log_order(names: &NameTable, a: &DnsTransaction, b: &DnsTransaction) -> std::cmp::Ordering {
+        (a.ts, a.client, a.resolver, a.trans_id)
+            .cmp(&(b.ts, b.client, b.resolver, b.trans_id))
+            .then_with(|| names.name(a.query).cmp(names.name(b.query)))
+            .then_with(|| (a.qtype.to_u16(), a.rtt).cmp(&(b.qtype.to_u16(), b.rtt)))
+    }
+
+    /// Move the row's names to another table: `map[id.0]` is the new id
+    /// of `id` (what [`NameTable::absorb`] returns).
+    pub fn remap_names(&mut self, map: &[NameId]) {
+        self.query = map[self.query.0 as usize];
+        for answer in &mut self.answers {
+            if let AnswerData::Cname(target) = &mut answer.data {
+                *target = map[target.0 as usize];
+            }
+        }
     }
 }
 
@@ -129,16 +138,30 @@ mod tests {
             client: Ipv4Addr::new(10, 1, 1, 2),
             resolver: Ipv4Addr::new(192, 0, 2, 53),
             trans_id: 7,
-            query: "www.example.com".into(),
+            query: NameId(0),
             qtype: RrType::A,
             rcode: Some(Rcode::NoError),
             rtt: Some(Duration::from_millis(8)),
             answers: vec![
-                Answer { data: AnswerData::Cname("edge.example.net".into()), ttl: 300 },
+                Answer { data: AnswerData::Cname(NameId(1)), ttl: 300 },
                 Answer::addr(Ipv4Addr::new(203, 0, 113, 7), 60),
                 Answer::addr(Ipv4Addr::new(203, 0, 113, 8), 60),
             ],
         }
+    }
+
+    #[test]
+    fn log_order_reads_the_query_text_and_remap_moves_every_name() {
+        let mut names = NameTable::default();
+        let (b, a) = (names.intern("b.example.com"), names.intern("a.example.com"));
+        let first = DnsTransaction { query: a, ..txn() };
+        let second = DnsTransaction { query: b, ..txn() };
+        // `b` holds the smaller id; the text decides.
+        assert_eq!(DnsTransaction::log_order(&names, &first, &second), std::cmp::Ordering::Less);
+        let mut t = txn();
+        t.remap_names(&[NameId(5), NameId(3)]);
+        assert_eq!(t.query, NameId(5));
+        assert_eq!(t.answers[0].data, AnswerData::Cname(NameId(3)));
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //!   so snaplen-truncated captures still yield correct volumes; and
 //! * [`DnsTransaction`]s — query/response pairs matched on (client,
 //!   resolver, transaction id, question), with lookup durations and full
-//!   answer sets.
+//!   answer sets. A row names its query and CNAME targets by [`NameId`]
+//!   into the [`NameTable`] its [`Logs`] own.
 //!
 //! The record types here are also the lingua franca of the workspace: the
 //! traffic simulator can emit them directly (fast path) or via real packets
@@ -32,6 +33,7 @@ pub mod dns;
 pub mod history;
 pub mod logfmt;
 mod monitor;
+mod names;
 pub mod time;
 mod tracker;
 pub mod types;
@@ -41,6 +43,7 @@ pub use counters::{DegradationStats, MonitorStats};
 pub use dns::{Answer, AnswerData, DnsTransaction};
 pub use history::History;
 pub use monitor::{Logs, Monitor, MonitorConfig};
+pub use names::{NameId, NameTable};
 pub use time::{Duration, Timestamp};
 pub use tracker::{service_for_port, ConnRecord, ConnState};
 pub use types::{FiveTuple, Proto};

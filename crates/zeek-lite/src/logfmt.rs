@@ -4,7 +4,8 @@
 //! module writes and reads the equivalent files so that captures can be
 //! processed once and analysed many times (or inspected with awk, like the
 //! originals). Layout follows Zeek conventions: `#`-prefixed header lines,
-//! one tab-separated record per line, `-` for unset fields.
+//! one tab-separated record per line, `-` for unset fields. A row's names
+//! are written from, and read into, a [`NameTable`].
 //!
 //! Divergences from Zeek proper (documented, deliberate):
 //! * timestamps are written as `seconds.nanoseconds` with full precision so
@@ -14,6 +15,7 @@
 
 use crate::dns::{Answer, AnswerData, DnsTransaction};
 use crate::history::History;
+use crate::names::NameTable;
 use crate::time::{Duration, Timestamp};
 use crate::tracker::{ConnRecord, ConnState};
 use crate::types::{FiveTuple, Proto};
@@ -196,26 +198,26 @@ fn qtype_from_log(s: &str) -> Option<RrType> {
     })
 }
 
-fn answer_to_log(a: &AnswerData) -> String {
+fn answer_to_log(names: &NameTable, a: &AnswerData) -> String {
     match a {
         AnswerData::Addr(ip) => ip.to_string(),
-        AnswerData::Cname(n) => n.clone(),
+        AnswerData::Cname(n) => names.name(*n).to_string(),
         AnswerData::Other(t) => format!("<{t}>"),
     }
 }
 
-fn answer_from_log(s: &str) -> AnswerData {
+fn answer_from_log(names: &mut NameTable, s: &str) -> AnswerData {
     if let Ok(ip) = Ipv4Addr::from_str(s) {
         return AnswerData::Addr(ip);
     }
     if let Some(t) = s.strip_prefix('<').and_then(|s| s.strip_suffix('>')) {
         return AnswerData::Other(t.to_string());
     }
-    AnswerData::Cname(s.to_string())
+    AnswerData::Cname(names.intern(s))
 }
 
-/// Write a dns.log for the given transactions.
-pub fn write_dns_log<W: Write>(mut out: W, txns: &[DnsTransaction]) -> io::Result<()> {
+/// Write a dns.log for the given transactions, whose names are in `names`.
+pub fn write_dns_log<W: Write>(mut out: W, names: &NameTable, txns: &[DnsTransaction]) -> io::Result<()> {
     writeln!(out, "#separator \\x09")?;
     writeln!(out, "#path\tdns")?;
     writeln!(out, "#fields\t{DNS_FIELDS}")?;
@@ -223,7 +225,7 @@ pub fn write_dns_log<W: Write>(mut out: W, txns: &[DnsTransaction]) -> io::Resul
         let answers = if t.answers.is_empty() {
             "-".to_string()
         } else {
-            t.answers.iter().map(|a| answer_to_log(&a.data)).collect::<Vec<_>>().join(",")
+            t.answers.iter().map(|a| answer_to_log(names, &a.data)).collect::<Vec<_>>().join(",")
         };
         let ttls = if t.answers.is_empty() {
             "-".to_string()
@@ -237,7 +239,7 @@ pub fn write_dns_log<W: Write>(mut out: W, txns: &[DnsTransaction]) -> io::Resul
             t.client,
             t.resolver,
             t.trans_id,
-            t.query,
+            names.name(t.query),
             t.qtype.log_name(),
             t.rcode.map(|r| r.log_name()).unwrap_or("-"),
             t.rtt.map(fmt_dur).unwrap_or_else(|| "-".into()),
@@ -248,8 +250,9 @@ pub fn write_dns_log<W: Write>(mut out: W, txns: &[DnsTransaction]) -> io::Resul
     Ok(())
 }
 
-/// Read a dns.log written by [`write_dns_log`].
-pub fn read_dns_log<R: Read>(input: R) -> Result<Vec<DnsTransaction>, LogError> {
+/// Read a dns.log written by [`write_dns_log`], interning its names into
+/// `names` (a row's query before its answers).
+pub fn read_dns_log<R: Read>(input: R, names: &mut NameTable) -> Result<Vec<DnsTransaction>, LogError> {
     let reader = BufReader::new(input);
     let mut out = Vec::new();
     for (idx, line) in reader.lines().enumerate() {
@@ -282,10 +285,11 @@ pub fn read_dns_log<R: Read>(input: R) -> Result<Vec<DnsTransaction>, LogError> 
         } else {
             Some(Duration(parse_nanos(f[7], line_no, "rtt")?))
         };
+        let query = names.intern(f[4]);
         let answers = if f[8] == "-" {
             Vec::new()
         } else {
-            let datas: Vec<AnswerData> = f[8].split(',').map(answer_from_log).collect();
+            let datas: Vec<AnswerData> = f[8].split(',').map(|s| answer_from_log(names, s)).collect();
             let ttls: Vec<u32> = f[9]
                 .split(',')
                 .map(|s| parse_field(s, line_no, "ttl"))
@@ -307,7 +311,7 @@ pub fn read_dns_log<R: Read>(input: R) -> Result<Vec<DnsTransaction>, LogError> 
             client: parse_field(f[1], line_no, "client")?,
             resolver: parse_field(f[2], line_no, "resolver")?,
             trans_id: parse_field(f[3], line_no, "trans_id")?,
-            query: f[4].to_string(),
+            query,
             qtype,
             rcode,
             rtt,
@@ -343,21 +347,34 @@ mod tests {
         }
     }
 
-    fn sample_dns() -> DnsTransaction {
-        DnsTransaction {
+    /// A row and the table its names are in, interned query first, as
+    /// [`read_dns_log`] interns them.
+    fn sample_dns() -> (NameTable, DnsTransaction) {
+        let mut names = NameTable::default();
+        let txn = DnsTransaction {
             ts: Timestamp(999_000_000_001),
             client: Ipv4Addr::new(10, 1, 1, 2),
             resolver: Ipv4Addr::new(8, 8, 8, 8),
             trans_id: 7,
-            query: "www.example.com".into(),
+            query: names.intern("www.example.com"),
             qtype: RrType::A,
             rcode: Some(Rcode::NoError),
             rtt: Some(Duration(8_000_001)),
             answers: vec![
-                Answer { data: AnswerData::Cname("edge.example.net".into()), ttl: 300 },
+                Answer { data: AnswerData::Cname(names.intern("edge.example.net")), ttl: 300 },
                 Answer::addr(Ipv4Addr::new(203, 0, 113, 7), 60),
             ],
-        }
+        };
+        (names, txn)
+    }
+
+    /// `txns` written with `names` and read back into a fresh table.
+    fn round_trip(names: &NameTable, txns: &[DnsTransaction]) -> (NameTable, Vec<DnsTransaction>) {
+        let mut buf = Vec::new();
+        write_dns_log(&mut buf, names, txns).unwrap();
+        let mut back = NameTable::default();
+        let rows = read_dns_log(&buf[..], &mut back).unwrap();
+        (back, rows)
     }
 
     #[test]
@@ -371,23 +388,20 @@ mod tests {
 
     #[test]
     fn dns_log_round_trips_exactly() {
-        let txns = vec![sample_dns()];
-        let mut buf = Vec::new();
-        write_dns_log(&mut buf, &txns).unwrap();
-        let back = read_dns_log(&buf[..]).unwrap();
-        assert_eq!(back, txns);
+        let (names, txn) = sample_dns();
+        let (back_names, back) = round_trip(&names, &[txn.clone()]);
+        assert_eq!(back, [txn]);
+        assert_eq!(back_names.name(back[0].query), "www.example.com");
+        assert_eq!(back_names.len(), 2);
     }
 
     #[test]
     fn unanswered_dns_round_trips() {
-        let mut t = sample_dns();
+        let (names, mut t) = sample_dns();
         t.rcode = None;
         t.rtt = None;
         t.answers.clear();
-        let mut buf = Vec::new();
-        write_dns_log(&mut buf, &[t.clone()]).unwrap();
-        let back = read_dns_log(&buf[..]).unwrap();
-        assert_eq!(back, vec![t]);
+        assert_eq!(round_trip(&names, std::slice::from_ref(&t)).1, vec![t]);
     }
 
     #[test]
@@ -411,12 +425,13 @@ mod tests {
     #[test]
     fn bad_timestamp_rejected() {
         let good = {
+            let (names, txn) = sample_dns();
             let mut buf = Vec::new();
-            write_dns_log(&mut buf, &[sample_dns()]).unwrap();
+            write_dns_log(&mut buf, &names, &[txn]).unwrap();
             String::from_utf8(buf).unwrap()
         };
         let corrupted = good.replace("999.000000001", "notatime");
-        assert!(read_dns_log(corrupted.as_bytes()).is_err());
+        assert!(read_dns_log(corrupted.as_bytes(), &mut NameTable::default()).is_err());
     }
 
     #[test]
@@ -442,12 +457,15 @@ mod tests {
 
     #[test]
     fn answer_data_parsing_disambiguates() {
+        let mut names = NameTable::default();
         assert_eq!(
-            answer_from_log("203.0.113.7"),
+            answer_from_log(&mut names, "203.0.113.7"),
             AnswerData::Addr(Ipv4Addr::new(203, 0, 113, 7))
         );
-        assert_eq!(answer_from_log("www.example.com"), AnswerData::Cname("www.example.com".into()));
-        assert_eq!(answer_from_log("<TXT>"), AnswerData::Other("TXT".into()));
+        let target = answer_from_log(&mut names, "www.example.com");
+        assert_eq!(target, AnswerData::Cname(names.get("www.example.com").unwrap()));
+        assert_eq!(answer_from_log(&mut names, "<TXT>"), AnswerData::Other("TXT".into()));
+        assert_eq!(names.len(), 1);
     }
 
     #[test]

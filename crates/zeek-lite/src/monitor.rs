@@ -2,6 +2,7 @@
 
 use crate::counters::{DegradationStats, MonitorStats};
 use crate::dns::{Answer, AnswerData, DnsTransaction};
+use crate::names::{NameId, NameTable};
 use crate::time::{Duration, Timestamp};
 use crate::tracker::{ConnRecord, FlowTracker, PktMeta};
 use crate::types::Proto;
@@ -43,6 +44,8 @@ pub struct Logs {
     pub conns: Vec<ConnRecord>,
     /// DNS transactions, sorted by query time.
     pub dns: Vec<DnsTransaction>,
+    /// The names `dns` refers to by id.
+    pub names: NameTable,
     /// Whole-capture counters.
     pub stats: MonitorStats,
     /// Classified rejection counters — how partial these logs are.
@@ -58,10 +61,15 @@ impl Logs {
     }
 
     /// Merge another capture's logs (e.g. from sharded generation),
-    /// re-sorting both datasets by time.
+    /// re-sorting both datasets by time. The other rows' names move into
+    /// this table.
     pub fn merge(&mut self, other: Logs) {
         self.conns.extend(other.conns);
-        self.dns.extend(other.dns);
+        let ids = self.names.absorb(&other.names);
+        self.dns.extend(other.dns.into_iter().map(|mut t| {
+            t.remap_names(&ids);
+            t
+        }));
         self.stats.merge(&other.stats);
         self.degradation.merge(&other.degradation);
         self.sort();
@@ -94,7 +102,7 @@ impl Logs {
     /// engine, whose per-epoch releases must byte-match the batch logs.
     pub fn sort(&mut self) {
         self.conns.sort_by_key(|c| (c.ts, c.uid));
-        self.dns.sort_by(DnsTransaction::log_order);
+        self.dns.sort_by(|a, b| DnsTransaction::log_order(&self.names, a, b));
     }
 
     /// Restrict both logs to records starting in `[from, to)`. Counters in
@@ -113,6 +121,7 @@ impl Logs {
                 .filter(|d| d.ts >= from && d.ts < to)
                 .cloned()
                 .collect(),
+            names: self.names.clone(),
             stats: self.stats.clone(),
             degradation: self.degradation.clone(),
         }
@@ -179,14 +188,12 @@ impl Logs {
     }
 }
 
-#[derive(Hash, PartialEq, Eq, Clone)]
+#[derive(Hash, PartialEq, Eq, Clone, Copy)]
 struct DnsKey {
     client: Ipv4Addr,
     resolver: Ipv4Addr,
     trans_id: u16,
-    /// Question name in presentation form; a matched response moves it
-    /// into the row's `query`.
-    query: String,
+    query: NameId,
     qtype: u16,
 }
 
@@ -202,11 +209,13 @@ pub struct Monitor {
     config: MonitorConfig,
     tracker: FlowTracker,
     pending_dns: HashMap<DnsKey, PendingQuery>,
-    /// The key of the message in hand, rendered once into a reused
-    /// `String` and looked up by reference.
-    dns_key: DnsKey,
-    /// The name being read off the wire.
+    /// The name being read off the wire, and its presentation form,
+    /// rendered once per name into a reused `String`.
     name: NameBuf,
+    text: String,
+    /// Every name a row refers to: interned at its query (or as a CNAME
+    /// target), only looked up at a response.
+    names: NameTable,
     dns_log: Vec<DnsTransaction>,
     stats: MonitorStats,
     degradation: DegradationStats,
@@ -221,14 +230,9 @@ impl Monitor {
             tracker: FlowTracker::new(config.udp_timeout, config.tcp_timeout),
             config,
             pending_dns: HashMap::new(),
-            dns_key: DnsKey {
-                client: Ipv4Addr::UNSPECIFIED,
-                resolver: Ipv4Addr::UNSPECIFIED,
-                trans_id: 0,
-                query: String::new(),
-                qtype: 0,
-            },
             name: NameBuf::new(),
+            text: String::new(),
+            names: NameTable::default(),
             dns_log: Vec::new(),
             stats: MonitorStats::default(),
             degradation: DegradationStats::default(),
@@ -330,23 +334,24 @@ impl Monitor {
         let response = msg.flags().qr;
         // A query travels client -> resolver, its response back.
         let (client, resolver) = if response { (dst, src) } else { (src, dst) };
-        let key = &mut self.dns_key;
-        key.client = client;
-        key.resolver = resolver;
-        key.trans_id = msg.id();
-        key.qtype = q.rtype.to_u16();
         q.name.read_into(&mut self.name);
-        key.query.clear();
-        self.name.write_presentation(&mut key.query);
+        self.text.clear();
+        self.name.write_presentation(&mut self.text);
+        let query = if response {
+            // A name nobody asked for matches no pending query.
+            let Some(query) = self.names.get(&self.text) else { return };
+            query
+        } else {
+            self.names.intern(&self.text)
+        };
+        let key = DnsKey { client, resolver, trans_id: msg.id(), query, qtype: q.rtype.to_u16() };
         if !response {
             // First query wins (retransmits keep the original timestamp,
             // matching Bro).
-            if !self.pending_dns.contains_key(key) {
-                self.pending_dns.insert(key.clone(), PendingQuery { ts, qtype: q.rtype });
-            }
+            self.pending_dns.entry(key).or_insert(PendingQuery { ts, qtype: q.rtype });
             return;
         }
-        let Some((key, pending)) = self.pending_dns.remove_entry(key) else {
+        let Some(pending) = self.pending_dns.remove(&key) else {
             // Response without an observed query (e.g. capture started
             // mid-flight); skip rather than fabricate a timestamp.
             return;
@@ -358,7 +363,9 @@ impl Monitor {
                 AnswerData::Addr(a)
             } else if let Some(target) = r.cname() {
                 target.read_into(&mut self.name);
-                AnswerData::Cname(self.name.presentation())
+                self.text.clear();
+                self.name.write_presentation(&mut self.text);
+                AnswerData::Cname(self.names.intern(&self.text))
             } else {
                 AnswerData::Other(r.rtype.log_name())
             },
@@ -368,7 +375,7 @@ impl Monitor {
             client,
             resolver,
             trans_id: key.trans_id,
-            query: key.query,
+            query,
             qtype: pending.qtype,
             rcode: Some(msg.flags().rcode),
             rtt: Some(ts.since(pending.ts)),
@@ -402,10 +409,18 @@ impl Monitor {
 
     /// Hand over the DNS transactions recorded since the last call
     /// (matched responses and timed-out queries), in arrival order: the
-    /// engine imposes the canonical log order itself. Same contract as
+    /// engine imposes the canonical log order itself, reading their names
+    /// through [`names`](Monitor::names). Same contract as
     /// [`drain_conns`](Monitor::drain_conns): one caller, capacity stays.
     pub fn drain_dns(&mut self) -> std::vec::Drain<'_, DnsTransaction> {
         self.dns_log.drain(..)
+    }
+
+    /// The names the rows handed over so far refer to. Append-only: an
+    /// id stays valid for the monitor's lifetime, and
+    /// [`finish`](Monitor::finish) moves the table into the logs.
+    pub fn names(&self) -> &NameTable {
+        &self.names
     }
 
     /// Number of flows currently being tracked.
@@ -457,8 +472,8 @@ impl Monitor {
         // place, without a scratch copy of its rows.
         let mut conns = self.tracker.finish();
         conns.sort_unstable_by_key(|c| (c.ts, c.uid));
-        self.dns_log.sort_by(DnsTransaction::log_order);
-        Logs { conns, dns: self.dns_log, stats: self.stats, degradation: self.degradation }
+        self.dns_log.sort_by(|a, b| DnsTransaction::log_order(&self.names, a, b));
+        Logs { conns, dns: self.dns_log, names: self.names, stats: self.stats, degradation: self.degradation }
     }
 
     /// Convenience: drain any [`pcapio::RecordSource`] — file reader,
@@ -490,7 +505,7 @@ fn unanswered(key: &DnsKey, pending: &PendingQuery) -> DnsTransaction {
         client: key.client,
         resolver: key.resolver,
         trans_id: key.trans_id,
-        query: key.query.clone(),
+        query: key.query,
         qtype: pending.qtype,
         rcode: None,
         rtt: None,
@@ -536,7 +551,7 @@ mod tests {
         let logs = m.finish();
         assert_eq!(logs.dns.len(), 1);
         let t = &logs.dns[0];
-        assert_eq!(t.query, "www.example.com");
+        assert_eq!(logs.names.name(t.query), "www.example.com");
         assert_eq!(t.rtt, Some(Duration::from_millis(8)));
         assert_eq!(t.addrs().collect::<Vec<_>>(), vec![SERVER]);
         assert_eq!(t.min_ttl(), Some(300));
@@ -590,15 +605,37 @@ mod tests {
         let logs = m.finish();
         assert_eq!(logs.degradation.dns_accepted, logs.degradation.dns_payloads);
         assert_eq!(logs.dns.len(), 1);
-        assert_eq!(logs.dns[0].query, r"a\x09b.c\x2ed.com");
-        let rendered: Vec<_> = logs.dns[0].answers.iter().map(|a| &a.data).collect();
-        assert_eq!(
-            rendered,
-            [&AnswerData::Cname(r"x\x2cy.z\x0aw.\x5c.\xe9".into()), &AnswerData::Cname(".".into())]
-        );
+        assert_eq!(logs.names.name(logs.dns[0].query), r"a\x09b.c\x2ed.com");
+        let rendered: Vec<_> = logs.dns[0]
+            .answers
+            .iter()
+            .map(|a| match a.data {
+                AnswerData::Cname(target) => logs.names.name(target),
+                _ => panic!("not a CNAME: {a:?}"),
+            })
+            .collect();
+        assert_eq!(rendered, [r"x\x2cy.z\x0aw.\x5c.\xe9", "."]);
+        // Read back into a fresh table, the names come back in the order
+        // the monitor met them, so the ids do too.
         let mut text = Vec::new();
-        crate::logfmt::write_dns_log(&mut text, &logs.dns).unwrap();
-        assert_eq!(crate::logfmt::read_dns_log(&text[..]).unwrap(), logs.dns);
+        crate::logfmt::write_dns_log(&mut text, &logs.names, &logs.dns).unwrap();
+        let mut names = NameTable::default();
+        assert_eq!(crate::logfmt::read_dns_log(&text[..], &mut names).unwrap(), logs.dns);
+        assert_eq!(names.len(), logs.names.len());
+    }
+
+    /// A query interns its name; a response only looks it up, so one for
+    /// a name nobody asked about adds nothing to the table.
+    #[test]
+    fn only_queries_and_cname_targets_add_names() {
+        let mut m = Monitor::new(MonitorConfig::default());
+        feed(&mut m, 1000, &dns_response(3, "stray.example.com", SERVER, 60));
+        assert!(m.names().is_empty());
+        feed(&mut m, 1010, &dns_query(4, "www.example.com"));
+        feed(&mut m, 1020, &dns_query(4, "www.example.com"));
+        feed(&mut m, 1030, &dns_response(4, "www.example.com", SERVER, 60));
+        assert_eq!(m.names().len(), 1);
+        assert_eq!(m.names().get("www.example.com"), Some(m.drain_dns().next().unwrap().query));
     }
 
     #[test]
@@ -706,7 +743,9 @@ mod tests {
         let logs2 = m2.finish();
         logs1.merge(logs2);
         assert_eq!(logs1.dns.len(), 2);
-        assert_eq!(logs1.dns[0].query, "a.example.com");
+        // Both names now live in the one table, each row's id remapped.
+        let queries: Vec<_> = logs1.dns.iter().map(|t| logs1.names.name(t.query)).collect();
+        assert_eq!(queries, ["a.example.com", "b.example.com"]);
         assert_eq!(logs1.degradation.dns_accepted, 4);
     }
 
@@ -723,7 +762,7 @@ mod tests {
         assert!(end >= Timestamp::from_millis(9_000));
         let early = logs.window(Timestamp::ZERO, Timestamp::from_millis(5_000));
         assert_eq!(early.dns.len(), 1);
-        assert_eq!(early.dns[0].query, "a.example.com");
+        assert_eq!(early.names.name(early.dns[0].query), "a.example.com");
         assert_eq!(logs.houses(), vec![HOUSE]);
         assert_eq!(Logs::default().time_span(), None);
     }

@@ -5,7 +5,7 @@
 use std::net::Ipv4Addr;
 use zeek_lite::{
     Answer, ConnRecord, ConnState, DegradationStats, DnsTransaction, Duration, FiveTuple, Logs,
-    Proto, Timestamp,
+    NameTable, Proto, Timestamp,
 };
 
 fn conn(ts_ms: u64, uid: u64) -> ConnRecord {
@@ -30,13 +30,13 @@ fn conn(ts_ms: u64, uid: u64) -> ConnRecord {
     }
 }
 
-fn dns(ts_ms: u64, id: u16) -> DnsTransaction {
+fn dns(names: &mut NameTable, ts_ms: u64, id: u16) -> DnsTransaction {
     DnsTransaction {
         ts: Timestamp::from_millis(ts_ms),
         client: Ipv4Addr::new(10, 0, 0, 1),
         resolver: Ipv4Addr::new(198, 51, 100, 53),
         trans_id: id,
-        query: format!("q{id}.example.com"),
+        query: names.intern(&format!("q{id}.example.com")),
         qtype: dns_wire::RrType::A,
         rcode: Some(dns_wire::Rcode::NoError),
         rtt: Some(Duration::from_millis(5)),
@@ -45,9 +45,11 @@ fn dns(ts_ms: u64, id: u16) -> DnsTransaction {
 }
 
 fn logs_with(conn_ts: &[u64], dns_ts: &[u64]) -> Logs {
+    let mut names = NameTable::default();
     let mut logs = Logs {
         conns: conn_ts.iter().enumerate().map(|(i, &t)| conn(t, i as u64)).collect(),
-        dns: dns_ts.iter().enumerate().map(|(i, &t)| dns(t, i as u16)).collect(),
+        dns: dns_ts.iter().enumerate().map(|(i, &t)| dns(&mut names, t, i as u16)).collect(),
+        names,
         ..Default::default()
     };
     logs.sort();
@@ -161,11 +163,20 @@ fn sort_order_is_total_and_input_order_independent() {
     assert_eq!(reversed.conns, logs.conns);
 
     // Same for dns rows with identical stamps: the log_order tiebreak
-    // (here: trans_id/query) makes the result accumulation-independent.
-    let mut d1 = Logs { dns: vec![dns(1_000, 2), dns(1_000, 1)], ..Default::default() };
-    let mut d2 = Logs { dns: vec![dns(1_000, 1), dns(1_000, 2)], ..Default::default() };
-    d1.sort();
-    d2.sort();
-    assert_eq!(d1.dns, d2.dns);
-    assert_eq!(d1.dns[0].trans_id, 1);
+    // (here: trans_id, then the query's text, whatever its id) makes the
+    // result accumulation-independent.
+    let sorted = |ids: [u16; 3]| {
+        let mut logs = Logs::default();
+        for id in ids {
+            let row = dns(&mut logs.names, 1_000, id);
+            logs.dns.push(DnsTransaction { trans_id: id.min(2), ..row });
+        }
+        logs.sort();
+        logs.dns.iter().map(|t| (t.trans_id, logs.names.name(t.query).to_string())).collect::<Vec<_>>()
+    };
+    let want = [(1, "q1.example.com"), (2, "q2.example.com"), (2, "q3.example.com")];
+    let want = want.map(|(id, q)| (id, q.to_string()));
+    assert_eq!(sorted([3, 2, 1]), want);
+    assert_eq!(sorted([1, 2, 3]), want);
+    assert_eq!(sorted([2, 3, 1]), want);
 }

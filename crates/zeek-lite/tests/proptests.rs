@@ -8,7 +8,7 @@ use std::net::Ipv4Addr;
 use xkit::rng::StdRng;
 use zeek_lite::{
     logfmt, Answer, AnswerData, ConnRecord, ConnState, DnsTransaction, Duration, FiveTuple,
-    Monitor, MonitorConfig, Proto, Timestamp,
+    Monitor, MonitorConfig, NameTable, Proto, Timestamp,
 };
 
 const CASES: usize = 128;
@@ -63,33 +63,36 @@ fn gen_conn(r: &mut StdRng) -> ConnRecord {
     }
 }
 
-fn gen_answer(r: &mut StdRng) -> Answer {
+fn gen_answer(r: &mut StdRng, names: &mut NameTable) -> Answer {
     let data = match r.random_range(0..3u32) {
         0 => AnswerData::Addr(gen_addr(r)),
         1 => {
             let labels: Vec<String> = (0..r.random_range(2..=4usize))
                 .map(|_| gen_string(r, b"abcdefghijklmnopqrstuvwxyz0123456789-", 1, 12))
                 .collect();
-            AnswerData::Cname(labels.join("."))
+            AnswerData::Cname(names.intern(&labels.join(".")))
         }
         _ => AnswerData::Other(gen_string(r, b"ABCDEFGHIJKLMNOPQRSTUVWXYZ", 1, 6)),
     };
     Answer { data, ttl: r.random::<u32>() }
 }
 
-fn gen_dns(r: &mut StdRng) -> DnsTransaction {
+/// A row whose names go into `names`, its query first, the way
+/// `read_dns_log` interns them.
+fn gen_dns(r: &mut StdRng, names: &mut NameTable) -> DnsTransaction {
     let labels: Vec<String> = std::iter::once(gen_string(r, b"abcdefghijklmnopqrstuvwxyz0123456789_-", 1, 16))
         .chain(
             (0..r.random_range(0..=3usize))
                 .map(|_| gen_string(r, b"abcdefghijklmnopqrstuvwxyz0123456789_-", 1, 10)),
         )
         .collect();
+    let query = names.intern(&labels.join("."));
     let answered = r.random::<bool>();
     let (rtt, rcode, answers) = if answered {
         (
             Some(Duration(1_000 * r.random_range(0u64..60_000))),
             Some(Rcode::from_u8(r.random_range(0u8..6))),
-            (0..r.random_range(0..5usize)).map(|_| gen_answer(r)).collect(),
+            (0..r.random_range(0..5usize)).map(|_| gen_answer(r, names)).collect(),
         )
     } else {
         (None, None, Vec::new())
@@ -99,7 +102,7 @@ fn gen_dns(r: &mut StdRng) -> DnsTransaction {
         client: gen_addr(r),
         resolver: gen_addr(r),
         trans_id: r.random::<u16>(),
-        query: labels.join("."),
+        query,
         qtype: RrType::A,
         rcode,
         rtt,
@@ -121,17 +124,21 @@ fn conn_log_round_trips() {
     }
 }
 
-/// dns.log round-trips arbitrary records exactly.
+/// dns.log round-trips arbitrary records exactly, and a fresh table
+/// read from it numbers the names as the writer's table did.
 #[test]
 fn dns_log_round_trips() {
     let mut r = rng(2);
     for _ in 0..CASES {
+        let mut names = NameTable::default();
         let txns: Vec<DnsTransaction> =
-            (0..r.random_range(0..30usize)).map(|_| gen_dns(&mut r)).collect();
+            (0..r.random_range(0..30usize)).map(|_| gen_dns(&mut r, &mut names)).collect();
         let mut buf = Vec::new();
-        logfmt::write_dns_log(&mut buf, &txns).unwrap();
-        let back = logfmt::read_dns_log(&buf[..]).unwrap();
+        logfmt::write_dns_log(&mut buf, &names, &txns).unwrap();
+        let mut back_names = NameTable::default();
+        let back = logfmt::read_dns_log(&buf[..], &mut back_names).unwrap();
         assert_eq!(back, txns);
+        assert_eq!(back_names.len(), names.len());
     }
 }
 
@@ -153,7 +160,7 @@ fn log_reader_never_panics() {
             }
         }
         let _ = logfmt::read_conn_log(text.as_bytes());
-        let _ = logfmt::read_dns_log(text.as_bytes());
+        let _ = logfmt::read_dns_log(text.as_bytes(), &mut NameTable::default());
     }
 }
 

@@ -9,7 +9,7 @@
 use dnsctx::dns_context::report::{count, f1, Table};
 use dnsctx::dns_context::{Analysis, AnalysisConfig};
 use dnsctx::pipeline;
-use dnsctx::zeek_lite::{logfmt, Logs};
+use dnsctx::zeek_lite::{logfmt, Logs, NameTable};
 use std::fs::File;
 use std::io::BufWriter;
 use std::path::PathBuf;
@@ -31,6 +31,7 @@ fn main() {
     .expect("write conn.log");
     logfmt::write_dns_log(
         BufWriter::new(File::create(&dns_path).expect("create dns.log")),
+        &study.logs().names,
         &study.logs().dns,
     )
     .expect("write dns.log");
@@ -44,8 +45,10 @@ fn main() {
 
     // 2. Read them back, exactly as an operator with real Zeek logs would.
     let conns = logfmt::read_conn_log(File::open(&conn_path).expect("open conn.log")).expect("parse conn.log");
-    let dns = logfmt::read_dns_log(File::open(&dns_path).expect("open dns.log")).expect("parse dns.log");
-    let mut logs = Logs { conns, dns, ..Default::default() };
+    let mut names = NameTable::default();
+    let dns = logfmt::read_dns_log(File::open(&dns_path).expect("open dns.log"), &mut names)
+        .expect("parse dns.log");
+    let mut logs = Logs { conns, dns, names, ..Default::default() };
     logs.sort();
 
     // 3. Analyse.

@@ -89,7 +89,7 @@ fn ring_study_is_byte_identical_to_file_backend() {
     let render = |logs: &Logs| {
         let mut buf = Vec::new();
         logfmt::write_conn_log(&mut buf, &logs.conns).unwrap();
-        logfmt::write_dns_log(&mut buf, &logs.dns).unwrap();
+        logfmt::write_dns_log(&mut buf, &logs.names, &logs.dns).unwrap();
         buf
     };
     assert_eq!(render(ring_logs), render(&file_logs), "rendered logs must match");

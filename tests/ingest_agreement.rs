@@ -56,7 +56,7 @@ fn ring_source(capacity: usize) -> (RingSource, std::thread::JoinHandle<(u64, u6
 fn render_logs(logs: &Logs) -> Vec<u8> {
     let mut buf = Vec::new();
     logfmt::write_conn_log(&mut buf, &logs.conns).expect("in-memory write");
-    logfmt::write_dns_log(&mut buf, &logs.dns).expect("in-memory write");
+    logfmt::write_dns_log(&mut buf, &logs.names, &logs.dns).expect("in-memory write");
     buf
 }
 
@@ -157,6 +157,7 @@ fn stream_agrees_for_all_windows_and_threads() {
             .expect("file stream run");
             file_released.conns.extend(file_result.tail.conns);
             file_released.dns.extend(file_result.tail.dns);
+            file_released.names = file_result.names;
 
             // Ring backend through the same seam.
             let (mut ring, producer) = ring_source(1 << 16);
@@ -175,6 +176,7 @@ fn stream_agrees_for_all_windows_and_threads() {
             .expect("ring stream run");
             ring_released.conns.extend(ring_result.tail.conns);
             ring_released.dns.extend(ring_result.tail.dns);
+            ring_released.names = ring_result.names;
             producer.join().expect("producer thread");
 
             let file_rendered = render_logs(&file_released);

@@ -1,9 +1,10 @@
 //! What the monitor allocates for a DNS transaction is what the
-//! transaction's row owns — the `query` string, the answer vector, one
-//! string per CNAME — and a packet that produces no row allocates
-//! nothing — after a drain too, the row vector's capacity staying with
-//! the monitor. Expiring idle flows costs only the doublings of the
-//! completed-row vector, and `finish` sorts the conn log in place.
+//! transaction's row owns — its answer vector; the query and the CNAME
+//! targets are ids into the monitor's name table, where a new name costs
+//! arena growth and nothing of its own — and a packet that produces no
+//! row allocates nothing — after a drain too, the row vector's capacity
+//! staying with the monitor. Expiring idle flows costs only the doublings
+//! of the completed-row vector, and `finish` sorts the conn log in place.
 //! Counted with the allocation counter (a `realloc` is an event), not
 //! timed. One test in this binary, so nothing else allocates while it
 //! measures.
@@ -41,8 +42,9 @@ fn record(name: &Name, ttl: u32, rdata: RData) -> Record {
 }
 
 /// Query and response (CNAME + 2 × A) of lookup `i`, from its own client
-/// port. Every name is as long as every other, so the first message sizes
-/// the monitor's reused key for all of them.
+/// port: two names no other lookup asks about. Every name is as long as
+/// every other of its kind, so the first message sizes the monitor's
+/// reused string for all of them.
 fn lookup(i: u16) -> [Stored; 2] {
     let name = Name::parse(&format!("w{i:05}.example.com")).unwrap();
     let edge = Name::parse(&format!("e{i:05}.cdn.example.net")).unwrap();
@@ -73,7 +75,7 @@ fn a_transaction_allocates_its_row_and_nothing_else_allocates() {
         monitor.handle_frame(Timestamp(now_us * 1_000), bytes, *wire_len);
     };
 
-    // The first message sizes the reused key; it is not measured.
+    // The first lookup sizes the reused string; it is not measured.
     let [warm_q, warm_r] = lookup(N);
     feed(&mut monitor, &warm_q);
 
@@ -92,9 +94,10 @@ fn a_transaction_allocates_its_row_and_nothing_else_allocates() {
     assert_eq!(idle.allocs, 0, "a retransmit plus an unmatched response allocated");
     feed(&mut monitor, &warm_r);
 
-    // N matched lookups: three allocations each — the row's query string,
-    // its answer vector, its CNAME target — plus the doublings of the
-    // flow table and the row vector.
+    // N matched lookups bringing 2N new names: one allocation each, the
+    // row's answer vector, plus the doublings of the flow table, the row
+    // vector and the name table's arena, ends and index. (Owning the
+    // query and the CNAME target as strings cost 3N.)
     let frames: Vec<[Stored; 2]> = (0..N).map(lookup).collect();
     let ((), matched) = alloc::measure(|| {
         for [q, r] in &frames {
@@ -102,15 +105,17 @@ fn a_transaction_allocates_its_row_and_nothing_else_allocates() {
             feed(&mut monitor, r);
         }
     });
-    let growth = matched.allocs.saturating_sub(3 * u64::from(N));
+    let growth = matched.allocs.saturating_sub(u64::from(N));
     assert!(
-        matched.allocs >= 3 * u64::from(N) && growth <= 32,
+        matched.allocs >= u64::from(N) && growth <= 64,
         "{} allocations for {N} transactions",
         matched.allocs
     );
+    assert_eq!(monitor.names().len(), 2 * usize::from(N) + 2, "every query and target, once");
 
     // The rows handed over, the same lookups again: the row vector kept
-    // its capacity and every table is sized, so the rows are all there is.
+    // its capacity, every table is sized and every name known, so the
+    // answer vectors are all there is.
     assert_eq!(monitor.drain_dns().count(), usize::from(N) + 1);
     let ((), again) = alloc::measure(|| {
         for [q, r] in &frames {
@@ -118,7 +123,7 @@ fn a_transaction_allocates_its_row_and_nothing_else_allocates() {
             feed(&mut monitor, r);
         }
     });
-    assert_eq!(again.allocs, 3 * u64::from(N), "after a drain, {N} transactions");
+    assert_eq!(again.allocs, u64::from(N), "after a drain, {N} transactions");
 
     // An established TCP flow: nothing per segment.
     let seg = |from_house: bool, seq: u32, ack: u32, flags: TcpFlags| {
@@ -142,14 +147,15 @@ fn a_transaction_allocates_its_row_and_nothing_else_allocates() {
     });
     assert_eq!(tcp.allocs, 0, "segments on an established flow allocated");
 
-    // The rows are what was paid for, strings sized exactly.
+    // The rows are what was paid for, answer vectors sized exactly, and
+    // their names are in the table the logs own.
     let logs = monitor.finish();
     assert_eq!(logs.dns.len(), usize::from(N));
     for t in &logs.dns {
-        assert_eq!((t.query.len(), t.query.capacity()), (18, 18), "{}", t.query);
         assert_eq!((t.answers.len(), t.answers.capacity()), (3, 3));
-        let AnswerData::Cname(target) = &t.answers[0].data else { panic!("no CNAME in {t:?}") };
-        assert_eq!((target.len(), target.capacity()), (22, 22), "{target}");
+        let AnswerData::Cname(target) = t.answers[0].data else { panic!("no CNAME in {t:?}") };
+        let (query, target) = (logs.names.name(t.query), logs.names.name(target));
+        assert_eq!((&query[..2], &target[..2], query[1..6] == target[1..6]), ("w0", "e0", true));
     }
     let tcp_flow = logs.app_conns().next().expect("the TCP flow");
     assert_eq!(tcp_flow.orig_pkts + tcp_flow.resp_pkts, 10_003);

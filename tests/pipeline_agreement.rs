@@ -37,10 +37,11 @@ fn pcap_and_direct_backends_agree() {
     let direct_bytes: u64 = direct.logs.conns.iter().map(|c| c.total_bytes()).sum();
     assert_eq!(monitor_bytes, direct_bytes);
 
-    // DNS transactions agree pairwise (both sorted by query time).
+    // DNS transactions agree pairwise (both sorted by query time), each
+    // query read through its own logs' table.
     for (m, d) in logs.dns.iter().zip(&direct.logs.dns) {
         assert_eq!(m.ts, d.ts);
-        assert_eq!(m.query, d.query);
+        assert_eq!(logs.names.name(m.query), direct.logs.names.name(d.query));
         assert_eq!(m.rtt, d.rtt);
         assert_eq!(m.client, d.client);
         assert_eq!(m.resolver, d.resolver);
@@ -83,15 +84,25 @@ fn tsv_logs_round_trip_simulated_data() {
     let conns_back = logfmt::read_conn_log(&conn_buf[..]).unwrap();
     assert_eq!(conns_back, out.logs.conns);
 
+    // Read into a copy of the table, every name is already there, so the
+    // rows come back id for id; into a fresh one, they render the same.
     let mut dns_buf = Vec::new();
-    logfmt::write_dns_log(&mut dns_buf, &out.logs.dns).unwrap();
-    let dns_back = logfmt::read_dns_log(&dns_buf[..]).unwrap();
+    logfmt::write_dns_log(&mut dns_buf, &out.logs.names, &out.logs.dns).unwrap();
+    let mut names = out.logs.names.clone();
+    let dns_back = logfmt::read_dns_log(&dns_buf[..], &mut names).unwrap();
     assert_eq!(dns_back, out.logs.dns);
+    assert_eq!(names.len(), out.logs.names.len());
+    let mut names = dnsctx::zeek_lite::NameTable::default();
+    let dns_back = logfmt::read_dns_log(&dns_buf[..], &mut names).unwrap();
+    let mut again = Vec::new();
+    logfmt::write_dns_log(&mut again, &names, &dns_back).unwrap();
+    assert_eq!(again, dns_buf);
 
     // Analyses over original and round-tripped logs are identical.
     let logs2 = dnsctx::zeek_lite::Logs {
         conns: conns_back,
         dns: dns_back,
+        names,
         ..Default::default()
     };
     let a1 = Analysis::run(&out.logs, AnalysisConfig::default());

@@ -27,7 +27,7 @@ fn analysis_cfg(threads: usize) -> AnalysisConfig {
 fn render_logs(logs: &Logs) -> Vec<u8> {
     let mut buf = Vec::new();
     logfmt::write_conn_log(&mut buf, &logs.conns).unwrap();
-    logfmt::write_dns_log(&mut buf, &logs.dns).unwrap();
+    logfmt::write_dns_log(&mut buf, &logs.names, &logs.dns).unwrap();
     buf
 }
 
@@ -78,6 +78,8 @@ fn streamed(batch: &Batch, window: Duration, threads: usize) -> (Logs, stream::S
     .unwrap();
     out.conns.extend(result.tail.conns.iter().cloned());
     out.dns.extend(result.tail.dns.iter().cloned());
+    // Every release named its rows in the one table the run hands over.
+    out.names = result.names.clone();
     (out, result)
 }
 
