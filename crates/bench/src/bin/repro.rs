@@ -918,7 +918,7 @@ fn finish_serving(opts: &Opts, who: &str, server: Option<xkit::obs::http::ObsSer
 fn obs(opts: &Opts) {
     use dnsctx::zeek_lite::{Monitor, MonitorConfig};
 
-    // The packet path buffers every frame, so cap the workload — but keep
+    // The capture is held in memory, so cap the workload — but keep
     // it above one simulation shard (25 houses) so the thread-invariance
     // of the snapshot exercises a real multi-shard merge.
     let scale = opts.scale_capped(50, 1.0);
@@ -1228,7 +1228,7 @@ fn fuzz(opts: &Opts) {
         buf
     }
 
-    // The packet path buffers every frame, so cap the workload well below
+    // The capture is held in memory, so cap the workload well below
     // the analysis default (still overridable downward via the flags).
     let scale = opts.scale_capped(25, 1.0);
     eprintln!(

@@ -47,6 +47,12 @@ pub struct SimOutput {
 /// test configs collapse to a single shard.
 const HOUSES_PER_SHARD: usize = 25;
 
+/// Simulated time every shard advances by between two releases of final
+/// frames in packet mode. Frames pending across it are those of
+/// connections still open, so it bounds memory by live flows, not by
+/// the trace's length.
+const SLICE: Duration = Duration::from_secs(60);
+
 /// Balanced contiguous house ranges, one per shard.
 fn shard_spans(houses: usize) -> Vec<std::ops::Range<usize>> {
     let shards = houses.div_ceil(HOUSES_PER_SHARD).max(1);
@@ -110,27 +116,29 @@ impl Simulation {
         self
     }
 
-    /// Drive every shard (in parallel when threads allow) and merge the
-    /// ground truth in shard order. Returns the per-shard sinks in that
-    /// same order, plus merged truth and merged metrics. The merged
-    /// truth's dns indices point into the concatenated emission order.
-    fn drive_all<S, F>(&self, make_sink: F) -> (Vec<S>, GroundTruth, Metrics)
+    /// Set up every shard, run `step` on each in lock-step rounds (in
+    /// parallel when threads allow) until `between` says stop, and merge
+    /// the ground truth in shard order. Returns the sinks in that same
+    /// order, plus merged truth and merged metrics. The merged truth's dns
+    /// indices point into the concatenated emission order.
+    fn drive_all<S, F, G>(&self, sink: fn() -> S, step: F, between: G) -> (Vec<S>, GroundTruth, Metrics)
     where
         S: Sink + Send,
-        F: Fn() -> S + Sync,
+        F: Fn(&mut Engine<'_, S>) + Sync,
+        G: FnMut(&mut [&mut Engine<'_, S>]) -> bool,
     {
         let shared = SharedWorld::prepare(&self.cfg, self.seed);
-        let spans = shard_spans(self.cfg.scale.houses);
-        let parts = xkit::par::par_indexed(self.threads, spans.len(), |k| {
-            let mut sink = make_sink();
-            let (truth, metrics) =
-                Engine::drive_shard(&self.cfg, &shared, k as u64, spans[k].clone(), &mut sink);
-            (sink, truth, metrics)
-        });
-        let mut sinks = Vec::with_capacity(parts.len());
+        let mut shards: Vec<Engine<'_, S>> = shard_spans(self.cfg.scale.houses)
+            .into_iter()
+            .enumerate()
+            .map(|(k, span)| Engine::start(&self.cfg, &shared, k as u64, span, sink()))
+            .collect();
+        xkit::par::lockstep(self.threads, &mut shards, step, between);
+        let mut sinks = Vec::with_capacity(shards.len());
         let mut truth = GroundTruth::default();
         let mut metrics = Metrics::new();
-        for (sink, mut shard_truth, shard_metrics) in parts {
+        for shard in shards {
+            let (sink, mut shard_truth, shard_metrics) = shard.finish();
             metrics.merge(&shard_metrics);
             let dns_off = truth.dns.len();
             for tc in &mut shard_truth.conns {
@@ -145,9 +153,10 @@ impl Simulation {
         (sinks, truth, metrics)
     }
 
-    /// Run in direct-log mode.
+    /// Run in direct-log mode: one round runs every shard to its end.
     pub fn run(&self) -> SimOutput {
-        let (sinks, mut truth, metrics) = self.drive_all(LogSink::new);
+        let (sinks, mut truth, metrics) =
+            self.drive_all(LogSink::new, |shard| shard.advance_to(Timestamp(u64::MAX)), |_| false);
         let mut merged = LogSink::new();
         for s in sinks {
             merged.absorb(s);
@@ -169,16 +178,47 @@ impl Simulation {
         SimOutput { logs, truth, metrics }
     }
 
-    /// Packet mode's common body: drive every shard into a [`PcapSink`]
-    /// and merge them in shard order. Each entry point below only picks
-    /// how the merged frames leave.
-    fn drive_packets(&self) -> (PcapSink, GroundTruth, Metrics) {
-        let (sinks, truth, metrics) = self.drive_all(PcapSink::new);
-        let mut merged = PcapSink::new();
-        for s in sinks {
-            merged.absorb(s);
-        }
-        (merged, truth, metrics)
+    /// Packet mode's one path, shared by the file and the ring. Every
+    /// shard advances in lock-step, one [`SLICE`] of simulated time at a
+    /// time. An event at `t` emits no frame stamped before `t`, so once
+    /// every event before a slice's horizon has run, every frame stamped
+    /// before it is final. Those frames leave through a merge on
+    /// `(ts, shard, seq)`: the order one sort of the whole capture would
+    /// give. Each final frame goes to `emit` as `(ts_nanos, orig_len,
+    /// stored bytes cut to snaplen)`.
+    fn stream_packets(&self, snaplen: u32, mut emit: impl FnMut(u64, u32, &[u8])) -> (GroundTruth, u64, Metrics) {
+        let mut cursors = Vec::new();
+        let mut frames = 0u64;
+        // A slice: forget the frames the last merge emitted, run the next
+        // SLICE of events, and seal the frames stamped before its horizon.
+        let slice = |shard: &mut Engine<'_, PcapSink>| {
+            shard.sink.compact();
+            shard.advance_to(shard.clock + SLICE);
+            shard.sink.seal(shard.clock);
+        };
+        let (_, truth, mut metrics) = self.drive_all(PcapSink::new, slice, |shards| {
+            let done = shards.iter().all(|shard| shard.heap.is_empty());
+            if done {
+                for shard in shards.iter_mut() {
+                    shard.sink.seal(Timestamp(u64::MAX));
+                }
+            }
+            cursors.clear();
+            cursors.resize(shards.len(), 0usize);
+            loop {
+                // The earliest head; a tie goes to the lower shard.
+                let next = (0..shards.len())
+                    .filter_map(|k| Some((k, shards[k].sink.released(cursors[k], snaplen)?)))
+                    .min_by_key(|&(k, (ts_nanos, ..))| (ts_nanos, k));
+                let Some((k, (ts_nanos, orig_len, data))) = next else { break };
+                emit(ts_nanos, orig_len, data);
+                cursors[k] += 1;
+                frames += 1;
+            }
+            !done
+        });
+        metrics.add("sim.frames_written", frames);
+        (truth, frames, metrics)
     }
 
     /// Run in packet mode: write a pcap capture of the whole trace to
@@ -197,17 +237,24 @@ impl Simulation {
         out: W,
         snaplen: u32,
     ) -> io::Result<(GroundTruth, u64, Metrics)> {
-        let (merged, truth, mut metrics) = self.drive_packets();
-        let frames = merged.write_pcap(out, snaplen)?;
-        metrics.add("sim.frames_written", frames);
+        let mut w = pcapio::PcapWriter::new(out, snaplen, pcapio::TsPrecision::Nano)?;
+        let mut written = Ok(());
+        let (truth, frames, metrics) = self.stream_packets(snaplen, |ts_nanos, orig_len, data| {
+            if written.is_ok() {
+                written = w.write_packet(ts_nanos, data, Some(orig_len));
+            }
+        });
+        written?;
+        debug_assert_eq!(frames, w.packets_written());
+        w.into_inner()?;
         Ok((truth, frames, metrics))
     }
 
-    /// Packet mode over the in-memory ring: expand and time-sort the
-    /// frames exactly like [`Simulation::run_pcap`], then push each
-    /// record straight into `sink` — no pcap serialization, no parse on
-    /// the other side. Blocks on a full ring when the sink's policy says
-    /// to, so run the consumer concurrently; records rejected by the
+    /// Packet mode over the in-memory ring: the frames
+    /// [`Simulation::run_pcap`] writes, in the same order, pushed straight
+    /// into `sink` as they become final — no pcap serialization, no parse
+    /// on the other side. Blocks on a full ring when the sink's policy
+    /// says to, so run the consumer concurrently; records rejected by the
     /// ring (drop policy / oversize) are counted in the sink's `dropped`.
     ///
     /// Returns the ground truth, the record count offered to the ring,
@@ -218,12 +265,9 @@ impl Simulation {
         &self,
         sink: &mut pcapio::RingSink,
     ) -> (GroundTruth, u64, Metrics) {
-        let (merged, truth, mut metrics) = self.drive_packets();
-        let frames = merged.emit_records(sink.snaplen(), |ts_nanos, orig_len, data| {
+        self.stream_packets(sink.snaplen(), |ts_nanos, orig_len, data| {
             sink.push(ts_nanos, orig_len, data);
-        });
-        metrics.add("sim.frames_written", frames);
-        (truth, frames, metrics)
+        })
     }
 }
 
@@ -359,9 +403,11 @@ struct Engine<'a, S: Sink> {
     platforms: Vec<ResolverPlatform>,
     houses: Vec<House>,
     heap: BinaryHeap<Reverse<HeapEntry>>,
-    sink: &'a mut S,
+    sink: S,
     truth: GroundTruth,
     end: Timestamp,
+    /// Every event before this instant has run.
+    clock: Timestamp,
     seq: u64,
     /// Events actually processed (popped within the trace window); plain
     /// u64s here, folded into an obs snapshot once per shard.
@@ -382,21 +428,21 @@ struct Engine<'a, S: Sink> {
 }
 
 impl<'a, S: Sink> Engine<'a, S> {
-    /// Drive one shard: the houses in `span` (global indices — addresses,
+    /// Set up one shard: the houses in `span` (global indices — addresses,
     /// ports and DNS ids stay partition-invariant), on an RNG stream split
-    /// off the master state by shard index.
-    fn drive_shard(
+    /// off the master state by shard index. No event has run yet.
+    fn start(
         cfg: &'a WorkloadConfig,
         shared: &'a SharedWorld,
         shard: u64,
         span: std::ops::Range<usize>,
-        sink: &'a mut S,
-    ) -> (GroundTruth, Metrics) {
-        let houses_in_span = span.len() as u64;
+        sink: S,
+    ) -> Engine<'a, S> {
         let rng = shared.base_rng.split(shard);
         let platforms: Vec<ResolverPlatform> =
             cfg.platforms.iter().cloned().map(ResolverPlatform::new).collect();
-        let end = Timestamp::from_secs(EPOCH_UNIX) + Duration::from_secs_f64(cfg.scale.duration_secs());
+        let clock = Timestamp::from_secs(EPOCH_UNIX);
+        let end = clock + Duration::from_secs_f64(cfg.scale.duration_secs());
         let mut e = Engine {
             cfg,
             names: &shared.names,
@@ -406,6 +452,7 @@ impl<'a, S: Sink> Engine<'a, S> {
             sink,
             truth: GroundTruth::default(),
             end,
+            clock,
             seq: 0,
             events: 0,
             nxdomains: 0,
@@ -420,20 +467,26 @@ impl<'a, S: Sink> Engine<'a, S> {
             rng,
         };
         e.setup(span);
-        e.run_loop();
+        e
+    }
+
+    /// Hand back the sink, the shard's ground truth and its obs snapshot,
+    /// once every event has run.
+    fn finish(self) -> (S, GroundTruth, Metrics) {
+        debug_assert!(self.heap.is_empty(), "finished with events left");
         let mut m = Metrics::new();
         m.add("sim.shards", 1);
-        m.add("sim.houses", houses_in_span);
-        m.add("sim.events", e.events);
-        m.add("sim.conns", e.truth.conns.len() as u64);
-        m.add("sim.dns_lookups", e.truth.dns.len() as u64);
-        m.add("sim.nxdomains", e.nxdomains);
-        for p in &e.platforms {
+        m.add("sim.houses", self.houses.len() as u64);
+        m.add("sim.events", self.events);
+        m.add("sim.conns", self.truth.conns.len() as u64);
+        m.add("sim.dns_lookups", self.truth.dns.len() as u64);
+        m.add("sim.nxdomains", self.nxdomains);
+        for p in &self.platforms {
             let key = p.cfg.name.to_ascii_lowercase();
             m.add(&format!("resolver.{key}.queries"), p.queries);
             m.add(&format!("resolver.{key}.hits"), p.hits);
         }
-        (e.truth, m)
+        (self.sink, self.truth, m)
     }
 
     // ---------------- setup ----------------
@@ -574,12 +627,13 @@ impl<'a, S: Sink> Engine<'a, S> {
 
     // ---------------- event loop ----------------
 
-    fn run_loop(&mut self) {
-        while let Some(Reverse(entry)) = self.heap.pop() {
+    /// Run every event stamped before `horizon`, in `(ts, seq)` order.
+    /// Pausing between calls changes nothing: the events pop in the order
+    /// one uninterrupted run would pop them.
+    fn advance_to(&mut self, horizon: Timestamp) {
+        while self.heap.peek().is_some_and(|Reverse(next)| next.ts < horizon) {
+            let Some(Reverse(entry)) = self.heap.pop() else { break };
             let t = entry.ts;
-            if t > self.end {
-                continue;
-            }
             self.events += 1;
             match entry.ev {
                 Ev::BrowseSession { h, d } => self.ev_browse_session(h, d, t),
@@ -604,6 +658,7 @@ impl<'a, S: Sink> Engine<'a, S> {
                 }
             }
         }
+        self.clock = horizon;
     }
 
     fn schedule(&mut self, ts: Timestamp, ev: Ev) {

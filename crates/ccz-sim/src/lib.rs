@@ -23,8 +23,10 @@
 //!   for large parameter sweeps), alongside per-record ground truth; and
 //! * [`Simulation::run_pcap`] serialises every DNS message and every
 //!   connection's packets as real Ethernet/IPv4 frames into a libpcap
-//!   stream, to be re-parsed by the [`zeek_lite::Monitor`] — proving the
-//!   whole observation pipeline end to end.
+//!   stream (or [`Simulation::run_ring`] into an in-memory ring), each
+//!   frame as soon as no later event can precede it, to be re-parsed by
+//!   the [`zeek_lite::Monitor`] — proving the whole observation pipeline
+//!   end to end.
 //!
 //! Determinism: a run is a pure function of (config, seed). Nothing reads
 //! the wall clock.

@@ -5,7 +5,6 @@
 //! [`zeek_lite::Logs`] records (fast path) or a time-ordered sequence of
 //! real frames (faithful path, to be re-parsed by the monitor).
 
-use std::io::{self, Write};
 use std::net::Ipv4Addr;
 
 use dns_wire::{Compressor, Flags, MessageWriter, NameBuf, Rcode, RrType};
@@ -257,16 +256,29 @@ struct FrameEntry {
 /// first.
 type Ends = (MacAddr, MacAddr, Ipv4Addr, Ipv4Addr);
 
-/// Expands emissions into real frames and writes a pcap stream.
+/// Expands one shard's emissions into real frames, held until they are
+/// final.
 ///
-/// Every frame's stored bytes are written once, straight into one byte
-/// arena, and indexed; the index is time-sorted before writing
-/// (connections overlap, so emission order is not capture order). Memory
-/// is proportional to packet count, so this backend is intended for the
-/// validation scale, not for full-week sweeps.
-pub struct PcapSink {
+/// Every frame's stored bytes are written once, straight into a byte
+/// arena, and indexed. Connections overlap, so emission order is not
+/// capture order: [`seal`](PcapSink::seal) sorts the index and marks
+/// the frames before a horizon final, the engine's merge emits them, and
+/// [`compact`](PcapSink::compact) keeps only the rest. Memory follows the
+/// frames pending at once — those of connections still open — not the
+/// length of the trace.
+pub(crate) struct PcapSink {
     arena: Vec<u8>,
+    /// The arena [`compact`](PcapSink::compact) copies the pending
+    /// frames into before the two swap.
+    spare: Vec<u8>,
     index: Vec<FrameEntry>,
+    /// How many frames at the head of the sorted index the last seal
+    /// made final.
+    released: usize,
+    /// Frames pushed so far: the next frame's `seq`.
+    pushed: u64,
+    /// The last seal's horizon: no later frame may be stamped before it.
+    horizon: Timestamp,
     comp: Compressor,
     /// The name being asked about, and its CNAME target if it has one.
     query: NameBuf,
@@ -277,13 +289,17 @@ pub struct PcapSink {
 
 impl PcapSink {
     /// An empty sink.
-    pub fn new() -> PcapSink {
+    pub(crate) fn new() -> PcapSink {
         let name = |s: &str| s.parse::<NameBuf>().expect("static name");
         PcapSink {
             // Doubling from a power of two keeps the capacity one: started
             // at the first frame's 42 bytes it would end at 42 << k.
             arena: Vec::with_capacity(1 << 16),
+            spare: Vec::new(),
             index: Vec::new(),
+            released: 0,
+            pushed: 0,
+            horizon: Timestamp::ZERO,
             comp: Compressor::default(),
             query: NameBuf::new(),
             target: NameBuf::new(),
@@ -294,76 +310,51 @@ impl PcapSink {
     /// Index the frame written from `offset` to the arena's end, which
     /// declared `virtual_payload` bytes more than it carries.
     fn push(&mut self, ts: Timestamp, offset: usize, virtual_payload: usize) {
+        debug_assert!(ts >= self.horizon, "a frame at {ts} behind the sealed horizon {}", self.horizon);
         let stored_len = self.arena.len() - offset;
         self.index.push(FrameEntry {
             ts,
-            seq: self.index.len() as u64,
+            seq: self.pushed,
             offset,
             stored_len: stored_len as u32,
             wire_len: (stored_len + virtual_payload) as u32,
         });
+        self.pushed += 1;
     }
 
-    /// Append another sink's frames after this one's. Sequence numbers
-    /// and arena offsets are moved past ours so the final `(ts, seq)`
-    /// write order stays a total order that depends only on shard order,
-    /// never on worker scheduling.
-    pub fn absorb(&mut self, other: PcapSink) {
-        if self.index.is_empty() {
-            self.arena = other.arena;
-            self.index = other.index;
-            return;
-        }
-        let (bytes, frames) = (self.arena.len(), self.index.len() as u64);
-        self.arena.extend_from_slice(&other.arena);
-        self.index.extend(other.index.into_iter().map(|mut f| {
-            f.offset += bytes;
-            f.seq += frames;
-            f
-        }));
-    }
-
-    /// Sort by time and hand every record to `emit` as
-    /// `(ts_nanos, orig_len, stored_bytes)`, truncated to `snaplen`
-    /// exactly as [`PcapSink::write_pcap`] would store it. This is the
-    /// serialization-free tap the in-memory ring backend feeds from;
-    /// returns the record count.
-    pub fn emit_records<F: FnMut(u64, u32, &[u8])>(mut self, snaplen: u32, mut emit: F) -> u64 {
+    /// Mark every frame stamped before `horizon` final: sort the index
+    /// into capture order and count its final head. The caller promises
+    /// that no frame pushed from now on is stamped before `horizon`.
+    pub(crate) fn seal(&mut self, horizon: Timestamp) {
         // `(ts, seq)` is a strict total order, so the unstable sort is
         // deterministic (and skips the stable sort's merge buffer).
         self.index.sort_unstable_by_key(|f| (f.ts, f.seq));
-        for f in &self.index {
-            let stored = f.stored_len.min(snaplen) as usize;
-            emit(f.ts.nanos(), f.wire_len, &self.arena[f.offset..f.offset + stored]);
-        }
-        self.index.len() as u64
+        self.released = self.index.partition_point(|f| f.ts < horizon);
+        self.horizon = horizon;
     }
 
-    /// Sort by time and write the capture (the file-format spelling of
-    /// [`PcapSink::emit_records`], so both backends share one expansion
-    /// path and stay byte-identical by construction).
-    pub fn write_pcap<W: Write>(self, out: W, snaplen: u32) -> io::Result<u64> {
-        let mut w = pcapio::PcapWriter::new(out, snaplen, pcapio::TsPrecision::Nano)?;
-        let mut err = None;
-        let n = self.emit_records(snaplen, |ts_nanos, orig_len, data| {
-            if err.is_none() {
-                if let Err(e) = w.write_packet(ts_nanos, data, Some(orig_len)) {
-                    err = Some(e);
-                }
-            }
-        });
-        if let Some(e) = err {
-            return Err(e);
-        }
-        debug_assert_eq!(n, w.packets_written());
-        w.into_inner()?;
-        Ok(n)
+    /// The `i`-th frame the last seal made final, as `(ts_nanos,
+    /// orig_len, stored bytes cut to snaplen)`.
+    pub(crate) fn released(&self, i: usize, snaplen: u32) -> Option<(u64, u32, &[u8])> {
+        let f = self.index[..self.released].get(i)?;
+        let stored = f.stored_len.min(snaplen) as usize;
+        Some((f.ts.nanos(), f.wire_len, &self.arena[f.offset..f.offset + stored]))
     }
-}
 
-impl Default for PcapSink {
-    fn default() -> Self {
-        Self::new()
+    /// Forget the frames the last seal released: the pending frames'
+    /// bytes move to the front of the spare arena, which becomes the
+    /// arena. Allocates nothing once both arenas hold the most frames
+    /// ever pending.
+    pub(crate) fn compact(&mut self) {
+        self.spare.clear();
+        for f in &mut self.index[self.released..] {
+            let offset = self.spare.len();
+            self.spare.extend_from_slice(&self.arena[f.offset..f.offset + f.stored_len as usize]);
+            f.offset = offset;
+        }
+        std::mem::swap(&mut self.arena, &mut self.spare);
+        self.index.drain(..self.released);
+        self.released = 0;
     }
 }
 
@@ -598,6 +589,32 @@ mod tests {
         }
     }
 
+    /// One shard's part of a slice's release, as the engine makes it:
+    /// seal at `horizon`, hand the frames that made final to `emit` in
+    /// capture order, compact; returns the count.
+    fn release(sink: &mut PcapSink, horizon: Timestamp, snaplen: u32, mut emit: impl FnMut(u64, u32, &[u8])) -> u64 {
+        sink.seal(horizon);
+        let mut n = 0;
+        while let Some((ts_nanos, orig_len, data)) = sink.released(n, snaplen) {
+            emit(ts_nanos, orig_len, data);
+            n += 1;
+        }
+        sink.compact();
+        n as u64
+    }
+
+    /// Every frame still pending, as the final flush releases them.
+    const END: Timestamp = Timestamp(u64::MAX);
+
+    /// The pcap capture of a final flush, and its frame count.
+    fn capture(sink: &mut PcapSink, snaplen: u32) -> (Vec<u8>, u64) {
+        let mut w = pcapio::PcapWriter::new(Vec::new(), snaplen, pcapio::TsPrecision::Nano).unwrap();
+        let frames = release(sink, END, snaplen, |ts_nanos, orig_len, data| {
+            w.write_packet(ts_nanos, data, Some(orig_len)).unwrap()
+        });
+        (w.into_inner().unwrap(), frames)
+    }
+
     #[test]
     fn log_sink_produces_matching_records() {
         let mut sink = LogSink::new();
@@ -692,9 +709,8 @@ mod tests {
         pcap.conn(&ct);
         pcap.conn(&cu);
         pcap.conn(&failed);
-        let mut buf = Vec::new();
         // 192: the negative response (139 bytes) is stored whole.
-        let frames = pcap.write_pcap(&mut buf, 192).unwrap();
+        let (buf, frames) = capture(&mut pcap, 192);
         assert!(frames > 8);
 
         let logs = Monitor::process_pcap(&buf[..], MonitorConfig::default()).unwrap();
@@ -757,7 +773,7 @@ mod tests {
         let mut cut = PcapSink::new();
         cut.conn(&cu);
         let mut declared = 0u64;
-        let frames = cut.emit_records(40, |_, orig_len, data| {
+        let frames = release(&mut cut, END, 40, |_, orig_len, data| {
             assert_eq!(data.len(), 40);
             declared += u64::from(orig_len) - 42;
         });
@@ -769,8 +785,7 @@ mod tests {
     fn refused_tcp_parses_as_rej() {
         let mut pcap = PcapSink::new();
         pcap.conn(&conn_emission(ConnFate::Refused, Proto::Tcp));
-        let mut buf = Vec::new();
-        pcap.write_pcap(&mut buf, 128).unwrap();
+        let (buf, _) = capture(&mut pcap, 128);
         let logs = Monitor::process_pcap(&buf[..], MonitorConfig::default()).unwrap();
         assert_eq!(logs.conns[0].state, ConnState::Rej);
     }
@@ -781,12 +796,45 @@ mod tests {
         e.duration = Duration::from_secs(1_200); // 20 minutes
         let mut pcap = PcapSink::new();
         pcap.conn(&e);
-        let mut buf = Vec::new();
-        pcap.write_pcap(&mut buf, 128).unwrap();
+        let (buf, _) = capture(&mut pcap, 128);
         let logs = Monitor::process_pcap(&buf[..], MonitorConfig::default()).unwrap();
         let apps: Vec<_> = logs.app_conns().collect();
         assert_eq!(apps.len(), 1, "flow must not be split by the tcp timeout");
         assert_eq!(apps[0].resp_bytes, e.resp_bytes);
+    }
+
+    /// Sealing at a horizon, releasing and compacting, slice after slice,
+    /// hands out the frames one final flush would, in the same order; a
+    /// frame pending across a compaction keeps its bytes.
+    #[test]
+    fn sliced_release_equals_one_flush() {
+        let mut long = conn_emission(ConnFate::Established, Proto::Tcp);
+        long.duration = Duration::from_secs(1_200);
+        let mut udp = conn_emission(ConnFate::Established, Proto::Udp);
+        udp.ts = Timestamp::from_secs(400);
+        udp.duration = Duration::from_secs(130);
+        fn record(out: &mut Vec<(u64, u32, Vec<u8>)>) -> impl FnMut(u64, u32, &[u8]) + '_ {
+            |ts_nanos, orig_len, data| out.push((ts_nanos, orig_len, data.to_vec()))
+        }
+
+        let mut whole = PcapSink::new();
+        whole.dns(&dns_emission());
+        whole.conn(&long);
+        whole.conn(&udp);
+        let mut expected = Vec::new();
+        release(&mut whole, END, 96, record(&mut expected));
+
+        let mut sliced = PcapSink::new();
+        sliced.dns(&dns_emission());
+        sliced.conn(&long);
+        let mut got = Vec::new();
+        for horizon in [60, 400] {
+            release(&mut sliced, Timestamp::from_secs(horizon), 96, record(&mut got));
+        }
+        sliced.conn(&udp);
+        assert!(got.len() > 3 && sliced.index.len() > 3, "frames on both sides of the cut");
+        release(&mut sliced, END, 96, record(&mut got));
+        assert_eq!(got, expected);
     }
 
     #[test]

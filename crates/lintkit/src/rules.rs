@@ -267,15 +267,15 @@ pub fn rules() -> Vec<Rule> {
         },
         Rule {
             id: "thread-spawn-fence",
-            desc: "detached threads stay behind the two seams: no bare thread::spawn outside xkit::par and xkit::obs::http",
-            hint: "submit to an xkit::par::Pool (or a scoped par helper) or serve through xkit::obs::http",
+            desc: "threads start behind the two seams: no thread::spawn, thread::scope or thread::Builder outside xkit::par and xkit::obs::http",
+            hint: "submit to an xkit::par::Pool, borrow a scoped par helper (par_map, join, lockstep) or serve through xkit::obs::http",
             scope: Scope {
                 roots: &["crates"],
                 exclude: &["crates/xkit/src/par.rs", "crates/xkit/src/obs/http.rs"],
                 src_only: true,
                 include_tests: false,
             },
-            check: Check::Needles(&["thread::spawn"]),
+            check: Check::Needles(&["thread::spawn", "thread::scope", "thread::Builder"]),
         },
         Rule {
             id: "unused-pub",

@@ -230,13 +230,20 @@ fn thread_spawn_in_test_code_is_exempt() {
 }
 
 #[test]
-fn scoped_spawns_do_not_trip_the_thread_fence() {
-    // `scope.spawn(...)` and `std::thread::scope` are structured
-    // concurrency, not detached threads; only `thread::spawn` is fenced.
+fn scoped_threads_fire_outside_the_spawn_seams() {
+    // Scoped workers are threads too: they belong in a par helper.
     let src = "pub fn f() { std::thread::scope(|s| { s.spawn(|| {}); }); }\n";
-    assert!(fired("crates/dns-context/src/lib.rs", src)
-        .iter()
-        .all(|r| r != "thread-spawn-fence"));
+    assert_eq!(fired("crates/ccz-sim/src/engine.rs", src), vec!["thread-spawn-fence"]);
+    assert!(diags("crates/xkit/src/par.rs", src).is_empty());
+    assert!(diags("crates/xkit/src/obs/http.rs", src).is_empty());
+}
+
+#[test]
+fn thread_builders_fire_outside_the_spawn_seams() {
+    let src = "pub fn f() { std::thread::Builder::new().name(n).spawn(|| {}).unwrap(); }\n";
+    assert_eq!(fired("crates/bench/src/serve.rs", src), vec!["thread-spawn-fence"]);
+    assert!(diags("crates/xkit/src/par.rs", src).is_empty());
+    assert!(diags("crates/xkit/src/obs/http.rs", src).is_empty());
 }
 
 #[test]

@@ -6,13 +6,14 @@
 //! identical to a sequential one — the property every determinism test in
 //! the workspace leans on.
 //!
-//! This module and `xkit::obs::http` are the only places allowed to call
-//! `std::thread::spawn` (`repro lint` enforces `thread-spawn-fence`);
-//! everything else either borrows a scoped helper or submits to a
-//! [`Pool`].
+//! This module and `xkit::obs::http` are the only places allowed to start
+//! a thread, scoped or not (`repro lint` enforces `thread-spawn-fence`
+//! on `thread::spawn`, `thread::scope` and `thread::Builder`); everything
+//! else either borrows a scoped helper or submits to a [`Pool`].
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
+use std::panic::AssertUnwindSafe;
+use std::sync::{Arc, Barrier, Condvar, Mutex, PoisonError};
 
 /// Number of worker threads the machine can usefully run.
 pub fn available_threads() -> usize {
@@ -64,15 +65,6 @@ where
         .collect()
 }
 
-/// [`par_map`] over the index range `0..count`.
-pub fn par_indexed<U, F>(threads: usize, count: usize, f: F) -> Vec<U>
-where
-    U: Send,
-    F: Fn(usize) -> U + Sync,
-{
-    par_map(threads, (0..count).collect(), |_, i| f(i))
-}
-
 /// Run two independent closures on separate threads and return both
 /// results. Degrades to sequential calls when `threads <= 1`.
 pub fn join<A, B, FA, FB>(threads: usize, fa: FA, fb: FB) -> (A, B)
@@ -90,6 +82,84 @@ where
         let a = fa();
         (a, hb.join().expect("join worker panicked"))
     })
+}
+
+/// Advance every item in rounds, in lock-step: each round runs
+/// `step(item)` once per item, in parallel, and then `between` once on
+/// the caller's thread with every item in input order. The rounds stop
+/// when `between` returns `false`.
+///
+/// `min(threads, items)` workers, the caller's thread among them, persist
+/// across rounds (item `k` always steps on worker `k % workers`), so a
+/// long run spawns threads once, not once per round; no round allocates.
+/// `threads <= 1` or a single item spawns nothing: every step runs on the
+/// caller's thread. A panicking step is re-raised on the caller once its
+/// round ends.
+pub fn lockstep<T, F, G>(threads: usize, items: &mut [T], step: F, mut between: G)
+where
+    T: Send,
+    F: Fn(&mut T) + Sync,
+    G: FnMut(&mut [&mut T]) -> bool,
+{
+    let n = items.len();
+    let workers = resolve_threads(threads).clamp(1, n.max(1));
+    // Items travel between the caller and the workers through one slot
+    // each; a step that panics poisons its slot's lock and leaves the slot
+    // itself as it was. The barrier opens and closes every round; opened
+    // on empty slots, it stops the workers.
+    let slots: Vec<Mutex<Option<&mut T>>> = items.iter_mut().map(|item| Mutex::new(Some(item))).collect();
+    let slot = |k: usize| slots[k].lock().unwrap_or_else(PoisonError::into_inner);
+    let steps = |w: usize| {
+        std::panic::catch_unwind(AssertUnwindSafe(|| {
+            for k in (w..n).step_by(workers) {
+                step(slot(k).as_mut().expect("every slot is filled while a round runs"));
+            }
+        }))
+    };
+    let barrier = Barrier::new(workers);
+    let failed = Mutex::new(None);
+    std::thread::scope(|scope| {
+        for w in 1..workers {
+            let (slot, steps, barrier, failed) = (&slot, &steps, &barrier, &failed);
+            scope.spawn(move || loop {
+                barrier.wait();
+                if slot(w).is_none() {
+                    return;
+                }
+                if let Err(payload) = steps(w) {
+                    *failed.lock().expect("nothing panics holding it") = Some(payload);
+                }
+                barrier.wait();
+            });
+        }
+        let _stop = OpenOnDrop(&barrier);
+        let mut refs = Vec::with_capacity(n);
+        loop {
+            barrier.wait();
+            let own = steps(0);
+            barrier.wait();
+            refs.extend((0..n).filter_map(|k| slot(k).take()));
+            if let Some(payload) = own.err().or_else(|| failed.lock().expect("nothing panics holding it").take()) {
+                std::panic::resume_unwind(payload);
+            }
+            if !between(&mut refs) {
+                return;
+            }
+            for (k, item) in refs.drain(..).enumerate() {
+                *slot(k) = Some(item);
+            }
+        }
+    });
+}
+
+/// Opens a barrier once more when dropped: how [`lockstep`] stops its
+/// workers.
+struct OpenOnDrop<'a>(&'a Barrier);
+
+impl Drop for OpenOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.wait();
+    }
 }
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
@@ -279,7 +349,7 @@ mod tests {
     #[test]
     fn work_is_actually_distributed() {
         let seen = AtomicUsize::new(0);
-        let _ = par_indexed(4, 100, |i| {
+        let _ = par_map(4, (0..100).collect(), |_, i: usize| {
             seen.fetch_add(1, Ordering::Relaxed);
             i
         });
@@ -293,6 +363,83 @@ mod tests {
             assert_eq!(a, 4);
             assert_eq!(b, "ok");
         }
+    }
+
+    /// Each item logs its steps (`s`) and the rounds' ends (`b`); the
+    /// logs and the items' values are the same at every width.
+    #[test]
+    fn lockstep_rounds_agree_at_any_width() {
+        let run = |threads| {
+            let mut items: Vec<(usize, u64, String)> = (0..5).map(|k| (k, k as u64, String::new())).collect();
+            let mut rounds = 0;
+            lockstep(
+                threads,
+                &mut items,
+                |(at, value, log)| {
+                    *value = value.wrapping_mul(31).wrapping_add((*at + log.len()) as u64);
+                    log.push('s');
+                },
+                |items| {
+                    for (k, (at, _, log)) in items.iter_mut().enumerate() {
+                        assert_eq!(*at, k, "the items come back in input order");
+                        log.push('b');
+                    }
+                    rounds += 1;
+                    rounds < 4
+                },
+            );
+            items
+        };
+        let one = run(1);
+        assert!(one.iter().all(|(_, _, log)| log == "sbsbsbsb"), "{one:?}");
+        for threads in [2, 8] {
+            assert_eq!(run(threads), one, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn lockstep_reraises_a_panicking_step() {
+        for threads in [1, 2, 8] {
+            let mut items: Vec<u32> = (0..4).collect();
+            let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                lockstep(threads, &mut items, |k| assert_ne!(*k, 2, "step 2 fails"), |_| true)
+            }));
+            let payload = caught.expect_err("the panic reaches the caller");
+            let message = payload.downcast_ref::<String>().expect("a formatted panic message");
+            assert!(message.contains("step 2 fails"), "threads={threads}: {message}");
+            // A panicking `between` leaves no worker parked either.
+            let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                lockstep(threads, &mut items, |_| {}, |_| panic!("between fails"))
+            }));
+            assert!(caught.is_err(), "threads={threads}");
+        }
+    }
+
+    /// Which threads ran the steps, counted by their ids: the caller's
+    /// alone when nothing may be spawned, the caller's and `threads - 1`
+    /// others otherwise.
+    #[test]
+    fn lockstep_spawns_only_when_there_is_parallel_work() {
+        let step_threads = |threads, n| {
+            let mut items: Vec<Vec<std::thread::ThreadId>> = vec![Vec::new(); n];
+            let mut rounds = 0;
+            lockstep(threads, &mut items, |seen| seen.push(std::thread::current().id()), |_| {
+                rounds += 1;
+                rounds < 3
+            });
+            let mut ids: Vec<_> = items.into_iter().flatten().collect();
+            ids.sort_by_key(|id| format!("{id:?}"));
+            ids.dedup();
+            ids
+        };
+        let caller = std::thread::current().id();
+        for (threads, n) in [(1, 4), (0, 1), (8, 1), (1, 1)] {
+            assert_eq!(step_threads(threads, n), [caller], "threads={threads} items={n}");
+        }
+        let two = step_threads(2, 4);
+        assert_eq!(two.len(), 2, "two workers for four items");
+        assert!(two.contains(&caller), "the caller is one of them");
+        assert_eq!(step_threads(8, 3).len(), 3, "never more workers than items");
     }
 
     #[test]

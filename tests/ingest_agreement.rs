@@ -17,9 +17,9 @@ use dnsctx::zeek_lite::{logfmt, Duration, Logs, Monitor, MonitorConfig};
 const SEED: u64 = 1303;
 const SNAPLEN: u32 = 65_535;
 
-/// Small-but-busy workload: the packet path buffers every frame, so the
-/// suite stays at integration-test scale (same shape as the zero-copy
-/// agreement suite).
+/// Small-but-busy workload, at integration-test scale: the file door
+/// holds whole captures in memory (same shape as the zero-copy agreement
+/// suite).
 fn workload() -> WorkloadConfig {
     WorkloadConfig {
         scale: ScaleKnobs { houses: 12, days: 0.25, activity: 0.5 },
