@@ -166,6 +166,30 @@ fn monitor_counters_are_exported_once() {
     }
 }
 
+/// `repro table3` prints the two answers to the paper's open question
+/// beside Table 3. On a trace shorter than its 24 h staleness bound,
+/// serve-stale hits at least as often as refresh-all, for no more
+/// lookups than the standard cache.
+#[test]
+fn table3_prints_the_selective_and_serve_stale_columns() {
+    let output = repro(&["table3", "--houses", "6", "--days", "0.5", "--scale", "0.5", "--seed", "7"]);
+    assert!(output.status.success(), "repro table3 failed: {output:?}");
+    let doc = String::from_utf8(output.stdout).expect("utf8 stdout");
+    assert!(doc.contains("Selective (K=2, 1 h)") && doc.contains("Serve-stale (24 h)"), "{doc}");
+    // A row's cells: standard, refresh-all, selective, serve-stale.
+    let cells = |label: &str| -> Vec<f64> {
+        let line = doc.lines().find(|l| l.starts_with(label)).unwrap_or_else(|| panic!("no {label} row: {doc}"));
+        line[label.len()..]
+            .split_whitespace()
+            .map(|c| c.trim_end_matches('%').replace(',', "").parse().expect("a numeric cell"))
+            .collect()
+    };
+    let [standard_lookups, _, _, stale_lookups] = cells("DNS Lookups")[..] else { panic!("four columns: {doc}") };
+    let [_, refresh_all_hits, _, stale_hits] = cells("Cache Hits")[..] else { panic!("four columns: {doc}") };
+    assert!(stale_hits >= refresh_all_hits, "serve-stale {stale_hits}% < refresh-all {refresh_all_hits}%");
+    assert!(stale_lookups <= standard_lookups, "serve-stale {stale_lookups} > standard {standard_lookups} lookups");
+}
+
 #[test]
 fn obs_metrics_are_the_library_fold() {
     use dnsctx::ccz_sim::ScaleKnobs;

@@ -1,6 +1,12 @@
 //! The discrete-event engine tying the workload model together.
 
-use crate::config::{platform, WorkloadConfig};
+use crate::config::{
+    platform, WorkloadConfig, APP_START_DELAY_MS, APP_START_SIGMA, CONNECTIVITY_CHECK_GAP_SECS,
+    DWELL_MEDIAN_SECS, EMBEDDED_NAMES_PER_PAGE, MAX_STALE_SECS, P2P_BURST_CONNS, P2P_BURST_GAP_SECS,
+    PAGES_PER_SESSION, PLATFORMS, POLL_GAP_SECS, PREFETCH_LINKS_PER_PAGE, P_HOUSE_ALARMNET, P_HOUSE_OOMA,
+    P_HOUSE_P2P, P_HOUSE_TPLINK_NTP, P_PREFETCH_CLICK, P_SECOND_CONN, P_STALE_REUSE, P_STUB_BYPASS,
+    SESSION_GAP_SECS, STREAM_GAP_SECS, STREAM_LEN_SECS, STREAM_SEGMENT_GAP_SECS,
+};
 use crate::dists::{BoundedPareto, Exponential, LogNormal};
 use crate::names::{NameId, NameUniverse, ServiceId};
 use crate::output::{ConnEmission, ConnFate, DnsEmission, LogSink, PcapSink, Sink};
@@ -439,8 +445,7 @@ impl<'a, S: Sink> Engine<'a, S> {
         sink: S,
     ) -> Engine<'a, S> {
         let rng = shared.base_rng.split(shard);
-        let platforms: Vec<ResolverPlatform> =
-            cfg.platforms.iter().cloned().map(ResolverPlatform::new).collect();
+        let platforms: Vec<ResolverPlatform> = PLATFORMS.into_iter().map(ResolverPlatform::new).collect();
         let clock = Timestamp::from_secs(EPOCH_UNIX);
         let end = clock + Duration::from_secs_f64(cfg.scale.duration_secs());
         let mut e = Engine {
@@ -458,8 +463,8 @@ impl<'a, S: Sink> Engine<'a, S> {
             nxdomains: 0,
             addr_scratch: Vec::new(),
             name_scratch: Vec::new(),
-            dwell: LogNormal::from_median(cfg.dwell_median_secs, 1.1),
-            app_delay: LogNormal::from_median(cfg.app_start_delay_ms, cfg.app_start_sigma),
+            dwell: LogNormal::from_median(DWELL_MEDIAN_SECS, 1.1),
+            app_delay: LogNormal::from_median(APP_START_DELAY_MS, APP_START_SIGMA),
             server_rtt: LogNormal::from_median(25.0, 0.5),
             web_bytes: BoundedPareto::new(1.15, 2_000.0, 5e8),
             rate: LogNormal::from_median(12e6, 1.0),
@@ -498,7 +503,7 @@ impl<'a, S: Sink> Engine<'a, S> {
             let forwarder_only = self.rng.random_bool(self.cfg.p_house_forwarder_only);
             let opendns_house = !forwarder_only && self.rng.random_bool(self.cfg.p_house_opendns);
             let cloudflare_house = !forwarder_only && !opendns_house && self.rng.random_bool(self.cfg.p_house_cloudflare);
-            let p2p = self.rng.random_bool(self.cfg.p_house_p2p);
+            let p2p = self.rng.random_bool(P_HOUSE_P2P);
             let favorites: Vec<ServiceId> = (0..15)
                 .map(|_| self.names.pick_service(&mut self.rng))
                 .collect();
@@ -523,8 +528,7 @@ impl<'a, S: Sink> Engine<'a, S> {
                 devices.push(self.make_device(DeviceKind::Android, plat, &favorites));
             }
             if self.rng.random_bool(0.5) {
-                let plat = if forwarder_only { platform::LOCAL } else { platform::LOCAL };
-                devices.push(self.make_device(DeviceKind::Iot, plat, &favorites));
+                devices.push(self.make_device(DeviceKind::Iot, platform::LOCAL, &favorites));
             }
 
             let h = self.houses.len() as u32;
@@ -543,22 +547,22 @@ impl<'a, S: Sink> Engine<'a, S> {
                 let streams = self.houses[h as usize].devices[d].streams;
                 match kind {
                     DeviceKind::Computer => {
-                        let t0 = start + self.uniform_dur(0.0, 2.0 * self.cfg.session_gap_secs / self.cfg.scale.activity);
+                        let t0 = start + self.uniform_dur(0.0, 2.0 * SESSION_GAP_SECS / self.cfg.scale.activity);
                         self.schedule(t0, Ev::BrowseSession { h, d: d as u32 });
-                        let tp = start + self.uniform_dur(0.0, self.cfg.poll_gap_secs / self.cfg.scale.activity);
+                        let tp = start + self.uniform_dur(0.0, POLL_GAP_SECS / self.cfg.scale.activity);
                         self.schedule(tp, Ev::Poll { h, d: d as u32 });
                         if streams {
-                            let tv = start + self.uniform_dur(0.0, self.cfg.stream_gap_secs / self.cfg.scale.activity);
+                            let tv = start + self.uniform_dur(0.0, STREAM_GAP_SECS / self.cfg.scale.activity);
                             self.schedule(tv, Ev::StreamStart { h, d: d as u32 });
                         }
                     }
                     DeviceKind::Android => {
-                        let t0 = start + self.uniform_dur(0.0, 3.0 * self.cfg.session_gap_secs / self.cfg.scale.activity);
+                        let t0 = start + self.uniform_dur(0.0, 3.0 * SESSION_GAP_SECS / self.cfg.scale.activity);
                         self.schedule(t0, Ev::BrowseSession { h, d: d as u32 });
-                        let tc = start + self.uniform_dur(0.0, self.cfg.connectivity_check_gap_secs / self.cfg.scale.activity);
+                        let tc = start + self.uniform_dur(0.0, CONNECTIVITY_CHECK_GAP_SECS / self.cfg.scale.activity);
                         self.schedule(tc, Ev::ConnCheck { h, d: d as u32 });
                         if streams {
-                            let tv = start + self.uniform_dur(0.0, self.cfg.stream_gap_secs / self.cfg.scale.activity);
+                            let tv = start + self.uniform_dur(0.0, STREAM_GAP_SECS / self.cfg.scale.activity);
                             self.schedule(tv, Ev::StreamStart { h, d: d as u32 });
                         }
                     }
@@ -569,20 +573,20 @@ impl<'a, S: Sink> Engine<'a, S> {
                 }
             }
             if p2p {
-                let t = start + self.uniform_dur(0.0, self.cfg.p2p_burst_gap_secs / self.cfg.scale.activity);
+                let t = start + self.uniform_dur(0.0, P2P_BURST_GAP_SECS / self.cfg.scale.activity);
                 self.schedule(t, Ev::P2pBurst { h });
             }
-            if self.rng.random_bool(self.cfg.p_house_tplink_ntp) {
+            if self.rng.random_bool(P_HOUSE_TPLINK_NTP) {
                 let t = start + self.uniform_dur(0.0, 800.0 / self.cfg.scale.activity);
                 self.schedule(t, Ev::NtpProbe { h, dst: hardcoded::TPLINK_NTP, mean_gap: 800.0 });
             }
-            if self.rng.random_bool(self.cfg.p_house_ooma) {
+            if self.rng.random_bool(P_HOUSE_OOMA) {
                 for dst in hardcoded::OOMA_NTP {
                     let t = start + self.uniform_dur(0.0, 3_000.0 / self.cfg.scale.activity);
                     self.schedule(t, Ev::NtpProbe { h, dst, mean_gap: 3_000.0 });
                 }
             }
-            if self.rng.random_bool(self.cfg.p_house_alarmnet) {
+            if self.rng.random_bool(P_HOUSE_ALARMNET) {
                 let t = start + self.uniform_dur(0.0, 600.0 / self.cfg.scale.activity);
                 self.schedule(t, Ev::AlarmBeat { h });
             }
@@ -745,12 +749,12 @@ impl<'a, S: Sink> Engine<'a, S> {
         let violates = dev.violates_ttl;
         // A fraction of uses come from a process with its own empty DNS
         // cache and never consult the device stub.
-        let cached = if self.rng.random_bool(self.cfg.p_stub_bypass) {
+        let cached = if self.rng.random_bool(P_STUB_BYPASS) {
             None
         } else {
             dev.stub.get(&name).copied()
         };
-        let max_stale = Duration::from_secs_f64(self.cfg.max_stale_secs);
+        let max_stale = Duration::from_secs_f64(MAX_STALE_SECS);
         if let Some(entry) = cached {
             // A lookup still in flight: the stub coalesces this use onto
             // the pending query (as real resolvers do) — the connection
@@ -772,7 +776,7 @@ impl<'a, S: Sink> Engine<'a, S> {
             let reuse_stale = !fresh
                 && violates
                 && staleness_ok
-                && self.rng.random_bool(self.cfg.p_stale_reuse);
+                && self.rng.random_bool(P_STALE_REUSE);
             if fresh || reuse_stale {
                 let class = if entry.used { ConnClass::LocalCache } else { ConnClass::Prefetched };
                 let stale = !fresh;
@@ -977,12 +981,15 @@ impl<'a, S: Sink> Engine<'a, S> {
         self.connect(h, start, class, stale, dns_index, dst, plat, cdn, profile);
         // Occasionally the application opens a second parallel connection
         // reusing the just-obtained mapping (drives the non-first-use tail
-        // inside the paper's 20 ms window).
+        // inside the paper's 20 ms window). It keeps the first's origin
+        // class: the same mapping, just not the first user (the analysis
+        // still calls it SC/R inside the blocked window; truth mirrors the
+        // paper's semantics by class of information origin).
         if matches!(profile, Profile::WebObject | Profile::PageMain)
-            && self.rng.random_bool(self.cfg.p_second_conn)
+            && self.rng.random_bool(P_SECOND_CONN)
         {
             let dt = self.uniform_dur(0.005, 0.080);
-            self.connect(h, start + dt, class_for_second(class), stale, dns_index, dst, plat, cdn, profile);
+            self.connect(h, start + dt, class, stale, dns_index, dst, plat, cdn, profile);
         }
     }
 
@@ -1051,11 +1058,11 @@ impl<'a, S: Sink> Engine<'a, S> {
     }
 
     fn ev_browse_session(&mut self, h: u32, d: u32, t: Timestamp) {
-        let pages = 1 + (Exponential::new(self.cfg.pages_per_session - 1.0).sample(&mut self.rng)) as u32;
+        let pages = 1 + (Exponential::new(PAGES_PER_SESSION - 1.0).sample(&mut self.rng)) as u32;
         let svc = self.pick_browse_service(h);
         self.schedule(t, Ev::PageView { h, d, svc, pages_left: pages, via_prefetch: None });
         let factor = self.houses[h as usize].devices[d as usize].browse_gap;
-        let next = t + self.gap(self.cfg.session_gap_secs * factor, t);
+        let next = t + self.gap(SESSION_GAP_SECS * factor, t);
         self.schedule(next, Ev::BrowseSession { h, d });
     }
 
@@ -1067,7 +1074,7 @@ impl<'a, S: Sink> Engine<'a, S> {
         // engine-owned scratch, taken out for the duration of the loop
         // (schedule() needs `&mut self`) and put back afterwards so its
         // capacity is reused by every page view.
-        let (lo, hi) = self.cfg.embedded_names_per_page;
+        let (lo, hi) = EMBEDDED_NAMES_PER_PAGE;
         let n_embedded = self.rng.random_range(lo..=hi);
         let mut embedded = std::mem::take(&mut self.name_scratch);
         self.names
@@ -1090,7 +1097,7 @@ impl<'a, S: Sink> Engine<'a, S> {
 
         // Speculative link resolution — reuses the same scratch buffer
         // (the embedded loop above is done with it).
-        let (plo, phi) = self.cfg.prefetch_links_per_page;
+        let (plo, phi) = PREFETCH_LINKS_PER_PAGE;
         let n_links = self.rng.random_range(plo..=phi);
         let mut links = embedded;
         links.clear();
@@ -1114,7 +1121,7 @@ impl<'a, S: Sink> Engine<'a, S> {
         if pages_left > 1 {
             let dwell = Duration::from_secs_f64(self.dwell.sample_clamped(&mut self.rng, 3.0, 1_800.0));
             let at = t + dwell;
-            let clicked = !links.is_empty() && self.rng.random_bool(self.cfg.p_prefetch_click);
+            let clicked = !links.is_empty() && self.rng.random_bool(P_PREFETCH_CLICK);
             if clicked {
                 let target = links[self.rng.random_range(0..links.len())];
                 let next_svc = self.names.service_of_primary(target).unwrap_or(svc);
@@ -1140,30 +1147,27 @@ impl<'a, S: Sink> Engine<'a, S> {
         } else {
             self.use_and_connect(h, d, name, t, Profile::Poll);
         }
-        let next = t + self.gap(self.cfg.poll_gap_secs, t);
+        let next = t + self.gap(POLL_GAP_SECS, t);
         self.schedule(next, Ev::Poll { h, d });
     }
 
     fn ev_stream_start(&mut self, h: u32, d: u32, t: Timestamp) {
         let svc = self.pick_browse_service(h);
         let name = self.names.primary(svc);
-        let len = Exponential::new(self.cfg.stream_len_secs).sample(&mut self.rng);
+        let len = Exponential::new(STREAM_LEN_SECS).sample(&mut self.rng);
         let until = t + Duration::from_secs_f64(len.clamp(120.0, 4.0 * 3_600.0));
         // The player resolves the CDN hostname up front, then starts
         // fetching once the UI settles — a natural prefetch.
         self.prefetch(h, d, name, t);
         let first = t + self.uniform_dur(0.5, 3.0);
         self.schedule(first, Ev::StreamSegment { h, d, name, until });
-        let next = t + self.gap(self.cfg.stream_gap_secs, t);
+        let next = t + self.gap(STREAM_GAP_SECS, t);
         self.schedule(next, Ev::StreamStart { h, d });
     }
 
     fn ev_stream_segment(&mut self, h: u32, d: u32, name: NameId, until: Timestamp, t: Timestamp) {
         self.use_and_connect(h, d, name, t, Profile::StreamSegment);
-        let gap = self.uniform_dur(
-            self.cfg.stream_segment_gap_secs * 0.6,
-            self.cfg.stream_segment_gap_secs * 1.6,
-        );
+        let gap = self.uniform_dur(STREAM_SEGMENT_GAP_SECS * 0.6, STREAM_SEGMENT_GAP_SECS * 1.6);
         let next = t + gap;
         if next < until {
             self.schedule(next, Ev::StreamSegment { h, d, name, until });
@@ -1173,12 +1177,12 @@ impl<'a, S: Sink> Engine<'a, S> {
     fn ev_conn_check(&mut self, h: u32, d: u32, t: Timestamp) {
         let cc = self.names.connectivity_check();
         self.use_and_connect(h, d, cc, t, Profile::ConnCheck);
-        let next = t + self.gap(self.cfg.connectivity_check_gap_secs, t);
+        let next = t + self.gap(CONNECTIVITY_CHECK_GAP_SECS, t);
         self.schedule(next, Ev::ConnCheck { h, d });
     }
 
     fn ev_p2p_burst(&mut self, h: u32, t: Timestamp) {
-        let (lo, hi) = self.cfg.p2p_burst_conns;
+        let (lo, hi) = P2P_BURST_CONNS;
         let n = self.rng.random_range(lo..=hi);
         for _ in 0..n {
             let at = t + self.uniform_dur(0.0, 120.0);
@@ -1198,7 +1202,7 @@ impl<'a, S: Sink> Engine<'a, S> {
             };
             self.connect_nodns(h, at, dst, port, proto, ob, rb, duration, fate);
         }
-        let next = t + self.gap(self.cfg.p2p_burst_gap_secs, t);
+        let next = t + self.gap(P2P_BURST_GAP_SECS, t);
         self.schedule(next, Ev::P2pBurst { h });
     }
 
@@ -1230,18 +1234,6 @@ fn diurnal(t: Timestamp) -> f64 {
     let secs = t.nanos() as f64 / 1e9;
     let hour = (secs / 3_600.0) % 24.0;
     1.0 + 0.65 * ((std::f64::consts::TAU * (hour - 20.5) / 24.0).cos())
-}
-
-/// A parallel second connection keeps the first's origin class — it is the
-/// same mapping, just not the first user (it lands as non-first-use inside
-/// the blocked window, which the analysis will still call SC/R; truth
-/// mirrors the paper's semantics by class of information origin).
-fn class_for_second(first: ConnClass) -> ConnClass {
-    match first {
-        ConnClass::SharedCache => ConnClass::SharedCache,
-        ConnClass::Resolution => ConnClass::Resolution,
-        other => other,
-    }
 }
 
 #[cfg(test)]
@@ -1437,7 +1429,7 @@ mod tests {
         assert_eq!(m.counter("sim.dns_lookups"), out.truth.dns.len() as u64);
         assert!(m.counter("sim.events") >= m.counter("sim.conns"));
         // Every configured platform carries its tally, used or not.
-        for p in &tiny_cfg().platforms {
+        for p in &PLATFORMS {
             let key = p.name.to_ascii_lowercase();
             let queries = format!("resolver.{key}.queries");
             assert!(m.get(&queries).is_some(), "{queries} missing");

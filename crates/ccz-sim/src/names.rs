@@ -1,6 +1,6 @@
 //! The simulated name universe: services, hostnames, TTLs, hosting.
 
-use crate::config::WorkloadConfig;
+use crate::config::{WorkloadConfig, CNAME_FRACTION, COHOST_FRACTION, TTL_CLASSES, ZIPF_EXPONENT};
 use crate::dists::{weighted_index, Zipf};
 use std::net::Ipv4Addr;
 use xkit::rng::StdRng;
@@ -92,7 +92,7 @@ impl NameUniverse {
     /// Generate a universe per the config. Deterministic given the RNG.
     pub fn generate(cfg: &WorkloadConfig, rng: &mut StdRng) -> NameUniverse {
         use std::fmt::Write;
-        let ttl_weights: Vec<f64> = cfg.ttl_classes.iter().map(|(_, w)| *w).collect();
+        let ttl_weights = TTL_CLASSES.map(|(_, w)| w);
         let mut names: Vec<NameEntry> = Vec::new();
         let mut text = String::new();
         // Append one string to the arena; formatting into a `String` cannot fail.
@@ -115,14 +115,14 @@ impl NameUniverse {
         // The order and number of RNG draws here is what every seeded
         // output in the tree starts from.
         let mut make_name = |fqdn: Span, cdn: bool, rng: &mut StdRng, names: &mut Vec<NameEntry>| -> NameId {
-            let ttl = cfg.ttl_classes[weighted_index(rng, &ttl_weights)].0;
+            let ttl = TTL_CLASSES[weighted_index(rng, &ttl_weights)].0;
             let n_addrs = 1 + rng.random_range(0..3usize).min(1 + rng.random_range(0..2));
             let mut addrs = [Ipv4Addr::UNSPECIFIED; MAX_ADDRS];
             for a in &mut addrs[..n_addrs] {
                 *a = if cdn { edge(rng.random_range(0..EDGE_POOL) as u32) } else { alloc_dedicated() };
             }
             let cname = rng
-                .random_bool(cfg.cname_fraction)
+                .random_bool(CNAME_FRACTION)
                 .then(|| rng.random_range(0..CNAME_TARGETS) as u16);
             let id = NameId(names.len() as u32);
             names.push(NameEntry { fqdn, ttl, addrs, n_addrs: n_addrs as u8, cname, cdn_hosted: cdn });
@@ -132,7 +132,7 @@ impl NameUniverse {
         let mut services = Vec::with_capacity(cfg.services);
         for i in 0..cfg.services {
             let tld = TLDS[i % TLDS.len()];
-            let cdn = rng.random_bool(cfg.cohost_fraction);
+            let cdn = rng.random_bool(COHOST_FRACTION);
             let primary = make_name(intern(format_args!("www.s{i:04}.{tld}")), cdn, rng, &mut names);
             let n_extras = rng.random_range(0..3usize);
             for sub in &["api", "img", "static"][..n_extras] {
@@ -176,7 +176,7 @@ impl NameUniverse {
         // connectivity check hottest of all.
         let mut pop = vec![1e-6f64; names.len()];
         for (rank, s) in services.iter().enumerate() {
-            let w = 0.01 / (1.0 + rank as f64).powf(cfg.zipf_exponent);
+            let w = 0.01 / (1.0 + rank as f64).powf(ZIPF_EXPONENT);
             pop[s.primary.0 as usize] = w;
             for e in s.extras() {
                 pop[e.0 as usize] = w * 0.6;
@@ -194,7 +194,7 @@ impl NameUniverse {
             services,
             shared,
             pop,
-            service_pop: Zipf::new(cfg.services, cfg.zipf_exponent),
+            service_pop: Zipf::new(cfg.services, ZIPF_EXPONENT),
             shared_pop: Zipf::new(cfg.shared_services, 1.35),
             connectivity_check: cc_id,
         }
@@ -340,9 +340,8 @@ mod tests {
 
     #[test]
     fn ttls_follow_configured_classes() {
-        let cfg = WorkloadConfig::default();
         let u = universe();
-        let allowed: Vec<u32> = cfg.ttl_classes.iter().map(|(t, _)| *t).collect();
+        let allowed = TTL_CLASSES.map(|(t, _)| t);
         for i in 0..u.len() {
             let ttl = u.info(NameId(i as u32)).ttl;
             assert!(allowed.contains(&ttl) || ttl == 300, "ttl {ttl}");

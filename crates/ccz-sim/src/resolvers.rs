@@ -67,7 +67,7 @@ impl ResolverPlatform {
 
     /// One of the platform's service addresses (clients alternate).
     pub fn addr(&self, rng: &mut StdRng) -> Ipv4Addr {
-        let a = rng.choose(&self.cfg.addrs).expect("validated: a platform has an address");
+        let a = rng.choose(self.cfg.addrs).expect("every platform has an address");
         Ipv4Addr::new(a[0], a[1], a[2], a[3])
     }
 
@@ -124,10 +124,10 @@ impl ResolverPlatform {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::WorkloadConfig;
+    use crate::config::PLATFORMS;
 
     fn platform(i: usize) -> ResolverPlatform {
-        ResolverPlatform::new(WorkloadConfig::default().platforms[i].clone())
+        ResolverPlatform::new(PLATFORMS[i])
     }
 
     #[test]
@@ -190,7 +190,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let mut rates = Vec::new();
         for backends in [1usize, 64] {
-            let mut cfg = WorkloadConfig::default().platforms[crate::config::platform::LOCAL].clone();
+            let mut cfg = PLATFORMS[crate::config::platform::LOCAL];
             cfg.backends = backends;
             cfg.external_warmth = 0.0;
             let mut p = ResolverPlatform::new(cfg);

@@ -89,17 +89,9 @@ pub struct GroundTruth {
 
 impl GroundTruth {
     /// Count of connections with the given true class.
+    #[cfg(test)]
     pub(crate) fn class_count(&self, class: ConnClass) -> usize {
         self.conns.iter().filter(|c| c.class == class).count()
-    }
-
-    /// Share (0..1) of connections with the given true class.
-    // lint: allow(unused-pub): the scenario presets' tests (scenarios.rs) read ground-truth shares through it
-    pub fn class_share(&self, class: ConnClass) -> f64 {
-        if self.conns.is_empty() {
-            return 0.0;
-        }
-        self.class_count(class) as f64 / self.conns.len() as f64
     }
 }
 
@@ -119,7 +111,7 @@ mod tests {
     #[test]
     fn shares() {
         let mut gt = GroundTruth::default();
-        assert_eq!(gt.class_share(ConnClass::NoDns), 0.0);
+        assert_eq!(gt.class_count(ConnClass::NoDns), 0);
         for class in [ConnClass::NoDns, ConnClass::NoDns, ConnClass::LocalCache, ConnClass::Resolution] {
             gt.conns.push(TruthConn {
                 ts: Timestamp::ZERO,
@@ -132,6 +124,6 @@ mod tests {
             });
         }
         assert_eq!(gt.class_count(ConnClass::NoDns), 2);
-        assert!((gt.class_share(ConnClass::NoDns) - 0.5).abs() < 1e-12);
+        assert_eq!(gt.class_count(ConnClass::Prefetched), 0);
     }
 }

@@ -116,10 +116,10 @@ fn invalid_configs_are_rejected() {
     assert!(Simulation::new(c, 1).is_err());
 
     let mut c = tiny(1, 0.01);
-    c.cohost_fraction = -0.5;
+    c.p_house_cloudflare = -0.5;
     assert!(Simulation::new(c, 1).is_err());
 
     let mut c = tiny(1, 0.01);
-    c.ttl_classes = vec![(0, 1.0)];
+    c.services = 0;
     assert!(Simulation::new(c, 1).is_err());
 }

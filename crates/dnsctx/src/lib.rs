@@ -2,8 +2,7 @@
 //!
 //! The workspace is layered (wire formats → capture → monitor → simulator
 //! → analysis → cache simulations); this crate re-exports each layer and
-//! adds the [`pipeline`] helpers the examples, harness, and integration
-//! tests share.
+//! adds the [`pipeline`] helpers the harness and integration tests share.
 //!
 //! ```
 //! use dnsctx::pipeline;

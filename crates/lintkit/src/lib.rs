@@ -358,7 +358,7 @@ fn excerpt(line: &str) -> String {
     }
 }
 
-/// Lint a workspace: walks `crates/`, `tests/`, `scripts/`, `examples/`,
+/// Lint a workspace: walks `crates/`, `tests/`, `scripts/`,
 /// `benchmark/src/` and the root `Cargo.toml` under `root`, applies every
 /// rule (or just `only`), and returns the sorted report. IO problems are
 /// errors, not diagnostics.
@@ -370,7 +370,7 @@ pub fn lint_workspace(root: &Path, only: Option<&str>) -> Result<Report, String>
         }
     }
     let mut files: Vec<PathBuf> = Vec::new();
-    for top in ["crates", "tests", "scripts", "examples", "benchmark/src"] {
+    for top in ["crates", "tests", "scripts", "benchmark/src"] {
         let dir = root.join(top);
         if dir.is_dir() {
             walk(&dir, &mut files)?;

@@ -279,10 +279,10 @@ pub fn rules() -> Vec<Rule> {
         },
         Rule {
             id: "unused-pub",
-            desc: "public surface has a user: a pub fn/const/static under crates/*/src is named by non-test code outside its file (other src, examples/, benchmark/src), a pub struct/enum/trait/type by anything but its own definition and impl headers; matching is by name, so a shared name counts as used, except that `Type::name` is no use of a module-level pub fn",
+            desc: "public surface has a user: a pub fn/const/static under crates/*/src is named by non-test code outside its file (other src, benchmark/src), a pub struct/enum/trait/type by anything but its own definition and impl headers; matching is by name, so a shared name counts as used, except that `Type::name` is no use of a module-level pub fn",
             hint: "delete it, or drop `pub` if this file uses it; an item the roadmap or an integration test needs carries `// lint: allow(unused-pub): why`",
             scope: Scope {
-                roots: &["crates", "examples", "benchmark/src"],
+                roots: &["crates", "benchmark/src"],
                 exclude: &[],
                 src_only: false,
                 include_tests: false,

@@ -412,7 +412,7 @@ fn unused_pub_fires_on_an_orphan_and_on_a_pub_only_its_own_file_uses() {
 }
 
 #[test]
-fn unused_pub_is_silent_when_another_src_an_example_or_the_ladder_uses_it() {
+fn unused_pub_counts_another_src_and_the_ladder_but_not_an_example() {
     let lib = "pub fn by_crate() {}\npub fn by_example() {}\npub const BY_LADDER: u8 = 1;\n";
     let got = unused_pub(
         "used",
@@ -423,7 +423,7 @@ fn unused_pub_is_silent_when_another_src_an_example_or_the_ladder_uses_it() {
             ("benchmark/src/main.rs", "fn main() { let _ = a::BY_LADDER; }\n"),
         ],
     );
-    assert!(got.is_empty(), "{got:?}");
+    assert_eq!(got, ["crates/a/src/lib.rs: unused pub fn `by_example`"]);
 }
 
 #[test]

@@ -25,8 +25,7 @@ pub struct TcpFlags {
 
 impl TcpFlags {
     /// Just SYN.
-    // lint: allow(unused-pub): zeek-lite's tracker tests open their flows with it; non-test code goes through `TcpHeader::syn`
-    pub const SYN: TcpFlags = TcpFlags { syn: true, fin: false, rst: false, psh: false, ack: false, urg: false };
+    const SYN: TcpFlags = TcpFlags { syn: true, fin: false, rst: false, psh: false, ack: false, urg: false };
     /// SYN+ACK.
     pub const SYN_ACK: TcpFlags = TcpFlags { syn: true, ack: true, fin: false, rst: false, psh: false, urg: false };
     /// Just ACK.

@@ -120,6 +120,7 @@ pub fn write_conn_log<W: Write>(mut out: W, conns: &[ConnRecord]) -> io::Result<
 }
 
 /// Read a conn.log written by [`write_conn_log`].
+// lint: allow(unused-pub): the oracle that parses the writer's output back, in this module's tests, zeek-lite's proptests and tests/pipeline_agreement.rs
 pub fn read_conn_log<R: Read>(input: R) -> Result<Vec<ConnRecord>, LogError> {
     let reader = BufReader::new(input);
     let mut out = Vec::new();
@@ -252,6 +253,7 @@ pub fn write_dns_log<W: Write>(mut out: W, names: &NameTable, txns: &[DnsTransac
 
 /// Read a dns.log written by [`write_dns_log`], interning its names into
 /// `names` (a row's query before its answers).
+// lint: allow(unused-pub): the oracle that parses the writer's output back, in this module's tests, zeek-lite's proptests and tests/pipeline_agreement.rs
 pub fn read_dns_log<R: Read>(input: R, names: &mut NameTable) -> Result<Vec<DnsTransaction>, LogError> {
     let reader = BufReader::new(input);
     let mut out = Vec::new();

@@ -156,27 +156,6 @@ impl Logs {
         set
     }
 
-    /// Per-service totals over application connections:
-    /// `(service, connections, payload bytes)`, sorted by connection count
-    /// descending; connections with no recognised service appear as
-    /// `"other"`.
-    pub fn service_breakdown(&self) -> Vec<(String, usize, u64)> {
-        let mut acc: std::collections::HashMap<&str, (usize, u64)> = std::collections::HashMap::new();
-        for c in self.app_conns() {
-            let e = acc.entry(c.service.unwrap_or("other")).or_default();
-            e.0 += 1;
-            e.1 += c.total_bytes();
-        }
-        let mut out: Vec<(String, usize, u64)> = acc
-            // lint: allow(no-map-iteration): sorted just below under a total order
-            .into_iter()
-            // lint: allow(monitor-stays-borrowed): a report over finished logs, one string per service
-            .map(|(s, (n, b))| (s.to_string(), n, b))
-            .collect();
-        out.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        out
-    }
-
     /// First and last record timestamps, or `None` for empty logs.
     // lint: allow(unused-pub): tests/extensions.rs spans a log with it to cut `window`s; goes with `window` (four floor tests) in a later removal slot
     pub fn time_span(&self) -> Option<(Timestamp, Timestamp)> {
@@ -765,42 +744,6 @@ mod tests {
         assert_eq!(early.names.name(early.dns[0].query), "a.example.com");
         assert_eq!(logs.houses(), vec![HOUSE]);
         assert_eq!(Logs::default().time_span(), None);
-    }
-
-    #[test]
-    fn service_breakdown_aggregates() {
-        use crate::tracker::ConnState;
-        use crate::types::{FiveTuple, Proto};
-        let mk = |uid: u64, port: u16, bytes: u64| ConnRecord {
-            uid,
-            ts: Timestamp::from_millis(uid),
-            id: FiveTuple {
-                orig_addr: HOUSE,
-                orig_port: 50_000,
-                resp_addr: SERVER,
-                resp_port: port,
-                proto: Proto::Tcp,
-            },
-            duration: Duration::from_millis(10),
-            orig_bytes: 0,
-            resp_bytes: bytes,
-            orig_pkts: 1,
-            resp_pkts: 1,
-            state: ConnState::SF,
-            history: crate::history::History::new(),
-            service: crate::tracker::service_for_port(Proto::Tcp, port),
-        };
-        let logs = Logs {
-            conns: vec![mk(1, 443, 100), mk(2, 443, 200), mk(3, 80, 50), mk(4, 9999, 1), mk(5, 53, 7)],
-            dns: vec![],
-            ..Default::default()
-        };
-        let b = logs.service_breakdown();
-        // DNS flows are excluded; ssl (2 conns) leads.
-        assert_eq!(b[0], ("ssl".to_string(), 2, 300));
-        assert!(b.iter().any(|(s, n, _)| s == "http" && *n == 1));
-        assert!(b.iter().any(|(s, n, _)| s == "other" && *n == 1));
-        assert!(!b.iter().any(|(s, _, _)| s == "dns"));
     }
 
     #[test]

@@ -494,6 +494,8 @@ mod tests {
 
     const H: Ipv4Addr = Ipv4Addr::new(10, 1, 1, 2);
     const S: Ipv4Addr = Ipv4Addr::new(93, 184, 216, 34);
+    /// Just SYN: a flow's opening segment.
+    const SYN: TcpFlags = TcpFlags { syn: true, fin: false, rst: false, psh: false, ack: false, urg: false };
 
     fn tcp_pkt(ts_ms: u64, from_orig: bool, flags: TcpFlags, seq: u32, payload: u64) -> PktMeta {
         let (src, dst, sp, dp) = if from_orig {
@@ -537,7 +539,7 @@ mod tests {
     fn drive_normal_tcp(t: &mut FlowTracker, base_ms: u64, orig_data: u32, resp_data: u32) {
         let isn_o = 1000u32;
         let isn_r = 9000u32;
-        t.handle(tcp_pkt(base_ms, true, TcpFlags::SYN, isn_o, 0));
+        t.handle(tcp_pkt(base_ms, true, SYN, isn_o, 0));
         t.handle(tcp_pkt(base_ms + 10, false, TcpFlags::SYN_ACK, isn_r, 0));
         t.handle(tcp_pkt(base_ms + 20, true, TcpFlags::ACK, isn_o + 1, 0));
         // Data represented by sequence advance.
@@ -582,7 +584,7 @@ mod tests {
     #[test]
     fn syn_no_answer_is_s0() {
         let mut t = FlowTracker::new(Duration::from_secs(60), Duration::from_secs(300));
-        t.handle(tcp_pkt(0, true, TcpFlags::SYN, 1, 0));
+        t.handle(tcp_pkt(0, true, SYN, 1, 0));
         let recs = t.finish();
         assert_eq!(recs[0].state, ConnState::S0);
         assert_eq!(recs[0].orig_bytes, 0);
@@ -591,7 +593,7 @@ mod tests {
     #[test]
     fn syn_rst_is_rej() {
         let mut t = FlowTracker::new(Duration::from_secs(60), Duration::from_secs(300));
-        t.handle(tcp_pkt(0, true, TcpFlags::SYN, 1, 0));
+        t.handle(tcp_pkt(0, true, SYN, 1, 0));
         t.handle(tcp_pkt(10, false, TcpFlags::RST, 0, 0));
         let recs = t.finish();
         assert_eq!(recs[0].state, ConnState::Rej);
@@ -600,7 +602,7 @@ mod tests {
     #[test]
     fn established_then_rst_by_orig() {
         let mut t = FlowTracker::new(Duration::from_secs(60), Duration::from_secs(300));
-        t.handle(tcp_pkt(0, true, TcpFlags::SYN, 1, 0));
+        t.handle(tcp_pkt(0, true, SYN, 1, 0));
         t.handle(tcp_pkt(10, false, TcpFlags::SYN_ACK, 100, 0));
         t.handle(tcp_pkt(20, true, TcpFlags::ACK, 2, 0));
         t.handle(tcp_pkt(30, true, TcpFlags::RST, 2, 0));
@@ -625,7 +627,7 @@ mod tests {
         t.handle(udp_pkt(0, true, 100));
         t.handle(udp_pkt(500, false, 2000));
         // 61 s later: a packet on another tuple triggers the sweep.
-        t.handle(tcp_pkt(61_500, true, TcpFlags::SYN, 1, 0));
+        t.handle(tcp_pkt(61_500, true, SYN, 1, 0));
         let done: Vec<ConnRecord> = t.drain_completed().collect();
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].id.proto, Proto::Udp);
@@ -651,7 +653,7 @@ mod tests {
     fn seq_wraparound_counts_bytes() {
         let mut t = FlowTracker::new(Duration::from_secs(60), Duration::from_secs(300));
         let isn = u32::MAX - 10;
-        t.handle(tcp_pkt(0, true, TcpFlags::SYN, isn, 0));
+        t.handle(tcp_pkt(0, true, SYN, isn, 0));
         t.handle(tcp_pkt(10, false, TcpFlags::SYN_ACK, 0, 0));
         // Data that wraps the 32-bit space: seq isn+1, 100 bytes.
         t.handle(tcp_pkt(20, true, TcpFlags::PSH_ACK, isn.wrapping_add(1), 100));
@@ -662,7 +664,7 @@ mod tests {
     #[test]
     fn retransmission_does_not_double_count() {
         let mut t = FlowTracker::new(Duration::from_secs(60), Duration::from_secs(300));
-        t.handle(tcp_pkt(0, true, TcpFlags::SYN, 100, 0));
+        t.handle(tcp_pkt(0, true, SYN, 100, 0));
         t.handle(tcp_pkt(10, false, TcpFlags::SYN_ACK, 500, 0));
         t.handle(tcp_pkt(20, true, TcpFlags::PSH_ACK, 101, 50));
         t.handle(tcp_pkt(30, true, TcpFlags::PSH_ACK, 101, 50)); // retransmit
@@ -713,9 +715,9 @@ mod tests {
     #[test]
     fn syn_retransmits_counted_once_in_bytes() {
         let mut t = FlowTracker::new(Duration::from_secs(60), Duration::from_secs(300));
-        t.handle(tcp_pkt(0, true, TcpFlags::SYN, 77, 0));
-        t.handle(tcp_pkt(1_000, true, TcpFlags::SYN, 77, 0));
-        t.handle(tcp_pkt(3_000, true, TcpFlags::SYN, 77, 0));
+        t.handle(tcp_pkt(0, true, SYN, 77, 0));
+        t.handle(tcp_pkt(1_000, true, SYN, 77, 0));
+        t.handle(tcp_pkt(3_000, true, SYN, 77, 0));
         let recs = t.finish();
         assert_eq!(recs[0].state, ConnState::S0);
         assert_eq!(recs[0].orig_pkts, 3);
@@ -726,7 +728,7 @@ mod tests {
     fn tfo_style_data_on_syn_counted() {
         // TCP Fast Open: payload on the SYN itself.
         let mut t = FlowTracker::new(Duration::from_secs(60), Duration::from_secs(300));
-        let mut syn = tcp_pkt(0, true, TcpFlags::SYN, 500, 0);
+        let mut syn = tcp_pkt(0, true, SYN, 500, 0);
         syn.payload_len = 32;
         t.handle(syn);
         t.handle(tcp_pkt(10, false, TcpFlags::SYN_ACK, 900, 0));
@@ -737,7 +739,7 @@ mod tests {
     #[test]
     fn out_of_order_segments_do_not_shrink_bytes() {
         let mut t = FlowTracker::new(Duration::from_secs(60), Duration::from_secs(300));
-        t.handle(tcp_pkt(0, true, TcpFlags::SYN, 1_000, 0));
+        t.handle(tcp_pkt(0, true, SYN, 1_000, 0));
         t.handle(tcp_pkt(5, false, TcpFlags::SYN_ACK, 2_000, 0));
         // Later data arrives first, then the earlier hole is filled.
         t.handle(tcp_pkt(20, true, TcpFlags::PSH_ACK, 1_501, 500));
@@ -766,7 +768,7 @@ mod tests {
         // but no data was transferred, so bytes must be exactly zero (and
         // never wrap through saturating arithmetic).
         let mut t = FlowTracker::new(Duration::from_secs(60), Duration::from_secs(300));
-        t.handle(tcp_pkt(0, true, TcpFlags::SYN, 100, 0));
+        t.handle(tcp_pkt(0, true, SYN, 100, 0));
         t.handle(tcp_pkt(10, false, TcpFlags::SYN_ACK, 900, 0));
         t.handle(tcp_pkt(20, false, TcpFlags::FIN_ACK, 901, 0));
         let recs = t.finish();
@@ -777,7 +779,7 @@ mod tests {
     #[test]
     fn data_plus_fin_counts_payload_exactly() {
         let mut t = FlowTracker::new(Duration::from_secs(60), Duration::from_secs(300));
-        t.handle(tcp_pkt(0, true, TcpFlags::SYN, 100, 0));
+        t.handle(tcp_pkt(0, true, SYN, 100, 0));
         t.handle(tcp_pkt(10, false, TcpFlags::SYN_ACK, 900, 0));
         // 50 bytes of data, then a FIN carrying 10 more bytes.
         t.handle(tcp_pkt(20, true, TcpFlags::PSH_ACK, 101, 50));
@@ -803,8 +805,8 @@ mod tests {
         // A client giving up and restarting with a fresh ISN (no data ever
         // sent) must not report the ISN delta as payload.
         let mut t = FlowTracker::new(Duration::from_secs(60), Duration::from_secs(300));
-        t.handle(tcp_pkt(0, true, TcpFlags::SYN, 1_000, 0));
-        t.handle(tcp_pkt(3_000, true, TcpFlags::SYN, 50_000, 0));
+        t.handle(tcp_pkt(0, true, SYN, 1_000, 0));
+        t.handle(tcp_pkt(3_000, true, SYN, 50_000, 0));
         let recs = t.finish();
         assert_eq!(recs[0].state, ConnState::S0);
         assert_eq!(recs[0].orig_bytes, 0);
