@@ -24,7 +24,7 @@ pub struct ScaleKnobs {
 
 impl ScaleKnobs {
     /// Trace length in seconds.
-    pub fn duration_secs(&self) -> f64 {
+    pub(crate) fn duration_secs(&self) -> f64 {
         self.days * 86_400.0
     }
 }
@@ -261,7 +261,7 @@ impl Default for WorkloadConfig {
 impl WorkloadConfig {
     /// Validate internal consistency (volume and universe positive,
     /// probabilities in range).
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.scale.houses == 0 {
             return Err("houses must be positive".into());
         }

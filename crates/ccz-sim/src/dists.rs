@@ -18,19 +18,19 @@ pub struct LogNormal {
 
 impl LogNormal {
     /// A log-normal with the given median and shape.
-    pub fn from_median(median: f64, sigma: f64) -> LogNormal {
+    pub(crate) fn from_median(median: f64, sigma: f64) -> LogNormal {
         assert!(median > 0.0 && sigma >= 0.0);
         LogNormal { mu: median.ln(), sigma }
     }
 
     /// Draw a sample.
-    pub fn sample(&self, rng: &mut StdRng) -> f64 {
+    pub(crate) fn sample(&self, rng: &mut StdRng) -> f64 {
         (self.mu + self.sigma * standard_normal(rng)).exp()
     }
 
     /// Draw a sample clamped to `[lo, hi]` (delay models need bounded
     /// tails so one outlier cannot dominate a small run).
-    pub fn sample_clamped(&self, rng: &mut StdRng, lo: f64, hi: f64) -> f64 {
+    pub(crate) fn sample_clamped(&self, rng: &mut StdRng, lo: f64, hi: f64) -> f64 {
         self.sample(rng).clamp(lo, hi)
     }
 }
@@ -56,13 +56,13 @@ pub struct BoundedPareto {
 
 impl BoundedPareto {
     /// A bounded Pareto on `[lo, hi]` with shape `alpha`.
-    pub fn new(alpha: f64, lo: f64, hi: f64) -> BoundedPareto {
+    pub(crate) fn new(alpha: f64, lo: f64, hi: f64) -> BoundedPareto {
         assert!(alpha > 0.0 && lo > 0.0 && hi > lo);
         BoundedPareto { alpha, lo, hi }
     }
 
     /// Draw a sample (inverse-CDF method).
-    pub fn sample(&self, rng: &mut StdRng) -> f64 {
+    pub(crate) fn sample(&self, rng: &mut StdRng) -> f64 {
         let u: f64 = rng.random();
         let la = self.lo.powf(self.alpha);
         let ha = self.hi.powf(self.alpha);
@@ -79,13 +79,13 @@ pub struct Exponential {
 
 impl Exponential {
     /// An exponential with the given mean.
-    pub fn new(mean: f64) -> Exponential {
+    pub(crate) fn new(mean: f64) -> Exponential {
         assert!(mean > 0.0);
         Exponential { mean }
     }
 
     /// Draw a sample.
-    pub fn sample(&self, rng: &mut StdRng) -> f64 {
+    pub(crate) fn sample(&self, rng: &mut StdRng) -> f64 {
         let u: f64 = 1.0 - rng.random::<f64>();
         -self.mean * u.ln()
     }
@@ -105,7 +105,7 @@ pub struct Zipf {
 impl Zipf {
     /// A Zipf sampler over `n` items with exponent `s` (s ≠ 1 handled via
     /// the generalised harmonic integral; s near 1 is fine).
-    pub fn new(n: usize, s: f64) -> Zipf {
+    pub(crate) fn new(n: usize, s: f64) -> Zipf {
         assert!(n > 0 && s > 0.0);
         Zipf { n, s, h_n: Self::h(n as f64 + 0.5, s) }
     }
@@ -129,25 +129,15 @@ impl Zipf {
     }
 
     /// Draw a rank in `0..n` (0 = most popular).
-    pub fn sample(&self, rng: &mut StdRng) -> usize {
+    pub(crate) fn sample(&self, rng: &mut StdRng) -> usize {
         let u: f64 = rng.random();
         let x = self.h_inv(u * self.h_n);
         (x.round() as usize).clamp(1, self.n) - 1
     }
-
-    /// Number of ranks.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Whether the rank space is empty (never, by construction).
-    pub fn is_empty(&self) -> bool {
-        false
-    }
 }
 
 /// Weighted choice over a small static set.
-pub fn weighted_index(rng: &mut StdRng, weights: &[f64]) -> usize {
+pub(crate) fn weighted_index(rng: &mut StdRng, weights: &[f64]) -> usize {
     debug_assert!(!weights.is_empty());
     let total: f64 = weights.iter().sum();
     let mut x = rng.random::<f64>() * total;

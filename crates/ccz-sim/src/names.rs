@@ -90,7 +90,7 @@ const TLDS: [&str; 5] = ["com", "net", "org", "io", "tv"];
 
 impl NameUniverse {
     /// Generate a universe per the config. Deterministic given the RNG.
-    pub fn generate(cfg: &WorkloadConfig, rng: &mut StdRng) -> NameUniverse {
+    pub(crate) fn generate(cfg: &WorkloadConfig, rng: &mut StdRng) -> NameUniverse {
         use std::fmt::Write;
         let ttl_weights = TTL_CLASSES.map(|(_, w)| w);
         let mut names: Vec<NameEntry> = Vec::new();
@@ -200,18 +200,8 @@ impl NameUniverse {
         }
     }
 
-    /// Number of hostnames.
-    pub fn len(&self) -> usize {
-        self.names.len()
-    }
-
-    /// Whether the universe is empty (never, by construction).
-    pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
-    }
-
     /// Look up a name's details.
-    pub fn info(&self, id: NameId) -> NameInfo<'_> {
+    pub(crate) fn info(&self, id: NameId) -> NameInfo<'_> {
         let e = &self.names[id.0 as usize];
         let text = |span: &Span| &self.text[span.start as usize..span.end as usize];
         NameInfo {
@@ -224,19 +214,19 @@ impl NameUniverse {
     }
 
     /// Draw a service by popularity.
-    pub fn pick_service(&self, rng: &mut StdRng) -> ServiceId {
+    pub(crate) fn pick_service(&self, rng: &mut StdRng) -> ServiceId {
         ServiceId(self.service_pop.sample(rng) as u32)
     }
 
     /// A service's primary hostname.
-    pub fn primary(&self, svc: ServiceId) -> NameId {
+    pub(crate) fn primary(&self, svc: ServiceId) -> NameId {
         self.services[svc.0 as usize].primary
     }
 
     /// Names fetched by a page of the given service: a mix of the
     /// service's own auxiliary hostnames and popular shared third
     /// parties. Fills `out` (cleared first).
-    pub fn embedded_for_page_into(
+    pub(crate) fn embedded_for_page_into(
         &self,
         svc: ServiceId,
         count: usize,
@@ -256,18 +246,18 @@ impl NameUniverse {
 
     /// The normalised popularity weight of a name (used by the resolver
     /// cache warmth model): approximately the Zipf mass of its service.
-    pub fn popularity(&self, id: NameId) -> f64 {
+    pub(crate) fn popularity(&self, id: NameId) -> f64 {
         self.pop[id.0 as usize]
     }
 
     /// Draw a target for a speculative link (any service's primary).
-    pub fn pick_link_target(&self, rng: &mut StdRng) -> NameId {
+    pub(crate) fn pick_link_target(&self, rng: &mut StdRng) -> NameId {
         self.primary(self.pick_service(rng))
     }
 
     /// Map a primary hostname back to its service (links point at
     /// primaries; a clicked link needs the service to render its page).
-    pub fn service_of_primary(&self, id: NameId) -> Option<ServiceId> {
+    pub(crate) fn service_of_primary(&self, id: NameId) -> Option<ServiceId> {
         // Primaries are allocated in service order with gaps for extras; a
         // binary search over primaries (which are ascending) finds it.
         let idx = self
@@ -278,7 +268,7 @@ impl NameUniverse {
     }
 
     /// The Android connectivity-check hostname.
-    pub fn connectivity_check(&self) -> NameId {
+    pub(crate) fn connectivity_check(&self) -> NameId {
         self.connectivity_check
     }
 
@@ -286,7 +276,7 @@ impl NameUniverse {
     /// (round-robin CDNs) land in `out` (cleared first), the CNAME if the
     /// name has one is borrowed from the universe. Allocation-free once
     /// `out` has grown.
-    pub fn answers_into<'a>(
+    pub(crate) fn answers_into<'a>(
         &'a self,
         id: NameId,
         rng: &mut StdRng,
@@ -317,8 +307,8 @@ mod tests {
     fn generation_is_deterministic() {
         let a = universe();
         let b = universe();
-        assert_eq!(a.len(), b.len());
-        for i in 0..a.len() {
+        assert_eq!(a.names.len(), b.names.len());
+        for i in 0..a.names.len() {
             let (x, y) = (a.info(NameId(i as u32)), b.info(NameId(i as u32)));
             assert_eq!(x.fqdn, y.fqdn);
             assert_eq!(x.addrs, y.addrs);
@@ -329,7 +319,7 @@ mod tests {
     #[test]
     fn all_names_are_valid_hostnames() {
         let u = universe();
-        for i in 0..u.len() {
+        for i in 0..u.names.len() {
             let info = u.info(NameId(i as u32));
             assert!(dns_wire::Name::parse(info.fqdn).is_ok(), "{}", info.fqdn);
             assert!(info.cname.is_none_or(|c| dns_wire::Name::parse(c).is_ok()));
@@ -342,7 +332,7 @@ mod tests {
     fn ttls_follow_configured_classes() {
         let u = universe();
         let allowed = TTL_CLASSES.map(|(t, _)| t);
-        for i in 0..u.len() {
+        for i in 0..u.names.len() {
             let ttl = u.info(NameId(i as u32)).ttl;
             assert!(allowed.contains(&ttl) || ttl == 300, "ttl {ttl}");
         }
@@ -353,7 +343,7 @@ mod tests {
         let u = universe();
         use std::collections::HashMap;
         let mut by_addr: HashMap<Ipv4Addr, usize> = HashMap::new();
-        for i in 0..u.len() {
+        for i in 0..u.names.len() {
             for a in u.info(NameId(i as u32)).addrs {
                 *by_addr.entry(*a).or_default() += 1;
             }
@@ -406,7 +396,7 @@ mod tests {
         let u = universe();
         let mut rng = StdRng::seed_from_u64(3);
         // Find a multi-address name.
-        let id = (0..u.len())
+        let id = (0..u.names.len())
             .map(|i| NameId(i as u32))
             .find(|n| u.info(*n).addrs.len() > 1)
             .unwrap();

@@ -104,7 +104,7 @@ pub struct LogSink {
 
 impl LogSink {
     /// An empty sink.
-    pub fn new() -> LogSink {
+    pub(crate) fn new() -> LogSink {
         LogSink { conns: Vec::new(), dns: Vec::new(), names: NameTable::default() }
     }
 
@@ -114,7 +114,7 @@ impl LogSink {
     /// This is how per-shard sinks from a parallel run are merged back
     /// into one emission stream (in shard order, which is fixed by the
     /// house partition, not by worker scheduling).
-    pub fn absorb(&mut self, other: LogSink) {
+    pub(crate) fn absorb(&mut self, other: LogSink) {
         let off = self.conns.len() as u64;
         if off == 0 {
             // First shard: take the buffer wholesale — uids are already
@@ -145,7 +145,7 @@ impl LogSink {
     /// eagerly), so ground-truth indices must be remapped through this.
     /// Connection identity survives the sort via `uid`; DNS records have
     /// no uid field, hence the explicit permutation.
-    pub fn into_logs_and_dns_perm(self) -> (Logs, Vec<usize>) {
+    pub(crate) fn into_logs_and_dns_perm(self) -> (Logs, Vec<usize>) {
         let mut order: Vec<usize> = (0..self.dns.len()).collect();
         // Unstable sort with the emission index as tiebreaker == stable
         // sort by ts (order starts ascending), minus the merge buffer.

@@ -54,7 +54,7 @@ pub struct ResolverPlatform {
 
 impl ResolverPlatform {
     /// Build a platform from its config.
-    pub fn new(cfg: PlatformConfig) -> ResolverPlatform {
+    pub(crate) fn new(cfg: PlatformConfig) -> ResolverPlatform {
         ResolverPlatform {
             rtt: LogNormal::from_median(cfg.rtt_ms, cfg.rtt_sigma),
             auth: LogNormal::from_median(cfg.auth_delay_ms, cfg.auth_sigma),
@@ -66,14 +66,14 @@ impl ResolverPlatform {
     }
 
     /// One of the platform's service addresses (clients alternate).
-    pub fn addr(&self, rng: &mut StdRng) -> Ipv4Addr {
+    pub(crate) fn addr(&self, rng: &mut StdRng) -> Ipv4Addr {
         let a = rng.choose(self.cfg.addrs).expect("every platform has an address");
         Ipv4Addr::new(a[0], a[1], a[2], a[3])
     }
 
     /// Process one recursive query for `name` with authoritative TTL
     /// `auth_ttl` and global popularity `pop` at time `now`.
-    pub fn query(
+    pub(crate) fn query(
         &mut self,
         name: NameId,
         pop: f64,
@@ -116,7 +116,7 @@ impl ResolverPlatform {
     }
 
     /// Drop expired entries (bounds memory on long runs).
-    pub fn compact(&mut self, now: Timestamp) {
+    pub(crate) fn compact(&mut self, now: Timestamp) {
         self.cache.retain(|_, expiry| *expiry > now);
     }
 }

@@ -29,7 +29,8 @@ pub enum ConnClass {
 
 impl ConnClass {
     /// The paper's symbol for the class.
-    pub fn symbol(self) -> &'static str {
+    #[cfg(test)]
+    fn symbol(self) -> &'static str {
         match self {
             ConnClass::NoDns => "N",
             ConnClass::LocalCache => "LC",

@@ -136,11 +136,6 @@ impl<'a> Analysis<'a> {
         self.logs
     }
 
-    /// The configuration used.
-    pub fn config(&self) -> &AnalysisConfig {
-        &self.cfg
-    }
-
     /// How much of the capture survived into this analysis.
     pub fn coverage(&self) -> Coverage {
         Coverage {

@@ -28,7 +28,7 @@ pub struct GapAnalysis {
 
 impl GapAnalysis {
     /// Compute the gap distribution and the first-use split at [`KNEE`].
-    pub fn compute(pairing: &Pairing) -> GapAnalysis {
+    pub(crate) fn compute(pairing: &Pairing) -> GapAnalysis {
         let mut gaps = Vec::new();
         let mut within = (0usize, 0usize); // (first_use, total)
         let mut beyond = (0usize, 0usize);

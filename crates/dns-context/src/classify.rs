@@ -92,7 +92,7 @@ impl ClassCounts {
     }
 
     /// Count one connection of `class`.
-    pub fn record(&mut self, class: ConnClass) {
+    pub(crate) fn record(&mut self, class: ConnClass) {
         match class {
             ConnClass::NoDns => self.no_dns += 1,
             ConnClass::LocalCache => self.local_cache += 1,
@@ -232,7 +232,7 @@ pub struct NoDnsBreakdown {
 }
 
 /// Compute the §5.1 breakdown.
-pub fn no_dns_breakdown(
+pub(crate) fn no_dns_breakdown(
     conns: &[ConnRecord],
     pairing: &Pairing,
     classes: &[ConnClass],
@@ -295,7 +295,7 @@ pub struct TtlStats {
 
 /// Compute the §5.2 statistics. Scans the conn ts column and the dns
 /// expiry column.
-pub fn ttl_stats(
+pub(crate) fn ttl_stats(
     conns: &ConnColumns,
     dns: &DnsColumns,
     pairing: &Pairing,

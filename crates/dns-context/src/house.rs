@@ -36,7 +36,7 @@ impl HouseReport {
 }
 
 /// Build a per-house report table, sorted by connection count descending.
-pub fn house_reports(
+pub(crate) fn house_reports(
     conns: &[ConnRecord],
     dns: &[DnsTransaction],
     pairing: &Pairing,

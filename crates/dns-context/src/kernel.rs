@@ -35,7 +35,7 @@ pub(crate) struct Entry {
 impl Entry {
     /// Whether the record is still live for a connection starting at
     /// `ts`. Strict: a record expiring at `ts` — any TTL-0 answer — is not.
-    pub fn live_at(&self, ts: Timestamp) -> bool {
+    pub(crate) fn live_at(&self, ts: Timestamp) -> bool {
         self.expires > ts
     }
 }
@@ -88,7 +88,7 @@ impl ThresholdRule {
     /// The threshold of a resolver whose fastest of `answered` lookups
     /// took `min_ms`: a whole number of milliseconds, or `None` below
     /// `min_lookups` (such resolvers use [`floor`](ThresholdRule::floor)).
-    pub fn threshold(&self, min_ms: f64, answered: usize) -> Option<Duration> {
+    pub(crate) fn threshold(&self, min_ms: f64, answered: usize) -> Option<Duration> {
         (answered >= self.min_lookups).then(|| {
             let ms = (min_ms * self.mult + self.add_ms).max(self.floor_ms).ceil();
             Duration::from_secs_f64(ms / 1e3)
@@ -96,7 +96,7 @@ impl ThresholdRule {
     }
 
     /// The threshold of every resolver without one of its own.
-    pub fn floor(&self) -> Duration {
+    pub(crate) fn floor(&self) -> Duration {
         Duration::from_secs_f64(self.floor_ms / 1e3)
     }
 }
@@ -148,7 +148,7 @@ pub(crate) struct Tally {
 
 impl Tally {
     /// Fold one connection's pairing outcome (`None` if unpaired).
-    pub fn pair(&mut self, hists: &mut Metrics, paired: Option<Paired>) {
+    pub(crate) fn pair(&mut self, hists: &mut Metrics, paired: Option<Paired>) {
         let Some(p) = paired else {
             self.miss += 1;
             return;
@@ -163,23 +163,23 @@ impl Tally {
     }
 
     /// Fold one blocked connection's lookup duration.
-    pub fn blocked(&mut self, hists: &mut Metrics, lookup_ms: f64) {
+    pub(crate) fn blocked(&mut self, hists: &mut Metrics, lookup_ms: f64) {
         self.blocked += 1;
         hists.observe_with("perf.blocked_dns_ms", HistSpec::time_ms(), lookup_ms);
     }
 
     /// Application connections folded so far.
-    pub fn app_conns(&self) -> u64 {
+    pub(crate) fn app_conns(&self) -> u64 {
         self.hit + self.fallback + self.miss
     }
 
     /// Of those, how many paired with a lookup.
-    pub fn paired(&self) -> u64 {
+    pub(crate) fn paired(&self) -> u64 {
         self.hit + self.fallback
     }
 
     /// Write the `pair.*` counters: `hit + fallback + miss == app_conns`.
-    pub fn store_pair(&self, m: &mut Metrics) {
+    pub(crate) fn store_pair(&self, m: &mut Metrics) {
         m.set_counter("pair.hit", self.hit);
         m.set_counter("pair.fallback", self.fallback);
         m.set_counter("pair.miss", self.miss);
@@ -188,7 +188,7 @@ impl Tally {
     }
 
     /// Write `perf.blocked_conns`.
-    pub fn store_perf(&self, m: &mut Metrics) {
+    pub(crate) fn store_perf(&self, m: &mut Metrics) {
         m.set_counter("perf.blocked_conns", self.blocked);
     }
 }

@@ -23,7 +23,7 @@ pub struct BlockedPerf {
 
 impl BlockedPerf {
     /// DNS' percentage contribution to the total time, `100·D/(D+A)`.
-    pub fn contribution_pct(&self) -> f64 {
+    fn contribution_pct(&self) -> f64 {
         let total = self.dns_ms + self.app_ms;
         if total <= 0.0 {
             // A zero-length transaction is all DNS.
@@ -71,7 +71,7 @@ pub struct Significance {
 impl PerfAnalysis {
     /// Build from the classified pairing. Scans the dns rtt column and
     /// the conn duration column.
-    pub fn compute(
+    pub(crate) fn compute(
         conns: &ConnColumns,
         dns: &DnsColumns,
         pairing: &Pairing,
@@ -103,7 +103,7 @@ impl PerfAnalysis {
     /// The quadrant decomposition at [`SIGNIFICANCE_ABS_MS`] and
     /// [`SIGNIFICANCE_REL_PCT`], with the total connection count for the
     /// all-connections share.
-    pub fn significance(&self, total_conns: usize) -> Significance {
+    pub(crate) fn significance(&self, total_conns: usize) -> Significance {
         let n = self.blocked.len();
         if n == 0 {
             return Significance {

@@ -50,7 +50,7 @@ impl PlatformMap {
     }
 
     /// All platform names, catch-all first (Table 1's row order).
-    pub fn names(&self) -> Vec<String> {
+    pub(crate) fn names(&self) -> Vec<String> {
         let mut v = vec![self.catch_all.clone()];
         v.extend(self.entries.iter().map(|(n, _)| n.clone()));
         v
@@ -90,7 +90,7 @@ const CONNECTIVITY_CHECK: &str = "connectivitycheck.gstatic.com";
 
 /// Build Table 1 / §7 / Figure 3 for every platform; `names` holds the
 /// names `dns` refers to.
-pub fn platform_reports(
+pub(crate) fn platform_reports(
     conns: &[ConnRecord],
     dns: &[DnsTransaction],
     names: &NameTable,

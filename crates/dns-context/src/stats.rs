@@ -22,12 +22,12 @@ impl Ecdf {
     }
 
     /// Number of samples.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.sorted.len()
     }
 
     /// True when there are no samples.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.sorted.is_empty()
     }
 
@@ -63,17 +63,17 @@ impl Ecdf {
     }
 
     /// Smallest sample, or `None` when empty.
-    pub fn min(&self) -> Option<f64> {
+    pub(crate) fn min(&self) -> Option<f64> {
         self.sorted.first().copied()
     }
 
     /// Largest sample, or `None` when empty.
-    pub fn max(&self) -> Option<f64> {
+    pub(crate) fn max(&self) -> Option<f64> {
         self.sorted.last().copied()
     }
 
     /// Arithmetic mean, or `None` when empty.
-    pub fn mean(&self) -> Option<f64> {
+    fn mean(&self) -> Option<f64> {
         if self.sorted.is_empty() {
             return None;
         }
@@ -83,7 +83,7 @@ impl Ecdf {
     /// `points` evenly-spaced (in probability) CDF points `(x, F(x))`,
     /// suitable for plotting or CSV export. Fewer points than requested
     /// come back when there are fewer samples.
-    pub fn curve(&self, points: usize) -> Vec<(f64, f64)> {
+    pub(crate) fn curve(&self, points: usize) -> Vec<(f64, f64)> {
         if self.sorted.is_empty() || points == 0 {
             return Vec::new();
         }
@@ -128,7 +128,7 @@ pub struct Summary {
 
 impl Summary {
     /// Summarise an ECDF; `None` when empty.
-    pub fn of(e: &Ecdf) -> Option<Summary> {
+    pub(crate) fn of(e: &Ecdf) -> Option<Summary> {
         Some(Summary {
             count: e.len(),
             min: e.min()?,
@@ -154,7 +154,7 @@ impl fmt::Display for Summary {
 }
 
 /// Percentage with one decimal — the paper's reporting style.
-pub fn pct(part: usize, whole: usize) -> f64 {
+pub(crate) fn pct(part: usize, whole: usize) -> f64 {
     if whole == 0 {
         0.0
     } else {

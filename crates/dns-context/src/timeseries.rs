@@ -30,7 +30,7 @@ impl Bucket {
 /// Buckets are aligned to the first connection's timestamp; empty
 /// buckets in the middle of the trace are preserved (their counts are
 /// zero) so the series is evenly spaced.
-pub fn bucketize(
+pub(crate) fn bucketize(
     conns: &[ConnRecord],
     pairing: &Pairing,
     classes: &[ConnClass],
@@ -55,7 +55,7 @@ pub fn bucketize(
 
 /// Fold buckets into 24 hour-of-day slots (UTC hours of the capture
 /// timeline) — the diurnal profile. Returns `[(hour, ClassCounts); 24]`.
-pub fn hour_of_day_profile(
+pub(crate) fn hour_of_day_profile(
     conns: &[ConnRecord],
     pairing: &Pairing,
     classes: &[ConnClass],

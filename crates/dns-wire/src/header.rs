@@ -22,7 +22,7 @@ pub enum Opcode {
 
 impl Opcode {
     /// Numeric value as carried in the header.
-    pub fn to_u8(self) -> u8 {
+    fn to_u8(self) -> u8 {
         match self {
             Opcode::Query => 0,
             Opcode::IQuery => 1,
@@ -34,7 +34,7 @@ impl Opcode {
     }
 
     /// Decode from the 4-bit field.
-    pub fn from_u8(v: u8) -> Self {
+    fn from_u8(v: u8) -> Self {
         match v & 0x0F {
             0 => Opcode::Query,
             1 => Opcode::IQuery,
@@ -67,7 +67,7 @@ pub enum Rcode {
 
 impl Rcode {
     /// Numeric value as carried in the header.
-    pub fn to_u8(self) -> u8 {
+    fn to_u8(self) -> u8 {
         match self {
             Rcode::NoError => 0,
             Rcode::FormErr => 1,
@@ -153,7 +153,7 @@ impl Flags {
     }
 
     /// Pack into the 16-bit wire field.
-    pub fn to_u16(self) -> u16 {
+    pub(crate) fn to_u16(self) -> u16 {
         let mut v = 0u16;
         if self.qr {
             v |= 1 << 15;
@@ -219,7 +219,7 @@ impl Header {
     }
 
     /// Decode from the first 12 octets of `msg`.
-    pub fn decode(msg: &[u8]) -> Result<Self, WireError> {
+    pub(crate) fn decode(msg: &[u8]) -> Result<Self, WireError> {
         if msg.len() < HEADER_LEN {
             return Err(WireError::Truncated { context: "header" });
         }

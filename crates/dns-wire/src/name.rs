@@ -343,11 +343,6 @@ pub struct Name {
 }
 
 impl Name {
-    /// The root name (zero labels).
-    pub fn root() -> Self {
-        Name { flat: Box::default() }
-    }
-
     /// Parse a presentation-format name such as `"www.example.com"`, with
     /// the checks of [`NameBuf::set`].
     pub fn parse(s: &str) -> Result<Self, WireError> {
@@ -361,17 +356,6 @@ impl Name {
     /// Encoded length on the wire without compression.
     pub fn wire_len(&self) -> usize {
         self.flat.len() + 1
-    }
-
-    /// The name from its label at byte `at` of the flat buffer on.
-    fn suffix(&self, at: usize) -> Name {
-        Name { flat: self.flat[at..].into() }
-    }
-
-    /// The parent name (one label removed), or `None` at the root.
-    pub fn parent(&self) -> Option<Name> {
-        let first = labels(&self.flat).next()?;
-        Some(self.suffix(1 + first.len()))
     }
 
     /// Encode without compression, appending to `out`.
@@ -455,7 +439,6 @@ mod tests {
     fn parse_and_display_round_trip() {
         let n = Name::parse("WWW.Example.COM").unwrap();
         assert_eq!(n.to_string(), "www.example.com");
-        assert_eq!(n.parent().unwrap().to_string(), "example.com");
     }
 
     /// Wire labels are arbitrary bytes; the presentation form stays one
@@ -508,8 +491,7 @@ mod tests {
     #[test]
     fn root_name() {
         let r = Name::parse("").unwrap();
-        assert_eq!(r, Name::root());
-        assert!(r.parent().is_none());
+        assert!(r.flat.is_empty());
         assert_eq!(r.to_string(), ".");
         assert_eq!(r.wire_len(), 1);
     }

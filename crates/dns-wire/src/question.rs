@@ -22,16 +22,6 @@ impl Question {
             rclass: RrClass::In,
         }
     }
-
-    /// Encode with name compression, appending to `out`.
-    pub fn encode(&self, out: &mut Vec<u8>, compressor: &mut Compressor) {
-        write(out, compressor, self.name.flat(), self.rtype, self.rclass);
-    }
-
-    /// Decode one question starting at `*pos` within `msg`.
-    pub fn decode(msg: &[u8], pos: &mut usize) -> Result<Question, WireError> {
-        QuestionView::parse(msg, pos).map(Question::from)
-    }
 }
 
 /// The one question encoder, from a flat name.
@@ -76,25 +66,32 @@ impl From<QuestionView<'_>> for Question {
 mod tests {
     use super::*;
 
+    /// Encode `q` as the message writer does.
+    fn encode(q: &Question) -> Vec<u8> {
+        let mut buf = Vec::new();
+        write(&mut buf, &mut Compressor::default(), q.name.flat(), q.rtype, q.rclass);
+        buf
+    }
+
+    /// Decode one question as `Message::decode` does.
+    fn decode(msg: &[u8], pos: &mut usize) -> Result<Question, WireError> {
+        QuestionView::parse(msg, pos).map(Question::from)
+    }
+
     #[test]
     fn round_trip() {
         let q = Question::new(Name::parse("www.example.com").unwrap(), RrType::Aaaa);
-        let mut buf = Vec::new();
-        let mut comp = Compressor::default();
-        q.encode(&mut buf, &mut comp);
+        let buf = encode(&q);
         let mut pos = 0;
-        assert_eq!(Question::decode(&buf, &mut pos).unwrap(), q);
+        assert_eq!(decode(&buf, &mut pos).unwrap(), q);
         assert_eq!(pos, buf.len());
     }
 
     #[test]
     fn truncated_rejected() {
-        let q = Question::new(Name::parse("a.b").unwrap(), RrType::A);
-        let mut buf = Vec::new();
-        let mut comp = Compressor::default();
-        q.encode(&mut buf, &mut comp);
+        let mut buf = encode(&Question::new(Name::parse("a.b").unwrap(), RrType::A));
         buf.truncate(buf.len() - 2);
         let mut pos = 0;
-        assert!(Question::decode(&buf, &mut pos).is_err());
+        assert!(decode(&buf, &mut pos).is_err());
     }
 }

@@ -67,7 +67,7 @@ pub enum RData {
 
 impl RData {
     /// The TYPE code this data encodes as.
-    pub fn rtype(&self) -> RrType {
+    pub(crate) fn rtype(&self) -> RrType {
         match self {
             RData::A(_) => RrType::A,
             RData::Aaaa(_) => RrType::Aaaa,
@@ -83,20 +83,11 @@ impl RData {
         }
     }
 
-    /// The IPv4 address if this is an A record.
-    // lint: allow(unused-pub): pinned by rdata::tests::as_ipv4 alone since `Message::answer_ipv4` went; goes with it in a later removal slot
-    pub fn as_ipv4(&self) -> Option<Ipv4Addr> {
-        match self {
-            RData::A(a) => Some(*a),
-            _ => None,
-        }
-    }
-
     /// Encode RDATA (without the RDLENGTH prefix) appending to `out`.
     ///
     /// Names inside NS/CNAME/PTR/MX/SOA/SRV participate in compression,
     /// matching common server behaviour.
-    pub fn encode(&self, out: &mut Vec<u8>, compressor: &mut Compressor) {
+    pub(crate) fn encode(&self, out: &mut Vec<u8>, compressor: &mut Compressor) {
         match self {
             RData::A(a) => out.extend_from_slice(&a.octets()),
             RData::Aaaa(a) => out.extend_from_slice(&a.octets()),
@@ -128,13 +119,6 @@ impl RData {
             }
             RData::Opt(raw) | RData::Unknown(_, raw) => out.extend_from_slice(raw),
         }
-    }
-
-    /// Decode `rdlen` bytes of RDATA at `start` within the full message
-    /// `msg` (the full message is required because RDATA names may contain
-    /// compression pointers into earlier sections).
-    pub fn decode(msg: &[u8], start: usize, rdlen: usize, rtype: RrType) -> Result<RData, WireError> {
-        RDataView::parse(msg, start, rdlen, rtype).map(RData::from)
     }
 }
 
@@ -300,12 +284,17 @@ impl From<RDataView<'_>> for RData {
 mod tests {
     use super::*;
 
+    /// Decode RDATA as `Message::decode` does.
+    fn decode(msg: &[u8], start: usize, rdlen: usize, rtype: RrType) -> Result<RData, WireError> {
+        RDataView::parse(msg, start, rdlen, rtype).map(RData::from)
+    }
+
     fn round_trip(rd: RData) {
         let mut buf = Vec::new();
         let mut comp = Compressor::default();
         let rtype = rd.rtype();
         rd.encode(&mut buf, &mut comp);
-        let back = RData::decode(&buf, 0, buf.len(), rtype).unwrap();
+        let back = decode(&buf, 0, buf.len(), rtype).unwrap();
         assert_eq!(back, rd);
     }
 
@@ -341,7 +330,7 @@ mod tests {
     fn a_with_wrong_length_rejected() {
         let buf = [1, 2, 3];
         assert!(matches!(
-            RData::decode(&buf, 0, 3, RrType::A),
+            decode(&buf, 0, 3, RrType::A),
             Err(WireError::RdataLengthMismatch { declared: 3, actual: 4 })
         ));
     }
@@ -349,7 +338,7 @@ mod tests {
     #[test]
     fn txt_with_truncated_string_rejected() {
         let buf = [5, b'a', b'b'];
-        assert!(RData::decode(&buf, 0, 3, RrType::Txt).is_err());
+        assert!(decode(&buf, 0, 3, RrType::Txt).is_err());
     }
 
     #[test]
@@ -357,15 +346,6 @@ mod tests {
         let mut buf = Vec::new();
         Name::parse("a.b").unwrap().encode_uncompressed(&mut buf);
         buf.push(0xFF);
-        assert!(RData::decode(&buf, 0, buf.len(), RrType::Cname).is_err());
-    }
-
-    #[test]
-    fn as_ipv4() {
-        assert_eq!(
-            RData::A(Ipv4Addr::new(1, 2, 3, 4)).as_ipv4(),
-            Some(Ipv4Addr::new(1, 2, 3, 4))
-        );
-        assert_eq!(RData::Txt(vec![]).as_ipv4(), None);
+        assert!(decode(&buf, 0, buf.len(), RrType::Cname).is_err());
     }
 }

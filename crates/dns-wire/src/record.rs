@@ -45,7 +45,7 @@ impl RrType {
     }
 
     /// Decode from the numeric TYPE value.
-    pub fn from_u16(v: u16) -> Self {
+    pub(crate) fn from_u16(v: u16) -> Self {
         match v {
             1 => RrType::A,
             2 => RrType::Ns,
@@ -100,7 +100,7 @@ pub enum RrClass {
 
 impl RrClass {
     /// Numeric CLASS value.
-    pub fn to_u16(self) -> u16 {
+    pub(crate) fn to_u16(self) -> u16 {
         match self {
             RrClass::In => 1,
             RrClass::Ch => 3,
@@ -111,7 +111,7 @@ impl RrClass {
     }
 
     /// Decode from the numeric CLASS value.
-    pub fn from_u16(v: u16) -> Self {
+    pub(crate) fn from_u16(v: u16) -> Self {
         match v {
             1 => RrClass::In,
             3 => RrClass::Ch,
@@ -139,18 +139,6 @@ impl Record {
     /// The record's type code, derived from its RDATA.
     pub fn rtype(&self) -> RrType {
         self.rdata.rtype()
-    }
-
-    /// Encode with name compression, appending to `out`.
-    pub fn encode(&self, out: &mut Vec<u8>, compressor: &mut Compressor) {
-        write(out, compressor, self.name.flat(), self.rtype(), self.class, self.ttl, |out, compressor| {
-            self.rdata.encode(out, compressor)
-        });
-    }
-
-    /// Decode one record starting at `*pos` within `msg`.
-    pub fn decode(msg: &[u8], pos: &mut usize) -> Result<Record, WireError> {
-        RecordView::parse(msg, pos).map(Record::from)
     }
 }
 
@@ -266,27 +254,36 @@ mod tests {
         }
     }
 
+    /// Encode `r` as `Message::encode` does.
+    fn encode(r: &Record) -> Vec<u8> {
+        let mut buf = Vec::new();
+        write(&mut buf, &mut Compressor::default(), r.name.flat(), r.rtype(), r.class, r.ttl, |out, comp| {
+            r.rdata.encode(out, comp)
+        });
+        buf
+    }
+
+    /// Decode one record as `Message::decode` does.
+    fn decode(msg: &[u8], pos: &mut usize) -> Result<Record, WireError> {
+        RecordView::parse(msg, pos).map(Record::from)
+    }
+
     #[test]
     fn a_record_round_trip() {
         let r = a_record();
-        let mut buf = Vec::new();
-        let mut comp = Compressor::default();
-        r.encode(&mut buf, &mut comp);
+        let buf = encode(&r);
         let mut pos = 0;
-        let back = Record::decode(&buf, &mut pos).unwrap();
+        let back = decode(&buf, &mut pos).unwrap();
         assert_eq!(back, r);
         assert_eq!(pos, buf.len());
     }
 
     #[test]
     fn truncated_rdata_rejected() {
-        let r = a_record();
-        let mut buf = Vec::new();
-        let mut comp = Compressor::default();
-        r.encode(&mut buf, &mut comp);
+        let mut buf = encode(&a_record());
         buf.truncate(buf.len() - 1);
         let mut pos = 0;
-        assert!(Record::decode(&buf, &mut pos).is_err());
+        assert!(decode(&buf, &mut pos).is_err());
     }
 
     #[test]

@@ -79,11 +79,6 @@ impl Deframer {
         }
         out
     }
-
-    /// Bytes currently buffered (a partial frame, or nothing).
-    pub fn pending(&self) -> usize {
-        self.buf.len()
-    }
 }
 
 #[cfg(test)]
@@ -104,7 +99,7 @@ mod tests {
             got.extend(d.push(&[*b]));
         }
         assert_eq!(got, msgs);
-        assert_eq!(d.pending(), 0);
+        assert_eq!(d.buf.len(), 0);
     }
 
     #[test]
@@ -112,10 +107,10 @@ mod tests {
         let mut d = Deframer::new();
         let framed = frame(b"hello");
         assert!(d.push(&framed[..4]).is_empty());
-        assert_eq!(d.pending(), 4);
+        assert_eq!(d.buf.len(), 4);
         let got = d.push(&framed[4..]);
         assert_eq!(got, vec![b"hello".to_vec()]);
-        assert_eq!(d.pending(), 0);
+        assert_eq!(d.buf.len(), 0);
     }
 
     #[test]

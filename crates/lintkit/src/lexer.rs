@@ -318,7 +318,7 @@ impl<'a> Lexed<'a> {
     }
 
     /// 1-based line number of a byte offset.
-    pub fn line_of(&self, off: usize) -> usize {
+    pub(crate) fn line_of(&self, off: usize) -> usize {
         self.line_starts.partition_point(|s| *s <= off)
     }
 
@@ -366,7 +366,7 @@ impl<'a> Lexed<'a> {
     /// Flatten the code tokens into a lexeme stream of identifiers and
     /// single punctuation bytes (whitespace and numerics dropped), for
     /// rules that need word-level context.
-    pub fn code_lexemes(&self) -> Vec<(usize, Lexeme<'a>)> {
+    pub(crate) fn code_lexemes(&self) -> Vec<(usize, Lexeme<'a>)> {
         let mut out = Vec::new();
         for (base, text) in self.code_segments() {
             let bytes = text.as_bytes();
@@ -391,7 +391,7 @@ impl<'a> Lexed<'a> {
     }
 }
 
-/// A word-level code lexeme (see [`Lexed::code_lexemes`]).
+/// A word-level code lexeme (see `Lexed::code_lexemes`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Lexeme<'a> {
     /// An identifier or keyword.

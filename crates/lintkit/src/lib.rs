@@ -139,6 +139,7 @@ impl Report {
 fn in_scope(rule: &Rule, path: &str) -> bool {
     let wanted_ext = match rule.check {
         Check::DepDenylist(_) => path == "Cargo.toml" || path.ends_with("/Cargo.toml"),
+        Check::LintsInherit => path.ends_with("/Cargo.toml") && path.split('/').count() == 3,
         Check::ShellScan => path.ends_with(".sh"),
         _ => path.ends_with(".rs"),
     };
@@ -219,6 +220,11 @@ pub fn lint_file(path: &str, src: &str, only: Option<&str>) -> Vec<Diagnostic> {
             }
             Check::DepDenylist(denied) => {
                 for (off, what) in rules::dep_denylist_hits(src, denied) {
+                    push_line_hit(&mut out, rule, src, path, off, what);
+                }
+            }
+            Check::LintsInherit => {
+                for (off, what) in rules::lints_inherit_hits(src) {
                     push_line_hit(&mut out, rule, src, path, off, what);
                 }
             }

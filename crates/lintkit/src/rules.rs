@@ -12,6 +12,9 @@
 //! per-emission vectors out of the simulator's packet sink;
 //! `unused-pub` is the one
 //! workspace-wide pass (a `pub` item nothing outside its file uses);
+//! `lints-inherit` keeps every crate under the workspace's
+//! `[workspace.lints]` table, whose denied `dead_code` guards the
+//! crate-private functions `unused-pub` does not see;
 //! `verify-shell-discipline` is the meta-rule that keeps ad-hoc source
 //! scanning from creeping back into verify.sh.
 //!
@@ -52,6 +55,9 @@ pub enum Check {
     UnsafeSafety,
     /// Denied external crates in `Cargo.toml` manifests.
     DepDenylist(&'static [&'static str]),
+    /// A crate manifest (`crates/*/Cargo.toml`) without `[lints]` +
+    /// `workspace = true`.
+    LintsInherit,
     /// awk/grep source scanning inside `scripts/verify.sh`.
     ShellScan,
     /// `pub` items with no reference outside their defining file. Needs
@@ -279,8 +285,8 @@ pub fn rules() -> Vec<Rule> {
         },
         Rule {
             id: "unused-pub",
-            desc: "public surface has a user: a pub fn/const/static under crates/*/src is named by non-test code outside its file (other src, benchmark/src), a pub struct/enum/trait/type by anything but its own definition and impl headers; matching is by name, so a shared name counts as used, except that `Type::name` is no use of a module-level pub fn",
-            hint: "delete it, or drop `pub` if this file uses it; an item the roadmap or an integration test needs carries `// lint: allow(unused-pub): why`",
+            desc: "public surface has a user: a pub fn/const/static under crates/*/src is named by non-test code outside its file (other src, benchmark/src), a pub struct/enum/trait/type by anything but its own definition and impl headers; matching is by name, so a shared name counts as used, except that `Type::name` is no use of a module-level pub fn; crate-private functions are guarded by rustc's `dead_code`, denied workspace-wide, which resolves receivers exactly",
+            hint: "delete it, or make it `pub(crate)` if only its crate uses it; an item the roadmap or an integration test needs carries `// lint: allow(unused-pub): why`",
             scope: Scope {
                 roots: &["crates", "benchmark/src"],
                 exclude: &[],
@@ -288,6 +294,18 @@ pub fn rules() -> Vec<Rule> {
                 include_tests: false,
             },
             check: Check::UnusedPub,
+        },
+        Rule {
+            id: "lints-inherit",
+            desc: "every crate inherits the workspace lint table: each crates/*/Cargo.toml carries `[lints]` with `workspace = true`, so rustc's denied `dead_code` covers it",
+            hint: "add `[lints]` and `workspace = true` to the crate's manifest",
+            scope: Scope {
+                roots: &["crates"],
+                exclude: &[],
+                src_only: false,
+                include_tests: true,
+            },
+            check: Check::LintsInherit,
         },
         Rule {
             id: "verify-shell-discipline",
@@ -313,7 +331,7 @@ pub struct Hit {
 }
 
 /// Run a needle check over the code tokens of a lexed file.
-pub fn needle_hits(lexed: &Lexed<'_>, needles: &[&str]) -> Vec<Hit> {
+pub(crate) fn needle_hits(lexed: &Lexed<'_>, needles: &[&str]) -> Vec<Hit> {
     let mut hits = Vec::new();
     for (base, text) in lexed.code_segments() {
         for needle in needles {
@@ -349,7 +367,7 @@ pub fn needle_hits(lexed: &Lexed<'_>, needles: &[&str]) -> Vec<Hit> {
 /// [`needle_hits`] at or after the first `anchor` in the file's code; a
 /// missing anchor is one hit at the top, so renaming what the fence
 /// starts at cannot switch the rule off unnoticed.
-pub fn needle_hits_from(lexed: &Lexed<'_>, anchor: &str, needles: &[&str]) -> Vec<Hit> {
+pub(crate) fn needle_hits_from(lexed: &Lexed<'_>, anchor: &str, needles: &[&str]) -> Vec<Hit> {
     let Some(from) = needle_hits(lexed, &[anchor]).first().map(|h| h.at) else {
         return vec![Hit { at: 0, what: format!("no `{anchor}` to fence from") }];
     };
@@ -362,7 +380,7 @@ pub fn needle_hits_from(lexed: &Lexed<'_>, anchor: &str, needles: &[&str]) -> Ve
 /// declared (or constructed) type is one of [`HASHED_TYPES`], then flag
 /// `binding.iter()`-style calls and bare `for … in [&mut] binding` loops
 /// over them.
-pub fn map_iteration_hits(lexed: &Lexed<'_>) -> Vec<Hit> {
+pub(crate) fn map_iteration_hits(lexed: &Lexed<'_>) -> Vec<Hit> {
     let toks = lexed.code_lexemes();
     let ident = |i: usize| match toks.get(i) {
         Some((_, Lexeme::Ident(s))) => Some(*s),
@@ -511,7 +529,7 @@ pub fn map_iteration_hits(lexed: &Lexed<'_>) -> Vec<Hit> {
 
 /// `unsafe` blocks / impls without a `// SAFETY:` comment on their line
 /// or within the three lines above.
-pub fn unsafe_safety_hits(lexed: &Lexed<'_>) -> Vec<Hit> {
+pub(crate) fn unsafe_safety_hits(lexed: &Lexed<'_>) -> Vec<Hit> {
     let toks = lexed.code_lexemes();
     let mut hits = Vec::new();
     for i in 0..toks.len() {
@@ -544,7 +562,7 @@ pub fn unsafe_safety_hits(lexed: &Lexed<'_>) -> Vec<Hit> {
 /// A name reached through a type path (`Upper::name`, `Self::name`) is a
 /// method or an associated item, so it is no use of a module-level
 /// `pub fn` of that name.
-pub fn unused_pub_hits(files: &[(&str, Lexed<'_>)]) -> Vec<(usize, Hit)> {
+pub(crate) fn unused_pub_hits(files: &[(&str, Lexed<'_>)]) -> Vec<(usize, Hit)> {
     const VALUE_KW: [&str; 3] = ["fn", "const", "static"];
     const TYPE_KW: [&str; 4] = ["struct", "enum", "trait", "type"];
     struct Item<'a> {
@@ -659,7 +677,7 @@ pub fn unused_pub_hits(files: &[(&str, Lexed<'_>)]) -> Vec<(usize, Hit)> {
 /// Denied dependency declarations in a `Cargo.toml`: a denied crate
 /// name opening a line (`rand = …`, `rand.workspace = …`) outside
 /// comments.
-pub fn dep_denylist_hits(src: &str, denied: &[&str]) -> Vec<(usize, String)> {
+pub(crate) fn dep_denylist_hits(src: &str, denied: &[&str]) -> Vec<(usize, String)> {
     let mut hits = Vec::new();
     let mut off = 0usize;
     for line in src.split_inclusive('\n') {
@@ -687,13 +705,29 @@ pub fn dep_denylist_hits(src: &str, denied: &[&str]) -> Vec<(usize, String)> {
     hits
 }
 
+/// A crate manifest that does not inherit the workspace lints: one hit
+/// at the top of the file unless a `[lints]` table holds
+/// `workspace = true`.
+pub(crate) fn lints_inherit_hits(src: &str) -> Vec<(usize, String)> {
+    let mut table = "";
+    for line in src.lines() {
+        let code = line.split('#').next().unwrap_or("").trim();
+        if code.starts_with('[') {
+            table = code;
+        } else if table == "[lints]" && code.replace(' ', "") == "workspace=true" {
+            return Vec::new();
+        }
+    }
+    vec![(0, "no `[lints] workspace = true`".to_string())]
+}
+
 /// awk/grep source scanning inside verify.sh. Any `awk` at all is
 /// flagged (a multi-line awk program hides its target paths from a
 /// line-based scan, so the opener is the reliable anchor); recursive
 /// greps and finds aimed at `.rs` files are flagged too. Sanctioned
 /// numeric post-processing carries an allow marker on or above its
 /// line.
-pub fn shell_scan_hits(src: &str) -> Vec<(usize, String)> {
+pub(crate) fn shell_scan_hits(src: &str) -> Vec<(usize, String)> {
     let mut hits = Vec::new();
     let mut off = 0usize;
     for line in src.split_inclusive('\n') {

@@ -284,10 +284,13 @@ fn threshold_rule_construction_calls_and_tests_are_exempt() {
 
 // ---- dep-denylist -------------------------------------------------------
 
+/// What keeps `lints-inherit` quiet in a crate manifest fixture.
+const INHERITS: &str = "\n[lints]\nworkspace = true\n";
+
 #[test]
 fn denied_dependency_fires_in_manifests() {
-    let src = "[dependencies]\nrand = \"0.8\"\n";
-    let d = diags("crates/demo/Cargo.toml", src);
+    let src = format!("[dependencies]\nrand = \"0.8\"\n{INHERITS}");
+    let d = diags("crates/demo/Cargo.toml", &src);
     assert_eq!(d.len(), 1);
     assert_eq!(d[0].rule, "dep-denylist");
     assert_eq!(d[0].line, 2);
@@ -296,10 +299,36 @@ fn denied_dependency_fires_in_manifests() {
 
 #[test]
 fn denylist_ignores_comments_prefix_words_and_non_manifests() {
-    assert!(diags("crates/demo/Cargo.toml", "# rand = \"0.8\"\n").is_empty());
-    assert!(diags("crates/demo/Cargo.toml", "randomize = \"1\"\n").is_empty());
-    assert!(diags("crates/demo/Cargo.toml", "parking_lot.workspace = true\n").len() == 1);
+    assert!(diags("crates/demo/Cargo.toml", &format!("# rand = \"0.8\"\n{INHERITS}")).is_empty());
+    assert!(diags("crates/demo/Cargo.toml", &format!("randomize = \"1\"\n{INHERITS}")).is_empty());
+    assert!(diags("crates/demo/Cargo.toml", &format!("parking_lot.workspace = true\n{INHERITS}")).len() == 1);
     assert!(diags("crates/demo/src/lib.rs", "// rand = \"0.8\"\n").is_empty());
+}
+
+// ---- lints-inherit ------------------------------------------------------
+
+const MANIFEST: &str = "[package]\nname = \"demo\"\n\n[dependencies]\nxkit = { workspace = true }\n";
+
+#[test]
+fn a_crate_manifest_without_the_workspace_lints_fires() {
+    let d = diags("crates/demo/Cargo.toml", MANIFEST);
+    assert_eq!(d.len(), 1, "{d:?}");
+    assert_eq!((d[0].rule.as_str(), d[0].line), ("lints-inherit", 1));
+    // `workspace = true` under another table, or a commented-out
+    // `[lints]`, is not the inheritance.
+    let elsewhere = format!("{MANIFEST}# [lints]\n[lints.rust]\nworkspace = true\n");
+    assert_eq!(fired("crates/demo/Cargo.toml", &elsewhere), vec!["lints-inherit"]);
+}
+
+#[test]
+fn inheriting_manifests_and_other_manifests_are_quiet() {
+    let inherits = format!("{MANIFEST}{INHERITS}\n[[test]]\nname = \"t\"\n");
+    assert!(diags("crates/demo/Cargo.toml", &inherits).is_empty());
+    let spaced = format!("{MANIFEST}[lints] # every crate\nworkspace=true\n");
+    assert!(diags("crates/demo/Cargo.toml", &spaced).is_empty());
+    // The root manifest defines the table; nested manifests are no crate.
+    assert!(diags("Cargo.toml", MANIFEST).is_empty());
+    assert!(diags("crates/demo/tests/fixture/Cargo.toml", MANIFEST).is_empty());
 }
 
 // ---- no-map-iteration ---------------------------------------------------
@@ -564,5 +593,5 @@ fn unused_pub_allowances_stay_few() {
     }
     let crates = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
     let n = count(&crates, "// lint: allow(unused-pub):");
-    assert!(n <= 13, "{n} unused-pub allow markers in crates/ (at most 13)");
+    assert!(n <= 11, "{n} unused-pub allow markers in crates/ (at most 11)");
 }

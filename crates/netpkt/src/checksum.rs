@@ -3,7 +3,7 @@
 /// `data` may have odd length; the final byte is padded with zero as the
 /// high octet of the last word. The return value is the final complemented
 /// checksum ready to be written into a header field.
-pub fn internet_checksum(chunks: &[&[u8]]) -> u16 {
+pub(crate) fn internet_checksum(chunks: &[&[u8]]) -> u16 {
     let mut sum = 0u32;
     // A carry byte between chunks keeps word alignment across chunk
     // boundaries, so callers can pass pseudo-header and payload separately

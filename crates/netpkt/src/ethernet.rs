@@ -41,7 +41,7 @@ pub enum EtherType {
 
 impl EtherType {
     /// Numeric wire value.
-    pub fn to_u16(self) -> u16 {
+    pub(crate) fn to_u16(self) -> u16 {
         match self {
             EtherType::Ipv4 => 0x0800,
             EtherType::Ipv6 => 0x86DD,
@@ -51,7 +51,7 @@ impl EtherType {
     }
 
     /// Decode from the numeric wire value.
-    pub fn from_u16(v: u16) -> Self {
+    fn from_u16(v: u16) -> Self {
         match v {
             0x0800 => EtherType::Ipv4,
             0x86DD => EtherType::Ipv6,
@@ -74,14 +74,14 @@ pub struct EthernetHeader {
 
 impl EthernetHeader {
     /// Encode to 14 octets appended to `out`.
-    pub fn encode(&self, out: &mut Vec<u8>) {
+    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.dst.0);
         out.extend_from_slice(&self.src.0);
         out.extend_from_slice(&self.ethertype.to_u16().to_be_bytes());
     }
 
     /// Decode from the front of `buf`; returns the header and payload offset.
-    pub fn decode(buf: &[u8]) -> Result<(EthernetHeader, usize), PktError> {
+    pub(crate) fn decode(buf: &[u8]) -> Result<(EthernetHeader, usize), PktError> {
         if buf.len() < ETHERNET_HEADER_LEN {
             return Err(PktError::Truncated {
                 layer: "ethernet",

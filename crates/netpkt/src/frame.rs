@@ -319,7 +319,7 @@ mod tests {
         bytes[14 + 9] = 1; // ICMP
         bytes[14 + 10] = 0;
         bytes[14 + 11] = 0;
-        let cks = crate::internet_checksum(&[&bytes[14..34]]);
+        let cks = crate::checksum::internet_checksum(&[&bytes[14..34]]);
         bytes[14 + 10..14 + 12].copy_from_slice(&cks.to_be_bytes());
         let p = Packet::parse(&bytes, bytes.len()).unwrap();
         assert_eq!(p.transport, Transport::Other(IpProtocol::Icmp));

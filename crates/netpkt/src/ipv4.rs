@@ -20,7 +20,7 @@ pub enum IpProtocol {
 
 impl IpProtocol {
     /// Numeric protocol value.
-    pub fn to_u8(self) -> u8 {
+    pub(crate) fn to_u8(self) -> u8 {
         match self {
             IpProtocol::Tcp => 6,
             IpProtocol::Udp => 17,
@@ -30,7 +30,7 @@ impl IpProtocol {
     }
 
     /// Decode from the numeric protocol value.
-    pub fn from_u8(v: u8) -> Self {
+    pub(crate) fn from_u8(v: u8) -> Self {
         match v {
             6 => IpProtocol::Tcp,
             17 => IpProtocol::Udp,
@@ -65,7 +65,7 @@ pub struct Ipv4Header {
 
 impl Ipv4Header {
     /// A conventional header for a simulator-built datagram.
-    pub fn new(src: Ipv4Addr, dst: Ipv4Addr, protocol: IpProtocol, payload_len: usize) -> Ipv4Header {
+    pub(crate) fn new(src: Ipv4Addr, dst: Ipv4Addr, protocol: IpProtocol, payload_len: usize) -> Ipv4Header {
         Ipv4Header {
             dscp_ecn: 0,
             total_len: (IPV4_HEADER_LEN + payload_len) as u16,
@@ -79,7 +79,7 @@ impl Ipv4Header {
     }
 
     /// Encode (computing the header checksum) and append to `out`.
-    pub fn encode(&self, out: &mut Vec<u8>) {
+    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.to_bytes());
     }
 
@@ -109,7 +109,7 @@ impl Ipv4Header {
     /// The header checksum is verified only when the full header was
     /// captured — a snaplen shorter than the header surfaces as
     /// [`PktError::Truncated`] instead.
-    pub fn decode(buf: &[u8]) -> Result<(Ipv4Header, usize), PktError> {
+    pub(crate) fn decode(buf: &[u8]) -> Result<(Ipv4Header, usize), PktError> {
         if buf.len() < IPV4_HEADER_LEN {
             return Err(PktError::Truncated {
                 layer: "ipv4",
@@ -156,19 +156,13 @@ impl Ipv4Header {
     }
 
     /// The pseudo-header used in UDP/TCP checksums (RFC 793 §3.1).
-    pub fn pseudo_header(&self, transport_len: u16) -> [u8; 12] {
+    pub(crate) fn pseudo_header(&self, transport_len: u16) -> [u8; 12] {
         let mut ph = [0u8; 12];
         ph[0..4].copy_from_slice(&self.src.octets());
         ph[4..8].copy_from_slice(&self.dst.octets());
         ph[9] = self.protocol.to_u8();
         ph[10..12].copy_from_slice(&transport_len.to_be_bytes());
         ph
-    }
-
-    /// Declared transport payload length (total length minus a 20-byte
-    /// header; options are not produced by the encoder).
-    pub fn payload_len(&self) -> u16 {
-        self.total_len.saturating_sub(IPV4_HEADER_LEN as u16)
     }
 }
 

@@ -42,7 +42,6 @@ mod ipv4;
 mod tcp;
 mod udp;
 
-pub use checksum::internet_checksum;
 pub use error::PktError;
 pub use ethernet::{EtherType, EthernetHeader, MacAddr, ETHERNET_HEADER_LEN};
 pub use frame::{Frame, Packet, Transport};

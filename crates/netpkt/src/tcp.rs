@@ -38,7 +38,7 @@ impl TcpFlags {
     pub const PSH_ACK: TcpFlags = TcpFlags { psh: true, ack: true, syn: false, fin: false, rst: false, urg: false };
 
     /// Pack into the low byte of the flags field.
-    pub fn to_u8(self) -> u8 {
+    pub(crate) fn to_u8(self) -> u8 {
         (self.fin as u8)
             | (self.syn as u8) << 1
             | (self.rst as u8) << 2
@@ -80,7 +80,7 @@ impl fmt::Display for TcpFlags {
 
 /// A TCP header. Options are carried as a raw borrowed slice (padded to
 /// 32-bit words on encode) and never interpreted — the monitor does not
-/// need them, and borrowing keeps [`TcpHeader::decode`] allocation-free
+/// need them, and borrowing keeps `TcpHeader::decode` allocation-free
 /// on the per-frame hot path. Builders use `&'static []`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TcpHeader<'a> {
@@ -134,13 +134,13 @@ impl<'a> TcpHeader<'a> {
     }
 
     /// Header length including padded options.
-    pub fn header_len(&self) -> usize {
+    pub(crate) fn header_len(&self) -> usize {
         TCP_HEADER_LEN + self.options.len().div_ceil(4) * 4
     }
 
     /// Encode (computing the checksum over the pseudo-header and payload)
     /// and append to `out`.
-    pub fn encode(&self, out: &mut Vec<u8>, ip: &Ipv4Header, payload: &[u8]) {
+    pub(crate) fn encode(&self, out: &mut Vec<u8>, ip: &Ipv4Header, payload: &[u8]) {
         let start = out.len();
         out.extend_from_slice(&self.src_port.to_be_bytes());
         out.extend_from_slice(&self.dst_port.to_be_bytes());
@@ -167,7 +167,7 @@ impl<'a> TcpHeader<'a> {
     ///
     /// The checksum is not verified: that needs the full segment, which a
     /// snaplen-truncated capture does not hold.
-    pub fn decode(buf: &'a [u8]) -> Result<(TcpHeader<'a>, usize), PktError> {
+    pub(crate) fn decode(buf: &'a [u8]) -> Result<(TcpHeader<'a>, usize), PktError> {
         if buf.len() < TCP_HEADER_LEN {
             return Err(PktError::Truncated {
                 layer: "tcp",

@@ -18,7 +18,7 @@ pub struct UdpHeader {
 
 impl UdpHeader {
     /// Header for a datagram with `payload_len` bytes of payload.
-    pub fn new(src_port: u16, dst_port: u16, payload_len: usize) -> UdpHeader {
+    pub(crate) fn new(src_port: u16, dst_port: u16, payload_len: usize) -> UdpHeader {
         UdpHeader {
             src_port,
             dst_port,
@@ -26,15 +26,9 @@ impl UdpHeader {
         }
     }
 
-    /// Encode (computing the checksum over the pseudo-header and payload)
-    /// and append to `out`.
-    pub fn encode(&self, out: &mut Vec<u8>, ip: &Ipv4Header, payload: &[u8]) {
-        out.extend_from_slice(&self.to_bytes(ip, payload));
-    }
-
-    /// The 8 header octets with the checksum over `payload`: what
-    /// [`encode`](Self::encode) appends, for a writer whose payload is
-    /// already in place behind the header.
+    /// The 8 header octets with the checksum over the pseudo-header and
+    /// `payload`, for a writer whose payload is already in place behind
+    /// the header.
     pub(crate) fn to_bytes(self, ip: &Ipv4Header, payload: &[u8]) -> [u8; UDP_HEADER_LEN] {
         let mut b = [0u8; UDP_HEADER_LEN];
         b[0..2].copy_from_slice(&self.src_port.to_be_bytes());
@@ -55,7 +49,7 @@ impl UdpHeader {
     ///
     /// The checksum is *not* verified: a snaplen-truncated capture cannot
     /// reproduce it.
-    pub fn decode(buf: &[u8]) -> Result<(UdpHeader, usize), PktError> {
+    pub(crate) fn decode(buf: &[u8]) -> Result<(UdpHeader, usize), PktError> {
         if buf.len() < UDP_HEADER_LEN {
             return Err(PktError::Truncated {
                 layer: "udp",
@@ -116,8 +110,7 @@ mod tests {
         let payload = b"dns query bytes";
         let ip = ip_for(payload.len());
         let h = UdpHeader::new(49152, 53, payload.len());
-        let mut buf = Vec::new();
-        h.encode(&mut buf, &ip, payload);
+        let mut buf = h.to_bytes(&ip, payload).to_vec();
         buf.extend_from_slice(payload);
         let (back, off) = UdpHeader::decode(&buf).unwrap();
         assert_eq!(back, h);
@@ -130,8 +123,7 @@ mod tests {
         let payload = b"dns query bytes";
         let ip = ip_for(payload.len());
         let h = UdpHeader::new(49152, 53, payload.len());
-        let mut buf = Vec::new();
-        h.encode(&mut buf, &ip, payload);
+        let mut buf = h.to_bytes(&ip, payload).to_vec();
         buf.extend_from_slice(payload);
         let last = buf.len() - 1;
         buf[last] ^= 0x01;
@@ -146,8 +138,7 @@ mod tests {
         let payload = b"x";
         let ip = ip_for(payload.len());
         let h = UdpHeader::new(1, 2, payload.len());
-        let mut buf = Vec::new();
-        h.encode(&mut buf, &ip, payload);
+        let mut buf = h.to_bytes(&ip, payload).to_vec();
         buf.extend_from_slice(payload);
         buf[6] = 0;
         buf[7] = 0;

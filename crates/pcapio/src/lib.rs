@@ -114,7 +114,7 @@ pub use xkit::fault::RawFrame as PcapRecord;
 
 /// A borrowed view of one captured packet.
 ///
-/// Returned by [`PcapReader::next_record`]: `data` points into the
+/// Returned by `PcapReader::next_record`: `data` points into the
 /// reader's internal buffer, which is overwritten by the next read. This
 /// is the zero-copy hot path — one buffer serves the whole capture instead
 /// of one `Vec` per frame. Call [`RecordRef::to_owned`] only where a
@@ -151,7 +151,6 @@ pub struct PcapWriter<W: Write> {
     snaplen: u32,
     precision: TsPrecision,
     packets_written: u64,
-    bytes_written: u64,
 }
 
 impl<W: Write> PcapWriter<W> {
@@ -170,7 +169,7 @@ impl<W: Write> PcapWriter<W> {
         out.write_all(&0u32.to_le_bytes())?; // sigfigs
         out.write_all(&snaplen.to_le_bytes())?;
         out.write_all(&LINKTYPE_ETHERNET.to_le_bytes())?;
-        Ok(PcapWriter { out, snaplen, precision, packets_written: 0, bytes_written: 0 })
+        Ok(PcapWriter { out, snaplen, precision, packets_written: 0 })
     }
 
     /// Append one packet. `ts_nanos` is nanoseconds since the epoch;
@@ -191,22 +190,12 @@ impl<W: Write> PcapWriter<W> {
         self.out.write_all(&orig.to_le_bytes())?;
         self.out.write_all(&frame[..stored])?;
         self.packets_written += 1;
-        self.bytes_written += stored as u64;
         Ok(())
     }
 
     /// Number of records written so far.
     pub fn packets_written(&self) -> u64 {
         self.packets_written
-    }
-
-    /// Writer-side counters as an obs snapshot (`capture.frames_written`,
-    /// `capture.bytes_written`).
-    pub fn metrics(&self) -> xkit::obs::Metrics {
-        let mut m = xkit::obs::Metrics::new();
-        m.add("capture.frames_written", self.packets_written);
-        m.add("capture.bytes_written", self.bytes_written);
-        m
     }
 
     /// Flush and return the underlying writer.
@@ -277,13 +266,8 @@ impl<R: Read> PcapReader<R> {
     }
 
     /// The file's snaplen.
-    pub fn snaplen(&self) -> u32 {
+    pub(crate) fn snaplen(&self) -> u32 {
         self.snaplen
-    }
-
-    /// Record payload bytes successfully read so far.
-    pub fn bytes_read(&self) -> u64 {
-        self.bytes_read
     }
 
     /// Reader-side counters as an obs snapshot (`capture.frames_read`,
@@ -302,7 +286,7 @@ impl<R: Read> PcapReader<R> {
     /// The returned slice is valid until the next call on this reader;
     /// use [`RecordRef::to_owned`] (or [`PcapReader::next_packet`]) when a
     /// record must be kept across reads.
-    pub fn next_record(&mut self) -> Result<Option<RecordRef<'_>>, PcapError> {
+    pub(crate) fn next_record(&mut self) -> Result<Option<RecordRef<'_>>, PcapError> {
         let mut rh = [0u8; RECORD_HEADER_LEN];
         match self.input.read_exact(&mut rh) {
             Ok(()) => {}
@@ -404,62 +388,29 @@ pub fn merge<R1: Read, R2: Read, W: Write>(a: R1, b: R2, out: W) -> Result<u64, 
     Ok(n)
 }
 
-/// A stateful record-to-records transform for [`rewrite`].
-///
-/// Implemented for any `FnMut(PcapRecord) -> Vec<PcapRecord>` when no
-/// end-of-stream state needs draining.
-pub trait RecordTransform {
-    /// Map one input record to zero or more output records.
-    fn apply(&mut self, rec: PcapRecord) -> Vec<PcapRecord>;
-
-    /// Called once after the last input record so stateful transforms
-    /// (e.g. a reorder holdback) can drain.
-    fn flush(&mut self) -> Vec<PcapRecord> {
-        Vec::new()
-    }
-}
-
-impl<F: FnMut(PcapRecord) -> Vec<PcapRecord>> RecordTransform for F {
-    fn apply(&mut self, rec: PcapRecord) -> Vec<PcapRecord> {
-        self(rec)
-    }
-}
-
-/// The fault→pcap bridge: an injector corrupts a capture through
-/// [`rewrite`], record in, records out.
-impl RecordTransform for xkit::fault::FaultInjector {
-    fn apply(&mut self, rec: PcapRecord) -> Vec<PcapRecord> {
-        xkit::fault::FaultInjector::apply(self, rec)
-    }
-
-    fn flush(&mut self) -> Vec<PcapRecord> {
-        xkit::fault::FaultInjector::flush(self)
-    }
-}
-
-/// Copy a capture record-by-record through a caller-supplied transform.
+/// Copy a capture record by record through a fault injector: the
+/// fault→pcap bridge.
 ///
 /// Each input record maps to zero or more output records (drop, modify,
-/// duplicate); [`RecordTransform::flush`] runs once after the last input
-/// record. The output keeps the input's snaplen and is written at
-/// nanosecond precision. Returns the number of records written.
+/// duplicate); the injector's [`flush`](xkit::fault::FaultInjector::flush)
+/// runs once after the last input record. The output keeps the input's
+/// snaplen and is written at nanosecond precision. Returns the number of
+/// records written.
 ///
-/// This is the streaming seam the fault-injection harness plugs into: the
-/// capture never has to be fully materialised to be corrupted.
-pub fn rewrite<R, W, T>(input: R, out: W, transform: &mut T) -> Result<u64, PcapError>
-where
-    R: Read,
-    W: Write,
-    T: RecordTransform + ?Sized,
-{
+/// The capture never has to be fully materialised to be corrupted.
+pub fn rewrite<R: Read, W: Write>(
+    input: R,
+    out: W,
+    injector: &mut xkit::fault::FaultInjector,
+) -> Result<u64, PcapError> {
     let mut reader = PcapReader::new(input)?;
     let mut w = PcapWriter::new(out, reader.snaplen(), TsPrecision::Nano)?;
     while let Some(rec) = reader.next_packet()? {
-        for r in transform.apply(rec) {
+        for r in injector.apply(rec) {
             w.write_packet(r.ts_nanos, &r.data, Some(r.orig_len))?;
         }
     }
-    for r in transform.flush() {
+    for r in injector.flush() {
         w.write_packet(r.ts_nanos, &r.data, Some(r.orig_len))?;
     }
     let n = w.packets_written();
@@ -470,6 +421,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xkit::fault::{FaultConfig, FaultInjector};
 
     fn write_capture(precision: TsPrecision, snaplen: u32, frames: &[(&[u8], Option<u32>)]) -> Vec<u8> {
         let mut buf = Vec::new();
@@ -633,40 +585,36 @@ mod tests {
         assert_eq!(recs[0].data, b"x");
     }
 
+    fn injector(cfg: FaultConfig) -> FaultInjector {
+        FaultInjector::new(cfg, xkit::rng::StdRng::seed_from_u64(1))
+    }
+
     #[test]
     fn rewrite_identity_preserves_records() {
         let buf = write_capture(TsPrecision::Nano, 96, &[(b"abc", None), (b"defgh", Some(1500))]);
         let mut out = Vec::new();
-        let n = rewrite(&buf[..], &mut out, &mut |r: PcapRecord| vec![r]).unwrap();
+        // A clean injector draws nothing and passes every record through.
+        let n = rewrite(&buf[..], &mut out, &mut injector(FaultConfig::clean())).unwrap();
         assert_eq!(n, 2);
         assert_eq!(out, buf, "identity rewrite of a nano capture is byte-identical");
     }
 
     #[test]
     fn rewrite_can_drop_duplicate_and_flush() {
-        struct Holdback(Option<PcapRecord>);
-        impl RecordTransform for Holdback {
-            fn apply(&mut self, r: PcapRecord) -> Vec<PcapRecord> {
-                match r.data[0] {
-                    b'a' => Vec::new(),         // drop
-                    b'b' => vec![r.clone(), r], // duplicate
-                    _ => {
-                        self.0 = Some(r); // hold to flush
-                        Vec::new()
-                    }
-                }
-            }
-            fn flush(&mut self) -> Vec<PcapRecord> {
-                self.0.take().into_iter().collect()
-            }
-        }
         let buf = write_capture(TsPrecision::Nano, 96, &[(b"a", None), (b"b", None), (b"c", None)]);
-        let mut out = Vec::new();
-        let n = rewrite(&buf[..], &mut out, &mut Holdback(None)).unwrap();
-        assert_eq!(n, 3);
-        let recs: Vec<_> = PcapReader::new(&out[..]).unwrap().records().map(|r| r.unwrap()).collect();
-        let bytes: Vec<u8> = recs.iter().map(|r| r.data[0]).collect();
-        assert_eq!(bytes, vec![b'b', b'b', b'c']);
+        let through = |cfg: FaultConfig| {
+            let mut out = Vec::new();
+            let n = rewrite(&buf[..], &mut out, &mut injector(cfg)).unwrap();
+            let recs: Vec<_> = PcapReader::new(&out[..]).unwrap().records().map(|r| r.unwrap()).collect();
+            assert_eq!(n, recs.len() as u64);
+            recs.iter().map(|r| r.data[0]).collect::<Vec<u8>>()
+        };
+        let clean = FaultConfig::clean();
+        assert_eq!(through(FaultConfig { drop: 1.0, ..clean }), b"");
+        assert_eq!(through(FaultConfig { duplicate: 1.0, ..clean }), b"aabbcc");
+        // Every record is held back in turn: `b` releases `a`, and `c`
+        // leaves only at the flush.
+        assert_eq!(through(FaultConfig { reorder: 1.0, ..clean }), b"abc");
     }
 
     #[test]
@@ -675,7 +623,7 @@ mod tests {
         let mut r = PcapReader::new(&buf[..]).unwrap();
         while let Some(_) = r.next_packet().unwrap() {}
         assert_eq!(r.records_read, 2);
-        assert_eq!(r.bytes_read(), 8);
+        assert_eq!(r.bytes_read, 8);
         assert_eq!(r.records_rejected, 0);
         let m = r.metrics();
         assert_eq!(m.counter("capture.frames_read"), 2);
@@ -684,9 +632,7 @@ mod tests {
         let mut w = PcapWriter::new(Vec::new(), 96, TsPrecision::Nano).unwrap();
         w.write_packet(1, b"abc", None).unwrap();
         w.write_packet(2, b"defgh", None).unwrap();
-        let m = w.metrics();
-        assert_eq!(m.counter("capture.frames_written"), 2);
-        assert_eq!(m.counter("capture.bytes_written"), 8);
+        assert_eq!(w.packets_written(), 2);
     }
 
     #[test]
@@ -723,7 +669,7 @@ mod tests {
             }
         }
         assert_eq!(borrowed.records_read, 40);
-        assert_eq!(borrowed.bytes_read(), owned.bytes_read());
+        assert_eq!(borrowed.bytes_read, owned.bytes_read);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   pipes frames straight to the monitor with no serialize/parse round
 //!   trip.
 //!
-//! The contract mirrors [`PcapReader::next_record`] exactly: each call
+//! The contract mirrors `PcapReader::next_record` exactly: each call
 //! yields a borrowed [`RecordRef`] valid until the next call (backends
 //! reuse an internal read buffer), `Ok(None)` is end of stream, and a
 //! malformed record is a typed error that leaves the source usable for

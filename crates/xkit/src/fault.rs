@@ -51,18 +51,18 @@ impl FaultConfig {
     }
 
     /// Sum of all per-kind rates (the per-frame fault probability).
-    pub fn total(&self) -> f64 {
+    fn total(&self) -> f64 {
         self.drop + self.truncate + self.bit_flip + self.duplicate + self.reorder
     }
 
     /// True when every rate is zero and the injector must not perturb the
     /// stream (or the RNG).
-    pub fn is_clean(&self) -> bool {
+    fn is_clean(&self) -> bool {
         self.total() == 0.0
     }
 
     /// Validate rates: each in `[0, 1]`, sum at most 1.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         let rates = [self.drop, self.truncate, self.bit_flip, self.duplicate, self.reorder];
         for r in rates {
             if !(0.0..=1.0).contains(&r) || !r.is_finite() {
@@ -97,7 +97,8 @@ pub struct FaultStats {
 
 impl FaultStats {
     /// Fold another stats block into this one (shard-wise merge).
-    pub fn merge(&mut self, other: &FaultStats) {
+    #[cfg(test)]
+    fn merge(&mut self, other: &FaultStats) {
         self.frames_in += other.frames_in;
         self.frames_out += other.frames_out;
         self.dropped += other.dropped;
@@ -113,8 +114,8 @@ impl FaultStats {
     /// `fault.truncated`, …) so a clean run is recognizable as "every
     /// `fault.*` damage counter is zero"; the pass-through frame counts
     /// live under `fault.io.*` because they increment even when nothing
-    /// was damaged. Merging these snapshots is equivalent to
-    /// [`FaultStats::merge`].
+    /// was damaged. Merging these snapshots sums the stats field by
+    /// field.
     pub fn to_metrics(&self) -> crate::obs::Metrics {
         let mut m = crate::obs::Metrics::new();
         m.add("fault.io.frames_in", self.frames_in);
@@ -162,7 +163,7 @@ impl FaultInjector {
     /// other consumer).
     ///
     /// # Panics
-    /// Panics if the config fails [`FaultConfig::validate`]; rates are
+    /// Panics if the config fails `FaultConfig::validate`; rates are
     /// caller-supplied constants, so this is a programming error.
     pub fn new(cfg: FaultConfig, rng: StdRng) -> FaultInjector {
         if let Err(e) = cfg.validate() {

@@ -37,7 +37,7 @@ impl Mono {
 
     /// Duration between two readings (`later - self`), zero if `later`
     /// precedes `self`.
-    pub fn delta(&self, later: Mono) -> Duration {
+    pub(crate) fn delta(&self, later: Mono) -> Duration {
         later.0.saturating_duration_since(self.0)
     }
 }

@@ -103,24 +103,14 @@ impl FlightRecorder {
         });
     }
 
-    /// Ring capacity.
-    pub fn capacity(&self) -> usize {
-        self.inner.cap
-    }
-
     /// Events currently held (≤ capacity).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.with_state(|s| s.ring.len())
     }
 
     /// True when no event has been recorded yet.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Events evicted to make room (recorded − held).
-    pub fn dropped(&self) -> u64 {
-        self.with_state(|s| s.dropped)
     }
 
     /// The retained events, oldest first.
@@ -130,7 +120,7 @@ impl FlightRecorder {
 
     /// JSON dump: `{"capacity", "recorded", "dropped", "events": [...]}`.
     /// Events carry `seq`, `t_ns`, `kind`, `detail`, `value`.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let (events, recorded, dropped) =
             self.with_state(|s| (s.ring.iter().cloned().collect::<Vec<_>>(), s.seq, s.dropped));
         let mut out = format!(
@@ -174,13 +164,13 @@ mod tests {
         }
         assert_eq!(fr.len(), 3);
         assert_eq!(fr.with_state(|s| s.seq), 10);
-        assert_eq!(fr.dropped(), 7);
+        assert_eq!(fr.with_state(|s| s.dropped), 7);
         let events = fr.snapshot();
         let seqs: Vec<u64> = events.iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![7, 8, 9], "oldest dropped first, order kept");
         assert_eq!(events[0].detail, "epoch 7");
         // recorded = held + dropped at all times.
-        assert_eq!(fr.with_state(|s| s.seq), fr.len() as u64 + fr.dropped());
+        fr.with_state(|s| assert_eq!(s.seq, s.ring.len() as u64 + s.dropped));
     }
 
     #[test]
@@ -226,6 +216,6 @@ mod tests {
 
     #[test]
     fn capacity_is_clamped() {
-        assert_eq!(FlightRecorder::new(0).capacity(), 1);
+        assert_eq!(FlightRecorder::new(0).inner.cap, 1);
     }
 }

@@ -16,7 +16,7 @@
 //! | `/metrics`  | Prometheus text exposition of the hub snapshot        |
 //! | `/snapshot` | canonical metrics JSON ([`Metrics::to_json`])         |
 //! | `/spans`    | Chrome trace-event JSON (`SpanLog::to_chrome_trace`)  |
-//! | `/events`   | flight-recorder dump ([`FlightRecorder::to_json`])    |
+//! | `/events`   | flight-recorder dump (`FlightRecorder::to_json`)      |
 //! | `/healthz`  | `ok`                                                  |
 //!
 //! A server started with [`serve_tenants`] additionally routes the
@@ -33,7 +33,6 @@
 //! count once the tenants settle.
 //!
 //! [`Metrics::to_json`]: crate::obs::Metrics::to_json
-//! [`FlightRecorder::to_json`]: crate::obs::FlightRecorder::to_json
 
 use super::hub::ObsHub;
 use super::tenants::HubRegistry;

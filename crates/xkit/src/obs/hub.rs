@@ -32,7 +32,7 @@ pub struct ObsHub {
 impl ObsHub {
     /// A hub with an empty snapshot and a flight ring of `flight_capacity`
     /// events.
-    pub fn new(flight_capacity: usize) -> ObsHub {
+    pub(crate) fn new(flight_capacity: usize) -> ObsHub {
         ObsHub {
             inner: Arc::new(Inner {
                 metrics: Mutex::new(Metrics::new()),
@@ -82,7 +82,7 @@ impl ObsHub {
     }
 
     /// The current span trace (`"[]"` before the first publication).
-    pub fn spans_json(&self) -> String {
+    pub(crate) fn spans_json(&self) -> String {
         match self.inner.spans.lock() {
             Ok(guard) => guard.clone(),
             Err(poison) => poison.into_inner().clone(),

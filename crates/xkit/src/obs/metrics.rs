@@ -29,7 +29,7 @@ pub struct HistSpec {
 impl HistSpec {
     /// A log-scale spec, clamped to sane shape (at least one decade and
     /// one bucket per decade, at most 4096 buckets, positive finite `lo`).
-    pub fn log(lo: f64, decades: u32, per_decade: u32) -> HistSpec {
+    pub(crate) fn log(lo: f64, decades: u32, per_decade: u32) -> HistSpec {
         let lo = if lo.is_finite() && lo > 0.0 { lo } else { 1e-3 };
         let decades = decades.clamp(1, 64);
         let per_decade = per_decade.clamp(1, 64);
@@ -43,14 +43,14 @@ impl HistSpec {
     }
 
     /// Number of in-range buckets.
-    pub fn buckets(&self) -> usize {
+    fn buckets(&self) -> usize {
         (self.decades * self.per_decade) as usize
     }
 
     /// The `buckets() + 1` bucket edges, ascending. Decade edges are the
     /// exact products `lo * 10^k` (integer `powi`), so bucket boundaries
     /// are reproducible and testable.
-    pub fn bounds(&self) -> Vec<f64> {
+    fn bounds(&self) -> Vec<f64> {
         let pd = self.per_decade;
         (0..=self.buckets() as u32)
             .map(|i| {
@@ -86,7 +86,7 @@ pub struct Histogram {
 
 impl Histogram {
     /// An empty histogram with the given spec.
-    pub fn new(spec: HistSpec) -> Histogram {
+    pub(crate) fn new(spec: HistSpec) -> Histogram {
         let bounds = spec.bounds();
         let buckets = spec.buckets();
         Histogram {
@@ -154,7 +154,7 @@ impl Histogram {
     /// re-records the other histogram's bucket geometric midpoints, which
     /// preserves `count` and `min`/`max` exactly and bucket placement
     /// approximately.
-    pub fn merge(&mut self, other: &Histogram) {
+    pub(crate) fn merge(&mut self, other: &Histogram) {
         if self.spec == other.spec {
             for (a, b) in self.counts.iter_mut().zip(&other.counts) {
                 *a += *b;
@@ -187,7 +187,7 @@ impl Histogram {
 
     /// Overwrite this histogram with `other`'s contents, reusing the
     /// bucket storage already held (no allocation when the specs match).
-    pub fn assign_from(&mut self, other: &Histogram) {
+    fn assign_from(&mut self, other: &Histogram) {
         self.bounds.clone_from(&other.bounds);
         self.counts.clone_from(&other.counts);
         self.spec = other.spec;
@@ -199,16 +199,6 @@ impl Histogram {
         self.max = other.max;
     }
 
-    /// The spec this histogram was built from.
-    pub fn spec(&self) -> HistSpec {
-        self.spec
-    }
-
-    /// Bucket edges (`buckets() + 1` ascending values).
-    pub fn bounds(&self) -> &[f64] {
-        &self.bounds
-    }
-
     /// Finite values recorded (includes underflow and overflow).
     pub fn count(&self) -> u64 {
         self.count
@@ -216,36 +206,14 @@ impl Histogram {
 
     /// Smallest finite value recorded, `None` when empty. Exact under
     /// merge.
-    pub fn min(&self) -> Option<f64> {
+    pub(crate) fn min(&self) -> Option<f64> {
         (self.count > 0).then_some(self.min)
     }
 
     /// Largest finite value recorded, `None` when empty. Exact under
     /// merge.
-    pub fn max(&self) -> Option<f64> {
+    pub(crate) fn max(&self) -> Option<f64> {
         (self.count > 0).then_some(self.max)
-    }
-
-    /// Estimated quantile (`q` in `[0, 1]`) from bucket geometric
-    /// midpoints; `None` when empty. Underflow resolves to `min`,
-    /// overflow to `max`.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.count == 0 {
-            return None;
-        }
-        let rank = (q.clamp(0.0, 1.0) * (self.count - 1) as f64).round() as u64;
-        let mut seen = self.underflow;
-        if rank < seen {
-            return Some(self.min);
-        }
-        for (i, &n) in self.counts.iter().enumerate() {
-            seen += n;
-            if rank < seen {
-                let mid = (self.bounds[i] * self.bounds[i + 1]).sqrt();
-                return Some(mid.clamp(self.min, self.max));
-            }
-        }
-        Some(self.max)
     }
 
     /// Conservative quantile estimate (`q` in `[0, 1]`): the **upper
@@ -335,7 +303,7 @@ pub enum Metric {
     /// Level/peak reading; merges by maximum (the only float gauge merge
     /// that is exact, associative, and commutative).
     Gauge(f64),
-    /// Distribution; merges bucket-wise (see [`Histogram::merge`]).
+    /// Distribution; merges bucket-wise (see `Histogram::merge`).
     Hist(Histogram),
 }
 
@@ -424,11 +392,6 @@ impl Metrics {
                 self.map.insert(name.to_string(), Metric::Hist(h));
             }
         }
-    }
-
-    /// Insert a pre-built metric under `name`, replacing any previous one.
-    pub fn insert(&mut self, name: &str, metric: Metric) {
-        self.map.insert(name.to_string(), metric);
     }
 
     /// A kind mismatch is a programming error, but the layer is panic-free
@@ -758,7 +721,7 @@ mod tests {
     #[test]
     fn bucket_boundaries_are_half_open() {
         let mut h = Histogram::new(HistSpec::log(1.0, 2, 2));
-        let bounds = h.bounds().to_vec();
+        let bounds = h.bounds.clone();
         // A value exactly on edge i belongs to bucket i, not i-1.
         for (i, &edge) in bounds.iter().enumerate().take(bounds.len() - 1) {
             h.observe(edge);
@@ -845,11 +808,11 @@ mod tests {
         for _ in 0..100 {
             h.observe(10.0);
         }
-        let p50 = h.quantile(0.5).unwrap();
+        let p50 = h.quantile_upper(0.5).unwrap();
         assert!((5.0..=20.0).contains(&p50), "p50 {p50} near 10");
         let sum = h.sum_estimate();
         assert!((500.0..=2000.0).contains(&sum), "sum {sum} near 1000");
-        assert_eq!(Histogram::new(HistSpec::time_ms()).quantile(0.5), None);
+        assert_eq!(Histogram::new(HistSpec::time_ms()).quantile_upper(0.5), None);
     }
 
     #[test]
@@ -861,7 +824,7 @@ mod tests {
         for _ in 0..100 {
             h.observe(10.0);
         }
-        let bounds = h.bounds().to_vec();
+        let bounds = h.bounds.clone();
         assert_eq!(h.quantile_upper(0.5), Some(bounds[17]));
         assert_eq!(h.quantile_upper(0.95), Some(bounds[17]));
         assert_eq!(h.quantile_upper(0.99), Some(bounds[17]));
@@ -872,18 +835,18 @@ mod tests {
         // observed max is >= the last edge, so this is still the max.
         let mut u = Histogram::new(HistSpec::time_ms());
         u.observe(1e-9);
-        assert_eq!(u.quantile_upper(0.0), Some(u.bounds()[0]));
+        assert_eq!(u.quantile_upper(0.0), Some(u.bounds[0]));
         let mut o = Histogram::new(HistSpec::time_ms());
         o.observe(5e9);
-        assert!(5e9 >= *o.bounds().last().unwrap());
+        assert!(5e9 >= *o.bounds.last().unwrap());
         assert_eq!(o.quantile_upper(1.0), Some(5e9));
 
         // Rank selection across buckets: 90 low + 10 high samples.
         let mut m = Histogram::new(HistSpec::time_ms());
         m.observe_n(1.0, 90); // edge 12 (1e-3 * 10^3) → bucket 12
         m.observe_n(100.0, 10); // edge 20 → bucket 20
-        assert_eq!(m.quantile_upper(0.5), Some(m.bounds()[13]));
-        assert_eq!(m.quantile_upper(0.95), Some(m.bounds()[21]));
+        assert_eq!(m.quantile_upper(0.5), Some(m.bounds[13]));
+        assert_eq!(m.quantile_upper(0.95), Some(m.bounds[21]));
         assert_eq!(Histogram::new(HistSpec::time_ms()).quantile_upper(0.5), None);
     }
 
@@ -902,7 +865,7 @@ mod tests {
         counts[n_buckets - 1] = 95; // p95 rank lands here → bounds[last]
         let h = Histogram::from_parts(spec, counts, 0, 5, 0, Some(1.0), Some(1.0))
             .expect("parts accepted");
-        let last_edge = *h.bounds().last().unwrap();
+        let last_edge = *h.bounds.last().unwrap();
         let p95 = h.quantile_upper(0.95).unwrap();
         let p99 = h.quantile_upper(0.99).unwrap();
         assert_eq!(p95, last_edge);
@@ -914,7 +877,7 @@ mod tests {
     fn histogram_from_parts_round_trips() {
         let h = filled(9, 400);
         let rebuilt = Histogram::from_parts(
-            h.spec(),
+            h.spec,
             h.counts.to_vec(),
             h.underflow,
             h.overflow,
@@ -946,7 +909,7 @@ mod tests {
         let mut m = Metrics::new();
         m.add("zeek.frames_seen", 12345);
         m.gauge_max("stream.live_flows", 77.25);
-        m.insert("h", Metric::Hist(filled(4, 250)));
+        m.map.insert("h".into(), Metric::Hist(filled(4, 250)));
         m.observe_with("empty-ish", HistSpec::time_ms(), f64::NAN); // nonfinite-only histogram
         let v = crate::obs::json::parse(&m.to_json()).expect("valid JSON");
         let back = Metrics::from_json_value(&v).expect("reconstructs");
@@ -1005,7 +968,7 @@ mod tests {
         // built from scratch with add/gauge_max/merge, whatever it held.
         let mut acc = Metrics::new();
         acc.add("pair.hit", 7);
-        acc.insert("pair.gap_ms", Metric::Hist(filled(5, 300)));
+        acc.map.insert("pair.gap_ms".into(), Metric::Hist(filled(5, 300)));
         let mut fresh = Metrics::new();
         fresh.add("zeek.conn_rows", 40);
         fresh.gauge_max("stream.live_flows", 3.0);
@@ -1015,7 +978,7 @@ mod tests {
         reused.set_counter("zeek.conn_rows", 90);
         reused.set_gauge("stream.live_flows", 12.0);
         reused.add("pair.hit", 100);
-        reused.insert("pair.gap_ms", Metric::Hist(filled(6, 900)));
+        reused.map.insert("pair.gap_ms".into(), Metric::Hist(filled(6, 900)));
         reused.set_counter("zeek.conn_rows", 40);
         reused.set_gauge("stream.live_flows", 3.0); // gauges may fall
         reused.set_gauge("stream.live_flows", f64::NAN);

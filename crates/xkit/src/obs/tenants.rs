@@ -147,13 +147,9 @@ impl HubRegistry {
     }
 
     /// Number of registered tenants.
+    #[allow(clippy::len_without_is_empty)] // no caller asks for emptiness
     pub fn len(&self) -> usize {
         self.lock().len()
-    }
-
-    /// `true` when no tenant is registered.
-    pub fn is_empty(&self) -> bool {
-        self.lock().is_empty()
     }
 
     /// Fold every tenant's current snapshot into one [`Metrics`], in
@@ -173,7 +169,7 @@ impl HubRegistry {
     /// in tenant-id order. Ids are fenced to a safe charset at
     /// [`add`](HubRegistry::add), so plain quoting is already valid
     /// JSON.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let map = self.lock();
         let mut out = String::from("{\n  \"tenants\": [");
         for (i, (id, tenant)) in map.iter().enumerate() {
@@ -200,7 +196,7 @@ mod tests {
     #[test]
     fn add_remove_and_states() {
         let reg = HubRegistry::new();
-        assert!(reg.is_empty());
+        assert_eq!(reg.len(), 0);
         reg.add("t1", ObsHub::new(1)).expect("t1");
         reg.add("t0", ObsHub::new(1)).expect("t0");
         assert_eq!(

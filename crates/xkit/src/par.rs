@@ -223,11 +223,6 @@ impl Pool {
         Pool { shared, workers: handles }
     }
 
-    /// Number of worker threads.
-    pub fn workers(&self) -> usize {
-        self.workers.len()
-    }
-
     /// Enqueue a job. Panics if the pool is already shut down (a
     /// programming error, not a runtime condition).
     pub fn submit(&self, job: impl FnOnce() + Send + 'static) {

@@ -79,13 +79,9 @@ impl DnsColumns {
     }
 
     /// Number of rows projected.
+    #[allow(clippy::len_without_is_empty)] // no caller asks for emptiness
     pub fn len(&self) -> usize {
         self.resolver.len()
-    }
-
-    /// Whether the projection is empty.
-    pub fn is_empty(&self) -> bool {
-        self.resolver.is_empty()
     }
 }
 

@@ -89,7 +89,7 @@ macro_rules! counter_block {
             /// Fold another capture's (or shard's) block into this one,
             /// row by row under each row's rule — the same fold
             /// `Metrics::merge` applies to the exported keys.
-            pub fn merge(&mut self, other: &$name) {
+            pub(crate) fn merge(&mut self, other: &$name) {
                 $( self.$field = Rule::$rule.fold(self.$field, other.$field); )*
             }
         }

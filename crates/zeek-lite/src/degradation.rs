@@ -14,7 +14,7 @@ use std::fmt;
 
 impl DegradationStats {
     /// Classify one frame-level parse failure into its bucket.
-    pub fn record_pkt_error(&mut self, err: &PktError) {
+    pub(crate) fn record_pkt_error(&mut self, err: &PktError) {
         match err {
             PktError::Truncated { layer, .. } => match *layer {
                 "ethernet" => self.truncated_ethernet += 1,
@@ -31,7 +31,7 @@ impl DegradationStats {
     }
 
     /// Classify one DNS decode failure into its bucket.
-    pub fn record_dns_error(&mut self, err: &WireError) {
+    pub(crate) fn record_dns_error(&mut self, err: &WireError) {
         match err {
             WireError::Truncated { .. } => self.dns_truncated += 1,
             WireError::LabelTooLong(_)

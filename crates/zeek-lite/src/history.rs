@@ -36,7 +36,7 @@ impl History {
 
     /// Append one ASCII code character. Non-ASCII characters and pushes
     /// past capacity are ignored.
-    pub fn push(&mut self, c: char) {
+    pub(crate) fn push(&mut self, c: char) {
         if c.is_ascii() && (self.len as usize) < History::CAPACITY {
             self.buf[self.len as usize] = c as u8;
             self.len += 1;
@@ -44,7 +44,7 @@ impl History {
     }
 
     /// View the codes as a string slice.
-    pub fn as_str(&self) -> &str {
+    fn as_str(&self) -> &str {
         // Only ASCII bytes are ever stored, so this cannot fail; the
         // fallback keeps the accessor panic-free regardless.
         std::str::from_utf8(&self.buf[..self.len as usize]).unwrap_or("")

@@ -105,28 +105,6 @@ impl Logs {
         self.dns.sort_by(|a, b| DnsTransaction::log_order(&self.names, a, b));
     }
 
-    /// Restrict both logs to records starting in `[from, to)`. Counters in
-    /// `stats` describe the original capture and are carried unchanged.
-    pub fn window(&self, from: Timestamp, to: Timestamp) -> Logs {
-        Logs {
-            conns: self
-                .conns
-                .iter()
-                .filter(|c| c.ts >= from && c.ts < to)
-                .cloned()
-                .collect(),
-            dns: self
-                .dns
-                .iter()
-                .filter(|d| d.ts >= from && d.ts < to)
-                .cloned()
-                .collect(),
-            names: self.names.clone(),
-            stats: self.stats.clone(),
-            degradation: self.degradation.clone(),
-        }
-    }
-
     /// Columnar projection of the connection log (index-aligned with
     /// `conns`; see [`crate::columns`]). Derived data — rebuild after
     /// mutating the rows.
@@ -154,16 +132,6 @@ impl Logs {
         set.sort();
         set.dedup();
         set
-    }
-
-    /// First and last record timestamps, or `None` for empty logs.
-    // lint: allow(unused-pub): tests/extensions.rs spans a log with it to cut `window`s; goes with `window` (four floor tests) in a later removal slot
-    pub fn time_span(&self) -> Option<(Timestamp, Timestamp)> {
-        let starts = [self.conns.first().map(|c| c.ts), self.dns.first().map(|d| d.ts)];
-        let ends = [self.conns.last().map(|c| c.ts), self.dns.last().map(|d| d.ts)];
-        let start = starts.iter().flatten().min().copied()?;
-        let end = ends.iter().flatten().max().copied()?;
-        Some((start, end))
     }
 }
 
@@ -428,11 +396,6 @@ impl Monitor {
         self.pending_dns.values().map(|p| p.ts).min()
     }
 
-    /// Counters accumulated so far (the capture need not be finished).
-    pub fn stats(&self) -> &MonitorStats {
-        &self.stats
-    }
-
     /// Degradation buckets accumulated so far.
     pub fn degradation(&self) -> &DegradationStats {
         &self.degradation
@@ -609,7 +572,7 @@ mod tests {
     fn only_queries_and_cname_targets_add_names() {
         let mut m = Monitor::new(MonitorConfig::default());
         feed(&mut m, 1000, &dns_response(3, "stray.example.com", SERVER, 60));
-        assert!(m.names().is_empty());
+        assert_eq!(m.names().len(), 0);
         feed(&mut m, 1010, &dns_query(4, "www.example.com"));
         feed(&mut m, 1020, &dns_query(4, "www.example.com"));
         feed(&mut m, 1030, &dns_response(4, "www.example.com", SERVER, 60));
@@ -726,24 +689,6 @@ mod tests {
         let queries: Vec<_> = logs1.dns.iter().map(|t| logs1.names.name(t.query)).collect();
         assert_eq!(queries, ["a.example.com", "b.example.com"]);
         assert_eq!(logs1.degradation.dns_accepted, 4);
-    }
-
-    #[test]
-    fn window_and_span_helpers() {
-        let mut m = Monitor::new(MonitorConfig::default());
-        feed(&mut m, 1_000, &dns_query(1, "a.example.com"));
-        feed(&mut m, 1_010, &dns_response(1, "a.example.com", SERVER, 60));
-        feed(&mut m, 9_000, &dns_query(2, "b.example.com"));
-        feed(&mut m, 9_010, &dns_response(2, "b.example.com", SERVER, 60));
-        let logs = m.finish();
-        let (start, end) = logs.time_span().unwrap();
-        assert_eq!(start, Timestamp::from_millis(1_000));
-        assert!(end >= Timestamp::from_millis(9_000));
-        let early = logs.window(Timestamp::ZERO, Timestamp::from_millis(5_000));
-        assert_eq!(early.dns.len(), 1);
-        assert_eq!(early.names.name(early.dns[0].query), "a.example.com");
-        assert_eq!(logs.houses(), vec![HOUSE]);
-        assert_eq!(Logs::default().time_span(), None);
     }
 
     #[test]

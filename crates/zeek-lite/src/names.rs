@@ -68,13 +68,9 @@ impl NameTable {
     }
 
     /// Number of names held.
+    #[allow(clippy::len_without_is_empty)] // no caller asks for emptiness
     pub fn len(&self) -> usize {
         self.ends.len()
-    }
-
-    /// Whether the table holds no name.
-    pub fn is_empty(&self) -> bool {
-        self.ends.is_empty()
     }
 
     /// Add every name of `other`, in its id order, and return the map
@@ -91,7 +87,7 @@ mod tests {
     #[test]
     fn ids_are_dense_in_first_seen_order_and_stable() {
         let mut names = NameTable::default();
-        assert!(names.is_empty());
+        assert_eq!(names.len(), 0);
         let www = names.intern("www.example.com");
         let edge = names.intern("edge.example.net");
         assert_eq!((www, edge), (NameId(0), NameId(1)));

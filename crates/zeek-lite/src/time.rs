@@ -36,7 +36,7 @@ impl Timestamp {
     }
 
     /// Seconds since the epoch, as a float (for logs and stats).
-    pub fn as_secs_f64(self) -> f64 {
+    pub(crate) fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
     }
 

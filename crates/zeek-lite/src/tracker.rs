@@ -34,7 +34,7 @@ pub enum ConnState {
 
 impl ConnState {
     /// Log spelling (Zeek's).
-    pub fn log_name(self) -> &'static str {
+    pub(crate) fn log_name(self) -> &'static str {
         match self {
             ConnState::S0 => "S0",
             ConnState::S1 => "S1",
@@ -47,7 +47,7 @@ impl ConnState {
     }
 
     /// Parse the log spelling back.
-    pub fn from_log_name(s: &str) -> Option<ConnState> {
+    pub(crate) fn from_log_name(s: &str) -> Option<ConnState> {
         Some(match s {
             "S0" => ConnState::S0,
             "S1" => ConnState::S1,
@@ -313,7 +313,7 @@ pub(crate) struct FlowTracker {
 }
 
 impl FlowTracker {
-    pub fn new(udp_timeout: Duration, tcp_timeout: Duration) -> FlowTracker {
+    pub(crate) fn new(udp_timeout: Duration, tcp_timeout: Duration) -> FlowTracker {
         FlowTracker {
             udp_timeout,
             tcp_timeout,
@@ -326,7 +326,7 @@ impl FlowTracker {
         }
     }
 
-    pub fn handle(&mut self, m: PktMeta) {
+    pub(crate) fn handle(&mut self, m: PktMeta) {
         self.maybe_sweep(m.ts);
         let tuple = FiveTuple {
             orig_addr: m.src,
@@ -460,14 +460,14 @@ impl FlowTracker {
 
     /// Drain connection records completed so far, in completion order.
     /// The vector keeps its capacity for the records to come.
-    pub fn drain_completed(&mut self) -> std::vec::Drain<'_, ConnRecord> {
+    pub(crate) fn drain_completed(&mut self) -> std::vec::Drain<'_, ConnRecord> {
         self.completed.drain(..)
     }
 
     /// Flush every remaining flow (end of capture) and return all
     /// records: the completed ones in completion order, then the flushed
     /// ones in bucket order, for the caller to sort.
-    pub fn finish(self) -> Vec<ConnRecord> {
+    pub(crate) fn finish(self) -> Vec<ConnRecord> {
         let mut out = self.completed;
         // lint: allow(no-map-iteration): the caller sorts under the total log order
         out.extend(self.flows.into_values().map(Flow::into_record));
@@ -475,14 +475,14 @@ impl FlowTracker {
     }
 
     /// Number of currently-tracked flows.
-    pub fn active_flows(&self) -> usize {
+    pub(crate) fn active_flows(&self) -> usize {
         self.flows.len()
     }
 
     /// Start time of the oldest flow still in the table, if any. The
     /// streaming engine uses this as a release watermark: every future
     /// connection record must start at or after this instant.
-    pub fn oldest_active_flow_start(&self) -> Option<Timestamp> {
+    pub(crate) fn oldest_active_flow_start(&self) -> Option<Timestamp> {
         // lint: allow(no-map-iteration): order-insensitive min
         self.flows.values().map(|f| f.start).min()
     }

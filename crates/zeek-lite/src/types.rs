@@ -14,7 +14,7 @@ pub enum Proto {
 
 impl Proto {
     /// Lower-case name used in logs.
-    pub fn log_name(self) -> &'static str {
+    pub(crate) fn log_name(self) -> &'static str {
         match self {
             Proto::Tcp => "tcp",
             Proto::Udp => "udp",
@@ -22,7 +22,7 @@ impl Proto {
     }
 
     /// Parse the log name back.
-    pub fn from_log_name(s: &str) -> Option<Proto> {
+    pub(crate) fn from_log_name(s: &str) -> Option<Proto> {
         match s {
             "tcp" => Some(Proto::Tcp),
             "udp" => Some(Proto::Udp),

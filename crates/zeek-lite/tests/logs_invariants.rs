@@ -1,6 +1,5 @@
-//! Invariants of `Logs::merge` / `sort` / `window`: the shard-merge path
-//! must be indistinguishable from a single pass, and windowing must use
-//! half-open `[from, to)` bounds with nothing lost or duplicated.
+//! Invariants of `Logs::merge` / `sort`: the shard-merge path must be
+//! indistinguishable from a single pass.
 
 use std::net::Ipv4Addr;
 use zeek_lite::{
@@ -54,33 +53,6 @@ fn logs_with(conn_ts: &[u64], dns_ts: &[u64]) -> Logs {
     };
     logs.sort();
     logs
-}
-
-#[test]
-fn window_bounds_are_half_open() {
-    let logs = logs_with(&[999, 1_000, 1_500, 1_999, 2_000], &[1_000, 2_000]);
-    let w = logs.window(Timestamp::from_millis(1_000), Timestamp::from_millis(2_000));
-    // `from` is included, `to` is not.
-    let times: Vec<u64> = w.conns.iter().map(|c| c.ts.nanos() / 1_000_000).collect();
-    assert_eq!(times, vec![1_000, 1_500, 1_999]);
-    assert_eq!(w.dns.len(), 1);
-    assert_eq!(w.dns[0].ts, Timestamp::from_millis(1_000));
-}
-
-#[test]
-fn adjacent_windows_partition_the_log() {
-    let logs = logs_with(&[0, 100, 500, 999, 1_000, 1_700, 2_400], &[50, 1_050, 2_050]);
-    let cut = Timestamp::from_millis(1_000);
-    let end = Timestamp::from_millis(10_000);
-    let lo = logs.window(Timestamp::from_millis(0), cut);
-    let hi = logs.window(cut, end);
-    assert_eq!(lo.conns.len() + hi.conns.len(), logs.conns.len());
-    assert_eq!(lo.dns.len() + hi.dns.len(), logs.dns.len());
-    // Re-merging the two windows reproduces the original record streams.
-    let mut rejoined = lo;
-    rejoined.merge(hi);
-    assert_eq!(rejoined.conns, logs.conns);
-    assert_eq!(rejoined.dns, logs.dns);
 }
 
 #[test]

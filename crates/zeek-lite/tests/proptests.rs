@@ -180,23 +180,3 @@ fn monitor_survives_fuzz_frames() {
         assert_eq!(logs.degradation.frames_seen as usize, frames.len());
     }
 }
-
-/// Logs::window returns exactly the in-range records and merge+sort
-/// is permutation-invariant on conn timestamps.
-#[test]
-fn window_selects_in_range() {
-    let mut r = rng(5);
-    for _ in 0..CASES {
-        let conns: Vec<ConnRecord> =
-            (0..r.random_range(0..40usize)).map(|_| gen_conn(&mut r)).collect();
-        let cut_ms = r.random_range(0..u32::MAX as u64);
-        let mut logs = zeek_lite::Logs { conns, dns: vec![], ..Default::default() };
-        logs.sort();
-        let cut = Timestamp::from_millis(cut_ms);
-        let early = logs.window(Timestamp::ZERO, cut);
-        let late = logs.window(cut, Timestamp(u64::MAX));
-        assert_eq!(early.conns.len() + late.conns.len(), logs.conns.len());
-        assert!(early.conns.iter().all(|c| c.ts < cut));
-        assert!(late.conns.iter().all(|c| c.ts >= cut));
-    }
-}

@@ -4,7 +4,7 @@
 use dnsctx::cache_sim;
 use dnsctx::dns_context::ConnClass;
 use dnsctx::pipeline;
-use dnsctx::zeek_lite::{Duration, Monitor, MonitorConfig, Timestamp};
+use dnsctx::zeek_lite::{Duration, Logs, Monitor, MonitorConfig, Timestamp};
 
 fn study() -> dnsctx::pipeline::Study {
     pipeline::quick_study(10, 0.2, 42)
@@ -164,9 +164,15 @@ fn window_analysis_is_consistent_with_full() {
     // the window are invisible).
     let study = study();
     let full = study.analysis();
-    let (start, end) = study.logs().time_span().unwrap();
+    let logs = study.logs();
+    let start = logs.conns[0].ts.min(logs.dns[0].ts);
+    let end = logs.conns.last().unwrap().ts.max(logs.dns.last().unwrap().ts);
     let mid = Timestamp(start.nanos() + (end.nanos() - start.nanos()) / 2);
-    let late = study.logs().window(mid, Timestamp(u64::MAX));
+    let late = Logs {
+        conns: logs.conns.iter().filter(|c| c.ts >= mid).cloned().collect(),
+        dns: logs.dns.iter().filter(|d| d.ts >= mid).cloned().collect(),
+        ..logs.clone()
+    };
     let a2 = dnsctx::dns_context::Analysis::run(&late, study.analysis_cfg.clone());
     assert!(a2.pairing.app_conn_count() < full.pairing.app_conn_count());
     let full_n_share = full.class_counts().share_pct(ConnClass::NoDns);

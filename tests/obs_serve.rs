@@ -125,7 +125,7 @@ fn midrun_scrapes_are_valid_prefixes_of_the_final_snapshot() {
 #[test]
 fn a_second_run_on_the_same_hub_publishes_its_own_prefixes() {
     let hub = ObsHub::default();
-    let mut run = |cfg: WorkloadConfig, seed: u64| {
+    let run = |cfg: WorkloadConfig, seed: u64| {
         let mut pcap = Vec::new();
         Simulation::new(cfg, seed).unwrap().run_pcap(&mut pcap, 600).unwrap();
         let mut scrapes: Vec<Metrics> = Vec::new();
