@@ -506,7 +506,7 @@ mod tests {
             qtype: dns_wire::RrType::A,
             rcode: Some(dns_wire::Rcode::NoError),
             rtt: Some(Duration::from_millis(rtt_ms)),
-            answers: vec![Answer::addr(addr, ttl)],
+            answers: [Answer::addr(addr, ttl)].into(),
         }
     }
 
@@ -609,7 +609,7 @@ mod tests {
         let unanswered = |ts_ms| DnsTransaction {
             rcode: None,
             rtt: None,
-            answers: Vec::new(),
+            answers: Default::default(),
             ..txn(ts_ms, a, SERVER, 10, 4)
         };
         assert!(!replay.offer(&unanswered(0)));

@@ -154,7 +154,7 @@ fn whole_house_matches_the_streaming_replay() {
             for txn in &mut logs.dns {
                 match r.random_range(0u8..8) {
                     0 | 1 => txn.qtype = dns_wire::RrType::Aaaa,
-                    2 => (txn.rcode, txn.rtt, txn.answers) = (None, None, Vec::new()),
+                    2 => (txn.rcode, txn.rtt, txn.answers) = (None, None, Default::default()),
                     3 => txn.answers[0].ttl = 0,
                     _ => {}
                 }

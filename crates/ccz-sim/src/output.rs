@@ -10,8 +10,8 @@ use std::net::Ipv4Addr;
 use dns_wire::{Compressor, Flags, MessageWriter, NameBuf, Rcode, RrType};
 use netpkt::{frame, MacAddr, TcpFlags, TcpHeader};
 use zeek_lite::{
-    Answer, AnswerData, ConnRecord, ConnState, DnsTransaction, Duration, FiveTuple, History, Logs,
-    NameTable, Proto, Timestamp,
+    Answer, AnswerData, Answers, ConnRecord, ConnState, DnsTransaction, Duration, FiveTuple,
+    History, Logs, NameTable, Proto, Timestamp,
 };
 
 /// One DNS transaction as the engine describes it.
@@ -180,7 +180,7 @@ impl Default for LogSink {
 impl Sink for LogSink {
     fn dns(&mut self, e: &DnsEmission<'_>) {
         let query = self.names.intern(e.query);
-        let mut answers = Vec::with_capacity(e.addrs.len() + 1);
+        let mut answers = Answers::default();
         if let Some(c) = e.cname {
             answers.push(Answer { data: AnswerData::Cname(self.names.intern(c)), ttl: e.ttl });
         }

@@ -248,7 +248,7 @@ mod tests {
             qtype: dns_wire::RrType::A,
             rcode: Some(dns_wire::Rcode::NoError),
             rtt: Some(Duration::from_millis(4)),
-            answers: vec![Answer::addr(server, 300)],
+            answers: [Answer::addr(server, 300)].into(),
         }];
         let mk_conn = |ts_ms: u64, uid: u64| ConnRecord {
             uid,

@@ -362,7 +362,7 @@ mod tests {
             qtype: dns_wire::RrType::A,
             rcode: Some(dns_wire::Rcode::NoError),
             rtt: Some(Duration::from_millis(rtt_ms)),
-            answers: vec![Answer::addr(SERVER, ttl)],
+            answers: [Answer::addr(SERVER, ttl)].into(),
         }
     }
 

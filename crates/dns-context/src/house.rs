@@ -109,7 +109,7 @@ mod tests {
             qtype: dns_wire::RrType::A,
             rcode: Some(dns_wire::Rcode::NoError),
             rtt: Some(Duration::from_millis(4)),
-            answers: vec![Answer::addr(S, 300)],
+            answers: [Answer::addr(S, 300)].into(),
         }
     }
 

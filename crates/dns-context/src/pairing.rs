@@ -238,7 +238,7 @@ mod tests {
             qtype: dns_wire::RrType::A,
             rcode: Some(dns_wire::Rcode::NoError),
             rtt: Some(Duration::from_millis(10)),
-            answers: vec![Answer::addr(addr, ttl)],
+            answers: [Answer::addr(addr, ttl)].into(),
         }
     }
 

@@ -212,7 +212,7 @@ mod tests {
             qtype: dns_wire::RrType::A,
             rcode: Some(dns_wire::Rcode::NoError),
             rtt: Some(Duration::from_millis(rtt_ms)),
-            answers: vec![Answer::addr(addr, 300)],
+            answers: [Answer::addr(addr, 300)].into(),
         }
     }
 

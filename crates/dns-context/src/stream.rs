@@ -813,7 +813,7 @@ mod tests {
     use crate::Analysis;
     use std::net::Ipv4Addr;
     use xkit::rng::StdRng;
-    use zeek_lite::{Answer, ConnState, FiveTuple, Logs, NameId, Proto};
+    use zeek_lite::{Answer, Answers, ConnState, FiveTuple, Logs, NameId, Proto};
 
     const HOUSE: Ipv4Addr = Ipv4Addr::new(10, 77, 0, 1);
     const RESOLVER: Ipv4Addr = Ipv4Addr::new(198, 51, 100, 53);
@@ -839,7 +839,7 @@ mod tests {
             qtype: dns_wire::RrType::A,
             rcode: Some(dns_wire::Rcode::NoError),
             rtt: Some(Duration::from_millis(4)),
-            answers: vec![Answer::addr(SERVER, ttl)],
+            answers: [Answer::addr(SERVER, ttl)].into(),
         }
     }
 
@@ -1094,12 +1094,12 @@ mod tests {
             .map(|i| {
                 let ttl = *rng.choose(&[0u32, 1, 1, 2, 5]).unwrap();
                 let first = rng.random_range(0..addrs.len());
-                let mut answers = vec![Answer::addr(addrs[first], ttl)];
+                let mut answers = Answers::from([Answer::addr(addrs[first], ttl)]);
                 if rng.random_bool(0.3) {
                     answers.push(Answer::addr(addrs[(first + 1) % addrs.len()], ttl));
                 }
                 if rng.random_bool(0.1) {
-                    answers.clear();
+                    answers = Answers::default();
                 }
                 let rtt_ms = *rng.choose(&[0u64, 100, 100, 200, 300, 1_500]).unwrap();
                 DnsTransaction {

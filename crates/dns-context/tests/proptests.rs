@@ -43,7 +43,7 @@ fn gen_world(r: &mut StdRng) -> World {
             qtype: dns_wire::RrType::A,
             rcode: Some(dns_wire::Rcode::NoError),
             rtt: Some(Duration::from_millis(r.random_range(1u64..60))),
-            answers: vec![Answer::addr(server(r.random::<u8>()), r.random_range(1u32..600))],
+            answers: [Answer::addr(server(r.random::<u8>()), r.random_range(1u32..600))].into(),
         })
         .collect();
     let conns: Vec<ConnRecord> = (0..r.random_range(0..40usize))

@@ -223,14 +223,9 @@ impl<'a> MessageView<'a> {
         self.questions().next()
     }
 
-    /// How many records [`answers`](MessageView::answers) yields.
-    pub fn answer_count(&self) -> usize {
-        self.header.ancount as usize
-    }
-
     /// The answer section, in order.
     pub fn answers(&self) -> impl Iterator<Item = RecordView<'a>> {
-        self.records(self.answer_count())
+        self.records(self.header.ancount as usize)
     }
 }
 

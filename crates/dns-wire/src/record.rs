@@ -61,29 +61,26 @@ impl RrType {
             other => RrType::Other(other),
         }
     }
-
-    /// Textual name used in Zeek-style logs.
-    pub fn log_name(self) -> String {
-        match self {
-            RrType::A => "A".into(),
-            RrType::Ns => "NS".into(),
-            RrType::Cname => "CNAME".into(),
-            RrType::Soa => "SOA".into(),
-            RrType::Ptr => "PTR".into(),
-            RrType::Mx => "MX".into(),
-            RrType::Txt => "TXT".into(),
-            RrType::Aaaa => "AAAA".into(),
-            RrType::Srv => "SRV".into(),
-            RrType::Opt => "OPT".into(),
-            RrType::Https => "HTTPS".into(),
-            RrType::Other(v) => format!("TYPE{v}"),
-        }
-    }
 }
 
+/// The type's name as Zeek-style logs spell it; `TYPE{n}` for a type
+/// without one.
 impl fmt::Display for RrType {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.log_name())
+        f.write_str(match self {
+            RrType::A => "A",
+            RrType::Ns => "NS",
+            RrType::Cname => "CNAME",
+            RrType::Soa => "SOA",
+            RrType::Ptr => "PTR",
+            RrType::Mx => "MX",
+            RrType::Txt => "TXT",
+            RrType::Aaaa => "AAAA",
+            RrType::Srv => "SRV",
+            RrType::Opt => "OPT",
+            RrType::Https => "HTTPS",
+            RrType::Other(v) => return write!(f, "TYPE{v}"),
+        })
     }
 }
 
@@ -288,7 +285,7 @@ mod tests {
 
     #[test]
     fn rrtype_log_names() {
-        assert_eq!(RrType::A.log_name(), "A");
-        assert_eq!(RrType::Other(99).log_name(), "TYPE99");
+        assert_eq!(RrType::A.to_string(), "A");
+        assert_eq!(RrType::Other(99).to_string(), "TYPE99");
     }
 }

@@ -279,7 +279,6 @@ fn assert_view_agrees(view: &MessageView<'_>, owned: &Message) {
         }
         _ => panic!("first question differs"),
     }
-    assert_eq!(view.answer_count(), owned.answers.len());
     assert_eq!(view.answers().count(), owned.answers.len());
     for (v, o) in view.answers().zip(&owned.answers) {
         let owned_a = match o.rdata {

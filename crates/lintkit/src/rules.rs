@@ -117,8 +117,8 @@ pub fn rules() -> Vec<Rule> {
         },
         Rule {
             id: "monitor-stays-borrowed",
-            desc: "the monitor reads DNS through dns_wire::MessageView and builds no string per packet, and interning a new name only grows the table's arena: no Message::decode/.to_string()/.to_owned()/format! in zeek-lite's monitor.rs, tracker.rs and names.rs",
-            hint: "read names through NameBuf and intern them; a report or rejection path may carry `// lint: allow(monitor-stays-borrowed): why`",
+            desc: "the monitor reads DNS through dns_wire::MessageView, builds no string and no per-row vector per packet (a row holds its answers in zeek_lite::Answers), and interning a new name only grows the table's arena: no Message::decode/.to_string()/.to_owned()/format!/Vec::with_capacity/vec! in zeek-lite's monitor.rs, tracker.rs and names.rs",
+            hint: "read names through NameBuf and intern them, and collect a row's answers into its Answers; a report or rejection path may carry `// lint: allow(monitor-stays-borrowed): why`",
             scope: Scope {
                 roots: &[
                     "crates/zeek-lite/src/monitor.rs",
@@ -129,7 +129,14 @@ pub fn rules() -> Vec<Rule> {
                 src_only: true,
                 include_tests: false,
             },
-            check: Check::Needles(&["Message::decode", ".to_string()", ".to_owned()", "format!"]),
+            check: Check::Needles(&[
+                "Message::decode",
+                ".to_string()",
+                ".to_owned()",
+                "format!",
+                "Vec::with_capacity",
+                "vec!",
+            ]),
         },
         Rule {
             id: "sim-sink-stays-flat",

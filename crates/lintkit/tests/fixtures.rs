@@ -135,6 +135,22 @@ fn the_monitor_fence_exempts_marked_lines_tests_and_other_files() {
     assert!(diags("crates/dns-context/src/stream.rs", render).is_empty());
 }
 
+#[test]
+fn a_per_row_vector_fires_in_the_monitor_and_not_in_its_tests() {
+    let monitor = "crates/zeek-lite/src/monitor.rs";
+    for build in [
+        "fn answers(n: usize) -> Vec<Answer> { Vec::with_capacity(n) }\n",
+        "fn answers(a: Answer) -> Vec<Answer> { vec![a] }\n",
+    ] {
+        assert_eq!(fired(monitor, build), vec!["monitor-stays-borrowed"], "{build}");
+        let in_test = format!("#[cfg(test)]\nmod tests {{\n    {build}}}\n");
+        assert!(diags(monitor, &in_test).is_empty(), "{in_test}");
+    }
+    // A row's answers are collected into the set it holds inline.
+    let inline = "fn answers(m: &MessageView<'_>) -> Answers { m.answers().map(answer).collect() }\n";
+    assert!(diags(monitor, inline).is_empty());
+}
+
 // ---- sim-sink-stays-flat -------------------------------------------------
 
 const SINK: &str = "crates/ccz-sim/src/output.rs";

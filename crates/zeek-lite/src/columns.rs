@@ -129,12 +129,12 @@ mod tests {
             qtype: RrType::A,
             rcode: Some(Rcode::NoError),
             rtt: Some(Duration::from_millis(10)),
-            answers: vec![Answer::addr(Ipv4Addr::new(203, 0, 113, 7), 60)],
+            answers: [Answer::addr(Ipv4Addr::new(203, 0, 113, 7), 60)].into(),
         };
         let mut unanswered = answered.clone();
         unanswered.rcode = None;
         unanswered.rtt = None;
-        unanswered.answers.clear();
+        unanswered.answers = Default::default();
         vec![answered, unanswered]
     }
 

@@ -40,7 +40,7 @@ pub mod types;
 
 pub use columns::{ConnColumns, DnsColumns};
 pub use counters::{DegradationStats, MonitorStats};
-pub use dns::{Answer, AnswerData, DnsTransaction};
+pub use dns::{Answer, AnswerData, Answers, DnsTransaction};
 pub use history::History;
 pub use monitor::{Logs, Monitor, MonitorConfig};
 pub use names::{NameId, NameTable};

@@ -13,7 +13,7 @@
 //! * `dns.log` carries the fields the paper's analysis needs (client,
 //!   resolver, answers with TTLs) rather than Zeek's full column set.
 
-use crate::dns::{Answer, AnswerData, DnsTransaction};
+use crate::dns::{Answer, AnswerData, Answers, DnsTransaction};
 use crate::history::History;
 use crate::names::NameTable;
 use crate::time::{Duration, Timestamp};
@@ -207,14 +207,16 @@ fn answer_to_log(names: &NameTable, a: &AnswerData) -> String {
     }
 }
 
-fn answer_from_log(names: &mut NameTable, s: &str) -> AnswerData {
+/// One entry of the answers column; `None` for a bracketed word that
+/// names no record type.
+fn answer_from_log(names: &mut NameTable, s: &str) -> Option<AnswerData> {
     if let Ok(ip) = Ipv4Addr::from_str(s) {
-        return AnswerData::Addr(ip);
+        return Some(AnswerData::Addr(ip));
     }
     if let Some(t) = s.strip_prefix('<').and_then(|s| s.strip_suffix('>')) {
-        return AnswerData::Other(t.to_string());
+        return qtype_from_log(t).map(AnswerData::Other);
     }
-    AnswerData::Cname(names.intern(s))
+    Some(AnswerData::Cname(names.intern(s)))
 }
 
 /// Write a dns.log for the given transactions, whose names are in `names`.
@@ -241,7 +243,7 @@ pub fn write_dns_log<W: Write>(mut out: W, names: &NameTable, txns: &[DnsTransac
             t.resolver,
             t.trans_id,
             names.name(t.query),
-            t.qtype.log_name(),
+            t.qtype,
             t.rcode.map(|r| r.log_name()).unwrap_or("-"),
             t.rtt.map(fmt_dur).unwrap_or_else(|| "-".into()),
             answers,
@@ -289,9 +291,17 @@ pub fn read_dns_log<R: Read>(input: R, names: &mut NameTable) -> Result<Vec<DnsT
         };
         let query = names.intern(f[4]);
         let answers = if f[8] == "-" {
-            Vec::new()
+            Answers::default()
         } else {
-            let datas: Vec<AnswerData> = f[8].split(',').map(|s| answer_from_log(names, s)).collect();
+            let datas: Vec<AnswerData> = f[8]
+                .split(',')
+                .map(|s| {
+                    answer_from_log(names, s).ok_or_else(|| LogError::BadLine {
+                        line: line_no,
+                        what: format!("bad answer {s:?}"),
+                    })
+                })
+                .collect::<Result<_, _>>()?;
             let ttls: Vec<u32> = f[9]
                 .split(',')
                 .map(|s| parse_field(s, line_no, "ttl"))
@@ -362,10 +372,11 @@ mod tests {
             qtype: RrType::A,
             rcode: Some(Rcode::NoError),
             rtt: Some(Duration(8_000_001)),
-            answers: vec![
+            answers: [
                 Answer { data: AnswerData::Cname(names.intern("edge.example.net")), ttl: 300 },
                 Answer::addr(Ipv4Addr::new(203, 0, 113, 7), 60),
-            ],
+            ]
+            .into(),
         };
         (names, txn)
     }
@@ -402,7 +413,7 @@ mod tests {
         let (names, mut t) = sample_dns();
         t.rcode = None;
         t.rtt = None;
-        t.answers.clear();
+        t.answers = Answers::default();
         assert_eq!(round_trip(&names, std::slice::from_ref(&t)).1, vec![t]);
     }
 
@@ -452,7 +463,7 @@ mod tests {
             RrType::Https,
             RrType::Other(999),
         ] {
-            assert_eq!(qtype_from_log(&t.log_name()), Some(t), "{t:?}");
+            assert_eq!(qtype_from_log(&t.to_string()), Some(t), "{t:?}");
         }
         assert_eq!(qtype_from_log("BOGUS"), None);
     }
@@ -462,12 +473,32 @@ mod tests {
         let mut names = NameTable::default();
         assert_eq!(
             answer_from_log(&mut names, "203.0.113.7"),
-            AnswerData::Addr(Ipv4Addr::new(203, 0, 113, 7))
+            Some(AnswerData::Addr(Ipv4Addr::new(203, 0, 113, 7)))
         );
         let target = answer_from_log(&mut names, "www.example.com");
-        assert_eq!(target, AnswerData::Cname(names.get("www.example.com").unwrap()));
-        assert_eq!(answer_from_log(&mut names, "<TXT>"), AnswerData::Other("TXT".into()));
+        assert_eq!(target, Some(AnswerData::Cname(names.get("www.example.com").unwrap())));
+        assert_eq!(answer_from_log(&mut names, "<TXT>"), Some(AnswerData::Other(RrType::Txt)));
+        assert_eq!(answer_from_log(&mut names, "<TYPE999>"), Some(AnswerData::Other(RrType::Other(999))));
+        assert_eq!(answer_from_log(&mut names, "<www.example.com>"), None);
         assert_eq!(names.len(), 1);
+    }
+
+    /// A bracketed answer is a record type; one that names none is a bad
+    /// line, not a CNAME target.
+    #[test]
+    fn a_bracketed_answer_that_names_no_type_is_a_bad_line() {
+        let (names, mut txn) = sample_dns();
+        txn.answers[1].data = AnswerData::Other(RrType::Txt);
+        let mut buf = Vec::new();
+        write_dns_log(&mut buf, &names, &[txn]).unwrap();
+        let text = String::from_utf8(buf).unwrap();
+        assert!(text.contains("\tedge.example.net,<TXT>\t"), "{text}");
+        assert!(read_dns_log(text.as_bytes(), &mut NameTable::default()).is_ok());
+        let bogus = text.replace("<TXT>", "<BOGUS>");
+        match read_dns_log(bogus.as_bytes(), &mut NameTable::default()) {
+            Err(LogError::BadLine { line: 4, what }) => assert!(what.contains("<BOGUS>"), "{what}"),
+            other => panic!("expected a bad line 4, got {other:?}"),
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The passive monitor: packets in, conn.log + dns.log out.
 
 use crate::counters::{DegradationStats, MonitorStats};
-use crate::dns::{Answer, AnswerData, DnsTransaction};
+use crate::dns::{Answer, AnswerData, Answers, DnsTransaction};
 use crate::names::{NameId, NameTable};
 use crate::time::{Duration, Timestamp};
 use crate::tracker::{ConnRecord, FlowTracker, PktMeta};
@@ -102,7 +102,7 @@ impl Logs {
     /// engine, whose per-epoch releases must byte-match the batch logs.
     pub fn sort(&mut self) {
         self.conns.sort_by_key(|c| (c.ts, c.uid));
-        self.dns.sort_by(|a, b| DnsTransaction::log_order(&self.names, a, b));
+        sort_dns(&self.names, &mut self.dns);
     }
 
     /// Columnar projection of the connection log (index-aligned with
@@ -303,20 +303,22 @@ impl Monitor {
             // mid-flight); skip rather than fabricate a timestamp.
             return;
         };
-        let mut answers = Vec::with_capacity(msg.answer_count());
-        answers.extend(msg.answers().map(|r| Answer {
-            ttl: r.ttl,
-            data: if let Some(a) = r.a() {
-                AnswerData::Addr(a)
-            } else if let Some(target) = r.cname() {
-                target.read_into(&mut self.name);
-                self.text.clear();
-                self.name.write_presentation(&mut self.text);
-                AnswerData::Cname(self.names.intern(&self.text))
-            } else {
-                AnswerData::Other(r.rtype.log_name())
-            },
-        }));
+        let answers = msg
+            .answers()
+            .map(|r| Answer {
+                ttl: r.ttl,
+                data: if let Some(a) = r.a() {
+                    AnswerData::Addr(a)
+                } else if let Some(target) = r.cname() {
+                    target.read_into(&mut self.name);
+                    self.text.clear();
+                    self.name.write_presentation(&mut self.text);
+                    AnswerData::Cname(self.names.intern(&self.text))
+                } else {
+                    AnswerData::Other(r.rtype)
+                },
+            })
+            .collect();
         self.dns_log.push(DnsTransaction {
             ts: pending.ts,
             client,
@@ -411,10 +413,10 @@ impl Monitor {
         }
         // The order `Logs::sort` gives. Uids are unique within one monitor,
         // so `(ts, uid)` needs no stable sort and the conn log sorts in
-        // place, without a scratch copy of its rows.
+        // place, without a scratch copy of its rows; the dns log too.
         let mut conns = self.tracker.finish();
         conns.sort_unstable_by_key(|c| (c.ts, c.uid));
-        self.dns_log.sort_by(|a, b| DnsTransaction::log_order(&self.names, a, b));
+        sort_dns(&self.names, &mut self.dns_log);
         Logs { conns, dns: self.dns_log, names: self.names, stats: self.stats, degradation: self.degradation }
     }
 
@@ -451,7 +453,35 @@ fn unanswered(key: &DnsKey, pending: &PendingQuery) -> DnsTransaction {
         qtype: pending.qtype,
         rcode: None,
         rtt: None,
-        answers: Vec::new(),
+        answers: Answers::default(),
+    }
+}
+
+/// Sort DNS rows into [`DnsTransaction::log_order`], rows that compare
+/// equal keeping their arrival order: what a stable sort gives, without
+/// its scratch copy of the rows. A `u32` permutation is sorted instead,
+/// the arrival index its last tiebreak, then applied in place one cycle
+/// at a time.
+fn sort_dns(names: &NameTable, rows: &mut [DnsTransaction]) {
+    let n = u32::try_from(rows.len()).expect("a dns log holds fewer than 2^32 rows");
+    let mut order: Vec<u32> = (0..n).collect();
+    order.sort_unstable_by(|&a, &b| {
+        DnsTransaction::log_order(names, &rows[a as usize], &rows[b as usize]).then(a.cmp(&b))
+    });
+    // `order[at]` is the arrival index of the row that belongs at `at`.
+    // Walking a cycle moves each of its rows once; a slot done points at
+    // itself.
+    for start in 0..rows.len() {
+        let mut at = start;
+        loop {
+            let from = order[at] as usize;
+            order[at] = at as u32;
+            if from == start {
+                break;
+            }
+            rows.swap(at, from);
+            at = from;
+        }
     }
 }
 
@@ -578,6 +608,32 @@ mod tests {
         feed(&mut m, 1030, &dns_response(4, "www.example.com", SERVER, 60));
         assert_eq!(m.names().len(), 1);
         assert_eq!(m.names().get("www.example.com"), Some(m.drain_dns().next().unwrap().query));
+    }
+
+    /// The dns sort gives what a stable sort gives: rows that compare
+    /// equal (here they differ only in their answers) keep arrival order.
+    #[test]
+    fn dns_sort_matches_the_stable_sort() {
+        let mut names = NameTable::default();
+        let ids = [names.intern("b.example.com"), names.intern("a.example.com")];
+        let rows: Vec<DnsTransaction> = (0..40u32)
+            .map(|i| DnsTransaction {
+                ts: Timestamp::from_millis(u64::from(i * 7 % 5)),
+                client: HOUSE,
+                resolver: RESOLVER,
+                trans_id: (i % 3) as u16,
+                query: ids[(i % 2) as usize],
+                qtype: RrType::A,
+                rcode: None,
+                rtt: None,
+                answers: [Answer::addr(SERVER, i)].into(),
+            })
+            .collect();
+        let mut stable = rows.clone();
+        stable.sort_by(|a, b| DnsTransaction::log_order(&names, a, b));
+        let mut sorted = rows;
+        sort_dns(&names, &mut sorted);
+        assert_eq!(sorted, stable);
     }
 
     #[test]

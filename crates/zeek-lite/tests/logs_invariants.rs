@@ -39,7 +39,7 @@ fn dns(names: &mut NameTable, ts_ms: u64, id: u16) -> DnsTransaction {
         qtype: dns_wire::RrType::A,
         rcode: Some(dns_wire::Rcode::NoError),
         rtt: Some(Duration::from_millis(5)),
-        answers: vec![Answer::addr(Ipv4Addr::new(104, 16, 0, 1), 300)],
+        answers: [Answer::addr(Ipv4Addr::new(104, 16, 0, 1), 300)].into(),
     }
 }
 

@@ -7,8 +7,8 @@ use dns_wire::{Rcode, RrType};
 use std::net::Ipv4Addr;
 use xkit::rng::StdRng;
 use zeek_lite::{
-    logfmt, Answer, AnswerData, ConnRecord, ConnState, DnsTransaction, Duration, FiveTuple,
-    Monitor, MonitorConfig, NameTable, Proto, Timestamp,
+    logfmt, Answer, AnswerData, Answers, ConnRecord, ConnState, DnsTransaction, Duration,
+    FiveTuple, Monitor, MonitorConfig, NameTable, Proto, Timestamp,
 };
 
 const CASES: usize = 128;
@@ -72,7 +72,7 @@ fn gen_answer(r: &mut StdRng, names: &mut NameTable) -> Answer {
                 .collect();
             AnswerData::Cname(names.intern(&labels.join(".")))
         }
-        _ => AnswerData::Other(gen_string(r, b"ABCDEFGHIJKLMNOPQRSTUVWXYZ", 1, 6)),
+        _ => AnswerData::Other(RrType::Other(r.random_range(256..=u16::MAX))),
     };
     Answer { data, ttl: r.random::<u32>() }
 }
@@ -92,10 +92,11 @@ fn gen_dns(r: &mut StdRng, names: &mut NameTable) -> DnsTransaction {
         (
             Some(Duration(1_000 * r.random_range(0u64..60_000))),
             Some(Rcode::from_u8(r.random_range(0u8..6))),
-            (0..r.random_range(0..5usize)).map(|_| gen_answer(r, names)).collect(),
+            // Up to six, so some rows hold more answers than fit inline.
+            (0..r.random_range(0..=6usize)).map(|_| gen_answer(r, names)).collect(),
         )
     } else {
-        (None, None, Vec::new())
+        (None, None, Answers::default())
     };
     DnsTransaction {
         ts: Timestamp::from_millis(r.random_range(0..u32::MAX as u64)),

@@ -70,7 +70,7 @@ fn direct_logs_match_the_recorded_digest() {
     let scale = ScaleKnobs { houses: 60, days: 0.05, activity: 0.2 };
     let cfg = WorkloadConfig { scale, ..WorkloadConfig::default() };
     let logs = Simulation::new(cfg, 60).expect("valid config").with_threads(2).run().logs;
-    let answers = logs.dns.iter().flat_map(|d| &d.answers);
+    let answers = logs.dns.iter().flat_map(|d| d.answers.iter());
     let cnames = answers.filter(|a| matches!(a.data, AnswerData::Cname(_))).count();
     assert!(cnames > 100, "the digest must cover CNAME targets: {cnames}");
     let digest = (logs.conns.len(), logs.dns.len(), fnv1a(&render_logs(&logs)));

@@ -1,20 +1,21 @@
-//! What the monitor allocates for a DNS transaction is what the
-//! transaction's row owns — its answer vector; the query and the CNAME
+//! What the monitor allocates for a DNS transaction is nothing of its
+//! own: a row holds up to four answers inline, and its query and CNAME
 //! targets are ids into the monitor's name table, where a new name costs
-//! arena growth and nothing of its own — and a packet that produces no
-//! row allocates nothing — after a drain too, the row vector's capacity
-//! staying with the monitor. Expiring idle flows costs only the doublings
-//! of the completed-row vector, and `finish` sorts the conn log in place.
-//! Counted with the allocation counter (a `realloc` is an event), not
-//! timed. One test in this binary, so nothing else allocates while it
-//! measures.
+//! arena growth. Only an answer section past four pays for a heap block.
+//! A packet that produces no row allocates nothing — after a drain too,
+//! the row vector's capacity staying with the monitor. Expiring idle
+//! flows costs only the doublings of the completed-row vector, and
+//! `finish` sorts the conn log in place and the dns log through one index
+//! permutation. Counted with the allocation counter (a `realloc` is an
+//! event), not timed. One test in this binary, so nothing else allocates
+//! while it measures.
 
 use std::net::Ipv4Addr;
 
 use dnsctx::dns_wire::{Flags, Message, Name, RData, Rcode, Record, RrClass, RrType};
 use dnsctx::netpkt::{Frame, MacAddr, TcpFlags, TcpHeader};
 use dnsctx::xkit::bench::alloc::{self, CountingAlloc};
-use dnsctx::zeek_lite::{AnswerData, Monitor, MonitorConfig, Timestamp};
+use dnsctx::zeek_lite::{AnswerData, DnsTransaction, Monitor, MonitorConfig, Timestamp};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -41,24 +42,18 @@ fn record(name: &Name, ttl: u32, rdata: RData) -> Record {
     Record { name: name.clone(), class: RrClass::In, ttl, rdata }
 }
 
-/// Query and response (CNAME + 2 × A) of lookup `i`, from its own client
-/// port: two names no other lookup asks about. Every name is as long as
-/// every other of its kind, so the first message sizes the monitor's
-/// reused string for all of them.
-fn lookup(i: u16) -> [Stored; 2] {
+/// Query and response (a CNAME, then `addrs` A records) of lookup `i`
+/// from client port `port`: two names no other lookup asks about. Every
+/// name is as long as every other of its kind, so the first message sizes
+/// the monitor's reused string for all of them.
+fn lookup(i: u16, port: u16, addrs: u8) -> [Stored; 2] {
     let name = Name::parse(&format!("w{i:05}.example.com")).unwrap();
     let edge = Name::parse(&format!("e{i:05}.cdn.example.net")).unwrap();
     let q = Message::query(i, name.clone(), RrType::A);
     let addr = |host| RData::A(Ipv4Addr::new(104, 16, (i >> 8) as u8, host));
-    let resp = answered(
-        q.clone(),
-        vec![
-            record(&name, 300, RData::Cname(edge.clone())),
-            record(&edge, 60, addr(1)),
-            record(&edge, 60, addr(2)),
-        ],
-    );
-    let port = 20_000 + i;
+    let mut answers = vec![record(&name, 300, RData::Cname(edge.clone()))];
+    answers.extend((1..=addrs).map(|host| record(&edge, 60, addr(host))));
+    let resp = answered(q.clone(), answers);
     [
         stored(&Frame::udp(DOWN, UP, HOUSE, RESOLVER, port, 53, &q.encode())),
         stored(&Frame::udp(UP, DOWN, RESOLVER, HOUSE, 53, port, &resp.encode())),
@@ -66,7 +61,7 @@ fn lookup(i: u16) -> [Stored; 2] {
 }
 
 #[test]
-fn a_transaction_allocates_its_row_and_nothing_else_allocates() {
+fn a_matched_transaction_allocates_nothing_of_its_own() {
     const N: u16 = 1_000;
     let mut monitor = Monitor::new(MonitorConfig::default());
     let mut now_us = 0u64;
@@ -76,7 +71,7 @@ fn a_transaction_allocates_its_row_and_nothing_else_allocates() {
     };
 
     // The first lookup sizes the reused string; it is not measured.
-    let [warm_q, warm_r] = lookup(N);
+    let [warm_q, warm_r] = lookup(N, 20_000 + N, 2);
     feed(&mut monitor, &warm_q);
 
     // A retransmitted query, and a response nobody asked for (the id of a
@@ -94,28 +89,23 @@ fn a_transaction_allocates_its_row_and_nothing_else_allocates() {
     assert_eq!(idle.allocs, 0, "a retransmit plus an unmatched response allocated");
     feed(&mut monitor, &warm_r);
 
-    // N matched lookups bringing 2N new names: one allocation each, the
-    // row's answer vector, plus the doublings of the flow table, the row
-    // vector and the name table's arena, ends and index. (Owning the
-    // query and the CNAME target as strings cost 3N.)
-    let frames: Vec<[Stored; 2]> = (0..N).map(lookup).collect();
+    // N matched lookups bringing 2N new names, each row holding its CNAME
+    // and two addresses: the doublings of the flow table, the row vector
+    // and the name table's arena, ends and index are all that allocates.
+    // (An answer vector per row cost N more; owning the query and the
+    // CNAME target as strings, 3N.)
+    let frames: Vec<[Stored; 2]> = (0..N).map(|i| lookup(i, 20_000 + i, 2)).collect();
     let ((), matched) = alloc::measure(|| {
         for [q, r] in &frames {
             feed(&mut monitor, q);
             feed(&mut monitor, r);
         }
     });
-    let growth = matched.allocs.saturating_sub(u64::from(N));
-    assert!(
-        matched.allocs >= u64::from(N) && growth <= 64,
-        "{} allocations for {N} transactions",
-        matched.allocs
-    );
+    assert!(matched.allocs <= 64, "{} allocations for {N} transactions", matched.allocs);
     assert_eq!(monitor.names().len(), 2 * usize::from(N) + 2, "every query and target, once");
 
     // The rows handed over, the same lookups again: the row vector kept
-    // its capacity, every table is sized and every name known, so the
-    // answer vectors are all there is.
+    // its capacity, every table is sized and every name known.
     assert_eq!(monitor.drain_dns().count(), usize::from(N) + 1);
     let ((), again) = alloc::measure(|| {
         for [q, r] in &frames {
@@ -123,7 +113,25 @@ fn a_transaction_allocates_its_row_and_nothing_else_allocates() {
             feed(&mut monitor, r);
         }
     });
-    assert_eq!(again.allocs, u64::from(N), "after a drain, {N} transactions");
+    assert_eq!(again.allocs, 0, "after a drain, {N} transactions allocated");
+
+    // The rows hold what was answered, and their names are in the table.
+    let rows: Vec<DnsTransaction> = monitor.drain_dns().collect();
+    assert_eq!(rows.len(), usize::from(N));
+    for t in &rows {
+        assert_eq!(t.answers.len(), 3);
+        let AnswerData::Cname(target) = t.answers[0].data else { panic!("no CNAME in {t:?}") };
+        let (query, target) = (monitor.names().name(t.query), monitor.names().name(target));
+        assert_eq!((&query[..2], &target[..2], query[1..6] == target[1..6]), ("w0", "e0", true));
+    }
+
+    // A CNAME and five addresses, past the four a row holds: one block.
+    let [long_q, long_r] = lookup(0, 20_000, 5);
+    let ((), long) = alloc::measure(|| {
+        feed(&mut monitor, &long_q);
+        feed(&mut monitor, &long_r);
+    });
+    assert_eq!(long.allocs, 1, "a six-answer response");
 
     // An established TCP flow: nothing per segment.
     let seg = |from_house: bool, seq: u32, ack: u32, flags: TcpFlags| {
@@ -147,16 +155,9 @@ fn a_transaction_allocates_its_row_and_nothing_else_allocates() {
     });
     assert_eq!(tcp.allocs, 0, "segments on an established flow allocated");
 
-    // The rows are what was paid for, answer vectors sized exactly, and
-    // their names are in the table the logs own.
     let logs = monitor.finish();
-    assert_eq!(logs.dns.len(), usize::from(N));
-    for t in &logs.dns {
-        assert_eq!((t.answers.len(), t.answers.capacity()), (3, 3));
-        let AnswerData::Cname(target) = t.answers[0].data else { panic!("no CNAME in {t:?}") };
-        let (query, target) = (logs.names.name(t.query), logs.names.name(target));
-        assert_eq!((&query[..2], &target[..2], query[1..6] == target[1..6]), ("w0", "e0", true));
-    }
+    assert_eq!(logs.dns.len(), 1);
+    assert_eq!((logs.dns[0].answers.len(), logs.dns[0].addrs().count()), (6, 5));
     let tcp_flow = logs.app_conns().next().expect("the TCP flow");
     assert_eq!(tcp_flow.orig_pkts + tcp_flow.resp_pkts, 10_003);
 
@@ -188,9 +189,27 @@ fn a_transaction_allocates_its_row_and_nothing_else_allocates() {
     let ((), sweep) = alloc::measure(|| at(&mut monitor, 150_000, tick));
     assert_eq!(sweep.allocs, 0, "expiring {K} flows into a drained vector allocated");
 
-    // `finish` over those K + 1 rows and the live flow: the rows are
-    // already in a vector with room, so sorting them is all it does.
+    // N lookups on one more flow, answered last to first, so the rows
+    // arrive against their query order.
+    let lookups: Vec<[Stored; 2]> = (0..N).map(|i| lookup(i, 25_000, 2)).collect();
+    for (k, [q, _]) in (0..).zip(&lookups) {
+        at(&mut monitor, 150_001 + k, q);
+    }
+    for (k, [_, r]) in (0..).zip(lookups.iter().rev()) {
+        at(&mut monitor, 151_001 + k, r);
+    }
+
+    // `finish` over those K + 1 conn rows, the live flows and N dns rows:
+    // the conn rows are already in a vector with room and sort in place;
+    // the dns rows sort through one `u32` index per row.
     let (logs, finish) = alloc::measure(|| monitor.finish());
-    assert_eq!(logs.conns.len(), usize::from(K) + 2);
-    assert_eq!(finish.allocs, 0, "finish allocated for {} conns", logs.conns.len());
+    assert_eq!((logs.conns.len(), logs.dns.len()), (usize::from(K) + 3, usize::from(N)));
+    assert!(logs.dns.windows(2).all(|w| w[0].ts < w[1].ts), "dns rows out of query order");
+    let bound = 4 * u64::from(N) + 64;
+    assert!(
+        finish.allocs == 1 && finish.bytes <= bound,
+        "finish over {N} dns rows: {} allocations, {} bytes (at most {bound})",
+        finish.allocs,
+        finish.bytes
+    );
 }
