@@ -108,7 +108,7 @@ impl Daemon {
     pub fn add_tenant(&self, spec: TenantSpec) -> Result<(), String> {
         let hub = ObsHub::default();
         self.registry.add(&spec.id, hub.clone())?;
-        self.root.flight().record("tenant.add", spec.id.clone(), self.registry.len() as f64);
+        self.root.flight().record("tenant.add", &spec.id, self.registry.len() as f64);
         let registry = self.registry.clone();
         let root = self.root.clone();
         self.pool.submit(move || {
@@ -122,11 +122,11 @@ impl Daemon {
             match outcome {
                 Ok(_) => {
                     registry.set_state(&id, TenantState::Drained);
-                    root.flight().record("tenant.drain", id, 0.0);
+                    root.flight().record("tenant.drain", &id, 0.0);
                 }
                 Err(payload) => {
                     registry.set_state(&id, TenantState::Failed);
-                    root.flight().record("tenant.fail", id, 0.0);
+                    root.flight().record("tenant.fail", &id, 0.0);
                     std::panic::resume_unwind(payload);
                 }
             }
@@ -151,7 +151,7 @@ impl Daemon {
         }
         let removed = self.registry.remove(id);
         if removed {
-            self.root.flight().record("tenant.remove", id.to_string(), self.registry.len() as f64);
+            self.root.flight().record("tenant.remove", id, self.registry.len() as f64);
         }
         removed
     }

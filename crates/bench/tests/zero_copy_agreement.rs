@@ -161,8 +161,8 @@ fn stream_agrees_for_all_windows_and_threads() {
                 analysis_cfg(threads),
                 None,
                 |epoch| {
-                    released.conns.extend(epoch.conns);
-                    released.dns.extend(epoch.dns);
+                    released.conns.extend(epoch.conns.iter().cloned());
+                    released.dns.extend(epoch.dns.iter().cloned());
                 },
             )
             .expect("stream run");

@@ -43,21 +43,27 @@
 //!
 //! # Cost of a boundary
 //!
-//! Closing an epoch costs time and allocation in proportion to the rows
-//! that arrived, were released, or were evicted in it, never to what is
-//! merely held. Every entry that has a successor under its key sits in a
-//! min-heap keyed by the instant it becomes droppable
-//! (`max(expires, successor.completed)`), so eviction pops exactly the
-//! keys that drop something and single-entry keys are never visited;
-//! unreleased rows wait in a binary min-heap on `(ts, arrival)`, so a
-//! release pops a prefix in that order — arrival breaks every tie, which
-//! is what a stable sort of the arrival-ordered rows would do — and the
-//! retained rows cost nothing; and after an engine's first publication
-//! the hub's snapshot is overwritten value by value under its lock,
-//! which allocates nothing. The heaps, the release scratch and the
-//! monitor's row vectors keep their capacity from epoch to epoch, a key
-//! with one index entry stores it in its map slot, and each output
-//! vector is sized once: a boundary allocates for the rows it hands out.
+//! Closing an epoch costs time in proportion to the rows that arrived,
+//! were released, or were evicted in it, never to what is merely held,
+//! and once the engine has held its peak it allocates nothing. Every
+//! entry that has a successor under its key sits in a min-heap keyed by
+//! the instant it becomes droppable (`max(expires, successor.completed)`),
+//! so eviction pops exactly the keys that drop something and
+//! single-entry keys are never visited; unreleased rows wait in a binary
+//! min-heap on `(ts, arrival)`, so a release pops a prefix in that order
+//! — arrival breaks every tie, which is what a stable sort of the
+//! arrival-ordered rows would do — and the retained rows cost nothing;
+//! and after an engine's first publication the hub's snapshot is
+//! overwritten value by value under its lock. The heaps, the release
+//! scratch, the monitor's row vectors and the engine's one
+//! [`EpochOutput`], which [`StreamEngine::end_epoch`] lends out until
+//! the next boundary, keep their capacity from epoch to epoch. A key
+//! with one index entry stores it in its map slot; a run cut back to one
+//! entry returns there and leaves its vector in a pool the next spill
+//! draws from, so the engine holds the runs of its peak, not one per key
+//! that ever held two. Flight events are written into the text of the
+//! events they evict. A boundary allocates only where one of these grows
+//! past its peak.
 //!
 //! # Deferred SC/R split
 //!
@@ -207,10 +213,16 @@ impl<T> Pending<T> {
         }
     }
 
-    /// Remove the rows stamped strictly before `w` and return them in
-    /// `log_order`, arrival order among rows it holds equal — a total
-    /// key, so the sort is in place — in a vector sized once.
-    fn release_before(&mut self, w: Timestamp, log_order: impl Fn(&T, &T) -> Ordering) -> Vec<T> {
+    /// Replace the rows in `out` with the rows stamped strictly before
+    /// `w`, removed from the buffer, in `log_order`, arrival order among
+    /// rows it holds equal — a total key, so the sort is in place. `out`
+    /// is the caller's and keeps its capacity.
+    fn release_before(
+        &mut self,
+        w: Timestamp,
+        log_order: impl Fn(&T, &T) -> Ordering,
+        out: &mut Vec<T>,
+    ) {
         while let Some(first) = self.heap.peek() {
             if first.at.0 >= w {
                 break;
@@ -219,15 +231,15 @@ impl<T> Pending<T> {
         }
         self.scratch
             .sort_unstable_by(|a, b| log_order(&a.row, &b.row).then(a.at.1.cmp(&b.at.1)));
-        let mut out = Vec::with_capacity(self.scratch.len());
+        out.clear();
         out.extend(self.scratch.drain(..).map(|held| held.row));
-        out
     }
 }
 
 /// One key's index entries, sorted by `(completed, dns_idx)`. Most keys
-/// only ever hold one, which lives in the map slot; a second spills the
-/// run to the heap, where it stays.
+/// only ever hold one, which lives in the map slot. A second spills the
+/// run into a vector taken from the engine's pool of spares; a run cut
+/// back to one entry returns to the slot and its vector to the pool.
 enum Run {
     One(Entry),
     Many(Vec<Entry>),
@@ -241,14 +253,15 @@ impl Run {
         }
     }
 
-    /// Insert `entry` at its sorted position and return that position.
-    fn insert(&mut self, entry: Entry) -> usize {
+    /// Insert `entry` at its sorted position and return that position. A
+    /// run of one spills into a vector from `spare`, or a new one when the
+    /// pool is empty.
+    fn insert(&mut self, entry: Entry, spare: &mut Vec<Vec<Entry>>) -> usize {
         let at = (entry.completed, entry.dns_idx);
         let pos = self.as_slice().partition_point(|e| (e.completed, e.dns_idx) <= at);
         match self {
             Run::One(first) => {
-                // The capacity a `Vec` gives its first push.
-                let mut entries = Vec::with_capacity(4);
+                let mut entries = spare.pop().unwrap_or_default();
                 entries.push(*first);
                 entries.insert(pos, entry);
                 *self = Run::Many(entries);
@@ -259,10 +272,16 @@ impl Run {
     }
 
     /// Keep the entries `keep` accepts. Eviction never drops a key's
-    /// newest entry, so a run of one has nothing to offer.
-    fn retain(&mut self, keep: impl FnMut(&Entry) -> bool) {
-        if let Run::Many(entries) = self {
-            entries.retain(keep);
+    /// newest entry, so a run of one has nothing to offer, and a run left
+    /// with one returns to the slot and its emptied vector onto `spare`.
+    fn retain(&mut self, spare: &mut Vec<Vec<Entry>>, keep: impl FnMut(&Entry) -> bool) {
+        let Run::Many(entries) = self else { return };
+        entries.retain(keep);
+        if entries.len() == 1 {
+            let only = entries[0];
+            entries.clear();
+            spare.push(std::mem::take(entries));
+            *self = Run::One(only);
         }
     }
 }
@@ -271,7 +290,9 @@ impl Run {
 /// Concatenating every epoch's output (plus [`StreamEngine::finish`]'s
 /// tail) reproduces the batch logs byte-for-byte. The DNS rows name
 /// their query and CNAME targets by id into the engine's monitor table,
-/// which [`StreamResult::names`] hands over at the end.
+/// which [`StreamResult::names`] hands over at the end. The engine owns
+/// one and lends it from each [`StreamEngine::end_epoch`] until the
+/// next: clone a row to keep it.
 #[derive(Debug, Default)]
 pub struct EpochOutput {
     /// Connection records released this epoch, `(ts, uid)`-sorted.
@@ -330,9 +351,15 @@ pub struct StreamEngine {
     /// Completed-but-unreleased rows; bounded by the window, not the trace.
     buf_conns: Pending<ConnRecord>,
     buf_dns: Pending<DnsTransaction>,
+    /// The release [`end_epoch`](Self::end_epoch) lends out; its vectors
+    /// keep their capacity from boundary to boundary.
+    out: EpochOutput,
     /// The streaming pairing index, per-key sorted by `(completed, dns_idx)`.
     /// Addressed by key only, never iterated.
     index: FastMap<u64, Run>,
+    /// Emptied vectors of runs cut back to one entry, for the next spills:
+    /// never more than were spilled at once.
+    spare: Vec<Vec<Entry>>,
     /// `(droppable at, key)` for every index entry that has a successor
     /// under its key: `max(expires, successor.completed)` is the first
     /// watermark at which the eviction rule drops it. An insert between
@@ -381,7 +408,9 @@ impl StreamEngine {
             cfg,
             buf_conns: Pending::new(),
             buf_dns: Pending::new(),
+            out: EpochOutput::default(),
             index: FastMap::default(),
+            spare: Vec::new(),
             droppable: BinaryHeap::new(),
             lookups: FastMap::default(),
             next_dns_idx: 0,
@@ -481,9 +510,10 @@ impl StreamEngine {
     /// Close the current epoch. `boundary` is the epoch's exclusive end
     /// (`None` for an unwindowed run, which releases nothing until
     /// [`finish`](StreamEngine::finish)). Returns the rows released by
-    /// the watermarks; the engine retains nothing about them beyond the
-    /// folded counters.
-    pub fn end_epoch(&mut self, boundary: Option<Timestamp>) -> EpochOutput {
+    /// the watermarks, lent until the next call (clone a row to keep
+    /// it); the engine retains nothing about them beyond the folded
+    /// counters.
+    pub fn end_epoch(&mut self, boundary: Option<Timestamp>) -> &EpochOutput {
         self.epochs += 1;
         self.buf_conns.extend(self.monitor.drain_conns(), |c| c.ts);
         self.buf_dns.extend(self.monitor.drain_dns(), |t| t.ts);
@@ -504,8 +534,10 @@ impl StreamEngine {
         if boundary.is_none() {
             // Unwindowed: nothing is safe to release before end of input,
             // but the live plane still sees the folded counters.
+            self.out.conns.clear();
+            self.out.dns.clear();
             self.publish_live(Timestamp::ZERO, Timestamp::ZERO);
-            return EpochOutput::default();
+            return &self.out;
         }
         let w_dns = self.monitor.oldest_pending_dns_ts().map_or(cap, |t| t.min(cap));
         let w_conn = self.monitor.oldest_active_flow_start().map_or(cap, |t| t.min(cap));
@@ -514,32 +546,32 @@ impl StreamEngine {
         let w_conn = w_conn.min(w_dns);
         let evicted_before = self.evicted_answers;
         let names = self.monitor.names();
-        let dns = self.buf_dns.release_before(w_dns, |a, b| DnsTransaction::log_order(names, a, b));
-        let out = self.release(dns, w_conn);
-        self.evicted_flows += out.conns.len() as u64;
+        self.buf_dns.release_before(
+            w_dns,
+            |a, b| DnsTransaction::log_order(names, a, b),
+            &mut self.out.dns,
+        );
+        self.release(w_conn);
+        let (conns, dns) = (self.out.conns.len(), self.out.dns.len());
+        self.evicted_flows += conns as u64;
         self.evict(w_conn);
         if let Some(hub) = &self.hub {
             hub.flight().record(
                 "epoch.release",
-                format!(
-                    "epoch {}: {} conn + {} dns rows",
-                    self.epochs,
-                    out.conns.len(),
-                    out.dns.len()
-                ),
-                (out.conns.len() + out.dns.len()) as f64,
+                format_args!("epoch {}: {conns} conn + {dns} dns rows", self.epochs),
+                (conns + dns) as f64,
             );
             let evicted = self.evicted_answers - evicted_before;
             if evicted > 0 {
                 hub.flight().record(
                     "state.evict",
-                    format!("epoch {}: index entries dropped", self.epochs),
+                    format_args!("epoch {}: index entries dropped", self.epochs),
                     evicted as f64,
                 );
             }
         }
         self.publish_live(w_conn, w_dns);
-        out
+        &self.out
     }
 
     /// Flush everything: drain the monitor, release all remaining rows,
@@ -551,8 +583,13 @@ impl StreamEngine {
         let zeek_lite::Logs { conns, dns, names, stats, degradation } = monitor.finish();
         self.buffer(conns, dns);
         let end = Timestamp(u64::MAX);
-        let dns = self.buf_dns.release_before(end, |a, b| DnsTransaction::log_order(&names, a, b));
-        let tail = self.release(dns, end);
+        self.buf_dns.release_before(
+            end,
+            |a, b| DnsTransaction::log_order(&names, a, b),
+            &mut self.out.dns,
+        );
+        self.release(end);
+        let tail = std::mem::take(&mut self.out);
 
         // Settle the deferred SC/R split from the per-resolver buckets.
         let mut thresholds: HashMap<Ipv4Addr, Duration> = HashMap::new();
@@ -600,19 +637,24 @@ impl StreamEngine {
         self.buf_dns.extend(dns, |t| t.ts);
     }
 
-    /// Release `dns`, the rows the caller took from `buf_dns` below their
-    /// watermark (their log order reads the name table, which the monitor
-    /// owns until [`finish`](Self::finish) and the residual logs after),
-    /// then the buffered connections below `w_conn`: DNS first, because
-    /// the index must contain every lookup a released connection could
-    /// pair with.
-    fn release(&mut self, dns: Vec<DnsTransaction>, w_conn: Timestamp) -> EpochOutput {
-        for txn in &dns {
+    /// Fold `out.dns`, the rows the caller released from `buf_dns` below
+    /// their watermark (their log order reads the name table, which the
+    /// monitor owns until [`finish`](Self::finish) and the residual logs
+    /// after), into the index, then release the buffered connections
+    /// below `w_conn` into `out.conns`: DNS first, because the index must
+    /// contain every lookup a released connection could pair with.
+    fn release(&mut self, w_conn: Timestamp) {
+        let mut out = std::mem::take(&mut self.out);
+        for txn in &out.dns {
             self.ingest_dns(txn);
         }
-        let conns = self.buf_conns.release_before(w_conn, |a, b| (a.ts, a.uid).cmp(&(b.ts, b.uid)));
-        self.absorb_conns(&conns);
-        EpochOutput { conns, dns }
+        self.buf_conns.release_before(
+            w_conn,
+            |a, b| (a.ts, a.uid).cmp(&(b.ts, b.uid)),
+            &mut out.conns,
+        );
+        self.absorb_conns(&out.conns);
+        self.out = out;
     }
 
     /// Give one released DNS row its batch ordinal and fold it into the
@@ -640,7 +682,7 @@ impl StreamEngine {
                 }
                 Slot::Occupied(slot) => {
                     let run = slot.into_mut();
-                    let pos = run.insert(entry);
+                    let pos = run.insert(entry, &mut self.spare);
                     let entries = run.as_slice();
                     // The new entry is droppable once its successor has
                     // completed; its predecessor's successor is now the
@@ -712,7 +754,7 @@ impl StreamEngine {
             }
             let last_keep = cut - 1;
             let mut pos = 0usize;
-            run.retain(|e| {
+            run.retain(&mut self.spare, |e| {
                 let gone = pos < last_keep && e.expires <= w;
                 pos += 1;
                 if gone {
@@ -742,8 +784,9 @@ impl StreamEngine {
 }
 
 /// Drive any [`pcapio::RecordSource`] — file reader or in-memory ring —
-/// through a [`StreamEngine`] in `window`-sized epochs, handing each
-/// epoch's released rows to `sink`. A zero `window` runs a single epoch
+/// through a [`StreamEngine`] in `window`-sized epochs, lending each
+/// epoch's released rows to `sink` until the next boundary (clone a row
+/// to keep it). A zero `window` runs a single epoch
 /// (everything releases at [`finish`](StreamEngine::finish), as in the
 /// batch pipeline).
 ///
@@ -759,7 +802,7 @@ pub fn process_source_observed<S: pcapio::RecordSource + ?Sized>(
     monitor: MonitorConfig,
     cfg: AnalysisConfig,
     hub: Option<&xkit::obs::ObsHub>,
-    mut sink: impl FnMut(EpochOutput),
+    mut sink: impl FnMut(&EpochOutput),
 ) -> Result<StreamResult, pcapio::PcapError> {
     let mut engine = StreamEngine::new(monitor, cfg);
     if let Some(hub) = hub {
@@ -886,10 +929,10 @@ mod tests {
             let out = engine.end_epoch(Some(w));
             // A row stamped exactly at the cut stays behind.
             assert!(out.conns.iter().all(|c| c.ts < w) && out.dns.iter().all(|d| d.ts < w));
+            got_conns.extend(out.conns.iter().cloned());
+            got_dns.extend(out.dns.iter().cloned());
             let held_conns = engine.buf_conns.heap.iter().map(|h| h.at.0);
             assert!(held_conns.chain(engine.buf_dns.heap.iter().map(|h| h.at.0)).all(|ts| ts >= w));
-            got_conns.extend(out.conns);
-            got_dns.extend(out.dns);
             // With no monitor state both watermarks are the boundary. The
             // rule applied to every key (the walk the heap replaces) must
             // find nothing left to drop, and every lookup's refcount must
@@ -983,31 +1026,58 @@ mod tests {
         // and after the inline one; then a third at every position.
         for second in [(5, 9), (10, 3), (10, 7), (20, 0)] {
             for third in [(1, 1), (10, 6), (30, 1)] {
+                let mut spare = Vec::new();
                 let mut run = Run::One(entry((10, 5)));
                 assert_eq!(keys(&run), [(10, 5)]);
                 let mut want = vec![(10, 5), second];
                 want.sort_unstable();
-                assert_eq!(run.insert(entry(second)), usize::from(second > (10, 5)));
+                assert_eq!(run.insert(entry(second), &mut spare), usize::from(second > (10, 5)));
                 assert_eq!(keys(&run), want);
                 want.push(third);
                 want.sort_unstable();
                 let third_pos = want.iter().position(|k| *k == third).unwrap();
-                assert_eq!(run.insert(entry(third)), third_pos, "{second:?} then {third:?}");
+                let pos = run.insert(entry(third), &mut spare);
+                assert_eq!(pos, third_pos, "{second:?} then {third:?}");
                 assert_eq!(keys(&run), want);
 
                 // Down to the newest entry, and up again.
                 let newest = want[2];
-                run.retain(|e| (e.completed, e.dns_idx) == (entry(newest).completed, newest.1));
+                let newest_at = (entry(newest).completed, newest.1);
+                run.retain(&mut spare, |e| (e.completed, e.dns_idx) == newest_at);
                 assert_eq!(keys(&run), [newest]);
-                assert_eq!(run.insert(entry((0, 2))), 0);
-                assert_eq!(run.insert(entry((40, 0))), 2);
+                assert_eq!(run.insert(entry((0, 2)), &mut spare), 0);
+                assert_eq!(run.insert(entry((40, 0)), &mut spare), 2);
                 assert_eq!(keys(&run), [(0, 2), newest, (40, 0)]);
             }
         }
         // A run of one is its key's newest entry: nothing to drop.
         let mut run = Run::One(entry((10, 5)));
-        run.retain(|_| false);
+        run.retain(&mut Vec::new(), |_| false);
         assert_eq!(keys(&run), [(10, 5)]);
+    }
+
+    #[test]
+    fn a_run_cut_to_one_entry_lends_its_vector_to_the_next_spill() {
+        let mut spare = Vec::new();
+        let mut run = Run::One(entry((10, 0)));
+        run.insert(entry((20, 1)), &mut spare);
+        run.insert(entry((30, 2)), &mut spare);
+        let Run::Many(entries) = &run else { panic!("a second entry spills the run") };
+        let buffer = (entries.as_ptr(), entries.capacity());
+        // Pruned to its newest entry, the run is back in its slot and its
+        // vector, emptied, in the pool.
+        run.retain(&mut spare, |e| e.dns_idx == 2);
+        assert!(matches!(run, Run::One(e) if e.dns_idx == 2));
+        assert_eq!(spare.len(), 1);
+        assert!(spare[0].is_empty());
+        assert_eq!((spare[0].as_ptr(), spare[0].capacity()), buffer);
+        // Another key's spill takes that vector: no allocation.
+        let mut other = Run::One(entry((5, 3)));
+        assert_eq!(other.insert(entry((6, 4)), &mut spare), 1);
+        let Run::Many(entries) = &other else { panic!("a second entry spills the run") };
+        assert_eq!((entries.as_ptr(), entries.capacity()), buffer);
+        assert!(spare.is_empty());
+        assert_eq!(keys(&other), [(5, 3), (6, 4)]);
     }
 
     #[test]
@@ -1018,15 +1088,21 @@ mod tests {
         rows.extend([(30, 0), (10, 3), (20, 9), (10, 1), (10, 2), (20, 8)], |r| Timestamp(r.0));
         // An order that holds every row equal: arrival alone decides ties.
         let by_ts = |a: &(u64, u32), b: &(u64, u32)| a.0.cmp(&b.0);
-        assert_eq!(rows.release_before(Timestamp(10), by_ts), []);
-        assert_eq!(rows.release_before(Timestamp(20), by_ts), [(10, 3), (10, 1), (10, 2)]);
+        // The output is the caller's, and a release replaces what it held.
+        let mut out = Vec::with_capacity(8);
+        out.push((99, 99));
+        let buffer = out.as_ptr();
+        rows.release_before(Timestamp(10), by_ts, &mut out);
+        assert_eq!(out, []);
+        rows.release_before(Timestamp(20), by_ts, &mut out);
+        assert_eq!(out, [(10, 3), (10, 1), (10, 2)]);
         assert_eq!(rows.len(), 3, "rows stamped at the watermark stay");
         // The caller's order wins where it tells rows apart.
         rows.extend([(20, 7)], |r| Timestamp(r.0));
-        let out = rows.release_before(Timestamp(31), |a, b| a.cmp(b));
+        rows.release_before(Timestamp(31), |a, b| a.cmp(b), &mut out);
         assert_eq!(out, [(20, 7), (20, 8), (20, 9), (30, 0)]);
         assert!(rows.len() == 0 && rows.scratch.is_empty());
-        assert_eq!(out.capacity(), 4, "the output is sized once");
+        assert_eq!(out.as_ptr(), buffer, "the output vector is reused");
     }
 
     #[test]

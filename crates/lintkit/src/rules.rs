@@ -10,6 +10,9 @@
 //! and its name table;
 //! `sim-sink-stays-flat` keeps owned frames, owned messages and
 //! per-emission vectors out of the simulator's packet sink;
+//! `stream-epoch-stays-flat` keeps fresh vectors and strings out of the
+//! stream engine, whose epoch boundaries allocate nothing once it has
+//! held its peak;
 //! `unused-pub` is the one
 //! workspace-wide pass (a `pub` item nothing outside its file uses);
 //! `lints-inherit` keeps every crate under the workspace's
@@ -152,6 +155,18 @@ pub fn rules() -> Vec<Rule> {
                 anchor: "impl Sink for PcapSink",
                 needles: &["Frame::", "Message", "Name::parse", ".encode()", ".to_vec()", "Vec::with_capacity", "vec!"],
             },
+        },
+        Rule {
+            id: "stream-epoch-stays-flat",
+            desc: "closing an epoch allocates nothing once the stream engine has held its peak: no format!, Vec::with_capacity, vec! or .to_string() in non-test dns-context/src/stream.rs",
+            hint: "fill the engine's lent EpochOutput, take a spilled run's vector from the spare pool (a new one only when it is empty), and pass flight details as format_args!",
+            scope: Scope {
+                roots: &["crates/dns-context/src/stream.rs"],
+                exclude: &[],
+                src_only: true,
+                include_tests: false,
+            },
+            check: Check::Needles(&["format!", "Vec::with_capacity", "vec!", ".to_string()"]),
         },
         Rule {
             id: "clock-seam",

@@ -132,7 +132,7 @@ fn the_monitor_fence_exempts_marked_lines_tests_and_other_files() {
     assert!(diags("crates/zeek-lite/src/monitor.rs", in_test).is_empty());
     let render = "fn f(n: u8) -> String { n.to_string() }\n";
     assert!(diags("crates/zeek-lite/src/logfmt.rs", render).is_empty());
-    assert!(diags("crates/dns-context/src/stream.rs", render).is_empty());
+    assert!(diags("crates/dns-context/src/analysis.rs", render).is_empty());
 }
 
 #[test]
@@ -197,6 +197,35 @@ fn the_sink_fence_needs_its_anchor_and_exempts_marks_tests_and_other_files() {
     let elsewhere = "impl Sink for PcapSink { fn f() { let _ = Frame::tcp(); } }\n";
     assert!(diags("crates/ccz-sim/src/engine.rs", elsewhere).is_empty());
     assert!(diags("crates/zeek-lite/src/monitor.rs", elsewhere).is_empty());
+}
+
+// ---- stream-epoch-stays-flat ---------------------------------------------
+
+const STREAM: &str = "crates/dns-context/src/stream.rs";
+
+#[test]
+fn a_fresh_vector_or_string_fires_in_the_stream_engine() {
+    for build in [
+        "fn spill(e: Entry) -> Vec<Entry> { let mut v = Vec::with_capacity(4); v.push(e); v }\n",
+        "fn spill(e: Entry) -> Vec<Entry> { vec![e] }\n",
+        "fn detail(n: u64) -> String { format!(\"epoch {n}\") }\n",
+        "fn detail(n: u64) -> String { n.to_string() }\n",
+    ] {
+        assert_eq!(fired(STREAM, build), vec!["stream-epoch-stays-flat"], "{build}");
+    }
+    // A spill takes a vector from the pool; a flight detail goes in as
+    // arguments.
+    let flat = "fn spill(spare: &mut Vec<Vec<Entry>>) -> Vec<Entry> { spare.pop().unwrap_or_default() }\n\
+                fn detail(f: &FlightRecorder, n: u64) { f.record(\"epoch.release\", format_args!(\"epoch {n}\"), 0.0); }\n";
+    assert!(diags(STREAM, flat).is_empty(), "{:?}", diags(STREAM, flat));
+}
+
+#[test]
+fn the_stream_fence_exempts_its_tests_and_other_files() {
+    let in_test = "#[cfg(test)]\nmod tests {\n    fn names() -> Vec<String> { vec![format!(\"q{}\", 1.to_string())] }\n}\n";
+    assert!(diags(STREAM, in_test).is_empty(), "{:?}", diags(STREAM, in_test));
+    let elsewhere = "fn f() -> Vec<String> { vec![1.to_string()] }\n";
+    assert!(diags("crates/dns-context/src/analysis.rs", elsewhere).is_empty());
 }
 
 // ---- clock-seam / no-wallclock -----------------------------------------

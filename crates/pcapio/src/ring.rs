@@ -228,7 +228,7 @@ impl RingSink {
                     if let Some(flight) = &self.flight {
                         flight.record(
                             "backpressure.stall",
-                            format!("ring full, need {needed} B"),
+                            format_args!("ring full, need {needed} B"),
                             needed as f64,
                         );
                     }

@@ -9,6 +9,12 @@
 //! to leave on: recording is one short mutex hold on paths that are
 //! already rare (rejects) or per-epoch (releases), never per-packet.
 //!
+//! A detail is anything that displays (callers pass `format_args!`),
+//! written into the event's text under the lock. While the ring fills,
+//! each event gets a fresh 64-byte `String`; once it is full, an event
+//! takes over the text of the one it evicts, so recording allocates
+//! nothing while the detail fits the text it replaces.
+//!
 //! Event kinds are free-form `&'static str` tags; the conventional set
 //! used by the pipeline is:
 //!
@@ -22,6 +28,7 @@
 
 use super::clock::{self, Mono};
 use std::collections::VecDeque;
+use std::fmt::{Display, Write};
 use std::sync::{Arc, Mutex};
 
 /// One recorded event.
@@ -88,18 +95,23 @@ impl FlightRecorder {
         }
     }
 
-    /// Record one event, evicting the oldest when the ring is full.
-    pub fn record(&self, kind: &'static str, detail: impl Into<String>, value: f64) {
+    /// Record one event, evicting the oldest when the ring is full; the
+    /// detail is written into the evicted event's text (module docs).
+    pub fn record(&self, kind: &'static str, detail: impl Display, value: f64) {
         let t_ns = self.inner.origin.elapsed_ns();
-        let detail = detail.into();
         self.with_state(|s| {
-            if s.ring.len() == self.inner.cap {
-                s.ring.pop_front();
+            let mut text = if s.ring.len() == self.inner.cap {
                 s.dropped += 1;
-            }
+                s.ring.pop_front().map(|evicted| evicted.detail).unwrap_or_default()
+            } else {
+                String::with_capacity(64)
+            };
+            text.clear();
+            // Writing into a `String` cannot fail.
+            let _ = write!(text, "{detail}");
             let seq = s.seq;
             s.seq += 1;
-            s.ring.push_back(FlightEvent { seq, t_ns, kind, detail, value });
+            s.ring.push_back(FlightEvent { seq, t_ns, kind, detail: text, value });
         });
     }
 
@@ -171,6 +183,23 @@ mod tests {
         assert_eq!(events[0].detail, "epoch 7");
         // recorded = held + dropped at all times.
         fr.with_state(|s| assert_eq!(s.seq, s.ring.len() as u64 + s.dropped));
+    }
+
+    #[test]
+    fn a_full_ring_writes_each_detail_into_the_text_it_evicts() {
+        let fr = FlightRecorder::new(2);
+        let long = "x".repeat(100);
+        let details = ["first", "second", long.as_str(), "", "epoch 7: 12 conn + 30 dns rows"];
+        for (i, detail) in details.iter().enumerate() {
+            fr.record("epoch.release", format_args!("{detail}"), i as f64);
+            // Once the ring wraps, a detail longer, then shorter, than the
+            // text it takes over reads back exactly.
+            let held: Vec<String> = fr.snapshot().into_iter().map(|e| e.detail).collect();
+            assert_eq!(held, details[i.saturating_sub(1)..=i], "after event {i}");
+            fr.with_state(|s| assert_eq!(s.seq, s.ring.len() as u64 + s.dropped));
+        }
+        // The last event wrote into the long detail's text.
+        fr.with_state(|s| assert!(s.ring[1].detail.capacity() >= 100));
     }
 
     #[test]

@@ -221,7 +221,7 @@ impl Monitor {
                 if let Some(flight) = &self.flight {
                     flight.record(
                         "fault.reject",
-                        format!("{e:?}"), // lint: allow(monitor-stays-borrowed): rejection path, recorder attached
+                        format_args!("{e:?}"),
                         self.degradation.frames_seen as f64,
                     );
                 }
@@ -269,7 +269,7 @@ impl Monitor {
                 if let Some(flight) = &self.flight {
                     flight.record(
                         "parse.degrade",
-                        format!("{e:?}"), // lint: allow(monitor-stays-borrowed): rejection path, recorder attached
+                        format_args!("{e:?}"),
                         self.degradation.dns_payloads as f64,
                     );
                 }

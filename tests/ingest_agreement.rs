@@ -150,8 +150,8 @@ fn stream_agrees_for_all_windows_and_threads() {
                 analysis_cfg(threads),
                 None,
                 |epoch| {
-                    file_released.conns.extend(epoch.conns);
-                    file_released.dns.extend(epoch.dns);
+                    file_released.conns.extend(epoch.conns.iter().cloned());
+                    file_released.dns.extend(epoch.dns.iter().cloned());
                 },
             )
             .expect("file stream run");
@@ -169,8 +169,8 @@ fn stream_agrees_for_all_windows_and_threads() {
                 analysis_cfg(threads),
                 None,
                 |epoch| {
-                    ring_released.conns.extend(epoch.conns);
-                    ring_released.dns.extend(epoch.dns);
+                    ring_released.conns.extend(epoch.conns.iter().cloned());
+                    ring_released.dns.extend(epoch.dns.iter().cloned());
                 },
             )
             .expect("ring stream run");

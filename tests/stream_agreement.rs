@@ -71,8 +71,8 @@ fn streamed(batch: &Batch, window: Duration, threads: usize) -> (Logs, stream::S
         analysis_cfg(threads),
         None,
         |epoch| {
-            out.conns.extend(epoch.conns);
-            out.dns.extend(epoch.dns);
+            out.conns.extend(epoch.conns.iter().cloned());
+            out.dns.extend(epoch.dns.iter().cloned());
         },
     )
     .unwrap();

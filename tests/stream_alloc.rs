@@ -2,8 +2,9 @@
 //! little else: a capture through the 30 s-window engine into the cache
 //! replay makes, beyond the allocation events the monitor alone makes on
 //! the same bytes, a small fraction of an event per released row, and
-//! the single-epoch run (window 0, every row through the buffers at
-//! once) makes no more than the windowed one.
+//! at most half the events of the single-epoch run (window 0, every row
+//! through the buffers at once), whose buffers and output grow to the
+//! whole trace.
 //! Counted with the allocation counter (a `realloc` is an event), not
 //! timed. One test in this binary, so nothing else allocates while it
 //! measures.
@@ -72,22 +73,27 @@ fn the_streamed_run_allocates_little_more_than_its_monitor() {
     let (w0, w0_rows) = streamed(&pcap, Duration::ZERO);
     assert_eq!((w30_rows, w0_rows), (rows, rows), "every row is released once");
 
-    // The engine's own events, per released row: the spilled index runs,
-    // two output vectors and a flight event per epoch, and the replay's
-    // map doublings. Bounded per row, not as a multiple of the monitor's
-    // events, which fall whenever the monitor gets cheaper. Measured
-    // 0.14 (4 152 events over 29 358 rows); with a `String` per live name
-    // in the replay it read 0.19. (With a fresh row vector per epoch, a
-    // B-tree node per six buffered rows, a `Vec` per index key and a
-    // `String` per cache miss the whole run read x 2.05 the monitor's.)
+    // The engine's own events, per released row: the index runs, heaps
+    // and lent output of its peak, the flight ring's first 256 events and
+    // the replay's map doublings. Bounded per row, not as a multiple of
+    // the monitor's events, which fall whenever the monitor gets cheaper.
+    // Measured 0.049; with two output vectors and a `String` per flight
+    // event each epoch, and a run vector kept by every key that ever held
+    // two, it read 0.141 (4 152 events over 29 358 rows), and with a
+    // `String` per live name in the replay 0.19. (With a fresh row vector
+    // per epoch, a B-tree node per six buffered rows, a `Vec` per index
+    // key and a `String` per cache miss the whole run read x 2.05 the
+    // monitor's.)
     let own = w30.saturating_sub(monitor.allocs) as f64 / rows as f64;
     assert!(
-        own <= 0.16,
+        own <= 0.06,
         "{w30} allocation events streamed at 30 s, {} in the monitor alone: {own:.3} per row over {rows}",
         monitor.allocs
     );
+    // One epoch grows its heaps and output to the whole trace; a window
+    // holds a window's worth and reuses it.
     assert!(
-        w0 as f64 <= 1.05 * w30 as f64,
-        "{w0} allocation events in one epoch, {w30} at a 30 s window"
+        w30 as f64 <= 0.5 * w0 as f64,
+        "{w30} allocation events at a 30 s window, {w0} in one epoch"
     );
 }
