@@ -488,8 +488,8 @@ impl<'a, S: Sink> Engine<'a, S> {
         m.add("sim.nxdomains", self.nxdomains);
         for p in &self.platforms {
             let key = p.cfg.name.to_ascii_lowercase();
-            m.add(&format!("resolver.{key}.queries"), p.queries);
-            m.add(&format!("resolver.{key}.hits"), p.hits);
+            m.add(format!("resolver.{key}.queries"), p.queries);
+            m.add(format!("resolver.{key}.hits"), p.hits);
         }
         (self.sink, self.truth, m)
     }

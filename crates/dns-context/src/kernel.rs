@@ -223,7 +223,7 @@ pub(crate) fn store_threshold_metrics(m: &mut Metrics, thresholds: &HashMap<Ipv4
     m.set_counter("threshold.resolvers", thresholds.len() as u64);
     // lint: allow(no-map-iteration): one metrics key per map key; Metrics stores sorted
     for (addr, thr) in thresholds {
-        m.set_gauge(&format!("threshold.{addr}.ms"), thr.as_millis_f64());
+        m.set_gauge(format!("threshold.{addr}.ms"), thr.as_millis_f64());
     }
 }
 

@@ -13,6 +13,8 @@
 //! `stream-epoch-stays-flat` keeps fresh vectors and strings out of the
 //! stream engine, whose epoch boundaries allocate nothing once it has
 //! held its peak;
+//! `obs-exports-write-in-place` keeps a temporary string per line out of
+//! the obs exporters, which write into their one output string;
 //! `unused-pub` is the one
 //! workspace-wide pass (a `pub` item nothing outside its file uses);
 //! `lints-inherit` keeps every crate under the workspace's
@@ -167,6 +169,18 @@ pub fn rules() -> Vec<Rule> {
                 include_tests: false,
             },
             check: Check::Needles(&["format!", "Vec::with_capacity", "vec!", ".to_string()"]),
+        },
+        Rule {
+            id: "obs-exports-write-in-place",
+            desc: "the obs exporters write each line into their one output string: no push_str(&format! in non-test crates/xkit/src/obs/",
+            hint: "`let _ = write!(out, ...)` with `use std::fmt::Write as _;` formats straight into the output",
+            scope: Scope {
+                roots: &["crates/xkit/src/obs"],
+                exclude: &[],
+                src_only: true,
+                include_tests: false,
+            },
+            check: Check::Needles(&["push_str(&format!"]),
         },
         Rule {
             id: "clock-seam",

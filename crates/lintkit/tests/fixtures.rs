@@ -228,6 +228,26 @@ fn the_stream_fence_exempts_its_tests_and_other_files() {
     assert!(diags("crates/dns-context/src/analysis.rs", elsewhere).is_empty());
 }
 
+// ---- obs-exports-write-in-place ------------------------------------------
+
+const OBS: &str = "crates/xkit/src/obs/metrics.rs";
+
+#[test]
+fn a_formatted_temporary_fires_in_the_obs_exporters() {
+    let build = "fn line(out: &mut String, n: u64) { out.push_str(&format!(\"n {n}\\n\")); }\n";
+    assert_eq!(fired(OBS, build), vec!["obs-exports-write-in-place"]);
+    let in_place = "fn line(out: &mut String, n: u64) { let _ = writeln!(out, \"n {n}\"); }\n";
+    assert!(diags(OBS, in_place).is_empty());
+}
+
+#[test]
+fn the_obs_export_fence_exempts_its_tests_and_other_files() {
+    let in_test = "#[cfg(test)]\nmod tests {\n    fn f(out: &mut String) { out.push_str(&format!(\"{}\", 1)); }\n}\n";
+    assert!(diags(OBS, in_test).is_empty());
+    let elsewhere = "fn f(out: &mut String) { out.push_str(&format!(\"{}\", 1)); }\n";
+    assert!(diags("crates/xkit/src/bench.rs", elsewhere).is_empty());
+}
+
 // ---- clock-seam / no-wallclock -----------------------------------------
 
 #[test]

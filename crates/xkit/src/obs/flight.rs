@@ -143,14 +143,15 @@ impl FlightRecorder {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!(
+            let _ = write!(
+                out,
                 "\n  {{\"seq\": {}, \"t_ns\": {}, \"kind\": {}, \"detail\": {}, \"value\": {}}}",
                 e.seq,
                 e.t_ns,
                 crate::bench::json_string(e.kind),
                 crate::bench::json_string(&e.detail),
                 if e.value.is_finite() { format!("{}", e.value) } else { "null".into() },
-            ));
+            );
         }
         out.push_str(if events.is_empty() { "]}" } else { "\n]}" });
         out

@@ -171,7 +171,7 @@ fn serve_one(
             Some((method, _)) if method != "GET" => {
                 (405, "text/plain; charset=utf-8", "method not allowed\n".to_string())
             }
-            Some((_, path)) => route(&path, namespace, hub, tenants),
+            Some((_, path)) => route(path, namespace, hub, tenants),
         }
     };
     let reason = match status {
@@ -181,12 +181,16 @@ fn serve_one(
         405 => "Method Not Allowed",
         _ => "Error",
     };
-    let response = format!(
+    let head = format!(
         "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\n\
-         Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
+         Content-Length: {}\r\nConnection: close\r\n\r\n",
         body.len(),
     );
-    stream.write_all(response.as_bytes())?;
+    // Head and body go out as two writes rather than one copied
+    // response; without Nagle's delay the body follows at once.
+    stream.set_nodelay(true)?;
+    stream.write_all(head.as_bytes())?;
+    stream.write_all(body.as_bytes())?;
     stream.flush()
 }
 
@@ -281,12 +285,12 @@ fn read_head(stream: &mut TcpStream) -> io::Result<(String, bool)> {
     Ok((String::from_utf8_lossy(&buf).into_owned(), complete))
 }
 
-/// `GET /path HTTP/1.1` → `("GET", "/path")`.
-fn parse_request_line(head: &str) -> Option<(String, String)> {
+/// `GET /path HTTP/1.1` → `("GET", "/path")`, borrowed from `head`.
+fn parse_request_line(head: &str) -> Option<(&str, &str)> {
     let line = head.lines().next()?;
     let mut parts = line.split_whitespace();
-    let method = parts.next()?.to_string();
-    let path = parts.next()?.to_string();
+    let method = parts.next()?;
+    let path = parts.next()?;
     if !path.starts_with('/') {
         return None;
     }

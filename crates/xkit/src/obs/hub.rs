@@ -13,7 +13,7 @@
 
 use super::flight::FlightRecorder;
 use super::metrics::Metrics;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 #[derive(Debug)]
 struct Inner {
@@ -43,12 +43,18 @@ impl ObsHub {
         }
     }
 
+    /// The snapshot under its lock. A publisher that panicked must not
+    /// take the exporter down with it: the snapshot it left is served.
+    fn locked_metrics(&self) -> MutexGuard<'_, Metrics> {
+        self.inner
+            .metrics
+            .lock()
+            .unwrap_or_else(|poison| poison.into_inner())
+    }
+
     /// Replace the published metrics snapshot.
     pub fn publish_metrics(&self, snapshot: Metrics) {
-        match self.inner.metrics.lock() {
-            Ok(mut guard) => *guard = snapshot,
-            Err(poison) => *poison.into_inner() = snapshot,
-        }
+        *self.locked_metrics() = snapshot;
     }
 
     /// Rewrite the published snapshot in place. `rewrite` runs under the
@@ -58,18 +64,19 @@ impl ObsHub {
     /// on and only overwrites values afterwards (the stream engine, once
     /// per epoch): nothing is allocated and nothing is dropped.
     pub fn update_metrics(&self, rewrite: impl FnOnce(&mut Metrics)) {
-        match self.inner.metrics.lock() {
-            Ok(mut guard) => rewrite(&mut guard),
-            Err(poison) => rewrite(&mut poison.into_inner()),
-        }
+        rewrite(&mut self.locked_metrics());
     }
 
     /// The current metrics snapshot (empty before the first publication).
     pub fn metrics(&self) -> Metrics {
-        match self.inner.metrics.lock() {
-            Ok(guard) => guard.clone(),
-            Err(poison) => poison.into_inner().clone(),
-        }
+        self.locked_metrics().clone()
+    }
+
+    /// Fold the current snapshot into `into` under the snapshot's lock:
+    /// what [`metrics`](ObsHub::metrics) then [`Metrics::merge`] gives,
+    /// without the copy in between.
+    pub(crate) fn merge_metrics_into(&self, into: &mut Metrics) {
+        into.merge(&self.locked_metrics());
     }
 
     /// Replace the published span trace. `chrome_json` must already be

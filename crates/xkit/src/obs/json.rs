@@ -8,6 +8,8 @@
 //! always write name-sorted keys), and inputs deeper than 64 levels are
 //! rejected.
 
+use std::fmt::Write as _;
+
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
@@ -80,7 +82,7 @@ impl Value {
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Value::Num(n) => {
                 if n.is_finite() {
-                    out.push_str(&format!("{n}"));
+                    let _ = write!(out, "{n}");
                 } else {
                     out.push_str("null");
                 }

@@ -9,6 +9,7 @@
 //! snapshot.
 
 use super::clock::{self, Mono};
+use std::fmt::Write as _;
 
 /// Handle to an open span (index into the log's record list).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -113,9 +114,9 @@ impl SpanLog {
         let mut out = String::new();
         for r in &self.records {
             out.push_str(&"  ".repeat(r.depth));
-            out.push_str(&format!("{} · {}", r.name, fmt_ns(r.wall_ns)));
+            let _ = write!(out, "{} · {}", r.name, fmt_ns(r.wall_ns));
             for (k, v) in &r.notes {
-                out.push_str(&format!(" · {k}={}", fmt_note(*v)));
+                let _ = write!(out, " · {k}={}", fmt_note(*v));
             }
             out.push('\n');
         }
@@ -132,10 +133,11 @@ impl SpanLog {
             }
             out.push_str("\n  {\"name\": ");
             out.push_str(&crate::bench::json_string(&r.name));
-            out.push_str(&format!(
+            let _ = write!(
+                out,
                 ", \"depth\": {}, \"start_ns\": {}, \"wall_ns\": {}, \"notes\": {{",
                 r.depth, r.start_ns, r.wall_ns
-            ));
+            );
             for (j, (k, v)) in r.notes.iter().enumerate() {
                 if j > 0 {
                     out.push_str(", ");
@@ -163,11 +165,12 @@ impl SpanLog {
             }
             out.push_str("\n  {\"name\": ");
             out.push_str(&crate::bench::json_string(&r.name));
-            out.push_str(&format!(
+            let _ = write!(
+                out,
                 ", \"ph\": \"X\", \"ts\": {}, \"dur\": {}, \"pid\": 1, \"tid\": 1, \"args\": {{",
                 r.start_ns as f64 / 1e3,
                 r.wall_ns as f64 / 1e3
-            ));
+            );
             for (j, (k, v)) in r.notes.iter().enumerate() {
                 if j > 0 {
                     out.push_str(", ");

@@ -24,6 +24,7 @@
 use super::hub::ObsHub;
 use super::metrics::Metrics;
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Where a tenant is in its lifecycle.
@@ -156,11 +157,13 @@ impl HubRegistry {
     /// tenant-id order. Merge is exact (`u64` adds, max-gauges), so the
     /// result is byte-identical for any worker count once the tenants
     /// have settled — and a valid prefix view while they are live.
+    /// Each snapshot is folded under its hub's lock, not copied out
+    /// first.
     pub fn aggregate(&self) -> Metrics {
         let map = self.lock();
         let mut folded = Metrics::new();
         for tenant in map.values() {
-            folded.merge(&tenant.hub.metrics());
+            tenant.hub.merge_metrics_into(&mut folded);
         }
         folded
     }
@@ -176,10 +179,11 @@ impl HubRegistry {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!(
+            let _ = write!(
+                out,
                 "\n    {{\"id\": \"{id}\", \"state\": \"{}\"}}",
                 tenant.state.as_str()
-            ));
+            );
         }
         if !map.is_empty() {
             out.push_str("\n  ");

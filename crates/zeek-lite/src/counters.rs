@@ -20,7 +20,7 @@ pub(crate) enum Rule {
 
 impl Rule {
     #[inline]
-    fn store(self, m: &mut Metrics, key: &str, v: u64) {
+    fn store(self, m: &mut Metrics, key: &'static str, v: u64) {
         match self {
             Rule::Sum => m.set_counter(key, v),
             Rule::Max => m.set_gauge(key, v as f64),
