@@ -31,8 +31,8 @@ fn render_logs(logs: &Logs) -> Vec<u8> {
     buf
 }
 
-/// One seed-42 capture, its batch pipeline, and the batch snapshot that
-/// every streamed run must reproduce.
+/// One capture, its batch pipeline, and the batch snapshot that every
+/// streamed run must reproduce.
 struct Batch {
     pcap: Vec<u8>,
     rendered: Vec<u8>,
@@ -43,7 +43,11 @@ struct Batch {
 }
 
 fn batch_oracle() -> Batch {
-    let sim = Simulation::new(small_cfg(), 42).unwrap();
+    batch_of(small_cfg(), 42)
+}
+
+fn batch_of(workload: WorkloadConfig, seed: u64) -> Batch {
+    let sim = Simulation::new(workload, seed).unwrap();
     let mut pcap = Vec::new();
     sim.run_pcap(&mut pcap, 600).unwrap();
     let logs = Monitor::process_pcap(&pcap[..], MonitorConfig::default()).unwrap();
@@ -83,6 +87,37 @@ fn streamed(batch: &Batch, window: Duration, threads: usize) -> (Logs, stream::S
     (out, result)
 }
 
+/// Stream `batch`'s capture at `window` on `threads` and require the
+/// batch pipeline's logs, classes and snapshot, byte for byte.
+fn assert_agrees(
+    batch: &Batch,
+    window_secs: u64,
+    threads: usize,
+    what: &str,
+) -> stream::StreamResult {
+    let (logs, result) = streamed(batch, Duration::from_secs(window_secs), threads);
+
+    // The concatenated releases ARE the batch-sorted logs: same rows,
+    // same order, byte for byte — without ever re-sorting.
+    assert_eq!(
+        render_logs(&logs),
+        batch.rendered,
+        "rendered logs diverged at window={window_secs}s threads={threads} ({what})"
+    );
+
+    // Table 2 and the whole metrics snapshot agree exactly.
+    assert_eq!(
+        result.class_counts, batch.class_counts,
+        "class counts diverged at window={window_secs}s threads={threads} ({what})"
+    );
+    assert_eq!(
+        result.analysis_metrics.to_json(),
+        batch.metrics_json,
+        "metrics snapshot diverged at window={window_secs}s threads={threads} ({what})"
+    );
+    result
+}
+
 #[test]
 fn streamed_output_is_byte_identical_to_batch() {
     let batch = batch_oracle();
@@ -90,29 +125,32 @@ fn streamed_output_is_byte_identical_to_batch() {
 
     for window_secs in [30u64, 300, 0] {
         for threads in [1usize, 8] {
-            let window = Duration::from_secs(window_secs);
-            let (logs, result) = streamed(&batch, window, threads);
-
-            // The concatenated releases ARE the batch-sorted logs: same
-            // rows, same order, byte for byte — without ever re-sorting.
-            assert_eq!(
-                render_logs(&logs),
-                batch.rendered,
-                "rendered logs diverged at window={window_secs}s threads={threads}"
-            );
-
-            // Table 2 and the whole metrics snapshot agree exactly.
-            assert_eq!(
-                result.class_counts, batch.class_counts,
-                "class counts diverged at window={window_secs}s threads={threads}"
-            );
-            assert_eq!(
-                result.analysis_metrics.to_json(),
-                batch.metrics_json,
-                "metrics snapshot diverged at window={window_secs}s threads={threads}"
-            );
+            assert_agrees(&batch, window_secs, threads, "seed 42");
         }
     }
+}
+
+/// The same agreement over eight smaller worlds than seed 42's, at a 1 s
+/// window (a cut every second, so the index is pruned between almost
+/// every pair of lookups of a key), 30 s and one epoch: what is evicted,
+/// and when, differs from seed to seed, and the output must not.
+#[test]
+fn streamed_output_is_byte_identical_to_batch_over_seeds() {
+    let workload = WorkloadConfig {
+        scale: ScaleKnobs { houses: 3, days: 0.03, activity: 1.0 },
+        ..small_cfg()
+    };
+    let mut evicted = 0u64;
+    for seed in 1..=8u64 {
+        let batch = batch_of(workload.clone(), seed);
+        let size = (batch.conn_rows, batch.dns_rows);
+        assert!(size.0 > 100 && size.1 > 50, "seed {seed}: {size:?} rows, too few to be probative");
+        for window_secs in [1u64, 30, 0] {
+            let result = assert_agrees(&batch, window_secs, 1, &format!("seed {seed}"));
+            evicted += result.stream_metrics.counter("stream.evicted_answers");
+        }
+    }
+    assert!(evicted > 500, "worlds too tame to exercise eviction: {evicted} drops");
 }
 
 #[test]
