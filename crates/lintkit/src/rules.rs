@@ -10,9 +10,9 @@
 //! and its name table;
 //! `sim-sink-stays-flat` keeps owned frames, owned messages and
 //! per-emission vectors out of the simulator's packet sink;
-//! `stream-epoch-stays-flat` keeps fresh vectors and strings out of the
-//! stream engine, whose epoch boundaries allocate nothing once it has
-//! held its peak;
+//! `stream-epoch-stays-flat` keeps fresh vectors and strings, and a
+//! vector per run or per key, out of the stream engine, whose epoch
+//! boundaries allocate nothing once it has held its peak;
 //! `obs-exports-write-in-place` keeps a temporary string per line out of
 //! the obs exporters, which write into their one output string;
 //! `unused-pub` is the one
@@ -160,15 +160,15 @@ pub fn rules() -> Vec<Rule> {
         },
         Rule {
             id: "stream-epoch-stays-flat",
-            desc: "closing an epoch allocates nothing once the stream engine has held its peak: no format!, Vec::with_capacity, vec! or .to_string() in non-test dns-context/src/stream.rs",
-            hint: "fill the engine's lent EpochOutput, take a spilled run's vector from the spare pool (a new one only when it is empty), and pass flight details as format_args!",
+            desc: "closing an epoch allocates nothing once the stream engine has held its peak: no format!, Vec::with_capacity, vec!, .to_string() or Vec<Vec< in non-test dns-context/src/stream.rs",
+            hint: "fill the engine's lent EpochOutput, keep a spilled run in a block of the engine's size-class slabs (never a vector of its own), and pass flight details as format_args!",
             scope: Scope {
                 roots: &["crates/dns-context/src/stream.rs"],
                 exclude: &[],
                 src_only: true,
                 include_tests: false,
             },
-            check: Check::Needles(&["format!", "Vec::with_capacity", "vec!", ".to_string()"]),
+            check: Check::Needles(&["format!", "Vec::with_capacity", "vec!", ".to_string()", "Vec<Vec<"]),
         },
         Rule {
             id: "obs-exports-write-in-place",

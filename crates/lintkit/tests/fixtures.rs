@@ -213,11 +213,27 @@ fn a_fresh_vector_or_string_fires_in_the_stream_engine() {
     ] {
         assert_eq!(fired(STREAM, build), vec!["stream-epoch-stays-flat"], "{build}");
     }
-    // A spill takes a vector from the pool; a flight detail goes in as
+    // A spill takes a block of a slab; a flight detail goes in as
     // arguments.
-    let flat = "fn spill(spare: &mut Vec<Vec<Entry>>) -> Vec<Entry> { spare.pop().unwrap_or_default() }\n\
+    let flat = "fn spill(slab: &mut Slab) -> u32 { slab.free.pop().unwrap_or(0) }\n\
                 fn detail(f: &FlightRecorder, n: u64) { f.record(\"epoch.release\", format_args!(\"epoch {n}\"), 0.0); }\n";
     assert!(diags(STREAM, flat).is_empty(), "{:?}", diags(STREAM, flat));
+}
+
+#[test]
+fn a_vector_per_run_fires_in_the_stream_engine() {
+    for build in [
+        "struct Engine { spare: Vec<Vec<Entry>> }\n",
+        "fn runs(keys: usize) -> Vec<Vec<Entry>> { (0..keys).map(|_| Vec::new()).collect() }\n",
+    ] {
+        assert_eq!(fired(STREAM, build), vec!["stream-epoch-stays-flat"], "{build}");
+    }
+}
+
+#[test]
+fn a_vector_per_run_is_silent_in_the_stream_tests() {
+    let in_test = "#[cfg(test)]\nmod tests {\n    fn model() -> Vec<Vec<Entry>> { Vec::new() }\n}\n";
+    assert!(diags(STREAM, in_test).is_empty(), "{:?}", diags(STREAM, in_test));
 }
 
 #[test]

@@ -5,7 +5,7 @@
 //! single-entry keys and buffered rows or ten thousand, and one that
 //! buffers, releases and evicts rows over keys it already has allocates
 //! nothing whether the rows are twenty or two thousand: the release is
-//! lent, a spilled run takes its vector from the engine's pool, and a
+//! lent, a spilled run takes a block its size class has freed, and a
 //! flight event takes over the text of the one it evicts. Counted with
 //! the allocation counter, not timed. One test in this binary, so
 //! nothing else allocates while it measures.
@@ -176,8 +176,7 @@ fn an_epoch_costs_what_it_moves_not_what_is_held() {
         }
     }
     // Busy: the rows go into the lent output and the spilled runs take the
-    // vectors the last eviction left in the pool, for 20 rows as for
-    // 2 000. (With two output vectors sized per epoch and a `String` per
+    // slab blocks the last eviction freed, for 20 rows as for 2 000. (With two output vectors sized per epoch and a `String` per
     // flight event this read 4; on a B-tree node per six buffered rows,
     // output vectors grown by doubling and a merge buffer per sort, 17 and
     // 628.)
