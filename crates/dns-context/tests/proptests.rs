@@ -6,9 +6,11 @@ use dns_context::{classify, pairing::Pairing, Analysis, AnalysisConfig, ConnClas
 use std::net::Ipv4Addr;
 use xkit::rng::StdRng;
 use zeek_lite::{
-    Answer, ConnRecord, ConnState, DnsTransaction, Duration, FiveTuple, Logs, NameTable, Proto,
-    Timestamp,
+    Answer, AnswerData, ConnRecord, ConnState, DnsTransaction, Duration, FiveTuple, Logs,
+    NameTable, Proto, Timestamp,
 };
+
+mod oracle;
 
 const CASES: usize = 256;
 
@@ -16,7 +18,7 @@ fn rng(label: u64) -> StdRng {
     StdRng::seed_from_u64(0xD5C_7387 ^ label)
 }
 
-/// A tiny world so pairings actually collide: few clients, few servers.
+/// Few clients and few servers, so pairings actually collide.
 fn client(i: u8) -> Ipv4Addr {
     Ipv4Addr::new(10, 77, 0, 1 + (i % 3))
 }
@@ -31,31 +33,81 @@ struct World {
     conns: Vec<ConnRecord>,
 }
 
+/// A tiny world with the pairing boundaries forced in: lookups start on
+/// a 10 ms clock and one in four completes at the same instant as an
+/// earlier lookup of the same client; one in eight is unanswered; one in
+/// six has TTL 0; each carries 0-6 answers, CNAMEs among them, and with
+/// four servers an address often appears twice in one answer set. One
+/// connection in three is aimed at a lookup: from its client to one of
+/// its addresses, starting the instant it completes, the instant its
+/// record expires, or the blocking threshold after it completes.
 fn gen_world(r: &mut StdRng) -> World {
     let mut names = NameTable::default();
-    let dns: Vec<DnsTransaction> = (0..r.random_range(0..25usize))
-        .map(|i| DnsTransaction {
-            ts: Timestamp::from_millis(r.random_range(0u64..600_000)),
-            client: client(r.random::<u8>()),
+    let mut dns: Vec<DnsTransaction> = Vec::new();
+    for i in 0..r.random_range(0..25usize) {
+        let (ts, rtt, client_addr) = match r.choose(&dns) {
+            Some(prev) if r.random_range(0..4u8) == 0 => (prev.ts, prev.rtt, prev.client),
+            _ => {
+                let ts = Timestamp::from_millis(10 * r.random_range(0u64..60_000));
+                let answered = r.random_range(0..8u8) != 0;
+                let rtt = answered.then(|| Duration::from_millis(10 * r.random_range(1u64..6)));
+                (ts, rtt, client(r.random::<u8>()))
+            }
+        };
+        let ttl = if r.random_range(0..6u8) == 0 { 0 } else { r.random_range(1u32..600) };
+        let answers = (0..r.random_range(0..7usize))
+            .map(|_| {
+                let ttl = ttl + r.random_range(0u32..3);
+                if r.random_range(0..6u8) == 0 {
+                    let alias = names.intern(&format!("cdn-{}.example", r.random::<u8>() % 4));
+                    Answer { data: AnswerData::Cname(alias), ttl }
+                } else {
+                    Answer::addr(server(r.random::<u8>()), ttl)
+                }
+            })
+            .collect();
+        dns.push(DnsTransaction {
+            ts,
+            client: client_addr,
             resolver: RESOLVER,
             trans_id: i as u16,
             query: names.intern(&format!("name-{}.example", r.random::<u8>() % 4)),
             qtype: dns_wire::RrType::A,
-            rcode: Some(dns_wire::Rcode::NoError),
-            rtt: Some(Duration::from_millis(r.random_range(1u64..60))),
-            answers: [Answer::addr(server(r.random::<u8>()), r.random_range(1u32..600))].into(),
-        })
-        .collect();
+            rcode: rtt.map(|_| dns_wire::Rcode::NoError),
+            rtt,
+            answers,
+        });
+    }
     let conns: Vec<ConnRecord> = (0..r.random_range(0..40usize))
         .map(|i| {
+            let target = r
+                .choose(&dns)
+                .filter(|t| t.has_addrs() && t.rtt.is_some() && r.random_range(0..3u8) == 0);
+            let (orig_addr, resp_addr, ts) = match target {
+                Some(t) => {
+                    let dest = t.addrs().nth(r.random_range(0..t.addrs().count())).unwrap();
+                    let completed = t.completed_at().unwrap();
+                    let ts = match r.random_range(0..3u8) {
+                        0 => completed,
+                        1 => t.expires_at().unwrap(),
+                        _ => completed + Duration::from_millis(100),
+                    };
+                    (t.client, dest, ts)
+                }
+                None => (
+                    client(r.random::<u8>()),
+                    server(r.random::<u8>()),
+                    Timestamp::from_millis(r.random_range(0u64..900_000)),
+                ),
+            };
             let bytes = r.random_range(1u64..1_000_000);
             ConnRecord {
                 uid: i as u64,
-                ts: Timestamp::from_millis(r.random_range(0u64..900_000)),
+                ts,
                 id: FiveTuple {
-                    orig_addr: client(r.random::<u8>()),
+                    orig_addr,
                     orig_port: 40_000 + i as u16,
-                    resp_addr: server(r.random::<u8>()),
+                    resp_addr,
                     resp_port: 443,
                     proto: Proto::Tcp,
                 },
@@ -216,5 +268,59 @@ fn sc_monotone_in_resolver_threshold() {
             assert!(sc >= last);
             last = sc;
         }
+    }
+}
+
+/// `Pairing::build` under `MostRecent` against the reference pairer
+/// (`oracle`), field by field, over seeded tiny worlds. Each world has a
+/// seed of its own, printed on a disagreement:
+/// `gen_world(&mut StdRng::seed_from_u64(seed))` rebuilds it.
+#[test]
+fn pairing_agrees_with_the_paper_oracle() {
+    // How often the worlds reached each boundary, so a generator change
+    // that stops forcing one fails here instead of passing vacuously.
+    let (mut ttl0_paired, mut tied, mut unanswered, mut twice, mut at_expiry, mut six) =
+        (0, 0, 0, 0, 0, 0);
+    for case in 0..CASES as u64 {
+        let seed = 0x0AC1_E000 + case;
+        let w = gen_world(&mut StdRng::seed_from_u64(seed));
+        let p = Pairing::build(&w.conns, &w.dns, PairingPolicy::MostRecent);
+        let (want, used) = oracle::pair(&w.conns, &w.dns);
+        assert_eq!(p.pairs.len(), want.len(), "seed {seed}: application connections");
+        for (got, want) in p.pairs.iter().zip(&want) {
+            let at = format!("seed {seed}, conn {}", want.conn);
+            assert_eq!(got.conn, want.conn, "{at}: conn");
+            assert_eq!(got.dns, want.dns, "{at}: dns");
+            assert_eq!(got.gap, want.gap, "{at}: gap");
+            assert_eq!(got.expired, want.expired, "{at}: expired");
+            assert_eq!(got.candidates as usize, want.candidates, "{at}: candidates");
+            assert_eq!(got.first_use, want.first_use, "{at}: first_use");
+            if let Some(di) = want.dns {
+                let txn = &w.dns[di];
+                ttl0_paired += usize::from(txn.min_ttl() == Some(0));
+                at_expiry += usize::from(txn.expires_at() == Some(w.conns[want.conn].ts));
+            }
+        }
+        assert_eq!(p.dns_used, used, "seed {seed}: dns_used");
+        for (i, t) in w.dns.iter().enumerate() {
+            unanswered += usize::from(t.rtt.is_none());
+            six += usize::from(t.answers.len() == 6);
+            let mut addrs: Vec<Ipv4Addr> = t.addrs().collect();
+            addrs.sort_unstable();
+            twice += usize::from(addrs.windows(2).any(|a| a[0] == a[1]));
+            tied += usize::from(w.dns[..i].iter().any(|o| {
+                o.client == t.client && o.completed_at().is_some() && o.completed_at() == t.completed_at()
+            }));
+        }
+    }
+    for (boundary, n) in [
+        ("paired TTL-0 lookups", ttl0_paired),
+        ("same-client equal completions", tied),
+        ("unanswered lookups", unanswered),
+        ("an address twice in one answer set", twice),
+        ("connections starting as their record expires", at_expiry),
+        ("six-answer lookups", six),
+    ] {
+        assert!(n >= 100, "the worlds reached {boundary} only {n} times");
     }
 }

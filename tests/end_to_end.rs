@@ -290,3 +290,53 @@ fn random_pairing_policy_draw_sequence_is_pinned() {
         [243, 70, 27, 64, 25]
     );
 }
+
+/// FNV-1a over every `PairedConn` field and `dns_used`, per policy, on
+/// `quick_study(12, 0.5, seed)` for seeds 1-8, as `(app conns, digest)`
+/// recorded from the commit before the batch pairer dropped its staging
+/// buffer. Any change to which lookup a connection pairs with, its gap,
+/// expiry, ambiguity count, first use or the random draw moves it.
+#[test]
+fn pairing_matches_the_recorded_digest_over_seeds() {
+    use dnsctx::dns_context::{Pairing, PairingPolicy};
+    const RECORDED: [(u64, [(usize, u64); 2]); 8] = [
+        (1, [(31250, 0x497e_f63e_a098_ad2b), (31250, 0xa20a_86a3_bd64_20cb)]),
+        (2, [(28405, 0x9cb9_8900_2aec_cc9d), (28405, 0xe6e7_97e1_d2b6_d99f)]),
+        (3, [(24401, 0x8122_aa1b_a0cd_39cd), (24401, 0x828f_3f7f_b7c2_acb8)]),
+        (4, [(33007, 0xccc4_c711_0475_e6b0), (33007, 0x1cfa_3be3_9de0_1829)]),
+        (5, [(28038, 0xa10b_247d_d951_bed2), (28038, 0xf125_1799_a397_5adb)]),
+        (6, [(27391, 0x801a_ad45_6b30_f64f), (27391, 0x94ce_017f_da71_5320)]),
+        (7, [(28651, 0xcc54_675e_48b6_8333), (28651, 0x85c1_7404_035e_b468)]),
+        (8, [(24415, 0x5c25_9201_d818_afb2), (24415, 0x8ca0_24bc_5099_ad74)]),
+    ];
+    let word = |h: u64, w: u64| {
+        w.to_le_bytes()
+            .iter()
+            .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
+    };
+    for (seed, recorded) in RECORDED {
+        let study = dnsctx::pipeline::quick_study(12, 0.5, seed);
+        let logs = study.logs();
+        let got = [PairingPolicy::MostRecent, PairingPolicy::RandomNonExpired].map(|policy| {
+            let p = Pairing::build(&logs.conns, &logs.dns, policy);
+            let mut h = 0xcbf2_9ce4_8422_2325u64;
+            for x in &p.pairs {
+                for w in [
+                    x.conn as u64,
+                    x.dns.map_or(u64::MAX, |d| d as u64),
+                    x.gap.map_or(u64::MAX, |g| g.0),
+                    u64::from(x.expired),
+                    x.candidates as u64,
+                    u64::from(x.first_use),
+                ] {
+                    h = word(h, w);
+                }
+            }
+            for &used in &p.dns_used {
+                h = word(h, u64::from(used));
+            }
+            (p.pairs.len(), h)
+        });
+        assert_eq!(got, recorded, "seed {seed}: [MostRecent, RandomNonExpired]");
+    }
+}
