@@ -12,7 +12,6 @@
 //! [`PairingPolicy::RandomNonExpired`].
 
 use crate::kernel::{pack_key, select, Entry, Paired, Tally};
-use std::collections::hash_map::Entry as Slot;
 use xkit::collections::FastMap;
 use xkit::rng::StdRng;
 use zeek_lite::{ConnRecord, DnsTransaction, Duration, Timestamp};
@@ -41,15 +40,35 @@ pub struct PairedConn {
     pub expired: bool,
     /// Number of non-expired candidate lookups at connection start
     /// (the paper's ambiguity measure; 0 when only expired candidates).
-    pub candidates: usize,
+    pub candidates: u32,
     /// This connection is the earliest to use its paired lookup.
     pub first_use: bool,
 }
+
+// 48 B: `pairs` holds one per application connection, the largest
+// vector the batch analysis keeps alive.
+const _: () = assert!(std::mem::size_of::<PairedConn>() <= 48);
 
 impl PairedConn {
     /// The pairing as the kernel's class rule and tally take it.
     pub(crate) fn outcome(&self) -> Option<Paired> {
         self.gap.map(|gap| Paired { gap, expired: self.expired, first_use: self.first_use })
+    }
+}
+
+/// Call `f` with every `(packed key, entry)` of the answered lookups in
+/// `dns`, in dns-log order: one entry per address answer. Both passes of
+/// [`Pairing::build`] walk the log through it, so they cannot disagree
+/// on what an entry is. A plain loop that takes the pass as a closure:
+/// an iterator of nested `flat_map`s built the index measurably slower.
+fn each_keyed(dns: &[DnsTransaction], mut f: impl FnMut(u64, Entry)) {
+    for (dns_idx, txn) in dns.iter().enumerate() {
+        let (Some(completed), Some(expires)) = (txn.completed_at(), txn.expires_at()) else {
+            continue;
+        };
+        for addr in txn.addrs() {
+            f(pack_key(txn.client, addr), Entry { completed, expires, dns_idx });
+        }
     }
 }
 
@@ -70,59 +89,52 @@ impl Pairing {
     /// draws from a fixed-seed RNG so analyses are reproducible.
     pub fn build(conns: &[ConnRecord], dns: &[DnsTransaction], policy: PairingPolicy) -> Pairing {
         // Flat arena of (client, answer address) entries, grouped into
-        // per-key runs by a counting sort: stage entries in dns order,
-        // count per key, carve contiguous runs (in first-seen key order),
-        // place, then sort each run by (completed, dns_idx). Run contents
-        // and internal order match what a global (key, completed, dns_idx)
-        // sort produces; only the cross-key arrangement differs, and no
-        // consumer observes that — every read goes through `spans`. The
-        // dns log is ts-sorted, so each run arrives nearly sorted by
-        // completion time and its per-run sort is close to linear.
+        // per-key runs by a counting sort over the dns log itself, in two
+        // passes of one walk (`each_keyed`): the first numbers the keys in
+        // first-seen order and counts their entries, the runs are carved
+        // in that order, and the second pass writes each entry straight
+        // into its run's next slot of an exactly-sized arena; then each
+        // run is sorted by (completed, dns_idx). Nothing is staged: an
+        // entry's key exists only while it is counted or placed. Run
+        // contents and internal order match what a global (key,
+        // completed, dns_idx) sort produces; only the cross-key
+        // arrangement differs, and no consumer observes that — every read
+        // goes through `runs`. The dns log is ts-sorted, so each run
+        // arrives nearly sorted by completion time and its per-run sort
+        // is close to linear.
         //
-        // `staged`: keyed entries in dns-log order, before placement.
-        let mut staged: Vec<(u64, Entry)> = Vec::new();
-        for (dns_idx, txn) in dns.iter().enumerate() {
-            let (Some(completed), Some(expires)) = (txn.completed_at(), txn.expires_at()) else {
-                continue;
-            };
-            for addr in txn.addrs() {
-                staged.push((pack_key(txn.client, addr), Entry { completed, expires, dns_idx }));
+        // `packed key -> run number`. FxHash map: addressed by key only,
+        // never iterated (bucket order must not leak into output); the
+        // first-seen run numbers are the deterministic order instead.
+        let mut runs: FastMap<u64, u32> = FastMap::default();
+        // Run `r` is `arena[bounds[r]..bounds[r + 1]]`. While counting,
+        // `bounds[r + 1]` is run `r`'s size; while placing, its cursor,
+        // which stops at the next run's start.
+        let mut bounds: Vec<u32> = vec![0];
+        let mut entries = 0usize;
+        each_keyed(dns, |key, _| {
+            entries += 1;
+            let fresh = bounds.len() as u32 - 1;
+            let r = *runs.entry(key).or_insert(fresh);
+            if r == fresh {
+                bounds.push(0);
             }
-        }
-        assert!(staged.len() <= u32::MAX as usize, "index exceeds u32 arena offsets");
-        // `packed key -> (start, end)` run in the arena. FxHash map:
-        // addressed by key only, never iterated (bucket order must not
-        // leak into output); `keys_in_order` is the deterministic
-        // first-seen traversal the counting sort uses instead.
-        let mut spans: FastMap<u64, (u32, u32)> = FastMap::default();
-        let mut keys_in_order: Vec<u64> = Vec::new();
-        for (key, _) in &staged {
-            match spans.entry(*key) {
-                Slot::Occupied(mut o) => o.get_mut().1 += 1,
-                Slot::Vacant(v) => {
-                    v.insert((0, 1));
-                    keys_in_order.push(*key);
-                }
-            }
-        }
-        let mut offset = 0u32;
-        for k in &keys_in_order {
-            let slot = spans.get_mut(k).expect("counted key");
-            let count = slot.1;
-            // (start, cursor); the cursor advances to `end` during placement.
-            *slot = (offset, offset);
-            offset += count;
+            bounds[r as usize + 1] += 1;
+        });
+        assert!(entries <= u32::MAX as usize, "index exceeds u32 arena offsets");
+        let mut offset = 0;
+        for bound in &mut bounds[1..] {
+            offset += std::mem::replace(bound, offset);
         }
         let unplaced = Entry { completed: Timestamp::ZERO, expires: Timestamp::ZERO, dns_idx: 0 };
-        let mut arena = vec![unplaced; staged.len()];
-        for (key, e) in &staged {
-            let slot = spans.get_mut(key).expect("counted key");
-            arena[slot.1 as usize] = *e;
-            slot.1 += 1;
-        }
-        for k in &keys_in_order {
-            let &(s, e) = spans.get(k).expect("counted key");
-            arena[s as usize..e as usize].sort_unstable_by_key(|en| (en.completed, en.dns_idx));
+        let mut arena = vec![unplaced; entries];
+        each_keyed(dns, |key, e| {
+            let r = *runs.get(&key).expect("counted key") as usize;
+            arena[bounds[r + 1] as usize] = e;
+            bounds[r + 1] += 1;
+        });
+        for run in bounds.windows(2) {
+            arena[run[0] as usize..run[1] as usize].sort_unstable_by_key(|en| (en.completed, en.dns_idx));
         }
 
         let mut rng = StdRng::seed_from_u64(0x5ca1ab1e);
@@ -134,18 +146,22 @@ impl Pairing {
                 continue;
             }
             let mut pair = PairedConn { conn: ci, ..PairedConn::default() };
-            let run = spans
-                .get(&pack_key(conn.id.orig_addr, conn.id.resp_addr))
-                .map_or(&[][..], |&(s, e)| &arena[s as usize..e as usize]);
+            let key = pack_key(conn.id.orig_addr, conn.id.resp_addr);
+            let run = runs.get(&key).map_or(&[][..], |&r| {
+                let r = r as usize;
+                &arena[bounds[r] as usize..bounds[r + 1] as usize]
+            });
             if let Some(found) = select(run, conn.ts) {
                 let live = || found.prior.iter().filter(|e| e.live_at(conn.ts));
                 pair.expired = found.expired;
-                pair.candidates = live().count();
+                let candidates = live().count();
+                // The arena holds fewer than u32::MAX entries (asserted).
+                pair.candidates = candidates as u32;
                 let chosen = match policy {
                     // One draw per connection with a live candidate, in
                     // connection order, over the candidates oldest first.
                     PairingPolicy::RandomNonExpired if !found.expired => {
-                        let k = rng.random_range(0..pair.candidates);
+                        let k = rng.random_range(0..candidates);
                         live().nth(k).expect("k < live candidates")
                     }
                     _ => found.chosen,

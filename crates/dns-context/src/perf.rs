@@ -77,7 +77,11 @@ impl PerfAnalysis {
         pairing: &Pairing,
         classes: &[ConnClass],
     ) -> PerfAnalysis {
-        let mut blocked = Vec::new();
+        let n = classes
+            .iter()
+            .filter(|c| matches!(c, ConnClass::SharedCache | ConnClass::Resolution))
+            .count();
+        let mut blocked = Vec::with_capacity(n);
         for (pair, class) in pairing.pairs.iter().zip(classes) {
             let shared_cache = match class {
                 ConnClass::SharedCache => true,
@@ -89,15 +93,30 @@ impl PerfAnalysis {
             let app_ms = conns.duration[pair.conn].as_millis_f64();
             blocked.push(BlockedPerf { dns_ms, app_ms, shared_cache });
         }
-        let delay_ms = Ecdf::new(blocked.iter().map(|b| b.dns_ms).collect());
-        let contribution_pct = Ecdf::new(blocked.iter().map(|b| b.contribution_pct()).collect());
-        let contribution_sc_pct = Ecdf::new(
-            blocked.iter().filter(|b| b.shared_cache).map(|b| b.contribution_pct()).collect(),
-        );
-        let contribution_r_pct = Ecdf::new(
-            blocked.iter().filter(|b| !b.shared_cache).map(|b| b.contribution_pct()).collect(),
-        );
-        PerfAnalysis { blocked, delay_ms, contribution_pct, contribution_sc_pct, contribution_r_pct }
+        PerfAnalysis::of(blocked)
+    }
+
+    /// The distributions over `blocked`, each built from an exactly-sized
+    /// vector.
+    fn of(blocked: Vec<BlockedPerf>) -> PerfAnalysis {
+        let sc = blocked.iter().filter(|b| b.shared_cache).count();
+        let mut sc_pct = Vec::with_capacity(sc);
+        let mut r_pct = Vec::with_capacity(blocked.len() - sc);
+        for b in &blocked {
+            let pct = b.contribution_pct();
+            if b.shared_cache {
+                sc_pct.push(pct);
+            } else {
+                r_pct.push(pct);
+            }
+        }
+        PerfAnalysis {
+            delay_ms: Ecdf::new(blocked.iter().map(|b| b.dns_ms).collect()),
+            contribution_pct: Ecdf::new(blocked.iter().map(|b| b.contribution_pct()).collect()),
+            contribution_sc_pct: Ecdf::new(sc_pct),
+            contribution_r_pct: Ecdf::new(r_pct),
+            blocked,
+        }
     }
 
     /// The quadrant decomposition at [`SIGNIFICANCE_ABS_MS`] and
@@ -140,18 +159,6 @@ impl PerfAnalysis {
 mod tests {
     use super::*;
 
-    fn perf_with(blocked: Vec<BlockedPerf>) -> PerfAnalysis {
-        let delay_ms = Ecdf::new(blocked.iter().map(|b| b.dns_ms).collect());
-        let contribution_pct = Ecdf::new(blocked.iter().map(|b| b.contribution_pct()).collect());
-        let contribution_sc_pct = Ecdf::new(
-            blocked.iter().filter(|b| b.shared_cache).map(|b| b.contribution_pct()).collect(),
-        );
-        let contribution_r_pct = Ecdf::new(
-            blocked.iter().filter(|b| !b.shared_cache).map(|b| b.contribution_pct()).collect(),
-        );
-        PerfAnalysis { blocked, delay_ms, contribution_pct, contribution_sc_pct, contribution_r_pct }
-    }
-
     #[test]
     fn contribution_formula() {
         let b = BlockedPerf { dns_ms: 10.0, app_ms: 90.0, shared_cache: true };
@@ -162,7 +169,7 @@ mod tests {
 
     #[test]
     fn quadrants_partition() {
-        let p = perf_with(vec![
+        let p = PerfAnalysis::of(vec![
             BlockedPerf { dns_ms: 5.0, app_ms: 10_000.0, shared_cache: true }, // neither
             BlockedPerf { dns_ms: 5.0, app_ms: 50.0, shared_cache: true },     // rel only
             BlockedPerf { dns_ms: 50.0, app_ms: 100_000.0, shared_cache: false }, // abs only
@@ -180,7 +187,7 @@ mod tests {
 
     #[test]
     fn empty_blocked_set() {
-        let p = perf_with(vec![]);
+        let p = PerfAnalysis::of(vec![]);
         let s = p.significance(0);
         assert_eq!(s.both_pct, 0.0);
         assert!(p.delay_ms.is_empty());

@@ -17,7 +17,9 @@ impl Ecdf {
     /// Build from samples, silently dropping any NaN values.
     pub fn new(mut samples: Vec<f64>) -> Ecdf {
         samples.retain(|x| !x.is_nan());
-        samples.sort_by(|a, b| a.total_cmp(b));
+        // Samples equal under `total_cmp` are bit-identical, so an
+        // unstable sort orders them exactly as a stable one would.
+        samples.sort_unstable_by(|a, b| a.total_cmp(b));
         Ecdf { sorted: samples }
     }
 
@@ -213,6 +215,31 @@ mod tests {
         let empty = Ecdf::new(vec![f64::NAN]);
         assert!(empty.is_empty());
         assert_eq!(empty.quantile(0.5), None);
+    }
+
+    #[test]
+    fn unstable_construction_is_bit_identical_to_a_stable_sort() {
+        // Duplicates, both zeros, infinities and NaNs of two payloads, in
+        // a seeded shuffle: `total_cmp` ties only bit-identical values, so
+        // the unstable sort's order of ties cannot show.
+        let pool = [
+            1.5, -0.0, 0.0, 2.0, -3.25, 7.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN,
+            -f64::NAN, f64::MIN_POSITIVE, -f64::MIN_POSITIVE,
+        ];
+        let mut r = xkit::rng::StdRng::seed_from_u64(0xECDF);
+        for n in [0usize, 1, 2, 19, 20, 21, 500] {
+            let input: Vec<f64> = (0..n).map(|_| *r.choose(&pool).expect("pool")).collect();
+            let mut stable: Vec<f64> = input.iter().copied().filter(|x| !x.is_nan()).collect();
+            stable.sort_by(|a, b| a.total_cmp(b));
+            let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+            let e = Ecdf::new(input);
+            assert_eq!(bits(e.samples()), bits(&stable), "{n} samples");
+            let reference = Ecdf { sorted: stable };
+            for q in [0.0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0] {
+                let (got, want) = (e.quantile(q), reference.quantile(q));
+                assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits), "{n} samples, q {q}");
+            }
+        }
     }
 
     #[test]

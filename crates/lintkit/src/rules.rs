@@ -15,6 +15,8 @@
 //! boundaries allocate nothing once it has held its peak;
 //! `obs-exports-write-in-place` keeps a temporary string per line out of
 //! the obs exporters, which write into their one output string;
+//! `batch-sorts-in-place` keeps stable sorts, and the scratch they
+//! allocate, off the batch analysis' row-sized vectors;
 //! `unused-pub` is the one
 //! workspace-wide pass (a `pub` item nothing outside its file uses);
 //! `lints-inherit` keeps every crate under the workspace's
@@ -181,6 +183,23 @@ pub fn rules() -> Vec<Rule> {
                 include_tests: false,
             },
             check: Check::Needles(&["push_str(&format!"]),
+        },
+        Rule {
+            id: "batch-sorts-in-place",
+            desc: "the batch analysis sorts its row-sized vectors in place: no .sort_by( or .sort_by_key( in non-test dns-context/src/{pairing,perf,stats}.rs and cache-sim/src/lib.rs",
+            hint: "a stable sort allocates scratch of up to n elements per call; use sort_unstable_by/sort_unstable_by_key on a key under which ties are identical values, or debug_assert! an order the input already has",
+            scope: Scope {
+                roots: &[
+                    "crates/dns-context/src/pairing.rs",
+                    "crates/dns-context/src/perf.rs",
+                    "crates/dns-context/src/stats.rs",
+                    "crates/cache-sim/src/lib.rs",
+                ],
+                exclude: &[],
+                src_only: true,
+                include_tests: false,
+            },
+            check: Check::Needles(&[".sort_by(", ".sort_by_key("]),
         },
         Rule {
             id: "clock-seam",

@@ -264,6 +264,30 @@ fn the_obs_export_fence_exempts_its_tests_and_other_files() {
     assert!(diags("crates/xkit/src/bench.rs", elsewhere).is_empty());
 }
 
+// ---- batch-sorts-in-place -------------------------------------------------
+
+#[test]
+fn a_stable_sort_fires_in_the_batch_analysis() {
+    for (path, sort) in [
+        ("crates/dns-context/src/stats.rs", "fn f(v: &mut [f64]) { v.sort_by(|a, b| a.total_cmp(b)); }\n"),
+        ("crates/cache-sim/src/lib.rs", "fn f(v: &mut [Need]) { v.sort_by_key(|n| n.ts); }\n"),
+        ("crates/dns-context/src/pairing.rs", "fn f(v: &mut [u64]) { v.sort_by_key(|k| *k); }\n"),
+    ] {
+        assert_eq!(fired(path, sort), vec!["batch-sorts-in-place"], "{path}");
+    }
+    let in_place = "fn f(v: &mut [f64]) { v.sort_unstable_by(|a, b| a.total_cmp(b)); }\n\
+                    fn g(v: &mut [Need]) { v.sort_unstable_by_key(|n| (n.key(), n.ts)); }\n";
+    assert!(diags("crates/dns-context/src/perf.rs", in_place).is_empty());
+}
+
+#[test]
+fn a_stable_sort_is_silent_in_the_batch_tests_and_other_files() {
+    let in_test = "#[cfg(test)]\nmod tests {\n    fn reference(v: &mut [f64]) { v.sort_by(|a, b| a.total_cmp(b)); }\n}\n";
+    assert!(diags("crates/dns-context/src/stats.rs", in_test).is_empty());
+    let elsewhere = "fn f(v: &mut [(u64, u32)]) { v.sort_by(|a, b| b.1.cmp(&a.1)); }\n";
+    assert!(diags("crates/dns-context/src/house.rs", elsewhere).is_empty());
+}
+
 // ---- clock-seam / no-wallclock -----------------------------------------
 
 #[test]
