@@ -22,12 +22,18 @@
 //! - the ambiguity count is one per live address answer naming the
 //!   destination, so a lookup that lists the address twice counts twice;
 //! - a connection is the first use of its lookup when no connection
-//!   earlier in the conn.log paired with it.
+//!   earlier in the conn.log paired with it;
+//! - the paper's robustness check (a random non-expired candidate)
+//!   replaces "most recent non-expired" with one draw per connection
+//!   that has a live candidate, in conn.log order, uniform over its live
+//!   candidate answers listed oldest first (completion, then dns.log
+//!   position), from an RNG the caller seeds.
 //!
 //! DNS-service connections are not application connections and are left
 //! out, as in the paper.
 
 use std::net::Ipv4Addr;
+use xkit::rng::StdRng;
 use zeek_lite::{ConnRecord, DnsTransaction, Duration, Timestamp};
 
 /// The reference outcome for one application connection.
@@ -67,10 +73,15 @@ impl Candidate {
 }
 
 /// Pair every application connection of `conns` with a lookup of `dns`
-/// by the paper's rule. Returns one outcome per application connection,
-/// in conn.log order, and for each dns.log row whether any connection
-/// chose it.
-pub fn pair(conns: &[ConnRecord], dns: &[DnsTransaction]) -> (Vec<Expected>, Vec<bool>) {
+/// by the paper's rule: the most recent non-expired candidate, or with
+/// `random` a uniform draw among the non-expired ones. Returns one
+/// outcome per application connection, in conn.log order, and for each
+/// dns.log row whether any connection chose it.
+pub fn pair(
+    conns: &[ConnRecord],
+    dns: &[DnsTransaction],
+    mut random: Option<&mut StdRng>,
+) -> (Vec<Expected>, Vec<bool>) {
     let mut used = vec![false; dns.len()];
     let mut out = Vec::new();
     for (ci, conn) in conns.iter().enumerate() {
@@ -80,17 +91,23 @@ pub fn pair(conns: &[ConnRecord], dns: &[DnsTransaction]) -> (Vec<Expected>, Vec
         let (client, dest, start) = (conn.id.orig_addr, conn.id.resp_addr, conn.ts);
         let mut newest_live: Option<Candidate> = None;
         let mut newest_any: Option<Candidate> = None;
-        let mut candidates = 0;
+        // One element per live address answer naming `dest`.
+        let mut live_answers: Vec<Candidate> = Vec::new();
         for (idx, txn) in dns.iter().enumerate() {
             let Some(c) = candidate(idx, txn, client, dest, start) else { continue };
             let live = c.expires > start;
-            candidates += usize::from(live) * answers_naming(txn, dest);
             newest_any = Some(c.newer(newest_any));
             if live {
                 newest_live = Some(c.newer(newest_live));
+                live_answers.extend(std::iter::repeat_n(c, answers_naming(txn, dest)));
             }
         }
-        let chosen = newest_live.or(newest_any);
+        let candidates = live_answers.len();
+        let mut chosen = newest_live.or(newest_any);
+        if let (Some(rng), false) = (random.as_deref_mut(), live_answers.is_empty()) {
+            live_answers.sort_by_key(|c| (c.completed, c.idx));
+            chosen = Some(live_answers[rng.random_range(0..candidates)]);
+        }
         let first_use = chosen.is_some_and(|c| !used[c.idx]);
         if let Some(c) = chosen {
             used[c.idx] = true;

@@ -2,7 +2,9 @@
 //! classification invariants over generated logs, driven by fixed
 //! `xkit::rng` streams so every run exercises the same cases.
 
+use ccz_sim::{ScaleKnobs, Simulation, WorkloadConfig};
 use dns_context::{classify, pairing::Pairing, Analysis, AnalysisConfig, ConnClass, PairingPolicy};
+use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 use xkit::rng::StdRng;
 use zeek_lite::{
@@ -13,6 +15,9 @@ use zeek_lite::{
 mod oracle;
 
 const CASES: usize = 256;
+
+/// The seed `Pairing::build` draws its `RandomNonExpired` choices from.
+const PAIRER_SEED: u64 = 0x5ca1_ab1e;
 
 fn rng(label: u64) -> StdRng {
     StdRng::seed_from_u64(0xD5C_7387 ^ label)
@@ -271,9 +276,10 @@ fn sc_monotone_in_resolver_threshold() {
     }
 }
 
-/// `Pairing::build` under `MostRecent` against the reference pairer
-/// (`oracle`), field by field, over seeded tiny worlds. Each world has a
-/// seed of its own, printed on a disagreement:
+/// `Pairing::build` against the reference pairer (`oracle`), field by
+/// field, under both policies, over seeded tiny worlds. The random policy
+/// is read from a generator seeded with the pairer's constant. Each world
+/// has a seed of its own, printed on a disagreement:
 /// `gen_world(&mut StdRng::seed_from_u64(seed))` rebuilds it.
 #[test]
 fn pairing_agrees_with_the_paper_oracle() {
@@ -281,27 +287,37 @@ fn pairing_agrees_with_the_paper_oracle() {
     // that stops forcing one fails here instead of passing vacuously.
     let (mut ttl0_paired, mut tied, mut unanswered, mut twice, mut at_expiry, mut six) =
         (0, 0, 0, 0, 0, 0);
+    let mut drawn_among_several = 0;
     for case in 0..CASES as u64 {
         let seed = 0x0AC1_E000 + case;
         let w = gen_world(&mut StdRng::seed_from_u64(seed));
-        let p = Pairing::build(&w.conns, &w.dns, PairingPolicy::MostRecent);
-        let (want, used) = oracle::pair(&w.conns, &w.dns);
-        assert_eq!(p.pairs.len(), want.len(), "seed {seed}: application connections");
-        for (got, want) in p.pairs.iter().zip(&want) {
-            let at = format!("seed {seed}, conn {}", want.conn);
-            assert_eq!(got.conn, want.conn, "{at}: conn");
-            assert_eq!(got.dns, want.dns, "{at}: dns");
-            assert_eq!(got.gap, want.gap, "{at}: gap");
-            assert_eq!(got.expired, want.expired, "{at}: expired");
-            assert_eq!(got.candidates as usize, want.candidates, "{at}: candidates");
-            assert_eq!(got.first_use, want.first_use, "{at}: first_use");
-            if let Some(di) = want.dns {
-                let txn = &w.dns[di];
-                ttl0_paired += usize::from(txn.min_ttl() == Some(0));
-                at_expiry += usize::from(txn.expires_at() == Some(w.conns[want.conn].ts));
+        for policy in [PairingPolicy::MostRecent, PairingPolicy::RandomNonExpired] {
+            let p = Pairing::build(&w.conns, &w.dns, policy);
+            let mut rng = StdRng::seed_from_u64(PAIRER_SEED);
+            let random = (policy == PairingPolicy::RandomNonExpired).then_some(&mut rng);
+            let (want, used) = oracle::pair(&w.conns, &w.dns, random);
+            let conns = want.len();
+            assert_eq!(p.pairs.len(), conns, "seed {seed}, {policy:?}: application connections");
+            for (got, want) in p.pairs.iter().zip(&want) {
+                let at = format!("seed {seed}, {policy:?}, conn {}", want.conn);
+                assert_eq!(got.conn, want.conn, "{at}: conn");
+                assert_eq!(got.dns, want.dns, "{at}: dns");
+                assert_eq!(got.gap, want.gap, "{at}: gap");
+                assert_eq!(got.expired, want.expired, "{at}: expired");
+                assert_eq!(got.candidates as usize, want.candidates, "{at}: candidates");
+                assert_eq!(got.first_use, want.first_use, "{at}: first_use");
+                if policy == PairingPolicy::RandomNonExpired {
+                    drawn_among_several += usize::from(want.candidates > 1);
+                    continue;
+                }
+                if let Some(di) = want.dns {
+                    let txn = &w.dns[di];
+                    ttl0_paired += usize::from(txn.min_ttl() == Some(0));
+                    at_expiry += usize::from(txn.expires_at() == Some(w.conns[want.conn].ts));
+                }
             }
+            assert_eq!(p.dns_used, used, "seed {seed}, {policy:?}: dns_used");
         }
-        assert_eq!(p.dns_used, used, "seed {seed}: dns_used");
         for (i, t) in w.dns.iter().enumerate() {
             unanswered += usize::from(t.rtt.is_none());
             six += usize::from(t.answers.len() == 6);
@@ -320,7 +336,62 @@ fn pairing_agrees_with_the_paper_oracle() {
         ("an address twice in one answer set", twice),
         ("connections starting as their record expires", at_expiry),
         ("six-answer lookups", six),
+        ("random draws among several live candidates", drawn_among_several),
     ] {
         assert!(n >= 100, "the worlds reached {boundary} only {n} times");
     }
+}
+
+/// Pairing is decided per client, the paper's `L`: pairing each client's
+/// conn rows and dns rows alone, and mapping the indices back, gives the
+/// whole log's `pairs` and `dns_used` under `MostRecent`. Checked over the
+/// seeded tiny worlds and one simulated day (`quick_study(12, 0.5, 42)`'s
+/// workload).
+#[test]
+fn pairing_decomposes_by_client() {
+    for case in 0..CASES as u64 {
+        let seed = 0x0DEC_0000 + case;
+        let w = gen_world(&mut StdRng::seed_from_u64(seed));
+        assert_pairing_decomposes(&w.conns, &w.dns, &format!("seed {seed}"));
+    }
+    let cfg = WorkloadConfig {
+        scale: ScaleKnobs { houses: 12, days: 1.0, activity: 0.5 },
+        ..WorkloadConfig::default()
+    };
+    let logs = Simulation::new(cfg, 42).unwrap().run().logs;
+    assert!(logs.conns.len() > 10_000, "a simulated day of {} conns", logs.conns.len());
+    assert_pairing_decomposes(&logs.conns, &logs.dns, "simulated day");
+}
+
+fn assert_pairing_decomposes(conns: &[ConnRecord], dns: &[DnsTransaction], at: &str) {
+    let whole = Pairing::build(conns, dns, PairingPolicy::MostRecent);
+    // Each client's rows as log positions, in log order.
+    let mut rows: BTreeMap<Ipv4Addr, (Vec<usize>, Vec<usize>)> = BTreeMap::new();
+    for (i, c) in conns.iter().enumerate() {
+        rows.entry(c.id.orig_addr).or_default().0.push(i);
+    }
+    for (i, t) in dns.iter().enumerate() {
+        rows.entry(t.client).or_default().1.push(i);
+    }
+    let mut pairs = vec![None; conns.len()];
+    let mut used = vec![false; dns.len()];
+    for (conn_at, dns_at) in rows.values() {
+        let own_conns: Vec<ConnRecord> = conn_at.iter().map(|&i| conns[i].clone()).collect();
+        let own_dns: Vec<DnsTransaction> = dns_at.iter().map(|&i| dns[i].clone()).collect();
+        let own = Pairing::build(&own_conns, &own_dns, PairingPolicy::MostRecent);
+        for mut pair in own.pairs {
+            pair.conn = conn_at[pair.conn];
+            pair.dns = pair.dns.map(|d| dns_at[d]);
+            pairs[pair.conn] = Some(pair);
+        }
+        for (d, &u) in own.dns_used.iter().enumerate() {
+            used[dns_at[d]] = u;
+        }
+    }
+    let pairs: Vec<_> = pairs.into_iter().flatten().collect();
+    assert_eq!(pairs.len(), whole.pairs.len(), "{at}: application connections");
+    for (got, want) in pairs.iter().zip(&whole.pairs) {
+        assert_eq!(got, want, "{at}: conn {}", want.conn);
+    }
+    assert_eq!(used, whole.dns_used, "{at}: dns_used");
 }
