@@ -3,11 +3,11 @@
 //! The method of §4–§5 is four small decisions: which lookup a
 //! connection pairs with, whether it blocked on that lookup, `P` vs `LC`
 //! by first use, and `SC` vs `R` by a per-resolver duration threshold.
-//! The batch pairer ([`crate::pairing`], a flat counting-sorted arena over
-//! the whole log) and the stream engine ([`crate::stream`], keyed runs
-//! with eviction) *store* candidate lookups differently; everything they
-//! decide about them — and every snapshot key they publish about the
-//! outcome — is in this file, so the two cannot drift.
+//! The batch pairer ([`crate::pairing`], a sort-merge join over per-client
+//! slices of the whole log) and the stream engine ([`crate::stream`],
+//! keyed runs with eviction) *store* candidate lookups differently;
+//! everything they decide about them — and every snapshot key they
+//! publish about the outcome — is in this file, so the two cannot drift.
 
 use crate::analysis::Coverage;
 use crate::classify::{ClassCounts, ConnClass};
@@ -22,31 +22,47 @@ pub(crate) fn pack_key(client: Ipv4Addr, addr: Ipv4Addr) -> u64 {
     (u64::from(u32::from(client)) << 32) | u64::from(u32::from(addr))
 }
 
-/// One lookup's relevance to one `(client, address)` key. A key's *run*
-/// is its entries sorted by `(completed, dns_idx)`.
+/// What the rule reads of one lookup's entry under one `(client,
+/// address)` key. A key's *run* is its entries sorted by `(completed,
+/// dns_idx)`. The stream's [`Entry`] and the batch pairer's per-client
+/// entries carry different payloads beside these two instants.
+pub(crate) trait Candidate {
+    fn completed(&self) -> Timestamp;
+    fn expires(&self) -> Timestamp;
+
+    /// Whether the record is still live for a connection starting at
+    /// `ts`. Strict: a record expiring at `ts` — any TTL-0 answer — is not.
+    fn live_at(&self, ts: Timestamp) -> bool {
+        self.expires() > ts
+    }
+}
+
+/// The stream engine's index entry.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Entry {
     pub completed: Timestamp,
     pub expires: Timestamp,
-    /// The lookup's position in the (for the stream: virtual) dns.log.
+    /// The lookup's position in the virtual dns.log.
     pub dns_idx: usize,
 }
 
-impl Entry {
-    /// Whether the record is still live for a connection starting at
-    /// `ts`. Strict: a record expiring at `ts` — any TTL-0 answer — is not.
-    pub(crate) fn live_at(&self, ts: Timestamp) -> bool {
-        self.expires > ts
+impl Candidate for Entry {
+    fn completed(&self) -> Timestamp {
+        self.completed
+    }
+
+    fn expires(&self) -> Timestamp {
+        self.expires
     }
 }
 
 /// What [`select`] found for one connection.
-pub(crate) struct Selected<'a> {
+pub(crate) struct Selected<'a, E> {
     /// The run's entries completed at or before the connection start:
     /// every candidate, live or expired, oldest first.
-    pub prior: &'a [Entry],
+    pub prior: &'a [E],
     /// The paper's choice among them.
-    pub chosen: &'a Entry,
+    pub chosen: &'a E,
     /// No candidate was live; `chosen` is the expired fallback.
     pub expired: bool,
 }
@@ -55,8 +71,8 @@ pub(crate) struct Selected<'a> {
 /// at `ts`: the most recent lookup completed by `ts` whose record is
 /// still live, else the most recent one, expired. `None` when no lookup
 /// completed by `ts`.
-pub(crate) fn select(run: &[Entry], ts: Timestamp) -> Option<Selected<'_>> {
-    let prior = &run[..run.partition_point(|e| e.completed <= ts)];
+pub(crate) fn select<E: Candidate>(run: &[E], ts: Timestamp) -> Option<Selected<'_, E>> {
+    let prior = &run[..run.partition_point(|e| e.completed() <= ts)];
     let newest = prior.last()?;
     let live = prior.iter().rev().find(|e| e.live_at(ts));
     Some(Selected { prior, chosen: live.unwrap_or(newest), expired: live.is_none() })

@@ -10,8 +10,14 @@
 //! co-hosting) is counted, and the alternate random-candidate policy the
 //! paper used as a robustness check is available as
 //! [`PairingPolicy::RandomNonExpired`].
+//!
+//! The rule only ever compares a connection with lookups of its own
+//! client `L`, so [`Pairing::build`] is a sort-merge join partitioned by
+//! client: each client's address answers, sorted by `(R, completion)`,
+//! meet its connections, sorted by `(R, conn-log position)`, one run of
+//! [`kernel::select`](crate::kernel::select) per destination.
 
-use crate::kernel::{pack_key, select, Entry, Paired, Tally};
+use crate::kernel::{select, Candidate, Paired, Tally};
 use xkit::collections::FastMap;
 use xkit::rng::StdRng;
 use zeek_lite::{ConnRecord, DnsTransaction, Duration, Timestamp};
@@ -56,20 +62,124 @@ impl PairedConn {
     }
 }
 
-/// Call `f` with every `(packed key, entry)` of the answered lookups in
-/// `dns`, in dns-log order: one entry per address answer. Both passes of
-/// [`Pairing::build`] walk the log through it, so they cannot disagree
-/// on what an entry is. A plain loop that takes the pass as a closure:
-/// an iterator of nested `flat_map`s built the index measurably slower.
-fn each_keyed(dns: &[DnsTransaction], mut f: impl FnMut(u64, Entry)) {
+/// One address answer of an answered lookup, in its client's slice of
+/// the arena. The slice is sorted by `(addr, completed, dns_idx)`, so
+/// each address is one run of the kernel's rule.
+#[derive(Debug, Clone, Copy)]
+struct ClientEntry {
+    completed: Timestamp,
+    expires: Timestamp,
+    addr: u32,
+    /// The lookup's dns-log row (the log has fewer than `u32::MAX` rows).
+    dns_idx: u32,
+}
+
+// 24 B: the arena holds one per address answer, the largest thing
+// `build` allocates.
+const _: () = assert!(std::mem::size_of::<ClientEntry>() == 24);
+
+impl Candidate for ClientEntry {
+    fn completed(&self) -> Timestamp {
+        self.completed
+    }
+
+    fn expires(&self) -> Timestamp {
+        self.expires
+    }
+}
+
+impl ClientEntry {
+    /// The slice order, `(addr, completed, dns_idx)`, as one integer.
+    fn order(&self) -> u128 {
+        (u128::from(self.addr) << 96) | (u128::from(self.completed.0) << 32) | u128::from(self.dns_idx)
+    }
+}
+
+/// One application connection of a client, as the merge reads it: its
+/// start, and its destination and conn-log row as one sort key.
+#[derive(Debug, Clone, Copy)]
+struct Probe {
+    ts: Timestamp,
+    /// `addr << 32 | row`.
+    key: u64,
+}
+
+impl Probe {
+    fn addr(&self) -> u32 {
+        (self.key >> 32) as u32
+    }
+
+    fn row(&self) -> usize {
+        self.key as u32 as usize
+    }
+}
+
+/// The `conn` of a DNS-service row's slot in `pairs` until the final
+/// pass of [`Pairing::build`] drops it.
+const NOT_APP: usize = usize::MAX;
+
+/// Assert that `len` rows fit the join's 32-bit row numbers and
+/// offsets, so the `as u32` casts below cannot wrap.
+fn assert_u32_rows(len: usize, what: &str) {
+    assert!(u32::try_from(len).is_ok(), "{len} {what} exceed u32 offsets");
+}
+
+/// Call `f` with every answered lookup of `dns`, in dns-log order, and
+/// its entry less the address: the lookup's index entries are that entry
+/// at each of its address answers. Both passes of the counting sort walk
+/// the log through it, so they cannot disagree on what an entry is.
+fn each_answered(dns: &[DnsTransaction], mut f: impl FnMut(&DnsTransaction, ClientEntry)) {
     for (dns_idx, txn) in dns.iter().enumerate() {
         let (Some(completed), Some(expires)) = (txn.completed_at(), txn.expires_at()) else {
             continue;
         };
-        for addr in txn.addrs() {
-            f(pack_key(txn.client, addr), Entry { completed, expires, dns_idx });
+        f(txn, ClientEntry { completed, expires, addr: 0, dns_idx: dns_idx as u32 });
+    }
+}
+
+/// Turn per-slice sizes `bounds[1..]` (with `bounds[0] == 0`) into each
+/// slice's start, shifted one place: `bounds[s + 1]` becomes slice `s`'s
+/// placement cursor, which ends at slice `s + 1`'s start, so that once
+/// every element is placed slice `s` is `bounds[s]..bounds[s + 1]`.
+/// Returns the total size.
+fn carve(bounds: &mut [u32]) -> usize {
+    let mut offset = 0;
+    for bound in &mut bounds[1..] {
+        offset += std::mem::replace(bound, offset);
+    }
+    offset as usize
+}
+
+/// The largest slice `bounds` describes.
+fn widest(bounds: &[u32]) -> usize {
+    bounds.windows(2).map(|b| (b[1] - b[0]) as usize).max().unwrap_or(0)
+}
+
+#[cfg(debug_assertions)]
+thread_local! {
+    /// Entries [`live_span`] has looked at on this thread: the work the
+    /// prefix-maximum bound saves, pinned by a test.
+    static VISITS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// The live entries among `run[..prior]`, the entries completed by `ts`:
+/// how many, and where the oldest is (`prior` if none). `reach[i]` is the
+/// latest expiry in `run[..=i]`, so the walk back from the newest stops
+/// at the first entry before which nothing is live.
+fn live_span(run: &[ClientEntry], reach: &[Timestamp], prior: usize, ts: Timestamp) -> (u32, usize) {
+    let (mut live, mut oldest) = (0, prior);
+    for i in (0..prior).rev() {
+        #[cfg(debug_assertions)]
+        VISITS.with(|v| v.set(v.get() + 1));
+        if reach[i] <= ts {
+            break;
+        }
+        if run[i].live_at(ts) {
+            live += 1;
+            oldest = i;
         }
     }
+    (live, oldest)
 }
 
 /// The pairing index and results.
@@ -88,92 +198,151 @@ impl Pairing {
     /// in the paper (the DNS log is its own dataset). The random policy
     /// draws from a fixed-seed RNG so analyses are reproducible.
     pub fn build(conns: &[ConnRecord], dns: &[DnsTransaction], policy: PairingPolicy) -> Pairing {
-        // Flat arena of (client, answer address) entries, grouped into
-        // per-key runs by a counting sort over the dns log itself, in two
-        // passes of one walk (`each_keyed`): the first numbers the keys in
-        // first-seen order and counts their entries, the runs are carved
-        // in that order, and the second pass writes each entry straight
-        // into its run's next slot of an exactly-sized arena; then each
-        // run is sorted by (completed, dns_idx). Nothing is staged: an
-        // entry's key exists only while it is counted or placed. Run
-        // contents and internal order match what a global (key,
-        // completed, dns_idx) sort produces; only the cross-key
-        // arrangement differs, and no consumer observes that — every read
-        // goes through `runs`. The dns log is ts-sorted, so each run
-        // arrives nearly sorted by completion time and its per-run sort
-        // is close to linear.
-        //
-        // `packed key -> run number`. FxHash map: addressed by key only,
-        // never iterated (bucket order must not leak into output); the
-        // first-seen run numbers are the deterministic order instead.
-        let mut runs: FastMap<u64, u32> = FastMap::default();
-        // Run `r` is `arena[bounds[r]..bounds[r + 1]]`. While counting,
-        // `bounds[r + 1]` is run `r`'s size; while placing, its cursor,
-        // which stops at the next run's start.
-        let mut bounds: Vec<u32> = vec![0];
+        assert_u32_rows(dns.len(), "dns log rows");
+        // Counting sort of the address answers by client into one
+        // exactly sized arena: the first pass numbers the clients in
+        // first-seen order and counts their entries, the second writes
+        // each entry into its client's next slot. The client map is
+        // addressed by key only, never iterated (bucket order must not
+        // leak into output), and keyed by the address as a number, whose
+        // low bits are the host part: the hasher's bucket index is the
+        // low bits of a product, which depend only on the key's low bits.
+        let mut clients: FastMap<u32, u32> = FastMap::default();
+        let mut entry_bounds: Vec<u32> = vec![0];
         let mut entries = 0usize;
-        each_keyed(dns, |key, _| {
-            entries += 1;
-            let fresh = bounds.len() as u32 - 1;
-            let r = *runs.entry(key).or_insert(fresh);
-            if r == fresh {
-                bounds.push(0);
+        each_answered(dns, |txn, _| {
+            let n = txn.addrs().count();
+            if n == 0 {
+                return;
             }
-            bounds[r as usize + 1] += 1;
+            entries += n;
+            let fresh = entry_bounds.len() as u32 - 1;
+            let c = *clients.entry(u32::from(txn.client)).or_insert(fresh);
+            if c == fresh {
+                entry_bounds.push(0);
+            }
+            entry_bounds[c as usize + 1] += n as u32;
         });
-        assert!(entries <= u32::MAX as usize, "index exceeds u32 arena offsets");
-        let mut offset = 0;
-        for bound in &mut bounds[1..] {
-            offset += std::mem::replace(bound, offset);
-        }
-        let unplaced = Entry { completed: Timestamp::ZERO, expires: Timestamp::ZERO, dns_idx: 0 };
+        assert_u32_rows(entries, "index entries");
+        carve(&mut entry_bounds);
+        let unplaced = ClientEntry { completed: Timestamp::ZERO, expires: Timestamp::ZERO, addr: 0, dns_idx: 0 };
         let mut arena = vec![unplaced; entries];
-        each_keyed(dns, |key, e| {
-            let r = *runs.get(&key).expect("counted key") as usize;
-            arena[bounds[r + 1] as usize] = e;
-            bounds[r + 1] += 1;
+        each_answered(dns, |txn, entry| {
+            let Some(&c) = clients.get(&u32::from(txn.client)) else { return };
+            let cursor = &mut entry_bounds[c as usize + 1];
+            for addr in txn.addrs() {
+                arena[*cursor as usize] = ClientEntry { addr: u32::from(addr), ..entry };
+                *cursor += 1;
+            }
         });
-        for run in bounds.windows(2) {
-            arena[run[0] as usize..run[1] as usize].sort_unstable_by_key(|en| (en.completed, en.dns_idx));
+
+        // One unpaired slot per conn-log row, so the join writes an
+        // outcome by row, and the same counting sort of the application
+        // connections' rows by client into one permutation. A client
+        // without answers pairs nothing and stays out of it.
+        assert_u32_rows(conns.len(), "conn log rows");
+        let mut pairs = Vec::with_capacity(conns.len());
+        let mut conn_bounds = vec![0u32; entry_bounds.len()];
+        let client_of = |conn: &ConnRecord| {
+            if conn.is_dns() {
+                return None;
+            }
+            clients.get(&u32::from(conn.id.orig_addr)).map(|&c| c as usize)
+        };
+        for (ci, conn) in conns.iter().enumerate() {
+            if let Some(c) = client_of(conn) {
+                conn_bounds[c + 1] += 1;
+            }
+            let conn = if conn.is_dns() { NOT_APP } else { ci };
+            pairs.push(PairedConn { conn, ..PairedConn::default() });
+        }
+        let mut order = vec![0u32; carve(&mut conn_bounds)];
+        for (ci, conn) in conns.iter().enumerate() {
+            if let Some(c) = client_of(conn) {
+                order[conn_bounds[c + 1] as usize] = ci as u32;
+                conn_bounds[c + 1] += 1;
+            }
         }
 
-        let mut rng = StdRng::seed_from_u64(0x5ca1ab1e);
-        let mut pairs = Vec::with_capacity(conns.len());
-        let mut dns_used = vec![false; dns.len()];
+        // Per client: sort its entries by (addr, completed, dns_idx) and
+        // its connections by (addr, row), then merge. Each address's run
+        // goes to the kernel's rule in place. The scratch is sized once,
+        // for the widest client.
+        let random = policy == PairingPolicy::RandomNonExpired;
+        // Under the random policy: each row's oldest live entry, where
+        // its draw starts.
+        let mut live_from = if random { vec![0u32; conns.len()] } else { Vec::new() };
+        let mut probes: Vec<Probe> = Vec::with_capacity(widest(&conn_bounds));
+        let mut reach: Vec<Timestamp> = Vec::with_capacity(widest(&entry_bounds));
+        for (spans, calls) in entry_bounds.windows(2).zip(conn_bounds.windows(2)) {
+            let base = spans[0] as usize;
+            let own = &mut arena[base..spans[1] as usize];
+            own.sort_unstable_by_key(ClientEntry::order);
+            probes.clear();
+            probes.extend(order[calls[0] as usize..calls[1] as usize].iter().map(|&ci| {
+                let conn = &conns[ci as usize];
+                let addr = u32::from(conn.id.resp_addr);
+                Probe { ts: conn.ts, key: (u64::from(addr) << 32) | u64::from(ci) }
+            }));
+            probes.sort_unstable_by_key(|p| p.key);
+            let mut start = 0;
+            for group in probes.chunk_by(|a, b| a.addr() == b.addr()) {
+                let addr = group[0].addr();
+                while own.get(start).is_some_and(|e| e.addr < addr) {
+                    start += 1;
+                }
+                reach.clear();
+                let mut latest = Timestamp::ZERO;
+                for e in own[start..].iter().take_while(|e| e.addr == addr) {
+                    latest = latest.max(e.expires);
+                    reach.push(latest);
+                }
+                let run = &own[start..start + reach.len()];
+                for probe in group {
+                    let Some(found) = select(run, probe.ts) else { continue };
+                    let (live, oldest) = live_span(run, &reach, found.prior.len(), probe.ts);
+                    let pair = &mut pairs[probe.row()];
+                    pair.dns = Some(found.chosen.dns_idx as usize);
+                    pair.gap = Some(probe.ts.since(found.chosen.completed));
+                    pair.expired = found.expired;
+                    pair.candidates = live;
+                    if random {
+                        live_from[probe.row()] = (base + start + oldest) as u32;
+                    }
+                }
+                start += run.len();
+            }
+        }
 
-        for (ci, conn) in conns.iter().enumerate() {
-            if conn.is_dns() {
+        // In conn-log order: the random draws and first use, compacting
+        // the application connections' slots to the front. The conn log
+        // is ts-sorted, so the first connection to pair with a lookup is
+        // its earliest use.
+        let mut rng = StdRng::seed_from_u64(0x5ca1ab1e);
+        let mut dns_used = vec![false; dns.len()];
+        let mut kept = 0;
+        for row in 0..pairs.len() {
+            let mut pair = pairs[row];
+            if pair.conn == NOT_APP {
                 continue;
             }
-            let mut pair = PairedConn { conn: ci, ..PairedConn::default() };
-            let key = pack_key(conn.id.orig_addr, conn.id.resp_addr);
-            let run = runs.get(&key).map_or(&[][..], |&r| {
-                let r = r as usize;
-                &arena[bounds[r] as usize..bounds[r + 1] as usize]
-            });
-            if let Some(found) = select(run, conn.ts) {
-                let live = || found.prior.iter().filter(|e| e.live_at(conn.ts));
-                pair.expired = found.expired;
-                let candidates = live().count();
-                // The arena holds fewer than u32::MAX entries (asserted).
-                pair.candidates = candidates as u32;
-                let chosen = match policy {
-                    // One draw per connection with a live candidate, in
-                    // connection order, over the candidates oldest first.
-                    PairingPolicy::RandomNonExpired if !found.expired => {
-                        let k = rng.random_range(0..candidates);
-                        live().nth(k).expect("k < live candidates")
-                    }
-                    _ => found.chosen,
-                };
-                pair.dns = Some(chosen.dns_idx);
-                pair.gap = Some(conn.ts.since(chosen.completed));
-                // The conn log is ts-sorted, so the first connection to
-                // pair with a lookup is its earliest use.
-                pair.first_use = !std::mem::replace(&mut dns_used[chosen.dns_idx], true);
+            if random && pair.candidates > 0 {
+                // One draw per connection with a live candidate, over the
+                // candidates oldest first.
+                let ts = conns[row].ts;
+                let k = rng.random_range(0..pair.candidates as usize);
+                let mut live = arena[live_from[row] as usize..].iter().filter(|e| e.live_at(ts));
+                let chosen = live.nth(k).expect("k < live candidates");
+                pair.dns = Some(chosen.dns_idx as usize);
+                pair.gap = Some(ts.since(chosen.completed));
             }
-            pairs.push(pair);
+            if let Some(d) = pair.dns {
+                pair.first_use = !std::mem::replace(&mut dns_used[d], true);
+            }
+            pairs[kept] = pair;
+            kept += 1;
         }
+        pairs.truncate(kept);
 
         Pairing { pairs, dns_used }
     }
@@ -377,6 +546,37 @@ mod tests {
         let p = Pairing::build(&conns, &dns, PairingPolicy::MostRecent);
         assert_eq!(p.pairs[0].candidates, 2);
         assert_eq!(p.single_candidate_share(), 0.0);
+    }
+
+    #[test]
+    fn row_counts_past_u32_are_refused() {
+        // Zero-sized rows: a boundary-length slice costs no memory.
+        let rows = vec![(); u32::MAX as usize];
+        assert_u32_rows(rows.len(), "rows");
+        let rows = vec![(); u32::MAX as usize + 1];
+        assert!(std::panic::catch_unwind(|| assert_u32_rows(rows.len(), "rows")).is_err());
+    }
+
+    /// The candidate walk stops where nothing older is live: on a
+    /// simulated day (`quick_study(12, 1.0, 42)`'s workload) it looks at
+    /// no more than two entries per live candidate, plus the one per
+    /// connection that stops it.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn the_candidate_walk_is_bounded_by_the_live_candidates() {
+        let cfg = ccz_sim::WorkloadConfig {
+            scale: ccz_sim::ScaleKnobs { houses: 12, days: 1.0, activity: 1.0 },
+            ..ccz_sim::WorkloadConfig::default()
+        };
+        let logs = ccz_sim::Simulation::new(cfg, 42).unwrap().run().logs;
+        VISITS.with(|v| v.set(0));
+        let p = Pairing::build(&logs.conns, &logs.dns, PairingPolicy::MostRecent);
+        let visits = VISITS.with(|v| v.get());
+        let live: u64 = p.pairs.iter().map(|x| u64::from(x.candidates)).sum();
+        let conns = p.app_conn_count() as u64;
+        eprintln!("{visits} visits, {live} live candidates, {conns} conns");
+        assert!(conns > 10_000, "a simulated day of {conns} application connections");
+        assert!(visits <= 2 * live + conns, "{visits} visits for {live} live candidates over {conns} conns");
     }
 
     #[test]

@@ -17,6 +17,9 @@
 //! the obs exporters, which write into their one output string;
 //! `batch-sorts-in-place` keeps stable sorts, and the scratch they
 //! allocate, off the batch analysis' row-sized vectors;
+//! `pairing-joins-by-client` keeps the per-key hash index out of the
+//! batch pairer, which merges each client's sorted lookups and
+//! connections;
 //! `unused-pub` is the one
 //! workspace-wide pass (a `pub` item nothing outside its file uses);
 //! `lints-inherit` keeps every crate under the workspace's
@@ -200,6 +203,18 @@ pub fn rules() -> Vec<Rule> {
                 include_tests: false,
             },
             check: Check::Needles(&[".sort_by(", ".sort_by_key("]),
+        },
+        Rule {
+            id: "pairing-joins-by-client",
+            desc: "batch pairing is a sort-merge join by client, not a per-key hash index: no pack_key and no FastMap/HashMap keyed by a packed u64 or an address pair in non-test dns-context/src/pairing.rs",
+            hint: "pair inside each client's slice: sort its entries by (addr, completed, dns_idx) and its connections by (addr, row), then merge and hand each address's run to kernel::select; a per-key map costs a hash probe and a jump into the arena per connection",
+            scope: Scope {
+                roots: &["crates/dns-context/src/pairing.rs"],
+                exclude: &[],
+                src_only: true,
+                include_tests: false,
+            },
+            check: Check::Needles(&["pack_key", "FastMap<u64", "HashMap<u64", "FastMap<(", "HashMap<("]),
         },
         Rule {
             id: "clock-seam",

@@ -288,6 +288,37 @@ fn a_stable_sort_is_silent_in_the_batch_tests_and_other_files() {
     assert!(diags("crates/dns-context/src/house.rs", elsewhere).is_empty());
 }
 
+// ---- pairing-joins-by-client ----------------------------------------------
+
+const PAIRING: &str = "crates/dns-context/src/pairing.rs";
+
+#[test]
+fn a_per_key_index_fires_in_the_batch_pairer() {
+    for index in [
+        "fn run(conn: &ConnRecord, runs: &Runs) -> u32 { runs.get(pack_key(conn.id.orig_addr, conn.id.resp_addr)) }\n",
+        "struct Index { runs: FastMap<u64, u32> }\n",
+        "fn index() -> HashMap<u64, Vec<Entry>> { HashMap::new() }\n",
+        "fn index() -> FastMap<(Ipv4Addr, Ipv4Addr), u32> { FastMap::default() }\n",
+        "fn index() -> std::collections::HashMap<(u32, u32), u32> { Default::default() }\n",
+    ] {
+        assert_eq!(fired(PAIRING, index), vec!["pairing-joins-by-client"], "{index}");
+    }
+    // Numbering the clients is a map by one address; the join needs no
+    // other.
+    let joined = "fn build() { let mut clients: FastMap<u32, u32> = FastMap::default(); }\n\
+                  fn key(p: &Probe) -> u64 { p.key }\n";
+    assert!(diags(PAIRING, joined).is_empty(), "{:?}", diags(PAIRING, joined));
+}
+
+#[test]
+fn a_per_key_index_is_silent_in_the_pairing_tests_and_the_stream_engine() {
+    let in_test = "#[cfg(test)]\nmod tests {\n    fn model() -> HashMap<u64, Vec<usize>> { HashMap::new() }\n}\n";
+    assert!(diags(PAIRING, in_test).is_empty(), "{:?}", diags(PAIRING, in_test));
+    let stream = "fn key(t: &DnsTransaction, a: Ipv4Addr) -> u64 { pack_key(t.client, a) }\n\
+                  struct Engine { index: FastMap<u64, Run> }\n";
+    assert!(diags(STREAM, stream).is_empty(), "{:?}", diags(STREAM, stream));
+}
+
 // ---- clock-seam / no-wallclock -----------------------------------------
 
 #[test]

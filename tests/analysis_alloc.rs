@@ -5,7 +5,7 @@
 //! the allocation counter (a `realloc` is an event), not timed. One test
 //! in this binary, so nothing else allocates while it measures.
 
-use dnsctx::dns_context::{Analysis, AnalysisConfig};
+use dnsctx::dns_context::{Analysis, AnalysisConfig, Pairing};
 use dnsctx::pipeline::quick_study;
 use dnsctx::xkit::bench::alloc::{self, CountingAlloc};
 
@@ -32,11 +32,26 @@ fn the_batch_run_allocates_for_what_it_reads() {
     // read 265.6 B per row in 162 events; the six scanned columns read
     // 203.2 B in 145. Indexing the dns log in place (no staged copy of
     // its keyed entries), 48 B pairs and exactly-sized §6 vectors read
-    // 117.8 B in 90.
+    // 117.8 B in 90 (114.5 B in 91 when re-measured beside the next
+    // step). Pairing as a sort-merge join by client, with no per-key map,
+    // reads 101.7 B in 75.
     let per_row = spent.bytes as f64 / rows as f64;
     assert!(
         per_row <= 130.0 && spent.allocs <= 100,
         "{per_row:.1} B per log row in {} allocation events over {rows} rows",
         spent.allocs
     );
+
+    // Pairing alone allocates per client, not per row or per key: the
+    // same twelve houses at four times the activity cost the same
+    // number of events (14 at both; the per-key index made 30 and 32).
+    let pairing_events = |logs: &dnsctx::zeek_lite::Logs| {
+        let policy = AnalysisConfig::default().policy;
+        alloc::measure(|| Pairing::build(&logs.conns, &logs.dns, policy).pairs.len()).1.allocs
+    };
+    let busier = quick_study(12, 2.0, 42);
+    let busier_rows = (busier.logs().conns.len() + busier.logs().dns.len()) as u64;
+    assert!(busier_rows > 3 * rows, "{busier_rows} rows against {rows}");
+    let (quiet, busy) = (pairing_events(logs), pairing_events(busier.logs()));
+    assert_eq!(quiet, busy, "pairing allocation events at {rows} and at {busier_rows} rows");
 }
