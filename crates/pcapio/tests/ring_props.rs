@@ -11,8 +11,15 @@
 //!   exactly.
 //! * No panics at degenerate capacities (1, 2, 7 bytes — too small for
 //!   even a frame header) where every record is an oversize drop.
+//! * Liveness: a threaded Block run finishes at every geometry and
+//!   consumer pacing, and a consumer that closes frees a parked
+//!   producer. Each such case runs under a watchdog, so a lost wake-up
+//!   fails within seconds instead of hanging the suite.
 
 use std::collections::VecDeque;
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::thread;
+use std::time::Duration;
 
 use pcapio::ring::{self, Backpressure, PushOutcome};
 use pcapio::RecordSource;
@@ -203,31 +210,33 @@ fn threaded_block_policy_delivers_everything_in_order() {
     // producer parks on the full ring thousands of times, and none of
     // that scheduling may be visible — Block never drops, so the
     // consumed sequence is exactly the produced sequence.
-    const RECORDS: u64 = 10_000;
-    let (mut tx, mut rx) = ring::channel(96, SNAPLEN, Backpressure::Block);
-    let producer = std::thread::spawn(move || {
-        let mut rng = StdRng::seed_from_u64(0xB10C);
-        for seq in 0..RECORDS {
-            let len = rng.random_range(0usize..=40);
-            let body = payload(seq, len);
-            assert!(tx.push(seq, len as u32, &body), "Block policy must never drop");
-        }
-        (tx.produced(), tx.dropped())
-    });
+    under_watchdog("capacity 96".to_string(), || {
+        const RECORDS: u64 = 10_000;
+        let (mut tx, mut rx) = ring::channel(96, SNAPLEN, Backpressure::Block);
+        let producer = std::thread::spawn(move || {
+            let mut rng = StdRng::seed_from_u64(0xB10C);
+            for seq in 0..RECORDS {
+                let len = rng.random_range(0usize..=40);
+                let body = payload(seq, len);
+                assert!(tx.push(seq, len as u32, &body), "Block policy must never drop");
+            }
+            (tx.produced(), tx.dropped())
+        });
 
-    let mut rng = StdRng::seed_from_u64(0xB10C);
-    let mut next_seq = 0u64;
-    while let Some(got) = rx.next().expect("ring io") {
-        let len = rng.random_range(0usize..=40);
-        assert_eq!(got.ts_nanos, next_seq, "delivery order");
-        assert_eq!(got.orig_len, len as u32);
-        assert_eq!(got.data, &payload(next_seq, len)[..], "payload integrity");
-        next_seq += 1;
-    }
-    let (produced, dropped) = producer.join().expect("producer thread");
-    assert_eq!(produced, RECORDS);
-    assert_eq!(dropped, 0);
-    assert_eq!(next_seq, RECORDS, "every record delivered exactly once");
+        let mut rng = StdRng::seed_from_u64(0xB10C);
+        let mut next_seq = 0u64;
+        while let Some(got) = rx.next().expect("ring io") {
+            let len = rng.random_range(0usize..=40);
+            assert_eq!(got.ts_nanos, next_seq, "delivery order");
+            assert_eq!(got.orig_len, len as u32);
+            assert_eq!(got.data, &payload(next_seq, len)[..], "payload integrity");
+            next_seq += 1;
+        }
+        let (produced, dropped) = producer.join().expect("producer thread");
+        assert_eq!(produced, RECORDS);
+        assert_eq!(dropped, 0);
+        assert_eq!(next_seq, RECORDS, "every record delivered exactly once");
+    });
 }
 
 #[test]
@@ -239,4 +248,189 @@ fn snaplen_truncation_is_visible_only_in_stored_bytes() {
     assert_eq!(got.ts_nanos, 7);
     assert_eq!(got.orig_len, 200, "original length survives truncation");
     assert_eq!(got.data, &body[..64], "stored bytes cut at snaplen");
+}
+
+/// How long one threaded case may take before it counts as a lost
+/// wake-up.
+const WATCHDOG: Duration = Duration::from_secs(20);
+
+/// Ring capacities of the liveness cases: exactly one maximal record
+/// (a 65 535-byte snaplen), 1 KiB, and the serve daemon's 256 KiB ring.
+/// Each case's snaplen is `capacity - 16`, so records run up to a full
+/// ring and some need more than half of it.
+const GEOMETRIES: [usize; 3] = [FRAME_HEADER_LEN + 65_535, 1 << 10, 1 << 18];
+
+/// Records per threaded liveness case.
+const LIVE_RECORDS: u64 = 4_000;
+
+/// How the consumer of a threaded case pulls.
+#[derive(Debug, Clone, Copy)]
+enum Pacing {
+    /// `next` in a tight loop.
+    Tight,
+    /// `next`, with a seeded yield or short sleep every 1–64 records.
+    Paced,
+    /// `try_next` in a loop that yields while the ring is empty.
+    Polling,
+}
+
+/// Run `case` on its own thread and fail if it has not finished within
+/// [`WATCHDOG`]; a panic inside the case fails the test as itself.
+fn under_watchdog(name: String, case: impl FnOnce() + Send + 'static) {
+    let (done_tx, done_rx) = mpsc::channel();
+    let worker = thread::spawn(move || {
+        case();
+        let _ = done_tx.send(());
+    });
+    match done_rx.recv_timeout(WATCHDOG) {
+        Ok(()) | Err(RecvTimeoutError::Disconnected) => {
+            if let Err(panic) = worker.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
+        Err(RecvTimeoutError::Timeout) => {
+            panic!("{name}: no progress within {WATCHDOG:?}, a lost wake-up")
+        }
+    }
+}
+
+/// Payload source for every record of a liveness case: record `seq` of
+/// length `len` is `body[seq % 256..][..len]`, which is byte for byte
+/// [`payload`]`(seq, len)` without an allocation per record.
+fn pattern(capacity: usize) -> Vec<u8> {
+    (0..capacity + 256).map(|i| i as u8).collect()
+}
+
+/// Seeded stored length of the next record: mostly small, one in ten
+/// drawn up to a full ring.
+fn live_len(rng: &mut StdRng, capacity: usize) -> usize {
+    let max = capacity - FRAME_HEADER_LEN;
+    if rng.random_bool(0.1) {
+        rng.random_range(0..=max)
+    } else {
+        rng.random_range(0..=max.min(200))
+    }
+}
+
+/// One threaded Block run: every record arrives once and in order, and
+/// the counters conserve exactly.
+fn block_run(capacity: usize, pacing: Pacing) {
+    let snaplen = (capacity - FRAME_HEADER_LEN) as u32;
+    let (mut tx, mut rx) = ring::channel(capacity, snaplen, Backpressure::Block);
+    let root = StdRng::seed_from_u64(0x11FE).split(capacity as u64);
+    let mut producer_lens = root.split(0);
+    let producer = thread::spawn(move || {
+        let body = pattern(capacity);
+        for seq in 0..LIVE_RECORDS {
+            let len = live_len(&mut producer_lens, capacity);
+            let data = &body[(seq % 256) as usize..][..len];
+            assert!(tx.push(seq, len as u32, data), "Block policy must never drop");
+        }
+        (tx.produced(), tx.dropped())
+    });
+
+    let body = pattern(capacity);
+    let mut lens = root.split(0);
+    let mut pace = root.split(1);
+    let mut until_pause = pace.random_range(1u32..=64);
+    let mut seq = 0u64;
+    loop {
+        let got = match pacing {
+            Pacing::Polling => match rx.try_next() {
+                Some(got) => got,
+                None if seq == LIVE_RECORDS => break,
+                None => {
+                    thread::yield_now();
+                    continue;
+                }
+            },
+            Pacing::Tight | Pacing::Paced => match rx.next().expect("ring io") {
+                Some(got) => got,
+                None => break,
+            },
+        };
+        let len = live_len(&mut lens, capacity);
+        assert_eq!((got.ts_nanos, got.orig_len), (seq, len as u32), "{pacing:?}: delivery order");
+        assert!(got.data == &body[(seq % 256) as usize..][..len], "{pacing:?}: record {seq} corrupted");
+        seq += 1;
+        if let Pacing::Paced = pacing {
+            until_pause -= 1;
+            if until_pause == 0 {
+                if pace.random_bool(0.5) {
+                    thread::yield_now();
+                } else {
+                    thread::sleep(Duration::from_micros(pace.random_range(1u64..=200)));
+                }
+                until_pause = pace.random_range(1u32..=64);
+            }
+        }
+    }
+    assert!(rx.next().expect("ring io").is_none(), "a drained, closed ring reports end of stream");
+    let (produced, dropped) = producer.join().expect("producer thread");
+    assert_eq!(seq, LIVE_RECORDS, "every record delivered exactly once");
+    assert_eq!((produced, dropped), (LIVE_RECORDS, 0));
+    assert_eq!(rx.consumed(), produced, "produced = consumed + dropped after drain");
+}
+
+#[test]
+fn threaded_block_runs_finish_at_every_geometry_and_pacing() {
+    for capacity in GEOMETRIES {
+        for pacing in [Pacing::Tight, Pacing::Paced, Pacing::Polling] {
+            under_watchdog(format!("capacity {capacity}, {pacing:?}"), move || {
+                block_run(capacity, pacing)
+            });
+        }
+    }
+}
+
+#[test]
+fn a_consumer_closing_on_a_parked_producer_frees_it() {
+    for capacity in GEOMETRIES {
+        under_watchdog(format!("capacity {capacity}, close"), move || {
+            let snaplen = (capacity - FRAME_HEADER_LEN) as u32;
+            let (mut tx, mut rx) = ring::channel(capacity, snaplen, Backpressure::Block);
+            let flight = xkit::obs::FlightRecorder::new(8);
+            tx.set_flight(flight.clone());
+            let root = StdRng::seed_from_u64(0xC105).split(capacity as u64);
+            let mut producer_lens = root.split(0);
+            let producer = thread::spawn(move || {
+                let body = pattern(capacity);
+                let mut enqueued = 0u64;
+                loop {
+                    let len = live_len(&mut producer_lens, capacity);
+                    let data = &body[(enqueued % 256) as usize..][..len];
+                    if !tx.push(enqueued, len as u32, data) {
+                        break;
+                    }
+                    enqueued += 1;
+                }
+                for _ in 0..3 {
+                    assert!(!tx.push(0, 0, &[]), "every push after the close drops");
+                }
+                (enqueued, tx.produced(), tx.dropped())
+            });
+
+            let mut lens = root.split(0);
+            let reads = root.split(1).random_range(0u64..=32);
+            for seq in 0..reads {
+                let got = rx.next().expect("ring io").expect("the producer is live");
+                assert_eq!(got.ts_nanos, seq);
+                assert_eq!(got.orig_len, live_len(&mut lens, capacity) as u32);
+            }
+            // Let the producer fill what the reads freed and park again.
+            while flight.is_empty() {
+                thread::yield_now();
+            }
+            thread::sleep(Duration::from_millis(5));
+            drop(rx);
+
+            let (enqueued, produced, dropped) = producer.join().expect("producer thread");
+            assert!(enqueued >= reads, "only enqueued records can have been read");
+            assert_eq!(dropped, 4, "the parked push and the three after it drop");
+            assert_eq!(produced, enqueued + dropped, "produced = consumed + dropped + pending");
+            let pending: usize =
+                (reads..enqueued).map(|_| FRAME_HEADER_LEN + live_len(&mut lens, capacity)).sum();
+            assert!(pending <= capacity, "{pending} pending bytes fit a {capacity}-byte ring");
+        });
+    }
 }
