@@ -31,6 +31,18 @@
 //! exactly. A record that can never fit (framed size exceeds the ring
 //! capacity) is dropped under either policy rather than deadlocking a
 //! blocking producer.
+//!
+//! **Wake-ups** go only to a parked peer. A side about to wait marks
+//! itself under the lock — the consumer in `rx_parked`, the producer by
+//! the framed size it waits for in `tx_needs` — so an uncontended push
+//! or pop makes no `futex_wake` call at all. A push wakes a parked
+//! consumer. A pop wakes a parked producer once `max(tx_needs,
+//! capacity / 2)` bytes are free, so a blocked producer refills in
+//! half-ring batches instead of once per record. The threshold cannot
+//! deadlock: a consumer that keeps popping reaches an empty ring, where
+//! `free = capacity ≥ tx_needs` (a larger record was dropped as
+//! oversize), and the pop that empties the ring issues the wake before
+//! the consumer can park. Closing either half wakes every waiter.
 
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
@@ -75,6 +87,27 @@ struct State {
     dropped: u64,
     tx_closed: bool,
     rx_closed: bool,
+    /// The consumer is waiting on `data` for a record.
+    rx_parked: bool,
+    /// Framed bytes the producer waits on `space` for; 0 when it is not
+    /// parked.
+    tx_needs: usize,
+}
+
+#[cfg(debug_assertions)]
+thread_local! {
+    /// `notify_one` calls this thread has made, `[data, space]`: a push
+    /// waking the consumer, a pop waking the producer. Pinned by tests.
+    static WAKES: std::cell::Cell<[u64; 2]> = const { std::cell::Cell::new([0; 2]) };
+}
+
+#[cfg(debug_assertions)]
+fn count_wake(side: usize) {
+    WAKES.with(|w| {
+        let mut n = w.get();
+        n[side] += 1;
+        w.set(n);
+    });
 }
 
 impl State {
@@ -101,6 +134,19 @@ impl State {
         dst[first..].copy_from_slice(&self.buf[..n - first]);
         self.head = (self.head + n) % cap;
         self.len -= n;
+    }
+
+    /// After a pop: whether to wake the producer, which is parked and now
+    /// has both its record's room and half the ring free. Clears the mark
+    /// so one episode costs one wake.
+    fn take_tx_wake(&mut self) -> bool {
+        let wake = self.tx_needs > 0 && self.free() >= self.tx_needs.max(self.buf.len() / 2);
+        if wake {
+            self.tx_needs = 0;
+            #[cfg(debug_assertions)]
+            count_wake(1);
+        }
+        wake
     }
 }
 
@@ -138,6 +184,8 @@ pub fn channel(capacity: usize, snaplen: u32, policy: Backpressure) -> (RingSink
             dropped: 0,
             tx_closed: false,
             rx_closed: false,
+            rx_parked: false,
+            tx_needs: 0,
         }),
         space: Condvar::new(),
         data: Condvar::new(),
@@ -208,8 +256,13 @@ impl RingSink {
         st.write_bytes(&header);
         st.write_bytes(&data[..stored]);
         st.produced += 1;
+        let wake = std::mem::take(&mut st.rx_parked);
         drop(st);
-        self.shared.data.notify_one();
+        if wake {
+            #[cfg(debug_assertions)]
+            count_wake(0);
+            self.shared.data.notify_one();
+        }
         PushOutcome::Enqueued
     }
 
@@ -234,8 +287,10 @@ impl RingSink {
                     }
                     let mut st = self.shared.lock();
                     while st.free() < needed && !st.rx_closed {
+                        st.tx_needs = needed;
                         st = self.shared.space.wait(st).unwrap_or_else(|e| e.into_inner());
                     }
+                    st.tx_needs = 0;
                 }
             }
         }
@@ -307,8 +362,11 @@ impl RingSource {
             return None;
         }
         let (ts_nanos, orig_len, stored) = pop_frame(&mut self.buf, &mut st);
+        let wake = st.take_tx_wake();
         drop(st);
-        self.shared.space.notify_one();
+        if wake {
+            self.shared.space.notify_one();
+        }
         self.frames_read += 1;
         self.bytes_read += stored as u64;
         Some(RecordRef { ts_nanos, orig_len, data: &self.buf[..stored] })
@@ -350,11 +408,16 @@ impl RecordSource for RingSource {
             if st.tx_closed {
                 return Ok(None);
             }
+            st.rx_parked = true;
             st = self.shared.data.wait(st).unwrap_or_else(|e| e.into_inner());
         }
+        st.rx_parked = false;
         let (ts_nanos, orig_len, stored) = pop_frame(&mut self.buf, &mut st);
+        let wake = st.take_tx_wake();
         drop(st);
-        self.shared.space.notify_one();
+        if wake {
+            self.shared.space.notify_one();
+        }
         self.frames_read += 1;
         self.bytes_read += stored as u64;
         Ok(Some(RecordRef { ts_nanos, orig_len, data: &self.buf[..stored] }))
@@ -438,6 +501,57 @@ mod tests {
         assert_eq!(tx.dropped(), 1);
         drop(tx);
         assert!(rx.next().unwrap().is_none());
+    }
+
+    /// Nobody parks when the ring holds everything, so a run that pushes
+    /// every record and then drains them makes no `notify_one` call.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn an_uncontended_run_wakes_nobody() {
+        let (mut tx, mut rx) = channel(1 << 16, 65_535, Backpressure::Block);
+        WAKES.with(|w| w.set([0; 2]));
+        for seq in 0..1_000u64 {
+            assert!(tx.push(seq, 32, &[0u8; 32]));
+        }
+        drop(tx);
+        let mut drained = 0u64;
+        while rx.next().unwrap().is_some() {
+            drained += 1;
+        }
+        assert_eq!(drained, 1_000);
+        assert_eq!(WAKES.with(|w| w.get()), [0, 0], "[data, space] wake-ups");
+    }
+
+    /// A producer stuck behind a slow consumer is woken once per half
+    /// ring, not once per record. Between a park (free < needed ≤ 80 B)
+    /// and its wake (free ≥ capacity / 2) the consumer pops more than
+    /// `capacity / 2 - 80` bytes, which at this geometry keeps the wakes
+    /// within `2 · bytes / capacity + 2` on any schedule.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_slow_consumer_wakes_the_producer_once_per_half_ring() {
+        const CAPACITY: usize = 1 << 16;
+        const RECORDS: u64 = 40_000;
+        let len = |seq: u64| (seq % 65) as usize;
+        let (mut tx, mut rx) = channel(CAPACITY, 65_535, Backpressure::Block);
+        let producer = std::thread::spawn(move || {
+            for seq in 0..RECORDS {
+                assert!(tx.push(seq, len(seq) as u32, &[0u8; 64][..len(seq)]));
+            }
+        });
+        WAKES.with(|w| w.set([0; 2]));
+        let mut bytes = 0;
+        while let Some(got) = rx.next().unwrap() {
+            assert_eq!(got.data.len(), len(got.ts_nanos));
+            bytes += FRAME_HEADER_LEN + got.data.len();
+            if got.ts_nanos % 256 == 0 {
+                std::thread::sleep(std::time::Duration::from_micros(50));
+            }
+        }
+        producer.join().unwrap();
+        assert_eq!(rx.consumed(), RECORDS);
+        let wakes = WAKES.with(|w| w.get())[1];
+        assert!(wakes <= (2 * bytes / CAPACITY + 2) as u64, "{wakes} producer wakes for {bytes} B");
     }
 
     #[test]

@@ -59,6 +59,9 @@ echo "== ingest suite =="
 # One RecordSource seam, two backends: the file and ring paths must be
 # indistinguishable downstream, and the ring must conserve every record.
 cargo test -q --release --offline -p dnsctx --test ingest_agreement
+# The ring's threaded liveness cases again at release speed, where a lost
+# wake-up between a parked peer and its waker is likeliest to show.
+cargo test -q --release --offline -p pcapio --test ring_props
 # The ring-fed CLI run must emit the exact stdout document of the
 # file-fed run over the same workload (spans are excluded by design).
 ing_file=$(mktemp /tmp/verify_ingest_file.XXXXXX.json)
