@@ -42,7 +42,7 @@ pub enum WireError {
     },
     /// TCP length prefix promised more bytes than are available.
     BadTcpFrame,
-    /// A name string passed to [`crate::Name::parse`] was not a valid hostname.
+    /// A name string passed to [`crate::NameBuf::set`] was not a valid hostname.
     BadNameString(String),
 }
 

@@ -1,20 +1,20 @@
 //! RFC 1034/1035 DNS wire format.
 //!
 //! This crate implements the subset of the DNS protocol needed by a passive
-//! network monitor and a traffic simulator:
+//! network monitor and a traffic simulator, one writer and one reader:
 //!
-//! * [`Name`] — domain names with the RFC 1035 length limits, case-insensitive
-//!   comparison, and wire encoding/decoding including message compression
-//!   pointers (§4.1.4).
-//! * [`Message`] / [`Header`] / [`Question`] / [`Record`] — full message
-//!   encode and decode for the common record types (see [`RData`]).
-//! * [`MessageWriter`] — the one encoder: header, questions and records
-//!   appended to a caller's buffer from flat names ([`NameBuf`]), counts
-//!   patched at the end. The owned encode is a loop over it.
-//! * [`MessageView`] — the same decode checks over a borrowed buffer,
-//!   allocating nothing: id, flags, the first question and the answer
-//!   records, names read into a caller-owned [`NameBuf`]. The owned decode
-//!   is this view, collected.
+//! * [`MessageWriter`] — the encoder: header, questions and records
+//!   appended to a caller's buffer from flat names ([`NameBuf`], set from a
+//!   presentation string with the RFC 1035 length limits), names
+//!   compressed against earlier occurrences (§4.1.4), counts patched at
+//!   the end.
+//! * [`MessageView`] — the decoder: every section checked in place over a
+//!   borrowed buffer, allocating nothing; it hands out id, flags, the
+//!   first question and the answer records, names read, lower-cased, into
+//!   a caller-owned [`NameBuf`].
+//! * [`Message`] / [`Question`] / [`Record`] / [`RData`] — the view
+//!   collected into owned sections by [`Message::decode`], for callers
+//!   that time or keep a whole message.
 //! * [`tcp_frame`] — the 2-byte length prefix used for DNS over TCP (§4.2.2).
 //!
 //! The codec is strict on decode (malformed packets return [`WireError`]
@@ -25,22 +25,25 @@
 //! # Example
 //!
 //! ```
-//! use dns_wire::{Compressor, Flags, Message, MessageWriter, Name, NameBuf, Rcode, RrType};
+//! use dns_wire::{Compressor, Flags, MessageView, MessageWriter, NameBuf, Rcode, RrType};
 //! use std::net::Ipv4Addr;
 //!
-//! let q = Message::query(0x1234, Name::parse("www.example.com").unwrap(), RrType::A);
-//! let wire = q.encode();
-//! let back = Message::decode(&wire).unwrap();
-//! assert_eq!(back.questions[0].name.to_string(), "www.example.com");
-//!
-//! // The response, written straight into a buffer.
-//! let name: NameBuf = "www.example.com".parse().unwrap();
+//! // A response, written straight into a buffer.
+//! let name: NameBuf = "WWW.Example.com".parse().unwrap();
 //! let (mut wire, mut comp) = (Vec::new(), Compressor::default());
-//! let mut resp = MessageWriter::new(&mut wire, &mut comp, back.id, Flags::response(Rcode::NoError));
+//! let mut resp = MessageWriter::new(&mut wire, &mut comp, 0x1234, Flags::response(Rcode::NoError));
 //! resp.question(&name, RrType::A);
 //! resp.a(&name, 300, Ipv4Addr::new(93, 184, 216, 34));
 //! resp.finish();
-//! assert_eq!(Message::decode(&wire).unwrap().answers.len(), 1);
+//!
+//! // Read back in place, the name into a reused buffer.
+//! let view = MessageView::parse(&wire).unwrap();
+//! let (mut buf, mut text) = (NameBuf::new(), String::new());
+//! view.question().unwrap().name.read_into(&mut buf);
+//! buf.write_presentation(&mut text);
+//! assert_eq!((view.id(), text.as_str()), (0x1234, "www.example.com"));
+//! let answer = view.answers().next().unwrap();
+//! assert_eq!((answer.ttl, answer.a()), (300, Some(Ipv4Addr::new(93, 184, 216, 34))));
 //! ```
 
 #![forbid(unsafe_code)]

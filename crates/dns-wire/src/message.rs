@@ -3,7 +3,7 @@ use crate::name::{write_compressed, Compressor, NameBuf};
 use crate::question::{self, Question, QuestionView};
 use crate::rdata::write_soa;
 use crate::record::{self, Record, RecordView};
-use crate::{Name, RrClass, RrType, WireError};
+use crate::{RrType, WireError};
 use std::net::Ipv4Addr;
 
 /// A complete DNS message: header plus the four record sections.
@@ -24,35 +24,6 @@ pub struct Message {
 }
 
 impl Message {
-    /// Build a standard recursive query for `name`/`rtype`.
-    pub fn query(id: u16, name: Name, rtype: RrType) -> Message {
-        Message {
-            id,
-            flags: Flags::query(),
-            questions: vec![Question::new(name, rtype)],
-            answers: Vec::new(),
-            authorities: Vec::new(),
-            additionals: Vec::new(),
-        }
-    }
-
-    /// Encode to wire format with name compression.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64);
-        let mut comp = Compressor::default();
-        let mut w = MessageWriter::new(&mut out, &mut comp, self.id, self.flags);
-        for q in &self.questions {
-            w.put_question(q.name.flat(), q.rtype, q.rclass);
-        }
-        for (section, records) in [(ANSWER, &self.answers), (AUTHORITY, &self.authorities), (ADDITIONAL, &self.additionals)] {
-            for r in records {
-                w.put_record(section, r.name.flat(), r.rtype(), r.class, r.ttl, |out, comp| r.rdata.encode(out, comp));
-            }
-        }
-        w.finish();
-        out
-    }
-
     /// Decode a message from wire format.
     ///
     /// Trailing bytes after the records promised by the header are ignored
@@ -75,11 +46,11 @@ impl Message {
     }
 }
 
-/// Which of the header's four counts a question or record adds to.
+/// Which of the header's four counts a question or record adds to (the
+/// fourth, additional, is never written).
 const QUESTION: usize = 0;
 const ANSWER: usize = 1;
 const AUTHORITY: usize = 2;
-const ADDITIONAL: usize = 3;
 
 /// The one message encoder: writes a message straight into a buffer that
 /// may already hold other bytes (a frame's headers, earlier frames) —
@@ -105,19 +76,21 @@ impl<'a> MessageWriter<'a> {
 
     /// A standard Internet-class question.
     pub fn question(&mut self, name: &NameBuf, rtype: RrType) {
-        self.put_question(name.flat(), rtype, RrClass::In);
+        debug_assert!(self.counts[ANSWER..] == [0; 3], "questions come first");
+        question::write(self.out, self.comp, name.flat(), rtype);
+        self.counts[QUESTION] += 1;
     }
 
     /// An A record in the answer section.
     pub fn a(&mut self, owner: &NameBuf, ttl: u32, addr: Ipv4Addr) {
-        self.put_record(ANSWER, owner.flat(), RrType::A, RrClass::In, ttl, |out, _| {
+        self.put_record(ANSWER, owner.flat(), RrType::A, ttl, |out, _| {
             out.extend_from_slice(&addr.octets())
         });
     }
 
     /// A CNAME record in the answer section.
     pub fn cname(&mut self, owner: &NameBuf, ttl: u32, target: &NameBuf) {
-        self.put_record(ANSWER, owner.flat(), RrType::Cname, RrClass::In, ttl, |out, comp| {
+        self.put_record(ANSWER, owner.flat(), RrType::Cname, ttl, |out, comp| {
             write_compressed(target.flat(), out, comp)
         });
     }
@@ -127,7 +100,7 @@ impl<'a> MessageWriter<'a> {
     /// retry, expire, minimum, and the minimum bounds how long the
     /// non-existence may be cached.
     pub fn soa(&mut self, zone: &NameBuf, ttl: u32, mname: &NameBuf, rname: &NameBuf, counters: [u32; 5]) {
-        self.put_record(AUTHORITY, zone.flat(), RrType::Soa, RrClass::In, ttl, |out, comp| {
+        self.put_record(AUTHORITY, zone.flat(), RrType::Soa, ttl, |out, comp| {
             write_soa(out, comp, mname.flat(), rname.flat(), counters)
         });
     }
@@ -140,23 +113,16 @@ impl<'a> MessageWriter<'a> {
         }
     }
 
-    fn put_question(&mut self, name: &[u8], rtype: RrType, rclass: RrClass) {
-        debug_assert!(self.counts[ANSWER..] == [0; 3], "questions come first");
-        question::write(self.out, self.comp, name, rtype, rclass);
-        self.counts[QUESTION] += 1;
-    }
-
     fn put_record(
         &mut self,
         section: usize,
         owner: &[u8],
         rtype: RrType,
-        class: RrClass,
         ttl: u32,
         rdata: impl FnOnce(&mut Vec<u8>, &mut Compressor),
     ) {
         debug_assert!(self.counts[section + 1..].iter().all(|c| *c == 0), "sections come in order");
-        record::write(self.out, self.comp, owner, rtype, class, ttl, rdata);
+        record::write(self.out, self.comp, owner, rtype, ttl, rdata);
         self.counts[section] += 1;
     }
 }
@@ -234,118 +200,111 @@ mod tests {
     use super::*;
     use crate::header::Rcode;
     use crate::rdata::{RData, SoaData};
+    use crate::{NameRef, RrClass};
 
     fn name(s: &str) -> NameBuf {
         s.parse().unwrap()
     }
 
-    fn a_record(name: &str, ttl: u32, addr: Ipv4Addr) -> Record {
-        Record { name: Name::parse(name).unwrap(), class: RrClass::In, ttl, rdata: RData::A(addr) }
+    fn shown(n: NameRef<'_>) -> String {
+        let (mut buf, mut out) = (NameBuf::new(), String::new());
+        n.read_into(&mut buf);
+        buf.write_presentation(&mut out);
+        out
     }
 
-    fn sample_response() -> Message {
-        Message {
-            flags: Flags::response(Rcode::NoError),
-            answers: vec![
-                Record {
-                    name: Name::parse("www.example.com").unwrap(),
-                    class: RrClass::In,
-                    ttl: 3600,
-                    rdata: RData::Cname(Name::parse("edge.cdn.example.net").unwrap()),
-                },
-                a_record("edge.cdn.example.net", 30, Ipv4Addr::new(203, 0, 113, 7)),
-            ],
-            authorities: vec![Record {
-                name: Name::parse("cdn.example.net").unwrap(),
-                class: RrClass::In,
-                ttl: 86400,
-                rdata: RData::Ns(Name::parse("ns1.cdn.example.net").unwrap()),
-            }],
-            additionals: vec![a_record("ns1.cdn.example.net", 86400, Ipv4Addr::new(198, 51, 100, 53))],
-            ..Message::query(7, Name::parse("www.example.com").unwrap(), RrType::A)
-        }
+    /// An answer as the view reads it: owner, ttl, address, alias target.
+    type Answer = (String, u32, Option<Ipv4Addr>, Option<String>);
+
+    fn answers(view: &MessageView<'_>) -> Vec<Answer> {
+        view.answers().map(|r| (shown(r.name), r.ttl, r.a(), r.cname().map(shown))).collect()
+    }
+
+    /// A CNAME answer and the address it leads to, then the SOA of the
+    /// CDN's zone, after `prefix` in the buffer.
+    fn sample_response(prefix: Vec<u8>, comp: &mut Compressor, id: u16) -> Vec<u8> {
+        let (owner, edge) = (name("www.example.com"), name("edge.cdn.example.net"));
+        let mut out = prefix;
+        let mut w = MessageWriter::new(&mut out, comp, id, Flags::response(Rcode::NoError));
+        w.question(&owner, RrType::A);
+        w.cname(&owner, 3600, &edge);
+        w.a(&edge, 30, Ipv4Addr::new(203, 0, 113, 7));
+        w.soa(&name("cdn.example.net"), 86400, &name("ns1.cdn.example.net"), &name("h.example.net"), [1; 5]);
+        w.finish();
+        out
+    }
+
+    fn sample_answers() -> Vec<Answer> {
+        vec![
+            ("www.example.com".into(), 3600, None, Some("edge.cdn.example.net".into())),
+            ("edge.cdn.example.net".into(), 30, Some(Ipv4Addr::new(203, 0, 113, 7)), None),
+        ]
     }
 
     #[test]
     fn full_message_round_trip() {
-        let m = sample_response();
-        let wire = m.encode();
-        let back = Message::decode(&wire).unwrap();
-        assert_eq!(back, m);
+        let wire = sample_response(Vec::new(), &mut Compressor::default(), 7);
+        let view = MessageView::parse(&wire).unwrap();
+        assert_eq!((view.id(), view.flags()), (7, Flags::response(Rcode::NoError)));
+        let q = view.question().unwrap();
+        assert_eq!((shown(q.name).as_str(), q.rtype, q.rclass), ("www.example.com", RrType::A, RrClass::In));
+        assert_eq!(answers(&view), sample_answers());
     }
 
     #[test]
     fn compression_shrinks_message() {
-        let m = sample_response();
-        let compressed = m.encode();
-        // Rough check: shared example.net suffixes must compress.
-        let uncompressed_len: usize = 12
-            + m.questions.iter().map(|q| q.name.wire_len() + 4).sum::<usize>()
-            + m.answers
-                .iter()
-                .chain(&m.authorities)
-                .chain(&m.additionals)
-                .map(|r| r.name.wire_len() + 10 + 64)
-                .sum::<usize>();
-        assert!(compressed.len() < uncompressed_len);
+        let compressed = sample_response(Vec::new(), &mut Compressor::default(), 7);
+        // Every name spelled out: the header, the question's name and
+        // fixed fields, and per record its owner, fixed fields and data.
+        let spelled = |names: &[&str]| names.iter().map(|s| s.len() + 2).sum::<usize>();
+        let uncompressed = 12
+            + spelled(&["www.example.com"]) + 4
+            + spelled(&["www.example.com", "edge.cdn.example.net"]) + 10
+            + spelled(&["edge.cdn.example.net"]) + 10 + 4
+            + spelled(&["cdn.example.net", "ns1.cdn.example.net", "h.example.net"]) + 10 + 20;
+        assert!(compressed.len() < uncompressed);
     }
 
     #[test]
     fn header_counts_must_match_body() {
-        let m = sample_response();
-        let mut wire = m.encode();
+        let mut wire = sample_response(Vec::new(), &mut Compressor::default(), 7);
         // Claim one more answer than present.
         wire[7] += 1;
-        assert!(matches!(
-            Message::decode(&wire),
-            Err(WireError::CountMismatch { .. })
-        ));
+        assert!(matches!(MessageView::parse(&wire), Err(WireError::CountMismatch { .. })));
     }
 
     #[test]
     fn trailing_bytes_tolerated() {
-        let m = sample_response();
-        let mut wire = m.encode();
+        let mut wire = sample_response(Vec::new(), &mut Compressor::default(), 7);
         wire.extend_from_slice(&[0xDE, 0xAD]);
-        assert_eq!(Message::decode(&wire).unwrap(), m);
+        assert_eq!(answers(&MessageView::parse(&wire).unwrap()), sample_answers());
     }
 
     #[test]
     fn empty_message_decodes() {
-        let m = Message {
-            id: 0,
-            flags: Flags::query(),
-            questions: vec![],
-            answers: vec![],
-            authorities: vec![],
-            additionals: vec![],
-        };
-        assert_eq!(Message::decode(&m.encode()).unwrap(), m);
+        let mut wire = Vec::new();
+        MessageWriter::new(&mut wire, &mut Compressor::default(), 0, Flags::query()).finish();
+        assert_eq!(wire.len(), HEADER_LEN);
+        let view = MessageView::parse(&wire).unwrap();
+        assert_eq!((view.id(), view.flags()), (0, Flags::query()));
+        assert!(view.question().is_none());
+        assert_eq!(view.answers().count(), 0);
     }
 
     /// The writer behind a frame's headers, its compressor reused: the
-    /// bytes are the owned encoder's, offsets counted from the message's
-    /// own start.
+    /// bytes are a fresh writer's, offsets counted from the message's own
+    /// start.
     #[test]
     fn writer_appends_at_a_base_offset_and_reuses_its_compressor() {
-        let (owner, target) = (name("www.example.com"), name("edge.cdn.example.net"));
         let mut out = vec![0xEE; 42];
         let mut comp = Compressor::default();
         for id in [7u16, 8] {
             let at = out.len();
-            let mut w = MessageWriter::new(&mut out, &mut comp, id, Flags::response(Rcode::NoError));
-            w.question(&owner, RrType::A);
-            w.cname(&owner, 3600, &target);
-            w.a(&target, 30, Ipv4Addr::new(203, 0, 113, 7));
-            w.finish();
-            let owned = Message {
-                id,
-                authorities: vec![],
-                additionals: vec![],
-                ..sample_response()
-            };
-            assert_eq!(out[at..], owned.encode()[..]);
-            assert_eq!(Message::decode(&out[at..]).unwrap(), owned);
+            out = sample_response(out, &mut comp, id);
+            let alone = sample_response(Vec::new(), &mut Compressor::default(), id);
+            assert_eq!(out[at..], alone[..]);
+            let view = MessageView::parse(&out[at..]).unwrap();
+            assert_eq!((view.id(), answers(&view)), (id, sample_answers()));
         }
         assert!(out[..42].iter().all(|b| *b == 0xEE));
     }
@@ -364,35 +323,28 @@ mod tests {
             [1, 7200, 3600, 1209600, 300],
         );
         w.finish();
+        let view = MessageView::parse(&wire).unwrap();
+        assert_eq!((view.id(), view.flags().rcode), (9, Rcode::NxDomain));
+        assert_eq!(shown(view.question().unwrap().name), "missing.example.com");
+        assert_eq!(view.answers().count(), 0);
+        // The authority section, which only the owned decode reads.
         let resp = Message::decode(&wire).unwrap();
-        assert_eq!(resp.flags.rcode, Rcode::NxDomain);
-        assert!(resp.answers.is_empty());
         assert_eq!(resp.authorities.len(), 1);
-        assert_eq!(resp.authorities[0].name, Name::parse("example.com").unwrap());
-        assert_eq!(resp.authorities[0].ttl, 300, "negative ttl = SOA minimum");
-        assert_eq!(
-            resp.authorities[0].rdata,
-            RData::Soa(SoaData {
-                mname: Name::parse("ns1.example.com").unwrap(),
-                rname: Name::parse("hostmaster.example.com").unwrap(),
-                serial: 1,
-                refresh: 7200,
-                retry: 3600,
-                expire: 1209600,
-                minimum: 300,
-            })
-        );
-        // The owned encoder writes the same bytes.
-        assert_eq!(resp.encode(), wire);
-        let q = Message::query(9, Name::parse("missing.example.com").unwrap(), RrType::A);
-        assert_eq!((resp.id, &resp.questions), (q.id, &q.questions));
+        let soa = &resp.authorities[0];
+        assert_eq!(soa.name.to_string(), "example.com");
+        assert_eq!(soa.ttl, 300, "negative ttl = SOA minimum");
+        let RData::Soa(SoaData { mname, rname, serial, refresh, retry, expire, minimum }) = &soa.rdata else {
+            panic!("not an SOA: {soa:?}");
+        };
+        assert_eq!((mname.to_string().as_str(), rname.to_string().as_str()), ("ns1.example.com", "hostmaster.example.com"));
+        assert_eq!([*serial, *refresh, *retry, *expire, *minimum], [1, 7200, 3600, 1209600, 300]);
     }
 
     #[test]
     fn garbage_rejected_not_panic() {
         for len in 0..64 {
             let buf: Vec<u8> = (0..len).map(|i| (i * 37) as u8).collect();
-            let _ = Message::decode(&buf); // must not panic
+            let _ = MessageView::parse(&buf); // must not panic
         }
     }
 }

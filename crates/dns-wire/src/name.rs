@@ -342,60 +342,8 @@ pub struct Name {
     flat: Box<[u8]>,
 }
 
-impl Name {
-    /// Parse a presentation-format name such as `"www.example.com"`, with
-    /// the checks of [`NameBuf::set`].
-    pub fn parse(s: &str) -> Result<Self, WireError> {
-        Ok(s.parse::<NameBuf>()?.to_name())
-    }
-
-    pub(crate) fn flat(&self) -> &[u8] {
-        &self.flat
-    }
-
-    /// Encoded length on the wire without compression.
-    pub fn wire_len(&self) -> usize {
-        self.flat.len() + 1
-    }
-
-    /// Encode without compression, appending to `out`.
-    pub fn encode_uncompressed(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.flat);
-        out.push(0);
-    }
-
-    /// Encode with message compression: labels until a suffix an earlier
-    /// name of the message spelled out, then a pointer to it.
-    pub fn encode_compressed(&self, out: &mut Vec<u8>, compressor: &mut Compressor) {
-        write_compressed(&self.flat, out, compressor);
-    }
-
-    /// Decode a name starting at `*pos` within `msg` (the whole message,
-    /// needed to chase compression pointers). Advances `*pos` past the name
-    /// as it appears at the original location.
-    pub fn decode(msg: &[u8], pos: &mut usize) -> Result<Self, WireError> {
-        let mut buf = NameBuf::new();
-        buf.read(msg, pos)?;
-        Ok(buf.to_name())
-    }
-}
-
 fn label_byte_ok(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b == b'-' || b == b'_'
-}
-
-impl PartialOrd for Name {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Name {
-    /// Canonical DNS ordering: compare label sequences from the root down.
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        let (a, b): (Vec<_>, Vec<_>) = (labels(&self.flat).collect(), labels(&other.flat).collect());
-        a.iter().rev().cmp(b.iter().rev())
-    }
 }
 
 impl fmt::Display for Name {
@@ -417,16 +365,17 @@ impl fmt::Debug for Name {
     }
 }
 
-impl std::str::FromStr for Name {
-    type Err = WireError;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        Name::parse(s)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn buf(s: &str) -> NameBuf {
+        s.parse().unwrap()
+    }
+
+    fn name(s: &str) -> Name {
+        buf(s).to_name()
+    }
 
     /// What [`NameBuf::write_presentation`] writes into an empty string.
     fn shown(buf: &NameBuf) -> String {
@@ -435,10 +384,22 @@ mod tests {
         out
     }
 
+    /// The name at `*pos`, owned, as the owned decode reads it.
+    fn decode(msg: &[u8], pos: &mut usize) -> Result<Name, WireError> {
+        NameRef::parse(msg, pos).map(NameRef::to_name)
+    }
+
+    /// The name's uncompressed wire form: its flat labels, then the root.
+    fn uncompressed(flat: &[u8]) -> Vec<u8> {
+        let mut out = flat.to_vec();
+        out.push(0);
+        out
+    }
+
     #[test]
     fn parse_and_display_round_trip() {
-        let n = Name::parse("WWW.Example.COM").unwrap();
-        assert_eq!(n.to_string(), "www.example.com");
+        assert_eq!(shown(&buf("WWW.Example.COM")), "www.example.com");
+        assert_eq!(name("WWW.Example.COM").to_string(), "www.example.com");
     }
 
     /// Wire labels are arbitrary bytes; the presentation form stays one
@@ -448,7 +409,7 @@ mod tests {
     fn presentation_escapes_what_a_hostname_cannot_hold() {
         let wire = [3, b'A', b'.', b'b', 2, b'\t', b',', 1, b'\\', 1, 0x80, 1, b'~', 1, b' ', 1, b'\n', 0];
         let mut pos = 0;
-        let n = Name::decode(&wire, &mut pos).unwrap();
+        let n = decode(&wire, &mut pos).unwrap();
         assert_eq!(pos, wire.len());
         assert_eq!(n.to_string(), r"a\x2eb.\x09\x2c.\x5c.\x80.~.\x20.\x0a");
         let mut buf = NameBuf::new();
@@ -464,12 +425,12 @@ mod tests {
 
     /// One buffer set again and again: each name replaces the last, a
     /// rejected one leaves the root, and the label error wins over the
-    /// length error as it does in `Name::parse`.
+    /// length error.
     #[test]
     fn a_buffer_is_set_from_presentation_strings() {
         let mut buf = NameBuf::new();
         buf.set("WWW.Example.COM.").unwrap();
-        assert_eq!(buf.flat(), Name::parse("www.example.com").unwrap().flat());
+        assert_eq!(buf.flat(), b"\x03www\x07example\x03com");
         buf.set("a.b").unwrap();
         assert_eq!(shown(&buf), "a.b");
         assert!(matches!(buf.set("a..b"), Err(WireError::EmptyLabel)));
@@ -485,50 +446,51 @@ mod tests {
 
     #[test]
     fn trailing_dot_accepted() {
-        assert_eq!(Name::parse("a.b.").unwrap(), Name::parse("a.b").unwrap());
+        assert_eq!(buf("a.b.").flat(), buf("a.b").flat());
     }
 
     #[test]
     fn root_name() {
-        let r = Name::parse("").unwrap();
-        assert!(r.flat.is_empty());
-        assert_eq!(r.to_string(), ".");
-        assert_eq!(r.wire_len(), 1);
+        let r = buf("");
+        assert!(r.flat().is_empty());
+        assert_eq!(shown(&r), ".");
+        assert_eq!(r.to_name().to_string(), ".");
+        assert_eq!(uncompressed(r.flat()), [0]);
     }
 
     #[test]
     fn rejects_empty_interior_label() {
-        assert!(matches!(Name::parse("a..b"), Err(WireError::EmptyLabel)));
+        assert!(matches!("a..b".parse::<NameBuf>(), Err(WireError::EmptyLabel)));
     }
 
     #[test]
     fn rejects_long_label() {
         let l = "x".repeat(64);
-        assert!(matches!(Name::parse(&l), Err(WireError::LabelTooLong(64))));
+        assert!(matches!(l.parse::<NameBuf>(), Err(WireError::LabelTooLong(64))));
     }
 
     #[test]
     fn rejects_long_name() {
         let n = (0..40).map(|_| "abcdef").collect::<Vec<_>>().join(".");
-        assert!(matches!(Name::parse(&n), Err(WireError::NameTooLong(_))));
+        assert!(matches!(n.parse::<NameBuf>(), Err(WireError::NameTooLong(_))));
     }
 
     #[test]
     fn rejects_bad_bytes() {
-        assert!(Name::parse("exa mple.com").is_err());
-        assert!(Name::parse("exa\u{7f}mple.com").is_err());
+        assert!("exa mple.com".parse::<NameBuf>().is_err());
+        assert!("exa\u{7f}mple.com".parse::<NameBuf>().is_err());
     }
 
     #[test]
     fn underscore_allowed() {
-        assert!(Name::parse("_dmarc.example.com").is_ok());
+        assert!("_dmarc.example.com".parse::<NameBuf>().is_ok());
     }
 
     #[test]
     fn case_insensitive_eq_and_hash() {
         use std::collections::HashSet;
-        let a = Name::parse("A.B.C").unwrap();
-        let b = Name::parse("a.b.c").unwrap();
+        let a = name("A.B.C");
+        let b = name("a.b.c");
         assert_eq!(a, b);
         let mut s = HashSet::new();
         s.insert(a);
@@ -537,43 +499,40 @@ mod tests {
 
     #[test]
     fn uncompressed_encode_decode_round_trip() {
-        let n = Name::parse("mail.example.org").unwrap();
-        let mut buf = Vec::new();
-        n.encode_uncompressed(&mut buf);
-        assert_eq!(buf.len(), n.wire_len());
+        let n = buf("mail.example.org");
+        let wire = uncompressed(n.flat());
+        assert_eq!(wire.len(), "mail.example.org".len() + 2);
         let mut pos = 0;
-        let back = Name::decode(&buf, &mut pos).unwrap();
-        assert_eq!(back, n);
-        assert_eq!(pos, buf.len());
+        assert_eq!(decode(&wire, &mut pos).unwrap(), n.to_name());
+        assert_eq!(pos, wire.len());
     }
 
     #[test]
     fn compression_emits_pointer_for_shared_suffix() {
-        let mut buf = Vec::new();
+        let mut out = Vec::new();
         let mut comp = Compressor::default();
-        let a = Name::parse("www.example.com").unwrap();
-        let b = Name::parse("mail.example.com").unwrap();
-        a.encode_compressed(&mut buf, &mut comp);
-        let len_a = buf.len();
-        b.encode_compressed(&mut buf, &mut comp);
+        let (a, b) = (buf("www.example.com"), buf("mail.example.com"));
+        write_compressed(a.flat(), &mut out, &mut comp);
+        let len_a = out.len();
+        write_compressed(b.flat(), &mut out, &mut comp);
         // "mail" label (5) + 2-byte pointer
-        assert_eq!(buf.len() - len_a, 5 + 2);
+        assert_eq!(out.len() - len_a, 5 + 2);
         let mut pos = 0;
-        assert_eq!(Name::decode(&buf, &mut pos).unwrap(), a);
+        assert_eq!(decode(&out, &mut pos).unwrap(), a.to_name());
         assert_eq!(pos, len_a);
-        assert_eq!(Name::decode(&buf, &mut pos).unwrap(), b);
-        assert_eq!(pos, buf.len());
+        assert_eq!(decode(&out, &mut pos).unwrap(), b.to_name());
+        assert_eq!(pos, out.len());
     }
 
     #[test]
     fn identical_name_compresses_to_single_pointer() {
-        let mut buf = Vec::new();
+        let mut out = Vec::new();
         let mut comp = Compressor::default();
-        let a = Name::parse("www.example.com").unwrap();
-        a.encode_compressed(&mut buf, &mut comp);
-        let len_a = buf.len();
-        a.encode_compressed(&mut buf, &mut comp);
-        assert_eq!(buf.len() - len_a, 2);
+        let a = buf("www.example.com");
+        write_compressed(a.flat(), &mut out, &mut comp);
+        let len_a = out.len();
+        write_compressed(a.flat(), &mut out, &mut comp);
+        assert_eq!(out.len() - len_a, 2);
     }
 
     #[test]
@@ -582,7 +541,7 @@ mod tests {
         let buf = [0xC0, 0x00];
         let mut pos = 0;
         assert!(matches!(
-            Name::decode(&buf, &mut pos),
+            decode(&buf, &mut pos),
             Err(WireError::BadPointer { .. })
         ));
     }
@@ -592,7 +551,7 @@ mod tests {
         // Two pointers that point at each other.
         let buf = [0xC0, 0x02, 0xC0, 0x00];
         let mut pos = 2;
-        assert!(Name::decode(&buf, &mut pos).is_err());
+        assert!(decode(&buf, &mut pos).is_err());
     }
 
     #[test]
@@ -600,7 +559,7 @@ mod tests {
         let buf = [5, b'a', b'b'];
         let mut pos = 0;
         assert!(matches!(
-            Name::decode(&buf, &mut pos),
+            decode(&buf, &mut pos),
             Err(WireError::Truncated { .. })
         ));
     }
@@ -610,7 +569,7 @@ mod tests {
         let buf = [0x80, 0x00];
         let mut pos = 0;
         assert!(matches!(
-            Name::decode(&buf, &mut pos),
+            decode(&buf, &mut pos),
             Err(WireError::ReservedLabelType(_))
         ));
     }
@@ -624,15 +583,19 @@ mod tests {
         }
     }
 
+    /// The label walk hands out a flat name's labels first to last, so
+    /// the canonical DNS order (RFC 4034 §6.1: label sequences compared
+    /// from the root down) is its output reversed.
     #[test]
     fn canonical_ordering_groups_by_suffix() {
-        let mut v = vec![
-            Name::parse("b.com").unwrap(),
-            Name::parse("a.org").unwrap(),
-            Name::parse("a.com").unwrap(),
-        ];
-        v.sort();
-        let s: Vec<String> = v.iter().map(|n| n.to_string()).collect();
+        fn root_first(n: &NameBuf) -> Vec<&[u8]> {
+            let mut from_root: Vec<&[u8]> = labels(n.flat()).collect();
+            from_root.reverse();
+            from_root
+        }
+        let mut v = [buf("b.com"), buf("a.org"), buf("a.com")];
+        v.sort_by(|x, y| root_first(x).cmp(&root_first(y)));
+        let s: Vec<String> = v.iter().map(shown).collect();
         assert_eq!(s, vec!["a.com", "b.com", "a.org"]);
     }
 }

@@ -65,63 +65,6 @@ pub enum RData {
     Unknown(u16, Vec<u8>),
 }
 
-impl RData {
-    /// The TYPE code this data encodes as.
-    pub(crate) fn rtype(&self) -> RrType {
-        match self {
-            RData::A(_) => RrType::A,
-            RData::Aaaa(_) => RrType::Aaaa,
-            RData::Cname(_) => RrType::Cname,
-            RData::Ns(_) => RrType::Ns,
-            RData::Ptr(_) => RrType::Ptr,
-            RData::Mx(..) => RrType::Mx,
-            RData::Txt(_) => RrType::Txt,
-            RData::Soa(_) => RrType::Soa,
-            RData::Srv(_) => RrType::Srv,
-            RData::Opt(_) => RrType::Opt,
-            RData::Unknown(t, _) => RrType::from_u16(*t),
-        }
-    }
-
-    /// Encode RDATA (without the RDLENGTH prefix) appending to `out`.
-    ///
-    /// Names inside NS/CNAME/PTR/MX/SOA/SRV participate in compression,
-    /// matching common server behaviour.
-    pub(crate) fn encode(&self, out: &mut Vec<u8>, compressor: &mut Compressor) {
-        match self {
-            RData::A(a) => out.extend_from_slice(&a.octets()),
-            RData::Aaaa(a) => out.extend_from_slice(&a.octets()),
-            RData::Cname(n) | RData::Ns(n) | RData::Ptr(n) => n.encode_compressed(out, compressor),
-            RData::Mx(pref, n) => {
-                out.extend_from_slice(&pref.to_be_bytes());
-                n.encode_compressed(out, compressor);
-            }
-            RData::Txt(strings) => {
-                for s in strings {
-                    debug_assert!(s.len() <= 255);
-                    out.push(s.len() as u8);
-                    out.extend_from_slice(s);
-                }
-            }
-            RData::Soa(soa) => write_soa(
-                out,
-                compressor,
-                soa.mname.flat(),
-                soa.rname.flat(),
-                [soa.serial, soa.refresh, soa.retry, soa.expire, soa.minimum],
-            ),
-            RData::Srv(srv) => {
-                out.extend_from_slice(&srv.priority.to_be_bytes());
-                out.extend_from_slice(&srv.weight.to_be_bytes());
-                out.extend_from_slice(&srv.port.to_be_bytes());
-                // RFC 2782: the SRV target must not be compressed.
-                srv.target.encode_uncompressed(out);
-            }
-            RData::Opt(raw) | RData::Unknown(_, raw) => out.extend_from_slice(raw),
-        }
-    }
-}
-
 /// SOA RDATA from flat names; `counters` is serial, refresh, retry,
 /// expire, minimum.
 pub(crate) fn write_soa(out: &mut Vec<u8>, compressor: &mut Compressor, mname: &[u8], rname: &[u8], counters: [u32; 5]) {
@@ -289,41 +232,63 @@ mod tests {
         RDataView::parse(msg, start, rdlen, rtype).map(RData::from)
     }
 
-    fn round_trip(rd: RData) {
-        let mut buf = Vec::new();
-        let mut comp = Compressor::default();
-        let rtype = rd.rtype();
-        rd.encode(&mut buf, &mut comp);
-        let back = decode(&buf, 0, buf.len(), rtype).unwrap();
-        assert_eq!(back, rd);
+    /// A presentation name spelled out on the wire, uncompressed.
+    fn wire(name: &str) -> Vec<u8> {
+        let mut out = Vec::new();
+        for label in name.split('.') {
+            out.push(label.len() as u8);
+            out.extend_from_slice(label.as_bytes());
+        }
+        out.push(0);
+        out
+    }
+
+    fn name(s: &str) -> Name {
+        NameRef::parse(&wire(s), &mut 0).unwrap().to_name()
+    }
+
+    /// `rdata`, the RDATA of a record of type `rtype`, decodes to `want`.
+    fn decodes_to(rtype: RrType, rdata: &[&[u8]], want: RData) {
+        let buf = rdata.concat();
+        assert_eq!(decode(&buf, 0, buf.len(), rtype).unwrap(), want, "{rtype}");
     }
 
     #[test]
     fn round_trip_all_types() {
-        round_trip(RData::A(Ipv4Addr::new(192, 0, 2, 1)));
-        round_trip(RData::Aaaa("2001:db8::1".parse().unwrap()));
-        round_trip(RData::Cname(Name::parse("alias.example.com").unwrap()));
-        round_trip(RData::Ns(Name::parse("ns1.example.com").unwrap()));
-        round_trip(RData::Ptr(Name::parse("host.example.com").unwrap()));
-        round_trip(RData::Mx(10, Name::parse("mx.example.com").unwrap()));
-        round_trip(RData::Txt(vec![b"v=spf1 -all".to_vec(), b"second".to_vec()]));
-        round_trip(RData::Soa(SoaData {
-            mname: Name::parse("ns1.example.com").unwrap(),
-            rname: Name::parse("hostmaster.example.com").unwrap(),
-            serial: 2019020601,
-            refresh: 7200,
-            retry: 3600,
-            expire: 1209600,
-            minimum: 300,
-        }));
-        round_trip(RData::Srv(SrvData {
-            priority: 0,
-            weight: 5,
-            port: 5060,
-            target: Name::parse("sip.example.com").unwrap(),
-        }));
-        round_trip(RData::Opt(vec![0, 1, 2, 3]));
-        round_trip(RData::Unknown(4711, vec![9, 9, 9]));
+        decodes_to(RrType::A, &[&[192, 0, 2, 1]], RData::A(Ipv4Addr::new(192, 0, 2, 1)));
+        let v6 = [0x20, 0x01, 0x0d, 0xb8, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1];
+        decodes_to(RrType::Aaaa, &[&v6], RData::Aaaa("2001:db8::1".parse().unwrap()));
+        decodes_to(RrType::Cname, &[&wire("alias.example.com")], RData::Cname(name("alias.example.com")));
+        decodes_to(RrType::Ns, &[&wire("ns1.example.com")], RData::Ns(name("ns1.example.com")));
+        decodes_to(RrType::Ptr, &[&wire("host.example.com")], RData::Ptr(name("host.example.com")));
+        decodes_to(RrType::Mx, &[&[0, 10], &wire("mx.example.com")], RData::Mx(10, name("mx.example.com")));
+        decodes_to(
+            RrType::Txt,
+            &[b"\x0bv=spf1 -all", b"\x06second"],
+            RData::Txt(vec![b"v=spf1 -all".to_vec(), b"second".to_vec()]),
+        );
+        let counters: Vec<u8> =
+            [2019020601u32, 7200, 3600, 1209600, 300].iter().flat_map(|v| v.to_be_bytes()).collect();
+        decodes_to(
+            RrType::Soa,
+            &[&wire("ns1.example.com"), &wire("hostmaster.example.com"), &counters],
+            RData::Soa(SoaData {
+                mname: name("ns1.example.com"),
+                rname: name("hostmaster.example.com"),
+                serial: 2019020601,
+                refresh: 7200,
+                retry: 3600,
+                expire: 1209600,
+                minimum: 300,
+            }),
+        );
+        decodes_to(
+            RrType::Srv,
+            &[&[0, 0, 0, 5, 0x13, 0xc4], &wire("sip.example.com")],
+            RData::Srv(SrvData { priority: 0, weight: 5, port: 5060, target: name("sip.example.com") }),
+        );
+        decodes_to(RrType::Opt, &[&[0, 1, 2, 3]], RData::Opt(vec![0, 1, 2, 3]));
+        decodes_to(RrType::Other(4711), &[&[9, 9, 9]], RData::Unknown(4711, vec![9, 9, 9]));
     }
 
     #[test]
@@ -343,8 +308,7 @@ mod tests {
 
     #[test]
     fn cname_with_trailing_garbage_rejected() {
-        let mut buf = Vec::new();
-        Name::parse("a.b").unwrap().encode_uncompressed(&mut buf);
+        let mut buf = wire("a.b");
         buf.push(0xFF);
         assert!(decode(&buf, 0, buf.len(), RrType::Cname).is_err());
     }

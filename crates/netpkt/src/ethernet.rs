@@ -2,7 +2,7 @@ use crate::PktError;
 use std::fmt;
 
 /// Length of an Ethernet II header (no 802.1Q tag).
-pub const ETHERNET_HEADER_LEN: usize = 14;
+pub(crate) const ETHERNET_HEADER_LEN: usize = 14;
 
 /// A 48-bit MAC address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

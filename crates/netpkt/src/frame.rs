@@ -1,8 +1,8 @@
 //! Whole frames: the append-style writers the simulator's packet
-//! backend fills its arena with, [`Frame`] (the same bytes, owned), and
-//! [`Packet`], the parse of what a capture stored.
+//! backend fills its arena with, and [`Packet`], the parse of what a
+//! capture stored.
 
-use crate::ethernet::{EtherType, EthernetHeader, MacAddr, ETHERNET_HEADER_LEN};
+use crate::ethernet::{EtherType, EthernetHeader, MacAddr};
 use crate::ipv4::{IpProtocol, Ipv4Header, IPV4_HEADER_LEN};
 use crate::tcp::TcpHeader;
 use crate::udp::{UdpHeader, UDP_HEADER_LEN};
@@ -82,88 +82,6 @@ pub fn tcp(
     header.encode(out, &ip, payload);
     out.extend_from_slice(payload);
 }
-
-/// One frame built for capture, owned: the bytes [`udp`], [`udp_virtual`]
-/// or [`tcp`] append, in a buffer of its own.
-///
-/// A frame either carries its payload in full, or declares payload it does
-/// not carry, mimicking a snaplen-truncated capture. Virtual payload is
-/// how the simulator represents bulk transfer bytes without materialising
-/// them: the IP/UDP length fields (and, for TCP, the sequence numbers
-/// chosen by the caller) declare the true sizes, while the capture file
-/// stores only the headers — exactly what a production monitoring
-/// deployment records.
-#[derive(Debug, Clone)]
-pub struct Frame {
-    /// What the capture stores.
-    stored: Vec<u8>,
-    /// Declared-but-not-carried payload bytes.
-    virtual_payload: usize,
-}
-
-impl Frame {
-    /// Build a UDP datagram carrying `payload` in full.
-    pub fn udp(
-        src_mac: MacAddr,
-        dst_mac: MacAddr,
-        src: Ipv4Addr,
-        dst: Ipv4Addr,
-        src_port: u16,
-        dst_port: u16,
-        payload: &[u8],
-    ) -> Frame {
-        let mut stored = Vec::with_capacity(HEADERS_LEN + UDP_HEADER_LEN + payload.len());
-        udp(&mut stored, src_mac, dst_mac, src, dst, src_port, dst_port, |out| {
-            out.extend_from_slice(payload)
-        });
-        Frame { stored, virtual_payload: 0 }
-    }
-
-    /// Build a UDP datagram that declares `declared_payload` bytes but
-    /// carries none.
-    pub fn udp_virtual(
-        src_mac: MacAddr,
-        dst_mac: MacAddr,
-        src: Ipv4Addr,
-        dst: Ipv4Addr,
-        src_port: u16,
-        dst_port: u16,
-        declared_payload: usize,
-    ) -> Frame {
-        let mut stored = Vec::with_capacity(HEADERS_LEN + UDP_HEADER_LEN);
-        udp_virtual(&mut stored, src_mac, dst_mac, src, dst, src_port, dst_port, declared_payload);
-        Frame { stored, virtual_payload: declared_payload }
-    }
-
-    /// Build a TCP segment carrying `payload` in full.
-    pub fn tcp(
-        src_mac: MacAddr,
-        dst_mac: MacAddr,
-        src: Ipv4Addr,
-        dst: Ipv4Addr,
-        header: TcpHeader<'_>,
-        payload: &[u8],
-    ) -> Frame {
-        let mut stored = Vec::with_capacity(HEADERS_LEN + header.header_len() + payload.len());
-        tcp(&mut stored, src_mac, dst_mac, src, dst, header, payload);
-        Frame { stored, virtual_payload: 0 }
-    }
-
-    /// Bytes actually stored in the capture.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.stored.len());
-        out.extend_from_slice(&self.stored);
-        out
-    }
-
-    /// Length the frame had on the wire (captured + virtual payload).
-    pub fn wire_len(&self) -> usize {
-        self.stored.len() + self.virtual_payload
-    }
-}
-
-/// Ethernet plus IPv4 header, what every frame starts with.
-const HEADERS_LEN: usize = ETHERNET_HEADER_LEN + IPV4_HEADER_LEN;
 
 /// Parsed transport layer of a captured packet.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -257,11 +175,17 @@ mod tests {
     const A: Ipv4Addr = Ipv4Addr::new(10, 1, 1, 2);
     const B: Ipv4Addr = Ipv4Addr::new(8, 8, 8, 8);
 
+    /// A UDP frame from A to B carrying `payload`.
+    fn udp_frame(src_port: u16, dst_port: u16, payload: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        let (src_mac, dst_mac) = (MacAddr::LOCAL, MacAddr::UPSTREAM);
+        udp(&mut out, src_mac, dst_mac, A, B, src_port, dst_port, |o| o.extend_from_slice(payload));
+        out
+    }
+
     #[test]
     fn udp_frame_parses_back() {
-        let f = Frame::udp(MacAddr::LOCAL, MacAddr::UPSTREAM, A, B, 49152, 53, b"payload");
-        let bytes = f.encode();
-        assert_eq!(f.wire_len(), bytes.len());
+        let bytes = udp_frame(49152, 53, b"payload");
         let p = Packet::parse(&bytes, bytes.len()).unwrap();
         assert_eq!(p.ip.src, A);
         assert_eq!(p.transport.dst_port(), Some(53));
@@ -271,10 +195,9 @@ mod tests {
 
     #[test]
     fn udp_virtual_declares_more_than_carried() {
-        let f = Frame::udp_virtual(MacAddr::LOCAL, MacAddr::UPSTREAM, A, B, 50000, 4433, 1200);
-        let bytes = f.encode();
-        assert_eq!(f.wire_len(), bytes.len() + 1200);
-        let p = Packet::parse(&bytes, f.wire_len()).unwrap();
+        let mut bytes = Vec::new();
+        udp_virtual(&mut bytes, MacAddr::LOCAL, MacAddr::UPSTREAM, A, B, 50000, 4433, 1200);
+        let p = Packet::parse(&bytes, bytes.len() + 1200).unwrap();
         assert_eq!(p.payload.len(), 0);
         assert_eq!(p.declared_payload, 1200);
         match p.transport {
@@ -286,8 +209,8 @@ mod tests {
     #[test]
     fn tcp_frame_parses_back() {
         let h = TcpHeader::segment(49152, 443, 100, 200, TcpFlags::PSH_ACK);
-        let f = Frame::tcp(MacAddr::LOCAL, MacAddr::UPSTREAM, A, B, h, b"hello");
-        let bytes = f.encode();
+        let mut bytes = Vec::new();
+        tcp(&mut bytes, MacAddr::LOCAL, MacAddr::UPSTREAM, A, B, h, b"hello");
         let p = Packet::parse(&bytes, bytes.len()).unwrap();
         match &p.transport {
             Transport::Tcp(t) => {
@@ -302,7 +225,7 @@ mod tests {
 
     #[test]
     fn ipv6_reported_as_unsupported() {
-        let mut bytes = Frame::udp(MacAddr::LOCAL, MacAddr::UPSTREAM, A, B, 1, 2, b"").encode();
+        let mut bytes = udp_frame(1, 2, b"");
         bytes[12] = 0x86;
         bytes[13] = 0xDD;
         assert!(matches!(
@@ -313,8 +236,7 @@ mod tests {
 
     #[test]
     fn icmp_surfaces_as_other() {
-        let f = Frame::udp(MacAddr::LOCAL, MacAddr::UPSTREAM, A, B, 1, 2, b"xy");
-        let mut bytes = f.encode();
+        let mut bytes = udp_frame(1, 2, b"xy");
         // Rewrite the protocol field and fix the header checksum.
         bytes[14 + 9] = 1; // ICMP
         bytes[14 + 10] = 0;

@@ -17,16 +17,18 @@
 //! # Example
 //!
 //! ```
-//! use netpkt::{Frame, MacAddr, TcpHeader};
+//! use netpkt::{frame, MacAddr, TcpHeader};
 //! use std::net::Ipv4Addr;
 //!
-//! let syn = Frame::tcp(
+//! // Frames are appended to a buffer, as a capture arena holds them.
+//! let mut bytes = Vec::new();
+//! frame::tcp(
+//!     &mut bytes,
 //!     MacAddr::LOCAL, MacAddr::UPSTREAM,
 //!     Ipv4Addr::new(10, 1, 1, 2), Ipv4Addr::new(93, 184, 216, 34),
 //!     TcpHeader::syn(49152, 443, 1_000),
 //!     &[],
 //! );
-//! let bytes = syn.encode();
 //! let parsed = netpkt::Packet::parse(&bytes, bytes.len()).unwrap();
 //! assert_eq!(parsed.transport.dst_port(), Some(443));
 //! ```
@@ -43,8 +45,8 @@ mod tcp;
 mod udp;
 
 pub use error::PktError;
-pub use ethernet::{EtherType, EthernetHeader, MacAddr, ETHERNET_HEADER_LEN};
-pub use frame::{Frame, Packet, Transport};
+pub use ethernet::{EtherType, EthernetHeader, MacAddr};
+pub use frame::{Packet, Transport};
 pub use ipv4::{IpProtocol, Ipv4Header, IPV4_HEADER_LEN};
 pub use tcp::{TcpFlags, TcpHeader};
 pub use udp::{UdpHeader, UDP_HEADER_LEN};

@@ -5,12 +5,19 @@
 //! gate, so a second pass mutates valid frames to reach the deeper IPv4
 //! and transport paths.
 
-use netpkt::{Frame, MacAddr, Packet, TcpHeader};
+use netpkt::{frame, MacAddr, Packet, TcpHeader};
 use std::net::Ipv4Addr;
 use xkit::rng::StdRng;
 
 const A: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
 const B: Ipv4Addr = Ipv4Addr::new(192, 0, 2, 7);
+
+/// A UDP frame from A to B carrying `payload`.
+fn udp(payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::new();
+    frame::udp(&mut out, MacAddr::LOCAL, MacAddr::UPSTREAM, A, B, 49152, 53, |o| o.extend_from_slice(payload));
+    out
+}
 
 #[test]
 fn random_buffers_never_panic() {
@@ -30,11 +37,9 @@ fn random_buffers_never_panic() {
 #[test]
 fn mutated_valid_frames_never_panic() {
     let mut rng = StdRng::seed_from_u64(0xBEEF);
-    let udp = Frame::udp(MacAddr::LOCAL, MacAddr::UPSTREAM, A, B, 49152, 53, b"payload bytes")
-        .encode();
-    let tcp = Frame::tcp(MacAddr::LOCAL, MacAddr::UPSTREAM, A, B, TcpHeader::syn(50000, 443, 9), b"hi")
-        .encode();
-    for base in [&udp, &tcp] {
+    let mut tcp = Vec::new();
+    frame::tcp(&mut tcp, MacAddr::LOCAL, MacAddr::UPSTREAM, A, B, TcpHeader::syn(50000, 443, 9), b"hi");
+    for base in [&udp(b"payload bytes"), &tcp] {
         for _ in 0..5_000 {
             let mut buf = base.to_vec();
             for _ in 0..rng.random_range(1..6usize) {
@@ -54,7 +59,7 @@ fn mutated_valid_frames_never_panic() {
 fn ok_parses_are_deterministic() {
     // Parsing is a pure function of the bytes: two calls agree exactly.
     let mut rng = StdRng::seed_from_u64(0x5EED);
-    let base = Frame::udp(MacAddr::LOCAL, MacAddr::UPSTREAM, A, B, 49152, 53, b"abcd").encode();
+    let base = udp(b"abcd");
     for _ in 0..2_000 {
         let mut buf = base.clone();
         let i = rng.random_range(0..buf.len());

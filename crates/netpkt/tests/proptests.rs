@@ -1,7 +1,7 @@
 //! Randomized tests: frame build/parse round trips and parser
 //! robustness, driven by a fixed `xkit::rng` stream.
 
-use netpkt::{Frame, MacAddr, Packet, PktError, TcpFlags, TcpHeader, Transport};
+use netpkt::{frame, MacAddr, Packet, PktError, TcpFlags, TcpHeader, Transport};
 use std::net::Ipv4Addr;
 use xkit::rng::StdRng;
 
@@ -19,6 +19,21 @@ fn gen_bytes(r: &mut StdRng, max_len: usize) -> Vec<u8> {
     (0..r.random_range(0..max_len)).map(|_| r.random::<u8>()).collect()
 }
 
+/// A UDP frame carrying `payload` in full, as the capture stores it.
+fn udp(src: Ipv4Addr, dst: Ipv4Addr, sport: u16, dport: u16, payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::new();
+    let (src_mac, dst_mac) = (MacAddr::LOCAL, MacAddr::UPSTREAM);
+    frame::udp(&mut out, src_mac, dst_mac, src, dst, sport, dport, |o| o.extend_from_slice(payload));
+    out
+}
+
+/// A TCP segment carrying `payload` in full.
+fn tcp(src: Ipv4Addr, dst: Ipv4Addr, header: TcpHeader<'_>, payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::new();
+    frame::tcp(&mut out, MacAddr::LOCAL, MacAddr::UPSTREAM, src, dst, header, payload);
+    out
+}
+
 /// UDP frames round-trip: ports, addresses, payload, declared length.
 #[test]
 fn udp_round_trips() {
@@ -27,9 +42,7 @@ fn udp_round_trips() {
         let (src, dst) = (gen_addr(&mut r), gen_addr(&mut r));
         let (sport, dport) = (r.random::<u16>(), r.random::<u16>());
         let payload = gen_bytes(&mut r, 256);
-        let f = Frame::udp(MacAddr::LOCAL, MacAddr::UPSTREAM, src, dst, sport, dport, &payload);
-        let bytes = f.encode();
-        assert_eq!(f.wire_len(), bytes.len());
+        let bytes = udp(src, dst, sport, dport, &payload);
         let p = Packet::parse(&bytes, bytes.len()).unwrap();
         assert_eq!(p.ip.src, src);
         assert_eq!(p.ip.dst, dst);
@@ -47,10 +60,9 @@ fn udp_virtual_declares() {
     for _ in 0..CASES {
         let (src, dst) = (gen_addr(&mut r), gen_addr(&mut r));
         let declared = r.random_range(0usize..60_000);
-        let f = Frame::udp_virtual(MacAddr::LOCAL, MacAddr::UPSTREAM, src, dst, 1, 2, declared);
-        let bytes = f.encode();
-        assert_eq!(f.wire_len(), bytes.len() + declared);
-        let p = Packet::parse(&bytes, f.wire_len()).unwrap();
+        let mut bytes = Vec::new();
+        frame::udp_virtual(&mut bytes, MacAddr::LOCAL, MacAddr::UPSTREAM, src, dst, 1, 2, declared);
+        let p = Packet::parse(&bytes, bytes.len() + declared).unwrap();
         assert_eq!(p.declared_payload, declared);
         assert_eq!(p.payload.len(), 0);
     }
@@ -67,8 +79,7 @@ fn tcp_round_trips() {
         let flags = TcpFlags::from_u8(r.random_range(0u8..64));
         let payload = gen_bytes(&mut r, 128);
         let h = TcpHeader::segment(sport, dport, seq, ack, flags);
-        let f = Frame::tcp(MacAddr::LOCAL, MacAddr::UPSTREAM, src, dst, h.clone(), &payload);
-        let bytes = f.encode();
+        let bytes = tcp(src, dst, h, &payload);
         let p = Packet::parse(&bytes, bytes.len()).unwrap();
         match p.transport {
             Transport::Tcp(t) => {
@@ -100,16 +111,7 @@ fn corruption_is_detected_or_tolerated() {
     let mut r = rng(5);
     for _ in 0..CASES {
         let payload = gen_bytes(&mut r, 64);
-        let f = Frame::udp(
-            MacAddr::LOCAL,
-            MacAddr::UPSTREAM,
-            Ipv4Addr::new(10, 0, 0, 1),
-            Ipv4Addr::new(10, 0, 0, 2),
-            1000,
-            2000,
-            &payload,
-        );
-        let mut bytes = f.encode();
+        let mut bytes = udp(Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2), 1000, 2000, &payload);
         let i = r.random::<u16>() as usize % bytes.len();
         bytes[i] ^= r.random_range(1u8..=255);
         match Packet::parse(&bytes, bytes.len()) {
@@ -129,15 +131,7 @@ fn corruption_is_detected_or_tolerated() {
 /// Truncated captures fail cleanly at every cut point.
 #[test]
 fn truncation_never_panics() {
-    let f = Frame::tcp(
-        MacAddr::LOCAL,
-        MacAddr::UPSTREAM,
-        Ipv4Addr::new(10, 0, 0, 1),
-        Ipv4Addr::new(10, 0, 0, 2),
-        TcpHeader::syn(1, 2, 3),
-        b"data",
-    );
-    let bytes = f.encode();
+    let bytes = tcp(Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2), TcpHeader::syn(1, 2, 3), b"data");
     for cut in 0..=bytes.len() {
         let _ = Packet::parse(&bytes[..cut], bytes.len());
     }

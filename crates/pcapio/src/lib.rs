@@ -20,17 +20,18 @@
 //! # Example
 //!
 //! ```
-//! use pcapio::{PcapWriter, PcapReader, TsPrecision};
+//! use pcapio::{PcapWriter, RecordSource, TsPrecision};
 //!
 //! let mut buf = Vec::new();
 //! let mut w = PcapWriter::new(&mut buf, 96, TsPrecision::Nano).unwrap();
 //! w.write_packet(1_549_497_600_000_000_123, b"frame bytes", None).unwrap();
 //! drop(w);
 //!
-//! let r = PcapReader::new(&buf[..]).unwrap();
-//! let rec = r.records().next().unwrap().unwrap();
+//! let mut source = pcapio::source::file(&buf[..]).unwrap();
+//! let rec = source.next().unwrap().unwrap();
 //! assert_eq!(rec.ts_nanos, 1_549_497_600_000_000_123);
 //! assert_eq!(rec.data, b"frame bytes");
+//! assert!(source.next().unwrap().is_none());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -221,8 +222,9 @@ pub struct PcapReader<R: Read> {
 
 impl<R: Read> PcapReader<R> {
     /// Read and validate the global header, auto-detecting byte order and
-    /// timestamp precision from the magic number.
-    pub fn new(mut input: R) -> Result<PcapReader<R>, PcapError> {
+    /// timestamp precision from the magic number. Outside this crate the
+    /// reader is opened through [`source::file`].
+    pub(crate) fn new(mut input: R) -> Result<PcapReader<R>, PcapError> {
         let mut header = [0u8; GLOBAL_HEADER_LEN];
         input.read_exact(&mut header).map_err(|_| PcapError::TruncatedFile)?;
         let magic_raw = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
@@ -281,17 +283,30 @@ impl<R: Read> PcapReader<R> {
     }
 
     /// Read the next record as a borrowed view over the reader's internal
-    /// buffer, or `Ok(None)` at a clean end of file.
+    /// buffer, or `Ok(None)` at a clean end of file: one that ends where a
+    /// record does. A file that ends inside a record, header or body, is
+    /// [`PcapError::TruncatedFile`] and counts that record as rejected.
     ///
     /// The returned slice is valid until the next call on this reader;
     /// use [`RecordRef::to_owned`] (or [`PcapReader::next_packet`]) when a
     /// record must be kept across reads.
     pub(crate) fn next_record(&mut self) -> Result<Option<RecordRef<'_>>, PcapError> {
         let mut rh = [0u8; RECORD_HEADER_LEN];
-        match self.input.read_exact(&mut rh) {
+        // The first byte tells the end of the file from a cut header.
+        let first = loop {
+            match self.input.read(&mut rh[..1]) {
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                first => break first?,
+            }
+        };
+        if first == 0 {
+            return Ok(None);
+        }
+        match self.input.read_exact(&mut rh[1..]) {
             Ok(()) => {}
             Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => {
-                return Ok(None);
+                self.records_rejected += 1;
+                return Err(PcapError::TruncatedFile);
             }
             Err(e) => return Err(e.into()),
         }
@@ -335,57 +350,6 @@ impl<R: Read> PcapReader<R> {
     fn next_packet(&mut self) -> Result<Option<PcapRecord>, PcapError> {
         Ok(self.next_record()?.map(|r| r.to_owned()))
     }
-
-    /// Iterate over all remaining records.
-    pub fn records(self) -> Records<R> {
-        Records { reader: self }
-    }
-}
-
-/// Iterator adapter over a [`PcapReader`].
-pub struct Records<R: Read> {
-    reader: PcapReader<R>,
-}
-
-impl<R: Read> Iterator for Records<R> {
-    type Item = Result<PcapRecord, PcapError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.reader.next_packet().transpose()
-    }
-}
-
-/// Merge two time-sorted captures into one (the `mergecap` operation):
-/// records are interleaved by timestamp, ties favouring the first input.
-/// The output uses nanosecond precision and the larger of the two
-/// snaplens. Inputs must themselves be time-sorted; out-of-order inputs
-/// produce an out-of-order output rather than an error (as mergecap does).
-pub fn merge<R1: Read, R2: Read, W: Write>(a: R1, b: R2, out: W) -> Result<u64, PcapError> {
-    let ra = PcapReader::new(a)?;
-    let rb = PcapReader::new(b)?;
-    let snaplen = ra.snaplen().max(rb.snaplen());
-    let mut w = PcapWriter::new(out, snaplen, TsPrecision::Nano)?;
-    let mut ia = ra.records();
-    let mut ib = rb.records();
-    let mut next_a = ia.next().transpose()?;
-    let mut next_b = ib.next().transpose()?;
-    loop {
-        let take_a = match (&next_a, &next_b) {
-            (None, None) => break,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (Some(x), Some(y)) => x.ts_nanos <= y.ts_nanos,
-        };
-        let rec = if take_a {
-            std::mem::replace(&mut next_a, ia.next().transpose()?).unwrap()
-        } else {
-            std::mem::replace(&mut next_b, ib.next().transpose()?).unwrap()
-        };
-        w.write_packet(rec.ts_nanos, &rec.data, Some(rec.orig_len))?;
-    }
-    let n = w.packets_written();
-    w.into_inner()?;
-    Ok(n)
 }
 
 /// Copy a capture record by record through a fault injector: the
@@ -433,12 +397,17 @@ mod tests {
         buf
     }
 
+    /// Every record of a capture, owned.
+    fn read_all(buf: &[u8]) -> Vec<PcapRecord> {
+        let mut r = PcapReader::new(buf).unwrap();
+        std::iter::from_fn(|| r.next_packet().unwrap()).collect()
+    }
+
     #[test]
     fn round_trip_nano() {
         let buf = write_capture(TsPrecision::Nano, 65535, &[(b"abc", None), (b"defgh", None)]);
-        let r = PcapReader::new(&buf[..]).unwrap();
-        assert_eq!(r.precision, TsPrecision::Nano);
-        let recs: Vec<_> = r.records().map(|r| r.unwrap()).collect();
+        assert_eq!(PcapReader::new(&buf[..]).unwrap().precision, TsPrecision::Nano);
+        let recs = read_all(&buf);
         assert_eq!(recs.len(), 2);
         assert_eq!(recs[0].data, b"abc");
         assert_eq!(recs[0].ts_nanos, 1_000_000_000);
@@ -541,48 +510,37 @@ mod tests {
     #[test]
     fn empty_capture_yields_no_records() {
         let buf = write_capture(TsPrecision::Micro, 96, &[]);
-        let r = PcapReader::new(&buf[..]).unwrap();
-        assert_eq!(r.records().count(), 0);
+        assert!(read_all(&buf).is_empty());
     }
 
+    /// A capture cut at every offset after its global header: a cut where
+    /// a record ends is a clean end of file after the records before it;
+    /// a cut inside a record's header or body is `TruncatedFile`, and that
+    /// record counts as rejected.
     #[test]
-    fn merge_interleaves_by_time() {
-        let mk = |stamps: &[u64], tag: u8| {
-            let mut buf = Vec::new();
-            let mut w = PcapWriter::new(&mut buf, 96, TsPrecision::Nano).unwrap();
-            for ts in stamps {
-                w.write_packet(*ts, &[tag, *ts as u8], None).unwrap();
+    fn a_cut_inside_a_record_is_truncation_and_a_cut_between_records_is_the_end() {
+        let buf = write_capture(TsPrecision::Nano, 96, &[(b"abcdef", None), (b"", None), (b"xyz", Some(300))]);
+        let ends = [GLOBAL_HEADER_LEN, GLOBAL_HEADER_LEN + 22, GLOBAL_HEADER_LEN + 38, buf.len()];
+        assert_eq!(ends[3], GLOBAL_HEADER_LEN + 57);
+        for cut in GLOBAL_HEADER_LEN..=buf.len() {
+            let mut r = PcapReader::new(&buf[..cut]).unwrap();
+            let mut whole = 0;
+            let outcome = loop {
+                match r.next_record() {
+                    Ok(Some(_)) => whole += 1,
+                    other => break other.map(|_| ()),
+                }
+            };
+            assert_eq!(whole, ends.iter().filter(|end| **end <= cut).count() - 1, "cut at {cut}");
+            if ends.contains(&cut) {
+                assert!(outcome.is_ok(), "cut at {cut}: {outcome:?}");
+                assert_eq!(r.records_rejected, 0, "cut at {cut}");
+            } else {
+                assert!(matches!(outcome, Err(PcapError::TruncatedFile)), "cut at {cut}: {outcome:?}");
+                assert_eq!(r.metrics().counter("capture.frames_rejected"), 1, "cut at {cut}");
             }
-            buf
-        };
-        let a = mk(&[10, 30, 50], 0xAA);
-        let b = mk(&[20, 30, 60, 70], 0xBB);
-        let mut merged = Vec::new();
-        let n = merge(&a[..], &b[..], &mut merged).unwrap();
-        assert_eq!(n, 7);
-        let recs: Vec<_> = PcapReader::new(&merged[..]).unwrap().records().map(|r| r.unwrap()).collect();
-        let stamps: Vec<u64> = recs.iter().map(|r| r.ts_nanos).collect();
-        assert_eq!(stamps, vec![10, 20, 30, 30, 50, 60, 70]);
-        // The tie at 30 favours input A.
-        assert_eq!(recs[2].data[0], 0xAA);
-        assert_eq!(recs[3].data[0], 0xBB);
-    }
-
-    #[test]
-    fn merge_with_empty_capture_is_identity() {
-        let mut a = Vec::new();
-        let mut w = PcapWriter::new(&mut a, 96, TsPrecision::Nano).unwrap();
-        w.write_packet(5, b"x", None).unwrap();
-        drop(w);
-        let empty = {
-            let mut e = Vec::new();
-            PcapWriter::new(&mut e, 96, TsPrecision::Nano).unwrap();
-            e
-        };
-        let mut merged = Vec::new();
-        assert_eq!(merge(&a[..], &empty[..], &mut merged).unwrap(), 1);
-        let recs: Vec<_> = PcapReader::new(&merged[..]).unwrap().records().map(|r| r.unwrap()).collect();
-        assert_eq!(recs[0].data, b"x");
+            assert_eq!(r.metrics().counter("capture.frames_read"), whole as u64, "cut at {cut}");
+        }
     }
 
     fn injector(cfg: FaultConfig) -> FaultInjector {
@@ -605,7 +563,7 @@ mod tests {
         let through = |cfg: FaultConfig| {
             let mut out = Vec::new();
             let n = rewrite(&buf[..], &mut out, &mut injector(cfg)).unwrap();
-            let recs: Vec<_> = PcapReader::new(&out[..]).unwrap().records().map(|r| r.unwrap()).collect();
+            let recs = read_all(&out);
             assert_eq!(n, recs.len() as u64);
             recs.iter().map(|r| r.data[0]).collect::<Vec<u8>>()
         };
@@ -688,7 +646,7 @@ mod tests {
         let frames: Vec<Vec<u8>> = (0..100u8).map(|i| vec![i; (i as usize % 32) + 1]).collect();
         let refs: Vec<(&[u8], Option<u32>)> = frames.iter().map(|f| (f.as_slice(), None)).collect();
         let buf = write_capture(TsPrecision::Nano, 65535, &refs);
-        let recs: Vec<_> = PcapReader::new(&buf[..]).unwrap().records().map(|r| r.unwrap()).collect();
+        let recs = read_all(&buf);
         assert_eq!(recs.len(), 100);
         for (rec, f) in recs.iter().zip(&frames) {
             assert_eq!(&rec.data, f);

@@ -73,9 +73,10 @@ impl<R: Read> RecordSource for PcapReader<R> {
 /// Open the file backend: parse a pcap global header from `input` and
 /// return the reader as a [`RecordSource`].
 ///
-/// This is the one sanctioned constructor for file-backed ingestion
-/// outside this crate — `verify.sh` deny-greps direct `PcapReader::new`
-/// calls in non-test code so every consumer stays behind the seam.
+/// This is the one constructor of the file backend outside this crate:
+/// `PcapReader::new` is crate-private, and lintkit's `ingest-seam` rule
+/// flags any other spelling of it, so every consumer stays behind the
+/// seam.
 pub fn file<R: Read>(input: R) -> Result<PcapReader<R>, PcapError> {
     PcapReader::new(input)
 }

@@ -1,7 +1,7 @@
 //! Randomized tests: capture files round-trip and the reader survives
 //! fuzz, driven by a fixed `xkit::rng` stream.
 
-use pcapio::{PcapReader, PcapWriter, TsPrecision};
+use pcapio::{PcapError, PcapRecord, PcapWriter, RecordSource, TsPrecision};
 use xkit::rng::StdRng;
 
 /// The pcap global file header, fixed by the format.
@@ -32,6 +32,27 @@ fn gen_recs(r: &mut StdRng, min: usize, max: usize) -> Vec<Rec> {
     (0..r.random_range(min..max)).map(|_| gen_rec(r)).collect()
 }
 
+/// The capture's records up to its end or its first error, owned, and
+/// that error.
+fn read(buf: &[u8]) -> (Vec<PcapRecord>, Option<PcapError>) {
+    let mut source = pcapio::source::file(buf).unwrap();
+    let mut records = Vec::new();
+    loop {
+        match source.next() {
+            Ok(Some(rec)) => records.push(rec.to_owned()),
+            Ok(None) => return (records, None),
+            Err(e) => return (records, Some(e)),
+        }
+    }
+}
+
+/// Every record of a well-formed capture.
+fn read_all(buf: &[u8]) -> Vec<PcapRecord> {
+    let (records, error) = read(buf);
+    assert!(error.is_none(), "{error:?}");
+    records
+}
+
 /// Write-then-read returns every record exactly (nanosecond files).
 #[test]
 fn nano_round_trip() {
@@ -45,8 +66,7 @@ fn nano_round_trip() {
             w.write_packet(rec.ts_nanos, &rec.data, Some(orig)).unwrap();
         }
         drop(w);
-        let got: Vec<_> =
-            PcapReader::new(&buf[..]).unwrap().records().map(|r| r.unwrap()).collect();
+        let got = read_all(&buf);
         assert_eq!(got.len(), recs.len());
         for (g, rec) in got.iter().zip(&recs) {
             assert_eq!(g.ts_nanos, rec.ts_nanos);
@@ -68,8 +88,7 @@ fn micro_rounds_to_microseconds() {
             w.write_packet(rec.ts_nanos, &rec.data, None).unwrap();
         }
         drop(w);
-        let got: Vec<_> =
-            PcapReader::new(&buf[..]).unwrap().records().map(|r| r.unwrap()).collect();
+        let got = read_all(&buf);
         for (g, rec) in got.iter().zip(&recs) {
             assert_eq!(g.ts_nanos, rec.ts_nanos / 1_000 * 1_000);
         }
@@ -87,7 +106,7 @@ fn snaplen_truncation() {
         let mut w = PcapWriter::new(&mut buf, snaplen, TsPrecision::Nano).unwrap();
         w.write_packet(7, &data, None).unwrap();
         drop(w);
-        let rec = PcapReader::new(&buf[..]).unwrap().records().next().unwrap().unwrap();
+        let rec = &read_all(&buf)[0];
         let expect = data.len().min(snaplen as usize);
         assert_eq!(&rec.data, &data[..expect]);
         assert_eq!(rec.orig_len as usize, data.len());
@@ -100,13 +119,9 @@ fn reader_never_panics() {
     let mut r = rng(4);
     for _ in 0..CASES {
         let bytes: Vec<u8> = (0..r.random_range(0..400usize)).map(|_| r.random::<u8>()).collect();
-        if let Ok(rd) = PcapReader::new(&bytes[..]) {
-            // Bounded: each iteration consumes ≥16 bytes or errors.
-            for rec in rd.records().take(64) {
-                if rec.is_err() {
-                    break;
-                }
-            }
+        if let Ok(mut source) = pcapio::source::file(&bytes[..]) {
+            // Bounded: each call consumes ≥16 bytes, ends or errors.
+            while let Ok(Some(_)) = source.next() {}
         }
     }
 }
@@ -123,21 +138,18 @@ fn truncated_capture_degrades_cleanly() {
     drop(w);
     for cut in 0..=buf.len() {
         if cut < GLOBAL_HEADER_LEN {
-            assert!(PcapReader::new(&buf[..cut]).is_err());
+            assert!(pcapio::source::file(&buf[..cut]).is_err());
             continue;
         }
-        let r = PcapReader::new(&buf[..cut]).unwrap();
-        let mut i = 0u64;
-        for rec in r.records() {
-            match rec {
-                Ok(rec) => {
-                    assert_eq!(rec.ts_nanos, i);
-                    assert_eq!(rec.data, vec![i as u8; 32]);
-                    i += 1;
-                }
-                Err(_) => break,
-            }
+        let (records, error) = read(&buf[..cut]);
+        for (i, rec) in (0u64..).zip(&records) {
+            assert_eq!(rec.ts_nanos, i);
+            assert_eq!(rec.data, vec![i as u8; 32]);
         }
-        assert!(i <= 20);
+        // Records are 48 bytes with their headers: only a cut between
+        // two of them ends cleanly.
+        let (whole, inside) = ((cut - GLOBAL_HEADER_LEN) / 48, (cut - GLOBAL_HEADER_LEN) % 48);
+        assert_eq!(records.len(), whole);
+        assert_eq!(error.is_some(), inside > 0, "cut at {cut}: {error:?}");
     }
 }

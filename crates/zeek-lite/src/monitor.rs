@@ -488,31 +488,61 @@ fn sort_dns(names: &NameTable, rows: &mut [DnsTransaction]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dns_wire::{Flags, Message, Name, RData, Rcode, Record, RrClass};
-    use netpkt::{Frame, MacAddr, TcpFlags, TcpHeader};
+    use dns_wire::{Compressor, Flags, MessageWriter, NameBuf, Rcode};
+    use netpkt::{frame, MacAddr, TcpFlags, TcpHeader};
 
     const HOUSE: Ipv4Addr = Ipv4Addr::new(10, 1, 1, 2);
     const RESOLVER: Ipv4Addr = Ipv4Addr::new(192, 0, 2, 53);
     const SERVER: Ipv4Addr = Ipv4Addr::new(203, 0, 113, 7);
 
-    fn feed(m: &mut Monitor, ts_ms: u64, f: &Frame) {
-        let bytes = f.encode();
-        m.handle_frame(Timestamp::from_millis(ts_ms), &bytes, f.wire_len() as u32);
+    /// Hand the monitor a frame stored whole.
+    fn feed(m: &mut Monitor, ts_ms: u64, frame: &[u8]) {
+        m.handle_frame(Timestamp::from_millis(ts_ms), frame, frame.len() as u32);
     }
 
-    fn dns_query(id: u16, name: &str) -> Frame {
-        let q = Message::query(id, Name::parse(name).unwrap(), RrType::A);
-        Frame::udp(MacAddr::LOCAL, MacAddr::UPSTREAM, HOUSE, RESOLVER, 54321, 53, &q.encode())
+    /// A UDP frame between the house's `port` and the resolver's port 53,
+    /// its payload written in place.
+    fn udp(to_resolver: bool, port: u16, payload: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let (up, down) = (MacAddr::UPSTREAM, MacAddr::LOCAL);
+        let mut out = Vec::new();
+        match to_resolver {
+            true => frame::udp(&mut out, down, up, HOUSE, RESOLVER, port, 53, payload),
+            false => frame::udp(&mut out, up, down, RESOLVER, HOUSE, 53, port, payload),
+        }
+        out
     }
 
-    fn dns_response(id: u16, name: &str, addr: Ipv4Addr, ttl: u32) -> Frame {
-        let name = Name::parse(name).unwrap();
-        let resp = Message {
-            flags: Flags::response(Rcode::NoError),
-            answers: vec![Record { name: name.clone(), class: RrClass::In, ttl, rdata: RData::A(addr) }],
-            ..Message::query(id, name, RrType::A)
-        };
-        Frame::udp(MacAddr::UPSTREAM, MacAddr::LOCAL, RESOLVER, HOUSE, 53, 54321, &resp.encode())
+    /// A TCP segment without payload; the house's side faces upstream.
+    fn tcp(src: Ipv4Addr, dst: Ipv4Addr, header: TcpHeader<'_>) -> Vec<u8> {
+        let (up, down) = (MacAddr::UPSTREAM, MacAddr::LOCAL);
+        let (src_mac, dst_mac) = if src == HOUSE { (down, up) } else { (up, down) };
+        let mut out = Vec::new();
+        frame::tcp(&mut out, src_mac, dst_mac, src, dst, header, &[]);
+        out
+    }
+
+    /// Lookup `id` of `name`: the query, or, given an answer, the
+    /// response carrying it as one A record.
+    fn dns_message(id: u16, name: &str, answer: Option<(Ipv4Addr, u32)>) -> Vec<u8> {
+        let name: NameBuf = name.parse().unwrap();
+        let flags = if answer.is_some() { Flags::response(Rcode::NoError) } else { Flags::query() };
+        udp(answer.is_none(), 54321, |out| {
+            let mut comp = Compressor::default();
+            let mut w = MessageWriter::new(out, &mut comp, id, flags);
+            w.question(&name, RrType::A);
+            if let Some((addr, ttl)) = answer {
+                w.a(&name, ttl, addr);
+            }
+            w.finish();
+        })
+    }
+
+    fn dns_query(id: u16, name: &str) -> Vec<u8> {
+        dns_message(id, name, None)
+    }
+
+    fn dns_response(id: u16, name: &str, addr: Ipv4Addr, ttl: u32) -> Vec<u8> {
+        dns_message(id, name, Some((addr, ttl)))
     }
 
     #[test]
@@ -569,9 +599,8 @@ mod tests {
         };
         let targets = [name(&[b"x,y", b"z\nw", b"\\", b"\xe9"]), name(&[])];
         let mut m = Monitor::new(MonitorConfig::default());
-        let query = Frame::udp(MacAddr::LOCAL, MacAddr::UPSTREAM, HOUSE, RESOLVER, 54321, 53, &message(false, &[]));
-        let response =
-            Frame::udp(MacAddr::UPSTREAM, MacAddr::LOCAL, RESOLVER, HOUSE, 53, 54321, &message(true, &targets));
+        let query = udp(true, 54321, |out| out.extend(message(false, &[])));
+        let response = udp(false, 54321, |out| out.extend(message(true, &targets)));
         feed(&mut m, 1000, &query);
         feed(&mut m, 1008, &response);
         let logs = m.finish();
@@ -671,31 +700,11 @@ mod tests {
     #[test]
     fn tcp_connection_produces_app_conn() {
         let mut m = Monitor::new(MonitorConfig::default());
-        let syn = Frame::tcp(MacAddr::LOCAL, MacAddr::UPSTREAM, HOUSE, SERVER, TcpHeader::syn(49152, 443, 100), &[]);
-        let synack = Frame::tcp(
-            MacAddr::UPSTREAM,
-            MacAddr::LOCAL,
-            SERVER,
-            HOUSE,
-            TcpHeader { flags: TcpFlags::SYN_ACK, ..TcpHeader::syn(443, 49152, 900) },
-            &[],
-        );
-        let fin_o = Frame::tcp(
-            MacAddr::LOCAL,
-            MacAddr::UPSTREAM,
-            HOUSE,
-            SERVER,
-            TcpHeader::segment(49152, 443, 101 + 500, 901, TcpFlags::FIN_ACK),
-            &[],
-        );
-        let fin_r = Frame::tcp(
-            MacAddr::UPSTREAM,
-            MacAddr::LOCAL,
-            SERVER,
-            HOUSE,
-            TcpHeader::segment(443, 49152, 901 + 9000, 0, TcpFlags::FIN_ACK),
-            &[],
-        );
+        let syn = tcp(HOUSE, SERVER, TcpHeader::syn(49152, 443, 100));
+        let synack_header = TcpHeader { flags: TcpFlags::SYN_ACK, ..TcpHeader::syn(443, 49152, 900) };
+        let synack = tcp(SERVER, HOUSE, synack_header);
+        let fin_o = tcp(HOUSE, SERVER, TcpHeader::segment(49152, 443, 101 + 500, 901, TcpFlags::FIN_ACK));
+        let fin_r = tcp(SERVER, HOUSE, TcpHeader::segment(443, 49152, 901 + 9000, 0, TcpFlags::FIN_ACK));
         feed(&mut m, 0, &syn);
         feed(&mut m, 20, &synack);
         feed(&mut m, 500, &fin_o);
@@ -713,7 +722,7 @@ mod tests {
     #[test]
     fn garbage_on_port_53_counted_as_decode_error() {
         let mut m = Monitor::new(MonitorConfig::default());
-        let junk = Frame::udp(MacAddr::LOCAL, MacAddr::UPSTREAM, HOUSE, RESOLVER, 50000, 53, b"not dns");
+        let junk = udp(true, 50000, |out| out.extend_from_slice(b"not dns"));
         feed(&mut m, 0, &junk);
         let logs = m.finish();
         assert_eq!((logs.degradation.dns_payloads, logs.degradation.dns_accepted), (1, 0));
@@ -723,7 +732,7 @@ mod tests {
     #[test]
     fn dot_port_traffic_counted() {
         let mut m = Monitor::new(MonitorConfig::default());
-        let f = Frame::tcp(MacAddr::LOCAL, MacAddr::UPSTREAM, HOUSE, RESOLVER, TcpHeader::syn(50000, 853, 1), &[]);
+        let f = tcp(HOUSE, RESOLVER, TcpHeader::syn(50000, 853, 1));
         feed(&mut m, 0, &f);
         let logs = m.finish();
         assert_eq!(logs.stats.dot_port_packets, 1);
@@ -755,8 +764,8 @@ mod tests {
             let mut w = PcapWriter::new(&mut buf, 65535, TsPrecision::Nano).unwrap();
             let q = dns_query(3, "pcap.example.com");
             let r = dns_response(3, "pcap.example.com", SERVER, 120);
-            w.write_packet(1_000_000_000, &q.encode(), None).unwrap();
-            w.write_packet(1_004_000_000, &r.encode(), None).unwrap();
+            w.write_packet(1_000_000_000, &q, None).unwrap();
+            w.write_packet(1_004_000_000, &r, None).unwrap();
         }
         let logs = Monitor::process_pcap(&buf[..], MonitorConfig::default()).unwrap();
         assert_eq!(logs.dns.len(), 1);
@@ -799,14 +808,10 @@ mod tests {
         feed(&mut m, 1008, &dns_response(7, "ok.example.com", SERVER, 300));
         assert!(flight.is_empty());
         // A truncated frame is a fault rejection.
-        let q = dns_query(8, "cut.example.com").encode();
+        let q = dns_query(8, "cut.example.com");
         m.handle_frame(Timestamp::from_millis(2000), &q[..10], q.len() as u32);
         // Garbage on port 53 is a parse degradation.
-        feed(
-            &mut m,
-            3000,
-            &Frame::udp(MacAddr::LOCAL, MacAddr::UPSTREAM, HOUSE, RESOLVER, 50000, 53, b"junk"),
-        );
+        feed(&mut m, 3000, &udp(true, 50000, |out| out.extend_from_slice(b"junk")));
         let kinds: Vec<&str> = flight.snapshot().iter().map(|e| e.kind).collect();
         assert_eq!(kinds, vec!["fault.reject", "parse.degrade"]);
         // Mid-run snapshot upholds the frames identity.

@@ -13,8 +13,8 @@
 use std::net::Ipv4Addr;
 
 use dnsctx::dns_context::{stream::StreamEngine, AnalysisConfig};
-use dnsctx::dns_wire::{Flags, Message, Name, RData, Rcode, Record, RrClass, RrType};
-use dnsctx::netpkt::{Frame, MacAddr, TcpFlags, TcpHeader};
+use dnsctx::dns_wire::{Compressor, Flags, MessageWriter, NameBuf, Rcode, RrType};
+use dnsctx::netpkt::{frame, MacAddr, TcpFlags, TcpHeader};
 use dnsctx::xkit::obs::ObsHub;
 use dnsctx::xkit::bench::alloc::{self, CountingAlloc, StageAllocs};
 use dnsctx::zeek_lite::{Duration, MonitorConfig, Timestamp};
@@ -26,23 +26,51 @@ const HOUSE: Ipv4Addr = Ipv4Addr::new(10, 77, 0, 1);
 const RESOLVER: Ipv4Addr = Ipv4Addr::new(198, 51, 100, 53);
 const SERVER: Ipv4Addr = Ipv4Addr::new(203, 0, 113, 7);
 
-fn feed(engine: &mut StreamEngine, ts_us: u64, f: &Frame) {
-    engine.handle_frame(Timestamp(ts_us * 1_000), &f.encode(), f.wire_len() as u32);
+/// Hand the engine a frame stored whole.
+fn feed(engine: &mut StreamEngine, ts_us: u64, frame: &[u8]) {
+    engine.handle_frame(Timestamp(ts_us * 1_000), frame, frame.len() as u32);
+}
+
+/// A UDP frame from the house to `peer` (`up`) or back, `ports` source
+/// then destination, its payload written in place.
+fn udp(up: bool, peer: Ipv4Addr, ports: [u16; 2], payload: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let (macs, ends) = match up {
+        true => ([MacAddr::LOCAL, MacAddr::UPSTREAM], [HOUSE, peer]),
+        false => ([MacAddr::UPSTREAM, MacAddr::LOCAL], [peer, HOUSE]),
+    };
+    let mut out = Vec::new();
+    frame::udp(&mut out, macs[0], macs[1], ends[0], ends[1], ports[0], ports[1], payload);
+    out
+}
+
+/// A TCP segment without payload from the house to the server.
+fn tcp(header: TcpHeader<'_>) -> Vec<u8> {
+    let mut out = Vec::new();
+    frame::tcp(&mut out, MacAddr::LOCAL, MacAddr::UPSTREAM, HOUSE, SERVER, header, &[]);
+    out
+}
+
+/// Query `id` for `name`, with `answer` (address, ttl) as the one A
+/// record of a response if given.
+fn dns(id: u16, name: &str, answer: Option<(Ipv4Addr, u32)>) -> impl FnOnce(&mut Vec<u8>) {
+    let name: NameBuf = name.parse().unwrap();
+    move |out| {
+        let flags = if answer.is_some() { Flags::response(Rcode::NoError) } else { Flags::query() };
+        let mut comp = Compressor::default();
+        let mut w = MessageWriter::new(out, &mut comp, id, flags);
+        w.question(&name, RrType::A);
+        if let Some((addr, ttl)) = answer {
+            w.a(&name, ttl, addr);
+        }
+        w.finish();
+    }
 }
 
 /// One lookup of `name` answered with `addr` for `ttl` seconds: the
 /// query at `ts_us`, the answer 500 µs later.
 fn lookup(engine: &mut StreamEngine, ts_us: u64, id: u16, name: &str, addr: Ipv4Addr, ttl: u32) {
-    let name = Name::parse(name).unwrap();
-    let q = Message::query(id, name.clone(), RrType::A);
-    let resp = Message {
-        flags: Flags::response(Rcode::NoError),
-        answers: vec![Record { name, class: RrClass::In, ttl, rdata: RData::A(addr) }],
-        ..q.clone()
-    };
-    let (up, down) = (MacAddr::UPSTREAM, MacAddr::LOCAL);
-    feed(engine, ts_us, &Frame::udp(down, up, HOUSE, RESOLVER, 54321, 53, &q.encode()));
-    feed(engine, ts_us + 500, &Frame::udp(up, down, RESOLVER, HOUSE, 53, 54321, &resp.encode()));
+    feed(engine, ts_us, &udp(true, RESOLVER, [54321, 53], dns(id, name, None)));
+    feed(engine, ts_us + 500, &udp(false, RESOLVER, [53, 54321], dns(id, name, Some((addr, ttl)))));
 }
 
 /// A hub whose flight ring (the default 256 events) is already full, so
@@ -71,9 +99,7 @@ fn idle_epoch_allocs(n: u32) -> [StageAllocs; 3] {
     let addr = |i: u32| Ipv4Addr::from(u32::from(Ipv4Addr::new(104, 16, 0, 0)) + i);
 
     // A flow that never ends pins the connection watermark at 1 s.
-    let syn = TcpHeader::syn(40_000, 443, 100);
-    let (down, up) = (MacAddr::LOCAL, MacAddr::UPSTREAM);
-    feed(&mut engine, 1_000_000, &Frame::tcp(down, up, HOUSE, SERVER, syn, &[]));
+    feed(&mut engine, 1_000_000, &tcp(TcpHeader::syn(40_000, 443, 100)));
     // Epoch 1: n lookups of n addresses, all released at its boundary —
     // n keys of one entry each.
     for i in 0..n {
@@ -86,18 +112,17 @@ fn idle_epoch_allocs(n: u32) -> [StageAllocs; 3] {
     // Epoch 2: a query that is never answered pins the DNS watermark at
     // 31 s; the n lookups and n one-packet flows after it complete but
     // cannot be released.
-    let pending = Message::query(65_000, Name::parse("pending.example.com").unwrap(), RrType::A);
-    let pending = Frame::udp(down, up, HOUSE, RESOLVER, 54321, 53, &pending.encode());
+    let pending = udp(true, RESOLVER, [54321, 53], dns(65_000, "pending.example.com", None));
     feed(&mut engine, 31_000_000, &pending);
     for i in 0..n {
         let ts_us = 31_001_000 + 1_000 * i as u64;
         lookup(&mut engine, ts_us, i as u16, &format!("b{i}.example.com"), addr(i), 86_400);
-        let quic = Frame::udp(down, up, HOUSE, SERVER, 10_000 + i as u16, 4433, b"x");
+        let quic = udp(true, SERVER, [10_000 + i as u16, 4433], |out| out.push(b'x'));
         feed(&mut engine, ts_us, &quic);
     }
     // One late packet on the pinned flow sweeps the idle UDP flows out.
     let ack = TcpHeader { flags: TcpFlags::ACK, ..TcpHeader::syn(40_000, 443, 101) };
-    feed(&mut engine, 58_000_000, &Frame::tcp(down, up, HOUSE, SERVER, ack, &[]));
+    feed(&mut engine, 58_000_000, &tcp(ack));
     let out = engine.end_epoch(Some(Timestamp::from_millis(60_000)));
     assert_eq!((out.dns.len(), out.conns.len()), (0, 0));
     let live = hub.metrics();
@@ -128,7 +153,6 @@ fn busy_epoch_allocs(n: u32) -> [StageAllocs; 2] {
     let hub = full_hub();
     engine.set_hub(hub.clone());
     let addr = |net: u8, i: u32| Ipv4Addr::from(u32::from(Ipv4Addr::new(104, net, 0, 0)) + i);
-    let (down, up) = (MacAddr::LOCAL, MacAddr::UPSTREAM);
     for i in 0..5_000 {
         let name = format!("h{i}.example.com");
         lookup(&mut engine, 100_000 + 100 * i as u64, i as u16, &name, addr(16, i), 86_400);
@@ -141,12 +165,12 @@ fn busy_epoch_allocs(n: u32) -> [StageAllocs; 2] {
             let ts_us = base_us + 1_000_000 + 1_000 * i as u64;
             let name = format!("b{i}.example.com");
             lookup(&mut engine, ts_us, i as u16, &name, addr(32, i), 10);
-            let quic = Frame::udp(down, up, HOUSE, addr(32, i), 10_000 + i as u16, 4433, b"x");
+            let quic = udp(true, addr(32, i), [10_000 + i as u16, 4433], |out| out.push(b'x'));
             feed(&mut engine, ts_us + 600, &quic);
         }
         // A late packet on a flow of its own sweeps the epoch's flows out
         // and leaves the connection watermark at its own start.
-        let late = Frame::udp(down, up, HOUSE, SERVER, 20_000 + epoch as u16, 4433, b"x");
+        let late = udp(true, SERVER, [20_000 + epoch as u16, 4433], |out| out.push(b'x'));
         feed(&mut engine, base_us + 20_000_000, &late);
         let (out, allocs) =
             alloc::measure(|| engine.end_epoch(Some(Timestamp(1_000 * (base_us + 30_000_000)))));

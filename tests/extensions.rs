@@ -83,8 +83,7 @@ fn knee_estimate_is_sane_on_simulated_traffic() {
 #[test]
 fn captures_merge_and_reanalyse() {
     // Split one simulated capture into two halves by time, merge them
-    // back with pcapio::merge, and confirm the monitor sees the same
-    // world.
+    // back into one capture, and confirm the monitor sees the same world.
     let cfg = dnsctx::ccz_sim::WorkloadConfig {
         scale: dnsctx::ccz_sim::ScaleKnobs { houses: 3, days: 0.02, activity: 1.0 },
         services: 120,
@@ -97,25 +96,24 @@ fn captures_merge_and_reanalyse() {
     let full_logs = Monitor::process_pcap(&full[..], MonitorConfig::default()).unwrap();
 
     // Re-split the capture at its median record time.
-    let reader = dnsctx::pcapio::PcapReader::new(&full[..]).unwrap();
-    let records: Vec<_> = reader.records().map(|r| r.unwrap()).collect();
+    use dnsctx::pcapio::RecordSource;
+    let mut source = dnsctx::pcapio::source::file(&full[..]).unwrap();
+    let mut records = Vec::new();
+    while let Some(rec) = source.next().unwrap() {
+        records.push(rec.to_owned());
+    }
     let cut = records[records.len() / 2].ts_nanos;
-    let write_subset = |pred: &dyn Fn(u64) -> bool| -> Vec<u8> {
-        let mut buf = Vec::new();
-        let mut w = dnsctx::pcapio::PcapWriter::new(&mut buf, 600, dnsctx::pcapio::TsPrecision::Nano).unwrap();
-        for r in &records {
-            if pred(r.ts_nanos) {
-                w.write_packet(r.ts_nanos, &r.data, Some(r.orig_len)).unwrap();
-            }
-        }
-        drop(w);
-        buf
-    };
-    let first = write_subset(&|ts| ts < cut);
-    let second = write_subset(&|ts| ts >= cut);
+    let (first, second): (Vec<_>, Vec<_>) = records.iter().partition(|r| r.ts_nanos < cut);
+    // The halves do not overlap in time, so the merge is the first half,
+    // then the second.
     let mut merged = Vec::new();
-    let n = dnsctx::pcapio::merge(&first[..], &second[..], &mut merged).unwrap();
-    assert_eq!(n as usize, records.len());
+    let mut w = dnsctx::pcapio::PcapWriter::new(&mut merged, 600, dnsctx::pcapio::TsPrecision::Nano).unwrap();
+    for r in first.iter().chain(&second) {
+        w.write_packet(r.ts_nanos, &r.data, Some(r.orig_len)).unwrap();
+    }
+    assert_eq!(w.packets_written() as usize, records.len());
+    drop(w);
+    assert!(merged == full, "the merged capture is the original, byte for byte");
     let merged_logs = Monitor::process_pcap(&merged[..], MonitorConfig::default()).unwrap();
     assert_eq!(merged_logs.dns.len(), full_logs.dns.len());
     assert_eq!(merged_logs.app_conns().count(), full_logs.app_conns().count());

@@ -2,26 +2,65 @@
 //! path. Each case must come back as a typed `Err` — never a panic.
 
 use dnsctx::dns_wire::{
-    tcp_frame, Flags, Message, Name, RData, Rcode, Record, RrClass, RrType, WireError,
+    tcp_frame, Compressor, Flags, Message, MessageView, MessageWriter, NameBuf, Rcode, RrType, WireError,
 };
-use dnsctx::netpkt::{Frame, MacAddr, Packet, PktError, TcpHeader};
+use dnsctx::netpkt::{frame, MacAddr, Packet, PktError, TcpHeader};
 use std::net::Ipv4Addr;
 
 const CLIENT: Ipv4Addr = Ipv4Addr::new(10, 9, 0, 2);
 const RESOLVER: Ipv4Addr = Ipv4Addr::new(198, 51, 100, 53);
 
+/// Message `id` asking for `name`, with `addr` as its one answer if given.
+fn dns_message(id: u16, name: &str, addr: Option<Ipv4Addr>) -> Vec<u8> {
+    let name: NameBuf = name.parse().unwrap();
+    let flags = if addr.is_some() { Flags::response(Rcode::NoError) } else { Flags::query() };
+    let (mut out, mut comp) = (Vec::new(), Compressor::default());
+    let mut w = MessageWriter::new(&mut out, &mut comp, id, flags);
+    w.question(&name, RrType::A);
+    if let Some(addr) = addr {
+        w.a(&name, 300, addr);
+    }
+    w.finish();
+    out
+}
+
 fn dns_query_bytes() -> Vec<u8> {
-    Message::query(7, Name::parse("www.example.com").unwrap(), RrType::A).encode()
+    dns_message(7, "www.example.com", None)
 }
 
 fn udp_frame_bytes() -> Vec<u8> {
-    Frame::udp(MacAddr::LOCAL, MacAddr::UPSTREAM, CLIENT, RESOLVER, 54321, 53, &dns_query_bytes())
-        .encode()
+    let mut out = Vec::new();
+    frame::udp(&mut out, MacAddr::LOCAL, MacAddr::UPSTREAM, CLIENT, RESOLVER, 54321, 53, |payload| {
+        payload.extend(dns_query_bytes())
+    });
+    out
 }
 
 fn tcp_frame_bytes() -> Vec<u8> {
-    Frame::tcp(MacAddr::LOCAL, MacAddr::UPSTREAM, CLIENT, RESOLVER, TcpHeader::syn(49152, 443, 100), b"hello")
-        .encode()
+    let mut out = Vec::new();
+    let syn = TcpHeader::syn(49152, 443, 100);
+    frame::tcp(&mut out, MacAddr::LOCAL, MacAddr::UPSTREAM, CLIENT, RESOLVER, syn, b"hello");
+    out
+}
+
+/// The monitor's verdict on a DNS payload: the view, then its first
+/// question read into a `NameBuf` and every answer's address and alias
+/// target. The owned decode must reach the same verdict.
+fn parse(msg: &[u8]) -> Result<(), WireError> {
+    let view = MessageView::parse(msg);
+    assert_eq!(view.as_ref().err(), Message::decode(msg).as_ref().err(), "the view and the owned decode disagree");
+    let view = view?;
+    let mut name = NameBuf::new();
+    if let Some(q) = view.question() {
+        q.name.read_into(&mut name);
+    }
+    for answer in view.answers() {
+        let _ = answer.a();
+        if let Some(target) = answer.cname() {
+            target.read_into(&mut name);
+        }
+    }
+    Ok(())
 }
 
 /// A 12-byte DNS header claiming the given section counts.
@@ -89,10 +128,13 @@ fn self_pointing_compression_pointer_is_err() {
     // are flattened to CountMismatch, checked separately below.)
     let mut msg = dns_header(0, 1);
     msg.extend_from_slice(&[0xC0, 12]); // pointer -> offset 12 (itself)
-    assert!(matches!(Message::decode(&msg), Err(WireError::BadPointer { target: 12 })));
+    assert!(matches!(parse(&msg), Err(WireError::BadPointer { target: 12 })));
 
-    let mut pos = 12;
-    assert!(matches!(Name::decode(&msg, &mut pos), Err(WireError::BadPointer { target: 12 })));
+    // The same inside RDATA: a CNAME whose target points at itself (23).
+    let mut msg = dns_header(0, 1);
+    msg.extend_from_slice(&[0, 0, 5, 0, 1, 0, 0, 0, 60, 0, 2]); // root owner, CNAME, IN, ttl 60, RDLENGTH 2
+    msg.extend_from_slice(&[0xC0, 23]);
+    assert!(matches!(parse(&msg), Err(WireError::BadPointer { target: 23 })));
 }
 
 #[test]
@@ -102,14 +144,14 @@ fn forward_and_mutually_looping_pointers_are_err() {
     let mut msg = dns_header(0, 1);
     msg.extend_from_slice(&[0xC0, 14]);
     msg.extend_from_slice(&[0xC0, 12]);
-    assert!(matches!(Message::decode(&msg), Err(WireError::BadPointer { target: 14 })));
+    assert!(matches!(parse(&msg), Err(WireError::BadPointer { target: 14 })));
 }
 
 #[test]
 fn out_of_bounds_pointer_is_err() {
     let mut msg = dns_header(0, 1);
     msg.extend_from_slice(&[0xC0, 0xFF]); // far past the end of the message
-    assert!(matches!(Message::decode(&msg), Err(WireError::BadPointer { target: 255 })));
+    assert!(matches!(parse(&msg), Err(WireError::BadPointer { target: 255 })));
 }
 
 #[test]
@@ -118,7 +160,7 @@ fn reserved_label_types_are_err() {
         let mut msg = dns_header(0, 1);
         msg.extend_from_slice(&[bad, b'x', 0]);
         assert!(
-            matches!(Message::decode(&msg), Err(WireError::ReservedLabelType(b)) if b == bad),
+            matches!(parse(&msg), Err(WireError::ReservedLabelType(b)) if b == bad),
             "label type {bad:#04x}"
         );
     }
@@ -133,7 +175,7 @@ fn hostile_question_names_are_err() {
         msg.extend_from_slice(tail);
         msg.extend_from_slice(&[0, 1, 0, 1]);
         assert!(matches!(
-            Message::decode(&msg),
+            parse(&msg),
             Err(WireError::CountMismatch { section: "question" })
         ));
     }
@@ -148,7 +190,7 @@ fn zero_length_rdata_for_address_record_is_err() {
     msg.extend_from_slice(&300u32.to_be_bytes()); // TTL
     msg.extend_from_slice(&0u16.to_be_bytes()); // RDLENGTH 0
     assert!(matches!(
-        Message::decode(&msg),
+        parse(&msg),
         Err(WireError::RdataLengthMismatch { declared: 0, actual: 4 })
     ));
 }
@@ -163,35 +205,22 @@ fn oversized_rdata_is_err() {
     msg.extend_from_slice(&300u32.to_be_bytes());
     msg.extend_from_slice(&u16::MAX.to_be_bytes()); // RDLENGTH 65535
     msg.extend_from_slice(&[4]); // one stray byte of "rdata"
-    assert!(Message::decode(&msg).is_err());
+    assert!(parse(&msg).is_err());
 }
 
 #[test]
 fn section_counts_exceeding_message_are_err() {
     let mut msg = dns_header(9, 0); // promises 9 questions
     msg.extend_from_slice(&[0, 0, 1, 0, 1]); // delivers 1
-    assert!(matches!(Message::decode(&msg), Err(WireError::CountMismatch { .. })));
+    assert!(matches!(parse(&msg), Err(WireError::CountMismatch { .. })));
 }
 
 #[test]
 fn every_cut_of_a_valid_message_is_err_not_panic() {
-    let full = {
-        let name = Name::parse("cut.example.com").unwrap();
-        Message {
-            flags: Flags::response(Rcode::NoError),
-            answers: vec![Record {
-                name: name.clone(),
-                class: RrClass::In,
-                ttl: 300,
-                rdata: RData::A(Ipv4Addr::new(192, 0, 2, 1)),
-            }],
-            ..Message::query(3, name, RrType::A)
-        }
-        .encode()
-    };
-    assert!(Message::decode(&full).is_ok());
+    let full = dns_message(3, "cut.example.com", Some(Ipv4Addr::new(192, 0, 2, 1)));
+    assert!(parse(&full).is_ok());
     for cut in 0..full.len() {
-        assert!(Message::decode(&full[..cut]).is_err(), "cut at {cut} must be Err");
+        assert!(parse(&full[..cut]).is_err(), "cut at {cut} must be Err");
     }
 }
 
@@ -208,7 +237,7 @@ fn mid_record_tcp_stream_cuts_are_err_not_panic() {
         let cut_stream = &stream[..cut];
         assert!(tcp_frame::deframe_all(cut_stream).is_err(), "cut at {cut}");
         for msg in tcp_frame::Deframer::new().push(cut_stream) {
-            let _ = Message::decode(&msg);
+            let _ = parse(&msg);
         }
     }
     // A length prefix promising bytes that never arrive is a clean error.

@@ -12,8 +12,8 @@
 
 use std::net::Ipv4Addr;
 
-use dnsctx::dns_wire::{Flags, Message, Name, RData, Rcode, Record, RrClass, RrType};
-use dnsctx::netpkt::{Frame, MacAddr, TcpFlags, TcpHeader};
+use dnsctx::dns_wire::{Compressor, Flags, MessageWriter, NameBuf, Rcode, RrType};
+use dnsctx::netpkt::{frame, MacAddr, TcpFlags, TcpHeader};
 use dnsctx::xkit::bench::alloc::{self, CountingAlloc};
 use dnsctx::zeek_lite::{AnswerData, DnsTransaction, Monitor, MonitorConfig, Timestamp};
 
@@ -29,17 +29,45 @@ const DOWN: MacAddr = MacAddr::LOCAL;
 /// A frame as the capture stores it: `(bytes, wire length)`.
 type Stored = (Vec<u8>, u32);
 
-fn stored(f: &Frame) -> Stored {
-    (f.encode(), f.wire_len() as u32)
+/// A UDP frame stored whole, its payload written in place.
+fn udp(
+    macs: [MacAddr; 2],
+    src: Ipv4Addr,
+    dst: Ipv4Addr,
+    ports: [u16; 2],
+    payload: impl FnOnce(&mut Vec<u8>),
+) -> Stored {
+    let mut out = Vec::new();
+    frame::udp(&mut out, macs[0], macs[1], src, dst, ports[0], ports[1], payload);
+    let len = out.len() as u32;
+    (out, len)
 }
 
-/// The response to `q` carrying `answers`.
-fn answered(q: Message, answers: Vec<Record>) -> Message {
-    Message { flags: Flags::response(Rcode::NoError), answers, ..q }
+/// A TCP segment without payload.
+fn tcp(macs: [MacAddr; 2], src: Ipv4Addr, dst: Ipv4Addr, header: TcpHeader<'_>) -> Stored {
+    let mut out = Vec::new();
+    frame::tcp(&mut out, macs[0], macs[1], src, dst, header, &[]);
+    let len = out.len() as u32;
+    (out, len)
 }
 
-fn record(name: &Name, ttl: u32, rdata: RData) -> Record {
-    Record { name: name.clone(), class: RrClass::In, ttl, rdata }
+/// Writes message `id` asking for `name`: the query, or, given
+/// `answers`, the response whose answer section they write.
+fn dns<'a>(
+    id: u16,
+    name: &'a NameBuf,
+    answers: Option<&'a dyn Fn(&mut MessageWriter<'_>)>,
+) -> impl FnOnce(&mut Vec<u8>) + 'a {
+    move |out| {
+        let flags = if answers.is_some() { Flags::response(Rcode::NoError) } else { Flags::query() };
+        let mut comp = Compressor::default();
+        let mut w = MessageWriter::new(out, &mut comp, id, flags);
+        w.question(name, RrType::A);
+        if let Some(answers) = answers {
+            answers(&mut w);
+        }
+        w.finish();
+    }
 }
 
 /// Query and response (a CNAME, then `addrs` A records) of lookup `i`
@@ -47,16 +75,17 @@ fn record(name: &Name, ttl: u32, rdata: RData) -> Record {
 /// name is as long as every other of its kind, so the first message sizes
 /// the monitor's reused string for all of them.
 fn lookup(i: u16, port: u16, addrs: u8) -> [Stored; 2] {
-    let name = Name::parse(&format!("w{i:05}.example.com")).unwrap();
-    let edge = Name::parse(&format!("e{i:05}.cdn.example.net")).unwrap();
-    let q = Message::query(i, name.clone(), RrType::A);
-    let addr = |host| RData::A(Ipv4Addr::new(104, 16, (i >> 8) as u8, host));
-    let mut answers = vec![record(&name, 300, RData::Cname(edge.clone()))];
-    answers.extend((1..=addrs).map(|host| record(&edge, 60, addr(host))));
-    let resp = answered(q.clone(), answers);
+    let name: NameBuf = format!("w{i:05}.example.com").parse().unwrap();
+    let edge: NameBuf = format!("e{i:05}.cdn.example.net").parse().unwrap();
+    let answers = |w: &mut MessageWriter<'_>| {
+        w.cname(&name, 300, &edge);
+        for host in 1..=addrs {
+            w.a(&edge, 60, Ipv4Addr::new(104, 16, (i >> 8) as u8, host));
+        }
+    };
     [
-        stored(&Frame::udp(DOWN, UP, HOUSE, RESOLVER, port, 53, &q.encode())),
-        stored(&Frame::udp(UP, DOWN, RESOLVER, HOUSE, 53, port, &resp.encode())),
+        udp([DOWN, UP], HOUSE, RESOLVER, [port, 53], dns(i, &name, None)),
+        udp([UP, DOWN], RESOLVER, HOUSE, [53, port], dns(i, &name, Some(&answers))),
     ]
 }
 
@@ -76,12 +105,9 @@ fn a_matched_transaction_allocates_nothing_of_its_own() {
 
     // A retransmitted query, and a response nobody asked for (the id of a
     // lookup not made yet, on the flow the monitor already tracks).
-    let seventh = Name::parse("w00007.example.com").unwrap();
-    let stray = answered(
-        Message::query(7, seventh.clone(), RrType::A),
-        vec![record(&seventh, 60, RData::A(SERVER))],
-    );
-    let stray = stored(&Frame::udp(UP, DOWN, RESOLVER, HOUSE, 53, 20_000 + N, &stray.encode()));
+    let seventh: NameBuf = "w00007.example.com".parse().unwrap();
+    let answer = |w: &mut MessageWriter<'_>| w.a(&seventh, 60, SERVER);
+    let stray = udp([UP, DOWN], RESOLVER, HOUSE, [53, 20_000 + N], dns(7, &seventh, Some(&answer)));
     let ((), idle) = alloc::measure(|| {
         feed(&mut monitor, &warm_q);
         feed(&mut monitor, &stray);
@@ -135,14 +161,13 @@ fn a_matched_transaction_allocates_nothing_of_its_own() {
 
     // An established TCP flow: nothing per segment.
     let seg = |from_house: bool, seq: u32, ack: u32, flags: TcpFlags| {
-        let frame = if from_house {
-            Frame::tcp(DOWN, UP, HOUSE, SERVER, TcpHeader::segment(40_000, 443, seq, ack, flags), &[])
+        if from_house {
+            tcp([DOWN, UP], HOUSE, SERVER, TcpHeader::segment(40_000, 443, seq, ack, flags))
         } else {
-            Frame::tcp(UP, DOWN, SERVER, HOUSE, TcpHeader::segment(443, 40_000, seq, ack, flags), &[])
-        };
-        stored(&frame)
+            tcp([UP, DOWN], SERVER, HOUSE, TcpHeader::segment(443, 40_000, seq, ack, flags))
+        }
     };
-    feed(&mut monitor, &stored(&Frame::tcp(DOWN, UP, HOUSE, SERVER, TcpHeader::syn(40_000, 443, 100), &[])));
+    feed(&mut monitor, &tcp([DOWN, UP], HOUSE, SERVER, TcpHeader::syn(40_000, 443, 100)));
     feed(&mut monitor, &seg(false, 900, 101, TcpFlags::SYN_ACK));
     feed(&mut monitor, &seg(true, 101, 901, TcpFlags::ACK));
     let segments: Vec<Stored> = (0..10_000u32)
@@ -172,7 +197,7 @@ fn a_matched_transaction_allocates_nothing_of_its_own() {
         monitor.handle_frame(Timestamp(ms * 1_000_000), bytes, *wire_len);
     };
     let idle: Vec<Stored> =
-        (0..=K).map(|k| stored(&Frame::udp(DOWN, UP, HOUSE, SERVER, 30_000 + k, 443, &[]))).collect();
+        (0..=K).map(|k| udp([DOWN, UP], HOUSE, SERVER, [30_000 + k, 443], |_| {})).collect();
     let (tick, idle) = idle.split_last().expect("K + 1 flows");
     for (k, flow) in (0..).zip(idle) {
         at(&mut monitor, k, flow);
