@@ -340,3 +340,45 @@ fn pairing_matches_the_recorded_digest_over_seeds() {
         assert_eq!(got, recorded, "seed {seed}: [MostRecent, RandomNonExpired]");
     }
 }
+
+/// FNV-1a over the sample bits of §6's four ECDFs (delay, contribution
+/// over SC ∪ R, SC only, R only) and over the `{:?}` of the
+/// `whole_house` and `refresh` (10 s floor) reports, on
+/// `quick_study(12, 0.5, seed)` for seeds 1-8, as `(blocked conns,
+/// digest)` recorded from the commit before the ECDFs were radix-sorted
+/// and `FastMap`'s hash was finished with a rotation. A sort that moves
+/// one sample or a replay whose outcome depends on bucket order moves it.
+#[test]
+fn perf_and_cache_reports_match_the_recorded_digest_over_seeds() {
+    const RECORDED: [(u64, usize, u64); 8] = [
+        (1, 13221, 0xf0d2_a47d_265f_f967),
+        (2, 12190, 0xefd7_82f1_0846_a090),
+        (3, 9853, 0xe696_3e2f_fc35_4a6f),
+        (4, 11529, 0xc676_ccb3_f5a7_fb59),
+        (5, 10843, 0x0b9d_388e_63c8_6e61),
+        (6, 11091, 0xd9dd_2371_eb0c_7e79),
+        (7, 13664, 0x9aff_d056_9ef8_a1dc),
+        (8, 10013, 0xfb06_a20a_82c7_9028),
+    ];
+    let fnv = |h: u64, bytes: &[u8]| {
+        bytes.iter().fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
+    };
+    for (seed, blocked, digest) in RECORDED {
+        let study = dnsctx::pipeline::quick_study(12, 0.5, seed);
+        let logs = study.logs();
+        let analysis = study.analysis();
+        let perf = analysis.perf();
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let ecdfs = [&perf.delay_ms, &perf.contribution_pct, &perf.contribution_sc_pct, &perf.contribution_r_pct];
+        for ecdf in ecdfs {
+            h = fnv(h, &(ecdf.samples().len() as u64).to_le_bytes());
+            for x in ecdf.samples() {
+                h = fnv(h, &x.to_bits().to_le_bytes());
+            }
+        }
+        let wh = cache_sim::whole_house(logs, &analysis);
+        let r = cache_sim::refresh(logs, &analysis, Duration::from_secs(10));
+        h = fnv(h, format!("{wh:?}{r:?}").as_bytes());
+        assert_eq!((perf.blocked.len(), h), (blocked, digest), "seed {seed}");
+    }
+}
