@@ -110,11 +110,18 @@ impl PerfAnalysis {
                 r_pct.push(pct);
             }
         }
+        // One buffer of the blocked count is every sort's scratch, then
+        // the samples of the SC ∪ R contribution, which merges the two
+        // sorted halves.
+        let mut all = vec![0.0; blocked.len()];
+        let delay_ms = Ecdf::radix(blocked.iter().map(|b| b.dns_ms).collect(), &mut all);
+        let contribution_sc_pct = Ecdf::radix(sc_pct, &mut all);
+        let contribution_r_pct = Ecdf::radix(r_pct, &mut all);
         PerfAnalysis {
-            delay_ms: Ecdf::new(blocked.iter().map(|b| b.dns_ms).collect()),
-            contribution_pct: Ecdf::new(blocked.iter().map(|b| b.contribution_pct()).collect()),
-            contribution_sc_pct: Ecdf::new(sc_pct),
-            contribution_r_pct: Ecdf::new(r_pct),
+            delay_ms,
+            contribution_pct: Ecdf::merge(&contribution_sc_pct, &contribution_r_pct, all),
+            contribution_sc_pct,
+            contribution_r_pct,
             blocked,
         }
     }

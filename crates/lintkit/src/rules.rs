@@ -16,7 +16,8 @@
 //! `obs-exports-write-in-place` keeps a temporary string per line out of
 //! the obs exporters, which write into their one output string;
 //! `batch-sorts-in-place` keeps stable sorts, and the scratch they
-//! allocate, off the batch analysis' row-sized vectors;
+//! allocate, off the batch analysis' row-sized vectors (the radix
+//! kernel borrows its scratch);
 //! `pairing-joins-by-client` keeps the per-key hash index out of the
 //! batch pairer, which merges each client's sorted lookups and
 //! connections;
@@ -189,8 +190,8 @@ pub fn rules() -> Vec<Rule> {
         },
         Rule {
             id: "batch-sorts-in-place",
-            desc: "the batch analysis sorts its row-sized vectors in place: no .sort_by( or .sort_by_key( in non-test dns-context/src/{pairing,perf,stats}.rs and cache-sim/src/lib.rs",
-            hint: "a stable sort allocates scratch of up to n elements per call; use sort_unstable_by/sort_unstable_by_key on a key under which ties are identical values, or debug_assert! an order the input already has",
+            desc: "the batch analysis sorts its row-sized vectors in place or with the radix kernel (dns-context/src/radix.rs): no .sort_by( or .sort_by_key( in non-test dns-context/src/{pairing,perf,stats}.rs and cache-sim/src/lib.rs",
+            hint: "a stable sort allocates scratch of up to n elements per call; use radix::sort with scratch lent from a buffer the code already holds, sort_unstable_by/sort_unstable_by_key on a key under which ties are identical values, or debug_assert! an order the input already has",
             scope: Scope {
                 roots: &[
                     "crates/dns-context/src/pairing.rs",

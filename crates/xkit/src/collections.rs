@@ -81,9 +81,12 @@ impl Hasher for FxHasher {
         self.add_to_hash(n as u64);
     }
 
+    /// The product's high bits are its well-mixed ones, and the table
+    /// takes its bucket index from the low bits: rotate them down (as
+    /// rustc-hash 2 does), or a key's high half never reaches the index.
     #[inline]
     fn finish(&self) -> u64 {
-        self.hash
+        self.hash.rotate_left(26)
     }
 }
 
@@ -121,6 +124,24 @@ mod tests {
         };
         assert_eq!(h(42), h(42));
         assert_ne!(h(42), h(43));
+    }
+
+    /// Keys packed as `high << 32 | low` (a client and an address or a
+    /// name id) must spread over the low bits a table of 2^17 buckets
+    /// indexes by: 1 024 highs × 64 lows reach at least a quarter of
+    /// the buckets (the raw product reaches 64, one per low value).
+    #[test]
+    fn the_high_half_of_a_packed_key_reaches_the_bucket_index() {
+        let mask = (1u64 << 17) - 1;
+        let mut seen = std::collections::BTreeSet::new();
+        for c in 0..1_024u64 {
+            for k in 0..64u64 {
+                let mut hx = FxHasher::default();
+                hx.write_u64(c << 32 | k);
+                seen.insert(hx.finish() & mask);
+            }
+        }
+        assert!(seen.len() >= 16_384, "{} distinct bucket indices", seen.len());
     }
 
     #[test]

@@ -85,6 +85,9 @@ echo "== perf-hygiene suite =="
 # The refactored hot path must be unobservable: bytes, logs, counts, and
 # metrics identical across threads, windows, and the owned fallback.
 cargo test -q --release --offline -p bench --test zero_copy_agreement
+# The batch pairer and §6 at the speed the ladder measures: the paper
+# oracle, the hostile run and the radix kernel's property tests.
+cargo test -q --release --offline -p dns-context
 # §8's batch replays on packed keys: the differential against the
 # streaming replay over eight simulated days, and the allocation pin.
 cargo test -q --release --offline -p cache-sim
