@@ -44,8 +44,14 @@
 //! # Cost of a boundary
 //!
 //! Closing an epoch costs time in proportion to the rows that arrived,
-//! were released, or were evicted in it, never to what is merely held,
-//! and once the engine has held its peak it allocates nothing. Every
+//! were released, or were evicted in it, not to the rows and index
+//! entries merely held, and once the engine has held its peak it
+//! allocates nothing. The two release watermarks are the exception: they
+//! are O(live) scans, [`Monitor::oldest_active_flow_start`] over every
+//! live flow and [`Monitor::oldest_pending_dns_ts`] over every pending
+//! query, once per boundary (on `pcap-stream-w30`'s capture, seed 42000,
+//! 1 440 boundaries: about 0.8 ms for the flow scans and 0.1 ms for the
+//! query scans of a ~110 ms run). Every
 //! entry that has a successor under its key sits in a min-heap keyed by
 //! the instant it becomes droppable (`max(expires, successor.completed)`),
 //! so eviction pops exactly the keys that drop something and
