@@ -103,7 +103,7 @@ fn obs_check_url_validates_a_live_server() {
     let mut m = xkit::obs::Metrics::new();
     m.add("zeek.frames_seen", 12);
     m.gauge_max("stream.peak_live_flows", 3.0);
-    m.observe_with("zeek.dns_rtt_ms", xkit::obs::HistSpec::time_ms(), 4.0);
+    m.observe("zeek.dns_rtt_ms", 4.0);
     hub.publish_metrics(m);
     hub.flight().record("epoch.release", "epoch 0: 1 conn + 1 dns rows", 2.0);
     let server = xkit::obs::http::serve("127.0.0.1:0", "dnsctx", hub).unwrap();

@@ -13,7 +13,7 @@ use crate::analysis::Coverage;
 use crate::classify::{ClassCounts, ConnClass};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
-use xkit::obs::{HistSpec, Metrics};
+use xkit::obs::Metrics;
 use zeek_lite::{Duration, Timestamp};
 
 /// The index key: `(client, answer address)` packed into one word.
@@ -175,13 +175,13 @@ impl Tally {
             self.hit += 1;
         }
         self.first_use += u64::from(p.first_use);
-        hists.observe_with("pair.gap_ms", HistSpec::time_ms(), p.gap.as_millis_f64());
+        hists.observe("pair.gap_ms", p.gap.as_millis_f64());
     }
 
     /// Fold one blocked connection's lookup duration.
     pub(crate) fn blocked(&mut self, hists: &mut Metrics, lookup_ms: f64) {
         self.blocked += 1;
-        hists.observe_with("perf.blocked_dns_ms", HistSpec::time_ms(), lookup_ms);
+        hists.observe("perf.blocked_dns_ms", lookup_ms);
     }
 
     /// Application connections folded so far.

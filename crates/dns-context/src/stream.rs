@@ -106,7 +106,7 @@ use std::collections::hash_map::Entry as Slot;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use std::net::Ipv4Addr;
 use xkit::collections::FastMap;
-use xkit::obs::{HistSpec, Metrics};
+use xkit::obs::Metrics;
 use zeek_lite::{
     ConnRecord, DegradationStats, DnsTransaction, Duration, Monitor, MonitorConfig, NameTable,
     Timestamp,
@@ -761,7 +761,7 @@ impl StreamEngine {
         let idx = self.next_dns_idx;
         self.next_dns_idx += 1;
         if let Some(rtt) = txn.rtt {
-            self.acc.observe_with("zeek.dns_rtt_ms", HistSpec::time_ms(), rtt.as_millis_f64());
+            self.acc.observe("zeek.dns_rtt_ms", rtt.as_millis_f64());
             let acc = self.resolvers.entry(txn.resolver).or_insert_with(ResolverAcc::new);
             acc.min_ms = acc.min_ms.min(rtt.as_millis_f64());
             acc.answered += 1;

@@ -40,8 +40,6 @@ pub enum WireError {
         /// Which section was short.
         section: &'static str,
     },
-    /// TCP length prefix promised more bytes than are available.
-    BadTcpFrame,
     /// A name string passed to [`crate::NameBuf::set`] was not a valid hostname.
     BadNameString(String),
 }
@@ -60,7 +58,6 @@ impl fmt::Display for WireError {
                 write!(f, "rdata length mismatch: declared {declared}, actual {actual}")
             }
             WireError::CountMismatch { section } => write!(f, "header count exceeds records in {section}"),
-            WireError::BadTcpFrame => write!(f, "TCP length prefix inconsistent with payload"),
             WireError::BadNameString(s) => write!(f, "invalid domain name string {s:?}"),
         }
     }

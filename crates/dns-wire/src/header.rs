@@ -80,7 +80,7 @@ impl Rcode {
     }
 
     /// Decode from the 4-bit field.
-    pub fn from_u8(v: u8) -> Self {
+    pub(crate) fn from_u8(v: u8) -> Self {
         match v & 0x0F {
             0 => Rcode::NoError,
             1 => Rcode::FormErr,
@@ -177,7 +177,7 @@ impl Flags {
 
     /// Unpack from the 16-bit wire field. Reserved Z bits are ignored, as
     /// resolvers do in practice.
-    pub fn from_u16(v: u16) -> Self {
+    pub(crate) fn from_u16(v: u16) -> Self {
         Flags {
             qr: v & (1 << 15) != 0,
             opcode: Opcode::from_u8((v >> 11) as u8),
@@ -209,7 +209,7 @@ pub struct Header {
 
 impl Header {
     /// Encode into 12 octets appended to `out`.
-    pub fn encode(&self, out: &mut Vec<u8>) {
+    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.id.to_be_bytes());
         out.extend_from_slice(&self.flags.to_u16().to_be_bytes());
         out.extend_from_slice(&self.qdcount.to_be_bytes());

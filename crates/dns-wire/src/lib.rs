@@ -15,7 +15,6 @@
 //! * [`Message`] / [`Question`] / [`Record`] / [`RData`] — the view
 //!   collected into owned sections by [`Message::decode`], for callers
 //!   that time or keep a whole message.
-//! * [`tcp_frame`] — the 2-byte length prefix used for DNS over TCP (§4.2.2).
 //!
 //! The codec is strict on decode (malformed packets return [`WireError`]
 //! rather than panicking — a passive monitor must survive arbitrary input)
@@ -56,7 +55,6 @@ mod name;
 mod question;
 mod rdata;
 mod record;
-pub mod tcp_frame;
 
 pub use error::WireError;
 pub use header::{Flags, Header, Opcode, Rcode};

@@ -403,7 +403,7 @@ mod tests {
         let mut m = Metrics::new();
         m.add("pair.hit", 7);
         m.gauge_max("peak", 3.5);
-        m.observe_with("gap_ms", crate::obs::HistSpec::time_ms(), 4.0);
+        m.observe("gap_ms", 4.0);
         let v = parse(&m.to_json()).expect("metrics JSON is valid");
         assert_eq!(v.get("pair.hit").and_then(Value::as_f64), Some(7.0));
         assert_eq!(

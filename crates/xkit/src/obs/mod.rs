@@ -8,8 +8,9 @@
 //!   `scripts/verify.sh` denies `Instant::now()` outside `xkit`, so all
 //!   timing flows through here.
 //! * [`Metrics`] — a name-ordered snapshot of counters, max-merged
-//!   gauges, and fixed-bucket log-scale [`Histogram`]s whose merge is
-//!   exact (`u64` arithmetic, no float sums). Per-shard snapshots folded
+//!   gauges, and log-scale [`Histogram`]s of milliseconds, all on one
+//!   fixed set of buckets, whose merge is exact (`u64` arithmetic, no
+//!   float sums). Per-shard snapshots folded
 //!   in shard order are byte-identical for any `--threads N`, the same
 //!   discipline the simulator uses for its logs.
 //! * [`SpanLog`] — driver-side stage timers rendered as an indented tree
@@ -49,6 +50,6 @@ mod tenants;
 
 pub use flight::{FlightEvent, FlightRecorder};
 pub use hub::ObsHub;
-pub use metrics::{HistSpec, Histogram, Metric, Metrics};
+pub use metrics::{Histogram, Metric, Metrics};
 pub use span::{SpanId, SpanLog, SpanRecord};
 pub use tenants::{HubRegistry, TenantState};

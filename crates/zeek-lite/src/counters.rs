@@ -157,8 +157,6 @@ counter_block! {
         Sum dns_bad_pointer => "zeek.reject_dns.bad_pointer",
         /// RDLENGTH or section-count fields inconsistent with the bytes.
         Sum dns_length_mismatch => "zeek.reject_dns.length_mismatch",
-        /// Any other DNS decode failure.
-        Sum dns_other => "zeek.reject_dns.other",
     }
 }
 
@@ -237,6 +235,6 @@ mod tests {
         // The two blocks export disjoint keys.
         let mut both = MonitorStats::default().to_metrics();
         both.merge(&DegradationStats::default().to_metrics());
-        assert_eq!(both.len(), 4 + 18);
+        assert_eq!(both.len(), 4 + 17);
     }
 }

@@ -45,7 +45,6 @@ impl DegradationStats {
             WireError::RdataLengthMismatch { .. } | WireError::CountMismatch { .. } => {
                 self.dns_length_mismatch += 1
             }
-            WireError::BadTcpFrame => self.dns_other += 1,
         }
     }
 
@@ -158,7 +157,6 @@ mod tests {
             WireError::ReservedLabelType(0x40),
             WireError::RdataLengthMismatch { declared: 4, actual: 2 },
             WireError::CountMismatch { section: "answer" },
-            WireError::BadTcpFrame,
             WireError::BadNameString("bad!".into()),
         ];
         let mut d = DegradationStats::default();
@@ -215,7 +213,7 @@ mod tests {
         d.dns_payloads = 40;
         d.dns_accepted = 37;
         d.record_dns_error(&WireError::EmptyLabel);
-        d.record_dns_error(&WireError::BadTcpFrame);
+        d.record_dns_error(&WireError::CountMismatch { section: "answer" });
         d.record_dns_error(&WireError::BadPointer { target: 9 });
         let m = d.to_metrics();
         assert_eq!(DegradationStats::from_metrics(&m), d);

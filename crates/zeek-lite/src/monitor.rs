@@ -11,7 +11,7 @@ use netpkt::{Packet, Transport};
 use std::collections::HashMap;
 use std::io::Read;
 use std::net::Ipv4Addr;
-use xkit::obs::{HistSpec, Metrics};
+use xkit::obs::Metrics;
 
 /// Monitor tuning knobs. Defaults follow Bro's, which the paper relies on.
 #[derive(Debug, Clone)]
@@ -89,7 +89,7 @@ impl Logs {
         m.add("zeek.app_conns", self.app_conns().count() as u64);
         for d in &self.dns {
             if let Some(rtt) = d.rtt {
-                m.observe_with("zeek.dns_rtt_ms", HistSpec::time_ms(), rtt.as_millis_f64());
+                m.observe("zeek.dns_rtt_ms", rtt.as_millis_f64());
             }
         }
         m
@@ -578,16 +578,14 @@ mod tests {
             out
         }
         let message = |response: bool, answers: &[Vec<u8>]| {
-            let mut out = Vec::new();
-            dns_wire::Header {
-                id: 7,
-                flags: if response { dns_wire::Flags::response(dns_wire::Rcode::NoError) } else { dns_wire::Flags::query() },
-                qdcount: 1,
-                ancount: answers.len() as u16,
-                nscount: 0,
-                arcount: 0,
-            }
-            .encode(&mut out);
+            // Header: id 7; a recursive query (RD), or its NOERROR answer
+            // (QR, RD, RA); one question, the answers, no other records.
+            let flags: u16 = if response { 0x8180 } else { 0x0100 };
+            let mut out = vec![0, 7];
+            out.extend(flags.to_be_bytes());
+            out.extend([0, 1]);
+            out.extend((answers.len() as u16).to_be_bytes());
+            out.extend([0, 0, 0, 0]);
             out.extend(name(&[b"A\tb", b"c.d", b"com"]));
             out.extend([0, 1, 0, 1]); // A, IN
             for target in answers {

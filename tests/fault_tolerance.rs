@@ -1,9 +1,7 @@
 //! Adversarial corpus: hand-crafted hostile bytes through every parse
 //! path. Each case must come back as a typed `Err` — never a panic.
 
-use dnsctx::dns_wire::{
-    tcp_frame, Compressor, Flags, Message, MessageView, MessageWriter, NameBuf, Rcode, RrType, WireError,
-};
+use dnsctx::dns_wire::{Compressor, Flags, Message, MessageView, MessageWriter, NameBuf, Rcode, RrType, WireError};
 use dnsctx::netpkt::{frame, MacAddr, Packet, PktError, TcpHeader};
 use std::net::Ipv4Addr;
 
@@ -222,26 +220,4 @@ fn every_cut_of_a_valid_message_is_err_not_panic() {
     for cut in 0..full.len() {
         assert!(parse(&full[..cut]).is_err(), "cut at {cut} must be Err");
     }
-}
-
-#[test]
-fn mid_record_tcp_stream_cuts_are_err_not_panic() {
-    let payload = dns_query_bytes();
-    let mut stream = tcp_frame::frame(&payload);
-    stream.extend_from_slice(&tcp_frame::frame(&payload));
-    assert_eq!(tcp_frame::deframe_all(&stream).unwrap().len(), 2);
-    // Cutting anywhere inside the second message leaves a trailing
-    // partial frame: deframe_all must reject it, and what the
-    // incremental deframer does release must still decode or error cleanly.
-    for cut in (payload.len() + 3)..stream.len() {
-        let cut_stream = &stream[..cut];
-        assert!(tcp_frame::deframe_all(cut_stream).is_err(), "cut at {cut}");
-        for msg in tcp_frame::Deframer::new().push(cut_stream) {
-            let _ = parse(&msg);
-        }
-    }
-    // A length prefix promising bytes that never arrive is a clean error.
-    let mut lying = 500u16.to_be_bytes().to_vec();
-    lying.extend_from_slice(&[0; 20]);
-    assert!(matches!(tcp_frame::deframe_all(&lying), Err(WireError::BadTcpFrame)));
 }
