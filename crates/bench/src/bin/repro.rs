@@ -1332,14 +1332,15 @@ fn headline_for_seed(cfg: &WorkloadConfig, seed: u64) -> Headline {
 /// of the headline statistics — a confidence check that no conclusion
 /// hangs on one lucky seed.
 fn multi_seed(cfg: &WorkloadConfig, opts: &Opts) {
+    // Seeds follow `--seed` and wrap past u64::MAX, as serve's tenants do.
+    let seeds: Vec<u64> = (0..opts.seeds as u64).map(|k| opts.seed.wrapping_add(k)).collect();
     eprintln!(
         "# running {} seeds ({}..{}) across {} worker(s) ...",
         opts.seeds,
-        opts.seed,
-        opts.seed + opts.seeds as u64 - 1,
+        seeds[0],
+        seeds[seeds.len() - 1],
         xkit::par::resolve_threads(opts.threads).min(opts.seeds)
     );
-    let seeds: Vec<u64> = (0..opts.seeds as u64).map(|k| opts.seed + k).collect();
     // par_map preserves input order: the rows come back seed-sorted.
     let rows: Vec<Headline> =
         xkit::par::par_map(opts.threads, seeds.clone(), |_, seed| headline_for_seed(cfg, seed));

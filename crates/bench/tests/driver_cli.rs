@@ -80,6 +80,21 @@ fn seed_sweep_is_thread_invariant() {
     assert_eq!(sweep("1"), sweep("4"));
 }
 
+/// A sweep that starts at the last seed wraps to 0, as serve's tenants
+/// do, instead of overflowing.
+#[test]
+fn seed_sweep_wraps_past_the_last_seed() {
+    let output = repro(&["--seed", "18446744073709551615", "--seeds", "2", "--houses", "2", "--days", "0.01"]);
+    assert!(output.status.success(), "{output:?}");
+    let stdout = String::from_utf8(output.stdout).expect("utf8 stdout");
+    let seeds: Vec<&str> = stdout
+        .lines()
+        .filter_map(|line| line.split_whitespace().next())
+        .filter(|first| first.parse::<u64>().is_ok())
+        .collect();
+    assert_eq!(seeds, ["18446744073709551615", "0"], "{stdout}");
+}
+
 #[test]
 fn unknown_experiment_or_flag_is_a_usage_error_before_any_work() {
     for args in [
