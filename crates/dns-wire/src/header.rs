@@ -192,19 +192,19 @@ impl Flags {
 
 /// The fixed 12-octet DNS message header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Header {
+pub(crate) struct Header {
     /// Transaction identifier chosen by the querier.
-    pub id: u16,
+    pub(crate) id: u16,
     /// Flag bits.
-    pub flags: Flags,
+    pub(crate) flags: Flags,
     /// Entries in the question section.
-    pub qdcount: u16,
+    pub(crate) qdcount: u16,
     /// Entries in the answer section.
-    pub ancount: u16,
+    pub(crate) ancount: u16,
     /// Entries in the authority section.
-    pub nscount: u16,
+    pub(crate) nscount: u16,
     /// Entries in the additional section.
-    pub arcount: u16,
+    pub(crate) arcount: u16,
 }
 
 impl Header {

@@ -57,7 +57,7 @@ mod rdata;
 mod record;
 
 pub use error::WireError;
-pub use header::{Flags, Header, Opcode, Rcode};
+pub use header::{Flags, Opcode, Rcode};
 pub use message::{Message, MessageView, MessageWriter};
 pub use name::{Compressor, Name, NameBuf, NameRef};
 pub use question::{Question, QuestionView};
