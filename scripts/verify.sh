@@ -36,6 +36,23 @@ grep -q '"ok":true' "$lint_json"
 rm -f "$lint_json"
 echo "clean: repro lint exits clean on the workspace"
 
+echo "== thread-invariance gate =="
+# Every table and figure is byte-identical at any --threads: 60 houses
+# span three simulator shards, so one thread and four run them apart.
+all_t1=$(mktemp /tmp/verify_all_t1.XXXXXX.txt)
+all_t4=$(mktemp /tmp/verify_all_t4.XXXXXX.txt)
+cargo run -q --release --offline -p bench --bin repro -- \
+    all --houses 60 --days 1 --threads 1 2>/dev/null > "$all_t1"
+cargo run -q --release --offline -p bench --bin repro -- \
+    all --houses 60 --days 1 --threads 4 2>/dev/null > "$all_t4"
+if ! cmp -s "$all_t1" "$all_t4"; then
+    echo "FAIL: repro all stdout differs between --threads 1 and --threads 4" >&2
+    rm -f "$all_t1" "$all_t4"
+    exit 1
+fi
+rm -f "$all_t1" "$all_t4"
+echo "clean: repro all emits identical stdout at --threads 1 and 4"
+
 echo "== fault suite =="
 cargo run -q --release --offline -p bench --bin repro -- fuzz --seed 0
 
