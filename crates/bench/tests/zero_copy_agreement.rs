@@ -109,9 +109,9 @@ fn sharded_truncated_ring_matches_the_recorded_digest() {
         let (bytes, offered) = xkit::par::join(
             2,
             || {
-                let mut w = pcapio::PcapWriter::new(Vec::new(), 96, pcapio::TsPrecision::Nano).expect("header");
+                let mut w = pcapio::PcapWriter::new(Vec::new(), 96).expect("header");
                 while let Some(rec) = pcapio::RecordSource::next(&mut rx).expect("ring read") {
-                    w.write_packet(rec.ts_nanos, rec.data, Some(rec.orig_len)).expect("in-memory write");
+                    w.write_packet(rec.ts_nanos, rec.data, rec.orig_len).expect("in-memory write");
                 }
                 w.into_inner().expect("in-memory flush")
             },

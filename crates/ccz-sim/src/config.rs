@@ -4,8 +4,7 @@
 //! values near the paper's headline numbers; EXPERIMENTS.md records the
 //! fidelity actually achieved. Every mechanism the paper observes has an
 //! explicit parameter here. [`WorkloadConfig`] holds the few a caller
-//! varies: the volume, the size of the name universe, and the
-//! probabilities tests move to drive one path end to end. Every other
+//! varies: the volume and the size of the name universe. Every other
 //! parameter has one value in use, so it is a `const` below.
 
 /// Output size knobs, separated from behavioural parameters so sweeps can
@@ -69,22 +68,6 @@ pub struct WorkloadConfig {
     /// Number of shared third-party services (ads/analytics/CDN hostnames
     /// embedded across many sites).
     pub shared_services: usize,
-
-    // ---- house composition ----
-    /// Probability a house routes every device through the ISP resolvers
-    /// (the paper's hypothesised DNS-forwarder houses, ~16%).
-    pub p_house_forwarder_only: f64,
-    /// Probability a (non-forwarder) house has devices using OpenDNS.
-    pub p_house_opendns: f64,
-    /// Probability a (non-forwarder) house has devices using Cloudflare.
-    pub p_house_cloudflare: f64,
-
-    // ---- negative answers ----
-    /// Probability a page view also fires a lookup for a non-existent
-    /// name (typos, dead links, software probing retired hostnames).
-    /// NXDOMAIN responses carry no addresses, so these lookups never pair
-    /// with a connection. Default 0 (the paper does not separate them).
-    pub p_nxdomain: f64,
 }
 
 // ---- name universe ----
@@ -107,6 +90,13 @@ pub(crate) const COHOST_FRACTION: f64 = 0.35;
 pub(crate) const CNAME_FRACTION: f64 = 0.30;
 
 // ---- house / device composition ----
+/// Probability a house routes every device through the ISP resolvers
+/// (the paper's hypothesised DNS-forwarder houses, ~16%).
+pub(crate) const P_HOUSE_FORWARDER_ONLY: f64 = 0.16;
+/// Probability a (non-forwarder) house has devices using OpenDNS.
+pub(crate) const P_HOUSE_OPENDNS: f64 = 0.33;
+/// Probability a (non-forwarder) house has devices using Cloudflare.
+pub(crate) const P_HOUSE_CLOUDFLARE: f64 = 0.045;
 /// Probability a house runs a peer-to-peer client.
 pub(crate) const P_HOUSE_P2P: f64 = 0.20;
 /// Probability a house contains a TP-Link-style device with a
@@ -248,19 +238,12 @@ impl Default for WorkloadConfig {
 
             services: 3_000,
             shared_services: 120,
-
-            p_house_forwarder_only: 0.16,
-            p_house_opendns: 0.33,
-            p_house_cloudflare: 0.045,
-
-            p_nxdomain: 0.0,
         }
     }
 }
 
 impl WorkloadConfig {
-    /// Validate internal consistency (volume and universe positive,
-    /// probabilities in range).
+    /// Validate internal consistency: volume and universe positive.
     pub(crate) fn validate(&self) -> Result<(), String> {
         if self.scale.houses == 0 {
             return Err("houses must be positive".into());
@@ -270,16 +253,6 @@ impl WorkloadConfig {
         }
         if self.services == 0 || self.shared_services == 0 {
             return Err("name universe must be non-empty".into());
-        }
-        for p in [
-            self.p_house_forwarder_only,
-            self.p_house_opendns,
-            self.p_house_cloudflare,
-            self.p_nxdomain,
-        ] {
-            if !(0.0..=1.0).contains(&p) {
-                return Err(format!("probability {p} out of [0,1]"));
-            }
         }
         Ok(())
     }
@@ -301,11 +274,15 @@ mod tests {
         assert!(c.validate().is_err());
 
         let mut c = WorkloadConfig::default();
-        c.p_nxdomain = 1.5;
+        c.scale.days = 0.0;
         assert!(c.validate().is_err());
 
         let mut c = WorkloadConfig::default();
-        c.p_house_opendns = -0.1;
+        c.scale.activity = -0.1;
+        assert!(c.validate().is_err());
+
+        let mut c = WorkloadConfig::default();
+        c.services = 0;
         assert!(c.validate().is_err());
 
         let mut c = WorkloadConfig::default();
@@ -336,6 +313,9 @@ mod tests {
         for p in [
             COHOST_FRACTION,
             CNAME_FRACTION,
+            P_HOUSE_FORWARDER_ONLY,
+            P_HOUSE_OPENDNS,
+            P_HOUSE_CLOUDFLARE,
             P_HOUSE_P2P,
             P_HOUSE_TPLINK_NTP,
             P_HOUSE_OOMA,

@@ -36,8 +36,6 @@ pub struct DnsEmission<'a> {
     pub query: &'a str,
     /// Lookup duration.
     pub rtt: Duration,
-    /// Response code.
-    pub rcode: Rcode,
     /// Optional CNAME ahead of the address records.
     pub cname: Option<&'a str>,
     /// Address answers.
@@ -194,7 +192,7 @@ impl Sink for LogSink {
             trans_id: e.trans_id,
             query,
             qtype: RrType::A,
-            rcode: Some(e.rcode),
+            rcode: Some(Rcode::NoError),
             rtt: Some(e.rtt),
             answers,
         });
@@ -283,14 +281,11 @@ pub(crate) struct PcapSink {
     /// The name being asked about, and its CNAME target if it has one.
     query: NameBuf,
     target: NameBuf,
-    /// MNAME and RNAME of the SOA every negative response carries.
-    soa_names: (NameBuf, NameBuf),
 }
 
 impl PcapSink {
     /// An empty sink.
     pub(crate) fn new() -> PcapSink {
-        let name = |s: &str| s.parse::<NameBuf>().expect("static name");
         PcapSink {
             // Doubling from a power of two keeps the capacity one: started
             // at the first frame's 42 bytes it would end at 42 << k.
@@ -303,7 +298,6 @@ impl PcapSink {
             comp: Compressor::default(),
             query: NameBuf::new(),
             target: NameBuf::new(),
-            soa_names: (name("ns1.cdnint.net"), name("hostmaster.cdnint.net")),
         }
     }
 
@@ -371,32 +365,22 @@ impl Sink for PcapSink {
 
         let at = self.arena.len();
         let ports = (dns_wire::DNS_PORT, e.client_port);
-        if e.rcode == Rcode::NxDomain && e.addrs.is_empty() {
-            // RFC 2308 negative response: SOA of the missing name's zone.
-            let zone = self.query.base_domain();
-            let counters = [2019_02_06, 7_200, 3_600, 1_209_600, e.ttl];
-            dns_frame(&mut self.arena, &mut self.comp, down, ports, e.trans_id, Flags::response(Rcode::NxDomain), |w| {
-                w.question(&self.query, RrType::A);
-                w.soa(&zone, e.ttl, &self.soa_names.0, &self.soa_names.1, counters);
-            });
-        } else {
-            let owner = match e.cname {
-                Some(c) => {
-                    self.target.set(c).expect("valid cname");
-                    &self.target
-                }
-                None => &self.query,
-            };
-            dns_frame(&mut self.arena, &mut self.comp, down, ports, e.trans_id, Flags::response(e.rcode), |w| {
-                w.question(&self.query, RrType::A);
-                if e.cname.is_some() {
-                    w.cname(&self.query, e.ttl, owner);
-                }
-                for a in e.addrs {
-                    w.a(owner, e.ttl, *a);
-                }
-            });
-        }
+        let owner = match e.cname {
+            Some(c) => {
+                self.target.set(c).expect("valid cname");
+                &self.target
+            }
+            None => &self.query,
+        };
+        dns_frame(&mut self.arena, &mut self.comp, down, ports, e.trans_id, Flags::response(Rcode::NoError), |w| {
+            w.question(&self.query, RrType::A);
+            if e.cname.is_some() {
+                w.cname(&self.query, e.ttl, owner);
+            }
+            for a in e.addrs {
+                w.a(owner, e.ttl, *a);
+            }
+        });
         self.push(e.ts + e.rtt, at, 0);
     }
 
@@ -563,7 +547,6 @@ mod tests {
             client_port: 54000,
             query: "www.s0001.com",
             rtt: Duration::from_millis(6),
-            rcode: Rcode::NoError,
             cname: Some("edge-1.cdnint.net"),
             addrs: {
                 const ADDRS: &[Ipv4Addr] = &[Ipv4Addr::new(104, 16, 0, 5)];
@@ -608,9 +591,9 @@ mod tests {
 
     /// The pcap capture of a final flush, and its frame count.
     fn capture(sink: &mut PcapSink, snaplen: u32) -> (Vec<u8>, u64) {
-        let mut w = pcapio::PcapWriter::new(Vec::new(), snaplen, pcapio::TsPrecision::Nano).unwrap();
+        let mut w = pcapio::PcapWriter::new(Vec::new(), snaplen).unwrap();
         let frames = release(sink, END, snaplen, |ts_nanos, orig_len, data| {
-            w.write_packet(ts_nanos, data, Some(orig_len)).unwrap()
+            w.write_packet(ts_nanos, data, orig_len).unwrap()
         });
         (w.into_inner().unwrap(), frames)
     }
@@ -693,59 +676,26 @@ mod tests {
             c
         };
 
-        let nx = DnsEmission {
-            trans_id: 100,
-            client_port: 54001,
-            query: "gone.www.s0001.com",
-            rcode: Rcode::NxDomain,
-            cname: None,
-            addrs: &[],
-            ..d
-        };
-
         let mut pcap = PcapSink::new();
         pcap.dns(&d);
-        pcap.dns(&nx);
         pcap.conn(&ct);
         pcap.conn(&cu);
         pcap.conn(&failed);
-        // 192: the negative response (139 bytes) is stored whole.
+        // 192: both DNS frames are stored whole.
         let (buf, frames) = capture(&mut pcap, 192);
         assert!(frames > 8);
 
         let logs = Monitor::process_pcap(&buf[..], MonitorConfig::default()).unwrap();
-        // DNS side.
-        assert_eq!(logs.dns.len(), 2);
+        // DNS side: the row the log sink writes directly, names and all.
+        let mut direct = LogSink::new();
+        direct.dns(&d);
+        let direct = direct.into_logs_and_dns_perm().0;
+        assert_eq!(logs.dns, direct.dns);
         assert_eq!(logs.names.name(logs.dns[0].query), d.query);
+        assert_eq!(logs.names.len(), direct.names.len());
         assert_eq!(logs.dns[0].rtt, Some(d.rtt));
+        assert_eq!(logs.dns[0].rcode, Some(Rcode::NoError));
         assert_eq!(logs.dns[0].addrs().collect::<Vec<_>>(), d.addrs);
-        assert_eq!((logs.names.name(logs.dns[1].query), logs.dns[1].rcode), (nx.query, Some(Rcode::NxDomain)));
-        assert_eq!((logs.dns[1].rtt, logs.dns[1].answers.len()), (Some(nx.rtt), 0));
-        // The negative response carries the SOA of the missing name's
-        // zone, its MINIMUM and TTL the emission's.
-        let negative = {
-            use pcapio::RecordSource;
-            let mut source = pcapio::source::file(&buf[..]).unwrap();
-            let mut found = None;
-            while let Some(rec) = source.next().unwrap() {
-                let pkt = netpkt::Packet::parse(rec.data, rec.orig_len as usize).unwrap();
-                if pkt.transport.src_port() == Some(dns_wire::DNS_PORT) {
-                    found = dns_wire::Message::decode(pkt.payload).ok().filter(|m| m.id == nx.trans_id).or(found);
-                }
-            }
-            found.expect("the NXDOMAIN response is in the capture")
-        };
-        assert!(negative.answers.is_empty());
-        let soa = &negative.authorities[0];
-        assert_eq!((soa.name.to_string().as_str(), soa.ttl), ("s0001.com", nx.ttl));
-        match &soa.rdata {
-            dns_wire::RData::Soa(data) => {
-                assert_eq!(data.mname.to_string(), "ns1.cdnint.net");
-                assert_eq!(data.rname.to_string(), "hostmaster.cdnint.net");
-                assert_eq!((data.serial, data.minimum), (2019_02_06, nx.ttl));
-            }
-            other => panic!("expected SOA, got {other:?}"),
-        }
         // Connections: dns flow + tcp + udp + failed udp.
         let apps: Vec<_> = logs.app_conns().collect();
         assert_eq!(apps.len(), 3);

@@ -34,39 +34,4 @@ mod tests {
         let out = Simulation::new(shrink(cfg), 3).unwrap().run();
         assert!(!out.logs.conns.is_empty());
     }
-
-    #[test]
-    fn local_only_uses_single_platform() {
-        // Every house pinned to the ISP resolvers (the paper's
-        // hypothesised forwarder-intercept configuration, network-wide).
-        let local_only = WorkloadConfig {
-            p_house_forwarder_only: 1.0,
-            p_house_opendns: 0.0,
-            p_house_cloudflare: 0.0,
-            ..paper_week(1.0)
-        };
-        let out = Simulation::new(shrink(local_only), 5).unwrap().run();
-        // Every lookup went to Local, so no other platform saw one.
-        let m = &out.metrics;
-        assert!(m.counter("sim.dns_lookups") > 0);
-        assert_eq!(m.counter("resolver.local.queries"), m.counter("sim.dns_lookups"));
-    }
-
-    #[test]
-    fn typo_traffic_produces_unpaired_nxdomain() {
-        // Two percent of page views also fire a dead-name lookup.
-        let typo_traffic = WorkloadConfig { p_nxdomain: 0.02, ..paper_week(1.0) };
-        let out = Simulation::new(shrink(typo_traffic), 5).unwrap().run();
-        let nx: Vec<_> = out
-            .logs
-            .dns
-            .iter()
-            .filter(|t| t.rcode == Some(dns_wire::Rcode::NxDomain))
-            .collect();
-        assert!(!nx.is_empty(), "typo scenario must emit NXDOMAIN lookups");
-        for t in nx {
-            assert!(t.answers.is_empty());
-            assert!(t.rtt.is_some());
-        }
-    }
 }

@@ -27,7 +27,6 @@ fn tiny(houses: usize, days: f64) -> WorkloadConfig {
         scale: ScaleKnobs { houses, days, activity: 1.0 },
         services: 150,
         shared_services: 25,
-        ..WorkloadConfig::default()
     }
 }
 
@@ -116,7 +115,7 @@ fn invalid_configs_are_rejected() {
     assert!(Simulation::new(c, 1).is_err());
 
     let mut c = tiny(1, 0.01);
-    c.p_house_cloudflare = -0.5;
+    c.scale.houses = 0;
     assert!(Simulation::new(c, 1).is_err());
 
     let mut c = tiny(1, 0.01);

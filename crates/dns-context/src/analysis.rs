@@ -176,12 +176,6 @@ impl<'a> Analysis<'a> {
         self.perf().significance(self.pairing.app_conn_count())
     }
 
-    /// Class mix over fixed-width time buckets (operator view).
-    // lint: allow(unused-pub): tests/extensions.rs pins the bucket partition through it
-    pub fn timeseries(&self, width: Duration) -> Vec<crate::timeseries::Bucket> {
-        crate::timeseries::bucketize(&self.logs.conns, &self.pairing, &self.classes, width)
-    }
-
     /// Diurnal (hour-of-day) classification profile.
     pub fn diurnal_profile(&self) -> [(u8, ClassCounts); 24] {
         crate::timeseries::hour_of_day_profile(&self.logs.conns, &self.pairing, &self.classes)

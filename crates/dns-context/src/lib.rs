@@ -39,11 +39,11 @@ pub mod report;
 pub mod resolver;
 pub mod stats;
 pub mod stream;
-pub mod timeseries;
 
 mod analysis;
 mod kernel;
 mod radix;
+mod timeseries;
 
 /// The reference pairer from the paper's sentence, shared with the
 /// integration tests, for unit tests that also read crate-private

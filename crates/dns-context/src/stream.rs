@@ -1466,9 +1466,9 @@ mod tests {
     /// `window_nanos`.
     fn epochs_cut(stamps: &[u64], window_nanos: u64) -> u64 {
         let mut buf = Vec::new();
-        let mut w = pcapio::PcapWriter::new(&mut buf, 96, pcapio::TsPrecision::Nano).unwrap();
+        let mut w = pcapio::PcapWriter::new(&mut buf, 96).unwrap();
         for ts in stamps {
-            w.write_packet(*ts, &[*ts as u8], None).unwrap();
+            w.write_packet(*ts, &[*ts as u8], 1).unwrap();
         }
         let mut sunk = 0u64;
         let result = process_source_observed(

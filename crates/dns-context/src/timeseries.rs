@@ -1,4 +1,4 @@
-//! Time-series views of the analysis: how DNS' role varies over the day.
+//! The diurnal view of the analysis: how DNS' role varies over the day.
 //!
 //! The paper aggregates its week into single numbers; a diurnal breakdown
 //! is the first question an operator asks next ("is the blocked share
@@ -7,54 +7,11 @@
 
 use crate::classify::{ClassCounts, ConnClass};
 use crate::pairing::Pairing;
-use zeek_lite::{ConnRecord, Duration, Timestamp};
+use zeek_lite::ConnRecord;
 
-/// One time bucket's classification summary.
-#[derive(Debug, Clone)]
-pub struct Bucket {
-    /// Bucket start.
-    pub start: Timestamp,
-    /// Class tallies for connections starting in the bucket.
-    pub classes: ClassCounts,
-}
-
-impl Bucket {
-    /// Connections in the bucket.
-    pub fn total(&self) -> usize {
-        self.classes.total()
-    }
-}
-
-/// Bucket the classified connections by start time.
-///
-/// Buckets are aligned to the first connection's timestamp; empty
-/// buckets in the middle of the trace are preserved (their counts are
-/// zero) so the series is evenly spaced.
-pub(crate) fn bucketize(
-    conns: &[ConnRecord],
-    pairing: &Pairing,
-    classes: &[ConnClass],
-    width: Duration,
-) -> Vec<Bucket> {
-    assert!(width.nanos() > 0, "bucket width must be positive");
-    let Some(first) = pairing.pairs.first().map(|p| conns[p.conn].ts) else {
-        return Vec::new();
-    };
-    let mut buckets: Vec<Bucket> = Vec::new();
-    for (pair, class) in pairing.pairs.iter().zip(classes) {
-        let ts = conns[pair.conn].ts;
-        let idx = (ts.since(first).nanos() / width.nanos()) as usize;
-        while buckets.len() <= idx {
-            let start = first + Duration(width.nanos() * buckets.len() as u64);
-            buckets.push(Bucket { start, classes: ClassCounts::default() });
-        }
-        buckets[idx].classes.record(*class);
-    }
-    buckets
-}
-
-/// Fold buckets into 24 hour-of-day slots (UTC hours of the capture
-/// timeline) — the diurnal profile. Returns `[(hour, ClassCounts); 24]`.
+/// Fold the classified connections into 24 hour-of-day slots (UTC hours
+/// of the capture timeline) — the diurnal profile. Returns
+/// `[(hour, ClassCounts); 24]`.
 pub(crate) fn hour_of_day_profile(
     conns: &[ConnRecord],
     pairing: &Pairing,
@@ -75,7 +32,7 @@ mod tests {
     use super::*;
     use crate::pairing::PairingPolicy;
     use std::net::Ipv4Addr;
-    use zeek_lite::{ConnState, FiveTuple, Proto};
+    use zeek_lite::{ConnState, Duration, FiveTuple, Proto, Timestamp};
 
     fn conn(ts_secs: u64, uid: u64) -> ConnRecord {
         ConnRecord {
@@ -106,30 +63,6 @@ mod tests {
     }
 
     #[test]
-    fn buckets_are_even_and_complete() {
-        let conns: Vec<ConnRecord> = [0u64, 30, 100, 250, 260].iter().enumerate()
-            .map(|(i, s)| conn(*s, i as u64))
-            .collect();
-        let (pairing, classes) = classified(&conns);
-        let buckets = bucketize(&conns, &pairing, &classes, Duration::from_secs(60));
-        assert_eq!(buckets.len(), 5); // spans [0, 260] in 60 s buckets
-        assert_eq!(buckets[0].total(), 2);
-        assert_eq!(buckets[1].total(), 1);
-        assert_eq!(buckets[2].total(), 0); // preserved empty bucket
-        assert_eq!(buckets[3].total(), 0);
-        assert_eq!(buckets[4].total(), 2);
-        let total: usize = buckets.iter().map(|b| b.total()).sum();
-        assert_eq!(total, conns.len());
-        assert_eq!(buckets[1].start, Timestamp::from_secs(60));
-    }
-
-    #[test]
-    fn empty_input() {
-        let (pairing, classes) = classified(&[]);
-        assert!(bucketize(&[], &pairing, &classes, Duration::from_secs(60)).is_empty());
-    }
-
-    #[test]
     fn hour_profile_wraps_midnight() {
         // 23:30 and 00:30 on consecutive days land in hours 23 and 0.
         let conns = vec![conn(23 * 3_600 + 1_800, 0), conn(24 * 3_600 + 1_800, 1)];
@@ -139,12 +72,5 @@ mod tests {
         assert_eq!(profile[0].1.total(), 1);
         let total: usize = profile.iter().map(|(_, c)| c.total()).sum();
         assert_eq!(total, 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "bucket width")]
-    fn zero_width_rejected() {
-        let (pairing, classes) = classified(&[]);
-        bucketize(&[], &pairing, &classes, Duration::ZERO);
     }
 }

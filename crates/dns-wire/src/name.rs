@@ -167,24 +167,6 @@ impl NameBuf {
         Ok(())
     }
 
-    /// The registrable-suffix heuristic used for the zone of a negative
-    /// answer: the last two labels (e.g. `example.com` for
-    /// `www.example.com`). Names with fewer than two labels return
-    /// themselves.
-    pub fn base_domain(&self) -> NameBuf {
-        // Where the last two labels seen start.
-        let (mut keep_from, mut last, mut at) = (0, 0, 0);
-        for label in labels(self.flat()) {
-            (keep_from, last) = (last, at);
-            at += 1 + label.len();
-        }
-        let suffix = &self.flat()[keep_from..];
-        let mut out = NameBuf::new();
-        out.bytes[..suffix.len()].copy_from_slice(suffix);
-        out.len = suffix.len() as u8;
-        out
-    }
-
     /// Read the name at `*pos`, replacing what the buffer held.
     fn read(&mut self, msg: &[u8], pos: &mut usize) -> Result<(), WireError> {
         self.len = 0;
@@ -572,15 +554,6 @@ mod tests {
             decode(&buf, &mut pos),
             Err(WireError::ReservedLabelType(_))
         ));
-    }
-
-    #[test]
-    fn base_domain() {
-        let mut buf = NameBuf::new();
-        for (name, base) in [("a.b.Example.com", "example.com"), ("example.com", "example.com"), ("com", "com"), ("", ".")] {
-            buf.set(name).unwrap();
-            assert_eq!(shown(&buf.base_domain()), base);
-        }
     }
 
     /// The label walk hands out a flat name's labels first to last, so

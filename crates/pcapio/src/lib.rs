@@ -1,9 +1,11 @@
 //! Reader and writer for the classic libpcap capture file format.
 //!
-//! Supports both byte orders and both timestamp precisions (microsecond
-//! magic `0xA1B2C3D4`, nanosecond magic `0xA1B23C4D`), Ethernet link type,
-//! and snaplen truncation on write — everything needed to serialise a
-//! simulated capture and read it back as a production monitor would.
+//! The reader accepts both byte orders and both timestamp precisions
+//! (microsecond magic `0xA1B2C3D4`, nanosecond magic `0xA1B23C4D`), as
+//! captures from other tools carry them. The writer writes the one format
+//! the pipeline uses: little-endian, nanosecond, Ethernet link type, with
+//! snaplen truncation — everything needed to serialise a simulated
+//! capture and read it back as a production monitor would.
 //!
 //! The format is the original fixed 24-byte global header followed by
 //! 16-byte per-packet record headers; see the Wireshark wiki's
@@ -20,11 +22,11 @@
 //! # Example
 //!
 //! ```
-//! use pcapio::{PcapWriter, RecordSource, TsPrecision};
+//! use pcapio::{PcapWriter, RecordSource};
 //!
 //! let mut buf = Vec::new();
-//! let mut w = PcapWriter::new(&mut buf, 96, TsPrecision::Nano).unwrap();
-//! w.write_packet(1_549_497_600_000_000_123, b"frame bytes", None).unwrap();
+//! let mut w = PcapWriter::new(&mut buf, 96).unwrap();
+//! w.write_packet(1_549_497_600_000_000_123, b"frame bytes", 11).unwrap();
 //! drop(w);
 //!
 //! let mut source = pcapio::source::file(&buf[..]).unwrap();
@@ -59,7 +61,7 @@ const RECORD_HEADER_LEN: usize = 16;
 
 /// Timestamp precision of a capture file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TsPrecision {
+enum TsPrecision {
     /// Microseconds (the common default).
     Micro,
     /// Nanoseconds.
@@ -150,45 +152,36 @@ impl RecordRef<'_> {
 pub struct PcapWriter<W: Write> {
     out: W,
     snaplen: u32,
-    precision: TsPrecision,
     packets_written: u64,
 }
 
 impl<W: Write> PcapWriter<W> {
-    /// Create a writer with the given snaplen and timestamp precision and
-    /// emit the global header. Always writes native little-endian captures
-    /// (the reader handles both orders).
-    pub fn new(mut out: W, snaplen: u32, precision: TsPrecision) -> io::Result<PcapWriter<W>> {
-        let magic = match precision {
-            TsPrecision::Micro => MAGIC_MICRO,
-            TsPrecision::Nano => MAGIC_NANO,
-        };
-        out.write_all(&magic.to_le_bytes())?;
+    /// Create a writer with the given snaplen and emit the global header.
+    /// Always writes little-endian nanosecond captures (the reader
+    /// handles both orders and both precisions).
+    pub fn new(mut out: W, snaplen: u32) -> io::Result<PcapWriter<W>> {
+        out.write_all(&MAGIC_NANO.to_le_bytes())?;
         out.write_all(&2u16.to_le_bytes())?; // version major
         out.write_all(&4u16.to_le_bytes())?; // version minor
         out.write_all(&0i32.to_le_bytes())?; // thiszone
         out.write_all(&0u32.to_le_bytes())?; // sigfigs
         out.write_all(&snaplen.to_le_bytes())?;
         out.write_all(&LINKTYPE_ETHERNET.to_le_bytes())?;
-        Ok(PcapWriter { out, snaplen, precision, packets_written: 0 })
+        Ok(PcapWriter { out, snaplen, packets_written: 0 })
     }
 
     /// Append one packet. `ts_nanos` is nanoseconds since the epoch;
-    /// `frame` holds the bytes available for storage; `orig_len` overrides
-    /// the on-wire length when the frame is already a partial view (pass
-    /// `None` when `frame` is the complete packet).
-    pub fn write_packet(&mut self, ts_nanos: u64, frame: &[u8], orig_len: Option<u32>) -> io::Result<()> {
+    /// `frame` holds the bytes available for storage; `orig_len` is the
+    /// on-wire length, at least `frame.len()` (more when the frame is
+    /// already a partial view).
+    pub fn write_packet(&mut self, ts_nanos: u64, frame: &[u8], orig_len: u32) -> io::Result<()> {
         let stored = frame.len().min(self.snaplen as usize);
-        let orig = orig_len.unwrap_or(frame.len() as u32);
-        debug_assert!(orig as usize >= frame.len());
-        let (secs, subsec) = match self.precision {
-            TsPrecision::Micro => (ts_nanos / 1_000_000_000, (ts_nanos % 1_000_000_000) / 1_000),
-            TsPrecision::Nano => (ts_nanos / 1_000_000_000, ts_nanos % 1_000_000_000),
-        };
+        debug_assert!(orig_len as usize >= frame.len());
+        let (secs, subsec) = (ts_nanos / 1_000_000_000, ts_nanos % 1_000_000_000);
         self.out.write_all(&(secs as u32).to_le_bytes())?;
         self.out.write_all(&(subsec as u32).to_le_bytes())?;
         self.out.write_all(&(stored as u32).to_le_bytes())?;
-        self.out.write_all(&orig.to_le_bytes())?;
+        self.out.write_all(&orig_len.to_le_bytes())?;
         self.out.write_all(&frame[..stored])?;
         self.packets_written += 1;
         Ok(())
@@ -368,14 +361,14 @@ pub fn rewrite<R: Read, W: Write>(
     injector: &mut xkit::fault::FaultInjector,
 ) -> Result<u64, PcapError> {
     let mut reader = PcapReader::new(input)?;
-    let mut w = PcapWriter::new(out, reader.snaplen(), TsPrecision::Nano)?;
+    let mut w = PcapWriter::new(out, reader.snaplen())?;
     while let Some(rec) = reader.next_packet()? {
         for r in injector.apply(rec) {
-            w.write_packet(r.ts_nanos, &r.data, Some(r.orig_len))?;
+            w.write_packet(r.ts_nanos, &r.data, r.orig_len)?;
         }
     }
     for r in injector.flush() {
-        w.write_packet(r.ts_nanos, &r.data, Some(r.orig_len))?;
+        w.write_packet(r.ts_nanos, &r.data, r.orig_len)?;
     }
     let n = w.packets_written();
     w.into_inner()?;
@@ -387,13 +380,38 @@ mod tests {
     use super::*;
     use xkit::fault::{FaultConfig, FaultInjector};
 
-    fn write_capture(precision: TsPrecision, snaplen: u32, frames: &[(&[u8], Option<u32>)]) -> Vec<u8> {
+    /// A capture of `frames`, each `(stored bytes, on-wire length)`, one
+    /// microsecond apart from the first second.
+    fn write_capture(snaplen: u32, frames: &[(&[u8], u32)]) -> Vec<u8> {
         let mut buf = Vec::new();
-        let mut w = PcapWriter::new(&mut buf, snaplen, precision).unwrap();
+        let mut w = PcapWriter::new(&mut buf, snaplen).unwrap();
         for (i, (frame, orig)) in frames.iter().enumerate() {
             w.write_packet(1_000_000_000 + i as u64 * 1_000, frame, *orig).unwrap();
         }
         assert_eq!(w.packets_written(), frames.len() as u64);
+        buf
+    }
+
+    /// A microsecond capture written by hand, as another tool would: the
+    /// global header, then each `(secs, usecs, bytes)` stored whole, every
+    /// field in the chosen byte order.
+    fn micro_capture(big_endian: bool, snaplen: u32, records: &[(u32, u32, &[u8])]) -> Vec<u8> {
+        let u16s = |v: u16| if big_endian { v.to_be_bytes() } else { v.to_le_bytes() };
+        let u32s = |v: u32| if big_endian { v.to_be_bytes() } else { v.to_le_bytes() };
+        let mut buf = Vec::new();
+        buf.extend(u32s(MAGIC_MICRO));
+        buf.extend(u16s(2)); // version major
+        buf.extend(u16s(4)); // version minor
+        // thiszone, sigfigs, snaplen, link type
+        for field in [0, 0, snaplen, LINKTYPE_ETHERNET] {
+            buf.extend(u32s(field));
+        }
+        for (secs, usecs, data) in records {
+            for field in [*secs, *usecs, data.len() as u32, data.len() as u32] {
+                buf.extend(u32s(field));
+            }
+            buf.extend_from_slice(data);
+        }
         buf
     }
 
@@ -405,7 +423,7 @@ mod tests {
 
     #[test]
     fn round_trip_nano() {
-        let buf = write_capture(TsPrecision::Nano, 65535, &[(b"abc", None), (b"defgh", None)]);
+        let buf = write_capture(65535, &[(b"abc", 3), (b"defgh", 5)]);
         assert_eq!(PcapReader::new(&buf[..]).unwrap().precision, TsPrecision::Nano);
         let recs = read_all(&buf);
         assert_eq!(recs.len(), 2);
@@ -414,21 +432,20 @@ mod tests {
         assert_eq!(recs[1].ts_nanos, 1_000_001_000);
     }
 
+    /// A microsecond capture carries no sub-microsecond digits: each
+    /// timestamp reads back as whole microseconds.
     #[test]
     fn micro_precision_rounds_down() {
-        let mut buf = Vec::new();
-        let mut w = PcapWriter::new(&mut buf, 65535, TsPrecision::Micro).unwrap();
-        w.write_packet(1_000_000_999, b"x", None).unwrap();
-        drop(w);
+        let buf = micro_capture(false, 65535, &[(1, 0, b"x"), (1, 999_999, b"y")]);
         let mut r = PcapReader::new(&buf[..]).unwrap();
-        let rec = r.next_packet().unwrap().unwrap();
-        // 999 ns rounds down to 0 µs.
-        assert_eq!(rec.ts_nanos, 1_000_000_000);
+        assert_eq!(r.precision, TsPrecision::Micro);
+        let ts: Vec<u64> = std::iter::from_fn(|| r.next_packet().unwrap()).map(|rec| rec.ts_nanos).collect();
+        assert_eq!(ts, [1_000_000_000, 1_999_999_000]);
     }
 
     #[test]
     fn snaplen_truncates_but_preserves_orig_len() {
-        let buf = write_capture(TsPrecision::Nano, 4, &[(b"0123456789", None)]);
+        let buf = write_capture(4, &[(b"0123456789", 10)]);
         let mut r = PcapReader::new(&buf[..]).unwrap();
         let rec = r.next_packet().unwrap().unwrap();
         assert_eq!(rec.data, b"0123");
@@ -437,7 +454,7 @@ mod tests {
 
     #[test]
     fn explicit_orig_len_for_virtual_payload() {
-        let buf = write_capture(TsPrecision::Nano, 96, &[(b"hdrs", Some(1500))]);
+        let buf = write_capture(96, &[(b"hdrs", 1500)]);
         let mut r = PcapReader::new(&buf[..]).unwrap();
         let rec = r.next_packet().unwrap().unwrap();
         assert_eq!(rec.data, b"hdrs");
@@ -446,20 +463,7 @@ mod tests {
 
     #[test]
     fn byte_swapped_capture_reads_back() {
-        // Hand-build a big-endian header + one record.
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&MAGIC_MICRO.to_be_bytes());
-        buf.extend_from_slice(&2u16.to_be_bytes());
-        buf.extend_from_slice(&4u16.to_be_bytes());
-        buf.extend_from_slice(&0i32.to_be_bytes());
-        buf.extend_from_slice(&0u32.to_be_bytes());
-        buf.extend_from_slice(&96u32.to_be_bytes());
-        buf.extend_from_slice(&LINKTYPE_ETHERNET.to_be_bytes());
-        buf.extend_from_slice(&7u32.to_be_bytes()); // secs
-        buf.extend_from_slice(&5u32.to_be_bytes()); // usecs
-        buf.extend_from_slice(&3u32.to_be_bytes()); // incl
-        buf.extend_from_slice(&3u32.to_be_bytes()); // orig
-        buf.extend_from_slice(b"xyz");
+        let buf = micro_capture(true, 96, &[(7, 5, b"xyz")]);
         let mut r = PcapReader::new(&buf[..]).unwrap();
         assert_eq!(r.snaplen(), 96);
         let rec = r.next_packet().unwrap().unwrap();
@@ -475,7 +479,7 @@ mod tests {
 
     #[test]
     fn bad_version_rejected() {
-        let mut buf = write_capture(TsPrecision::Micro, 96, &[]);
+        let mut buf = micro_capture(false, 96, &[]);
         buf[4] = 9; // version major
         assert!(matches!(PcapReader::new(&buf[..]), Err(PcapError::BadVersion(9, 4))));
     }
@@ -488,7 +492,7 @@ mod tests {
 
     #[test]
     fn truncated_record_body_rejected() {
-        let mut buf = write_capture(TsPrecision::Nano, 96, &[(b"abcdef", None)]);
+        let mut buf = write_capture(96, &[(b"abcdef", 6)]);
         buf.truncate(buf.len() - 2);
         let mut r = PcapReader::new(&buf[..]).unwrap();
         assert!(matches!(r.next_packet(), Err(PcapError::TruncatedFile)));
@@ -497,8 +501,8 @@ mod tests {
     #[test]
     fn record_with_incl_exceeding_orig_rejected() {
         let mut buf = Vec::new();
-        let mut w = PcapWriter::new(&mut buf, 96, TsPrecision::Nano).unwrap();
-        w.write_packet(0, b"abc", None).unwrap();
+        let mut w = PcapWriter::new(&mut buf, 96).unwrap();
+        w.write_packet(0, b"abc", 3).unwrap();
         drop(w);
         // Corrupt orig_len (last 4 bytes of the record header) to 1.
         let off = GLOBAL_HEADER_LEN + 12;
@@ -509,7 +513,7 @@ mod tests {
 
     #[test]
     fn empty_capture_yields_no_records() {
-        let buf = write_capture(TsPrecision::Micro, 96, &[]);
+        let buf = write_capture(96, &[]);
         assert!(read_all(&buf).is_empty());
     }
 
@@ -519,7 +523,7 @@ mod tests {
     /// record counts as rejected.
     #[test]
     fn a_cut_inside_a_record_is_truncation_and_a_cut_between_records_is_the_end() {
-        let buf = write_capture(TsPrecision::Nano, 96, &[(b"abcdef", None), (b"", None), (b"xyz", Some(300))]);
+        let buf = write_capture(96, &[(b"abcdef", 6), (b"", 0), (b"xyz", 300)]);
         let ends = [GLOBAL_HEADER_LEN, GLOBAL_HEADER_LEN + 22, GLOBAL_HEADER_LEN + 38, buf.len()];
         assert_eq!(ends[3], GLOBAL_HEADER_LEN + 57);
         for cut in GLOBAL_HEADER_LEN..=buf.len() {
@@ -549,7 +553,7 @@ mod tests {
 
     #[test]
     fn rewrite_identity_preserves_records() {
-        let buf = write_capture(TsPrecision::Nano, 96, &[(b"abc", None), (b"defgh", Some(1500))]);
+        let buf = write_capture(96, &[(b"abc", 3), (b"defgh", 1500)]);
         let mut out = Vec::new();
         // A clean injector draws nothing and passes every record through.
         let n = rewrite(&buf[..], &mut out, &mut injector(FaultConfig::clean())).unwrap();
@@ -559,7 +563,7 @@ mod tests {
 
     #[test]
     fn rewrite_can_drop_duplicate_and_flush() {
-        let buf = write_capture(TsPrecision::Nano, 96, &[(b"a", None), (b"b", None), (b"c", None)]);
+        let buf = write_capture(96, &[(b"a", 1), (b"b", 1), (b"c", 1)]);
         let through = |cfg: FaultConfig| {
             let mut out = Vec::new();
             let n = rewrite(&buf[..], &mut out, &mut injector(cfg)).unwrap();
@@ -577,7 +581,7 @@ mod tests {
 
     #[test]
     fn read_write_counters_account_for_every_byte() {
-        let buf = write_capture(TsPrecision::Nano, 96, &[(b"abc", None), (b"defgh", None)]);
+        let buf = write_capture(96, &[(b"abc", 3), (b"defgh", 5)]);
         let mut r = PcapReader::new(&buf[..]).unwrap();
         while let Some(_) = r.next_packet().unwrap() {}
         assert_eq!(r.records_read, 2);
@@ -587,15 +591,15 @@ mod tests {
         assert_eq!(m.counter("capture.frames_read"), 2);
         assert_eq!(m.counter("capture.bytes_read"), 8);
 
-        let mut w = PcapWriter::new(Vec::new(), 96, TsPrecision::Nano).unwrap();
-        w.write_packet(1, b"abc", None).unwrap();
-        w.write_packet(2, b"defgh", None).unwrap();
+        let mut w = PcapWriter::new(Vec::new(), 96).unwrap();
+        w.write_packet(1, b"abc", 3).unwrap();
+        w.write_packet(2, b"defgh", 5).unwrap();
         assert_eq!(w.packets_written(), 2);
     }
 
     #[test]
     fn rejected_records_are_counted() {
-        let mut buf = write_capture(TsPrecision::Nano, 96, &[(b"abcdef", None)]);
+        let mut buf = write_capture(96, &[(b"abcdef", 6)]);
         buf.truncate(buf.len() - 2);
         let mut r = PcapReader::new(&buf[..]).unwrap();
         assert!(r.next_packet().is_err());
@@ -606,8 +610,8 @@ mod tests {
     #[test]
     fn next_record_borrows_and_agrees_with_next_packet() {
         let frames: Vec<Vec<u8>> = (0..40u8).map(|i| vec![i; (i as usize % 17) + 1]).collect();
-        let refs: Vec<(&[u8], Option<u32>)> = frames.iter().map(|f| (f.as_slice(), None)).collect();
-        let buf = write_capture(TsPrecision::Nano, 65535, &refs);
+        let refs: Vec<(&[u8], u32)> = frames.iter().map(|f| (f.as_slice(), f.len() as u32)).collect();
+        let buf = write_capture(65535, &refs);
         let mut borrowed = PcapReader::new(&buf[..]).unwrap();
         let mut owned = PcapReader::new(&buf[..]).unwrap();
         loop {
@@ -634,7 +638,7 @@ mod tests {
     fn next_record_shorter_frame_after_longer_is_exact() {
         // The internal buffer only grows; a short record after a long one
         // must still be sliced to its own length.
-        let buf = write_capture(TsPrecision::Nano, 65535, &[(b"0123456789", None), (b"ab", None)]);
+        let buf = write_capture(65535, &[(b"0123456789", 10), (b"ab", 2)]);
         let mut r = PcapReader::new(&buf[..]).unwrap();
         assert_eq!(r.next_record().unwrap().unwrap().data, b"0123456789");
         assert_eq!(r.next_record().unwrap().unwrap().data, b"ab");
@@ -644,8 +648,8 @@ mod tests {
     #[test]
     fn iterator_collects_all() {
         let frames: Vec<Vec<u8>> = (0..100u8).map(|i| vec![i; (i as usize % 32) + 1]).collect();
-        let refs: Vec<(&[u8], Option<u32>)> = frames.iter().map(|f| (f.as_slice(), None)).collect();
-        let buf = write_capture(TsPrecision::Nano, 65535, &refs);
+        let refs: Vec<(&[u8], u32)> = frames.iter().map(|f| (f.as_slice(), f.len() as u32)).collect();
+        let buf = write_capture(65535, &refs);
         let recs = read_all(&buf);
         assert_eq!(recs.len(), 100);
         for (rec, f) in recs.iter().zip(&frames) {

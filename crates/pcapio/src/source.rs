@@ -84,14 +84,14 @@ pub fn file<R: Read>(input: R) -> Result<PcapReader<R>, PcapError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{PcapWriter, TsPrecision};
+    use crate::PcapWriter;
 
     #[test]
     fn file_backend_matches_reader_semantics() {
         let mut buf = Vec::new();
-        let mut w = PcapWriter::new(&mut buf, 96, TsPrecision::Nano).unwrap();
-        w.write_packet(7, b"abc", None).unwrap();
-        w.write_packet(9, b"defg", None).unwrap();
+        let mut w = PcapWriter::new(&mut buf, 96).unwrap();
+        w.write_packet(7, b"abc", 3).unwrap();
+        w.write_packet(9, b"defg", 4).unwrap();
         drop(w);
 
         let mut src = file(&buf[..]).unwrap();

@@ -1,7 +1,7 @@
 //! Randomized tests: capture files round-trip and the reader survives
 //! fuzz, driven by a fixed `xkit::rng` stream.
 
-use pcapio::{PcapError, PcapRecord, PcapWriter, RecordSource, TsPrecision};
+use pcapio::{PcapError, PcapRecord, PcapWriter, RecordSource};
 use xkit::rng::StdRng;
 
 /// The pcap global file header, fixed by the format.
@@ -60,10 +60,10 @@ fn nano_round_trip() {
     for _ in 0..CASES {
         let recs = gen_recs(&mut r, 0, 40);
         let mut buf = Vec::new();
-        let mut w = PcapWriter::new(&mut buf, 65_535, TsPrecision::Nano).unwrap();
+        let mut w = PcapWriter::new(&mut buf, 65_535).unwrap();
         for rec in &recs {
             let orig = (rec.data.len() + rec.extra_wire as usize) as u32;
-            w.write_packet(rec.ts_nanos, &rec.data, Some(orig)).unwrap();
+            w.write_packet(rec.ts_nanos, &rec.data, orig).unwrap();
         }
         drop(w);
         let got = read_all(&buf);
@@ -76,21 +76,34 @@ fn nano_round_trip() {
     }
 }
 
-/// Microsecond files lose only sub-microsecond precision.
+/// Microsecond files, written by hand in either byte order as other
+/// tools write them, read back with only sub-microsecond precision lost.
 #[test]
 fn micro_rounds_to_microseconds() {
     let mut r = rng(2);
     for _ in 0..CASES {
         let recs = gen_recs(&mut r, 1, 20);
+        let big_endian = r.random_bool(0.5);
+        let u32s = |v: u32| if big_endian { v.to_be_bytes() } else { v.to_le_bytes() };
         let mut buf = Vec::new();
-        let mut w = PcapWriter::new(&mut buf, 65_535, TsPrecision::Micro).unwrap();
-        for rec in &recs {
-            w.write_packet(rec.ts_nanos, &rec.data, None).unwrap();
+        buf.extend(u32s(0xA1B2_C3D4)); // the microsecond magic
+        buf.extend(if big_endian { [0, 2, 0, 4] } else { [2, 0, 4, 0] }); // version 2.4
+        // thiszone, sigfigs, snaplen, Ethernet
+        for field in [0, 0, 65_535, 1] {
+            buf.extend(u32s(field));
         }
-        drop(w);
+        for rec in &recs {
+            let (secs, usecs) = (rec.ts_nanos / 1_000_000_000, rec.ts_nanos % 1_000_000_000 / 1_000);
+            for field in [secs as u32, usecs as u32, rec.data.len() as u32, rec.data.len() as u32] {
+                buf.extend(u32s(field));
+            }
+            buf.extend_from_slice(&rec.data);
+        }
         let got = read_all(&buf);
+        assert_eq!(got.len(), recs.len());
         for (g, rec) in got.iter().zip(&recs) {
             assert_eq!(g.ts_nanos, rec.ts_nanos / 1_000 * 1_000);
+            assert_eq!(&g.data, &rec.data);
         }
     }
 }
@@ -103,8 +116,8 @@ fn snaplen_truncation() {
         let data: Vec<u8> = (0..r.random_range(0..300usize)).map(|_| r.random::<u8>()).collect();
         let snaplen = r.random_range(1u32..128);
         let mut buf = Vec::new();
-        let mut w = PcapWriter::new(&mut buf, snaplen, TsPrecision::Nano).unwrap();
-        w.write_packet(7, &data, None).unwrap();
+        let mut w = PcapWriter::new(&mut buf, snaplen).unwrap();
+        w.write_packet(7, &data, data.len() as u32).unwrap();
         drop(w);
         let rec = &read_all(&buf)[0];
         let expect = data.len().min(snaplen as usize);
@@ -131,9 +144,9 @@ fn reader_never_panics() {
 #[test]
 fn truncated_capture_degrades_cleanly() {
     let mut buf = Vec::new();
-    let mut w = PcapWriter::new(&mut buf, 96, TsPrecision::Nano).unwrap();
+    let mut w = PcapWriter::new(&mut buf, 96).unwrap();
     for i in 0..20u64 {
-        w.write_packet(i, &[i as u8; 32], None).unwrap();
+        w.write_packet(i, &[i as u8; 32], 32).unwrap();
     }
     drop(w);
     for cut in 0..=buf.len() {

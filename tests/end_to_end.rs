@@ -276,7 +276,6 @@ fn random_pairing_policy_draw_sequence_is_pinned() {
         scale: ScaleKnobs { houses: 4, days: 0.03, activity: 1.0 },
         services: 200,
         shared_services: 30,
-        ..WorkloadConfig::default()
     };
     let mut pcap = Vec::new();
     Simulation::new(cfg, SEED).unwrap().run_pcap(&mut pcap, 600).unwrap();

@@ -91,7 +91,6 @@ fn idle_epoch_allocs(n: u32) -> [StageAllocs; 3] {
         udp_timeout: Duration::from_secs(5),
         tcp_timeout: Duration::from_secs(3_600),
         dns_query_timeout: Duration::from_secs(3_600),
-        ..MonitorConfig::default()
     };
     let mut engine = StreamEngine::new(monitor, AnalysisConfig::default());
     let hub = full_hub();

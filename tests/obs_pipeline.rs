@@ -26,7 +26,6 @@ fn small_cfg() -> WorkloadConfig {
         scale: ScaleKnobs { houses: 30, days: 0.05, activity: 1.0 },
         services: 300,
         shared_services: 40,
-        ..WorkloadConfig::default()
     }
 }
 

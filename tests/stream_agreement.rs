@@ -13,7 +13,6 @@ fn small_cfg() -> WorkloadConfig {
         scale: ScaleKnobs { houses: 4, days: 0.03, activity: 1.0 },
         services: 200,
         shared_services: 30,
-        ..WorkloadConfig::default()
     }
 }
 
